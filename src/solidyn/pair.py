@@ -21,6 +21,7 @@ into independent single-particle runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as _dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .errors import SolidynError
 from .grids import Field, Grid, _cubic_weights
 from .potentials import Potentials
 from .soliton import SolitonState, nls_step
-from .stepping import NODE_MASK_REL, check_finite, strang_step
+from .stepping import (NODE_MASK_REL, cached, check_finite,
+                       kinetic_multiplier, strang_step)
 from .trajectories import FlowHistory, advance_positions
 
 
@@ -47,6 +49,12 @@ class PairWave:
         self.axis_grids = tuple(
             Grid(self.psi.grid.points[a], self.psi.grid.lengths[a])
             for a in range(2))
+
+    @cached_property
+    def amplitude(self):
+        """|Psi|, computed once per wave and kept with it (velocity fields
+        and conditional potentials share it)."""
+        return np.abs(self.psi.samples)
 
     def norm(self):
         return self.psi.norm()
@@ -71,26 +79,33 @@ def symmetrized_pair(samples_a, samples_b, grid: Grid, masses, charge,
                     tuple(potentials))
 
 
+# 2D split-step factors of ls2_step, one entry per configuration grid: the
+# runs of one scenario share them, and memory stays bounded.
+_STEP_FACTORS = {}
+
+
 def ls2_step(pair: PairWave, dt: float) -> PairWave:
     """Strang split step of the two-particle wave (unitary to round-off)."""
     grid = pair.psi.grid
     t = pair.psi.time_tag
     e = pair.charge
 
-    def w_at(tt):
-        w1 = pair.masses[0] + e * pair.potentials[0].scalar_on_grid(
-            pair.axis_grids[0], tt)
-        w2 = pair.masses[1] + e * pair.potentials[1].scalar_on_grid(
-            pair.axis_grids[1], tt)
-        return w1[:, None] + w2[None, :]
+    def half_at(tt):
+        w1, w2 = (pot.linear_potential(axis_grid, mass, e, tt)
+                  for pot, axis_grid, mass in zip(
+                      pair.potentials, pair.axis_grids, pair.masses))
+        return np.exp(-0.5j * dt * (w1[:, None] + w2[None, :]))
 
-    total = 0.0
-    zero_a = np.zeros(1)
-    for axis in range(2):
-        k = grid._k_along(axis)
-        total = total + (k - e * zero_a[0]) ** 2 / (2.0 * pair.masses[axis])
-    kin = np.exp(-1j * dt * total)
-    out = strang_step(pair.psi.samples, dt, w_at(t), w_at(t + dt), kin)
+    if any(pot.time_dependent for pot in pair.potentials):
+        half_start, half_end = half_at(t), half_at(t + dt)
+    else:
+        half_start = half_end = cached(
+            _STEP_FACTORS, "half", grid,
+            (pair.masses, e, dt, pair.potentials), lambda: half_at(t))
+    kin = cached(_STEP_FACTORS, "kinetic", grid, (pair.masses, e, dt),
+                 lambda: kinetic_multiplier(grid, pair.masses, e,
+                                            (0.0, 0.0), dt))
+    out = strang_step(pair.psi.samples, half_start, half_end, kin)
     return PairWave(Field(grid, out, t + dt), pair.masses, pair.charge,
                     pair.potentials)
 
@@ -100,7 +115,7 @@ def pair_velocity_fields(pair: PairWave):
     amplitude (for node masking)."""
     grid = pair.psi.grid
     psi = pair.psi.samples
-    a = np.abs(psi)
+    a = pair.amplitude
     peak = float(a.max())
     if peak == 0.0:
         raise SolidynError("zero pair wave")
@@ -110,7 +125,7 @@ def pair_velocity_fields(pair: PairWave):
     for axis in range(2):
         grad = grid.derivative(psi, axis)
         current = np.imag(np.conj(psi) * grad)
-        vel[axis] = (current / rho_safe - 0.0) / pair.masses[axis]
+        vel[axis] = current / rho_safe / pair.masses[axis]
     return vel, a
 
 
@@ -118,8 +133,10 @@ def conditional_q(pair: PairWave, which: int, partner_pos: float):
     """Conditional quantum potential for particle `which` (1 or 2).
 
     Slices |Psi| at the partner's position (cubic interpolation along the
-    partner axis) and returns -(second derivative along the own axis) /
+    partner axis), then returns -(second derivative of the slice) /
     (2 w0k slice amplitude) with the node floor, on the own-axis grid.
+    Interpolation and differentiation act on different axes, so slicing
+    first equals differentiating the full grid first, up to round-off.
     """
     if which not in (1, 2):
         raise SolidynError("which must be 1 or 2")
@@ -129,15 +146,14 @@ def conditional_q(pair: PairWave, which: int, partner_pos: float):
     half = 0.5 * grid.lengths[other]
     if not (-half <= partner_pos < half):
         raise SolidynError("partner position outside the box")
-    a = np.abs(pair.psi.samples)
+    a = pair.amplitude
     peak = float(a.max())
     floor = NODE_MASK_REL * peak
-    d2a = grid.second_derivative(a, own)
     a_slice = _axis_slice(grid, a, other, partner_pos)
-    d2a_slice = _axis_slice(grid, d2a, other, partner_pos)
     if np.all(a_slice < floor):
         raise SolidynError(
             "conditional slice lies entirely below the node floor")
+    d2a_slice = pair.axis_grids[own].second_derivative(a_slice, 0)
     q = -d2a_slice / (2.0 * pair.masses[own] * np.maximum(a_slice, floor))
     return q
 

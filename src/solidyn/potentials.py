@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stepping import cached, kinetic_multiplier
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -33,6 +35,12 @@ class Potentials:
     V and its gradient are supplied as callables of (t, coords) where coords
     is a tuple of per-axis coordinate arrays (broadcastable); A and dA/dt are
     callables of t returning a length-dim vector.
+
+    A V given as a raw callable is assumed to depend on t and is sampled
+    anew at every call.  An omitted V (zero) and the V of the named
+    constructors below are static: a static V is sampled once per grid, and
+    the split-step factors built from it are memoized (see
+    `stepping.cached`).
     """
 
     def __init__(self, dim, scalar=None, scalar_gradient=None,
@@ -44,14 +52,49 @@ class Potentials:
             lambda t, coords: tuple(0.0 for _ in range(dim)))
         self._vector = vector or (lambda t: zero_vec)
         self._vector_rate = vector_rate or (lambda t: zero_vec)
+        self.time_dependent = scalar is not None
+        self._factors = {}
 
     # -- evaluation ------------------------------------------------------
 
+    def _memo(self, name, grid, key, build):
+        """build(), memoized per grid when V is static."""
+        if self.time_dependent:
+            return build()
+        return cached(self._factors, name, grid, key, build)
+
     def scalar_on_grid(self, grid, t):
-        """V(t, .) sampled on the grid (always a full array)."""
-        v = self._scalar(t, grid.meshes())
-        return np.broadcast_to(np.asarray(v, dtype=float), grid.shape).copy() \
-            if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+        """V(t, .) sampled on the grid (always a full array; read-only and
+        sampled once per grid when V is static)."""
+        def sample():
+            v = self._scalar(t, grid.meshes())
+            return np.broadcast_to(np.asarray(v, dtype=float),
+                                   grid.shape).copy() \
+                if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+        return self._memo("scalar", grid, None, sample)
+
+    def linear_potential(self, grid, mass, charge, t):
+        """mass + charge * V(t, .) on the grid, the linear part of the
+        split-step potential W."""
+        return self._memo(
+            "linear", grid, (mass, charge),
+            lambda: mass + charge * self.scalar_on_grid(grid, t))
+
+    def half_phase(self, grid, mass, charge, dt, t):
+        """Strang half phase exp(-i dt (mass + charge V(t)) / 2); for a static
+        V one array serves both halves of every step."""
+        return self._memo(
+            "half", grid, (mass, charge, dt),
+            lambda: np.exp(-0.5j * dt * self.linear_potential(
+                grid, mass, charge, t)))
+
+    def kinetic_phase(self, grid, mass, charge, dt, t):
+        """`kinetic_multiplier` with A(t), rebuilt only when the grid, mass,
+        charge, A or dt differ from the previous call on that grid."""
+        avec = self.vector(t)
+        key = (mass, charge, tuple(avec.tolist()), dt)
+        return cached(self._factors, "kinetic", grid, key,
+                      lambda: kinetic_multiplier(grid, mass, charge, avec, dt))
 
     def scalar_at(self, t, positions):
         positions = np.atleast_2d(positions)
@@ -94,7 +137,9 @@ class Potentials:
             return tuple(
                 -e_field if a == axis else 0.0 for a in range(dim))
 
-        return cls(dim, scalar=scalar, scalar_gradient=gradient)
+        pot = cls(dim, scalar=scalar, scalar_gradient=gradient)
+        pot.time_dependent = False
+        return pot
 
     @classmethod
     def vector_ramp(cls, e_field, dim=1, axis=0):
@@ -120,4 +165,6 @@ class Potentials:
         def gradient(t, coords):
             return tuple(spring * c for c in coords)
 
-        return cls(dim, scalar=scalar, scalar_gradient=gradient)
+        pot = cls(dim, scalar=scalar, scalar_gradient=gradient)
+        pot.time_dependent = False
+        return pot

@@ -14,6 +14,7 @@ never drift apart.  Exit codes: 0 all checks pass, 1 solver error,
 from __future__ import annotations
 
 import copy
+import math
 import os
 from dataclasses import dataclass
 
@@ -160,7 +161,11 @@ def _pop_number(section, section_name, key, default, required=False,
             want = "an integer" if integer else "a number"
             raise ConfigError(f"[{section_name}].{key}: expected {want}, "
                               f"got {value!r}")
-        return int(value) if integer else float(value)
+        value = int(value) if integer else float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section_name}].{key}: expected a finite "
+                              f"number, got {value!r}")
+        return value
     if required:
         raise ConfigError(f"[{section_name}].{key}: required key missing")
     return default
@@ -697,12 +702,15 @@ def _run_entangled_pair(cfg, sink):
             z=[z1, z2])
 
     z1, z2, z2b = init["z1"], init["z2"], init["z2_alternate"]
-    wa, wb = wave(True), wave(True)
-    ent_a = run_pair(wa, state(wa, z1, z2), cfg.dt, cfg.steps)
-    ent_b = run_pair(wb, state(wb, z1, z2b), cfg.dt, cfg.steps)
-    pa, pb = wave(False), wave(False)
-    prod_a = run_pair(pa, state(pa, z1, z2), cfg.dt, cfg.steps)
-    prod_b = run_pair(pb, state(pb, z1, z2b), cfg.dt, cfg.steps)
+
+    def run(entangled, z2_start):
+        # each initial wave is freed when its run ends, not kept to the end
+        pair_wave = wave(entangled)
+        return run_pair(pair_wave, state(pair_wave, z1, z2_start), cfg.dt,
+                        cfg.steps)
+
+    ent_a, ent_b = run(True, z2), run(True, z2b)
+    prod_a, prod_b = run(False, z2), run(False, z2b)
     dx = grid.spacing[0]
     ent_shift = float(np.max(np.abs(ent_a.z[:, 0] - ent_b.z[:, 0])))
     prod_shift = float(np.max(np.abs(prod_a.z[:, 0] - prod_b.z[:, 0])))

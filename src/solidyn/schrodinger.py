@@ -26,7 +26,7 @@ from .errors import BoundaryMassError, SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, check_finite,
-                       kinetic_multiplier, strang_step)
+                       strang_step)
 from .trajectories import FlowHistory, integrate_flow, trajectory_from_flow
 
 
@@ -52,12 +52,12 @@ def ls_step(psi: Field, params: PhysicalParams, potentials: Potentials,
     wavenumber (k - eA(t + dt/2)), half potential phase at t + dt.
     """
     grid, t = psi.grid, psi.time_tag
-    e = params.charge
-    w_start = params.omega0 + e * potentials.scalar_on_grid(grid, t)
-    w_end = params.omega0 + e * potentials.scalar_on_grid(grid, t + dt)
-    kin = kinetic_multiplier(grid, params.omega0, e,
-                             potentials.vector(t + 0.5 * dt), dt)
-    out = strang_step(psi.samples, dt, w_start, w_end, kin)
+    w0, e = params.omega0, params.charge
+    out = strang_step(psi.samples,
+                      potentials.half_phase(grid, w0, e, dt, t),
+                      potentials.half_phase(grid, w0, e, dt, t + dt),
+                      potentials.kinetic_phase(grid, w0, e, dt,
+                                               t + 0.5 * dt))
     return Field(grid, out, t + dt)
 
 

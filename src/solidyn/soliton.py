@@ -29,8 +29,7 @@ from .errors import BoundaryMassError, SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .schrodinger import MadelungBundle, ls_step, madelung_extract
-from .stepping import (BOUNDARY_MASS_LIMIT, check_finite, kinetic_multiplier,
-                       strang_step)
+from .stepping import BOUNDARY_MASS_LIMIT, check_finite, strang_step
 from .trajectories import FlowHistory, TrajectoryRecord, advance_positions, \
     guided_velocity
 
@@ -174,22 +173,22 @@ def nls_step(state: SolitonState, potentials: Potentials, dt: float,
     if external_q_end is None:
         external_q_end = external_q
 
-    w_start = p.omega0 + e * potentials.scalar_on_grid(grid, t)
+    w_start = potentials.linear_potential(grid, p.omega0, e, t)
     if external_q is not None:
         w_start = w_start + external_q
     w_start = w_start + log_nonlinearity(u.density(), state.b, state.f0) / two_w0
 
-    base_end = p.omega0 + e * potentials.scalar_on_grid(grid, t + dt)
+    base_end = potentials.linear_potential(grid, p.omega0, e, t + dt)
     if external_q_end is not None:
         base_end = base_end + external_q_end
 
-    def w_end(mid):
+    def half_end(mid):
         rho = np.abs(mid) ** 2
-        return base_end + log_nonlinearity(rho, state.b, state.f0) / two_w0
+        w_end = base_end + log_nonlinearity(rho, state.b, state.f0) / two_w0
+        return np.exp(-0.5j * dt * w_end)
 
-    kin = kinetic_multiplier(grid, p.omega0, e,
-                             potentials.vector(t + 0.5 * dt), dt)
-    out = strang_step(u.samples, dt, w_start, w_end, kin)
+    kin = potentials.kinetic_phase(grid, p.omega0, e, dt, t + 0.5 * dt)
+    out = strang_step(u.samples, np.exp(-0.5j * dt * w_start), half_end, kin)
     new_u = Field(grid, out, t + dt)
     xbar, _ = soliton_center(new_u, previous=state.center)
     return replace(state, u=new_u, center=xbar)

@@ -1,10 +1,12 @@
 """Shared time-stepping kernels: Strang split steps and RK4 for trajectories.
 
 The same Strang kernel drives the linear Schrodinger wave, the nonlinear
-u-field, and the two-particle configuration-space wave; only the potential
-arrays and the kinetic Fourier multiplier differ.  Phase sub-steps multiply
-by unit-modulus factors, so |field| is untouched by them and the total norm
-is conserved to round-off by the kinetic step's unitarity.
+u-field, and the two-particle configuration-space wave; only the phase
+factors and the kinetic Fourier multiplier differ, and factors that do not
+change from step to step are built once and memoized with `cached`.  Phase
+sub-steps multiply by unit-modulus factors, so |field| is untouched by them
+and the total norm is conserved to round-off by the kinetic step's
+unitarity.
 """
 
 from __future__ import annotations
@@ -21,33 +23,52 @@ NODE_PROXIMITY_REL = 1e-6
 BOUNDARY_MASS_LIMIT = 1e-8
 
 
-def strang_step(samples, dt, w_start, w_end, kinetic_phase):
+def strang_step(samples, half_start, half_end, kinetic_phase):
     """One Strang split step of i du/dt = (W + K) u.
 
     Parameters
     ----------
     samples : complex ndarray
-    dt : time step
-    w_start : potential array for the first half phase (evaluated at t)
-    w_end : potential array for the second half phase (evaluated at t + dt),
-        or a callable receiving the post-kinetic samples (for nonlinear W).
+    half_start : first half phase exp(-i dt W(t) / 2).
+    half_end : second half phase exp(-i dt W(t + dt) / 2), or a callable
+        receiving the post-kinetic samples and returning it (for nonlinear W).
     kinetic_phase : precomputed exp(-i dt K) multiplier in Fourier space.
     """
-    out = np.exp(-0.5j * dt * w_start) * samples
-    out = np.fft.ifftn(np.fft.fftn(out) * kinetic_phase)
-    if callable(w_end):
-        w_end = w_end(out)
-    out *= np.exp(-0.5j * dt * w_end)
+    out = np.fft.fftn(half_start * samples)
+    out *= kinetic_phase
+    out = np.fft.ifftn(out)
+    if callable(half_end):
+        half_end = half_end(out)
+    out *= half_end
     return out
 
 
-def kinetic_multiplier(grid, omega0, charge, vector_potential, dt):
-    """exp(-i dt (k - eA)^2 / (2 omega0)) on the grid's wavenumber lattice."""
+def kinetic_multiplier(grid, mass, charge, vector_potential, dt):
+    """exp(-i dt sum_a (k_a - eA_a)^2 / (2 m_a)) on the grid's wavenumber
+    lattice; `mass` is one rest mass or one per axis."""
+    masses = np.broadcast_to(mass, (grid.dim,))
     total = 0.0
     for axis in range(grid.dim):
         k = grid._k_along(axis)
-        total = total + (k - charge * vector_potential[axis]) ** 2 / (2.0 * omega0)
+        total = total + (k - charge * vector_potential[axis]) ** 2 \
+            / (2.0 * masses[axis])
     return np.exp(-1j * dt * total)
+
+
+def cached(store, name, grid, key, build):
+    """Return build(), memoized in the dict `store` per (name, grid) for `key`.
+
+    Each (name, grid) slot keeps only its latest key, so memory stays bounded
+    and a factor whose key changes every step (a time-ramped A) is simply
+    rebuilt every step.  The cached array is read-only.
+    """
+    slot = (name, grid.points, grid.lengths)
+    entry = store.get(slot)
+    if entry is None or entry[0] != key:
+        value = build()
+        value.flags.writeable = False
+        entry = store[slot] = (key, value)
+    return entry[1]
 
 
 def check_finite(samples, step_index):

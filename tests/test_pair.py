@@ -9,6 +9,7 @@ from solidyn.grids import Field, Grid
 from solidyn.pair import (
     PairState,
     PairWave,
+    _axis_slice,
     conditional_q,
     ls2_step,
     pair_continuity_residual,
@@ -23,6 +24,7 @@ from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import madelung_extract
 from solidyn.soliton import GaussonParams, SolitonState, gausson_init, \
     nls_step, run_coupled
+from solidyn.stepping import NODE_MASK_REL
 from solidyn.trajectories import FlowHistory, integrate_flow
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
@@ -136,6 +138,33 @@ def test_conditional_q_matches_single_particle_potential():
     q_cond = conditional_q(pair, 1, float(g2.axes[1][40]))
     bundle = madelung_extract(Field(g1, psi1), PARAMS, Potentials.free(1))
     assert np.array_equal(q_cond, bundle.quantum_potential)
+
+
+def test_conditional_q_slice_first_matches_full_grid_derivative():
+    # the former formula: full 2D second derivative, then slice both arrays
+    g2, g1 = grid_pair()
+    pair = symmetrized_pair(packet(g1, -2.0, k=0.5),
+                            packet(g1, 2.0, k=-0.7, sigma=1.3), g2,
+                            (1.0, 1.7), 1.0, FREE)
+    a = np.abs(pair.psi.samples)
+    floor = NODE_MASK_REL * a.max()
+    for which in (1, 2):
+        own, other = which - 1, 2 - which
+        d2a = g2.second_derivative(a, own)
+        for z in (-2.37, 0.1234, 1.9, 3.31):       # off the grid nodes
+            a_slice = _axis_slice(g2, a, other, z)
+            a_safe = np.maximum(a_slice, floor)
+            old = -_axis_slice(g2, d2a, other, z) / (
+                2.0 * pair.masses[own] * a_safe)
+            new = conditional_q(pair, which, z)
+            # the curvature -q a agrees to round-off along the whole line;
+            # q itself wherever the slice is lit (round-off over a tail
+            # amplitude near the node floor is not)
+            assert np.max(np.abs((new - old) * a_safe)) \
+                <= 1e-12 * np.max(np.abs(old * a_safe))
+            lit = a_slice > 1e-2 * a_slice.max()
+            assert np.max(np.abs(new - old)[lit]) \
+                <= 1e-12 * np.max(np.abs(old[lit]))
 
 
 def test_conditional_q_entangled_depends_on_partner():

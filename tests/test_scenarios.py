@@ -68,6 +68,21 @@ def test_unknown_key_rejected(tmp_path):
         parse_config_dict({"scenario": "free_gausson", "extra": 1})
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "dt", ".nan"),
+    ("run", "t_final", ".inf"),
+    ("physics", "b", ".nan"),
+])
+def test_non_finite_number_rejected(tmp_path, section, key, value):
+    path = write_yaml(tmp_path, "nonfinite.yaml",
+                      f"scenario: free_gausson\n{section}:\n  {key}: {value}\n"
+                      f"output:\n  directory: {tmp_path / 'out'}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\]\.{key}: .*finite"):
+        parse_config(path)
+    assert cli_main(["run", path, "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_scenario_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown kind"):
         parse_config(write_yaml(tmp_path, "kind.yaml", "scenario: warp\n"))

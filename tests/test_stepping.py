@@ -1,0 +1,173 @@
+"""Split-step factor caches against a reference Strang step that rebuilds
+every phase factor and the kinetic multiplier at every step."""
+
+import numpy as np
+import pytest
+
+from solidyn.grids import Field, Grid
+from solidyn.pair import PairWave, ls2_step
+from solidyn.potentials import PhysicalParams, Potentials
+from solidyn.schrodinger import ls_step
+from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
+                             log_nonlinearity, nls_step)
+
+STEPS = 50
+DT = 5e-3
+SPRING = 0.3
+E_FIELD = 0.4
+PARAMS = PhysicalParams(omega0=1.3, charge=-0.7)
+B, F0 = 4.0, 1.0
+
+
+def harmonic_v(t, coords):
+    return 0.5 * SPRING * coords[0] ** 2
+
+
+def breathing_v(t, coords):
+    # genuinely time-dependent: a cached sample would freeze it at t = 0
+    return 0.3 * np.cos(2.0 * t) * coords[0] ** 2 + 0.1 * t * coords[0]
+
+
+def ramp_a(t):
+    return -E_FIELD * t * np.ones(1)
+
+
+def zero_a(t):
+    return np.zeros(1)
+
+
+def reference_kinetic(grid, masses, charge, avec, dt):
+    total = 0.0
+    for axis in range(grid.dim):
+        k = grid._k_along(axis)
+        total = total + (k - charge * avec[axis]) ** 2 / (2.0 * masses[axis])
+    return np.exp(-1j * dt * total)
+
+
+def reference_strang(samples, dt, w_start, w_end, kin):
+    out = np.exp(-0.5j * dt * w_start) * samples
+    out = np.fft.ifftn(np.fft.fftn(out) * kin)
+    if callable(w_end):
+        w_end = w_end(out)
+    return out * np.exp(-0.5j * dt * w_end)
+
+
+def line():
+    grid = Grid(128, 20.0)
+    x = grid.axes[0]
+    return grid, (np.exp(-(x - 1.0) ** 2 / 2.0)
+                  * np.exp(0.8j * x)).astype(complex)
+
+
+def potentials_for(kind):
+    """(Potentials under test, reference V(t, coords), reference A(t))."""
+    if kind == "harmonic":
+        return Potentials.harmonic(SPRING), harmonic_v, zero_a
+    if kind == "vector_ramp":
+        return (Potentials.vector_ramp(E_FIELD),
+                lambda t, c: np.zeros_like(c[0]), ramp_a)
+    if kind == "raw_callable":
+        return Potentials(1, scalar=breathing_v), breathing_v, zero_a
+    raise ValueError(kind)
+
+
+KINDS = ("harmonic", "vector_ramp", "raw_callable")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ls_step_matches_reference(kind):
+    grid, samples = line()
+    pot, v, a = potentials_for(kind)
+    w0, e = PARAMS.omega0, PARAMS.charge
+    psi, ref, t = Field(grid, samples), samples, 0.0
+    for i in range(STEPS):
+        # alternating dt: a factor cached for one dt must not serve the other
+        dt = DT * (1 + i % 2)
+        psi = ls_step(psi, PARAMS, pot, dt)
+        kin = reference_kinetic(grid, (w0,), e, a(t + 0.5 * dt), dt)
+        ref = reference_strang(ref, dt, w0 + e * v(t, grid.axes),
+                               w0 + e * v(t + dt, grid.axes), kin)
+        t = t + dt
+    assert np.array_equal(psi.samples, ref)
+
+
+@pytest.mark.parametrize("mode", ("classical", "dbb"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_nls_step_matches_reference(kind, mode):
+    grid, _ = line()
+    pot, v, a = potentials_for(kind)
+    w0, e = PARAMS.omega0, PARAMS.charge
+    u = gausson_init(GaussonParams(B, F0, center=(0.5,), velocity=(0.4,)),
+                     grid, w0)
+    state = SolitonState(u, PARAMS, B, F0, coupling_mode=mode)
+    x = grid.axes[0]
+    ref, t = u.samples, 0.0
+    for i in range(STEPS):
+        q_start = q_end = None
+        if mode == "dbb":
+            q_start = 0.05 * np.sin(x + i * DT)
+            q_end = 0.05 * np.sin(x + (i + 1) * DT)
+        state = nls_step(state, pot, DT, external_q=q_start,
+                         external_q_end=q_end)
+
+        w_start = w0 + e * v(t, grid.axes)
+        base_end = w0 + e * v(t + DT, grid.axes)
+        if mode == "dbb":
+            w_start = w_start + q_start
+            base_end = base_end + q_end
+        w_start = w_start + log_nonlinearity(np.abs(ref) ** 2, B, F0) / (
+            2.0 * w0)
+
+        def w_end(mid, base_end=base_end):
+            return base_end + log_nonlinearity(np.abs(mid) ** 2, B, F0) / (
+                2.0 * w0)
+
+        kin = reference_kinetic(grid, (w0,), e, a(t + 0.5 * DT), DT)
+        ref = reference_strang(ref, DT, w_start, w_end, kin)
+        t = t + DT
+    assert np.array_equal(state.u.samples, ref)
+
+
+@pytest.mark.parametrize("kind", ("harmonic", "raw_callable"))
+def test_ls2_step_matches_reference(kind):
+    g2 = Grid((64, 64), (20.0, 20.0))
+    g1 = Grid(64, 20.0)
+    x = g1.axes[0]
+    psi1 = (np.exp(-(x + 1.0) ** 2 / 2.0) * np.exp(0.5j * x)).astype(complex)
+    psi2 = np.exp(-(x - 2.0) ** 2 / 3.0).astype(complex)
+    entangled = np.outer(psi1, psi2) + np.outer(psi2, psi1)
+    masses, e = (1.0, 2.5), 0.6
+    pot, v, _ = potentials_for(kind)
+    pair = PairWave(Field(g2, entangled), masses, e,
+                    (pot, Potentials.harmonic(SPRING)))
+
+    def w_at(tt):
+        w1 = masses[0] + e * v(tt, g1.axes)
+        w2 = masses[1] + e * harmonic_v(tt, g1.axes)
+        return w1[:, None] + w2[None, :]
+
+    kin = reference_kinetic(g2, masses, e, (0.0, 0.0), DT)
+    ref, t = entangled, 0.0
+    for _ in range(STEPS):
+        pair = ls2_step(pair, DT)
+        ref = reference_strang(ref, DT, w_at(t), w_at(t + DT), kin)
+        t = t + DT
+    assert np.array_equal(pair.psi.samples, ref)
+
+
+def test_static_scalar_on_grid_is_read_only():
+    grid, _ = line()
+    v = Potentials.harmonic(SPRING).scalar_on_grid(grid, 0.0)
+    assert not v.flags.writeable
+    with pytest.raises(ValueError):
+        v += 1.0
+
+
+def test_raw_callable_scalar_is_sampled_at_each_time():
+    grid, _ = line()
+    pot = Potentials(1, scalar=breathing_v)
+    assert pot.time_dependent
+    first = pot.scalar_on_grid(grid, 0.0)
+    later = pot.scalar_on_grid(grid, 1.0)
+    assert np.array_equal(later, breathing_v(1.0, grid.axes))
+    assert not np.array_equal(first, later)
