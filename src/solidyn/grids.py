@@ -185,43 +185,72 @@ class Grid:
             ok &= (positions[:, axis] >= -half) & (positions[:, axis] < half)
         return ok
 
-    def interpolate(self, samples, positions):
-        """Separable cubic (4-point Lagrange) interpolation at off-grid points.
+    def stencil(self, positions):
+        """Cubic interpolation stencil of off-grid points, for reuse.
 
-        Exact at sample nodes and for polynomials of degree <= 3 per axis on
-        the wrapped stencil; positions must lie inside the box.
+        Validates the points (axis count, inside the box) and builds their
+        4-point Lagrange weights and wrapped sample indices once; passing
+        the returned `Stencil` to `interpolate` then evaluates any number of
+        fields on this grid at those points.
 
         Parameters
         ----------
-        samples : ndarray of the grid shape
         positions : (n, dim) or (dim,) array of query points
-
-        Returns
-        -------
-        ndarray of n interpolated values (dtype follows `samples`).
         """
+        positions = self._query_points(positions)
+        if not np.all(self.contains(positions)):
+            raise SolidynError("interpolation point outside the box")
+        return self._stencil_in_box(positions)
+
+    def _query_points(self, positions):
+        """Query points as an (n, dim) float array; checks the axis count."""
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
         if positions.shape[1] != self.dim:
             raise SolidynError(
                 f"query points have dim {positions.shape[1]}, grid has {self.dim}"
             )
-        if not np.all(self.contains(positions)):
-            raise SolidynError("interpolation point outside the box")
+        return positions
+
+    def _stencil_in_box(self, positions):
+        """`stencil` of (n, dim) points whose box test the caller has made."""
         weights = []
         indices = []
         for axis in range(self.dim):
             base, frac = self._fraction_index(positions[:, axis], axis)
             weights.append(_cubic_weights(frac))
-            n = self.points[axis]
-            idx = np.stack([(base + off) % n for off in (-1, 0, 1, 2)])
-            indices.append(idx)
-        if self.dim == 1:
-            vals = samples[indices[0]]                       # (4, n)
-            return np.einsum("sn,sn->n", weights[0], vals)
-        # 2D: reduce the second axis first, then the first.
-        vals = samples[indices[0][:, None, :], indices[1][None, :, :]]  # (4,4,n)
-        partial = np.einsum("tn,stn->sn", weights[1], vals)
-        return np.einsum("sn,sn->n", weights[0], partial)
+            indices.append((base + _STENCIL_OFFSETS) % self.points[axis])
+        if self.dim == 2:
+            # broadcast to the (4, 4, n) block of the 2D gather
+            indices = [indices[0][:, None, :], indices[1][None, :, :]]
+        return Stencil(positions, weights, tuple(indices))
+
+    def interpolate(self, samples, positions):
+        """Separable cubic (4-point Lagrange) interpolation at off-grid points.
+
+        Exact for polynomials of degree <= 3 per axis on the wrapped stencil;
+        positions must lie inside the box.  At a sample node the result is
+        the stored sample only where the node's coordinate maps back to its
+        own cell exactly (e.g. power-of-two spacing); elsewhere it may land
+        in the previous cell with an offset just under 1 and differ from the
+        sample by round-off.
+
+        Every interpolation goes through here, so profiles count it under
+        one name.  To evaluate several fields at the same points, build
+        `stencil(positions)` once and pass it as `positions`.
+
+        Parameters
+        ----------
+        samples : ndarray of the grid shape
+        positions : (n, dim) or (dim,) array of query points, or a
+            `Stencil` built by this grid's `stencil`
+
+        Returns
+        -------
+        ndarray of n interpolated values (dtype follows `samples`).
+        """
+        if not isinstance(positions, Stencil):
+            positions = self.stencil(positions)
+        return positions.apply(samples)
 
     # ------------------------------------------------------------------
     # Born-rule sampling
@@ -270,11 +299,39 @@ class Grid:
         return out
 
 
+class Stencil:
+    """Cubic weights and wrapped sample indices of points on one grid.
+
+    Built by `Grid.stencil`; `positions` is the validated (n, dim) array.
+    """
+
+    __slots__ = ("positions", "weights", "indices")
+
+    def __init__(self, positions, weights, indices):
+        self.positions = positions
+        self.weights = weights      # per axis, (4, n)
+        self.indices = indices      # gather index of the 4 or 4x4 samples
+
+    def apply(self, samples):
+        """Interpolated values of `samples` (the grid shape) at the points;
+        the dtype follows `samples`."""
+        vals = samples[self.indices]                    # (4, n) or (4, 4, n)
+        if len(self.weights) == 1:
+            return np.einsum("sn,sn->n", self.weights[0], vals)
+        # 2D: reduce the second axis first, then the first.
+        partial = np.einsum("tn,stn->sn", self.weights[1], vals)
+        return np.einsum("sn,sn->n", self.weights[0], partial)
+
+
+_STENCIL_OFFSETS = np.arange(-1, 3)[:, None]   # stencil nodes {-1, 0, 1, 2}
+
+
 def _cubic_weights(frac):
     """Lagrange weights on the stencil {-1, 0, 1, 2} for offset frac in [0,1).
 
     Returns shape (4, n).  At frac == 0 the weights are exactly (0, 1, 0, 0),
-    so node queries reproduce stored samples bit-for-bit.
+    so a query whose offset computes to exactly 0 reproduces the stored
+    sample bit-for-bit.
     """
     f = frac
     w_m1 = -f * (f - 1.0) * (f - 2.0) / 6.0
@@ -292,12 +349,12 @@ def interpolate_in_time(field_a, field_b, t, positions):
     """
     (ta, sa, grid) = field_a
     (tb, sb, _) = field_b
+    stencil = grid.stencil(positions)
     if tb == ta:
-        return grid.interpolate(sa, positions)
+        return grid.interpolate(sa, stencil)
     theta = (t - ta) / (tb - ta)
-    va = grid.interpolate(sa, positions)
-    vb = grid.interpolate(sb, positions)
-    return (1.0 - theta) * va + theta * vb
+    return ((1.0 - theta) * grid.interpolate(sa, stencil)
+            + theta * grid.interpolate(sb, stencil))
 
 
 @dataclass

@@ -201,10 +201,10 @@ class KGHistory(FlowHistory):
                       / self.grid.spacing[0]).astype(int)
         return idx % n
 
-    def check(self, t, positions, last_valid):
-        super().check(t, positions, last_valid)
+    def check(self, t, stencil, last_valid):
+        super().check(t, stencil, last_valid)
         i, j = self.bracket(t)
-        cells = self._nearest_cells(positions)
+        cells = self._nearest_cells(stencil.positions)
         for snap in (i, j):
             if self.tachyon_masks[snap][cells].any():
                 raise TachyonicRegionError(
@@ -213,13 +213,13 @@ class KGHistory(FlowHistory):
                 raise PastOrientedCurrentError(
                     f"past-oriented current (J0 <= 0) at t={t:.6g}",
                     last_valid)
-        speed = np.abs(self.velocity_at(t, positions))
+        speed = np.abs(self.velocity_at(t, stencil))
         if np.any(speed >= 1.0):
             raise TachyonicRegionError(
                 f"tachyonic region (|v| >= 1) at t={t:.6g}", last_valid)
 
-    def mass_at(self, t, positions):
-        msq = self._blend(self.mass_sq, t, positions)
+    def mass_at(self, t, stencil):
+        msq = self._blend(self.mass_sq, t, stencil)
         return np.sqrt(np.maximum(msq, 0.0))
 
     def _mass_fields(self):
@@ -232,7 +232,7 @@ class KGHistory(FlowHistory):
         """M interpolated along a path sampled at (ts[i], zs[i])."""
         out = np.empty(len(ts))
         for i in range(len(ts)):
-            out[i] = self.mass_at(ts[i], zs[i:i + 1])[0]
+            out[i] = self.mass_at(ts[i], self.grid.stencil(zs[i:i + 1]))[0]
         return out
 
     def mass_gradients(self, ts, zs):
@@ -249,8 +249,9 @@ class KGHistory(FlowHistory):
         out_t = np.empty(len(ts))
         out_x = np.empty(len(ts))
         for i in range(len(ts)):
-            out_t[i] = self._blend(dmdt_fields, ts[i], zs[i:i + 1])[0]
-            out_x[i] = self._blend(dmdx_fields, ts[i], zs[i:i + 1])[0]
+            stencil = self.grid.stencil(zs[i:i + 1])
+            out_t[i] = self._blend(dmdt_fields, ts[i], stencil)[0]
+            out_x[i] = self._blend(dmdx_fields, ts[i], stencil)[0]
         return out_t, out_x
 
 

@@ -210,7 +210,8 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
     flow.append(t + dt, vel_next, amp_next)
     flow.freeze()
     z_old = state.z
-    z_new = advance_positions(flow, np.atleast_2d(z_old), t, t + dt)[0]
+    z_new, _ = advance_positions(flow, np.atleast_2d(z_old), t, t + dt)
+    z_new = z_new[0]
 
     if state.q_cache is not None:
         q1_start, q2_start = state.q_cache

@@ -227,11 +227,15 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
     lengths = grid_sec.pop("length", None)
     _reject_unknown(grid_sec, "grid")
     points = default_points if points is None else _as_tuple(
-        points, "grid.points", integer=True)
+        points, "points", integer=True)
     lengths = default_lengths if lengths is None else _as_tuple(
-        lengths, "grid.length")
+        lengths, "length")
     if len(points) != len(lengths):
         raise ConfigError("[grid]: points and length must share axis count")
+    dim = 2 if kind == "entangled_pair" else 1
+    if len(points) != dim:
+        raise ConfigError(f"[grid].points: {kind} needs a {dim}D grid, got "
+                          f"{len(points)} axes")
     if any(p <= 0 for p in points):
         raise ConfigError("[grid].points: must satisfy points > 0")
     if any(ell <= 0 for ell in lengths):
@@ -253,10 +257,11 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
     allowed = dict(_INITIAL_KEYS[kind])
     parsed_init = {}
     for key, default in allowed.items():
-        if key in init:
-            parsed_init[key] = init.pop(key)
+        if isinstance(default, str) or (default is None
+                                        and init.get(key) is None):
+            parsed_init[key] = init.pop(key, default)
         else:
-            parsed_init[key] = default
+            parsed_init[key] = _pop_number(init, "initial", key, default)
     _reject_unknown(init, "initial")
     _validate_initial(kind, parsed_init)
 
@@ -296,15 +301,19 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
     return cfg
 
 
-def _as_tuple(value, name, integer=False):
+def _as_tuple(value, key, integer=False):
+    """A [grid] entry: one number or a list of finite numbers, per axis."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         value = [value]
     if not isinstance(value, list):
-        raise ConfigError(f"[{name}]: expected a number or list")
+        raise ConfigError(f"[grid].{key}: expected a number or list")
     out = []
     for item in value:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"[{name}]: expected numeric entries")
+            raise ConfigError(f"[grid].{key}: expected numeric entries")
+        if not math.isfinite(item):
+            raise ConfigError(f"[grid].{key}: expected finite entries, "
+                              f"got {item!r}")
         out.append(int(item) if integer else float(item))
     return tuple(out)
 
@@ -662,8 +671,6 @@ def _run_kg_packet(cfg, sink):
 
 def _run_entangled_pair(cfg, sink):
     grid = cfg.grid
-    if grid.dim != 2:
-        raise ConfigError("[grid]: entangled_pair needs a 2D grid")
     init = cfg.initial
     g1 = Grid(grid.points[0], grid.lengths[0])
     x = g1.axes[0]
@@ -690,7 +697,8 @@ def _run_entangled_pair(cfg, sink):
         # guidance velocity of its particle
         vel, _ = pair_velocity_fields(pair_wave)
         z0 = np.array([[z1, z2]])
-        v0 = [grid.interpolate(vel[a], z0)[0] for a in range(2)]
+        stencil = grid.stencil(z0)
+        v0 = [grid.interpolate(vel[a], stencil)[0] for a in range(2)]
         u1 = gausson_init(GaussonParams(cfg.b, cfg.f0, center=(z1,),
                                         velocity=(v0[0],)), g1, cfg.omega0)
         u2 = gausson_init(GaussonParams(cfg.b, cfg.f0, center=(z2,),

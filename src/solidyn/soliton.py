@@ -30,8 +30,7 @@ from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .schrodinger import MadelungBundle, ls_step, madelung_extract
 from .stepping import BOUNDARY_MASS_LIMIT, check_finite, strang_step
-from .trajectories import FlowHistory, TrajectoryRecord, advance_positions, \
-    guided_velocity
+from .trajectories import FlowHistory, TrajectoryRecord, advance_positions
 
 RHO_FLOOR_REL = 1e-30      # vacuum floor for the logarithm, relative to f0^2
 SCALE_SEPARATION = 20.0    # recommended sqrt(b) * sigma_psi lower bound
@@ -215,8 +214,7 @@ def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
     grad = grid.gradient(u)
     rho_safe = np.maximum(rho, floor)
 
-    v_z = np.array([grid.interpolate(madelung.velocity[a], [z])[0]
-                    for a in range(grid.dim)])
+    v_z = _interp_vector(grid, madelung.velocity, grid.stencil([z]))
     if potentials is not None:
         avec = p.charge * potentials.vector(state.u.time_tag)
     else:
@@ -349,8 +347,11 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     bundle = madelung_extract(psi0, pilot_params, potentials)
     _warn_scale_separation(psi0, state.b)
 
+    # The stencil at the reference point z is built once per step (by
+    # advance_positions) and serves every lookup at z.
     z = np.atleast_2d(state.center.copy())
-    if grid.interpolate(bundle.amplitude, z)[0] < bundle.amp_floor:
+    z_stencil = grid.stencil(z)
+    if grid.interpolate(bundle.amplitude, z_stencil)[0] < bundle.amp_floor:
         raise SolidynError("soliton center starts on the pilot node mask")
 
     pos = _grid_positions(grid)
@@ -361,10 +362,11 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     norms = [state.u.norm()]
     edge = [grid.boundary_mass_fraction(state.u.density())]
     mean_em = [_density_mean_force(state.u, potentials, pos, e)]
-    fq_c = [_interp_vector(grid, bundle.quantum_force, state.center)]
+    fq_c = [_interp_vector(grid, bundle.quantum_force,
+                           grid.stencil(state.center))]
     ref_pos = [z[0].copy()]
     ref_vel = []
-    ref_fq = [_interp_vector(grid, bundle.quantum_force, z[0])]
+    ref_fq = [_interp_vector(grid, bundle.quantum_force, z_stencil)]
     ref_fem = [pilot_params.charge * potentials.electric_field(psi.time_tag, z)[0]]
     ref_near = [False]
     u_snaps, psi_snaps, snap_times = [state.u], [psi], [psi.time_tag]
@@ -381,9 +383,9 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         flow.append(t + dt, bundle_next.velocity, bundle_next.amplitude,
                     bundle_next.quantum_force)
         flow.freeze()
-        k1 = guided_velocity(flow, t, z, t)
+        k1 = flow.velocity_at(t, z_stencil)
         ref_vel.append(k1[0].copy())
-        z = advance_positions(flow, z, t, t + dt, k1=k1)
+        z, z_stencil = advance_positions(flow, z, t, t + dt, k1=k1)
 
         state = nls_step(state, potentials, dt,
                          external_q=bundle.quantum_potential,
@@ -401,12 +403,14 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         norms.append(state.u.norm())
         edge.append(frac)
         mean_em.append(_density_mean_force(state.u, potentials, pos, e))
-        fq_c.append(_interp_vector(grid, bundle_next.quantum_force, state.center))
+        fq_c.append(_interp_vector(grid, bundle_next.quantum_force,
+                                   grid.stencil(state.center)))
         ref_pos.append(z[0].copy())
-        ref_fq.append(_interp_vector(grid, bundle_next.quantum_force, z[0]))
+        ref_fq.append(_interp_vector(grid, bundle_next.quantum_force,
+                                     z_stencil))
         ref_fem.append(pilot_params.charge
                        * potentials.electric_field(psi_next.time_tag, z)[0])
-        ref_near.append(bool(flow.proximity_flags(t + dt, z)[0]))
+        ref_near.append(bool(flow.proximity_flags(t + dt, z_stencil)[0]))
 
         if store_every and (i + 1) % store_every == 0:
             u_snaps.append(state.u)
@@ -420,9 +424,7 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
 
         psi, bundle = psi_next, bundle_next
 
-    ref_vel.append(guided_velocity(
-        _single_flow(grid, pilot_params, potentials, psi.time_tag, bundle),
-        psi.time_tag, z, psi.time_tag)[0].copy())
+    ref_vel.append(_interp_vector(grid, bundle.velocity, z_stencil))
     reference = TrajectoryRecord(
         times=np.asarray(times), positions=np.asarray(ref_pos),
         velocities=np.asarray(ref_vel), quantum_force=np.asarray(ref_fq),
@@ -439,17 +441,9 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         harmony_times=np.asarray(harmony_t), harmony=np.asarray(harmony_v))
 
 
-def _single_flow(grid, params, potentials, t, bundle):
-    flow = FlowHistory(grid, params, potentials)
-    flow.append(t, bundle.velocity, bundle.amplitude, bundle.quantum_force)
-    flow.append(t, bundle.velocity, bundle.amplitude, bundle.quantum_force)
-    return flow.freeze()
-
-
-def _interp_vector(grid, components, point):
-    point = np.atleast_2d(point)
-    return np.array([grid.interpolate(components[a], point)[0]
-                     for a in range(grid.dim)])
+def _interp_vector(grid, components, stencil):
+    """Per-axis components (dim, *grid shape) at a one-point stencil."""
+    return np.array([grid.interpolate(c, stencil)[0] for c in components])
 
 
 def _warn_scale_separation(psi0: Field, b: float):

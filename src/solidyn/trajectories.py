@@ -67,6 +67,9 @@ class FlowHistory:
         self.amp_peaks.append(float(np.max(amplitude)))
 
     # -- interpolation helpers ----------------------------------------
+    #
+    # Lookups take a `grids.Stencil` of the query points, so one set of
+    # cubic weights serves both bracketing snapshots and every component.
 
     def bracket(self, t):
         """Snapshot index pair (i, i+1) whose times bracket t."""
@@ -77,36 +80,38 @@ class FlowHistory:
         i = min(max(i, 0), len(times) - 2)
         return i, i + 1
 
-    def _blend(self, stack, t, positions):
+    def _blend(self, stack, t, stencil):
         i, j = self.bracket(t)
         ti, tj = self.times[i], self.times[j]
-        vi = self._interp_snapshot(stack[i], positions)
+        vi = self._interp_snapshot(stack[i], stencil)
         if tj == ti:
             return vi
         theta = (t - ti) / (tj - ti)
         if theta == 0.0:
             return vi
-        vj = self._interp_snapshot(stack[j], positions)
+        vj = self._interp_snapshot(stack[j], stencil)
         return (1.0 - theta) * vi + theta * vj
 
-    def _interp_snapshot(self, data, positions):
-        if data.ndim == self.grid.dim:        # scalar field
-            return self.grid.interpolate(data, positions)
-        out = np.empty((positions.shape[0], self.grid.dim), dtype=data.dtype)
-        for a in range(self.grid.dim):
-            out[:, a] = self.grid.interpolate(data[a], positions)
+    def _interp_snapshot(self, data, stencil):
+        grid = self.grid
+        if data.ndim == grid.dim:             # scalar field
+            return grid.interpolate(data, stencil)
+        out = np.empty((stencil.positions.shape[0], grid.dim),
+                       dtype=data.dtype)
+        for a in range(grid.dim):
+            out[:, a] = grid.interpolate(data[a], stencil)
         return out
 
-    def velocity_at(self, t, positions):
-        return self._blend(self.velocities, t, positions)
+    def velocity_at(self, t, stencil):
+        return self._blend(self.velocities, t, stencil)
 
-    def amplitude_at(self, t, positions):
-        return self._blend(self.amplitudes, t, positions)
+    def amplitude_at(self, t, stencil):
+        return self._blend(self.amplitudes, t, stencil)
 
-    def quantum_force_at(self, t, positions):
+    def quantum_force_at(self, t, stencil):
         if not self.quantum_forces:
             raise SolidynError("history was built without quantum-force fields")
-        return self._blend(self.quantum_forces, t, positions)
+        return self._blend(self.quantum_forces, t, stencil)
 
     def amp_floor(self, t):
         i, j = self.bracket(t)
@@ -114,41 +119,50 @@ class FlowHistory:
 
     # -- violation hooks ------------------------------------------------
 
-    def check(self, t, positions, last_valid):
-        """Raise if any position sits in a forbidden region at time t."""
-        inside = self.grid.contains(positions)
-        if not np.all(inside):
-            raise BoundaryExitError(
-                f"boundary exit at t={t:.6g} (trajectory "
-                f"{int(np.argmin(inside))})", last_valid)
-        amp = self.amplitude_at(t, positions)
+    def check(self, t, stencil, last_valid):
+        """Raise if any stencil point sits in a forbidden region at time t.
+
+        Box exits are raised where the stencil is built, before this check.
+        """
+        amp = self.amplitude_at(t, stencil)
         floor = self.amp_floor(t)
         if np.any(amp < floor):
             raise NodeEncounterError(
                 f"node encounter at t={t:.6g} (trajectory "
                 f"{int(np.argmin(amp))})", last_valid)
 
-    def proximity_flags(self, t, positions):
+    def proximity_flags(self, t, stencil):
         i, j = self.bracket(t)
         near = NODE_PROXIMITY_REL * max(self.amp_peaks[i], self.amp_peaks[j])
-        return self.amplitude_at(t, positions) < near
+        return self.amplitude_at(t, stencil) < near
+
+
+def _enter_box(grid, t, pts, last_valid, where="at"):
+    """Stencil of `pts`, after raising BoundaryExitError if any left the box.
+
+    This box test replaces the one in `Grid.stencil`, so it runs once.
+    """
+    inside = grid.contains(pts)
+    if not np.all(inside):
+        raise BoundaryExitError(
+            f"boundary exit {where} t={t:.6g} (trajectory "
+            f"{int(np.argmin(inside))})", last_valid)
+    return grid._stencil_in_box(grid._query_points(pts))
 
 
 def guided_velocity(history, t, pts, last_valid):
     """Velocity lookup with a box-exit check (used by every RK4 stage)."""
-    inside = history.grid.contains(pts)
-    if not np.all(inside):
-        raise BoundaryExitError(
-            f"boundary exit near t={t:.6g} (trajectory "
-            f"{int(np.argmin(inside))})", last_valid)
-    return history.velocity_at(t, pts)
+    return history.velocity_at(
+        t, _enter_box(history.grid, t, pts, last_valid, where="near"))
 
 
 def advance_positions(history, z, t0, t1, k1=None):
     """One RK4 step of dz/dt = v(t, z) from t0 to t1 over the history.
 
     `k1` may pass a precomputed stage-1 velocity.  The updated positions are
-    validated against the node mask and box at t1.
+    validated against the box and the node mask at t1.  Returns them with
+    their stencil, which callers reuse for every later lookup at them
+    (including the next step's stage 1).
     """
     h = t1 - t0
     if k1 is None:
@@ -157,8 +171,9 @@ def advance_positions(history, z, t0, t1, k1=None):
     k3 = guided_velocity(history, t0 + 0.5 * h, z + 0.5 * h * k2, t0)
     k4 = guided_velocity(history, t1, z + h * k3, t0)
     z_new = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    history.check(t1, z_new, last_valid=t0)
-    return z_new
+    stencil = _enter_box(history.grid, t1, z_new, t0)
+    history.check(t1, stencil, last_valid=t0)
+    return z_new, stencil
 
 
 def integrate_flow(history, z0, record_quantum_force=True):
@@ -180,18 +195,20 @@ def integrate_flow(history, z0, record_quantum_force=True):
     near = np.zeros((n, m), dtype=bool)
     charge = history.params.charge
 
-    history.check(times[0], z, last_valid=times[0])
+    stencil = _enter_box(grid, times[0], z, times[0])
+    history.check(times[0], stencil, last_valid=times[0])
     for i in range(n):
         t = times[i]
         positions[i] = z
-        velocities[i] = guided_velocity(history, t, z, t)
+        velocities[i] = history.velocity_at(t, stencil)
         if record_quantum_force and history.quantum_forces:
-            fq[i] = history.quantum_force_at(t, z)
+            fq[i] = history.quantum_force_at(t, stencil)
         fem[i] = charge * history.potentials.electric_field(t, z)
-        near[i] = history.proximity_flags(t, z)
+        near[i] = history.proximity_flags(t, stencil)
         if i == n - 1:
             break
-        z = advance_positions(history, z, t, times[i + 1], k1=velocities[i])
+        z, stencil = advance_positions(history, z, t, times[i + 1],
+                                       k1=velocities[i])
     return positions, velocities, fq, fem, near
 
 

@@ -172,6 +172,11 @@ def test_interpolate_2d_node_and_offnode():
     assert abs(val - np.exp(-0.5 * (p[0] ** 2 + p[1] ** 2))) < 1e-5
 
 
+def test_stencil_rejects_wrong_axis_count():
+    with pytest.raises(SolidynError, match="dim"):
+        Grid(32, 4.0).stencil([[0.1, 0.2]])
+
+
 def test_interpolate_in_time_linear_blend():
     g = Grid(64, 8.0)
     fa = np.zeros(64)

@@ -83,6 +83,56 @@ def test_non_finite_number_rejected(tmp_path, section, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario, section, key, value", [
+    ("free_gausson", "grid", "length", ".nan"),
+    ("free_gausson", "grid", "length", "[-.inf]"),
+    ("free_gausson", "grid", "points", ".inf"),
+    ("double_slit_dbb", "initial", "packet_sigma", ".nan"),
+    ("double_slit_dbb", "initial", "soliton_start", ".inf"),
+    ("entangled_pair", "initial", "z1", "-.inf"),
+    ("kg_plane_wave", "initial", "wavenumber", ".nan"),
+])
+def test_non_finite_grid_or_initial_rejected(tmp_path, scenario, section,
+                                             key, value):
+    path = write_yaml(tmp_path, "nonfinite.yaml",
+                      f"scenario: {scenario}\n{section}:\n  {key}: {value}\n"
+                      f"output:\n  directory: {tmp_path / 'out'}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\]\.{key}: .*finite"):
+        parse_config(path)
+    assert cli_main(["validate", path, "--quiet"]) == 2
+    assert cli_main(["run", path, "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_string_and_null_initial_entries_still_accepted():
+    cfg = parse_config_dict({"scenario": "kg_packet",
+                             "initial": {"mode": "counter"}})
+    assert cfg.initial["mode"] == "counter"
+    cfg = parse_config_dict({"scenario": "entangled_pair",
+                             "initial": {"kind": "product"}})
+    assert cfg.initial["kind"] == "product"
+    cfg = parse_config_dict({"scenario": "double_slit_dbb",
+                             "initial": {"soliton_start": None}})
+    assert cfg.initial["soliton_start"] is None
+
+
+@pytest.mark.parametrize("scenario, grid", [
+    ("free_gausson", "points: [64, 64]\n  length: [20.0, 20.0]"),
+    ("double_slit_dbb", "points: [256, 256]\n  length: [40.0, 40.0]"),
+    ("equivariance", "points: [64, 64]\n  length: [30.0, 30.0]"),
+    ("entangled_pair", "points: 256\n  length: 24.0"),
+])
+def test_wrong_grid_axis_count_rejected(tmp_path, scenario, grid):
+    path = write_yaml(tmp_path, "dim.yaml",
+                      f"scenario: {scenario}\ngrid:\n  {grid}\n"
+                      f"output:\n  directory: {tmp_path / 'out'}\n")
+    with pytest.raises(ConfigError, match=r"\[grid\]\.points: .*grid"):
+        parse_config(path)
+    assert cli_main(["validate", path, "--quiet"]) == 2
+    assert cli_main(["run", path, "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_scenario_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown kind"):
         parse_config(write_yaml(tmp_path, "kind.yaml", "scenario: warp\n"))

@@ -328,3 +328,67 @@ def test_integrate_bohm_node_encounter():
     with pytest.raises(NodeEncounterError, match="node encounter") as err:
         trajectory_from_flow(hist, [0.0])
     assert 0.0 < err.value.last_valid_time < 6.0
+
+
+def uniform_drift_history(v=1.0):
+    """Uniform drift at speed v through a featureless amplitude, t in [0, 1]."""
+    from solidyn.trajectories import FlowHistory
+
+    g = Grid(256, 20.0)
+    hist = FlowHistory(g, PARAMS, Potentials.free())
+    for t in np.linspace(0.0, 1.0, 11):
+        hist.append(t, np.full((1, 256), v), np.ones(256))
+    return hist.freeze()
+
+
+def test_boundary_exit_mid_stage_keeps_error_class():
+    from solidyn.errors import BoundaryExitError
+    from solidyn.trajectories import advance_positions
+
+    # from z = 9.96 the second RK4 stage point (9.96 + 0.05) is outside the
+    # box: the stage's box check must raise, not the stencil built after it
+    with pytest.raises(BoundaryExitError, match="boundary exit near") as err:
+        advance_positions(uniform_drift_history(), np.array([[9.96]]),
+                          0.1, 0.2)
+    assert err.value.last_valid_time == 0.1
+
+
+def test_boundary_exit_mid_run_last_valid():
+    from solidyn.errors import BoundaryExitError
+    from solidyn.trajectories import trajectory_from_flow
+
+    # the step from t = 0.5 (z ~ 9.93) leaves the box at its fourth stage
+    with pytest.raises(BoundaryExitError, match="boundary exit near") as err:
+        trajectory_from_flow(uniform_drift_history(), [9.43])
+    assert err.value.last_valid_time == 0.5
+
+
+def test_integrate_bohm_boundary_exit_last_valid():
+    from solidyn.errors import BoundaryExitError
+
+    g = Grid(128, 20.0)
+    k = 2 * np.pi * 4 / 20.0
+    psi = Field(g, np.exp(1j * k * g.axes[0]))
+    run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-2,
+                             steps=300)
+    with pytest.raises(BoundaryExitError) as err:
+        integrate_bohm([8.5], run.history)
+    assert err.value.last_valid_time == run.history.times[119]
+
+
+def test_integrate_bohm_node_encounter_last_valid():
+    from solidyn.errors import NodeEncounterError
+    from solidyn.trajectories import FlowHistory, trajectory_from_flow
+
+    g = Grid(256, 20.0)
+    x = g.axes[0]
+    amp = np.where(np.abs(x - 5.0) < 0.5, 1e-12, 1.0)
+    hist = FlowHistory(g, PARAMS, Potentials.free())
+    times = np.linspace(0.0, 6.0, 61)
+    for t in times:
+        hist.append(t, np.ones((1, 256)), amp)
+    hist.freeze()
+    # z = t reaches the dead zone (x > 4.5) on the step that ends at t = 4.6
+    with pytest.raises(NodeEncounterError, match="at t=4.6") as err:
+        trajectory_from_flow(hist, [0.0])
+    assert err.value.last_valid_time == times[45]

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from solidyn.errors import SolidynError
+from solidyn.errors import BoundaryExitError, SolidynError
 from solidyn.grids import Field, Grid
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import madelung_extract
@@ -286,3 +286,21 @@ def test_coupled_scale_separation_warning():
     state = SolitonState(u0, PARAMS, 25.0, 1.0, coupling_mode="dbb")
     with pytest.warns(UserWarning):
         run_coupled(psi, state, PARAMS, Potentials.free(), dt=1e-3, steps=2)
+
+
+def test_coupled_reference_boundary_exit_last_valid():
+    # a plane-wave pilot carries the reference point z = 8 + 1.2566 t out of
+    # the box on the step from t = 1.59; the run aborts with that time
+    g = Grid(256, 20.0)
+    k = 2 * np.pi * 4 / 20.0
+    psi = Field(g, np.exp(1j * k * g.axes[0]))
+    u0 = gausson_init(GaussonParams(100.0, 1.0, center=(8.0,),
+                                    velocity=(k,)), g, 1.0)
+    state = SolitonState(u0, PARAMS, 100.0, 1.0, coupling_mode="dbb")
+    with pytest.raises(BoundaryExitError, match="boundary exit near") as err:
+        run_coupled(psi, state, PARAMS, Potentials.free(), dt=1e-2,
+                    steps=200)
+    last_valid = 0.0
+    for _ in range(159):          # the pilot's time tag, step by step
+        last_valid += 1e-2
+    assert err.value.last_valid_time == last_valid
