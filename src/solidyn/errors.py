@@ -9,36 +9,29 @@ class NonFiniteFieldError(SolidynError):
     """A field acquired NaN/Inf samples (aborted run, step index in message)."""
 
 
-class NodeEncounterError(SolidynError):
+class TrajectoryAbortError(SolidynError):
+    """A trajectory left its valid region; `last_valid_time` is the last
+    time at which every trajectory was still valid."""
+
+    def __init__(self, message, last_valid_time):
+        super().__init__(message)
+        self.last_valid_time = last_valid_time
+
+
+class NodeEncounterError(TrajectoryAbortError):
     """Trajectory entered the node-masked region of the guiding wave."""
 
-    def __init__(self, message, last_valid_time):
-        super().__init__(message)
-        self.last_valid_time = last_valid_time
 
-
-class BoundaryExitError(SolidynError):
+class BoundaryExitError(TrajectoryAbortError):
     """Trajectory left the simulation box."""
 
-    def __init__(self, message, last_valid_time):
-        super().__init__(message)
-        self.last_valid_time = last_valid_time
 
-
-class TachyonicRegionError(SolidynError):
+class TachyonicRegionError(TrajectoryAbortError):
     """Relativistic trajectory entered a region of negative squared mass."""
 
-    def __init__(self, message, last_valid_time):
-        super().__init__(message)
-        self.last_valid_time = last_valid_time
 
-
-class PastOrientedCurrentError(SolidynError):
+class PastOrientedCurrentError(TrajectoryAbortError):
     """Relativistic trajectory entered a region of non-positive density J0."""
-
-    def __init__(self, message, last_valid_time):
-        super().__init__(message)
-        self.last_valid_time = last_valid_time
 
 
 class BoundaryMassError(SolidynError):

@@ -52,12 +52,18 @@ class PairWave:
 
     @cached_property
     def amplitude(self):
-        """|Psi|, computed once per wave and kept with it (velocity fields
-        and conditional potentials share it)."""
+        """|Psi|, computed once per wave and kept with it (velocity fields,
+        conditional potentials and the norm share it)."""
         return np.abs(self.psi.samples)
 
+    @cached_property
+    def velocity(self):
+        """Guidance velocity of this wave, derived per grid line on demand
+        and kept with it (see `_VelocityLines`)."""
+        return _VelocityLines(self.psi, self.amplitude, self.masses)
+
     def norm(self):
-        return self.psi.norm()
+        return float(self.psi.grid.integrate(self.amplitude ** 2))
 
 
 def product_pair(samples1, samples2, grid: Grid, masses, charge,
@@ -111,22 +117,84 @@ def ls2_step(pair: PairWave, dt: float) -> PairWave:
 
 
 def pair_velocity_fields(pair: PairWave):
-    """Guidance velocity components v_k = Im[d_k Psi / Psi] / w0k plus the
-    amplitude (for node masking)."""
-    grid = pair.psi.grid
-    psi = pair.psi.samples
-    a = pair.amplitude
-    peak = float(a.max())
-    if peak == 0.0:
-        raise SolidynError("zero pair wave")
-    floor = NODE_MASK_REL * peak
-    rho_safe = np.maximum(a, floor) ** 2
-    vel = np.empty((2,) + grid.shape)
+    """Guidance velocity components v_k = Im[d_k Psi / Psi] / w0k on the
+    full grid, plus the amplitude (for node masking)."""
+    vel = np.empty((2,) + pair.psi.grid.shape)
     for axis in range(2):
-        grad = grid.derivative(psi, axis)
+        vel[axis] = pair.velocity.derive(axis, slice(None))
+    return vel, pair.amplitude
+
+
+class _VelocityLines:
+    """Guidance velocity of one wave, indexed like the (2, *shape) array of
+    `pair_velocity_fields` but derived one grid line at a time.
+
+    Component k at (x1, x2) needs only the line through that point along
+    axis k, so a stencil gather from component k derives just the lines it
+    touches (columns for k = 0, rows for k = 1), once each, and keeps them.
+    The node floor is taken from the whole wave's peak, and a line's FFT
+    and elementwise arithmetic give the same bits as the full-grid ones, so
+    every value equals the full-grid field exactly.
+    """
+
+    ndim = 3                     # read by FlowHistory as a vector field
+    dtype = np.dtype(float)
+
+    def __init__(self, psi: Field, amplitude, masses):
+        peak = float(amplitude.max())
+        if peak == 0.0:
+            raise SolidynError("zero pair wave")
+        self.floor = NODE_MASK_REL * peak
+        self._psi = psi
+        self._amplitude = amplitude
+        self._masses = masses
+        # per axis k: the derived lines along k, one per row, and the row
+        # of each grid line there (-1 until derived)
+        shape = psi.grid.shape
+        self._slots = [np.full(shape[1 - k], -1) for k in (0, 1)]
+        self._kept = [np.empty((0, shape[k])) for k in (0, 1)]
+
+    def derive(self, axis, lines):
+        """v_axis on the lines along `axis` picked by `lines` (an index
+        into the other axis), in grid orientation; nothing is kept."""
+        at = (slice(None), lines) if axis == 0 else (lines, slice(None))
+        psi = self._psi.samples[at]
+        grad = self._psi.grid.derivative(psi, axis)
         current = np.imag(np.conj(psi) * grad)
-        vel[axis] = current / rho_safe / pair.masses[axis]
-    return vel, a
+        rho_safe = np.maximum(self._amplitude[at], self.floor) ** 2
+        return current / rho_safe / self._masses[axis]
+
+    def gather(self, axis, index):
+        """Component `axis` at a 2D gather index (rows, cols), deriving the
+        lines it touches that are not yet kept."""
+        rows, cols = index
+        lines, across = (cols, rows) if axis == 0 else (rows, cols)
+        slots = self._slots[axis]
+        missing = slots[lines] < 0
+        if missing.any():
+            new = np.unique(lines[missing])
+            block = self.derive(axis, new)
+            kept = self._kept[axis]
+            slots[new] = np.arange(len(kept), len(kept) + new.size)
+            self._kept[axis] = np.concatenate(
+                [kept, block.T if axis == 0 else block])
+        return self._kept[axis][slots[lines], across]
+
+    def __getitem__(self, axis):
+        return _VelocityComponent(self, axis)
+
+
+class _VelocityComponent:
+    """One component of a `_VelocityLines`, gathered by `Stencil.apply`."""
+
+    __slots__ = ("velocity", "axis")
+
+    def __init__(self, velocity, axis):
+        self.velocity = velocity
+        self.axis = axis
+
+    def __getitem__(self, index):
+        return self.velocity.gather(self.axis, index)
 
 
 def conditional_q(pair: PairWave, which: int, partner_pos: float):
@@ -174,14 +242,12 @@ def _axis_slice(grid: Grid, data, axis, coord):
 @dataclass
 class PairState:
     """Both solitons, the synchronized configuration-space point, and the
-    per-step caches (conditional potentials and velocity fields evaluated at
-    the end of the previous step)."""
+    conditional potentials evaluated at the end of the previous step."""
 
     u1: SolitonState
     u2: SolitonState
     z: np.ndarray
     q_cache: tuple = None
-    vel_cache: tuple = None
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float).reshape(2)
@@ -200,14 +266,11 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
     new_pair = ls2_step(pair, dt)
     check_finite(new_pair.psi.samples, round(t / max(dt, 1e-300)) + 1)
 
-    if state.vel_cache is not None:
-        vel_t, amp_t = state.vel_cache
-    else:
-        vel_t, amp_t = pair_velocity_fields(pair)
-    vel_next, amp_next = pair_velocity_fields(new_pair)
+    # both waves keep the velocity lines the RK4 stencils derive, so the
+    # next step reuses this step's new wave as is
     flow = FlowHistory(grid, None, None)
-    flow.append(t, vel_t, amp_t)
-    flow.append(t + dt, vel_next, amp_next)
+    flow.append(t, pair.velocity, pair.amplitude)
+    flow.append(t + dt, new_pair.velocity, new_pair.amplitude)
     flow.freeze()
     z_old = state.z
     z_new, _ = advance_positions(flow, np.atleast_2d(z_old), t, t + dt)
@@ -226,8 +289,7 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
     u2 = nls_step(state.u2, pair.potentials[1], dt,
                   external_q=q2_start, external_q_end=q2_end)
     return new_pair, PairState(u1=u1, u2=u2, z=z_new,
-                               q_cache=(q1_end, q2_end),
-                               vel_cache=(vel_next, amp_next))
+                               q_cache=(q1_end, q2_end))
 
 
 @dataclass

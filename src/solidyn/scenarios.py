@@ -25,11 +25,11 @@ from .diagnostics import (cancellation_integrals, conservation_report,
                           ehrenfest_report, equivariance_distance,
                           static_energy_identity_deviation)
 from .errors import ConfigError, SolidynError, TachyonicRegionError
-from .grids import Field, Grid
+from .grids import MAX_TOTAL_SAMPLES, Field, Grid
 from .kleingordon import (discrete_mode_frequency, evolve_kg,
                           kg_bohm_trajectory)
 from .pair import (PairState, PairWave, pair_tracking_residual,
-                   pair_velocity_fields, product_pair, run_pair)
+                   product_pair, run_pair)
 from .potentials import PhysicalParams, Potentials
 from .schrodinger import (evolve_schrodinger, integrate_bohm,
                           integrate_bohm_ensemble)
@@ -238,6 +238,10 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
                           f"{len(points)} axes")
     if any(p <= 0 for p in points):
         raise ConfigError("[grid].points: must satisfy points > 0")
+    if math.prod(points) > MAX_TOTAL_SAMPLES:
+        raise ConfigError(
+            f"[grid].points: total sample count {math.prod(points)} exceeds "
+            f"the memory budget ({MAX_TOTAL_SAMPLES})")
     if any(ell <= 0 for ell in lengths):
         raise ConfigError("[grid].length: must satisfy length > 0")
 
@@ -694,11 +698,11 @@ def _run_entangled_pair(cfg, sink):
 
     def state(pair_wave, z1, z2):
         # phase-harmony initial data: each soliton boosted to the local
-        # guidance velocity of its particle
-        vel, _ = pair_velocity_fields(pair_wave)
-        z0 = np.array([[z1, z2]])
-        stencil = grid.stencil(z0)
-        v0 = [grid.interpolate(vel[a], stencil)[0] for a in range(2)]
+        # guidance velocity of its particle (read through the wave's line
+        # memo, which the first pair step then reuses)
+        stencil = grid.stencil(np.array([[z1, z2]]))
+        v0 = [grid.interpolate(pair_wave.velocity[a], stencil)[0]
+              for a in range(2)]
         u1 = gausson_init(GaussonParams(cfg.b, cfg.f0, center=(z1,),
                                         velocity=(v0[0],)), g1, cfg.omega0)
         u2 = gausson_init(GaussonParams(cfg.b, cfg.f0, center=(z2,),

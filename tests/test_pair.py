@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from solidyn.diagnostics import equivariance_distance
-from solidyn.errors import SolidynError
+from solidyn.errors import BoundaryExitError, NonFiniteFieldError, \
+    SolidynError
 from solidyn.grids import Field, Grid
 from solidyn.pair import (
     PairState,
@@ -26,6 +27,8 @@ from solidyn.soliton import GaussonParams, SolitonState, gausson_init, \
     nls_step, run_coupled
 from solidyn.stepping import NODE_MASK_REL
 from solidyn.trajectories import FlowHistory, integrate_flow
+
+from pair_reference import reference_run_pair, reference_velocity_fields
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 FREE = (Potentials.free(1), Potentials.free(1))
@@ -360,3 +363,144 @@ def test_pair_equivariance_2d():
     report = equivariance_distance(densities, g2, hist.times, pos,
                                    indices=[0, 250], bins=8)
     assert np.all(report.distances < 0.07)
+
+
+# ---------------------------------------------------------------------------
+# per-line guidance velocity: bit-identity and work against the full grid
+# ---------------------------------------------------------------------------
+
+MASSES = (1.0, 1.7)
+
+
+def unequal_mass_wave(g2, g1, k=2.0):
+    """Momentum-correlated wave with masses (1.0, 1.7): z moves about 13
+    cells along x1 and 7 along x2 in 300 steps of 2e-3."""
+    left = packet(g1, -2.0, k=-k)
+    right = packet(g1, 2.0, k=+k, sigma=1.3)
+    psi2d = (np.outer(left, left) + np.outer(right, right)) / np.sqrt(2)
+    return PairWave(Field(g2, psi2d), MASSES, 1.0, FREE)
+
+
+def unequal_mass_solitons(g1, z):
+    return soliton(g1, z[0], velocity=-2.0), soliton(g1, z[1], velocity=-1.2)
+
+
+Z_START = (-1.97, -2.03)        # off the grid nodes
+
+
+def test_line_velocity_equals_full_grid_fields():
+    g2, g1 = grid_pair(n=100)   # not a power of two
+    wave = unequal_mass_wave(g2, g1)
+    ref, amp = reference_velocity_fields(wave)
+    vel, amp_new = pair_velocity_fields(wave)
+    assert np.array_equal(vel, ref) and np.array_equal(amp_new, amp)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        rows = rng.integers(0, 100, size=(4, 1, 3))
+        cols = rng.integers(0, 100, size=(1, 4, 3))
+        for axis in range(2):
+            assert np.array_equal(wave.velocity[axis][rows, cols],
+                                  ref[axis][rows, cols])
+
+
+def test_run_pair_bit_identical_to_full_grid_reference():
+    g2, g1 = grid_pair(n=256)
+    dt, steps = 2e-3, 300
+    ref_z, ref_c1, ref_c2, ref_u1, ref_u2 = reference_run_pair(
+        unequal_mass_wave(g2, g1), *unequal_mass_solitons(g1, Z_START),
+        Z_START, dt, steps)
+    u1, u2 = unequal_mass_solitons(g1, Z_START)
+    run = run_pair(unequal_mass_wave(g2, g1),
+                   PairState(u1=u1, u2=u2, z=Z_START), dt, steps)
+    cells = np.abs(ref_z[-1] - ref_z[0]) / g2.spacing[0]
+    assert cells[0] > 5 and cells[1] > 5        # z crosses several cells
+    assert np.array_equal(run.z, ref_z)
+    assert np.array_equal(run.centers1, ref_c1)
+    assert np.array_equal(run.centers2, ref_c2)
+    assert np.array_equal(run.final_state.u1.u.samples, ref_u1)
+    assert np.array_equal(run.final_state.u2.u.samples, ref_u2)
+
+
+def _line_index(wave, block, axis, col):
+    """Grid line of `wave` along `axis` whose samples fill line `col` of a
+    derivative input block, or None."""
+    psi = wave.psi.samples
+    if axis == 0:
+        hit = np.nonzero((psi == block[:, [col]]).all(axis=0))[0]
+    else:
+        hit = np.nonzero((psi == block[[col], :]).all(axis=1))[0]
+    return int(hit[0]) if hit.size else None
+
+
+def test_pair_step_derives_only_stencil_lines_once(monkeypatch):
+    g2, g1 = grid_pair(n=256)
+    n = g2.points[0]
+    calls = []
+    derivative = Grid.derivative
+
+    def spy(self, samples, axis):
+        calls.append((samples.copy(), axis))
+        return derivative(self, samples, axis)
+
+    monkeypatch.setattr(Grid, "derivative", spy)
+    wave = unequal_mass_wave(g2, g1)
+    u1, u2 = unequal_mass_solitons(g1, Z_START)
+    state = PairState(u1=u1, u2=u2, z=Z_START)
+    waves = [wave]
+    derived = set()
+    for step in range(1, 121):
+        calls.clear()
+        wave, state = pair_step(wave, state, 2e-3)
+        waves.append(wave)
+        lines_this_step = 0
+        for block, axis in calls:
+            count = block.shape[1 - axis]
+            assert count < n, "a pair step derived a full grid"
+            lines_this_step += count
+            for col in range(count):
+                # the block's line belongs to the old or the new wave
+                for index in (step - 1, step):
+                    line = _line_index(waves[index], block, axis, col)
+                    if line is not None:
+                        break
+                assert line is not None
+                assert (index, axis, line) not in derived, \
+                    f"line {line} of wave {index} derived twice"
+                derived.add((index, axis, line))
+        assert lines_this_step <= 16
+        waves[step - 1] = None          # free what is no longer read
+
+
+def test_nan_off_the_stencil_lines_still_aborts_step_one():
+    g2, g1 = grid_pair(n=256)
+    wave = unequal_mass_wave(g2, g1)
+    wave.psi.samples[200, 30] = np.nan   # far from z = (-1.97, -2.03)
+    u1, u2 = unequal_mass_solitons(g1, Z_START)
+    with pytest.raises(NonFiniteFieldError, match="after step 1"):
+        pair_step(wave, PairState(u1=u1, u2=u2, z=Z_START), 2e-3)
+
+
+def test_rk4_stage_box_exit_matches_reference():
+    # particle 1 runs at v = 5 into the box edge at x1 = 12
+    g2, g1 = grid_pair(n=256)
+
+    def wave():
+        return product_pair(packet(g1, 11.0, k=5.0), packet(g1, 0.0), g2,
+                            MASSES, 1.0, FREE)
+
+    z0 = (11.9, 0.02)
+    u1, u2 = soliton(g1, 11.0), soliton(g1, 0.0)
+    with pytest.raises(BoundaryExitError, match="boundary exit near") as ref:
+        reference_run_pair(wave(), u1, u2, z0, 2e-3, 40)
+    with pytest.raises(BoundaryExitError, match="boundary exit near") as err:
+        run_pair(wave(), PairState(u1=u1, u2=u2, z=z0), 2e-3, 40)
+    assert str(err.value) == str(ref.value)
+    assert err.value.last_valid_time == ref.value.last_valid_time > 0.0
+
+
+def test_pair_norm_from_cached_amplitude():
+    g2, g1 = grid_pair()
+    wave = unequal_mass_wave(g2, g1)
+    for _ in range(3):
+        assert wave.norm() == wave.psi.norm()
+        wave = ls2_step(wave, 2e-3)

@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from solidyn.cli import main as cli_main
-from solidyn.errors import ConfigError, SolidynError
+from solidyn import scenarios
+from solidyn.errors import (BoundaryExitError, ConfigError,
+                            NodeEncounterError, PastOrientedCurrentError,
+                            SolidynError, TachyonicRegionError,
+                            TrajectoryAbortError)
 from solidyn.grids import Field, Grid
 from solidyn.scenarios import (SCENARIO_KINDS, THRESHOLDS, parse_config,
                                parse_config_dict, run_scenario)
@@ -81,6 +85,44 @@ def test_non_finite_number_rejected(tmp_path, section, key, value):
         parse_config(path)
     assert cli_main(["run", path, "--quiet"]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, points", [
+    ("free_gausson", "33554432"),
+    ("entangled_pair", "[8192, 4096]"),
+])
+def test_oversized_grid_rejected(tmp_path, scenario, points):
+    path = write_yaml(tmp_path, "huge.yaml",
+                      f"scenario: {scenario}\ngrid:\n  points: {points}\n"
+                      f"output:\n  directory: {tmp_path / 'out'}\n")
+    with pytest.raises(ConfigError,
+                       match=r"\[grid\]\.points: .*memory budget"):
+        parse_config(path)
+    assert cli_main(["validate", path, "--quiet"]) == 2
+    assert cli_main(["run", path, "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [NodeEncounterError, BoundaryExitError,
+                                   TachyonicRegionError,
+                                   PastOrientedCurrentError])
+def test_trajectory_aborts_share_one_base(tmp_path, monkeypatch, error):
+    err = error("trajectory aborted", 0.25)
+    assert isinstance(err, TrajectoryAbortError)
+    assert isinstance(err, SolidynError)
+    assert err.last_valid_time == 0.25
+    assert str(err) == "trajectory aborted"
+
+    def abort(cfg, sink):
+        raise error("trajectory aborted", 0.25)
+
+    monkeypatch.setitem(scenarios._RUNNERS, "free_gausson", abort)
+    path = write_yaml(tmp_path, "abort.yaml",
+                      f"scenario: free_gausson\n"
+                      f"output:\n  directory: {tmp_path / 'out'}\n")
+    assert cli_main(["run", path, "--quiet"]) == 1
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    assert "error: trajectory aborted" in manifest
 
 
 @pytest.mark.parametrize("scenario, section, key, value", [
