@@ -139,12 +139,17 @@ class KGMadelung:
     node_mask: np.ndarray
     tachyon_mask: np.ndarray     # M^2 <= 0
     past_oriented_mask: np.ndarray  # J0 <= 0
+    energy: float                # discrete field energy (see _field_energy)
 
 
 def kg_madelung(psi_prev, psi, psi_next, t, dt, grid: Grid,
                 params: PhysicalParams, potentials: Potentials) -> KGMadelung:
     """Amplitude, variable mass, current, and sector masks at time t."""
     p = params
+    # dPsi/dt and dPsi/dx serve both the current and the field energy
+    dpsi_dt = (psi_next - psi_prev) / (2.0 * dt)
+    dpsi_dx = grid.derivative(psi, 0)
+    energy = _field_energy(dpsi_dt, dpsi_dx, psi, grid, p.omega0)
     a_prev = np.abs(psi_prev)
     a = np.abs(psi)
     a_next = np.abs(psi_next)
@@ -155,11 +160,10 @@ def kg_madelung(psi_prev, psi, psi_next, t, dt, grid: Grid,
     a_safe = np.maximum(a, floor)
     box_a = (a_next - 2.0 * a + a_prev) / dt**2 - grid.laplacian(a)
     mass_sq = p.omega0**2 + box_a / a_safe
-    dpsi_dt = (psi_next - psi_prev) / (2.0 * dt)
     v_pot = potentials.scalar_on_grid(grid, t)
     j0 = (-np.imag(np.conj(psi) * dpsi_dt)
           - p.charge * v_pot * a**2) / p.omega0
-    j1 = np.imag(np.conj(psi) * grid.derivative(psi, 0)) / p.omega0
+    j1 = np.imag(np.conj(psi) * dpsi_dx) / p.omega0
     node = a < floor
     tachyon = mass_sq <= 0.0
     past = j0 <= 0.0
@@ -171,7 +175,7 @@ def kg_madelung(psi_prev, psi, psi_next, t, dt, grid: Grid,
     return KGMadelung(grid=grid, time_tag=t, amplitude=a, mass_sq=mass_sq,
                       current_t=j0, current_x=j1, velocity=velocity,
                       node_mask=node, tachyon_mask=tachyon,
-                      past_oriented_mask=past)
+                      past_oriented_mask=past, energy=energy)
 
 
 class KGHistory(FlowHistory):
@@ -286,8 +290,7 @@ def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
         bundle = kg_madelung(prev_level, state.psi_prev, psi_next, t_mid, dt,
                              grid, params, potentials)
         history.append_kg(bundle)
-        energies.append(_field_energy(prev_level, state.psi_prev, psi_next,
-                                      dt, grid, params.omega0))
+        energies.append(bundle.energy)
         prev_level = state.psi_prev
     history.freeze()
     final = Field(grid, state.psi_prev, state.time - dt)
@@ -295,10 +298,9 @@ def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
                  energies=np.asarray(energies))
 
 
-def _field_energy(psi_prev, psi, psi_next, dt, grid, omega0):
-    """Centered-difference field energy |dPsi/dt|^2 + |dPsi/dx|^2 + w0^2|Psi|^2."""
-    dpsi_dt = (psi_next - psi_prev) / (2.0 * dt)
-    dpsi_dx = grid.derivative(psi, 0)
+def _field_energy(dpsi_dt, dpsi_dx, psi, grid, omega0):
+    """Centered-difference field energy |dPsi/dt|^2 + |dPsi/dx|^2 + w0^2|Psi|^2
+    (dPsi/dt centered over the two neighbouring levels)."""
     density = (np.abs(dpsi_dt) ** 2 + np.abs(dpsi_dx) ** 2
                + omega0**2 * np.abs(psi) ** 2)
     return float(grid.integrate(density))

@@ -57,10 +57,17 @@ class PairWave:
         return np.abs(self.psi.samples)
 
     @cached_property
+    def amp_peak(self):
+        """max |Psi|, reduced once per wave (the node floors of the velocity
+        lines, the flow history and the conditional potentials share it)."""
+        return float(np.max(self.amplitude))
+
+    @cached_property
     def velocity(self):
         """Guidance velocity of this wave, derived per grid line on demand
         and kept with it (see `_VelocityLines`)."""
-        return _VelocityLines(self.psi, self.amplitude, self.masses)
+        return _VelocityLines(self.psi, self.amplitude, self.amp_peak,
+                              self.masses)
 
     def norm(self):
         return float(self.psi.grid.integrate(self.amplitude ** 2))
@@ -140,8 +147,7 @@ class _VelocityLines:
     ndim = 3                     # read by FlowHistory as a vector field
     dtype = np.dtype(float)
 
-    def __init__(self, psi: Field, amplitude, masses):
-        peak = float(amplitude.max())
+    def __init__(self, psi: Field, amplitude, peak, masses):
         if peak == 0.0:
             raise SolidynError("zero pair wave")
         self.floor = NODE_MASK_REL * peak
@@ -215,8 +221,7 @@ def conditional_q(pair: PairWave, which: int, partner_pos: float):
     if not (-half <= partner_pos < half):
         raise SolidynError("partner position outside the box")
     a = pair.amplitude
-    peak = float(a.max())
-    floor = NODE_MASK_REL * peak
+    floor = NODE_MASK_REL * pair.amp_peak
     a_slice = _axis_slice(grid, a, other, partner_pos)
     if np.all(a_slice < floor):
         raise SolidynError(
@@ -269,8 +274,9 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
     # both waves keep the velocity lines the RK4 stencils derive, so the
     # next step reuses this step's new wave as is
     flow = FlowHistory(grid, None, None)
-    flow.append(t, pair.velocity, pair.amplitude)
-    flow.append(t + dt, new_pair.velocity, new_pair.amplitude)
+    flow._append(t, pair.velocity, pair.amplitude, pair.amp_peak)
+    flow._append(t + dt, new_pair.velocity, new_pair.amplitude,
+                 new_pair.amp_peak)
     flow.freeze()
     z_old = state.z
     z_new, _ = advance_positions(flow, np.atleast_2d(z_old), t, t + dt)
@@ -355,6 +361,6 @@ def pair_continuity_residual(pairs, dt_between):
     vel, amp = pair_velocity_fields(pairs[1])
     div = grid.derivative(rho[1] * vel[0], 0) \
         + grid.derivative(rho[1] * vel[1], 1)
-    floor = NODE_MASK_REL * float(amp.max())
+    floor = NODE_MASK_REL * pairs[1].amp_peak
     mask = amp >= floor
     return float(np.max(np.abs(drho + div)[mask]))

@@ -31,11 +31,11 @@ from .kleingordon import (discrete_mode_frequency, evolve_kg,
 from .pair import (PairState, PairWave, pair_tracking_residual,
                    product_pair, run_pair)
 from .potentials import PhysicalParams, Potentials
-from .schrodinger import (evolve_schrodinger, integrate_bohm,
-                          integrate_bohm_ensemble)
+from .schrodinger import evolve_schrodinger, integrate_bohm
 from .snapshots import write_csv, write_snapshot, write_text
 from .soliton import (GaussonParams, SolitonState, classical_trajectory,
                       gausson_init, run_classical, run_coupled)
+from .trajectories import flow_steps
 
 SCENARIO_KINDS = (
     "free_gausson", "uniform_field", "harmonic_trap", "double_slit_dbb",
@@ -161,19 +161,28 @@ def _pop_number(section, section_name, key, default, required=False,
             want = "an integer" if integer else "a number"
             raise ConfigError(f"[{section_name}].{key}: expected {want}, "
                               f"got {value!r}")
-        value = int(value) if integer else float(value)
-        if not math.isfinite(value):
+        if not _is_finite(value, integer):
             raise ConfigError(f"[{section_name}].{key}: expected a finite "
                               f"number, got {value!r}")
-        return value
+        return int(value) if integer else float(value)
     if required:
         raise ConfigError(f"[{section_name}].{key}: required key missing")
     return default
 
 
+def _is_finite(number, integer):
+    """math.isfinite, where an integer beyond the float range counts as
+    finite only if an integer is wanted (a float cannot hold it)."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return integer
+
+
 def _reject_unknown(section, section_name):
     if section:
-        key = sorted(section)[0]
+        # YAML keys need not be strings, and mixed key types do not sort
+        key = sorted(section, key=str)[0]
         raise ConfigError(f"[{section_name}].{key}: unknown key")
 
 
@@ -315,7 +324,7 @@ def _as_tuple(value, key, integer=False):
     for item in value:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"[grid].{key}: expected numeric entries")
-        if not math.isfinite(item):
+        if not _is_finite(item, integer):
             raise ConfigError(f"[grid].{key}: expected finite entries, "
                               f"got {item!r}")
         out.append(int(item) if integer else float(item))
@@ -755,10 +764,13 @@ def _run_equivariance(cfg, sink):
     run = evolve_schrodinger(psi0, cfg.params, cfg.potentials(), cfg.dt,
                              cfg.steps)
     starts = grid.sample_density(psi0.density(), count, cfg.seed)
-    block = integrate_bohm_ensemble(starts, run.history)
     indices = sorted({0, len(run.densities) // 2, len(run.densities) - 1})
-    report = equivariance_distance(run.densities, grid, run.history.times,
-                                   block, indices=indices, bins=bins)
+    # keep the ensemble only at the reported snapshots
+    kept = [z for i, _, z, _, _ in flow_steps(run.history, starts)
+            if i in indices]
+    report = equivariance_distance(
+        [run.densities[i] for i in indices], grid, run.history.times[indices],
+        np.stack(kept), indices=range(len(indices)), bins=bins)
     sink.series("equivariance.csv", ["time", "l1_distance"],
                 [report.times, report.distances],
                 comment="dimensionless")

@@ -27,7 +27,7 @@ from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, check_finite,
                        strang_step)
-from .trajectories import FlowHistory, integrate_flow, trajectory_from_flow
+from .trajectories import FlowHistory, flow_steps, trajectory_from_flow
 
 
 @dataclass
@@ -130,7 +130,7 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
     def record(p):
         bundle = madelung_extract(p, params, potentials)
         history.append(p.time_tag, bundle.velocity, bundle.amplitude,
-                       bundle.quantum_force, bundle.quantum_potential)
+                       bundle.quantum_force)
         densities.append(bundle.amplitude ** 2)
         if store_psi:
             snaps.append(p)
@@ -167,9 +167,14 @@ def integrate_bohm(z0, history: FlowHistory):
 
 
 def integrate_bohm_ensemble(z0s, history: FlowHistory):
-    """Vectorized trajectories from a batch of starts; returns (n_t, m, dim)."""
-    positions, _, _, _, _ = integrate_flow(history, z0s,
-                                           record_quantum_force=False)
+    """Vectorized trajectories from a batch of starts; returns (n_t, m, dim).
+
+    Only the positions are kept, so memory is one (n_t, m, dim) block.
+    """
+    for i, _, z, _, _ in flow_steps(history, z0s):
+        if i == 0:
+            positions = np.empty((len(history.times),) + z.shape)
+        positions[i] = z
     return positions
 
 

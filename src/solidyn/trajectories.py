@@ -48,6 +48,8 @@ class FlowHistory:
         self.velocities = []       # (dim, *shape) per snapshot
         self.amplitudes = []       # |psi| per snapshot
         self.quantum_forces = []   # (dim, *shape) per snapshot (may stay empty)
+        # never filled: guidance does not read q (the benchmark's history
+        # size count still sums this list)
         self.quantum_potentials = []
         self.amp_peaks = []
 
@@ -55,16 +57,18 @@ class FlowHistory:
         self.times = np.asarray(self.times, dtype=float)
         return self
 
-    def append(self, t, velocity, amplitude, quantum_force=None,
-               quantum_potential=None):
+    def append(self, t, velocity, amplitude, quantum_force=None):
+        self._append(t, velocity, amplitude, float(np.max(amplitude)),
+                     quantum_force)
+
+    def _append(self, t, velocity, amplitude, amp_peak, quantum_force=None):
+        """`append` for a caller that already holds np.max(amplitude)."""
         self.times.append(float(t))
         self.velocities.append(velocity)
         self.amplitudes.append(amplitude)
         if quantum_force is not None:
             self.quantum_forces.append(quantum_force)
-        if quantum_potential is not None:
-            self.quantum_potentials.append(quantum_potential)
-        self.amp_peaks.append(float(np.max(amplitude)))
+        self.amp_peaks.append(amp_peak)
 
     # -- interpolation helpers ----------------------------------------
     #
@@ -176,39 +180,54 @@ def advance_positions(history, z, t0, t1, k1=None):
     return z_new, stencil
 
 
-def integrate_flow(history, z0, record_quantum_force=True):
-    """RK4-integrate guidance trajectories over a full snapshot history.
+def flow_steps(history, z0):
+    """Walk guidance trajectories through a full snapshot history by RK4.
 
     z0 may be a single position or an (m, dim) batch; batches advance in
-    lockstep (vectorized stages) and produce an (n_times, m, dim) position
-    block.  A node encounter or box exit raises with the last valid time.
+    lockstep (vectorized stages).  Yields ``(i, t, z, stencil, k1)`` at each
+    snapshot before stepping past it: the (m, dim) positions, their stencil
+    and the velocity there, which is also the next step's first stage.
+    Callers record what they read and must not modify the arrays.  A node
+    encounter or box exit raises with the last valid time.
     """
     grid = history.grid
     z = np.atleast_2d(np.asarray(z0, dtype=float)).astype(float).copy()
-    m = z.shape[0]
     times = history.times
     n = len(times)
-    positions = np.empty((n, m, grid.dim))
-    velocities = np.empty((n, m, grid.dim))
-    fq = np.zeros((n, m, grid.dim))
-    fem = np.zeros((n, m, grid.dim))
-    near = np.zeros((n, m), dtype=bool)
-    charge = history.params.charge
-
     stencil = _enter_box(grid, times[0], z, times[0])
     history.check(times[0], stencil, last_valid=times[0])
     for i in range(n):
         t = times[i]
+        k1 = history.velocity_at(t, stencil)
+        yield i, t, z, stencil, k1
+        if i == n - 1:
+            return
+        z, stencil = advance_positions(history, z, t, times[i + 1], k1=k1)
+
+
+def integrate_flow(history, z0, record_quantum_force=True):
+    """RK4-integrate guidance trajectories over a full snapshot history.
+
+    Returns (n_times, m, dim) blocks of positions, velocities, quantum force
+    and EM force, and the (n_times, m) node-proximity flags (see
+    `flow_steps` for z0 and the aborts).
+    """
+    grid = history.grid
+    n = len(history.times)
+    charge = history.params.charge
+    record_fq = record_quantum_force and history.quantum_forces
+    for i, t, z, stencil, k1 in flow_steps(history, z0):
+        if i == 0:
+            shape = (n, z.shape[0], grid.dim)
+            positions, velocities = np.empty(shape), np.empty(shape)
+            fq, fem = np.zeros(shape), np.zeros(shape)
+            near = np.zeros(shape[:2], dtype=bool)
         positions[i] = z
-        velocities[i] = history.velocity_at(t, stencil)
-        if record_quantum_force and history.quantum_forces:
+        velocities[i] = k1
+        if record_fq:
             fq[i] = history.quantum_force_at(t, stencil)
         fem[i] = charge * history.potentials.electric_field(t, z)
         near[i] = history.proximity_flags(t, stencil)
-        if i == n - 1:
-            break
-        z, stencil = advance_positions(history, z, t, times[i + 1],
-                                       k1=velocities[i])
     return positions, velocities, fq, fem, near
 
 

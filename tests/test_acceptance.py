@@ -107,6 +107,7 @@ def test_criterion_01_gausson_stationarity(gausson_t10):
                   f"max L2 dev {dev:.3e} < 1e-6, runtime {elapsed:.2f}s < 10s")
 
 
+@pytest.mark.slow      # the double-slit fixture: 8000 coupled steps
 def test_criterion_02_norm_conservation(gausson_t10, double_slit, trap_run):
     drifts = {
         "free 1e4 steps": gausson_t10["norm_drift"],
@@ -170,6 +171,7 @@ def test_criterion_05_mean_force_cancellations(gausson_t10):
                   f"worst ratio {worst:.3e} < 1e-8")
 
 
+@pytest.mark.slow      # shares the double-slit fixture
 def test_criterion_06_dbb_tracking(double_slit):
     grid, run = double_slit
     dx = grid.spacing[0]
@@ -293,6 +295,7 @@ def test_criterion_11_tachyon_detection():
                   f"{cells} masked cells, trajectory aborted: {aborted}")
 
 
+@pytest.mark.slow
 def test_criterion_12_entangled_pair_nonlocality(tmp_path):
     cfg = parse_config_dict({
         "scenario": "entangled_pair",

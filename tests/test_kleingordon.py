@@ -99,6 +99,45 @@ def test_kg_energy_no_secular_drift():
     assert late < early + 1e-8
 
 
+def test_kg_energy_and_current_share_one_derivative(monkeypatch):
+    # energies and J1 against the loop written out with its own dPsi/dx for
+    # each, while a spy counts the first derivatives taken of the field
+    sigma, k, dt, steps = 6.0, 0.4, 0.05, 40
+    g = Grid(256, 96.0)
+    x = g.axes[0]
+    pot = Potentials.harmonic(1e-3)
+    psi0 = Field(g, (np.exp(-x**2 / (4 * sigma**2))
+                     * np.exp(1j * k * x)).astype(complex))
+    state = KGState.from_initial(psi0, -1j * psi0.samples, PARAMS, pot, dt)
+    prev, energies, j1 = state.psi_prev, [], []
+    for _ in range(steps + 1):
+        state, psi_next = lkg_step(state)
+        psi = state.psi_prev
+        dpsi_dt = (psi_next - prev) / (2.0 * dt)
+        density = (np.abs(dpsi_dt) ** 2 + np.abs(g.derivative(psi, 0)) ** 2
+                   + PARAMS.omega0**2 * np.abs(psi) ** 2)
+        energies.append(float(g.integrate(density)))
+        j1.append(np.imag(np.conj(psi) * g.derivative(psi, 0))
+                  / PARAMS.omega0)
+        prev = psi
+
+    inputs = []
+    derivative = Grid.derivative
+
+    def spy(self, samples, axis):
+        inputs.append(samples)
+        return derivative(self, samples, axis)
+
+    monkeypatch.setattr(Grid, "derivative", spy)
+    run = evolve_kg(psi0, -1j * psi0.samples, PARAMS, pot, dt, steps)
+    assert np.array_equal(run.energies, np.asarray(energies))
+    assert all(np.array_equal(a, b) for a, b in zip(run.history.j1, j1))
+    assert len(run.history.j1) == steps + 1
+    # one derivative per step, each of that step's field level
+    assert len(inputs) == steps + 1
+    assert len({id(a) for a in inputs}) == steps + 1
+
+
 def test_kg_current_conservation():
     sigma, k = 8.0, 0.1
     g = Grid(1024, 256.0)

@@ -6,6 +6,7 @@ import pytest
 from solidyn.diagnostics import equivariance_distance
 from solidyn.errors import BoundaryExitError, NonFiniteFieldError, \
     SolidynError
+from solidyn import pair as pair_module
 from solidyn.grids import Field, Grid
 from solidyn.pair import (
     PairState,
@@ -504,3 +505,31 @@ def test_pair_norm_from_cached_amplitude():
     for _ in range(3):
         assert wave.norm() == wave.psi.norm()
         wave = ls2_step(wave, 2e-3)
+
+
+def test_wave_peak_reduced_once_serves_every_floor(monkeypatch):
+    g2, g1 = grid_pair()
+    wave = unequal_mass_wave(g2, g1)
+    u1, u2 = unequal_mass_solitons(g1, Z_START)
+    flows = []
+    advance = pair_module.advance_positions
+
+    def spy(flow, *args, **kwargs):
+        flows.append(flow)
+        return advance(flow, *args, **kwargs)
+
+    monkeypatch.setattr(pair_module, "advance_positions", spy)
+    new_wave, _ = pair_step(wave, PairState(u1=u1, u2=u2, z=Z_START), 2e-3)
+    for w in (wave, new_wave):
+        peak = np.max(np.abs(w.psi.samples))
+        assert w.amp_peak == peak and "amp_peak" in w.__dict__
+        assert w.velocity.floor == NODE_MASK_REL * peak
+    assert flows[0].amp_peaks == [np.max(wave.amplitude),
+                                  np.max(new_wave.amplitude)]
+    # the conditional potentials' floor is the full-grid reduction too
+    z2 = float(Z_START[1])
+    a_slice = _axis_slice(g2, wave.amplitude, 1, z2)
+    floor = NODE_MASK_REL * np.max(wave.amplitude)
+    want = -g1.second_derivative(a_slice, 0) \
+        / (2.0 * MASSES[0] * np.maximum(a_slice, floor))
+    assert np.array_equal(conditional_q(wave, 1, z2), want)

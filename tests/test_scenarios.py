@@ -10,6 +10,7 @@ import pytest
 
 from solidyn.cli import main as cli_main
 from solidyn import scenarios
+from solidyn.diagnostics import equivariance_distance
 from solidyn.errors import (BoundaryExitError, ConfigError,
                             NodeEncounterError, PastOrientedCurrentError,
                             SolidynError, TachyonicRegionError,
@@ -17,7 +18,8 @@ from solidyn.errors import (BoundaryExitError, ConfigError,
 from solidyn.grids import Field, Grid
 from solidyn.scenarios import (SCENARIO_KINDS, THRESHOLDS, parse_config,
                                parse_config_dict, run_scenario)
-from solidyn.snapshots import read_snapshot, write_snapshot
+from solidyn.schrodinger import evolve_schrodinger, integrate_bohm_ensemble
+from solidyn.snapshots import read_snapshot, write_csv, write_snapshot
 
 
 def write_yaml(tmp_path, name, text):
@@ -70,12 +72,18 @@ def test_unknown_key_rejected(tmp_path):
                                 "run:\n  dtx: 1e-3\n"))
     with pytest.raises(ConfigError, match="unknown"):
         parse_config_dict({"scenario": "free_gausson", "extra": 1})
+    # YAML keys of mixed types, which do not sort together
+    with pytest.raises(ConfigError, match=r"\[run\]\.1: unknown key"):
+        parse_config_dict({"scenario": "free_gausson",
+                           "run": {1: 0, "dtx": 1e-3}})
 
 
 @pytest.mark.parametrize("section, key, value", [
     ("run", "dt", ".nan"),
     ("run", "t_final", ".inf"),
     ("physics", "b", ".nan"),
+    pytest.param("physics", "omega0", "1" + "0" * 400,   # beyond a float
+                 id="physics-omega0-huge_int"),
 ])
 def test_non_finite_number_rejected(tmp_path, section, key, value):
     path = write_yaml(tmp_path, "nonfinite.yaml",
@@ -128,6 +136,8 @@ def test_trajectory_aborts_share_one_base(tmp_path, monkeypatch, error):
 @pytest.mark.parametrize("scenario, section, key, value", [
     ("free_gausson", "grid", "length", ".nan"),
     ("free_gausson", "grid", "length", "[-.inf]"),
+    pytest.param("free_gausson", "grid", "length", "1" + "0" * 400,
+                 id="free_gausson-grid-length-huge_int"),
     ("free_gausson", "grid", "points", ".inf"),
     ("double_slit_dbb", "initial", "packet_sigma", ".nan"),
     ("double_slit_dbb", "initial", "soliton_start", ".inf"),
@@ -334,6 +344,7 @@ def test_thresholds_match_acceptance_values():
     assert THRESHOLDS["pair_entangled_shift_cells"] == 10.0
 
 
+@pytest.mark.slow
 def test_double_slit_scenario_reduced(tmp_path):
     cfg = parse_config_dict({
         "scenario": "double_slit_dbb",
@@ -345,6 +356,35 @@ def test_double_slit_scenario_reduced(tmp_path):
     assert run_scenario(cfg, quiet=True) == 0
     assert (tmp_path / "ds" / "tracking.csv").exists()
     assert (tmp_path / "ds" / "harmony.csv").exists()
+
+
+def test_equivariance_scenario_keeps_only_reported_snapshots(tmp_path):
+    # the scenario records the ensemble at three snapshots; its CSV must
+    # equal the report computed from the full position block
+    cfg = parse_config_dict({
+        "scenario": "equivariance",
+        "grid": {"points": 256, "length": 30.0},
+        "initial": {"trajectories": 400, "bins": 16},
+        "run": {"t_final": 0.3},
+        "output": {"directory": str(tmp_path / "eq")},
+    })
+    assert run_scenario(cfg, quiet=True) in (0, 3)
+    grid = cfg.grid
+    x = grid.axes[0]
+    sigma = cfg.initial["packet_sigma"]
+    psi0 = Field(grid, np.exp(-x**2 / (4 * sigma**2)).astype(complex))
+    run = evolve_schrodinger(psi0, cfg.params, cfg.potentials(), cfg.dt,
+                             cfg.steps)
+    starts = grid.sample_density(psi0.density(), 400, cfg.seed)
+    block = integrate_bohm_ensemble(starts, run.history)
+    n = len(run.densities)
+    report = equivariance_distance(run.densities, grid, run.history.times,
+                                   block, indices=[0, n // 2, n - 1],
+                                   bins=16)
+    write_csv(tmp_path / "want.csv", ["time", "l1_distance"],
+              [report.times, report.distances], comment="dimensionless")
+    assert (tmp_path / "eq" / "equivariance.csv").read_bytes() \
+        == (tmp_path / "want.csv").read_bytes()
 
 
 def test_shipped_configs_all_validate():

@@ -8,6 +8,7 @@ reference in `interp_reference`, which interpolates every snapshot at every
 stage with freshly built weights.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,15 +17,17 @@ import pytest
 from interp_reference import (reference_blend, reference_integrate_flow,
                               reference_interpolate, reference_rk4_step,
                               same_bits)
+from solidyn.errors import BoundaryExitError, NodeEncounterError
 from solidyn.grids import Field, Grid
 from solidyn.kleingordon import evolve_kg, kg_bohm_trajectory
 from solidyn.potentials import PhysicalParams, Potentials
-from solidyn.schrodinger import evolve_schrodinger, ls_step, madelung_extract
+from solidyn.schrodinger import (evolve_schrodinger, integrate_bohm_ensemble,
+                                 ls_step, madelung_extract)
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
                              run_coupled)
 from solidyn.stepping import NODE_PROXIMITY_REL
 from solidyn.trajectories import (FlowHistory, advance_positions,
-                                  integrate_flow)
+                                  flow_steps, integrate_flow)
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 
@@ -195,3 +198,70 @@ def test_run_coupled_reference_path_matches_reference():
     assert same_bits(ref.quantum_force, np.asarray(fq))
     assert same_bits(ref.node_proximity, np.asarray(near))
     assert np.ptp(ref.positions) > 5 * g.spacing[0]    # the point moved
+
+
+# ---------------------------------------------------------------------------
+# ensembles: positions only
+# ---------------------------------------------------------------------------
+
+def test_ensemble_positions_match_reference(packet_history):
+    hist, density = packet_history
+    starts = hist.grid.sample_density(density, 500, seed=11)
+    want = reference_integrate_flow(hist, starts,
+                                    record_quantum_force=False)[0]
+    assert same_bits(integrate_bohm_ensemble(starts, hist), want)
+    # the recording the equivariance scenario keeps: three snapshots only
+    indices = [0, len(hist.times) // 2, len(hist.times) - 1]
+    kept = [z for i, _, z, _, _ in flow_steps(hist, starts) if i in indices]
+    assert same_bits(np.stack(kept), want[indices])
+
+
+def long_packet_history():
+    """401 snapshots of a small moving packet (a long, thin history)."""
+    g = Grid(128, 20.0)
+    x = g.axes[0]
+    psi0 = Field(g, (np.exp(-x**2 / 4.0) * np.exp(0.5j * x)).astype(complex))
+    run = evolve_schrodinger(psi0, PARAMS, Potentials.free(), dt=2e-3,
+                             steps=400)
+    return run.history, run.densities[0]
+
+
+def test_ensemble_peak_memory_is_one_position_block():
+    hist, density = long_packet_history()
+    starts = hist.grid.sample_density(density, 400, seed=2)
+    tracemalloc.start()
+    try:
+        block = integrate_bohm_ensemble(starts, hist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (401, 400, 1)
+    assert peak < 1.5 * block.nbytes
+
+
+def drift_history(amp):
+    """Uniform drift at speed 1 over t in [0, 6] through amplitude `amp`."""
+    g = Grid(256, 20.0)
+    hist = FlowHistory(g, PARAMS, Potentials.free())
+    for t in np.linspace(0.0, 6.0, 61):
+        hist.append(t, np.ones((1, 256)), amp(g.axes[0]))
+    return hist.freeze()
+
+
+@pytest.mark.parametrize("error, amp, starts, culprit", [
+    (BoundaryExitError, lambda x: np.ones_like(x), [[-4.0], [0.0], [6.5]], 2),
+    (NodeEncounterError,
+     lambda x: np.where(np.abs(x - 5.0) < 0.5, 1e-12, 1.0),
+     [[-3.0], [0.0], [-1.0]], 1),
+])
+def test_ensemble_abort_mid_run_matches_reference(error, amp, starts,
+                                                  culprit):
+    hist = drift_history(amp)
+    with pytest.raises(error) as ref:
+        reference_integrate_flow(hist, starts, record_quantum_force=False)
+    with pytest.raises(error) as got:
+        integrate_bohm_ensemble(starts, hist)
+    assert type(got.value) is type(ref.value)
+    assert got.value.last_valid_time == ref.value.last_valid_time
+    assert 0.0 < got.value.last_valid_time < 6.0
+    assert f"(trajectory {culprit})" in str(got.value)
