@@ -16,7 +16,9 @@ shared freely across threads once produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,23 +111,37 @@ class Grid:
     # spectral differentiation
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _ik(self):
+        """Per-axis first-derivative multipliers 1j k, built once per grid."""
+        return tuple(1j * self._k_along(a) for a in range(self.dim))
+
+    @cached_property
+    def _minus_k2(self):
+        """Per-axis second-derivative multipliers -k^2, built once per grid."""
+        return tuple(-(self._k_along(a) ** 2) for a in range(self.dim))
+
     def derivative(self, samples, axis):
         """First derivative along one axis via FFT; dtype follows the input."""
         _require_finite(samples, "derivative input")
-        ik = 1j * self._k_along(axis)
-        out = np.fft.ifft(ik * np.fft.fft(samples, axis=axis), axis=axis)
-        if not np.iscomplexobj(samples):
-            out = out.real
-        return out
+        return _from_spectrum(self._ik[axis] * np.fft.fft(samples, axis=axis),
+                              axis, samples)
 
     def second_derivative(self, samples, axis):
         """Second derivative along one axis via FFT (-k^2 multiplier)."""
         _require_finite(samples, "second_derivative input")
-        k2 = self._k_along(axis) ** 2
-        out = np.fft.ifft(-k2 * np.fft.fft(samples, axis=axis), axis=axis)
-        if not np.iscomplexobj(samples):
-            out = out.real
-        return out
+        return _from_spectrum(
+            self._minus_k2[axis] * np.fft.fft(samples, axis=axis), axis,
+            samples)
+
+    def derivative_pair(self, samples, axis):
+        """`derivative` and `second_derivative` along one axis, both from one
+        forward FFT (same checks, same bits)."""
+        _require_finite(samples, "second_derivative input")
+        _require_finite(samples, "derivative input")
+        spectrum = np.fft.fft(samples, axis=axis)
+        return (_from_spectrum(self._ik[axis] * spectrum, axis, samples),
+                _from_spectrum(self._minus_k2[axis] * spectrum, axis, samples))
 
     def gradient(self, samples):
         """All first derivatives, stacked as shape (dim, *grid shape)."""
@@ -223,6 +239,41 @@ class Grid:
             # broadcast to the (4, 4, n) block of the 2D gather
             indices = [indices[0][:, None, :], indices[1][None, :, :]]
         return Stencil(positions, weights, tuple(indices))
+
+    def point_stencil(self, position):
+        """`stencil` of one point, in Python floats (see `PointStencil`).
+
+        Raises like `stencil` for a wrong axis count or a point outside
+        the box.
+        """
+        position = tuple(float(c) for c in position)
+        if len(position) != self.dim:
+            raise SolidynError(
+                f"query points have dim {len(position)}, grid has {self.dim}")
+        if not self.contains_point(position):
+            raise SolidynError("interpolation point outside the box")
+        return self._point_stencil_in_box(position)
+
+    def contains_point(self, position):
+        """`contains` of one point given as per-axis floats."""
+        for c, L in zip(position, self.lengths):
+            half = 0.5 * L
+            if not -half <= c < half:
+                return False
+        return True
+
+    def _point_stencil_in_box(self, position):
+        """`point_stencil` of a point whose box test the caller has made;
+        the index and offset arithmetic of `_fraction_index` in floats."""
+        weights, indices = [], []
+        for c, L, dx, n in zip(position, self.lengths, self.spacing,
+                               self.points):
+            s = (c + 0.5 * L) / dx
+            base = math.floor(s)
+            weights.append(_cubic_weight_terms(s - base))
+            indices.append(((base - 1) % n, base % n, (base + 1) % n,
+                            (base + 2) % n))
+        return PointStencil(weights, indices)
 
     def interpolate(self, samples, positions):
         """Separable cubic (4-point Lagrange) interpolation at off-grid points.
@@ -323,6 +374,44 @@ class Stencil:
         return np.einsum("sn,sn->n", self.weights[0], partial)
 
 
+class PointStencil:
+    """Cubic weights and wrapped sample indices of one point, as Python
+    floats and ints.
+
+    Built by `Grid.point_stencil`.  `apply` returns the bits that
+    `Stencil.apply` returns for the same point: the same weights, and per
+    axis the four products summed as numpy's einsum sums four terms of one
+    point, 0.0 + ((w0 v0 + w2 v2) + (w1 v1 + w3 v3)) (the stencil property
+    tests check this).  Without numpy's per-call overhead a
+    one-point lookup costs about a microsecond.
+    """
+
+    __slots__ = ("weights", "indices")
+
+    def __init__(self, weights, indices):
+        self.weights = weights      # per axis, 4 floats
+        self.indices = indices      # per axis, 4 wrapped sample indices
+
+    def apply(self, samples):
+        """Interpolated value of a real field `samples` (the grid shape)."""
+        value = samples.item
+        if len(self.weights) == 1:
+            i0, i1, i2, i3 = self.indices[0]
+            return _sum4(self.weights[0], value(i0), value(i1), value(i2),
+                         value(i3))
+        # 2D: reduce the second axis first, then the first (as Stencil)
+        w1, cols = self.weights[1], self.indices[1]
+        return _sum4(self.weights[0], *(
+            _sum4(w1, *(value(r, c) for c in cols))
+            for r in self.indices[0]))
+
+
+def _sum4(w, v0, v1, v2, v3):
+    """Four-term dot product as einsum forms it for one point: the pairwise
+    sum added to a zeroed output (which turns a -0.0 sum into +0.0)."""
+    return 0.0 + ((w[0] * v0 + w[2] * v2) + (w[1] * v1 + w[3] * v3))
+
+
 _STENCIL_OFFSETS = np.arange(-1, 3)[:, None]   # stencil nodes {-1, 0, 1, 2}
 
 
@@ -333,12 +422,16 @@ def _cubic_weights(frac):
     so a query whose offset computes to exactly 0 reproduces the stored
     sample bit-for-bit.
     """
-    f = frac
+    return np.stack(_cubic_weight_terms(frac))
+
+
+def _cubic_weight_terms(f):
+    """The four weights of `_cubic_weights`, for a float or an array."""
     w_m1 = -f * (f - 1.0) * (f - 2.0) / 6.0
     w_0 = (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0
     w_p1 = -(f + 1.0) * f * (f - 2.0) / 2.0
     w_p2 = (f + 1.0) * f * (f - 1.0) / 6.0
-    return np.stack([w_m1, w_0, w_p1, w_p2])
+    return w_m1, w_0, w_p1, w_p2
 
 
 def interpolate_in_time(field_a, field_b, t, positions):
@@ -399,6 +492,14 @@ class VectorField:
         self.components = np.asarray(self.components)
         if self.components.shape != (self.grid.dim,) + self.grid.shape:
             raise SolidynError("component layout does not match the grid")
+
+
+def _from_spectrum(spectrum, axis, samples):
+    """Inverse FFT of a derivative spectrum; real when `samples` is real."""
+    out = np.fft.ifft(spectrum, axis=axis)
+    if not np.iscomplexobj(samples):
+        out = out.real
+    return out
 
 
 def _require_finite(samples, context):

@@ -41,6 +41,14 @@ class Potentials:
     constructors below are static: a static V is sampled once per grid, and
     the split-step factors built from it are memoized (see
     `stepping.cached`).
+
+    `zero_field` is true when neither a scalar gradient nor a vector rate
+    was given, so E = -dA/dt - grad V is zero everywhere at all times.  The
+    soliton runs read it to skip work whose result they know: the
+    density-averaged force of a zero field (`soliton._density_mean_force`)
+    and the per-stage E of `soliton.classical_trajectory`.  Those
+    shortcuts keep the bits of the general path, which evaluates this E as
+    -0.0 per point.
     """
 
     def __init__(self, dim, scalar=None, scalar_gradient=None,
@@ -53,7 +61,13 @@ class Potentials:
         self._vector = vector or (lambda t: zero_vec)
         self._vector_rate = vector_rate or (lambda t: zero_vec)
         self.time_dependent = scalar is not None
+        self._zero_field = scalar_gradient is None and vector_rate is None
         self._factors = {}
+
+    @property
+    def zero_field(self):
+        """True when E vanishes identically (see the class docstring)."""
+        return self._zero_field
 
     # -- evaluation ------------------------------------------------------
 

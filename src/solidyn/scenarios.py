@@ -42,6 +42,15 @@ SCENARIO_KINDS = (
     "kg_plane_wave", "kg_packet", "entangled_pair", "equivariance",
 )
 
+# Largest step count a config may ask for (t_final / dt, rounded).  It
+# bounds run time (ten million coupled steps at N = 2048 take hours), not
+# memory: the per-step series of a run that long still take gigabytes.
+MAX_STEPS = 10**7
+
+# Keys of [initial] that count things: positive integers, at most
+# MAX_TOTAL_SAMPLES like the grid.
+_COUNT_KEYS = ("trajectories", "bins")
+
 # Quantitative acceptance thresholds; scenario summaries and the acceptance
 # suite share these constants.
 THRESHOLDS = {
@@ -274,7 +283,8 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
                                         and init.get(key) is None):
             parsed_init[key] = init.pop(key, default)
         else:
-            parsed_init[key] = _pop_number(init, "initial", key, default)
+            parsed_init[key] = _pop_number(init, "initial", key, default,
+                                           integer=key in _COUNT_KEYS)
     _reject_unknown(init, "initial")
     _validate_initial(kind, parsed_init)
 
@@ -290,6 +300,7 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
         raise ConfigError("[run].dt: must satisfy dt > 0")
     if t_final <= 0:
         raise ConfigError("[run].t_final: must satisfy t_final > 0")
+    _check_step_count(t_final / dt)
     if snapshot_every < 0:
         raise ConfigError("[run].snapshot_every: must be >= 0")
 
@@ -312,6 +323,16 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
                 f"[run].dt: {cfg.dt} violates the Klein-Gordon CFL bound "
                 f"dt <= 0.5 dx = {0.5 * dx:.6g}")
     return cfg
+
+
+def _check_step_count(ratio):
+    """The step count round(t_final / dt) must be finite and lie in
+    [1, MAX_STEPS]; a dt that does not divide t_final is fine (the run
+    stops at the nearest whole step)."""
+    if not math.isfinite(ratio) or not 1 <= round(ratio) <= MAX_STEPS:
+        raise ConfigError(
+            f"[run].t_final: t_final/dt = {ratio:.6g} steps; the step count "
+            f"must round to between 1 and {MAX_STEPS}")
 
 
 def _as_tuple(value, key, integer=False):
@@ -361,9 +382,13 @@ def _validate_initial(kind, init):
             "momentum_correlated", "product"):
         raise ConfigError(
             "[initial].kind: expected 'momentum_correlated' or 'product'")
-    for key in ("packet_sigma",):
+    for key in ("packet_sigma",) + _COUNT_KEYS:
         if key in init and init[key] is not None and init[key] <= 0:
             raise ConfigError(f"[initial].{key}: must be > 0")
+    for key in _COUNT_KEYS:
+        if key in init and init[key] > MAX_TOTAL_SAMPLES:
+            raise ConfigError(f"[initial].{key}: exceeds the memory "
+                              f"budget ({MAX_TOTAL_SAMPLES})")
 
 
 # ---------------------------------------------------------------------------

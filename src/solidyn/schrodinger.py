@@ -41,7 +41,8 @@ class MadelungBundle:
     quantum_potential: np.ndarray  # q = -lap(a)/(2 omega0 a), floored
     quantum_force: np.ndarray      # -grad q, (dim, *shape)
     node_mask: np.ndarray          # a < NODE_MASK_REL * max(a)
-    amp_floor: float
+    amp_floor: float               # NODE_MASK_REL * amp_peak
+    amp_peak: float                # max(a)
 
 
 def ls_step(psi: Field, params: PhysicalParams, potentials: Potentials,
@@ -70,21 +71,25 @@ def madelung_extract(psi: Field, params: PhysicalParams,
     if peak == 0.0:
         raise SolidynError("cannot extract Madelung fields from a zero wave")
     floor = NODE_MASK_REL * peak
-    rho_safe = np.maximum(a, floor) ** 2
+    a_safe = np.maximum(a, floor)
+    rho_safe = a_safe ** 2
     grad_psi = grid.gradient(psi.samples)
     current = np.imag(np.conj(psi.samples)[None, ...] * grad_psi)
     avec = params.charge * potentials.vector(psi.time_tag)
     velocity = np.empty_like(current)
     for axis in range(grid.dim):
         velocity[axis] = (current[axis] / rho_safe - avec[axis]) / params.omega0
-    a_safe = np.maximum(a, floor)
-    lap_a = grid.laplacian(a)
+    # grad a and lap a share one forward FFT of a per axis
+    pairs = [grid.derivative_pair(a, axis) for axis in range(grid.dim)]
+    grad_a = np.stack([first for first, _ in pairs])
+    lap_a = pairs[0][1]
+    for _, second in pairs[1:]:
+        lap_a = lap_a + second
     q = -lap_a / (2.0 * params.omega0 * a_safe)
     # F_Q = -grad q via the quotient rule: only smooth fields pass through
     # the FFT, so the amplitude-floor clamp cannot ring across the box
-    grad_a = grid.gradient(a)
     grad_lap = grid.gradient(lap_a)
-    fq = (grad_lap / a_safe - lap_a * grad_a / a_safe**2) \
+    fq = (grad_lap / a_safe - lap_a * grad_a / rho_safe) \
         / (2.0 * params.omega0)
     return MadelungBundle(
         grid=grid,
@@ -95,6 +100,7 @@ def madelung_extract(psi: Field, params: PhysicalParams,
         quantum_force=fq,
         node_mask=a < floor,
         amp_floor=floor,
+        amp_peak=peak,
     )
 
 

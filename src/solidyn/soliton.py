@@ -21,7 +21,7 @@ Coupling is strictly one way: the pilot wave never sees the u-field.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as _dc_field, replace
+from dataclasses import InitVar, dataclass, field as _dc_field, replace
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from .errors import BoundaryMassError, SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .schrodinger import MadelungBundle, ls_step, madelung_extract
-from .stepping import BOUNDARY_MASS_LIMIT, check_finite, strang_step
-from .trajectories import FlowHistory, TrajectoryRecord, advance_positions
+from .stepping import (BOUNDARY_MASS_LIMIT, NODE_PROXIMITY_REL, check_finite,
+                       strang_step)
+from .trajectories import TrajectoryRecord, advance_point
 
 RHO_FLOOR_REL = 1e-30      # vacuum floor for the logarithm, relative to f0^2
 SCALE_SEPARATION = 20.0    # recommended sqrt(b) * sigma_psi lower bound
@@ -96,7 +97,14 @@ def gausson_init(gp: GaussonParams, grid: Grid, omega0: float) -> Field:
 @dataclass
 class SolitonState:
     """Evolving u-field plus its nonlinearity, coupling mode, and tracked
-    center (kept wrap-aware so seam crossings stay continuous)."""
+    center (kept wrap-aware so seam crossings stay continuous).
+
+    Without a `center`, the center is computed by `soliton_center`,
+    re-referenced to `previous_center` if given.  `density` (|u|^2) and
+    `norm` (its integral) are computed once per u, when the state is
+    built; the center, the next step's nonlinearity and the run series all
+    read them.
+    """
 
     u: Field
     params: PhysicalParams
@@ -104,25 +112,32 @@ class SolitonState:
     f0: float
     coupling_mode: str = "classical"   # or "dbb"
     center: np.ndarray = None
+    previous_center: InitVar[np.ndarray] = None
+    density: np.ndarray = _dc_field(init=False, repr=False, compare=False)
+    norm: float = _dc_field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, previous_center):
         if self.coupling_mode not in ("classical", "dbb"):
             raise SolidynError(f"unknown coupling mode {self.coupling_mode!r}")
+        self.density = self.u.density()
         if self.center is None:
-            self.center, _ = soliton_center(self.u)
+            self.center, self.norm = soliton_center(
+                self.u, previous_center, density=self.density)
         else:
             self.center = np.asarray(self.center, dtype=float)
+            self.norm = float(self.u.grid.integrate(self.density))
 
 
-def soliton_center(u: Field, previous=None):
+def soliton_center(u: Field, previous=None, density=None):
     """First moment xbar of |u|^2 and the norm C, wrap-aware.
 
     Coordinates are re-referenced to the previous center (mapped into the
     half-open window of width L around it), so a soliton crossing the
-    periodic seam keeps a continuous track.
+    periodic seam keeps a continuous track.  `density` may pass |u|^2 when
+    the caller already holds it.
     """
     grid = u.grid
-    rho = u.density()
+    rho = u.density() if density is None else density
     c = float(grid.integrate(rho))
     if c <= 0.0:
         raise SolidynError("u-field has zero norm; no center defined")
@@ -175,7 +190,8 @@ def nls_step(state: SolitonState, potentials: Potentials, dt: float,
     w_start = potentials.linear_potential(grid, p.omega0, e, t)
     if external_q is not None:
         w_start = w_start + external_q
-    w_start = w_start + log_nonlinearity(u.density(), state.b, state.f0) / two_w0
+    w_start = w_start + log_nonlinearity(state.density, state.b,
+                                         state.f0) / two_w0
 
     base_end = potentials.linear_potential(grid, p.omega0, e, t + dt)
     if external_q_end is not None:
@@ -188,9 +204,8 @@ def nls_step(state: SolitonState, potentials: Potentials, dt: float,
 
     kin = potentials.kinetic_phase(grid, p.omega0, e, dt, t + 0.5 * dt)
     out = strang_step(u.samples, np.exp(-0.5j * dt * w_start), half_end, kin)
-    new_u = Field(grid, out, t + dt)
-    xbar, _ = soliton_center(new_u, previous=state.center)
-    return replace(state, u=new_u, center=xbar)
+    return replace(state, u=Field(grid, out, t + dt), center=None,
+                   previous_center=state.center)
 
 
 def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
@@ -209,12 +224,12 @@ def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
             raise SolidynError("phase-harmony window clipped by the boundary")
     p = state.params
     u = state.u.samples
-    rho = np.abs(u) ** 2
+    rho = state.density
     floor = (1e-8 * np.sqrt(float(rho.max()))) ** 2
     grad = grid.gradient(u)
     rho_safe = np.maximum(rho, floor)
 
-    v_z = _interp_vector(grid, madelung.velocity, grid.stencil([z]))
+    v_z = np.array(_point_vector(grid.point_stencil(z), madelung.velocity))
     if potentials is not None:
         avec = p.charge * potentials.vector(state.u.time_tag)
     else:
@@ -278,27 +293,26 @@ def run_classical(state: SolitonState, potentials: Potentials, dt: float,
         raise SolidynError("run_classical needs a classical-mode state")
     grid = state.u.grid
     pos = _grid_positions(grid)
-    e = state.params.charge
     times = [state.u.time_tag]
     centers = [state.center.copy()]
-    norms = [state.u.norm()]
-    edge = [grid.boundary_mass_fraction(state.u.density())]
-    mean_em = [_density_mean_force(state.u, potentials, pos, e)]
+    norms = [state.norm]
+    edge = [grid.boundary_mass_fraction(state.density)]
+    mean_em = [_density_mean_force(state, potentials, pos)]
     snaps = [state.u]
     snap_times = [state.u.time_tag]
     for i in range(steps):
         state = nls_step(state, potentials, dt)
         check_finite(state.u.samples, i + 1)
-        frac = grid.boundary_mass_fraction(state.u.density())
+        frac = grid.boundary_mass_fraction(state.density)
         if abort_on_boundary_mass and frac > BOUNDARY_MASS_LIMIT:
             raise BoundaryMassError(
                 f"boundary mass fraction {frac:.3e} exceeded "
                 f"{BOUNDARY_MASS_LIMIT} at step {i + 1}")
         times.append(state.u.time_tag)
         centers.append(state.center.copy())
-        norms.append(state.u.norm())
+        norms.append(state.norm)
         edge.append(frac)
-        mean_em.append(_density_mean_force(state.u, potentials, pos, e))
+        mean_em.append(_density_mean_force(state, potentials, pos))
         if (i + 1) % store_every == 0:
             snaps.append(state.u)
             snap_times.append(state.u.time_tag)
@@ -314,15 +328,20 @@ def run_classical(state: SolitonState, potentials: Potentials, dt: float,
         final_state=state)
 
 
-def _density_mean_force(u: Field, potentials: Potentials, grid_positions, e):
+def _density_mean_force(state: SolitonState, potentials: Potentials,
+                        grid_positions):
     """integral(|u|^2 e E(t, x)) / C: the density-averaged Lorentz force."""
-    grid = u.grid
-    rho = u.density()
-    c = grid.integrate(rho)
-    efield = potentials.electric_field(u.time_tag, grid_positions)
+    grid = state.u.grid
+    e = state.params.charge
+    if potentials.zero_field:
+        # the general path sums rho * (-0.0), which numpy sums to +0.0
+        return e * np.zeros(grid.dim)
+    efield = potentials.electric_field(state.u.time_tag, grid_positions)
     out = np.empty(grid.dim)
     for a in range(grid.dim):
-        out[a] = grid.integrate(rho * efield[:, a].reshape(grid.shape)) / c
+        out[a] = grid.integrate(state.density
+                                * efield[:, a].reshape(grid.shape)) \
+            / state.norm
     return e * out
 
 
@@ -338,6 +357,11 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     advance the reference guidance trajectory (same start as the soliton)
     against the same two Madelung snapshots.  The coupling is one way: the
     pilot wave never sees u.
+
+    The reference point steps by `trajectories.advance_point`, an RK4 in
+    Python floats that reads the two Madelung bundles directly; it gives
+    the bits of `advance_positions` over a two-snapshot flow history, and
+    its point stencil serves every later lookup at the point.
     """
     if state.coupling_mode != "dbb":
         raise SolidynError("run_coupled needs a dbb-mode state")
@@ -347,27 +371,25 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     bundle = madelung_extract(psi0, pilot_params, potentials)
     _warn_scale_separation(psi0, state.b)
 
-    # The stencil at the reference point z is built once per step (by
-    # advance_positions) and serves every lookup at z.
-    z = np.atleast_2d(state.center.copy())
-    z_stencil = grid.stencil(z)
-    if grid.interpolate(bundle.amplitude, z_stencil)[0] < bundle.amp_floor:
+    z = tuple(float(c) for c in state.center)
+    z_stencil = grid.point_stencil(z)
+    if z_stencil.apply(bundle.amplitude) < bundle.amp_floor:
         raise SolidynError("soliton center starts on the pilot node mask")
 
     pos = _grid_positions(grid)
-    e = state.params.charge
     psi = psi0
     times = [psi.time_tag]
     centers = [state.center.copy()]
-    norms = [state.u.norm()]
-    edge = [grid.boundary_mass_fraction(state.u.density())]
-    mean_em = [_density_mean_force(state.u, potentials, pos, e)]
-    fq_c = [_interp_vector(grid, bundle.quantum_force,
-                           grid.stencil(state.center))]
-    ref_pos = [z[0].copy()]
+    norms = [state.norm]
+    edge = [grid.boundary_mass_fraction(state.density)]
+    mean_em = [_density_mean_force(state, potentials, pos)]
+    fq_c = [_point_vector(grid.point_stencil(state.center),
+                          bundle.quantum_force)]
+    ref_pos = [z]
     ref_vel = []
-    ref_fq = [_interp_vector(grid, bundle.quantum_force, z_stencil)]
-    ref_fem = [pilot_params.charge * potentials.electric_field(psi.time_tag, z)[0]]
+    ref_fq = [_point_vector(z_stencil, bundle.quantum_force)]
+    ref_fem = [pilot_params.charge
+               * potentials.electric_field(psi.time_tag, [z])[0]]
     ref_near = [False]
     u_snaps, psi_snaps, snap_times = [state.u], [psi], [psi.time_tag]
     harmony_t, harmony_v = [], []
@@ -378,39 +400,40 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         check_finite(psi_next.samples, i + 1)
         bundle_next = madelung_extract(psi_next, pilot_params, potentials)
 
-        flow = FlowHistory(grid, pilot_params, potentials)
-        flow.append(t, bundle.velocity, bundle.amplitude, bundle.quantum_force)
-        flow.append(t + dt, bundle_next.velocity, bundle_next.amplitude,
-                    bundle_next.quantum_force)
-        flow.freeze()
-        k1 = flow.velocity_at(t, z_stencil)
-        ref_vel.append(k1[0].copy())
-        z, z_stencil = advance_positions(flow, z, t, t + dt, k1=k1)
+        k1 = _point_vector(z_stencil, bundle.velocity)
+        ref_vel.append(k1)
+        z, z_stencil, amp = advance_point(bundle, bundle_next, z, t, t + dt,
+                                          k1)
 
         state = nls_step(state, potentials, dt,
                          external_q=bundle.quantum_potential,
                          external_q_end=bundle_next.quantum_potential)
         check_finite(state.u.samples, i + 1)
 
-        frac = grid.boundary_mass_fraction(state.u.density())
-        frac_psi = grid.boundary_mass_fraction(psi_next.density())
+        frac = grid.boundary_mass_fraction(state.density)
+        # amplitude ** 2 has the bits of psi_next.density()
+        frac_psi = grid.boundary_mass_fraction(bundle_next.amplitude ** 2)
         if abort_on_boundary_mass and max(frac, frac_psi) > BOUNDARY_MASS_LIMIT:
             raise BoundaryMassError(
                 f"boundary mass fraction exceeded at step {i + 1}")
 
         times.append(psi_next.time_tag)
         centers.append(state.center.copy())
-        norms.append(state.u.norm())
+        norms.append(state.norm)
         edge.append(frac)
-        mean_em.append(_density_mean_force(state.u, potentials, pos, e))
-        fq_c.append(_interp_vector(grid, bundle_next.quantum_force,
-                                   grid.stencil(state.center)))
-        ref_pos.append(z[0].copy())
-        ref_fq.append(_interp_vector(grid, bundle_next.quantum_force,
-                                     z_stencil))
-        ref_fem.append(pilot_params.charge
-                       * potentials.electric_field(psi_next.time_tag, z)[0])
-        ref_near.append(bool(flow.proximity_flags(t + dt, z_stencil)[0]))
+        mean_em.append(_density_mean_force(state, potentials, pos))
+        fq_c.append(_point_vector(grid.point_stencil(state.center),
+                                  bundle_next.quantum_force))
+        ref_pos.append(z)
+        ref_fq.append(_point_vector(z_stencil, bundle_next.quantum_force))
+        if potentials.zero_field:
+            # E is the same signed zero at every time and place
+            ref_fem.append(ref_fem[0])
+        else:
+            ref_fem.append(pilot_params.charge * potentials.electric_field(
+                psi_next.time_tag, [z])[0])
+        ref_near.append(amp < NODE_PROXIMITY_REL
+                        * max(bundle.amp_peak, bundle_next.amp_peak))
 
         if store_every and (i + 1) % store_every == 0:
             u_snaps.append(state.u)
@@ -424,7 +447,7 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
 
         psi, bundle = psi_next, bundle_next
 
-    ref_vel.append(_interp_vector(grid, bundle.velocity, z_stencil))
+    ref_vel.append(_point_vector(z_stencil, bundle.velocity))
     reference = TrajectoryRecord(
         times=np.asarray(times), positions=np.asarray(ref_pos),
         velocities=np.asarray(ref_vel), quantum_force=np.asarray(ref_fq),
@@ -441,9 +464,9 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         harmony_times=np.asarray(harmony_t), harmony=np.asarray(harmony_v))
 
 
-def _interp_vector(grid, components, stencil):
-    """Per-axis components (dim, *grid shape) at a one-point stencil."""
-    return np.array([grid.interpolate(c, stencil)[0] for c in components])
+def _point_vector(stencil, components):
+    """Per-axis components (dim, *grid shape) at a point stencil, as floats."""
+    return [stencil.apply(c) for c in components]
 
 
 def _warn_scale_separation(psi0: Field, b: float):
@@ -475,8 +498,15 @@ def classical_trajectory(times, z0, v0, params: PhysicalParams,
     v = np.asarray(v0, dtype=float).copy()
     e_over_m = params.charge / params.omega0
 
-    def accel(t, pos):
-        return e_over_m * potentials.electric_field(t, pos[None, :])[0]
+    if potentials.zero_field:
+        # E is the same signed zero at every time and place: evaluate once
+        constant = e_over_m * potentials.electric_field(0.0, z[None, :])[0]
+
+        def accel(t, pos):
+            return constant
+    else:
+        def accel(t, pos):
+            return e_over_m * potentials.electric_field(t, pos[None, :])[0]
 
     out = np.empty((len(times), z.size))
     out[0] = z

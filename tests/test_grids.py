@@ -260,3 +260,42 @@ def test_field_level_operator_wrappers():
     rho = Field(g, np.exp(-x**2))
     pts = sample_density(rho, 100, seed=1)
     assert pts.shape == (100, 1)
+
+
+def _written_out(grid, samples, axis, order):
+    """The derivative with its multiplier built in place, per call."""
+    k = grid._k_along(axis)
+    mult = 1j * k if order == 1 else -(k ** 2)
+    out = np.fft.ifft(mult * np.fft.fft(samples, axis=axis), axis=axis)
+    return out if np.iscomplexobj(samples) else out.real
+
+
+@pytest.mark.parametrize("shape, lengths", [((64,), (7.0,)),
+                                            ((16, 24), (5.0, 3.0))])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_derivatives_match_per_call_multipliers(shape, lengths,
+                                                complex_valued):
+    # the multipliers built once per grid give the per-call bits, and the
+    # one-spectrum pair gives those of the two separate derivatives
+    g = Grid(shape, lengths)
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(shape)
+    if complex_valued:
+        f = f + 1j * rng.standard_normal(shape)
+    for axis in range(g.dim):
+        first = _written_out(g, f, axis, 1)
+        second = _written_out(g, f, axis, 2)
+        assert np.array_equal(g.derivative(f, axis), first)
+        assert np.array_equal(g.second_derivative(f, axis), second)
+        pair = g.derivative_pair(f, axis)
+        assert pair[0].tobytes() == first.tobytes()
+        assert pair[1].tobytes() == second.tobytes()
+    assert g._ik is g._ik and g._minus_k2 is g._minus_k2
+
+
+def test_derivative_pair_checks_its_input():
+    g = Grid(32, 4.0)
+    f = np.ones(32)
+    f[5] = np.inf
+    with pytest.raises(SolidynError, match="second_derivative input"):
+        g.derivative_pair(f, 0)

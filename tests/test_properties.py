@@ -5,7 +5,11 @@ Hypothesis).
   `ConfigError`, never another exception.
 - `Grid.sample_density` is deterministic for a fixed seed and draws inside
   the box.
-- `ls_step` and `nls_step` keep the norm to round-off.
+- `ls_step` and `nls_step` keep the norm to round-off, and `ls_step(dt)`
+  followed by `ls_step(-dt)` returns psi to round-off.
+- The zero-field shortcuts of the soliton runs (`Potentials.zero_field`)
+  write the bytes of the general path.
+- A parsed config asks for a whole number of steps in [1, MAX_STEPS].
 """
 
 import numpy as np
@@ -18,10 +22,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from solidyn.errors import ConfigError  # noqa: E402
 from solidyn.grids import Field, Grid  # noqa: E402
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
-from solidyn.scenarios import (_INITIAL_KEYS, SCENARIO_KINDS,  # noqa: E402
-                               ScenarioConfig, parse_config_dict)
+from solidyn.scenarios import (_INITIAL_KEYS, MAX_STEPS,  # noqa: E402
+                               SCENARIO_KINDS, ScenarioConfig,
+                               parse_config_dict)
 from solidyn.schrodinger import ls_step  # noqa: E402
-from solidyn.soliton import SolitonState, nls_step  # noqa: E402
+from solidyn.soliton import (SolitonState, _density_mean_force,  # noqa: E402
+                             _grid_positions, classical_trajectory, nls_step)
 
 # ---------------------------------------------------------------------------
 # parse_config_dict
@@ -93,6 +99,7 @@ def test_parse_config_dict_yields_config_or_config_error(raw):
     except ConfigError:
         return
     assert isinstance(cfg, ScenarioConfig)
+    assert 1 <= cfg.steps <= MAX_STEPS
 
 
 # ---------------------------------------------------------------------------
@@ -174,3 +181,74 @@ def test_nls_step_keeps_norm(u, potential, dt, b, f0, steps):
     for _ in range(steps):
         state = nls_step(state, pots, dt)
     assert norm_drift(u, state.u) < 1e-12 * steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(waves(), st.sampled_from(sorted(POTENTIALS) + ["vector_ramp"]),
+       st.floats(1e-4, 0.1), st.floats(0.2, 3.0), st.floats(-10.0, 10.0))
+def test_ls_step_is_time_reversible(psi, potential, dt, omega0, t0):
+    # the Strang step is symmetric: stepping back by -dt undoes it
+    params = PhysicalParams(omega0=omega0, charge=1.0)
+    pots = (Potentials.vector_ramp(0.3) if potential == "vector_ramp"
+            else POTENTIALS[potential]())
+    psi = Field(psi.grid, psi.samples, t0)
+    back = ls_step(ls_step(psi, params, pots, dt), params, pots, -dt)
+    scale = np.max(np.abs(psi.samples))
+    assert np.max(np.abs(back.samples - psi.samples)) < 1e-12 * scale
+    assert back.time_tag == pytest.approx(t0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# zero-field shortcuts keep the general path's bytes
+# ---------------------------------------------------------------------------
+
+def general_zero(dim):
+    """A potential whose E is zero but that takes the general path (a
+    scalar gradient is given, so `zero_field` is False)."""
+    return Potentials(dim, scalar_gradient=lambda t, coords: (0.0,) * dim)
+
+
+charges = st.floats(0.0, 5.0).flatmap(
+    lambda e: st.sampled_from([e, -e]))
+
+
+@st.composite
+def soliton_fields(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    points = tuple(draw(st.sampled_from([8, 16, 33, 64])) for _ in range(dim))
+    grid = Grid(points, tuple(draw(st.floats(2.0, 40.0)) for _ in range(dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.standard_normal(grid.shape) \
+        + 1j * rng.standard_normal(grid.shape)
+    samples[rng.random(grid.shape) < draw(st.floats(0.0, 0.9))] = 0.0
+    samples.flat[0] = 1.0                               # never all zero
+    return Field(grid, samples, draw(st.floats(-10.0, 10.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(soliton_fields(), charges)
+def test_zero_field_mean_force_keeps_the_general_bits(u, charge):
+    dim = u.grid.dim
+    state = SolitonState(u, PhysicalParams(1.0, charge), 1.0, 1.0)
+    pos = _grid_positions(u.grid)
+    assert Potentials.free(dim).zero_field
+    assert not general_zero(dim).zero_field
+    got = _density_mean_force(state, Potentials.free(dim), pos)
+    want = _density_mean_force(state, general_zero(dim), pos)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), charges, st.floats(0.2, 3.0),
+       st.integers(0, 2**32 - 1), st.integers(1, 30))
+def test_zero_field_classical_trajectory_keeps_the_general_bits(
+        dim, charge, omega0, seed, n):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(1e-3, 0.1, n)) - rng.uniform(-5.0, 5.0)
+    # signed-zero starts show the sign of a zero acceleration
+    z0, v0 = (rng.standard_normal(dim) * rng.choice([0.0, 1.0], dim)
+              for _ in range(2))
+    params = PhysicalParams(omega0, charge)
+    got = classical_trajectory(times, z0, v0, params, Potentials.free(dim))
+    want = classical_trajectory(times, z0, v0, params, general_zero(dim))
+    assert got.tobytes() == want.tobytes()

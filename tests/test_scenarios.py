@@ -16,8 +16,8 @@ from solidyn.errors import (BoundaryExitError, ConfigError,
                             SolidynError, TachyonicRegionError,
                             TrajectoryAbortError)
 from solidyn.grids import Field, Grid
-from solidyn.scenarios import (SCENARIO_KINDS, THRESHOLDS, parse_config,
-                               parse_config_dict, run_scenario)
+from solidyn.scenarios import (MAX_STEPS, SCENARIO_KINDS, THRESHOLDS,
+                               parse_config, parse_config_dict, run_scenario)
 from solidyn.schrodinger import evolve_schrodinger, integrate_bohm_ensemble
 from solidyn.snapshots import read_snapshot, write_csv, write_snapshot
 
@@ -109,6 +109,76 @@ def test_oversized_grid_rejected(tmp_path, scenario, points):
     assert cli_main(["validate", path, "--quiet"]) == 2
     assert cli_main(["run", path, "--quiet"]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dt, t_final", [
+    ("1.0e-300", "1.0e+300"),           # t_final/dt overflows to inf
+    ("1.0", "0.4"),                     # rounds to 0 steps
+    ("1.0", "0.5"),                     # rounds (half to even) to 0 steps
+    ("1.0e-3", "1.0e+5"),               # 1e8 steps
+    ("1.0", str(float(MAX_STEPS + 1))),
+])
+def test_step_count_bounded_at_parse_time(tmp_path, dt, t_final):
+    path = write_yaml(tmp_path, "steps.yaml",
+                      f"scenario: free_gausson\n"
+                      f"run:\n  dt: {dt}\n  t_final: {t_final}\n"
+                      f"output:\n  directory: {tmp_path / 'out'}\n")
+    with pytest.raises(ConfigError, match=r"\[run\]\.t_final: .*steps"):
+        parse_config(path)
+    assert cli_main(["validate", path, "--quiet"]) == 2
+    assert cli_main(["run", path, "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_step_count_accepts_the_bounds_and_uneven_dt(tmp_path):
+    def config(dt, t_final):
+        return write_yaml(tmp_path, "ok.yaml",
+                          f"scenario: free_gausson\n"
+                          f"run:\n  dt: {dt}\n  t_final: {t_final}\n")
+
+    assert parse_config(config("1.0", "0.6")).steps == 1
+    path = config("1.0", str(float(MAX_STEPS)))
+    assert parse_config(path).steps == MAX_STEPS
+    assert cli_main(["validate", path, "--quiet"]) == 0
+    # dt need not divide t_final: the shipped trap runs 8 pi / 1e-3 steps
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..",
+                                    "configs", "harmonic_trap.yaml"))
+    assert cfg.t_final / cfg.dt != cfg.steps
+    assert cfg.steps == 25133
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("trajectories", "0.5", "expected an integer"),
+    ("trajectories", "2000.0", "expected an integer"),
+    ("trajectories", "0", "must be > 0"),
+    ("trajectories", "-3", "must be > 0"),
+    pytest.param("trajectories", "1" + "0" * 400, "exceeds the memory",
+                 id="trajectories-huge_int"),
+    ("bins", "0.5", "expected an integer"),
+    ("bins", "0", "must be > 0"),
+    ("bins", "abc", "expected an integer"),
+])
+def test_equivariance_counts_must_be_positive_integers(tmp_path, key, value,
+                                                       message):
+    path = write_yaml(tmp_path, "counts.yaml",
+                      f"scenario: equivariance\ninitial:\n  {key}: {value}\n"
+                      f"run:\n  t_final: 0.01\n"
+                      f"output:\n  directory: {tmp_path / 'out'}\n")
+    with pytest.raises(ConfigError, match=rf"\[initial\]\.{key}: {message}"):
+        parse_config(path)
+    assert cli_main(["validate", path, "--quiet"]) == 2
+    assert cli_main(["run", path, "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_equivariance_counts_parse_as_integers(tmp_path):
+    cfg = parse_config(write_yaml(tmp_path, "counts.yaml",
+                                  "scenario: equivariance\n"
+                                  "initial:\n  trajectories: 300\n"
+                                  "  bins: '16'\n"))
+    assert cfg.initial["trajectories"] == 300
+    assert cfg.initial["bins"] == 16
+    assert type(cfg.initial["bins"]) is int
 
 
 @pytest.mark.parametrize("error", [NodeEncounterError, BoundaryExitError,

@@ -392,3 +392,41 @@ def test_integrate_bohm_node_encounter_last_valid():
     with pytest.raises(NodeEncounterError, match="at t=4.6") as err:
         trajectory_from_flow(hist, [0.0])
     assert err.value.last_valid_time == times[45]
+
+
+@pytest.mark.parametrize("shape, lengths", [((256,), (20.0,)),
+                                            ((32, 48), (8.0, 10.0))])
+def test_madelung_extract_shares_the_spectrum_of_a(shape, lengths,
+                                                   monkeypatch):
+    # the bundle equals the one built from separate gradient and Laplacian
+    # calls, and a takes one forward FFT per axis for grad a and lap a
+    g = Grid(shape, lengths)
+    rng = np.random.default_rng(8)
+    psi = Field(g, np.exp(-sum(m**2 for m in g.meshes()) / 4.0)
+                * np.exp(1j * rng.standard_normal(shape) * 0.1), 0.3)
+    pots = Potentials.vector_ramp(0.2, dim=g.dim)
+    a = np.abs(psi.samples)
+    floor = 1e-8 * np.max(a)
+    a_safe = np.maximum(a, floor)
+    lap_a = g.laplacian(a)
+    grad_a = g.gradient(a)
+    fq = (g.gradient(lap_a) / a_safe - lap_a * grad_a / a_safe**2) / 2.0
+
+    calls = []
+    fft = np.fft.fft
+
+    def counting_fft(x, *args, **kwargs):
+        calls.append(x)
+        return fft(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    bundle = madelung_extract(psi, PARAMS, pots)
+    monkeypatch.undo()
+    assert bundle.quantum_force.tobytes() == fq.tobytes()
+    assert bundle.quantum_potential.tobytes() \
+        == (-lap_a / (2.0 * a_safe)).tobytes()
+    assert bundle.amp_peak == np.max(a)
+    assert bundle.amp_floor == floor
+    # psi and lap a once per axis, a once per axis (it was twice)
+    assert len(calls) == 3 * g.dim
+    assert sum(x is a or np.array_equal(x, a) for x in calls) == g.dim

@@ -304,3 +304,41 @@ def test_coupled_reference_boundary_exit_last_valid():
     for _ in range(159):          # the pilot's time tag, step by step
         last_valid += 1e-2
     assert err.value.last_valid_time == last_valid
+
+
+def test_state_keeps_the_density_and_norm_of_its_field():
+    g = Grid(256, 20.0)
+    u0 = gausson_init(GaussonParams(4.0, 1.0, center=(1.0,),
+                                    velocity=(0.5,)), g, 1.0)
+    state = SolitonState(u0, PARAMS, 4.0, 1.0)
+    prev = state
+    for _ in range(3):
+        state = nls_step(state, Potentials.harmonic(0.2), 1e-2)
+        assert state.density.tobytes() == state.u.density().tobytes()
+        assert state.norm == state.u.norm()
+        center, norm = soliton_center(state.u, previous=prev.center)
+        assert center.tobytes() == state.center.tobytes()
+        assert norm == state.norm
+        prev = state
+    # a given center is kept as given
+    kept = SolitonState(state.u, PARAMS, 4.0, 1.0, center=[0.25])
+    assert kept.center.tolist() == [0.25] and kept.norm == state.norm
+
+
+def test_run_coupled_builds_no_flow_history(monkeypatch):
+    from solidyn import trajectories
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_coupled built a FlowHistory")
+
+    monkeypatch.setattr(trajectories.FlowHistory, "__init__", refuse)
+    g = Grid(256, 20.0)
+    x = g.axes[0]
+    psi = Field(g, np.exp(-(x**2) / 4).astype(complex))
+    u0 = gausson_init(GaussonParams(100.0, 1.0, center=(-0.6745,)), g, 1.0)
+    state = SolitonState(u0, PARAMS, 100.0, 1.0, coupling_mode="dbb")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run = run_coupled(psi, state, PARAMS, Potentials.free(), dt=1e-3,
+                          steps=20)
+    assert run.reference.positions.shape == (21, 1)
