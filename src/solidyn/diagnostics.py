@@ -4,9 +4,9 @@ These are pure post-processing passes over immutable run records: they never
 advance a solver, so reports may be generated concurrently and repeatedly.
 
 Conventions: the wave norm is C = integral |u|^2 and the conserved charge is
-P_t = 2 omega0 C.  The energy E_t is the NLS Hamiltonian
+P_t = 2 omega0 C.  The energy E_t is the classical-mode NLS Hamiltonian
 
-    E_t = integral[ |(grad - ieA)u|^2 / (2 w0) + (w0 + eV + q) |u|^2
+    E_t = integral[ |(grad - ieA)u|^2 / (2 w0) + (w0 + eV) |u|^2
                     + U_log(|u|^2) / (2 w0) ],
 
 and the reported energy ratio is E_t / C (energy per unit norm), which for a
@@ -34,7 +34,7 @@ def norm_pt(u: Field, omega0: float) -> float:
 
 
 def energy_nls(u: Field, params: PhysicalParams, potentials: Potentials,
-               b: float, f0: float, external_q=None):
+               b: float, f0: float):
     """Total energy E_t (NLS Hamiltonian) and static energy E_s = b C."""
     grid = u.grid
     p = params
@@ -46,8 +46,6 @@ def energy_nls(u: Field, params: PhysicalParams, potentials: Potentials,
         cov = grad[a] - 1j * avec[a] * u.samples
         kinetic += np.abs(cov) ** 2
     w = p.omega0 + p.charge * potentials.scalar_on_grid(grid, u.time_tag)
-    if external_q is not None:
-        w = w + external_q
     density = (kinetic / (2.0 * p.omega0) + w * rho
                + log_potential_density(rho, b, f0) / (2.0 * p.omega0))
     e_total = float(grid.integrate(density))
@@ -93,35 +91,6 @@ def cancellation_integrals(u: Field, b: float, f0: float):
     return out[0], out[1]
 
 
-def energy_reduction_report(u_prev: Field, u: Field, u_next: Field,
-                            omega0: float, b: float, f0: float):
-    """Weigh the terms neglected by the quasi-static energy reduction.
-
-    The reduction approximates E_t by integral[-rho dphi/dt] + E_s/(2 w0)
-    (phase rotation rate against the static energy).  No tolerance is
-    asserted: the neglected amplitude-kinetic term and the surface term are
-    reported so callers can judge the reduction's validity for their state.
-    """
-    grid = u.grid
-    dt2 = u_next.time_tag - u_prev.time_tag
-    rho = u.density()
-    floor = (NODE_MASK_REL * np.sqrt(float(rho.max()))) ** 2
-    du = (u_next.samples - u_prev.samples) / dt2
-    dphi = np.imag(np.conj(u.samples) * du) / np.maximum(rho, floor)
-    df = (np.abs(u_next.samples) - np.abs(u_prev.samples)) / dt2
-    reduced = float(grid.integrate(-rho * dphi)
-                    + b * grid.integrate(rho) / (2.0 * omega0))
-    neglected_kinetic = float(grid.integrate(df**2) / (2.0 * omega0))
-    f = np.abs(u.samples)
-    surface = float(grid.integrate(
-        grid.divergence(f[None, ...] * grid.gradient(f))))
-    return {
-        "reduced_energy": reduced,
-        "neglected_kinetic": neglected_kinetic,
-        "surface_term": surface,
-    }
-
-
 @dataclass
 class ConservationReport:
     times: np.ndarray
@@ -135,13 +104,12 @@ class ConservationReport:
     boundary_flagged: bool      # any boundary mass above the watchdog limit
 
 
-def conservation_report(run: SolitonRun, external_q_series=None) -> ConservationReport:
+def conservation_report(run: SolitonRun) -> ConservationReport:
     """Energy/norm series over a run's stored snapshots."""
     p = run.params
     norms, energies, statics, ratios = [], [], [], []
-    for i, u in enumerate(run.u_snapshots):
-        q = None if external_q_series is None else external_q_series[i]
-        e_t, e_s = energy_nls(u, p, run.potentials, run.b, run.f0, q)
+    for u in run.u_snapshots:
+        e_t, e_s = energy_nls(u, p, run.potentials, run.b, run.f0)
         c = u.norm()
         norms.append(2.0 * p.omega0 * c)
         energies.append(e_t)

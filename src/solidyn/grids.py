@@ -28,6 +28,9 @@ from .errors import NonFiniteFieldError, SolidynError
 # within desk-scale memory for the 1D/2D runs this package targets.
 MAX_TOTAL_SAMPLES = 2**24
 
+# Width of the edge band `Grid.boundary_mass_fraction` measures, in samples.
+BOUNDARY_CELLS = 3
+
 
 class Grid:
     """Periodic Cartesian sample grid in 1 or 2 spatial dimensions.
@@ -100,13 +103,6 @@ class Grid:
         shape[axis] = self.points[axis]
         return k.reshape(shape)
 
-    def k_squared(self):
-        """|k|^2 on the full grid (for Laplacian multipliers)."""
-        out = 0.0
-        for axis in range(self.dim):
-            out = out + self._k_along(axis) ** 2
-        return out
-
     # ------------------------------------------------------------------
     # spectral differentiation
     # ------------------------------------------------------------------
@@ -169,15 +165,17 @@ class Grid:
         """Rectangle-rule integral over the box."""
         return np.sum(samples) * self.cell_volume
 
-    def boundary_mass_fraction(self, density, cells=3):
-        """Fraction of total mass within `cells` samples of any box edge."""
+    def boundary_mass_fraction(self, density):
+        """Fraction of total mass within `BOUNDARY_CELLS` samples of any box
+        edge."""
         total = float(np.sum(density))
         if total <= 0.0:
             return 0.0
         interior = density
         for axis in range(self.dim):
             sl = [slice(None)] * self.dim
-            sl[axis] = slice(cells, self.points[axis] - cells)
+            sl[axis] = slice(BOUNDARY_CELLS,
+                             self.points[axis] - BOUNDARY_CELLS)
             interior = interior[tuple(sl)]
         return float((total - np.sum(interior)) / total)
 
@@ -434,22 +432,6 @@ def _cubic_weight_terms(f):
     return w_m1, w_0, w_p1, w_p2
 
 
-def interpolate_in_time(field_a, field_b, t, positions):
-    """Linear-in-time, cubic-in-space evaluation between two field snapshots.
-
-    `field_a` and `field_b` are (time, samples) pairs on the same grid that
-    bracket the query time t.
-    """
-    (ta, sa, grid) = field_a
-    (tb, sb, _) = field_b
-    stencil = grid.stencil(positions)
-    if tb == ta:
-        return grid.interpolate(sa, stencil)
-    theta = (t - ta) / (tb - ta)
-    return ((1.0 - theta) * grid.interpolate(sa, stencil)
-            + theta * grid.interpolate(sb, stencil))
-
-
 @dataclass
 class Field:
     """Scalar field samples (real or complex) tagged with a simulation time."""
@@ -463,10 +445,6 @@ class Field:
         if self.samples.shape != self.grid.shape:
             raise SolidynError("sample count does not match the grid")
 
-    @property
-    def is_complex(self):
-        return np.iscomplexobj(self.samples)
-
     def density(self):
         """|samples|^2 as a real array."""
         return np.abs(self.samples) ** 2
@@ -474,24 +452,6 @@ class Field:
     def norm(self):
         """Integral of |samples|^2 over the box."""
         return float(self.grid.integrate(self.density()))
-
-    def require_finite(self, context=""):
-        _require_finite(self.samples, context or "field")
-        return self
-
-
-@dataclass
-class VectorField:
-    """Per-axis components stacked as (dim, *grid shape)."""
-
-    grid: Grid
-    components: np.ndarray
-    time_tag: float = 0.0
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components)
-        if self.components.shape != (self.grid.dim,) + self.grid.shape:
-            raise SolidynError("component layout does not match the grid")
 
 
 def _from_spectrum(spectrum, axis, samples):
@@ -505,23 +465,3 @@ def _from_spectrum(spectrum, axis, samples):
 def _require_finite(samples, context):
     if not np.all(np.isfinite(samples)):
         raise NonFiniteFieldError(f"non-finite values in {context}")
-
-
-def spectral_gradient(field: Field) -> VectorField:
-    """Gradient of a field; components keep the input dtype."""
-    return VectorField(field.grid, field.grid.gradient(field.samples), field.time_tag)
-
-
-def spectral_laplacian(field: Field) -> Field:
-    """Laplacian of a field (same kind as the input)."""
-    return Field(field.grid, field.grid.laplacian(field.samples), field.time_tag)
-
-
-def integrate(field: Field) -> float:
-    """Box integral of a real field."""
-    return float(field.grid.integrate(field.samples))
-
-
-def sample_density(field: Field, count: int, seed: int) -> np.ndarray:
-    """Draw positions from a non-negative density field (see Grid.sample_density)."""
-    return field.grid.sample_density(field.samples, count, seed)

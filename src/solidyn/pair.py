@@ -20,14 +20,13 @@ into independent single-particle runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import SolidynError
 from .grids import Field, Grid, _cubic_weights
-from .potentials import Potentials
 from .soliton import SolitonState, nls_step
 from .stepping import (NODE_MASK_REL, cached, check_finite,
                        kinetic_multiplier, strang_step)
@@ -309,12 +308,10 @@ class PairRun:
     u2_norms: np.ndarray
     final_pair: PairWave = None
     final_state: PairState = None
-    psi_snapshots: list = _dc_field(default_factory=list)
-    snapshot_times: list = _dc_field(default_factory=list)
 
 
-def run_pair(pair: PairWave, state: PairState, dt: float, steps: int,
-             store_every: int = 0) -> PairRun:
+def run_pair(pair: PairWave, state: PairState, dt: float,
+             steps: int) -> PairRun:
     """Drive pair_step, recording trajectory and tracking series."""
     times = [pair.psi.time_tag]
     zs = [state.z.copy()]
@@ -323,8 +320,7 @@ def run_pair(pair: PairWave, state: PairState, dt: float, steps: int,
     wn = [pair.norm()]
     n1 = [state.u1.u.norm()]
     n2 = [state.u2.u.norm()]
-    snaps, snap_times = [], []
-    for i in range(steps):
+    for _ in range(steps):
         pair, state = pair_step(pair, state, dt)
         times.append(pair.psi.time_tag)
         zs.append(state.z.copy())
@@ -333,15 +329,11 @@ def run_pair(pair: PairWave, state: PairState, dt: float, steps: int,
         wn.append(pair.norm())
         n1.append(state.u1.u.norm())
         n2.append(state.u2.u.norm())
-        if store_every and (i + 1) % store_every == 0:
-            snaps.append(pair.psi)
-            snap_times.append(pair.psi.time_tag)
     return PairRun(times=np.asarray(times), z=np.asarray(zs),
                    centers1=np.asarray(c1), centers2=np.asarray(c2),
                    wave_norms=np.asarray(wn), u1_norms=np.asarray(n1),
                    u2_norms=np.asarray(n2), final_pair=pair,
-                   final_state=state, psi_snapshots=snaps,
-                   snapshot_times=snap_times)
+                   final_state=state)
 
 
 def pair_tracking_residual(run: PairRun):

@@ -110,12 +110,6 @@ class Potentials:
         return cached(self._factors, "kinetic", grid, key,
                       lambda: kinetic_multiplier(grid, mass, charge, avec, dt))
 
-    def scalar_at(self, t, positions):
-        positions = np.atleast_2d(positions)
-        coords = tuple(positions[:, a] for a in range(self.dim))
-        v = self._scalar(t, coords)
-        return np.broadcast_to(np.asarray(v, dtype=float), positions.shape[:1])
-
     def vector(self, t):
         return np.asarray(self._vector(t), dtype=float)
 
@@ -138,28 +132,29 @@ class Potentials:
         return cls(dim)
 
     @classmethod
-    def uniform_field(cls, e_field, dim=1, axis=0):
-        """Uniform electric field via a linear scalar ramp V = -E x_axis.
+    def uniform_field(cls, e_field, dim=1):
+        """Uniform electric field along the first axis via a linear scalar
+        ramp V = -E x_0.
 
         Periodic boxes tolerate the seam because runs keep the wave mass away
         from the edges (boundary watchdog).
         """
         def scalar(t, coords):
-            return -e_field * coords[axis]
+            return -e_field * coords[0]
 
         def gradient(t, coords):
-            return tuple(
-                -e_field if a == axis else 0.0 for a in range(dim))
+            return tuple(-e_field if a == 0 else 0.0 for a in range(dim))
 
         pot = cls(dim, scalar=scalar, scalar_gradient=gradient)
         pot.time_dependent = False
         return pot
 
     @classmethod
-    def vector_ramp(cls, e_field, dim=1, axis=0):
-        """Uniform electric field via A(t) = -E t (no scalar seam at all)."""
+    def vector_ramp(cls, e_field, dim=1):
+        """Uniform electric field along the first axis via A(t) = -E t (no
+        scalar seam at all)."""
         direction = np.zeros(dim)
-        direction[axis] = 1.0
+        direction[0] = 1.0
 
         return cls(
             dim,

@@ -86,9 +86,9 @@ _INITIAL_KEYS = {
     "kg_plane_wave": {"wavenumber": 0.5, "harmonic": 4},
     "kg_packet": {"packet_sigma": 8.0, "wavenumber": 0.1,
                   "mode": "single", "amplitude_ratio": 0.8},
-    "entangled_pair": {"kind": "momentum_correlated", "packet_offset": 2.0,
-                       "packet_sigma": 1.0, "boost": 1.5,
-                       "z1": -2.0, "z2": -2.0, "z2_alternate": 3.0},
+    "entangled_pair": {"packet_offset": 2.0, "packet_sigma": 1.0,
+                       "boost": 1.5, "z1": -2.0, "z2": -2.0,
+                       "z2_alternate": 3.0},
     "equivariance": {"packet_sigma": 1.0, "trajectories": 2000, "bins": 64},
 }
 
@@ -283,8 +283,9 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
                                         and init.get(key) is None):
             parsed_init[key] = init.pop(key, default)
         else:
+            # a key with an integer default takes integers only
             parsed_init[key] = _pop_number(init, "initial", key, default,
-                                           integer=key in _COUNT_KEYS)
+                                           integer=isinstance(default, int))
     _reject_unknown(init, "initial")
     _validate_initial(kind, parsed_init)
 
@@ -378,10 +379,6 @@ def _validate_initial(kind, init):
     if kind == "kg_packet" and init["mode"] not in ("single", "counter"):
         raise ConfigError(
             "[initial].mode: expected 'single' or 'counter'")
-    if kind == "entangled_pair" and init["kind"] not in (
-            "momentum_correlated", "product"):
-        raise ConfigError(
-            "[initial].kind: expected 'momentum_correlated' or 'product'")
     for key in ("packet_sigma",) + _COUNT_KEYS:
         if key in init and init[key] is not None and init[key] <= 0:
             raise ConfigError(f"[initial].{key}: must be > 0")
@@ -389,6 +386,11 @@ def _validate_initial(kind, init):
         if key in init and init[key] > MAX_TOTAL_SAMPLES:
             raise ConfigError(f"[initial].{key}: exceeds the memory "
                               f"budget ({MAX_TOTAL_SAMPLES})")
+    if abs(init.get("harmonic", 0)) > MAX_TOTAL_SAMPLES:
+        # no grid within the memory budget resolves a higher mode, and
+        # k = 2 pi harmonic / L needs the integer within the float range
+        raise ConfigError(f"[initial].harmonic: must satisfy |harmonic| <= "
+                          f"{MAX_TOTAL_SAMPLES}")
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +632,7 @@ def _run_double_slit(cfg, sink):
 def _run_kg_plane_wave(cfg, sink):
     grid = cfg.grid
     init = cfg.initial
-    harmonic = int(init["harmonic"])
-    k = 2 * np.pi * harmonic / grid.lengths[0]
+    k = 2 * np.pi * init["harmonic"] / grid.lengths[0]
     freq = discrete_mode_frequency(k, cfg.omega0, cfg.dt)
     x = grid.axes[0]
     psi0 = Field(grid, np.exp(1j * k * x))

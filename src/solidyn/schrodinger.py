@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryMassError, SolidynError
+from .errors import SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
-from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, check_finite,
-                       strang_step)
+from .stepping import NODE_MASK_REL, check_finite, strang_step
 from .trajectories import FlowHistory, flow_steps, trajectory_from_flow
 
 
@@ -112,14 +111,12 @@ class SchrodingerRun:
     final_psi: Field
     norms: np.ndarray
     boundary_mass: np.ndarray
-    psi_snapshots: list           # empty unless store_psi was requested
     densities: list               # a^2 per stored snapshot
 
 
 def evolve_schrodinger(psi0: Field, params: PhysicalParams,
                        potentials: Potentials, dt: float, steps: int,
-                       store_every: int = 1, store_psi: bool = False,
-                       abort_on_boundary_mass: bool = False) -> SchrodingerRun:
+                       store_every: int = 1) -> SchrodingerRun:
     """Evolve and cache Madelung snapshots every `store_every` steps.
 
     The cached velocity / quantum-force fields are what guidance trajectories
@@ -130,7 +127,6 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
     psi = psi0
     norms = []
     edge = []
-    snaps = []
     densities = []
 
     def record(p):
@@ -138,29 +134,20 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
         history.append(p.time_tag, bundle.velocity, bundle.amplitude,
                        bundle.quantum_force)
         densities.append(bundle.amplitude ** 2)
-        if store_psi:
-            snaps.append(p)
+        norms.append(p.norm())
+        edge.append(grid.boundary_mass_fraction(p.density()))
 
     record(psi)
-    norms.append(psi.norm())
-    edge.append(grid.boundary_mass_fraction(psi.density()))
     for i in range(steps):
         psi = ls_step(psi, params, potentials, dt)
         check_finite(psi.samples, i + 1)
-        frac = grid.boundary_mass_fraction(psi.density())
-        if abort_on_boundary_mass and frac > BOUNDARY_MASS_LIMIT:
-            raise BoundaryMassError(
-                f"boundary mass fraction {frac:.3e} exceeded "
-                f"{BOUNDARY_MASS_LIMIT} at step {i + 1}")
         if (i + 1) % store_every == 0:
             record(psi)
-            norms.append(psi.norm())
-            edge.append(frac)
     history.freeze()
     return SchrodingerRun(history=history, final_psi=psi,
                           norms=np.asarray(norms),
                           boundary_mass=np.asarray(edge),
-                          psi_snapshots=snaps, densities=densities)
+                          densities=densities)
 
 
 def integrate_bohm(z0, history: FlowHistory):

@@ -347,9 +347,7 @@ def _density_mean_force(state: SolitonState, potentials: Potentials,
 
 def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
                 potentials: Potentials, dt: float, steps: int,
-                store_every: int = 0, harmony_every: int = 0,
-                harmony_radius: float = None,
-                abort_on_boundary_mass: bool = False) -> SolitonRun:
+                store_every: int = 0, harmony_every: int = 0) -> SolitonRun:
     """Co-evolve pilot wave and dbb-coupled soliton in lockstep.
 
     Per step: advance the pilot wave, extract its quantum potential at both
@@ -410,17 +408,10 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
                          external_q_end=bundle_next.quantum_potential)
         check_finite(state.u.samples, i + 1)
 
-        frac = grid.boundary_mass_fraction(state.density)
-        # amplitude ** 2 has the bits of psi_next.density()
-        frac_psi = grid.boundary_mass_fraction(bundle_next.amplitude ** 2)
-        if abort_on_boundary_mass and max(frac, frac_psi) > BOUNDARY_MASS_LIMIT:
-            raise BoundaryMassError(
-                f"boundary mass fraction exceeded at step {i + 1}")
-
         times.append(psi_next.time_tag)
         centers.append(state.center.copy())
         norms.append(state.norm)
-        edge.append(frac)
+        edge.append(grid.boundary_mass_fraction(state.density))
         mean_em.append(_density_mean_force(state, potentials, pos))
         fq_c.append(_point_vector(grid.point_stencil(state.center),
                                   bundle_next.quantum_force))
@@ -440,10 +431,10 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
             psi_snaps.append(psi_next)
             snap_times.append(psi_next.time_tag)
         if harmony_every and (i + 1) % harmony_every == 0:
-            radius = harmony_radius or 4.0 / np.sqrt(state.b)
             harmony_t.append(psi_next.time_tag)
             harmony_v.append(phase_harmony_residual(
-                state, bundle_next, state.center, radius, potentials))
+                state, bundle_next, state.center, 4.0 / np.sqrt(state.b),
+                potentials))
 
         psi, bundle = psi_next, bundle_next
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from solidyn.errors import SolidynError
-from solidyn.grids import Field, Grid, interpolate_in_time
+from solidyn.grids import Field, Grid
 
 
 def test_grid_coordinates_and_spacing():
@@ -177,14 +177,6 @@ def test_stencil_rejects_wrong_axis_count():
         Grid(32, 4.0).stencil([[0.1, 0.2]])
 
 
-def test_interpolate_in_time_linear_blend():
-    g = Grid(64, 8.0)
-    fa = np.zeros(64)
-    fb = np.ones(64)
-    val = interpolate_in_time((0.0, fa, g), (1.0, fb, g), 0.25, [[0.1]])
-    assert val[0] == pytest.approx(0.25)
-
-
 def test_sample_density_delta_cell():
     g = Grid(64, 8.0)
     rho = np.zeros(64)
@@ -240,26 +232,6 @@ def test_field_norm_and_validation():
     assert psi.norm() == pytest.approx(np.sqrt(np.pi), abs=1e-10)
     with pytest.raises(SolidynError):
         Field(g, np.zeros(32))
-
-
-def test_field_level_operator_wrappers():
-    from solidyn.grids import (integrate, sample_density, spectral_gradient,
-                               spectral_laplacian)
-
-    g = Grid(128, 8.0)
-    x = g.axes[0]
-    f = Field(g, np.sin(2 * np.pi * x / 8.0))
-    grad = spectral_gradient(f)
-    assert grad.components.shape == (1, 128)
-    expected = (2 * np.pi / 8.0) * np.cos(2 * np.pi * x / 8.0)
-    assert np.max(np.abs(grad.components[0] - expected)) < 1e-12
-    lap = spectral_laplacian(f)
-    assert np.max(np.abs(lap.samples + (2 * np.pi / 8.0) ** 2 * f.samples)) \
-        < 1e-12
-    assert integrate(Field(g, np.ones(128))) == pytest.approx(8.0)
-    rho = Field(g, np.exp(-x**2))
-    pts = sample_density(rho, 100, seed=1)
-    assert pts.shape == (100, 1)
 
 
 def _written_out(grid, samples, axis, order):

@@ -10,7 +10,16 @@ Hypothesis).
 - The zero-field shortcuts of the soliton runs (`Potentials.zero_field`)
   write the bytes of the general path.
 - A parsed config asks for a whole number of steps in [1, MAX_STEPS].
+- The CLI exit code follows from how a scenario runner ends: 2 for a
+  `ConfigError`, 1 with a manifest naming the error for any other
+  `SolidynError`, 3 for a failed check and 0 for a pass, never a traceback.
 """
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +28,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from solidyn import cli, errors, scenarios  # noqa: E402
 from solidyn.errors import ConfigError  # noqa: E402
 from solidyn.grids import Field, Grid  # noqa: E402
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
@@ -252,3 +262,49 @@ def test_zero_field_classical_trajectory_keeps_the_general_bits(
     got = classical_trajectory(times, z0, v0, params, Potentials.free(dim))
     want = classical_trajectory(times, z0, v0, params, general_zero(dim))
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# CLI exit codes
+# ---------------------------------------------------------------------------
+
+ERROR_CLASSES = sorted(
+    (cls for cls in vars(errors).values()
+     if isinstance(cls, type) and issubclass(cls, errors.SolidynError)),
+    key=lambda cls: cls.__name__)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ERROR_CLASSES) | st.booleans(),
+       st.text("abcXYZ 019_-.", min_size=1, max_size=20))
+def test_cli_exit_code_follows_from_the_error_class(outcome, message):
+    def runner(cfg, sink):
+        if isinstance(outcome, bool):
+            return outcome
+        if issubclass(outcome, errors.TrajectoryAbortError):
+            raise outcome(message, 0.5)
+        raise outcome(message)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        config = Path(tmp) / "run.yaml"
+        config.write_text(f"scenario: free_gausson\n"
+                          f"output:\n  directory: {out}\n")
+        echo = io.StringIO()
+        with mock.patch.dict(scenarios._RUNNERS,
+                             {"free_gausson": runner}), \
+                contextlib.redirect_stdout(echo), \
+                contextlib.redirect_stderr(echo):
+            code = cli.main(["run", str(config)])
+        manifest = out / "manifest.txt"
+        if outcome is True:
+            assert code == 0
+        elif outcome is False:
+            assert code == 3
+        elif outcome is ConfigError:
+            assert code == 2
+        else:
+            assert code == 1
+            assert f"error: {message}\n" in manifest.read_text()
+        assert manifest.exists() == (code == 1)
+        assert "Traceback" not in echo.getvalue()

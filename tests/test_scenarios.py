@@ -203,6 +203,14 @@ def test_trajectory_aborts_share_one_base(tmp_path, monkeypatch, error):
     assert "error: trajectory aborted" in manifest
 
 
+_HUGE_INT = "-1" + "0" * 400
+# the reasons of the rejections below that are not about finiteness, by
+# value: `entangled_pair` has no `kind` key, and `harmonic` is an integer
+# no larger than the largest grid
+_OTHER_REASONS = {"product": "unknown key", "4.5": "expected an integer",
+                  _HUGE_INT: "must satisfy"}
+
+
 @pytest.mark.parametrize("scenario, section, key, value", [
     ("free_gausson", "grid", "length", ".nan"),
     ("free_gausson", "grid", "length", "[-.inf]"),
@@ -213,13 +221,18 @@ def test_trajectory_aborts_share_one_base(tmp_path, monkeypatch, error):
     ("double_slit_dbb", "initial", "soliton_start", ".inf"),
     ("entangled_pair", "initial", "z1", "-.inf"),
     ("kg_plane_wave", "initial", "wavenumber", ".nan"),
+    ("entangled_pair", "initial", "kind", "product"),
+    ("kg_plane_wave", "initial", "harmonic", "4.5"),
+    pytest.param("kg_plane_wave", "initial", "harmonic", _HUGE_INT,
+                 id="kg_plane_wave-initial-harmonic-huge_int"),
 ])
 def test_non_finite_grid_or_initial_rejected(tmp_path, scenario, section,
                                              key, value):
     path = write_yaml(tmp_path, "nonfinite.yaml",
                       f"scenario: {scenario}\n{section}:\n  {key}: {value}\n"
                       f"output:\n  directory: {tmp_path / 'out'}\n")
-    with pytest.raises(ConfigError, match=rf"\[{section}\]\.{key}: .*finite"):
+    reason = _OTHER_REASONS.get(value, ".*finite")
+    with pytest.raises(ConfigError, match=rf"\[{section}\]\.{key}: {reason}"):
         parse_config(path)
     assert cli_main(["validate", path, "--quiet"]) == 2
     assert cli_main(["run", path, "--quiet"]) == 2
@@ -230,9 +243,6 @@ def test_string_and_null_initial_entries_still_accepted():
     cfg = parse_config_dict({"scenario": "kg_packet",
                              "initial": {"mode": "counter"}})
     assert cfg.initial["mode"] == "counter"
-    cfg = parse_config_dict({"scenario": "entangled_pair",
-                             "initial": {"kind": "product"}})
-    assert cfg.initial["kind"] == "product"
     cfg = parse_config_dict({"scenario": "double_slit_dbb",
                              "initial": {"soliton_start": None}})
     assert cfg.initial["soliton_start"] is None

@@ -1,5 +1,8 @@
 """Tests for the linear pilot-wave solver, Madelung fields, and trajectories."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -266,6 +269,28 @@ def test_continuity_free_gaussian_refinement():
     assert 3.0 < r_coarse / r_fine < 5.5
     rho_max = np.max(np.abs(psi.samples) ** 2)
     assert r_fine < 1e-4 * rho_max / (2e-3)
+
+
+def test_benchmark_history_size_reads_a_stored_run():
+    """The benchmark's `schrodinger.history_mb` (perfbench/traced.py) sums
+    the arrays a stored run keeps; it must still find every one of them."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from traced import HistoryBytes
+    finally:
+        sys.path.pop(0)
+    g = Grid(64, 20.0)
+    run = evolve_schrodinger(gaussian_packet(g), PARAMS, Potentials.free(),
+                             dt=1e-3, steps=6, store_every=2)
+    history = run.history
+    size = HistoryBytes()
+    size(run)
+    named = (*history.velocities, *history.amplitudes,
+             *history.quantum_forces, *history.quantum_potentials,
+             *run.densities)
+    assert size.total == sum(a.nbytes for a in named)
+    # four snapshots of velocity, |Psi|, quantum force and density
+    assert size.total == 4 * 4 * 64 * 8
 
 
 # ---------------------------------------------------------------------------
