@@ -30,7 +30,7 @@ from .errors import (PastOrientedCurrentError, SolidynError,
                      TachyonicRegionError)
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
-from .stepping import NODE_MASK_REL, check_finite
+from .stepping import NODE_MASK_REL, check_finite, drive
 from .trajectories import FlowHistory, trajectory_from_flow
 
 CFL_RATIO = 0.5   # dt <= CFL_RATIO * dx
@@ -281,21 +281,28 @@ def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
         state = KGState.from_initial(psi0, dpsi_dt0, params, potentials, dt)
     grid = psi0.grid
     history = KGHistory(grid, params, potentials)
-    energies = []
-    prev_level = state.psi_prev
-    for n in range(steps + 1):
-        state, psi_next = lkg_step(state)
-        check_finite(psi_next, n)
-        t_mid = state.time - dt
-        bundle = kg_madelung(prev_level, state.psi_prev, psi_next, t_mid, dt,
-                             grid, params, potentials)
+
+    # a drive state pairs the leapfrog state (levels T - dt and T) with the
+    # level at T - 2 dt: the three levels kg_madelung splits at T - dt
+    def step(s, i):
+        state, _ = s
+        new, psi_next = lkg_step(state)
+        check_finite(psi_next, i - 1)
+        return new, state.psi_prev
+
+    def sample(s, i):
+        if i == 0:
+            return None     # the first snapshot needs the first update
+        state, prev_level = s
+        bundle = kg_madelung(prev_level, state.psi_prev, state.psi,
+                             state.time - dt, dt, grid, params, potentials)
         history.append_kg(bundle)
-        energies.append(bundle.energy)
-        prev_level = state.psi_prev
+        return {"energies": bundle.energy}
+
+    (state, _), series = drive((state, None), steps + 1, step, sample)
     history.freeze()
     final = Field(grid, state.psi_prev, state.time - dt)
-    return KGRun(history=history, final_psi=final,
-                 energies=np.asarray(energies))
+    return KGRun(history=history, final_psi=final, **series)
 
 
 def _field_energy(dpsi_dt, dpsi_dx, psi, grid, omega0):
@@ -307,14 +314,10 @@ def _field_energy(dpsi_dt, dpsi_dx, psi, grid, omega0):
 
 
 def kg_bohm_trajectory(z0, history: KGHistory):
-    """Guidance trajectory dz/dt = J1/J0; aborts on tachyonic regions,
-    past-oriented current, node encounters, and box exits."""
-    traj = trajectory_from_flow(history, z0)
-    if np.any(np.abs(traj.velocities) >= 1.0):
-        raise TachyonicRegionError(
-            "tachyonic region: recorded speed reached 1",
-            float(traj.times[0]))
-    return traj
+    """Guidance trajectory dz/dt = J1/J0; aborts on tachyonic regions (M^2
+    <= 0 or |v| >= 1), past-oriented current, node encounters, and box
+    exits (see `KGHistory.check`)."""
+    return trajectory_from_flow(history, z0)
 
 
 def current_conservation_residual(history: KGHistory) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import SolidynError
 from .grids import Field, Grid, _cubic_weights
 from .soliton import SolitonState, nls_step
-from .stepping import (NODE_MASK_REL, cached, check_finite,
+from .stepping import (NODE_MASK_REL, cached, check_finite, drive,
                        kinetic_multiplier, strang_step)
 from .trajectories import FlowHistory, advance_positions
 
@@ -313,27 +313,18 @@ class PairRun:
 def run_pair(pair: PairWave, state: PairState, dt: float,
              steps: int) -> PairRun:
     """Drive pair_step, recording trajectory and tracking series."""
-    times = [pair.psi.time_tag]
-    zs = [state.z.copy()]
-    c1 = [state.u1.center[0]]
-    c2 = [state.u2.center[0]]
-    wn = [pair.norm()]
-    n1 = [state.u1.u.norm()]
-    n2 = [state.u2.u.norm()]
-    for _ in range(steps):
-        pair, state = pair_step(pair, state, dt)
-        times.append(pair.psi.time_tag)
-        zs.append(state.z.copy())
-        c1.append(state.u1.center[0])
-        c2.append(state.u2.center[0])
-        wn.append(pair.norm())
-        n1.append(state.u1.u.norm())
-        n2.append(state.u2.u.norm())
-    return PairRun(times=np.asarray(times), z=np.asarray(zs),
-                   centers1=np.asarray(c1), centers2=np.asarray(c2),
-                   wave_norms=np.asarray(wn), u1_norms=np.asarray(n1),
-                   u2_norms=np.asarray(n2), final_pair=pair,
-                   final_state=state)
+    def step(s, i):
+        return pair_step(*s, dt)
+
+    def sample(s, i):
+        pair, state = s
+        return {"times": pair.psi.time_tag, "z": state.z,
+                "centers1": state.u1.center[0],
+                "centers2": state.u2.center[0], "wave_norms": pair.norm(),
+                "u1_norms": state.u1.norm, "u2_norms": state.u2.norm}
+
+    (pair, state), series = drive((pair, state), steps, step, sample)
+    return PairRun(final_pair=pair, final_state=state, **series)
 
 
 def pair_tracking_residual(run: PairRun):

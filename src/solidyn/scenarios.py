@@ -83,7 +83,7 @@ _INITIAL_KEYS = {
     "harmonic_trap": {"center": 1.0, "velocity": 0.0},
     "double_slit_dbb": {"packet_sigma": 2.0, "separation": 8.0,
                         "soliton_start": None},
-    "kg_plane_wave": {"wavenumber": 0.5, "harmonic": 4},
+    "kg_plane_wave": {"harmonic": 4},
     "kg_packet": {"packet_sigma": 8.0, "wavenumber": 0.1,
                   "mode": "single", "amplitude_ratio": 0.8},
     "entangled_pair": {"packet_offset": 2.0, "packet_sigma": 1.0,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
-from .stepping import NODE_MASK_REL, check_finite, strang_step
+from .stepping import NODE_MASK_REL, check_finite, drive, strang_step
 from .trajectories import FlowHistory, flow_steps, trajectory_from_flow
 
 
@@ -124,30 +124,26 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
     """
     history = FlowHistory(psi0.grid, params, potentials)
     grid = psi0.grid
-    psi = psi0
-    norms = []
-    edge = []
-    densities = []
 
-    def record(p):
-        bundle = madelung_extract(p, params, potentials)
-        history.append(p.time_tag, bundle.velocity, bundle.amplitude,
-                       bundle.quantum_force)
-        densities.append(bundle.amplitude ** 2)
-        norms.append(p.norm())
-        edge.append(grid.boundary_mass_fraction(p.density()))
-
-    record(psi)
-    for i in range(steps):
+    def step(psi, i):
         psi = ls_step(psi, params, potentials, dt)
-        check_finite(psi.samples, i + 1)
-        if (i + 1) % store_every == 0:
-            record(psi)
+        check_finite(psi.samples, i)
+        return psi
+
+    def sample(psi, i):
+        if i % store_every:
+            return None
+        bundle = madelung_extract(psi, params, potentials)
+        history.append(psi.time_tag, bundle.velocity, bundle.amplitude,
+                       bundle.quantum_force)
+        return {"norms": psi.norm(),
+                "boundary_mass": grid.boundary_mass_fraction(psi.density())}
+
+    psi, series = drive(psi0, steps, step, sample)
     history.freeze()
     return SchrodingerRun(history=history, final_psi=psi,
-                          norms=np.asarray(norms),
-                          boundary_mass=np.asarray(edge),
-                          densities=densities)
+                          densities=[a ** 2 for a in history.amplitudes],
+                          **series)
 
 
 def integrate_bohm(z0, history: FlowHistory):

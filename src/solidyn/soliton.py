@@ -30,7 +30,7 @@ from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .schrodinger import MadelungBundle, ls_step, madelung_extract
 from .stepping import (BOUNDARY_MASS_LIMIT, NODE_PROXIMITY_REL, check_finite,
-                       strang_step)
+                       drive, strang_step)
 from .trajectories import TrajectoryRecord, advance_point
 
 RHO_FLOOR_REL = 1e-30      # vacuum floor for the logarithm, relative to f0^2
@@ -293,39 +293,33 @@ def run_classical(state: SolitonState, potentials: Potentials, dt: float,
         raise SolidynError("run_classical needs a classical-mode state")
     grid = state.u.grid
     pos = _grid_positions(grid)
-    times = [state.u.time_tag]
-    centers = [state.center.copy()]
-    norms = [state.norm]
-    edge = [grid.boundary_mass_fraction(state.density)]
-    mean_em = [_density_mean_force(state, potentials, pos)]
-    snaps = [state.u]
-    snap_times = [state.u.time_tag]
-    for i in range(steps):
+
+    def step(state, i):
         state = nls_step(state, potentials, dt)
-        check_finite(state.u.samples, i + 1)
+        check_finite(state.u.samples, i)
+        return state
+
+    def sample(state, i):
         frac = grid.boundary_mass_fraction(state.density)
-        if abort_on_boundary_mass and frac > BOUNDARY_MASS_LIMIT:
+        if abort_on_boundary_mass and i and frac > BOUNDARY_MASS_LIMIT:
             raise BoundaryMassError(
                 f"boundary mass fraction {frac:.3e} exceeded "
-                f"{BOUNDARY_MASS_LIMIT} at step {i + 1}")
-        times.append(state.u.time_tag)
-        centers.append(state.center.copy())
-        norms.append(state.norm)
-        edge.append(frac)
-        mean_em.append(_density_mean_force(state, potentials, pos))
-        if (i + 1) % store_every == 0:
-            snaps.append(state.u)
-            snap_times.append(state.u.time_tag)
-    n = len(times)
+                f"{BOUNDARY_MASS_LIMIT} at step {i}")
+        t = state.u.time_tag
+        stored = i % store_every == 0
+        return {"times": t, "centers": state.center, "norms": state.norm,
+                "boundary_mass": frac,
+                "mean_em_force": _density_mean_force(state, potentials, pos),
+                "u_snapshots": state.u if stored else None,
+                "snapshot_times": t if stored else None}
+
+    state, series = drive(state, steps, step, sample)
+    series["u_snapshots"] = list(series["u_snapshots"])
     return SolitonRun(
         grid=grid, params=state.params, potentials=potentials,
         b=state.b, f0=state.f0, mode="classical",
-        times=np.asarray(times), centers=np.asarray(centers),
-        norms=np.asarray(norms), mean_em_force=np.asarray(mean_em),
-        fq_at_center=np.zeros((n, grid.dim)),
-        boundary_mass=np.asarray(edge),
-        snapshot_times=np.asarray(snap_times), u_snapshots=snaps,
-        final_state=state)
+        fq_at_center=np.zeros((len(series["times"]), grid.dim)),
+        final_state=state, **series)
 
 
 def _density_mean_force(state: SolitonState, potentials: Potentials,
@@ -375,84 +369,68 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         raise SolidynError("soliton center starts on the pilot node mask")
 
     pos = _grid_positions(grid)
-    psi = psi0
-    times = [psi.time_tag]
-    centers = [state.center.copy()]
-    norms = [state.norm]
-    edge = [grid.boundary_mass_fraction(state.density)]
-    mean_em = [_density_mean_force(state, potentials, pos)]
-    fq_c = [_point_vector(grid.point_stencil(state.center),
-                          bundle.quantum_force)]
-    ref_pos = [z]
-    ref_vel = []
-    ref_fq = [_point_vector(z_stencil, bundle.quantum_force)]
-    ref_fem = [pilot_params.charge
-               * potentials.electric_field(psi.time_tag, [z])[0]]
-    ref_near = [False]
-    u_snaps, psi_snaps, snap_times = [state.u], [psi], [psi.time_tag]
-    harmony_t, harmony_v = [], []
+    def em_force(t, z):
+        return pilot_params.charge * potentials.electric_field(t, [z])[0]
 
-    for i in range(steps):
+    # a zero field has the same signed zero E at every time and place
+    em0 = em_force(psi0.time_tag, z)
+
+    def step(s, i):
+        psi, bundle, state, z, z_stencil, k1, _ = s
         t = psi.time_tag
         psi_next = ls_step(psi, pilot_params, potentials, dt)
-        check_finite(psi_next.samples, i + 1)
+        check_finite(psi_next.samples, i)
         bundle_next = madelung_extract(psi_next, pilot_params, potentials)
-
-        k1 = _point_vector(z_stencil, bundle.velocity)
-        ref_vel.append(k1)
         z, z_stencil, amp = advance_point(bundle, bundle_next, z, t, t + dt,
                                           k1)
-
         state = nls_step(state, potentials, dt,
                          external_q=bundle.quantum_potential,
                          external_q_end=bundle_next.quantum_potential)
-        check_finite(state.u.samples, i + 1)
+        check_finite(state.u.samples, i)
+        near = amp < NODE_PROXIMITY_REL * max(bundle.amp_peak,
+                                              bundle_next.amp_peak)
+        return (psi_next, bundle_next, state, z, z_stencil,
+                _point_vector(z_stencil, bundle_next.velocity), near)
 
-        times.append(psi_next.time_tag)
-        centers.append(state.center.copy())
-        norms.append(state.norm)
-        edge.append(grid.boundary_mass_fraction(state.density))
-        mean_em.append(_density_mean_force(state, potentials, pos))
-        fq_c.append(_point_vector(grid.point_stencil(state.center),
-                                  bundle_next.quantum_force))
-        ref_pos.append(z)
-        ref_fq.append(_point_vector(z_stencil, bundle_next.quantum_force))
-        if potentials.zero_field:
-            # E is the same signed zero at every time and place
-            ref_fem.append(ref_fem[0])
-        else:
-            ref_fem.append(pilot_params.charge * potentials.electric_field(
-                psi_next.time_tag, [z])[0])
-        ref_near.append(amp < NODE_PROXIMITY_REL
-                        * max(bundle.amp_peak, bundle_next.amp_peak))
+    def sample(s, i):
+        psi, bundle, state, z, z_stencil, k1, near = s
+        t = psi.time_tag
+        stored = i == 0 or (store_every and i % store_every == 0)
+        harmony = i > 0 and harmony_every and i % harmony_every == 0
+        return {
+            "times": t, "centers": state.center, "norms": state.norm,
+            "boundary_mass": grid.boundary_mass_fraction(state.density),
+            "mean_em_force": _density_mean_force(state, potentials, pos),
+            "fq_at_center": _point_vector(grid.point_stencil(state.center),
+                                          bundle.quantum_force),
+            # the reference trajectory
+            "positions": z, "velocities": k1,
+            "quantum_force": _point_vector(z_stencil, bundle.quantum_force),
+            "em_force": em0 if potentials.zero_field else em_force(t, z),
+            "node_proximity": near,
+            "u_snapshots": state.u if stored else None,
+            "psi_snapshots": psi if stored else None,
+            "snapshot_times": t if stored else None,
+            "harmony_times": t if harmony else None,
+            "harmony": phase_harmony_residual(
+                state, bundle, state.center, 4.0 / np.sqrt(state.b),
+                potentials) if harmony else None,
+        }
 
-        if store_every and (i + 1) % store_every == 0:
-            u_snaps.append(state.u)
-            psi_snaps.append(psi_next)
-            snap_times.append(psi_next.time_tag)
-        if harmony_every and (i + 1) % harmony_every == 0:
-            harmony_t.append(psi_next.time_tag)
-            harmony_v.append(phase_harmony_residual(
-                state, bundle_next, state.center, 4.0 / np.sqrt(state.b),
-                potentials))
-
-        psi, bundle = psi_next, bundle_next
-
-    ref_vel.append(_point_vector(z_stencil, bundle.velocity))
+    start = (psi0, bundle, state, z, z_stencil,
+             _point_vector(z_stencil, bundle.velocity), False)
+    (_, _, state, *_), series = drive(start, steps, step, sample)
     reference = TrajectoryRecord(
-        times=np.asarray(times), positions=np.asarray(ref_pos),
-        velocities=np.asarray(ref_vel), quantum_force=np.asarray(ref_fq),
-        em_force=np.asarray(ref_fem),
-        node_proximity=np.asarray(ref_near))
+        times=series["times"],
+        **{name: series.pop(name) for name in (
+            "positions", "velocities", "quantum_force", "em_force",
+            "node_proximity")})
+    for name in ("u_snapshots", "psi_snapshots"):
+        series[name] = list(series[name])
     return SolitonRun(
         grid=grid, params=state.params, potentials=potentials,
-        b=state.b, f0=state.f0, mode="dbb",
-        times=np.asarray(times), centers=np.asarray(centers),
-        norms=np.asarray(norms), mean_em_force=np.asarray(mean_em),
-        fq_at_center=np.asarray(fq_c), boundary_mass=np.asarray(edge),
-        snapshot_times=np.asarray(snap_times), u_snapshots=u_snaps,
-        final_state=state, reference=reference, psi_snapshots=psi_snaps,
-        harmony_times=np.asarray(harmony_t), harmony=np.asarray(harmony_v))
+        b=state.b, f0=state.f0, mode="dbb", final_state=state,
+        reference=reference, **series)
 
 
 def _point_vector(stencil, components):

@@ -1,6 +1,7 @@
-"""Shared time-stepping kernels: Strang split steps and RK4 for trajectories.
+"""Shared time-stepping kernels: Strang split steps and the time loop.
 
-The same Strang kernel drives the linear Schrodinger wave, the nonlinear
+Every wave run advances through `drive`, the one loop over wave steps.  The
+same Strang kernel drives the linear Schrodinger wave, the nonlinear
 u-field, and the two-particle configuration-space wave; only the phase
 factors and the kinetic Fourier multiplier differ, and factors that do not
 change from step to step are built once and memoized with `cached`.  Phase
@@ -69,6 +70,32 @@ def cached(store, name, grid, key, build):
         value.flags.writeable = False
         entry = store[slot] = (key, value)
     return entry[1]
+
+
+def drive(state, steps, step, sample):
+    """The time loop of every wave run.
+
+    Calls sample(state, 0), then for i = 1 ... steps `state = step(state,
+    i)` followed by sample(state, i).  A sample is a dict of named
+    quantities, or None to record nothing at that step; a quantity whose
+    value is None is not recorded at that step.  Returns the final state
+    and a dict with one array (`np.asarray` of the recorded values) per
+    quantity named by any sample.
+    """
+    columns = {}
+
+    def record(row):
+        for name, value in (row or {}).items():
+            column = columns.setdefault(name, [])
+            if value is not None:
+                column.append(value)
+
+    record(sample(state, 0))
+    for i in range(1, steps + 1):
+        state = step(state, i)
+        record(sample(state, i))
+    return state, {name: np.asarray(values)
+                   for name, values in columns.items()}
 
 
 def check_finite(samples, step_index):

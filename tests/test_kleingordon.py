@@ -6,6 +6,8 @@ import pytest
 from solidyn.errors import SolidynError, TachyonicRegionError
 from solidyn.grids import Field, Grid
 from solidyn.kleingordon import (
+    KGHistory,
+    KGMadelung,
     KGState,
     current_conservation_residual,
     discrete_mode_frequency,
@@ -335,3 +337,38 @@ def test_kg_mass_deviation_scales_quadratically_in_k():
         mass = np.sqrt(np.maximum(run.history.mass_sq[mid], 0.0))
         devs[k] = float(np.max(np.abs(mass[core] - 1.0)))
     assert devs[0.2] / devs[0.1] > 3.0
+
+
+def speed_history(speeds):
+    """A KGHistory of a uniform flow: one snapshot per speed (t = 0, 0.1,
+    ...), unit amplitude, positive M^2 and J0, so |v| alone decides."""
+    g = Grid(64, 20.0)
+    history = KGHistory(g, PARAMS, Potentials.free())
+    for n, speed in enumerate(speeds):
+        ones = np.ones(g.shape)
+        history.append_kg(KGMadelung(
+            grid=g, time_tag=0.1 * n, amplitude=ones, mass_sq=ones,
+            current_t=ones, current_x=speed * ones, velocity=speed * ones,
+            node_mask=ones < 0, tachyon_mask=ones < 0,
+            past_oriented_mask=ones < 0, energy=0.0))
+    return history.freeze()
+
+
+@pytest.mark.parametrize("speeds, t_abort, last_valid", [
+    ((1.5, 1.5), "0", 0.0),             # at the start point
+    ((0.5, 0.5, 1.0), "0.2", 0.1),      # at an RK4 endpoint
+])
+def test_guidance_refuses_a_luminal_speed(speeds, t_abort, last_valid):
+    # the discrete M^2 > 0 does not imply |J1| < J0, so the speed test of
+    # KGHistory.check is the one that refuses this flow
+    with pytest.raises(TachyonicRegionError,
+                       match=rf"^tachyonic region \(\|v\| >= 1\) at "
+                             rf"t={t_abort}$") as info:
+        kg_bohm_trajectory([0.0], speed_history(speeds))
+    assert info.value.last_valid_time == last_valid
+
+
+def test_guidance_below_light_speed_runs_through():
+    traj = kg_bohm_trajectory([0.0], speed_history((0.5, 0.9, 0.99)))
+    assert np.all(np.abs(traj.velocities) < 1.0)
+    assert traj.times[-1] == pytest.approx(0.2)

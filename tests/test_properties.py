@@ -13,16 +13,23 @@ Hypothesis).
 - The CLI exit code follows from how a scenario runner ends: 2 for a
   `ConfigError`, 1 with a manifest naming the error for any other
   `SolidynError`, 3 for a failed check and 0 for a pass, never a traceback.
+- Two in-process runs of a small valid config of any kind, with the same
+  seed, end with the same exit code and write the same bytes to every
+  output file.
 """
 
 import contextlib
+import copy
 import io
+import shutil
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 
 pytest.importorskip("hypothesis")
 
@@ -308,3 +315,66 @@ def test_cli_exit_code_follows_from_the_error_class(outcome, message):
             assert f"error: {message}\n" in manifest.read_text()
         assert manifest.exists() == (code == 1)
         assert "Traceback" not in echo.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# reruns
+# ---------------------------------------------------------------------------
+
+# a grid per kind small enough for a sub-second run, and valid for it
+TINY = {
+    "free_gausson": {"grid": {"points": 64}},
+    "uniform_field": {"grid": {"points": 64}},
+    "harmonic_trap": {"grid": {"points": 64}},
+    "double_slit_dbb": {"grid": {"points": 128, "length": 40.0}},
+    "kg_plane_wave": {"grid": {"points": 64}},
+    "kg_packet": {"grid": {"points": 128, "length": 64.0}},
+    "entangled_pair": {"grid": {"points": [32, 32], "length": [24.0, 24.0]}},
+    "equivariance": {"grid": {"points": 64},
+                     "initial": {"trajectories": 50, "bins": 8}},
+}
+
+
+@st.composite
+def tiny_runs(draw):
+    """A valid config of any kind, a few steps long, and a seed."""
+    kind = draw(st.sampled_from(SCENARIO_KINDS))
+    dt = scenarios._RUN_DEFAULTS[kind]["dt"]
+    config = {"scenario": kind, **copy.deepcopy(TINY[kind]),
+              "run": {"dt": dt, "t_final": dt * draw(st.integers(1, 20)),
+                      "snapshot_every": draw(st.integers(0, 3))}}
+    if kind == "kg_packet":
+        config["initial"] = {"mode": draw(st.sampled_from(["single",
+                                                           "counter"]))}
+    return config, draw(st.integers(0, 2**32 - 1))
+
+
+def run_and_read(config_path, out, seed):
+    """Exit code of one in-process `solidyn run` and the bytes it wrote."""
+    with warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("ignore")
+        code = cli.main(["run", str(config_path), "--quiet", "--seed",
+                         str(seed)])
+    written = {str(path.relative_to(out)): path.read_bytes()
+               for path in sorted(out.rglob("*")) if path.is_file()}
+    shutil.rmtree(out)
+    return code, written
+
+
+@settings(max_examples=40, deadline=None)
+@given(tiny_runs())
+def test_a_rerun_writes_the_same_bytes(run):
+    config, seed = run
+    with tempfile.TemporaryDirectory() as tmp:
+        # both runs write to one directory, so a failure manifest, which
+        # lists the output paths, may be compared too
+        out = Path(tmp) / "out"
+        config_path = Path(tmp) / "run.yaml"
+        config_path.write_text(yaml.safe_dump(
+            {**config, "output": {"directory": str(out)}}))
+        first = run_and_read(config_path, out, seed)
+        second = run_and_read(config_path, out, seed)
+    assert first[0] in (0, 1, 3)      # the drawn config is valid
+    assert first[1]
+    assert first == second

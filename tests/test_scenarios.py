@@ -205,10 +205,11 @@ def test_trajectory_aborts_share_one_base(tmp_path, monkeypatch, error):
 
 _HUGE_INT = "-1" + "0" * 400
 # the reasons of the rejections below that are not about finiteness, by
-# value: `entangled_pair` has no `kind` key, and `harmonic` is an integer
+# value: `entangled_pair` has no `kind` key, `kg_plane_wave` no
+# `wavenumber` (its k comes from `harmonic`), and `harmonic` is an integer
 # no larger than the largest grid
-_OTHER_REASONS = {"product": "unknown key", "4.5": "expected an integer",
-                  _HUGE_INT: "must satisfy"}
+_OTHER_REASONS = {"product": "unknown key", "3.0": "unknown key",
+                  "4.5": "expected an integer", _HUGE_INT: "must satisfy"}
 
 
 @pytest.mark.parametrize("scenario, section, key, value", [
@@ -220,8 +221,9 @@ _OTHER_REASONS = {"product": "unknown key", "4.5": "expected an integer",
     ("double_slit_dbb", "initial", "packet_sigma", ".nan"),
     ("double_slit_dbb", "initial", "soliton_start", ".inf"),
     ("entangled_pair", "initial", "z1", "-.inf"),
-    ("kg_plane_wave", "initial", "wavenumber", ".nan"),
+    ("kg_packet", "initial", "wavenumber", ".nan"),
     ("entangled_pair", "initial", "kind", "product"),
+    ("kg_plane_wave", "initial", "wavenumber", "3.0"),
     ("kg_plane_wave", "initial", "harmonic", "4.5"),
     pytest.param("kg_plane_wave", "initial", "harmonic", _HUGE_INT,
                  id="kg_plane_wave-initial-harmonic-huge_int"),

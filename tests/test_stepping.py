@@ -1,15 +1,21 @@
 """Split-step factor caches against a reference Strang step that rebuilds
-every phase factor and the kinetic multiplier at every step."""
+every phase factor and the kinetic multiplier at every step; the time loop
+`drive`; and the step index and message with which each wave run aborts."""
 
 import numpy as np
 import pytest
 
+from solidyn import soliton
+from solidyn.errors import BoundaryMassError, NonFiniteFieldError
 from solidyn.grids import Field, Grid
+from solidyn.kleingordon import evolve_kg
 from solidyn.pair import PairWave, ls2_step
 from solidyn.potentials import PhysicalParams, Potentials
-from solidyn.schrodinger import ls_step
+from solidyn.schrodinger import evolve_schrodinger, ls_step
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
-                             log_nonlinearity, nls_step)
+                             log_nonlinearity, nls_step, run_classical,
+                             run_coupled)
+from solidyn.stepping import drive
 
 STEPS = 50
 DT = 5e-3
@@ -171,3 +177,144 @@ def test_raw_callable_scalar_is_sampled_at_each_time():
     later = pot.scalar_on_grid(grid, 1.0)
     assert np.array_equal(later, breathing_v(1.0, grid.axes))
     assert not np.array_equal(first, later)
+
+
+# ---------------------------------------------------------------------------
+# drive
+# ---------------------------------------------------------------------------
+
+def test_drive_samples_the_start_then_steps_and_samples():
+    calls = []
+
+    def step(state, i):
+        calls.append(("step", state, i))
+        return state + 1
+
+    def sample(state, i):
+        calls.append(("sample", state, i))
+        if i == 2:
+            return None
+        return {"x": float(state), "odd": state if state % 2 else None,
+                "never": None}
+
+    final, series = drive(10, 3, step, sample)
+    assert final == 13
+    assert calls == [("sample", 10, 0), ("step", 10, 1), ("sample", 11, 1),
+                     ("step", 11, 2), ("sample", 12, 2), ("step", 12, 3),
+                     ("sample", 13, 3)]
+    assert series["x"].dtype == np.float64
+    assert series["x"].tolist() == [10.0, 11.0, 13.0]
+    assert series["odd"].tolist() == [11, 13]
+    assert series["never"].shape == (0,)
+
+
+def test_drive_without_steps_samples_the_start_once():
+    final, series = drive("s", 0, None, lambda state, i: {"i": i})
+    assert final == "s"
+    assert series["i"].tolist() == [0]
+
+
+# ---------------------------------------------------------------------------
+# loop guards of the wave runs: the step index and message of each abort
+# ---------------------------------------------------------------------------
+
+GUARD_PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
+GUARD_DT = 1e-3
+T_BAD = 0.0175      # between step 17 (t = 0.017) and step 18 (t = 0.018)
+GUARD_B = 16.0
+
+
+def poisoned_v(t, coords):
+    """A trap that turns NaN everywhere after T_BAD."""
+    return np.nan * coords[0] if t > T_BAD else 0.1 * coords[0] ** 2
+
+
+def guard_pilot():
+    grid = Grid(128, 20.0)
+    x = grid.axes[0]
+    return Field(grid, np.exp(-x**2 / 4.0).astype(complex))
+
+
+def guard_soliton(mode, center=0.0):
+    grid = Grid(128, 20.0)
+    u0 = gausson_init(GaussonParams(GUARD_B, F0, center=(center,)), grid,
+                      GUARD_PARAMS.omega0)
+    return SolitonState(u0, GUARD_PARAMS, GUARD_B, F0, coupling_mode=mode)
+
+
+@pytest.mark.parametrize("store_every", (1, 7))
+def test_evolve_schrodinger_names_the_non_finite_step(store_every):
+    # the check runs before the snapshot's Madelung extraction, which
+    # would fail on the NaN field with another message
+    with pytest.raises(NonFiniteFieldError,
+                       match=r"^non-finite field after step 18$"):
+        evolve_schrodinger(guard_pilot(), GUARD_PARAMS,
+                           Potentials(1, scalar=poisoned_v), GUARD_DT, 40,
+                           store_every=store_every)
+
+
+def test_run_classical_names_the_non_finite_step():
+    with pytest.raises(NonFiniteFieldError,
+                       match=r"^non-finite field after step 18$"):
+        run_classical(guard_soliton("classical"),
+                      Potentials(1, scalar=poisoned_v), GUARD_DT, 40,
+                      store_every=7)
+
+
+@pytest.mark.filterwarnings("ignore:soliton width")
+def test_run_coupled_checks_the_pilot_before_extracting_it():
+    # the shared V poisons both waves; the pilot's check comes first, and
+    # before madelung_extract, whose own check names "derivative input"
+    with pytest.raises(NonFiniteFieldError,
+                       match=r"^non-finite field after step 18$"):
+        run_coupled(guard_pilot(), guard_soliton("dbb"), GUARD_PARAMS,
+                    Potentials(1, scalar=poisoned_v), GUARD_DT, 40,
+                    store_every=7, harmony_every=5)
+
+
+@pytest.mark.filterwarnings("ignore:soliton width")
+def test_run_coupled_names_the_non_finite_soliton_step(monkeypatch):
+    real = soliton.nls_step
+
+    def poisoned(state, *args, **kwargs):
+        out = real(state, *args, **kwargs)
+        if out.u.time_tag > T_BAD:
+            out.u.samples[3] = np.nan
+        return out
+
+    monkeypatch.setattr(soliton, "nls_step", poisoned)
+    with pytest.raises(NonFiniteFieldError,
+                       match=r"^non-finite field after step 18$"):
+        run_coupled(guard_pilot(), guard_soliton("dbb"), GUARD_PARAMS,
+                    Potentials.free(), GUARD_DT, 40, store_every=7,
+                    harmony_every=5)
+
+
+def test_run_classical_boundary_watchdog_names_its_step():
+    with pytest.raises(BoundaryMassError) as info:
+        run_classical(guard_soliton("classical", center=5.0),
+                      Potentials.uniform_field(40.0), GUARD_DT, 400,
+                      abort_on_boundary_mass=True)
+    assert str(info.value) == ("boundary mass fraction 1.064e-08 exceeded "
+                               "1e-08 at step 224")
+
+
+def test_run_classical_boundary_watchdog_spares_the_initial_state():
+    # the start already has mass at the seam; only stepped states count
+    state = guard_soliton("classical", center=9.0)
+    assert state.u.grid.boundary_mass_fraction(state.density) > 1e-8
+    with pytest.raises(BoundaryMassError, match=r"at step 1$"):
+        run_classical(state, Potentials.free(), GUARD_DT, 3,
+                      abort_on_boundary_mass=True)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_evolve_kg_counts_its_steps_from_zero():
+    grid = Grid(128, 16 * np.pi)
+    x = grid.axes[0]
+    psi0 = Field(grid, np.exp(-x**2 / 16.0).astype(complex))
+    # leapfrog update n samples V at t = n dt: 0.02 is the first past T_BAD
+    with pytest.raises(NonFiniteFieldError,
+                       match=r"^non-finite field after step 4$"):
+        evolve_kg(psi0, -1j * psi0.samples, GUARD_PARAMS,
+                  Potentials(1, scalar=poisoned_v), 0.005, 10)
