@@ -181,8 +181,11 @@ def kg_madelung(psi_prev, psi, psi_next, t, dt, grid: Grid,
 class KGHistory(FlowHistory):
     """Snapshot history with relativistic sector masks and mass fields."""
 
-    def __init__(self, grid, params, potentials):
-        super().__init__(grid, params, potentials)
+    _SNAPSHOT_LISTS = FlowHistory._SNAPSHOT_LISTS + (
+        "mass_sq", "j0", "j1", "tachyon_masks", "past_masks")
+
+    def __init__(self, grid, params, potentials, window=None):
+        super().__init__(grid, params, potentials, window)
         self.mass_sq = []
         self.j0 = []
         self.j1 = []
@@ -190,13 +193,14 @@ class KGHistory(FlowHistory):
         self.past_masks = []
 
     def append_kg(self, bundle: KGMadelung):
-        self.append(bundle.time_tag, bundle.velocity[None, ...],
-                    bundle.amplitude)
+        # the sector fields go first: `append` completes the snapshot
         self.mass_sq.append(bundle.mass_sq)
         self.j0.append(bundle.current_t)
         self.j1.append(bundle.current_x)
         self.tachyon_masks.append(bundle.tachyon_mask)
         self.past_masks.append(bundle.past_oriented_mask)
+        self.append(bundle.time_tag, bundle.velocity[None, ...],
+                    bundle.amplitude)
 
     def _nearest_cells(self, positions):
         x = positions[:, 0]
@@ -268,19 +272,22 @@ class KGRun:
 
 def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
               potentials: Potentials, dt: float, steps: int,
-              psi_prev=None) -> KGRun:
+              psi_prev=None, history=None) -> KGRun:
     """Evolve the Klein-Gordon wave, caching guidance snapshots at every
     step time 0, dt, ..., steps*dt.
 
     Initial data: Psi(0) plus either dPsi/dt(0) or an explicit previous
-    level Psi(-dt) (`psi_prev`, for exact discrete modes).
+    level Psi(-dt) (`psi_prev`, for exact discrete modes).  The snapshots
+    go to `history`, a new KGHistory that keeps every one by default; a
+    windowed one with `FlowWalk` readers streams its trajectories instead.
     """
     if psi_prev is not None:
         state = KGState.from_levels(psi_prev, psi0, params, potentials, dt)
     else:
         state = KGState.from_initial(psi0, dpsi_dt0, params, potentials, dt)
     grid = psi0.grid
-    history = KGHistory(grid, params, potentials)
+    if history is None:
+        history = KGHistory(grid, params, potentials)
 
     # a drive state pairs the leapfrog state (levels T - dt and T) with the
     # level at T - 2 dt: the three levels kg_madelung splits at T - dt

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +27,15 @@ from .diagnostics import (cancellation_integrals, conservation_report,
                           static_energy_identity_deviation)
 from .errors import ConfigError, SolidynError, TachyonicRegionError
 from .grids import MAX_TOTAL_SAMPLES, Field, Grid
-from .kleingordon import (discrete_mode_frequency, evolve_kg,
-                          kg_bohm_trajectory)
+from .kleingordon import KGHistory, discrete_mode_frequency, evolve_kg
 from .pair import (PairState, PairWave, pair_tracking_residual,
                    product_pair, run_pair)
 from .potentials import PhysicalParams, Potentials
-from .schrodinger import evolve_schrodinger, integrate_bohm
+from .schrodinger import evolve_schrodinger
 from .snapshots import write_csv, write_snapshot, write_text
 from .soliton import (GaussonParams, SolitonState, classical_trajectory,
                       gausson_init, run_classical, run_coupled)
-from .trajectories import flow_steps
+from .trajectories import WALK_WINDOW, FlowHistory, FlowWalk
 
 SCENARIO_KINDS = (
     "free_gausson", "uniform_field", "harmonic_trap", "double_slit_dbb",
@@ -444,12 +444,19 @@ class OutputSink:
 # ---------------------------------------------------------------------------
 
 def run_scenario(cfg: ScenarioConfig, quiet=False) -> int:
-    """Execute a scenario; returns the process exit code."""
+    """Execute a scenario; returns the process exit code.
+
+    A configuration error leaves no output directory that the run made,
+    as when it is found before the run.
+    """
+    made = _first_missing_directory(cfg.output_dir)
     sink = OutputSink(cfg.output_dir, quiet=quiet)
     try:
         runner = _RUNNERS[cfg.kind]
         ok = runner(cfg, sink)
-    except (ConfigError,) as err:
+    except ConfigError as err:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
         if not quiet:
             print(f"configuration error: {err}")
         return 2
@@ -459,6 +466,15 @@ def run_scenario(cfg: ScenarioConfig, quiet=False) -> int:
             print(f"solver error: {err}")
         return 1
     return 0 if ok else 3
+
+
+def _first_missing_directory(path):
+    """The outermost directory of `path` that does not exist yet, or None."""
+    path = os.path.abspath(path)
+    missing = None
+    while not os.path.exists(path):
+        missing, path = path, os.path.dirname(path)
+    return missing
 
 
 def _write_failure_manifest(cfg, sink, err):
@@ -637,25 +653,32 @@ def _run_kg_plane_wave(cfg, sink):
     x = grid.axes[0]
     psi0 = Field(grid, np.exp(1j * k * x))
     prev = np.exp(1j * (k * x + freq * cfg.dt))
-    run = evolve_kg(psi0, None, cfg.params, cfg.potentials(), cfg.dt,
-                    cfg.steps, psi_prev=prev)
-    mass_dev = float(np.max(np.abs(
-        np.sqrt(np.maximum(np.asarray(run.history.mass_sq), 0.0))
-        - cfg.omega0)))
-    traj = kg_bohm_trajectory([0.0], run.history)
-    slope = float(np.polyfit(traj.times, traj.positions[:, 0], 1)[0])
+    pots = cfg.potentials()
+    history = KGHistory(grid, cfg.params, pots, window=WALK_WINDOW)
+    mass_dev = -np.inf
+
+    def track_mass(h):
+        nonlocal mass_dev
+        mass_dev = np.maximum(mass_dev, np.max(np.abs(
+            np.sqrt(np.maximum(h.mass_sq[-1], 0.0)) - cfg.omega0)))
+
+    history.readers.append(track_mass)
+    walk, path = _path_walk(history, 0.0)
+    run = evolve_kg(psi0, None, cfg.params, pots, cfg.dt, cfg.steps,
+                    psi_prev=prev, history=history)
+    walk.finish()
+    times, z, velocity = (np.asarray(column) for column in path)
+    slope = float(np.polyfit(times, z, 1)[0])
     e_cont = np.sqrt(k**2 + cfg.omega0**2)
     slope_dev = abs(slope - k / e_cont)
     sink.series("trajectory.csv", ["time", "z", "velocity"],
-                [traj.times, traj.positions[:, 0], traj.velocities[:, 0]],
-                comment="natural units hbar=c=1")
+                [times, z, velocity], comment="natural units hbar=c=1")
     sink.series("energy.csv", ["time", "field_energy"],
-                [run.history.times, run.energies],
-                comment="natural units hbar=c=1")
+                [times, run.energies], comment="natural units hbar=c=1")
     checks = [
-        ("mass_deviation", mass_dev, THRESHOLDS["kg_mass_dev"], "<"),
+        ("mass_deviation", float(mass_dev), THRESHOLDS["kg_mass_dev"], "<"),
         ("slope_deviation", slope_dev, THRESHOLDS["kg_slope_dev"], "<"),
-        ("max_speed", float(np.max(np.abs(traj.velocities))), 1.0, "<"),
+        ("max_speed", float(np.max(np.abs(velocity))), 1.0, "<"),
     ]
     extras = [f"wavenumber: {k!r}", f"dispersion_energy: {e_cont!r}"]
     return sink.summary(cfg.kind, cfg.seed, checks, extras)
@@ -673,12 +696,21 @@ def _run_kg_packet(cfg, sink):
         psi0 = Field(grid, (envelope * (np.exp(1j * k * x)
                                         + ratio * np.exp(-1j * k * x)))
                      .astype(complex))
-        run = evolve_kg(psi0, -1j * cfg.omega0 * psi0.samples, cfg.params,
-                        cfg.potentials(), cfg.dt, cfg.steps)
-        tachyon_cells = int(sum(m.sum() for m in run.history.tachyon_masks))
+        pots = cfg.potentials()
+        history = KGHistory(grid, cfg.params, pots, window=WALK_WINDOW)
+        tachyon_cells = 0
+
+        def count_tachyon_cells(h):
+            nonlocal tachyon_cells
+            tachyon_cells += int(h.tachyon_masks[-1].sum())
+
+        history.readers.append(count_tachyon_cells)
+        walk, _ = _path_walk(history, 0.15 * grid.lengths[0])
+        evolve_kg(psi0, -1j * cfg.omega0 * psi0.samples, cfg.params, pots,
+                  cfg.dt, cfg.steps, history=history)
         aborted = 0.0
         try:
-            kg_bohm_trajectory([0.15 * grid.lengths[0]], run.history)
+            walk.finish()
         except TachyonicRegionError:
             aborted = 1.0
         checks = [
@@ -689,23 +721,42 @@ def _run_kg_packet(cfg, sink):
 
     psi0 = Field(grid, (np.exp(-x**2 / (4 * sigma**2))
                         * np.exp(1j * k * x)).astype(complex))
-    run = evolve_kg(psi0, -1j * cfg.omega0 * psi0.samples, cfg.params,
-                    cfg.potentials(), cfg.dt, cfg.steps)
-    sch = evolve_schrodinger(psi0, cfg.params, cfg.potentials(), cfg.dt,
-                             cfg.steps)
-    z0 = [0.5 * sigma]
-    tr_kg = kg_bohm_trajectory(z0, run.history)
-    tr_s = integrate_bohm(z0, sch.history)
-    n = min(len(tr_kg.times), len(tr_s.times))
-    gap = float(np.max(np.abs(tr_kg.positions[:n, 0]
-                              - tr_s.positions[:n, 0])))
+    # both waves run first and both walks end after them, so a wave's
+    # error still comes before either walk's abort
+    kg_pots, s_pots = cfg.potentials(), cfg.potentials()
+    kg_history = KGHistory(grid, cfg.params, kg_pots, window=WALK_WINDOW)
+    s_history = FlowHistory(grid, cfg.params, s_pots, window=WALK_WINDOW)
+    kg_walk, kg_path = _path_walk(kg_history, 0.5 * sigma)
+    s_walk, s_path = _path_walk(s_history, 0.5 * sigma)
+    evolve_kg(psi0, -1j * cfg.omega0 * psi0.samples, cfg.params, kg_pots,
+              cfg.dt, cfg.steps, history=kg_history)
+    evolve_schrodinger(psi0, cfg.params, s_pots, cfg.dt, cfg.steps,
+                       history=s_history)
+    kg_walk.finish()
+    s_walk.finish()
+    times, z_kg, _ = (np.asarray(column) for column in kg_path)
+    z_s = np.asarray(s_path[1])
+    n = min(len(z_kg), len(z_s))
+    gap = float(np.max(np.abs(z_kg[:n] - z_s[:n])))
     sink.series("trajectory.csv", ["time", "z_kg", "z_schrodinger"],
-                [tr_kg.times[:n], tr_kg.positions[:n, 0],
-                 tr_s.positions[:n, 0]],
+                [times[:n], z_kg[:n], z_s[:n]],
                 comment="natural units hbar=c=1")
     checks = [("gap_over_width", gap / sigma, THRESHOLDS["kg_gap_frac"],
                "<")]
     return sink.summary(cfg.kind, cfg.seed, checks)
+
+
+def _path_walk(history, z0):
+    """A FlowWalk of one trajectory from z0 over `history`, and the lists
+    its visits fill: times, positions and velocities."""
+    path = ([], [], [])
+
+    def record(i, t, z, stencil, k1):
+        path[0].append(t)
+        path[1].append(z[0, 0])
+        path[2].append(k1[0, 0])
+
+    return FlowWalk(history, [z0], record), path
 
 
 def _run_entangled_pair(cfg, sink):
@@ -787,16 +838,30 @@ def _run_equivariance(cfg, sink):
     bins = int(init["bins"])
     x = grid.axes[0]
     psi0 = Field(grid, np.exp(-x**2 / (4 * sigma**2)).astype(complex))
-    run = evolve_schrodinger(psi0, cfg.params, cfg.potentials(), cfg.dt,
-                             cfg.steps)
+    pots = cfg.potentials()
+    history = FlowHistory(grid, cfg.params, pots, window=WALK_WINDOW)
     starts = grid.sample_density(psi0.density(), count, cfg.seed)
-    indices = sorted({0, len(run.densities) // 2, len(run.densities) - 1})
-    # keep the ensemble only at the reported snapshots
-    kept = [z for i, _, z, _, _ in flow_steps(run.history, starts)
-            if i in indices]
+    # keep the densities and the ensemble only at the reported snapshots
+    indices = sorted({0, (cfg.steps + 1) // 2, cfg.steps})
+    densities, times, kept = [], [], []
+
+    def keep_density(h):
+        if h.count - 1 in indices:
+            densities.append(h.amplitudes[-1] ** 2)
+
+    def keep_positions(i, t, z, stencil, k1):
+        if i in indices:
+            times.append(t)
+            kept.append(z)
+
+    history.readers.append(keep_density)
+    walk = FlowWalk(history, starts, keep_positions)
+    evolve_schrodinger(psi0, cfg.params, pots, cfg.dt, cfg.steps,
+                       history=history)
+    walk.finish()
     report = equivariance_distance(
-        [run.densities[i] for i in indices], grid, run.history.times[indices],
-        np.stack(kept), indices=range(len(indices)), bins=bins)
+        densities, grid, times, np.stack(kept), indices=range(len(indices)),
+        bins=bins)
     sink.series("equivariance.csv", ["time", "l1_distance"],
                 [report.times, report.distances],
                 comment="dimensionless")

@@ -116,13 +116,18 @@ class SchrodingerRun:
 
 def evolve_schrodinger(psi0: Field, params: PhysicalParams,
                        potentials: Potentials, dt: float, steps: int,
-                       store_every: int = 1) -> SchrodingerRun:
+                       store_every: int = 1,
+                       history: FlowHistory = None) -> SchrodingerRun:
     """Evolve and cache Madelung snapshots every `store_every` steps.
 
     The cached velocity / quantum-force fields are what guidance trajectories
-    interpolate, so the snapshot cadence bounds trajectory accuracy.
+    interpolate, so the snapshot cadence bounds trajectory accuracy.  They go
+    to `history`, a new FlowHistory that keeps every snapshot by default; a
+    windowed one with `FlowWalk` readers streams its trajectories instead
+    (and `densities` then holds the kept snapshots only).
     """
-    history = FlowHistory(psi0.grid, params, potentials)
+    if history is None:
+        history = FlowHistory(psi0.grid, params, potentials)
     grid = psi0.grid
 
     def step(psi, i):

@@ -6,19 +6,28 @@ stage velocities come from cubic-in-space, linear-in-time interpolation of
 the bracketing snapshots; the RK4 step equals the snapshot spacing, which is
 what limits accuracy (so higher-order time interpolation buys nothing).
 
-Histories are never mutated after construction, so ensembles of trajectories
-may be integrated concurrently; with a fixed seed and sequential execution
-results are bit-reproducible.
+A history either keeps every snapshot or, with a window, only the last few:
+a `FlowWalk` steps its trajectories while the history is filled, so a
+window of three snapshots (`WALK_WINDOW`) is all it reads.  A complete
+history is not mutated, so ensembles of trajectories may be integrated
+concurrently; with a fixed seed and sequential execution results are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryExitError, NodeEncounterError, SolidynError
 from .stepping import NODE_MASK_REL, NODE_PROXIMITY_REL
+
+# Snapshots a FlowWalk reads at once: the RK4 step i -> i+1 reads i and
+# i+1, and its node check at t_{i+1} brackets i+1 and i+2.
+WALK_WINDOW = 3
 
 
 @dataclass
@@ -38,12 +47,25 @@ class TrajectoryRecord:
 
 
 class FlowHistory:
-    """Snapshot sequence of guidance velocity fields plus node-mask data."""
+    """Snapshot sequence of guidance velocity fields plus node-mask data.
 
-    def __init__(self, grid, params, potentials):
+    With `window` None every snapshot is kept; with a window only the last
+    `window` snapshots are, and `first` is the index of the oldest one kept.
+    Every per-snapshot list (`_SNAPSHOT_LISTS`) holds the kept snapshots,
+    and `bracket` returns positions in those lists.  `readers` are called
+    with the history after each stored snapshot.
+    """
+
+    _SNAPSHOT_LISTS = ("times", "velocities", "amplitudes", "quantum_forces",
+                       "amp_peaks")
+
+    def __init__(self, grid, params, potentials, window=None):
         self.grid = grid
         self.params = params
         self.potentials = potentials
+        self.window = window
+        self.first = 0
+        self.readers = []
         self.times = []
         self.velocities = []       # (dim, *shape) per snapshot
         self.amplitudes = []       # |psi| per snapshot
@@ -69,6 +91,19 @@ class FlowHistory:
         if quantum_force is not None:
             self.quantum_forces.append(quantum_force)
         self.amp_peaks.append(amp_peak)
+        if self.window is not None and len(self.times) > self.window:
+            for name in self._SNAPSHOT_LISTS:
+                stack = getattr(self, name)
+                if stack:
+                    del stack[0]
+            self.first += 1
+        for read in self.readers:
+            read(self)
+
+    @property
+    def count(self):
+        """Snapshots stored so far, dropped ones included."""
+        return self.first + len(self.times)
 
     # -- interpolation helpers ----------------------------------------
     #
@@ -76,11 +111,11 @@ class FlowHistory:
     # cubic weights serves both bracketing snapshots and every component.
 
     def bracket(self, t):
-        """Snapshot index pair (i, i+1) whose times bracket t."""
+        """Positions (i, i+1) of the kept snapshots whose times bracket t."""
         times = self.times
         if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
             raise SolidynError(f"time {t} outside stored history")
-        i = int(np.searchsorted(times, t, side="right")) - 1
+        i = bisect.bisect_right(times, t) - 1
         i = min(max(i, 0), len(times) - 2)
         return i, i + 1
 
@@ -231,28 +266,74 @@ def _enter_point(grid, t, point, last_valid, where):
 
 
 def flow_steps(history, z0):
-    """Walk guidance trajectories through a full snapshot history by RK4.
+    """Walk guidance trajectories through a snapshot history by RK4.
 
     z0 may be a single position or an (m, dim) batch; batches advance in
     lockstep (vectorized stages).  Yields ``(i, t, z, stencil, k1)`` at each
     snapshot before stepping past it: the (m, dim) positions, their stencil
     and the velocity there, which is also the next step's first stage.
     Callers record what they read and must not modify the arrays.  A node
-    encounter or box exit raises with the last valid time.
+    encounter or box exit raises with the last valid time.  The walk ends
+    at the last stored snapshot; a `FlowWalk` asks for each step only once
+    the snapshots it reads are stored.
     """
     grid = history.grid
     z = np.atleast_2d(np.asarray(z0, dtype=float)).astype(float).copy()
-    times = history.times
-    n = len(times)
-    stencil = _enter_box(grid, times[0], z, times[0])
-    history.check(times[0], stencil, last_valid=times[0])
-    for i in range(n):
-        t = times[i]
+    i, t = 0, history.times[0]
+    stencil = _enter_box(grid, t, z, t)
+    history.check(t, stencil, last_valid=t)
+    while True:
         k1 = history.velocity_at(t, stencil)
         yield i, t, z, stencil, k1
-        if i == n - 1:
+        if i + 1 == history.count:
             return
-        z, stencil = advance_positions(history, z, t, times[i + 1], k1=k1)
+        t_next = history.times[i + 1 - history.first]
+        z, stencil = advance_positions(history, z, t, t_next, k1=k1)
+        i, t = i + 1, t_next
+
+
+class FlowWalk:
+    """`flow_steps` over a history while the wave fills it.
+
+    The walk reads the history after each stored snapshot and takes every
+    step whose lookups are stored: the step i -> i+1 once snapshot i+2 is
+    (see `WALK_WINDOW`), so over a history with that window it gives the
+    bits of `flow_steps` over the whole history.  `finish` takes the last
+    step once the history is complete.  visit(i, t, z, stencil, k1)
+    receives each yield of `flow_steps`.  A solver error (a trajectory
+    abort) stops the walk, not the wave; `finish` raises it.
+    """
+
+    def __init__(self, history, z0, visit):
+        if history.first:
+            raise SolidynError("a walk must start at the first snapshot")
+        self._steps = flow_steps(history, z0)
+        self._visit = visit
+        self._visited = -1       # index of the last snapshot visited
+        self._error = None
+        history.readers.append(lambda h: self._walk(h.count))
+
+    def _walk(self, stored):
+        # the step after snapshot `_visited` needs snapshot _visited + 2
+        while self._error is None and self._visited + 3 <= stored:
+            try:
+                step = next(self._steps)
+            except StopIteration:
+                return
+            except SolidynError as err:
+                # kept for `finish`: the wave's own errors still come first,
+                # as when the walk ran after the wave
+                self._error = err
+                return
+            self._visited = step[0]
+            self._visit(*step)
+
+    def finish(self):
+        """Walk to the last stored snapshot, then raise the error that
+        stopped the walk, if any."""
+        self._walk(math.inf)
+        if self._error is not None:
+            raise self._error
 
 
 def integrate_flow(history, z0, record_quantum_force=True):

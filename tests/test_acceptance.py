@@ -188,6 +188,7 @@ def test_criterion_06_dbb_tracking(double_slit):
                   f"no-F_Q reference {classical_gap:.3e} > 3dx")
 
 
+@pytest.mark.slow
 def test_criterion_07_newton_bohm_residual():
     grid = Grid(512, 30.0)
     x = grid.axes[0]

@@ -189,6 +189,7 @@ def test_cancellation_integrals_high_b():
     assert np.all(np.abs(vals_r) < 1e-8 * scales_r)
 
 
+@pytest.mark.slow
 def test_ehrenfest_dbb_discriminator():
     # coupled interference run: with F_Q the mean-force balance closes;
     # dropping F_Q leaves most of the force unaccounted for

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from solidyn.cli import main as cli_main
-from solidyn import scenarios
+from solidyn import scenarios, trajectories
 from solidyn.diagnostics import equivariance_distance
 from solidyn.errors import (BoundaryExitError, ConfigError,
                             NodeEncounterError, PastOrientedCurrentError,
@@ -201,6 +201,31 @@ def test_trajectory_aborts_share_one_base(tmp_path, monkeypatch, error):
     assert cli_main(["run", path, "--quiet"]) == 1
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "error: trajectory aborted" in manifest
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_config_error_in_a_runner_leaves_no_new_directory(tmp_path,
+                                                          monkeypatch,
+                                                          existing):
+    # as a config refused at parse time, a runner's ConfigError ends in
+    # exit 2 and leaves no directory the run made; one that was there stays
+    def refuse(cfg, sink):
+        raise ConfigError("[initial].center: refused by the runner")
+
+    monkeypatch.setitem(scenarios._RUNNERS, "free_gausson", refuse)
+    out = tmp_path / "new" / "out"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "kept.txt").write_text("kept\n")
+    path = write_yaml(tmp_path, "refuse.yaml",
+                      f"scenario: free_gausson\n"
+                      f"output:\n  directory: {out}\n")
+    assert cli_main(["run", path, "--quiet"]) == 2
+    if existing:
+        assert sorted(p.name for p in out.iterdir()) == ["kept.txt"]
+    else:
+        assert not (tmp_path / "new").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["refuse.yaml"]
 
 
 _HUGE_INT = "-1" + "0" * 400
@@ -479,3 +504,42 @@ def test_shipped_configs_all_validate():
         cfg = parse_config(str(path))
         kinds.add(cfg.kind)
     assert kinds == set(SCENARIO_KINDS)
+
+
+@pytest.mark.parametrize("scenario, initial, grid, dt", [
+    ("equivariance", {"trajectories": 50, "bins": 8}, (64, 30.0), 1e-3),
+    ("kg_packet", {"mode": "counter"}, (64, 50.0), 5e-3),
+    ("kg_packet", {"mode": "single", "packet_sigma": 8.0}, (64, 120.0),
+     5e-3),
+    ("kg_plane_wave", {"harmonic": 4}, (64, 50.0), 5e-3),
+])
+def test_history_runners_keep_three_snapshots_at_any_length(
+        tmp_path, monkeypatch, scenario, initial, grid, dt):
+    # every history these runners fill keeps at most three snapshots after
+    # each stored one, at 100 steps as at 400, and still receives them all
+    spied = []
+    init = trajectories.FlowHistory.__init__
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        record = {"kept": 0}
+        spied.append((self, record))
+
+        def read(h):
+            record["kept"] = max(record["kept"], *(
+                len(getattr(h, name)) for name in h._SNAPSHOT_LISTS))
+        self.readers.append(read)
+
+    monkeypatch.setattr(trajectories.FlowHistory, "__init__", spy_init)
+    for steps in (100, 400):
+        spied.clear()
+        cfg = parse_config_dict({
+            "scenario": scenario, "initial": dict(initial),
+            "grid": {"points": grid[0], "length": grid[1]},
+            "run": {"dt": dt, "t_final": steps * dt},
+            "output": {"directory": str(tmp_path / f"{scenario}{steps}")}})
+        assert run_scenario(cfg, quiet=True) in (0, 3)
+        assert spied
+        for history, record in spied:
+            assert history.count == steps + 1
+            assert 0 < record["kept"] <= 3

@@ -254,6 +254,7 @@ def test_coupled_plane_wave_rides_free():
     assert run.centers[-1, 0] == pytest.approx(-1.0 + k, abs=1e-5)
 
 
+@pytest.mark.slow
 def test_coupled_free_gaussian_tracks_guidance():
     g = Grid(1024, 20.0)
     x = g.axes[0]

@@ -5,9 +5,12 @@ snapshots and to every component; the stencil at the new positions serves
 the node check, the proximity flags, the quantum force and the next step's
 first stage.  These tests require the results to be bit-identical to the
 reference in `interp_reference`, which interpolates every snapshot at every
-stage with freshly built weights.
+stage with freshly built weights.  A `FlowWalk` through a history that keeps
+only its last three snapshots must give the bits and the aborts of
+`flow_steps` over the whole history.
 """
 
+import re
 import tracemalloc
 import warnings
 
@@ -17,17 +20,25 @@ import pytest
 from interp_reference import (reference_blend, reference_integrate_flow,
                               reference_interpolate, reference_rk4_step,
                               same_bits)
-from solidyn.errors import BoundaryExitError, NodeEncounterError
+from solidyn.errors import (BoundaryExitError, NodeEncounterError,
+                            SolidynError)
 from solidyn.grids import Field, Grid
-from solidyn.kleingordon import evolve_kg, kg_bohm_trajectory
+from solidyn.kleingordon import (KGHistory, KGMadelung, evolve_kg,
+                                 kg_bohm_trajectory)
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import (evolve_schrodinger, integrate_bohm_ensemble,
                                  ls_step, madelung_extract)
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
                              run_coupled)
 from solidyn.stepping import NODE_PROXIMITY_REL
-from solidyn.trajectories import (FlowHistory, advance_positions,
-                                  flow_steps, integrate_flow)
+from solidyn.trajectories import (WALK_WINDOW, FlowHistory, FlowWalk,
+                                  advance_positions, flow_steps,
+                                  integrate_flow)
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:            # the properties below skip without it
+    given = settings = st = None
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 
@@ -265,3 +276,191 @@ def test_ensemble_abort_mid_run_matches_reference(error, amp, starts,
     assert got.value.last_valid_time == ref.value.last_valid_time
     assert 0.0 < got.value.last_valid_time < 6.0
     assert f"(trajectory {culprit})" in str(got.value)
+
+
+# ---------------------------------------------------------------------------
+# the rolling window: a FlowWalk over the last three snapshots
+# ---------------------------------------------------------------------------
+
+def walk_outcome(steps):
+    """What a walk yields, as (i, t, z, k1) copies, and the error that
+    ended it (None if it ran to the end)."""
+    seen = []
+    try:
+        for i, t, z, _, k1 in steps:
+            seen.append((i, t, z.copy(), k1.copy()))
+    except SolidynError as err:
+        return seen, err
+    return seen, None
+
+
+def windowed_outcome(fill, history, starts):
+    """`walk_outcome` of a FlowWalk over `history`, filled by `fill`; also
+    the most snapshots the history kept after any stored snapshot."""
+    seen, kept = [], []
+    history.readers.append(lambda h: kept.append(max(
+        len(getattr(h, name)) for name in h._SNAPSHOT_LISTS)))
+    walk = FlowWalk(history, starts, lambda i, t, z, stencil, k1: seen.append(
+        (i, t, z.copy(), k1.copy())))
+    fill(history)
+    try:
+        walk.finish()
+    except SolidynError as err:
+        return seen, err, max(kept)
+    return seen, None, max(kept)
+
+
+def assert_same_walk(want, got):
+    (want_seen, want_err), (got_seen, got_err) = want, got
+    assert len(got_seen) == len(want_seen)
+    for (i, t, z, k1), (gi, gt, gz, gk1) in zip(want_seen, got_seen):
+        assert (gi, gt) == (i, t)
+        assert same_bits(gz, z)
+        assert same_bits(gk1, k1)
+    assert type(got_err) is type(want_err)
+    if want_err is not None:
+        assert str(got_err) == str(want_err)
+        assert got_err.last_valid_time == want_err.last_valid_time
+
+
+def random_snapshots(grid, rng, n, kg, speed, node_frac, sector_frac):
+    """n snapshots of rough random fields: velocities up to `speed`, nodes
+    on about `node_frac` of the cells and (Klein-Gordon) tachyonic and
+    past-oriented cells on about `sector_frac`."""
+    shape = grid.shape
+    out = []
+    for _ in range(n):
+        amp = rng.uniform(0.2, 1.0, shape)
+        amp[rng.random(shape) < node_frac] = 0.0
+        vel = speed * rng.uniform(-1.0, 1.0, shape)
+        if not kg:
+            out.append((vel[None], amp, rng.standard_normal((1,) + shape)))
+            continue
+        ones = np.ones(shape)
+        tachyon = rng.random(shape) < sector_frac
+        past = rng.random(shape) < sector_frac
+        out.append(KGMadelung(
+            grid=grid, time_tag=0.0, amplitude=amp,
+            mass_sq=np.where(tachyon, -1.0, 1.0), current_t=ones,
+            current_x=vel, velocity=vel, node_mask=amp == 0.0,
+            tachyon_mask=tachyon, past_oriented_mask=past, energy=0.0))
+    return out
+
+
+def filler(snapshots, times, kg):
+    def fill(history):
+        for t, snap in zip(times, snapshots):
+            if kg:
+                snap.time_tag = t
+                history.append_kg(snap)
+            else:
+                history.append(t, *snap)
+        history.freeze()
+    return fill
+
+
+@pytest.mark.skipif(given is None, reason="needs Hypothesis")
+def test_windowed_walk_equals_the_stored_walk_on_random_fields():
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        kg = data.draw(st.booleans())
+        grid = Grid(data.draw(st.integers(8, 48)),
+                    data.draw(st.floats(2.0, 40.0)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(2, 12))
+        t0 = data.draw(st.floats(-100.0, 100.0))
+        dt = data.draw(st.floats(1e-3, 0.5))
+        # a step crosses none, some or many cells, or (Klein-Gordon) goes
+        # past the speed of light
+        speed = data.draw(st.sampled_from([0.0, 0.01, 0.3, 3.0])) \
+            * grid.lengths[0] / dt
+        if kg:
+            speed = min(speed, data.draw(st.sampled_from([0.5, 0.999, 2.0])))
+        snapshots = random_snapshots(
+            grid, rng, n, kg, speed,
+            data.draw(st.sampled_from([0.0, 0.02, 0.3])),
+            data.draw(st.sampled_from([0.0, 0.005, 0.1])))
+        times = [t0 + k * dt for k in range(n)]
+        starts = rng.uniform(-0.5, 0.5, (data.draw(st.integers(1, 6)), 1)) \
+            * grid.lengths[0]
+        kind = KGHistory if kg else FlowHistory
+        pots = Potentials.free()
+        stored = kind(grid, PARAMS, pots)
+        filler(snapshots, times, kg)(stored)
+        want = walk_outcome(flow_steps(stored, starts))
+        *got, kept = windowed_outcome(filler(snapshots, times, kg),
+                                      kind(grid, PARAMS, pots,
+                                           window=WALK_WINDOW), starts)
+        assert kept <= WALK_WINDOW
+        assert_same_walk(want, got)
+
+    check()
+
+
+@pytest.mark.skipif(given is None, reason="needs Hypothesis")
+def test_windowed_walk_equals_the_stored_walk_on_evolved_waves():
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        kg = data.draw(st.booleans())
+        grid = Grid(data.draw(st.sampled_from([32, 64])),
+                    data.draw(st.floats(8.0, 30.0)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = grid.axes[0]
+        # a few packets, so their interference makes nodes
+        psi = sum(rng.uniform(0.2, 1.0)
+                  * np.exp(-(x - rng.uniform(-3.0, 3.0)) ** 2
+                           / rng.uniform(1.0, 8.0)
+                           + 1j * rng.uniform(-3.0, 3.0) * x)
+                  for _ in range(data.draw(st.integers(1, 3))))
+        psi0 = Field(grid, psi.astype(complex))
+        steps = data.draw(st.integers(1, 30))
+        starts = rng.uniform(-4.0, 4.0, (data.draw(st.integers(1, 5)), 1))
+        pots = Potentials.free()
+        if kg:
+            dt = 0.5 * grid.spacing[0] * data.draw(st.floats(0.2, 1.0))
+
+            def evolve(history):
+                return evolve_kg(psi0, -1j * psi0.samples, PARAMS, pots, dt,
+                                 steps, history=history)
+            kind = KGHistory
+        else:
+            dt = data.draw(st.floats(1e-3, 0.2))
+
+            def evolve(history):
+                return evolve_schrodinger(psi0, PARAMS, pots, dt, steps,
+                                          history=history)
+            kind = FlowHistory
+        try:
+            stored = evolve(kind(grid, PARAMS, pots)).history
+        except SolidynError as err:     # the wave itself failed
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                evolve(kind(grid, PARAMS, pots, window=WALK_WINDOW))
+            return
+        want = walk_outcome(flow_steps(stored, starts))
+        *got, kept = windowed_outcome(evolve, kind(grid, PARAMS, pots,
+                                                   window=WALK_WINDOW),
+                                      starts)
+        assert kept <= WALK_WINDOW
+        assert_same_walk(want, got)
+
+    check()
+
+
+def test_walk_error_stops_the_walk_not_the_wave():
+    # the drift leaves the box at t = 4.5: the wave's history still
+    # receives every snapshot, and `finish` raises the abort
+    g = Grid(256, 20.0)
+    hist = FlowHistory(g, PARAMS, Potentials.free(), window=WALK_WINDOW)
+    seen = []
+    walk = FlowWalk(hist, [[5.5]], lambda i, *rest: seen.append(i))
+    for t in np.linspace(0.0, 6.0, 61):
+        hist.append(t, np.ones((1, 256)), np.ones(256))
+    hist.freeze()
+    assert hist.count == 61 and len(hist.times) == WALK_WINDOW
+    with pytest.raises(BoundaryExitError) as info:
+        walk.finish()
+    assert seen == list(range(len(seen)))
+    assert info.value.last_valid_time == pytest.approx(0.1 * seen[-1])
+    assert 40 < len(seen) < 50
