@@ -11,19 +11,7 @@ import argparse
 import sys
 
 from .errors import ConfigError
-from .scenarios import SCENARIO_KINDS, parse_config, run_scenario
-
-_DESCRIPTIONS = {
-    "free_gausson": "resting soliton: stationarity, norm/energy checks",
-    "uniform_field": "soliton in a uniform electric field: parabolic center",
-    "harmonic_trap": "soliton in a harmonic trap: oscillation period",
-    "double_slit_dbb": "two-packet pilot wave driving a coupled soliton",
-    "kg_plane_wave": "Klein-Gordon plane wave: constant mass, slope k/E",
-    "kg_packet": "Klein-Gordon packet: non-relativistic limit or tachyon "
-                 "detection (mode: counter)",
-    "entangled_pair": "two-particle nonlocality witness",
-    "equivariance": "Born-rule ensemble transport",
-}
+from .scenarios import KINDS, parse_config, run_scenario
 
 
 def build_parser():
@@ -54,8 +42,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "list-scenarios":
-        for kind in SCENARIO_KINDS:
-            print(f"{kind:18s} {_DESCRIPTIONS[kind]}")
+        for kind, spec in KINDS.items():
+            print(f"{kind:18s} {spec.description}")
         return 0
 
     try:

@@ -136,7 +136,6 @@ class KGMadelung:
     current_t: np.ndarray        # J0
     current_x: np.ndarray        # J1
     velocity: np.ndarray         # J1/J0 where defined
-    node_mask: np.ndarray
     tachyon_mask: np.ndarray     # M^2 <= 0
     past_oriented_mask: np.ndarray  # J0 <= 0
     energy: float                # discrete field energy (see _field_energy)
@@ -174,8 +173,8 @@ def kg_madelung(psi_prev, psi, psi_next, t, dt, grid: Grid,
         raise SolidynError("every sample is masked; no guidance flow exists")
     return KGMadelung(grid=grid, time_tag=t, amplitude=a, mass_sq=mass_sq,
                       current_t=j0, current_x=j1, velocity=velocity,
-                      node_mask=node, tachyon_mask=tachyon,
-                      past_oriented_mask=past, energy=energy)
+                      tachyon_mask=tachyon, past_oriented_mask=past,
+                      energy=energy)
 
 
 class KGHistory(FlowHistory):

@@ -17,6 +17,7 @@ import copy
 import math
 import os
 import shutil
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,6 @@ from .soliton import (GaussonParams, SolitonState, classical_trajectory,
                       gausson_init, run_classical, run_coupled)
 from .trajectories import WALK_WINDOW, FlowHistory, FlowWalk
 
-SCENARIO_KINDS = (
-    "free_gausson", "uniform_field", "harmonic_trap", "double_slit_dbb",
-    "kg_plane_wave", "kg_packet", "entangled_pair", "equivariance",
-)
-
 # Largest step count a config may ask for (t_final / dt, rounded).  It
 # bounds run time (ten million coupled steps at N = 2048 take hours), not
 # memory: the per-step series of a run that long still take gigabytes.
@@ -50,6 +46,11 @@ MAX_STEPS = 10**7
 # Keys of [initial] that count things: positive integers, at most
 # MAX_TOTAL_SAMPLES like the grid.
 _COUNT_KEYS = ("trajectories", "bins")
+
+# Keys of [initial] that place a soliton or a particle, by the grid axis
+# they lie on; each must lie inside the box.
+_POSITION_AXES = {"center": 0, "soliton_start": 0, "z1": 0, "z2": 1,
+                  "z2_alternate": 1}
 
 # Quantitative acceptance thresholds; scenario summaries and the acceptance
 # suite share these constants.
@@ -76,33 +77,6 @@ THRESHOLDS = {
 # ---------------------------------------------------------------------------
 # configuration schema
 # ---------------------------------------------------------------------------
-
-_INITIAL_KEYS = {
-    "free_gausson": {"center": 0.0, "velocity": 0.0},
-    "uniform_field": {"center": 0.0, "velocity": 0.0},
-    "harmonic_trap": {"center": 1.0, "velocity": 0.0},
-    "double_slit_dbb": {"packet_sigma": 2.0, "separation": 8.0,
-                        "soliton_start": None},
-    "kg_plane_wave": {"harmonic": 4},
-    "kg_packet": {"packet_sigma": 8.0, "wavenumber": 0.1,
-                  "mode": "single", "amplitude_ratio": 0.8},
-    "entangled_pair": {"packet_offset": 2.0, "packet_sigma": 1.0,
-                       "boost": 1.5, "z1": -2.0, "z2": -2.0,
-                       "z2_alternate": 3.0},
-    "equivariance": {"packet_sigma": 1.0, "trajectories": 2000, "bins": 64},
-}
-
-_RUN_DEFAULTS = {
-    "free_gausson": {"dt": 1e-3, "t_final": 10.0},
-    "uniform_field": {"dt": 1e-3, "t_final": 5.0},
-    "harmonic_trap": {"dt": 1e-3, "t_final": 8 * np.pi},
-    "double_slit_dbb": {"dt": 1e-3, "t_final": 8.0},
-    "kg_plane_wave": {"dt": 2.5e-3, "t_final": 1.0},
-    "kg_packet": {"dt": 0.05, "t_final": 5.0},
-    "entangled_pair": {"dt": 2e-3, "t_final": 0.8},
-    "equivariance": {"dt": 1e-3, "t_final": 2.0},
-}
-
 
 @dataclass
 class ScenarioConfig:
@@ -146,46 +120,79 @@ class ScenarioConfig:
                           f"{self.potential_kind!r}")
 
 
-def _expect_mapping(raw, key):
-    value = raw.get(key, {})
+@dataclass(frozen=True)
+class Kind:
+    """One scenario kind as declared in KINDS: its runner, its
+    `solidyn list-scenarios` line, and the defaults and checks of its
+    config."""
+
+    runner: Callable        # runner(cfg, sink) is True if all checks pass
+    description: str
+    dt: float
+    t_final: float
+    initial: dict           # the [initial] keys and their defaults
+    grid: tuple | None = None   # (points, lengths); None: 256 over 20/sqrt(b)
+    potential: str = "none"     # the default [potential].kind
+    check: Callable | None = None   # check(cfg) raises a ConfigError
+
+
+def _section(raw, name):
+    """Pop section `name` off the top level; absent or empty reads {}."""
+    value = raw.pop(name, None)
     if value is None:
-        value = {}
+        return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"[{key}]: expected a mapping")
+        raise ConfigError(f"[{name}]: expected a mapping")
     return value
 
 
-def _pop_number(section, section_name, key, default, required=False,
-                integer=False):
-    if key in section:
-        value = section.pop(key)
-        if isinstance(value, str):
-            # YAML 1.1 reads "2e-3" (no dot) as a string; accept it anyway
-            try:
-                value = int(value) if integer else float(value)
-            except ValueError:
-                pass
-        kinds = (int,) if integer else (int, float)
-        if not isinstance(value, kinds) or isinstance(value, bool):
-            want = "an integer" if integer else "a number"
-            raise ConfigError(f"[{section_name}].{key}: expected {want}, "
-                              f"got {value!r}")
-        if not _is_finite(value, integer):
-            raise ConfigError(f"[{section_name}].{key}: expected a finite "
-                              f"number, got {value!r}")
-        return int(value) if integer else float(value)
-    if required:
-        raise ConfigError(f"[{section_name}].{key}: required key missing")
-    return default
+def _number(value, name, cast=float, words=None):
+    """Every numeric config value is read here, as `cast` of it: float (a
+    finite number), int (an integer, of any size) or math.trunc (a finite
+    number, cut to an int, as [grid].points takes it).  Anything else is a
+    ConfigError naming `name`.
 
-
-def _is_finite(number, integer):
-    """math.isfinite, where an integer beyond the float range counts as
-    finite only if an integer is wanted (a float cannot hold it)."""
+    YAML 1.1 reads an exponent without a dot ("2e-3") as a string, so a
+    string reads as the number it spells.  A bool is not a number.  An int
+    is finite at any size, but must fit a float where a float is wanted.
+    `words` rewords the two complaints, (not a number, not finite), for
+    the keys whose messages say it differently.
+    """
+    wrong, infinite = words or (None, "expected a finite number")
+    if isinstance(value, str):
+        try:
+            value = int(value) if cast is int else float(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(
+            value, int if cast is int else (int, float)):
+        want = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{name}: "
+                          + (wrong or f"expected {want}, got {value!r}"))
+    if isinstance(value, int) and cast is not float:
+        return value
     try:
-        return math.isfinite(number)
+        finite = math.isfinite(float(value))
     except OverflowError:
-        return integer
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name}: {infinite}, got {value!r}")
+    return cast(value)
+
+
+def _axes(value, key, cast):
+    """A [grid] entry: one number or a list of numbers, one per axis."""
+    words = ("expected numeric entries" if isinstance(value, list)
+             else "expected a number or list", "expected finite entries")
+    return tuple(_number(item, f"[grid].{key}", cast, words)
+                 for item in (value if isinstance(value, list) else [value]))
+
+
+def _require_positive(section_name, **values):
+    for key, value in values.items():
+        if value <= 0:
+            raise ConfigError(
+                f"[{section_name}].{key}: must satisfy {key} > 0")
 
 
 def _reject_unknown(section, section_name):
@@ -216,41 +223,37 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
     kind = raw.pop("scenario", None)
     if kind is None:
         raise ConfigError("scenario: required key missing")
-    if kind not in SCENARIO_KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(
             f"scenario: unknown kind {kind!r} (choose from "
-            f"{', '.join(SCENARIO_KINDS)})")
-    seed = raw.pop("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            f"{', '.join(KINDS)})")
+    spec = KINDS[kind]
+    seed = _number(raw.pop("seed", 0), "seed", int,
+                   ("expected a non-negative integer", None))
+    if seed < 0:
         raise ConfigError("seed: expected a non-negative integer")
 
-    physics = _expect_mapping(raw, "physics")
-    raw.pop("physics", None)
-    omega0 = _pop_number(physics, "physics", "omega0", 1.0)
-    charge = _pop_number(physics, "physics", "charge", 1.0)
-    b = _pop_number(physics, "physics", "b", 1.0)
-    f0 = _pop_number(physics, "physics", "f0", 1.0)
+    physics = _section(raw, "physics")
+    omega0 = _number(physics.pop("omega0", 1.0), "[physics].omega0")
+    charge = _number(physics.pop("charge", 1.0), "[physics].charge")
+    b = _number(physics.pop("b", 1.0), "[physics].b")
+    f0 = _number(physics.pop("f0", 1.0), "[physics].f0")
     _reject_unknown(physics, "physics")
-    if omega0 <= 0:
-        raise ConfigError("[physics].omega0: must satisfy omega0 > 0")
-    if b <= 0:
-        raise ConfigError("[physics].b: must satisfy b > 0")
-    if f0 <= 0:
-        raise ConfigError("[physics].f0: must satisfy f0 > 0")
+    _require_positive("physics", omega0=omega0, b=b, f0=f0)
 
-    grid_sec = _expect_mapping(raw, "grid")
-    raw.pop("grid", None)
-    default_points, default_lengths = _default_grid(kind, b)
+    grid_sec = _section(raw, "grid")
+    default_points, default_lengths = spec.grid or (
+        (256,), (20.0 / np.sqrt(b),))
     points = grid_sec.pop("points", None)
     lengths = grid_sec.pop("length", None)
     _reject_unknown(grid_sec, "grid")
-    points = default_points if points is None else _as_tuple(
-        points, "points", integer=True)
-    lengths = default_lengths if lengths is None else _as_tuple(
-        lengths, "length")
+    points = default_points if points is None else _axes(points, "points",
+                                                         math.trunc)
+    lengths = default_lengths if lengths is None else _axes(lengths, "length",
+                                                            float)
     if len(points) != len(lengths):
         raise ConfigError("[grid]: points and length must share axis count")
-    dim = 2 if kind == "entangled_pair" else 1
+    dim = len(default_points)
     if len(points) != dim:
         raise ConfigError(f"[grid].points: {kind} needs a {dim}D grid, got "
                           f"{len(points)} axes")
@@ -263,50 +266,42 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
     if any(ell <= 0 for ell in lengths):
         raise ConfigError("[grid].length: must satisfy length > 0")
 
-    pot = _expect_mapping(raw, "potential")
-    raw.pop("potential", None)
-    pot_kind = pot.pop("kind", _default_potential(kind))
+    pot = _section(raw, "potential")
+    pot_kind = pot.pop("kind", spec.potential)
     if pot_kind not in ("none", "uniform_e", "harmonic"):
         raise ConfigError(f"[potential].kind: unknown kind {pot_kind!r}")
-    e_field = _pop_number(pot, "potential", "e_field", 0.1)
-    spring = _pop_number(pot, "potential", "spring", 0.25)
+    e_field = _number(pot.pop("e_field", 0.1), "[potential].e_field")
+    spring = _number(pot.pop("spring", 0.25), "[potential].spring")
     _reject_unknown(pot, "potential")
-    if pot_kind == "harmonic" and spring <= 0:
-        raise ConfigError("[potential].spring: must satisfy spring > 0")
+    if pot_kind == "harmonic":
+        _require_positive("potential", spring=spring)
 
-    init = _expect_mapping(raw, "initial")
-    raw.pop("initial", None)
-    allowed = dict(_INITIAL_KEYS[kind])
+    init = _section(raw, "initial")
     parsed_init = {}
-    for key, default in allowed.items():
+    for key, default in spec.initial.items():
         if isinstance(default, str) or (default is None
                                         and init.get(key) is None):
             parsed_init[key] = init.pop(key, default)
         else:
             # a key with an integer default takes integers only
-            parsed_init[key] = _pop_number(init, "initial", key, default,
-                                           integer=isinstance(default, int))
+            parsed_init[key] = _number(
+                init.pop(key, default), f"[initial].{key}",
+                int if isinstance(default, int) else float)
     _reject_unknown(init, "initial")
-    _validate_initial(kind, parsed_init)
+    _validate_initial(parsed_init, lengths)
 
-    run = _expect_mapping(raw, "run")
-    raw.pop("run", None)
-    run_defaults = _RUN_DEFAULTS[kind]
-    dt = _pop_number(run, "run", "dt", run_defaults["dt"])
-    t_final = _pop_number(run, "run", "t_final", run_defaults["t_final"])
-    snapshot_every = _pop_number(run, "run", "snapshot_every", 0,
-                                 integer=True)
+    run = _section(raw, "run")
+    dt = _number(run.pop("dt", spec.dt), "[run].dt")
+    t_final = _number(run.pop("t_final", spec.t_final), "[run].t_final")
+    snapshot_every = _number(run.pop("snapshot_every", 0),
+                             "[run].snapshot_every", int)
     _reject_unknown(run, "run")
-    if dt <= 0:
-        raise ConfigError("[run].dt: must satisfy dt > 0")
-    if t_final <= 0:
-        raise ConfigError("[run].t_final: must satisfy t_final > 0")
+    _require_positive("run", dt=dt, t_final=t_final)
     _check_step_count(t_final / dt)
     if snapshot_every < 0:
         raise ConfigError("[run].snapshot_every: must be >= 0")
 
-    out = _expect_mapping(raw, "output")
-    raw.pop("output", None)
+    out = _section(raw, "output")
     directory = out.pop("directory", "out")
     _reject_unknown(out, "output")
     _reject_unknown(raw, "config")
@@ -316,13 +311,8 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
         charge=charge, b=b, f0=f0, potential_kind=pot_kind, e_field=e_field,
         spring=spring, initial=parsed_init, dt=dt, t_final=t_final,
         snapshot_every=snapshot_every, output_dir=str(directory))
-
-    if kind.startswith("kg_"):
-        dx = cfg.lengths[0] / cfg.points[0]
-        if cfg.dt > 0.5 * dx:
-            raise ConfigError(
-                f"[run].dt: {cfg.dt} violates the Klein-Gordon CFL bound "
-                f"dt <= 0.5 dx = {0.5 * dx:.6g}")
+    if spec.check is not None:
+        spec.check(cfg)
     return cfg
 
 
@@ -336,47 +326,8 @@ def _check_step_count(ratio):
             f"must round to between 1 and {MAX_STEPS}")
 
 
-def _as_tuple(value, key, integer=False):
-    """A [grid] entry: one number or a list of finite numbers, per axis."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = [value]
-    if not isinstance(value, list):
-        raise ConfigError(f"[grid].{key}: expected a number or list")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"[grid].{key}: expected numeric entries")
-        if not _is_finite(item, integer):
-            raise ConfigError(f"[grid].{key}: expected finite entries, "
-                              f"got {item!r}")
-        out.append(int(item) if integer else float(item))
-    return tuple(out)
-
-
-def _default_grid(kind, b):
-    if kind == "double_slit_dbb":
-        return (2048,), (40.0,)
-    if kind == "kg_plane_wave":
-        return (256,), (16 * np.pi,)
-    if kind == "kg_packet":
-        return (1024,), (256.0,)
-    if kind == "entangled_pair":
-        return (256, 256), (24.0, 24.0)
-    if kind == "equivariance":
-        return (512,), (30.0,)
-    return (256,), (20.0 / np.sqrt(b),)
-
-
-def _default_potential(kind):
-    if kind == "uniform_field":
-        return "uniform_e"
-    if kind == "harmonic_trap":
-        return "harmonic"
-    return "none"
-
-
-def _validate_initial(kind, init):
-    if kind == "kg_packet" and init["mode"] not in ("single", "counter"):
+def _validate_initial(init, lengths):
+    if init.get("mode", "single") not in ("single", "counter"):
         raise ConfigError(
             "[initial].mode: expected 'single' or 'counter'")
     for key in ("packet_sigma",) + _COUNT_KEYS:
@@ -391,6 +342,31 @@ def _validate_initial(kind, init):
         # k = 2 pi harmonic / L needs the integer within the float range
         raise ConfigError(f"[initial].harmonic: must satisfy |harmonic| <= "
                           f"{MAX_TOTAL_SAMPLES}")
+    for key, axis in _POSITION_AXES.items():
+        if init.get(key) is not None:
+            # the half-open box of Grid.contains
+            half = 0.5 * lengths[axis]
+            if not -half <= init[key] < half:
+                raise ConfigError(
+                    f"[initial].{key}: {init[key]!r} lies outside the box "
+                    f"[{-half:g}, {half:g})")
+
+
+def _check_cfl(cfg):
+    dx = cfg.lengths[0] / cfg.points[0]
+    if cfg.dt > 0.5 * dx:
+        raise ConfigError(
+            f"[run].dt: {cfg.dt} violates the Klein-Gordon CFL bound "
+            f"dt <= 0.5 dx = {0.5 * dx:.6g}")
+
+
+def _check_trap(cfg):
+    # the expected period 2 pi sqrt(omega0 / (charge spring)) needs a
+    # harmonic potential and charge > 0 (spring > 0 is checked with it)
+    if cfg.potential_kind != "harmonic":
+        raise ConfigError(f"[potential].kind: harmonic_trap needs kind "
+                          f"'harmonic', got {cfg.potential_kind!r}")
+    _require_positive("physics", charge=cfg.charge)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +428,7 @@ def run_scenario(cfg: ScenarioConfig, quiet=False) -> int:
     made = _first_missing_directory(cfg.output_dir)
     sink = OutputSink(cfg.output_dir, quiet=quiet)
     try:
-        runner = _RUNNERS[cfg.kind]
-        ok = runner(cfg, sink)
+        ok = KINDS[cfg.kind].runner(cfg, sink)
     except ConfigError as err:
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)
@@ -486,8 +461,8 @@ def _write_failure_manifest(cfg, sink, err):
 
 def _gausson_state(cfg, grid, velocity=None, center=None, mode="classical"):
     init = cfg.initial
-    center = (init.get("center", 0.0),) if center is None else center
-    velocity = (init.get("velocity", 0.0),) if velocity is None else velocity
+    center = (init["center"],) if center is None else center
+    velocity = (init["velocity"],) if velocity is None else velocity
     u0 = gausson_init(GaussonParams(cfg.b, cfg.f0, center=center,
                                     velocity=velocity), grid, cfg.omega0)
     return SolitonState(u0, cfg.params, cfg.b, cfg.f0, coupling_mode=mode)
@@ -871,13 +846,50 @@ def _run_equivariance(cfg, sink):
     return sink.summary(cfg.kind, cfg.seed, checks, extras)
 
 
-_RUNNERS = {
-    "free_gausson": _run_free_gausson,
-    "uniform_field": _run_uniform_field,
-    "harmonic_trap": _run_harmonic_trap,
-    "double_slit_dbb": _run_double_slit,
-    "kg_plane_wave": _run_kg_plane_wave,
-    "kg_packet": _run_kg_packet,
-    "entangled_pair": _run_entangled_pair,
-    "equivariance": _run_equivariance,
+# Every scenario kind, declared once; `solidyn list-scenarios` lists them in
+# this order.
+KINDS = {
+    "free_gausson": Kind(
+        _run_free_gausson,
+        "resting soliton: stationarity, norm/energy checks",
+        dt=1e-3, t_final=10.0, initial={"center": 0.0, "velocity": 0.0}),
+    "uniform_field": Kind(
+        _run_uniform_field,
+        "soliton in a uniform electric field: parabolic center",
+        dt=1e-3, t_final=5.0, initial={"center": 0.0, "velocity": 0.0},
+        potential="uniform_e"),
+    "harmonic_trap": Kind(
+        _run_harmonic_trap, "soliton in a harmonic trap: oscillation period",
+        dt=1e-3, t_final=8 * np.pi, initial={"center": 1.0, "velocity": 0.0},
+        potential="harmonic", check=_check_trap),
+    "double_slit_dbb": Kind(
+        _run_double_slit, "two-packet pilot wave driving a coupled soliton",
+        dt=1e-3, t_final=8.0,
+        initial={"packet_sigma": 2.0, "separation": 8.0,
+                 "soliton_start": None},
+        grid=((2048,), (40.0,))),
+    "kg_plane_wave": Kind(
+        _run_kg_plane_wave,
+        "Klein-Gordon plane wave: constant mass, slope k/E",
+        dt=2.5e-3, t_final=1.0, initial={"harmonic": 4},
+        grid=((256,), (16 * np.pi,)), check=_check_cfl),
+    "kg_packet": Kind(
+        _run_kg_packet,
+        "Klein-Gordon packet: non-relativistic limit or tachyon detection "
+        "(mode: counter)",
+        dt=0.05, t_final=5.0,
+        initial={"packet_sigma": 8.0, "wavenumber": 0.1, "mode": "single",
+                 "amplitude_ratio": 0.8},
+        grid=((1024,), (256.0,)), check=_check_cfl),
+    "entangled_pair": Kind(
+        _run_entangled_pair, "two-particle nonlocality witness",
+        dt=2e-3, t_final=0.8,
+        initial={"packet_offset": 2.0, "packet_sigma": 1.0, "boost": 1.5,
+                 "z1": -2.0, "z2": -2.0, "z2_alternate": 3.0},
+        grid=((256, 256), (24.0, 24.0))),
+    "equivariance": Kind(
+        _run_equivariance, "Born-rule ensemble transport",
+        dt=1e-3, t_final=2.0,
+        initial={"packet_sigma": 1.0, "trajectories": 2000, "bins": 64},
+        grid=((512,), (30.0,))),
 }

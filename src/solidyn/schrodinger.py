@@ -39,7 +39,6 @@ class MadelungBundle:
     velocity: np.ndarray           # (dim, *shape)
     quantum_potential: np.ndarray  # q = -lap(a)/(2 omega0 a), floored
     quantum_force: np.ndarray      # -grad q, (dim, *shape)
-    node_mask: np.ndarray          # a < NODE_MASK_REL * max(a)
     amp_floor: float               # NODE_MASK_REL * amp_peak
     amp_peak: float                # max(a)
 
@@ -63,7 +62,8 @@ def ls_step(psi: Field, params: PhysicalParams, potentials: Potentials,
 
 def madelung_extract(psi: Field, params: PhysicalParams,
                      potentials: Potentials) -> MadelungBundle:
-    """Amplitude, guidance velocity, quantum potential/force, node mask."""
+    """Amplitude, guidance velocity, quantum potential/force, and the
+    amplitude floor below which a sample counts as a node."""
     grid = psi.grid
     a = np.abs(psi.samples)
     peak = float(np.max(a))
@@ -97,7 +97,6 @@ def madelung_extract(psi: Field, params: PhysicalParams,
         velocity=velocity,
         quantum_potential=q,
         quantum_force=fq,
-        node_mask=a < floor,
         amp_floor=floor,
         amp_peak=peak,
     )

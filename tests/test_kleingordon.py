@@ -349,7 +349,7 @@ def speed_history(speeds):
         history.append_kg(KGMadelung(
             grid=g, time_tag=0.1 * n, amplitude=ones, mass_sq=ones,
             current_t=ones, current_x=speed * ones, velocity=speed * ones,
-            node_mask=ones < 0, tachyon_mask=ones < 0,
+            tachyon_mask=ones < 0,
             past_oriented_mask=ones < 0, energy=0.0))
     return history.freeze()
 

@@ -3,6 +3,8 @@ Hypothesis).
 
 - Any mapping given to `parse_config_dict` yields a `ScenarioConfig` or a
   `ConfigError`, never another exception.
+- A float-valued key, or a [grid] entry, written as a YAML 1.1 exponent
+  string ('4e1') parses as the float it spells.
 - `Grid.sample_density` is deterministic for a fixed seed and draws inside
   the box.
 - `ls_step` and `nls_step` keep the norm to round-off, and `ls_step(dt)`
@@ -20,6 +22,7 @@ Hypothesis).
 
 import contextlib
 import copy
+import dataclasses
 import io
 import shutil
 import tempfile
@@ -35,13 +38,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from solidyn import cli, errors, scenarios  # noqa: E402
+from solidyn import cli, errors  # noqa: E402
 from solidyn.errors import ConfigError  # noqa: E402
 from solidyn.grids import Field, Grid  # noqa: E402
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
-from solidyn.scenarios import (_INITIAL_KEYS, MAX_STEPS,  # noqa: E402
-                               SCENARIO_KINDS, ScenarioConfig,
-                               parse_config_dict)
+from solidyn.scenarios import (KINDS, MAX_STEPS,  # noqa: E402
+                               ScenarioConfig, parse_config_dict)
 from solidyn.schrodinger import ls_step  # noqa: E402
 from solidyn.soliton import (SolitonState, _density_mean_force,  # noqa: E402
                              _grid_positions, classical_trajectory, nls_step)
@@ -54,8 +56,8 @@ SECTION_KEYS = {
     "physics": ["omega0", "charge", "b", "f0"],
     "grid": ["points", "length"],
     "potential": ["kind", "e_field", "spring"],
-    "initial": sorted({key for keys in _INITIAL_KEYS.values()
-                       for key in keys}),
+    "initial": sorted({key for spec in KINDS.values()
+                       for key in spec.initial}),
     "run": ["dt", "t_final", "snapshot_every"],
     "output": ["directory"],
 }
@@ -98,7 +100,7 @@ def mostly(usual, other):
 # validation gets past the first keys; sometimes any value, or no scenario
 configs = st.tuples(
     st.fixed_dictionaries(
-        {"scenario": mostly(st.sampled_from(SCENARIO_KINDS), values)},
+        {"scenario": mostly(st.sampled_from(list(KINDS)), values)},
         optional={"seed": mostly(st.integers(0, 2**64), values),
                   **{name: section(name) for name in SECTION_KEYS}}),
     st.dictionaries(odd_keys, values, max_size=2),
@@ -117,6 +119,53 @@ def test_parse_config_dict_yields_config_or_config_error(raw):
         return
     assert isinstance(cfg, ScenarioConfig)
     assert 1 <= cfg.steps <= MAX_STEPS
+
+
+# the keys of every kind that take a float ([grid].points cuts it to an
+# int); [initial] adds the kind's own
+FLOAT_KEYS = [("physics", key) for key in ("omega0", "charge", "b", "f0")] \
+    + [("potential", "e_field"), ("potential", "spring"), ("run", "dt"),
+       ("run", "t_final"), ("grid", "points"), ("grid", "length")]
+
+
+@st.composite
+def exponent_keys(draw):
+    """A kind, one of its float-valued keys, and a number for it, written
+    as the exponent string (such as '4e1') that YAML 1.1 reads as a string
+    and as the float it spells; for [grid], sometimes a list of them, one
+    per axis."""
+    kind = draw(st.sampled_from(list(KINDS)))
+    spec = KINDS[kind]
+    keys = FLOAT_KEYS + [("initial", key)
+                         for key, default in spec.initial.items()
+                         if default is None or type(default) is float]
+    section, key = draw(st.sampled_from(keys))
+    text = f"{draw(st.integers(-999, 999))}e{draw(st.integers(-4, 4))}"
+    number = float(text)
+    if section == "grid":
+        axes = len(spec.grid[0]) if spec.grid else 1
+        if axes > 1 or draw(st.booleans()):
+            text, number = [text] * axes, [number] * axes
+    return kind, section, key, text, number
+
+
+def parse_as_yaml(config):
+    """`parse_config_dict` of `config` written out and read back as YAML,
+    or the text of the ConfigError it raises."""
+    try:
+        return parse_config_dict(yaml.safe_load(yaml.safe_dump(config)))
+    except ConfigError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_keys())
+def test_exponent_strings_parse_as_their_floats(case):
+    kind, section, key, text, number = case
+    as_text = {"scenario": kind, section: {key: text}}
+    assert yaml.safe_load(yaml.safe_dump(as_text))[section][key] == text
+    assert parse_as_yaml(as_text) == parse_as_yaml(
+        {"scenario": kind, section: {key: number}})
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +347,8 @@ def test_cli_exit_code_follows_from_the_error_class(outcome, message):
         config.write_text(f"scenario: free_gausson\n"
                           f"output:\n  directory: {out}\n")
         echo = io.StringIO()
-        with mock.patch.dict(scenarios._RUNNERS,
-                             {"free_gausson": runner}), \
+        spec = dataclasses.replace(KINDS["free_gausson"], runner=runner)
+        with mock.patch.dict(KINDS, {"free_gausson": spec}), \
                 contextlib.redirect_stdout(echo), \
                 contextlib.redirect_stderr(echo):
             code = cli.main(["run", str(config)])
@@ -338,8 +387,8 @@ TINY = {
 @st.composite
 def tiny_runs(draw):
     """A valid config of any kind, a few steps long, and a seed."""
-    kind = draw(st.sampled_from(SCENARIO_KINDS))
-    dt = scenarios._RUN_DEFAULTS[kind]["dt"]
+    kind = draw(st.sampled_from(list(KINDS)))
+    dt = KINDS[kind].dt
     config = {"scenario": kind, **copy.deepcopy(TINY[kind]),
               "run": {"dt": dt, "t_final": dt * draw(st.integers(1, 20)),
                       "snapshot_every": draw(st.integers(0, 3))}}

@@ -1,5 +1,6 @@
 """Tests for configuration parsing, snapshot IO, the CLI, and determinism."""
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -9,15 +10,15 @@ import numpy as np
 import pytest
 
 from solidyn.cli import main as cli_main
-from solidyn import scenarios, trajectories
+from solidyn import trajectories
 from solidyn.diagnostics import equivariance_distance
 from solidyn.errors import (BoundaryExitError, ConfigError,
                             NodeEncounterError, PastOrientedCurrentError,
                             SolidynError, TachyonicRegionError,
                             TrajectoryAbortError)
 from solidyn.grids import Field, Grid
-from solidyn.scenarios import (MAX_STEPS, SCENARIO_KINDS, THRESHOLDS,
-                               parse_config, parse_config_dict, run_scenario)
+from solidyn.scenarios import (KINDS, MAX_STEPS, THRESHOLDS, parse_config,
+                               parse_config_dict, run_scenario)
 from solidyn.schrodinger import evolve_schrodinger, integrate_bohm_ensemble
 from solidyn.snapshots import read_snapshot, write_csv, write_snapshot
 
@@ -194,7 +195,8 @@ def test_trajectory_aborts_share_one_base(tmp_path, monkeypatch, error):
     def abort(cfg, sink):
         raise error("trajectory aborted", 0.25)
 
-    monkeypatch.setitem(scenarios._RUNNERS, "free_gausson", abort)
+    monkeypatch.setitem(KINDS, "free_gausson", dataclasses.replace(
+        KINDS["free_gausson"], runner=abort))
     path = write_yaml(tmp_path, "abort.yaml",
                       f"scenario: free_gausson\n"
                       f"output:\n  directory: {tmp_path / 'out'}\n")
@@ -212,7 +214,8 @@ def test_config_error_in_a_runner_leaves_no_new_directory(tmp_path,
     def refuse(cfg, sink):
         raise ConfigError("[initial].center: refused by the runner")
 
-    monkeypatch.setitem(scenarios._RUNNERS, "free_gausson", refuse)
+    monkeypatch.setitem(KINDS, "free_gausson", dataclasses.replace(
+        KINDS["free_gausson"], runner=refuse))
     out = tmp_path / "new" / "out"
     if existing:
         out.mkdir(parents=True)
@@ -290,6 +293,83 @@ def test_wrong_grid_axis_count_rejected(tmp_path, scenario, grid):
     assert cli_main(["validate", path, "--quiet"]) == 2
     assert cli_main(["run", path, "--quiet"]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("physics", "charge", "0", "must satisfy charge > 0"),
+    ("physics", "charge", "-1.0", "must satisfy charge > 0"),
+    ("potential", "kind", "none",
+     "harmonic_trap needs kind 'harmonic', got 'none'"),
+    ("potential", "kind", "uniform_e",
+     "harmonic_trap needs kind 'harmonic', got 'uniform_e'"),
+])
+def test_harmonic_trap_preconditions_rejected(tmp_path, section, key, value,
+                                              message):
+    # the expected period 2 pi sqrt(omega0 / (charge spring)) needs both;
+    # without them the run used to end in a traceback or in exit 1
+    path = write_yaml(tmp_path, "trap.yaml",
+                      f"scenario: harmonic_trap\n"
+                      f"{section}:\n  {key}: {value}\nrun:\n  t_final: 0.01\n"
+                      f"output:\n  directory: {tmp_path / 'out'}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"[{section}].{key}: {message}"
+    assert cli_main(["validate", path, "--quiet"]) == 2
+    assert cli_main(["run", path, "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, key, value, box", [
+    ("free_gausson", "center", "100.0", "[-10, 10)"),
+    ("harmonic_trap", "center", "10.0", "[-10, 10)"),    # the box is half-open
+    ("double_slit_dbb", "soliton_start", "100.0", "[-20, 20)"),
+    ("entangled_pair", "z1", "100.0", "[-12, 12)"),
+    ("entangled_pair", "z2", "-12.5", "[-12, 12)"),
+    ("entangled_pair", "z2_alternate", "12.0", "[-12, 12)"),
+])
+def test_initial_position_outside_the_box_rejected(tmp_path, scenario, key,
+                                                   value, box):
+    path = write_yaml(tmp_path, "outside.yaml",
+                      f"scenario: {scenario}\ninitial:\n  {key}: {value}\n"
+                      f"output:\n  directory: {tmp_path / 'out'}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == (f"[initial].{key}: {float(value)!r} lies "
+                              f"outside the box {box}")
+    assert cli_main(["validate", path, "--quiet"]) == 2
+    assert cli_main(["run", path, "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_initial_positions_are_checked_on_their_own_axis():
+    cfg = parse_config_dict({"scenario": "free_gausson",
+                             "initial": {"center": -10.0}})
+    assert cfg.initial["center"] == -10.0
+    # z1 lies on the first axis of the pair grid, z2 and z2_alternate on
+    # the second
+    for key, box in (("z1", "[-12, 12)"), ("z2", "[-20, 20)"),
+                     ("z2_alternate", "[-20, 20)")):
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict({
+                "scenario": "entangled_pair",
+                "grid": {"points": [64, 64], "length": [24.0, 40.0]},
+                "initial": {key: -25.0}})
+        assert str(err.value) == (f"[initial].{key}: -25.0 lies outside "
+                                  f"the box {box}")
+    # the double slit's default start, -separation/2, is not checked
+    cfg = parse_config_dict({"scenario": "double_slit_dbb",
+                             "initial": {"separation": 100.0}})
+    assert cfg.initial["soliton_start"] is None
+
+
+def test_exponent_strings_read_as_numbers():
+    # YAML 1.1 reads an exponent without a dot as a string
+    cfg = parse_config_dict({"scenario": "entangled_pair",
+                             "grid": {"points": ["3.2e1", 32],
+                                      "length": ["2e1", 24]},
+                             "run": {"t_final": "1e-1"}, "seed": "7"})
+    assert (cfg.points, cfg.lengths) == ((32, 32), (20.0, 24.0))
+    assert (cfg.t_final, cfg.seed) == (0.1, 7)
 
 
 def test_unknown_scenario_rejected(tmp_path):
@@ -413,7 +493,7 @@ def test_cli_module_invocation():
         [sys.executable, "-m", "solidyn.cli", "list-scenarios"],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    for kind in SCENARIO_KINDS:
+    for kind in KINDS:
         assert kind in proc.stdout
 
 
@@ -503,7 +583,7 @@ def test_shipped_configs_all_validate():
     for path in configs:
         cfg = parse_config(str(path))
         kinds.add(cfg.kind)
-    assert kinds == set(SCENARIO_KINDS)
+    assert kinds == set(KINDS)
 
 
 @pytest.mark.parametrize("scenario, initial, grid, dt", [

@@ -166,7 +166,7 @@ def random_bundle(grid, rng, speed, node_frac):
     peak = float(np.max(amp))
     return MadelungBundle(grid=grid, time_tag=0.0, amplitude=amp,
                           velocity=velocity, quantum_potential=None,
-                          quantum_force=None, node_mask=None,
+                          quantum_force=None,
                           amp_floor=NODE_MASK_REL * peak, amp_peak=peak)
 
 

@@ -342,8 +342,8 @@ def random_snapshots(grid, rng, n, kg, speed, node_frac, sector_frac):
         out.append(KGMadelung(
             grid=grid, time_tag=0.0, amplitude=amp,
             mass_sq=np.where(tachyon, -1.0, 1.0), current_t=ones,
-            current_x=vel, velocity=vel, node_mask=amp == 0.0,
-            tachyon_mask=tachyon, past_oriented_mask=past, energy=0.0))
+            current_x=vel, velocity=vel, tachyon_mask=tachyon,
+            past_oriented_mask=past, energy=0.0))
     return out
 
 
