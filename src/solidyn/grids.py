@@ -117,6 +117,46 @@ class Grid:
         """Per-axis second-derivative multipliers -k^2, built once per grid."""
         return tuple(-(self._k_along(a) ** 2) for a in range(self.dim))
 
+    @cached_property
+    def _real_multipliers(self):
+        """Multipliers of the real spectrum `np.fft.rfftn(f)`, stacked as
+        (2 dim + 1, *spectrum shape) and built once per grid: i k_b per
+        axis, -|k|^2, then -i k_b |k|^2 per axis.
+
+        The spectrum's last axis keeps its n // 2 + 1 non-negative bins.
+        Each odd-order multiplier is zero at the Nyquist bin of its axis
+        b (n_b even): that term is imaginary, and the real part that
+        `derivative` takes of a real input drops it.
+        """
+        k, k_odd = [], []
+        for axis, (n, kb) in enumerate(zip(self.points, self.wavenumbers)):
+            if axis == self.dim - 1:
+                kb = kb[: n // 2 + 1]
+            shape = [1] * self.dim
+            shape[axis] = kb.size
+            k.append(kb.reshape(shape))
+            kb = kb.copy()
+            if n % 2 == 0:
+                kb[n // 2] = 0.0
+            k_odd.append(kb.reshape(shape))
+        minus_k2 = -sum(kb**2 for kb in k)
+        rows = ([1j * kb for kb in k_odd] + [minus_k2]
+                + [1j * (kb * minus_k2) for kb in k_odd])
+        return np.stack([np.broadcast_to(r, minus_k2.shape) for r in rows])
+
+    def real_derivatives(self, samples):
+        """grad f, lap f and grad lap f of a real field f, stacked as
+        (2 dim + 1, *grid shape), from one real FFT of f.
+
+        Each equals the `gradient`/`laplacian` composition to round-off.
+        The input and the Laplacian are checked as those calls check them.
+        """
+        _require_finite(samples, "second_derivative input")
+        out = np.fft.irfftn(self._real_multipliers * np.fft.rfftn(samples),
+                            s=self.shape, axes=range(1, self.dim + 1))
+        _require_finite(out[self.dim], "derivative input")
+        return out
+
     def derivative(self, samples, axis):
         """First derivative along one axis via FFT; dtype follows the input."""
         _require_finite(samples, "derivative input")
@@ -129,15 +169,6 @@ class Grid:
         return _from_spectrum(
             self._minus_k2[axis] * np.fft.fft(samples, axis=axis), axis,
             samples)
-
-    def derivative_pair(self, samples, axis):
-        """`derivative` and `second_derivative` along one axis, both from one
-        forward FFT (same checks, same bits)."""
-        _require_finite(samples, "second_derivative input")
-        _require_finite(samples, "derivative input")
-        spectrum = np.fft.fft(samples, axis=axis)
-        return (_from_spectrum(self._ik[axis] * spectrum, axis, samples),
-                _from_spectrum(self._minus_k2[axis] * spectrum, axis, samples))
 
     def gradient(self, samples):
         """All first derivatives, stacked as shape (dim, *grid shape)."""

@@ -21,7 +21,7 @@ into independent single-particle runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,9 +45,8 @@ class PairWave:
     def __post_init__(self):
         if self.psi.grid.dim != 2:
             raise SolidynError("pair wave needs a 2D configuration grid")
-        self.axis_grids = tuple(
-            Grid(self.psi.grid.points[a], self.psi.grid.lengths[a])
-            for a in range(2))
+        self.axis_grids = _axis_grids(self.psi.grid.points,
+                                      self.psi.grid.lengths)
 
     @cached_property
     def amplitude(self):
@@ -70,6 +69,14 @@ class PairWave:
 
     def norm(self):
         return float(self.psi.grid.integrate(self.amplitude ** 2))
+
+
+@lru_cache(maxsize=4)
+def _axis_grids(points, lengths):
+    """The 1D grid of each axis, shared by every pair wave on one
+    configuration grid (each step makes a new wave), so the multipliers
+    each grid caches are built once."""
+    return tuple(Grid(n, L) for n, L in zip(points, lengths))
 
 
 def product_pair(samples1, samples2, grid: Grid, masses, charge,
@@ -225,7 +232,9 @@ def conditional_q(pair: PairWave, which: int, partner_pos: float):
     if np.all(a_slice < floor):
         raise SolidynError(
             "conditional slice lies entirely below the node floor")
-    d2a_slice = pair.axis_grids[own].second_derivative(a_slice, 0)
+    # the Laplacian row of the derivatives that madelung_extract takes, so
+    # a product pair's q has the bits of the single-particle q
+    d2a_slice = pair.axis_grids[own].real_derivatives(a_slice)[1]
     q = -d2a_slice / (2.0 * pair.masses[own] * np.maximum(a_slice, floor))
     return q
 

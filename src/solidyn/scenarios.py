@@ -148,9 +148,9 @@ def _section(raw, name):
 
 def _number(value, name, cast=float, words=None):
     """Every numeric config value is read here, as `cast` of it: float (a
-    finite number), int (an integer, of any size) or math.trunc (a finite
-    number, cut to an int, as [grid].points takes it).  Anything else is a
-    ConfigError naming `name`.
+    finite number), int (an integer, of any size) or _whole (an integer, or
+    a float that is a whole number, as [grid].points takes it).  Anything
+    else is a ConfigError naming `name`.
 
     YAML 1.1 reads an exponent without a dot ("2e-3") as a string, so a
     string reads as the number it spells.  A bool is not a number.  An int
@@ -177,7 +177,18 @@ def _number(value, name, cast=float, words=None):
         finite = False
     if not finite:
         raise ConfigError(f"{name}: {infinite}, got {value!r}")
-    return cast(value)
+    try:
+        return cast(value)
+    except ValueError:
+        raise ConfigError(
+            f"{name}: expected an integer, got {value!r}") from None
+
+
+def _whole(value):
+    """int of a finite float that is a whole number; ValueError if not."""
+    if not float(value).is_integer():
+        raise ValueError(value)
+    return int(value)
 
 
 def _axes(value, key, cast):
@@ -248,7 +259,7 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
     lengths = grid_sec.pop("length", None)
     _reject_unknown(grid_sec, "grid")
     points = default_points if points is None else _axes(points, "points",
-                                                         math.trunc)
+                                                         _whole)
     lengths = default_lengths if lengths is None else _axes(lengths, "length",
                                                             float)
     if len(points) != len(lengths):
@@ -358,6 +369,18 @@ def _check_cfl(cfg):
         raise ConfigError(
             f"[run].dt: {cfg.dt} violates the Klein-Gordon CFL bound "
             f"dt <= 0.5 dx = {0.5 * dx:.6g}")
+
+
+def _check_double_slit(cfg):
+    # the pilot packets sit at +-separation/2, and the soliton starts on
+    # the left one unless soliton_start is set
+    separation = cfg.initial["separation"]
+    half = 0.5 * cfg.lengths[0]
+    for centre in (-0.5 * separation, 0.5 * separation):
+        if not -half <= centre < half:
+            raise ConfigError(
+                f"[initial].separation: {separation!r} puts a packet centre "
+                f"at {centre!r}, outside the box [{-half:g}, {half:g})")
 
 
 def _check_trap(cfg):
@@ -558,7 +581,8 @@ def _run_harmonic_trap(cfg, sink):
         ("period_rel_err", err, THRESHOLDS["trap_period_rel"], "<"),
         ("norm_drift", report.norm_drift, THRESHOLDS["norm_drift"], "<"),
     ]
-    extras = [f"period_measured: {measured!r}", f"period_expected: {period!r}"]
+    extras = [f"period_measured: {float(measured)!r}",
+              f"period_expected: {float(period)!r}"]
     return sink.summary(cfg.kind, cfg.seed, checks, extras)
 
 
@@ -655,7 +679,8 @@ def _run_kg_plane_wave(cfg, sink):
         ("slope_deviation", slope_dev, THRESHOLDS["kg_slope_dev"], "<"),
         ("max_speed", float(np.max(np.abs(velocity))), 1.0, "<"),
     ]
-    extras = [f"wavenumber: {k!r}", f"dispersion_energy: {e_cont!r}"]
+    extras = [f"wavenumber: {float(k)!r}",
+              f"dispersion_energy: {float(e_cont)!r}"]
     return sink.summary(cfg.kind, cfg.seed, checks, extras)
 
 
@@ -737,25 +762,30 @@ def _path_walk(history, z0):
 def _run_entangled_pair(cfg, sink):
     grid = cfg.grid
     init = cfg.initial
-    g1 = Grid(grid.points[0], grid.lengths[0])
-    x = g1.axes[0]
     sigma = init["packet_sigma"]
     off = init["packet_offset"]
     boost = init["boost"]
-    left = (np.exp(-((x + off) ** 2) / (4 * sigma**2))
-            * np.exp(-1j * boost * x)).astype(complex)
-    right = (np.exp(-((x - off) ** 2) / (4 * sigma**2))
-             * np.exp(1j * boost * x)).astype(complex)
+    axis_grids = [Grid(n, L) for n, L in zip(grid.points, grid.lengths)]
+
+    def packets(axis_grid):
+        # the left and right packets of one particle, on its own axis
+        x = axis_grid.axes[0]
+        return ((np.exp(-((x + off) ** 2) / (4 * sigma**2))
+                 * np.exp(-1j * boost * x)).astype(complex),
+                (np.exp(-((x - off) ** 2) / (4 * sigma**2))
+                 * np.exp(1j * boost * x)).astype(complex))
+
+    (left1, right1), (left2, right2) = (packets(g) for g in axis_grids)
     pots = (cfg.potentials(1), cfg.potentials(1))
     masses = (cfg.omega0, cfg.omega0)
 
     def wave(entangled):
         if entangled:
-            psi2d = (np.outer(left, left) + np.outer(right, right)) \
+            psi2d = (np.outer(left1, left2) + np.outer(right1, right2)) \
                 / np.sqrt(2.0)
             return PairWave(Field(grid, psi2d), masses, cfg.charge, pots)
-        partner = (left + right) / np.sqrt(2.0)
-        return product_pair(left, partner, grid, masses, cfg.charge, pots)
+        partner = (left2 + right2) / np.sqrt(2.0)
+        return product_pair(left1, partner, grid, masses, cfg.charge, pots)
 
     def state(pair_wave, z1, z2):
         # phase-harmony initial data: each soliton boosted to the local
@@ -764,10 +794,9 @@ def _run_entangled_pair(cfg, sink):
         stencil = grid.stencil(np.array([[z1, z2]]))
         v0 = [grid.interpolate(pair_wave.velocity[a], stencil)[0]
               for a in range(2)]
-        u1 = gausson_init(GaussonParams(cfg.b, cfg.f0, center=(z1,),
-                                        velocity=(v0[0],)), g1, cfg.omega0)
-        u2 = gausson_init(GaussonParams(cfg.b, cfg.f0, center=(z2,),
-                                        velocity=(v0[1],)), g1, cfg.omega0)
+        u1, u2 = (gausson_init(GaussonParams(cfg.b, cfg.f0, center=(z,),
+                                             velocity=(v,)), g, cfg.omega0)
+                  for z, v, g in zip((z1, z2), v0, axis_grids))
         p = cfg.params
         return PairState(
             u1=SolitonState(u1, p, cfg.b, cfg.f0, coupling_mode="dbb"),
@@ -867,7 +896,7 @@ KINDS = {
         dt=1e-3, t_final=8.0,
         initial={"packet_sigma": 2.0, "separation": 8.0,
                  "soliton_start": None},
-        grid=((2048,), (40.0,))),
+        grid=((2048,), (40.0,)), check=_check_double_slit),
     "kg_plane_wave": Kind(
         _run_kg_plane_wave,
         "Klein-Gordon plane wave: constant mass, slope k/E",

@@ -78,16 +78,13 @@ def madelung_extract(psi: Field, params: PhysicalParams,
     velocity = np.empty_like(current)
     for axis in range(grid.dim):
         velocity[axis] = (current[axis] / rho_safe - avec[axis]) / params.omega0
-    # grad a and lap a share one forward FFT of a per axis
-    pairs = [grid.derivative_pair(a, axis) for axis in range(grid.dim)]
-    grad_a = np.stack([first for first, _ in pairs])
-    lap_a = pairs[0][1]
-    for _, second in pairs[1:]:
-        lap_a = lap_a + second
+    # grad a, lap a and grad lap a from one real spectrum of a
+    derivs = grid.real_derivatives(a)
+    grad_a, lap_a, grad_lap = (derivs[:grid.dim], derivs[grid.dim],
+                               derivs[grid.dim + 1:])
     q = -lap_a / (2.0 * params.omega0 * a_safe)
     # F_Q = -grad q via the quotient rule: only smooth fields pass through
     # the FFT, so the amplitude-floor clamp cannot ring across the box
-    grad_lap = grid.gradient(lap_a)
     fq = (grad_lap / a_safe - lap_a * grad_a / rho_safe) \
         / (2.0 * params.omega0)
     return MadelungBundle(

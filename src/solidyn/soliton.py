@@ -145,13 +145,42 @@ def soliton_center(u: Field, previous=None, density=None):
         peak = np.unravel_index(int(np.argmax(rho)), grid.shape)
         previous = np.array([grid.axes[a][peak[a]] for a in range(grid.dim)])
     previous = np.asarray(previous, dtype=float)
-    meshes = grid.meshes()
     xbar = np.empty(grid.dim)
     for a in range(grid.dim):
-        box = grid.lengths[a]
-        delta = np.mod(meshes[a] - previous[a] + 0.5 * box, box) - 0.5 * box
-        xbar[a] = previous[a] + grid.integrate(rho * delta) / c
+        xbar[a] = previous[a] + grid.integrate(
+            rho * _wrapped_offsets(grid, a, previous[a])) / c
     return xbar, c
+
+
+def _wrapped_offsets(grid: Grid, axis, center):
+    """Offsets x - center of the coordinates of one axis, mapped into
+    [-L/2, L/2): np.mod(x - center + L/2, L) - L/2, with the same bits,
+    shaped to broadcast against the grid.
+
+    The axis ascends from -L/2 and ends below L/2, so r = (x - center) +
+    L/2 ascends too, and lies at or above 0 for center < 0 and below L
+    for center >= 0 (rounding is monotone).  So one searchsorted finds
+    the samples to wrap, on one side: r - L for r in [L, 2L) is exact
+    (Sterbenz), and r + L for r in [-L, 0) is what np.mod computes (a
+    -0.0 that np.mod would make +0.0 gives the same offset -L/2).  An r
+    outside [-L, 2L), as from a center more than about L away, goes
+    through np.mod.
+    """
+    box = grid.lengths[axis]
+    r = grid.axes[axis] - center
+    r += 0.5 * box
+    if center < 0 and r[-1] < 2.0 * box:
+        r[r.searchsorted(box):] -= box
+    elif center >= 0 and -box <= r[0]:
+        r[:r.searchsorted(0.0)] += box
+    else:
+        r = np.mod(r, box)
+    r -= 0.5 * box
+    if grid.dim == 1:
+        return r
+    shape = [1, 1]
+    shape[axis] = r.size
+    return r.reshape(shape)
 
 
 def second_central_moments(u: Field, center):
@@ -159,11 +188,9 @@ def second_central_moments(u: Field, center):
     grid = u.grid
     rho = u.density()
     c = grid.integrate(rho)
-    meshes = grid.meshes()
     out = np.empty(grid.dim)
     for a in range(grid.dim):
-        box = grid.lengths[a]
-        delta = np.mod(meshes[a] - center[a] + 0.5 * box, box) - 0.5 * box
+        delta = _wrapped_offsets(grid, a, center[a])
         out[a] = grid.integrate(rho * delta**2) / c
     return out
 

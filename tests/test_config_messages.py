@@ -118,6 +118,11 @@ CASES = [
      f"budget ({BUDGET})"),
     ("grid-length-bound", "scenario: free_gausson\ngrid:\n  length: -20.0\n",
      "[grid].length: must satisfy length > 0"),
+    ("grid-points-float", "scenario: free_gausson\ngrid:\n  points: 20.5\n",
+     "[grid].points: expected an integer, got 20.5"),
+    ("grid-points-entry-float",
+     "scenario: entangled_pair\ngrid:\n  points: [64, 64.5]\n",
+     "[grid].points: expected an integer, got 64.5"),
     ("potential-kind", "scenario: free_gausson\npotential:\n  kind: coulomb\n",
      "[potential].kind: unknown kind 'coulomb'"),
     ("spring-bound",
@@ -134,6 +139,15 @@ CASES = [
     ("soliton-start-inf",
      "scenario: double_slit_dbb\ninitial:\n  soliton_start: .inf\n",
      "[initial].soliton_start: expected a finite number, got inf"),
+    ("separation-outside",
+     "scenario: double_slit_dbb\ninitial:\n  separation: 100.0\n",
+     "[initial].separation: 100.0 puts a packet centre at -50.0, outside "
+     "the box [-20, 20)"),
+    ("separation-edge",                         # the box is half-open
+     "scenario: double_slit_dbb\ninitial:\n  separation: 40.0\n"
+     "  soliton_start: 0.0\n",
+     "[initial].separation: 40.0 puts a packet centre at 20.0, outside "
+     "the box [-20, 20)"),
     ("z1-inf", "scenario: entangled_pair\ninitial:\n  z1: -.inf\n",
      "[initial].z1: expected a finite number, got -inf"),
     ("wavenumber-nan", "scenario: kg_packet\ninitial:\n  wavenumber: .nan\n",

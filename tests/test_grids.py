@@ -247,8 +247,7 @@ def _written_out(grid, samples, axis, order):
 @pytest.mark.parametrize("complex_valued", [False, True])
 def test_derivatives_match_per_call_multipliers(shape, lengths,
                                                 complex_valued):
-    # the multipliers built once per grid give the per-call bits, and the
-    # one-spectrum pair gives those of the two separate derivatives
+    # the multipliers built once per grid give the per-call bits
     g = Grid(shape, lengths)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(shape)
@@ -259,15 +258,46 @@ def test_derivatives_match_per_call_multipliers(shape, lengths,
         second = _written_out(g, f, axis, 2)
         assert np.array_equal(g.derivative(f, axis), first)
         assert np.array_equal(g.second_derivative(f, axis), second)
-        pair = g.derivative_pair(f, axis)
-        assert pair[0].tobytes() == first.tobytes()
-        assert pair[1].tobytes() == second.tobytes()
     assert g._ik is g._ik and g._minus_k2 is g._minus_k2
 
 
-def test_derivative_pair_checks_its_input():
+@pytest.mark.parametrize("shape, lengths", [((64,), (7.0,)),
+                                            ((63,), (7.0,)),
+                                            ((16, 24), (5.0, 3.0)),
+                                            ((15, 25), (5.0, 3.0))])
+def test_real_derivatives_match_the_complex_compositions(shape, lengths):
+    # grad f, lap f and grad lap f from one real spectrum equal gradient,
+    # laplacian and gradient(laplacian) to round-off, on even and odd axes
+    # (a random field fills the Nyquist bins), from one rfftn of f
+    g = Grid(shape, lengths)
+    f = np.random.default_rng(4).standard_normal(shape)
+    lap = g.laplacian(f)
+    want = np.concatenate([g.gradient(f), lap[None], g.gradient(lap)])
+    calls = []
+    rfftn = np.fft.rfftn
+
+    def counting_rfftn(x, *args, **kwargs):
+        calls.append(x)
+        return rfftn(x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.fft, "rfftn", counting_rfftn)
+        got = g.real_derivatives(f)
+    assert len(calls) == 1 and calls[0] is f
+    assert got.shape == (2 * g.dim + 1,) + g.shape
+    for row, ref in zip(got, want):
+        assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert g._real_multipliers is g._real_multipliers
+
+
+@pytest.mark.parametrize("bad, message", [(np.inf, "second_derivative input"),
+                                          (1e306, "derivative input")])
+def test_real_derivatives_check_their_input_and_laplacian(bad, message):
+    # a non-finite input, or a Laplacian that overflows, fails with the
+    # message of the per-axis call it replaces
     g = Grid(32, 4.0)
     f = np.ones(32)
-    f[5] = np.inf
-    with pytest.raises(SolidynError, match="second_derivative input"):
-        g.derivative_pair(f, 0)
+    f[5] = bad
+    with np.errstate(all="ignore"), pytest.raises(
+            SolidynError, match=f"^non-finite values in {message}$"):
+        g.real_derivatives(f)

@@ -9,6 +9,8 @@ Hypothesis).
   the box.
 - `ls_step` and `nls_step` keep the norm to round-off, and `ls_step(dt)`
   followed by `ls_step(-dt)` returns psi to round-off.
+- `soliton_center` and `second_central_moments` give the bits of offsets
+  wrapped by np.mod, for a previous center anywhere, edges included.
 - The zero-field shortcuts of the soliton runs (`Potentials.zero_field`)
   write the bytes of the general path.
 - A parsed config asks for a whole number of steps in [1, MAX_STEPS].
@@ -46,7 +48,8 @@ from solidyn.scenarios import (KINDS, MAX_STEPS,  # noqa: E402
                                ScenarioConfig, parse_config_dict)
 from solidyn.schrodinger import ls_step  # noqa: E402
 from solidyn.soliton import (SolitonState, _density_mean_force,  # noqa: E402
-                             _grid_positions, classical_trajectory, nls_step)
+                             _grid_positions, classical_trajectory, nls_step,
+                             second_central_moments, soliton_center)
 
 # ---------------------------------------------------------------------------
 # parse_config_dict
@@ -262,6 +265,62 @@ def test_ls_step_is_time_reversible(psi, potential, dt, omega0, t0):
     scale = np.max(np.abs(psi.samples))
     assert np.max(np.abs(back.samples - psi.samples)) < 1e-12 * scale
     assert back.time_tag == pytest.approx(t0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the wrap-aware center and spread keep the bits of np.mod
+# ---------------------------------------------------------------------------
+
+def wrapped_reference(u, rho, center):
+    """The center and the per-axis variance about `center`, with every
+    offset wrapped by np.mod over the full coordinate meshes."""
+    grid = u.grid
+    c = float(grid.integrate(rho))
+    xbar, spread = np.empty(grid.dim), np.empty(grid.dim)
+    for a, mesh in enumerate(grid.meshes()):
+        box = grid.lengths[a]
+        delta = np.mod(mesh - center[a] + 0.5 * box, box) - 0.5 * box
+        xbar[a] = center[a] + grid.integrate(rho * delta) / c
+        spread[a] = grid.integrate(rho * delta**2) / grid.integrate(rho)
+    return xbar, c, spread
+
+
+def previous_centers(length):
+    """Points inside the box, outside it, beyond +-L, and the edges: +-0.0,
+    +-L/2, +-L and their neighbouring floats."""
+    edges = [0.0, 0.5 * length, length, 2.0 * length]
+    edges += [np.nextafter(e, np.inf) for e in edges] \
+        + [np.nextafter(e, -np.inf) for e in edges]
+    return st.one_of(
+        st.sampled_from(edges).flatmap(lambda e: st.sampled_from([e, -e])),
+        st.floats(-0.5 * length, 0.5 * length),
+        st.floats(-1.5 * length, 1.5 * length),
+        st.floats(-1e3 * length, 1e3 * length))
+
+
+@st.composite
+def center_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    points = tuple(draw(st.integers(1, 70)) for _ in range(dim))
+    lengths = tuple(draw(st.floats(0.01, 1e4)) for _ in range(dim))
+    grid = Grid(points, lengths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.standard_normal(grid.shape) + 0j
+    samples.flat[0] = 1.0                               # never all zero
+    previous = np.array([draw(previous_centers(L)) for L in lengths])
+    return Field(grid, samples), previous
+
+
+@settings(max_examples=400, deadline=None)
+@given(center_cases())
+def test_soliton_center_keeps_the_bits_of_np_mod(case):
+    u, previous = case
+    rho = u.density()
+    xbar, c = soliton_center(u, previous, density=rho)
+    want_xbar, want_c, want_spread = wrapped_reference(u, rho, previous)
+    assert xbar.tobytes() == want_xbar.tobytes() and c == want_c
+    spread = second_central_moments(u, previous)
+    assert spread.tobytes() == want_spread.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from solidyn.cli import main as cli_main
 from solidyn import trajectories
@@ -356,10 +357,38 @@ def test_initial_positions_are_checked_on_their_own_axis():
                 "initial": {key: -25.0}})
         assert str(err.value) == (f"[initial].{key}: -25.0 lies outside "
                                   f"the box {box}")
-    # the double slit's default start, -separation/2, is not checked
+    # the double slit's pilot packets, at +-separation/2, lie on the
+    # first axis; the default start -separation/2 is one of them
     cfg = parse_config_dict({"scenario": "double_slit_dbb",
-                             "initial": {"separation": 100.0}})
+                             "initial": {"separation": -39.0}})
     assert cfg.initial["soliton_start"] is None
+    with pytest.raises(ConfigError, match=r"^\[initial\]\.separation: "
+                       r"-40\.0 puts a packet centre at 20\.0, outside"):
+        parse_config_dict({"scenario": "double_slit_dbb",
+                           "initial": {"separation": -40.0}})
+
+
+def test_grid_points_take_whole_numbers_only():
+    # a float that is a whole number reads as its int, as an exponent
+    # string does; any other float is refused like the count keys
+    cfg = parse_config_dict({"scenario": "entangled_pair",
+                             "grid": {"points": [64.0, 32]}})
+    assert cfg.points == (64, 32) and type(cfg.points[0]) is int
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict({"scenario": "free_gausson",
+                           "grid": {"points": "2.05e1"}})
+    assert str(err.value) == "[grid].points: expected an integer, got 20.5"
+
+
+def test_entangled_pair_runs_on_a_non_square_grid(tmp_path):
+    # each particle's packets and soliton live on its own axis grid
+    path = write_yaml(tmp_path, "pair.yaml",
+                      "scenario: entangled_pair\n"
+                      "grid:\n  points: [64, 128]\n  length: [24.0, 48.0]\n"
+                      "run:\n  t_final: 0.02\n"
+                      f"output:\n  directory: {tmp_path / 'out'}\n")
+    assert cli_main(["run", path, "--quiet"]) in (0, 3)
+    assert (tmp_path / "out" / "trajectories.csv").exists()
 
 
 def test_exponent_strings_read_as_numbers():
@@ -584,6 +613,34 @@ def test_shipped_configs_all_validate():
         cfg = parse_config(str(path))
         kinds.add(cfg.kind)
     assert kinds == set(KINDS)
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
+
+
+@pytest.mark.parametrize("config", sorted(
+    name for name in os.listdir(CONFIG_DIR) if name.endswith(".yaml")))
+def test_shipped_config_summaries_print_plain_numbers(tmp_path, config):
+    # a short run of each shipped config writes its summary, extras
+    # included, without numpy reprs such as np.float64(1.118033988749895);
+    # the trap runs long enough, at a coarse step, to measure a period
+    with open(os.path.join(CONFIG_DIR, config)) as handle:
+        raw = yaml.safe_load(handle)
+    run = raw.setdefault("run", {})
+    if raw["scenario"] == "harmonic_trap":
+        run.update(dt=1e-2, t_final=20.0)
+    else:
+        run["t_final"] = 10 * run.get("dt", KINDS[raw["scenario"]].dt)
+    raw["output"] = {"directory": str(tmp_path / "out")}
+    path = write_yaml(tmp_path, config, yaml.safe_dump(raw))
+    assert cli_main(["run", path, "--quiet"]) in (0, 3)
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "np." not in summary
+    for line in summary.splitlines()[2:]:
+        key, value = line.split(": ", 1)
+        if not key.startswith("check ") and key != "overall":
+            float(value)
 
 
 @pytest.mark.parametrize("scenario, initial, grid, dt", [

@@ -419,12 +419,43 @@ def test_integrate_bohm_node_encounter_last_valid():
     assert err.value.last_valid_time == times[45]
 
 
+def _real_spectrum_reference(g, a):
+    """grad a, lap a and grad lap a written out from one rfftn of a, each
+    inverted on its own: multipliers i k_b and -i k_b |k|^2 with the
+    Nyquist bin of axis b zeroed, and -|k|^2."""
+    k = []
+    for axis, n in enumerate(g.points):
+        kb = 2.0 * np.pi * np.fft.fftfreq(n, d=g.spacing[axis])
+        if axis == g.dim - 1:
+            kb = kb[: n // 2 + 1]
+        shape = [1] * g.dim
+        shape[axis] = kb.size
+        k.append(kb.reshape(shape))
+    minus_k2 = -sum(kb**2 for kb in k)
+    spectrum = np.fft.rfftn(a)
+
+    def inverse(mult):
+        return np.fft.irfftn(np.broadcast_to(mult, minus_k2.shape) * spectrum,
+                             s=g.shape, axes=range(g.dim))
+
+    grad, grad_lap = [], []
+    for axis, kb in enumerate(k):
+        kb = kb.copy()
+        if g.points[axis] % 2 == 0:
+            kb.flat[g.points[axis] // 2] = 0.0
+        grad.append(inverse(1j * kb))
+        grad_lap.append(inverse(1j * (kb * minus_k2)))
+    return np.stack(grad), inverse(minus_k2 + 0j), np.stack(grad_lap)
+
+
 @pytest.mark.parametrize("shape, lengths", [((256,), (20.0,)),
+                                            ((255,), (20.0,)),
                                             ((32, 48), (8.0, 10.0))])
-def test_madelung_extract_shares_the_spectrum_of_a(shape, lengths,
-                                                   monkeypatch):
-    # the bundle equals the one built from separate gradient and Laplacian
-    # calls, and a takes one forward FFT per axis for grad a and lap a
+def test_madelung_extract_takes_one_real_spectrum_of_a(shape, lengths,
+                                                       monkeypatch):
+    # a = |Psi| goes through exactly one rfftn and no complex FFT; q and
+    # F_Q have the bits of a written-out real-spectrum reference, and
+    # equal the complex gradient/Laplacian composition to round-off
     g = Grid(shape, lengths)
     rng = np.random.default_rng(8)
     psi = Field(g, np.exp(-sum(m**2 for m in g.meshes()) / 4.0)
@@ -433,25 +464,39 @@ def test_madelung_extract_shares_the_spectrum_of_a(shape, lengths,
     a = np.abs(psi.samples)
     floor = 1e-8 * np.max(a)
     a_safe = np.maximum(a, floor)
-    lap_a = g.laplacian(a)
-    grad_a = g.gradient(a)
-    fq = (g.gradient(lap_a) / a_safe - lap_a * grad_a / a_safe**2) / 2.0
+    grad_a, lap_a, grad_lap = _real_spectrum_reference(g, a)
+    fq = (grad_lap / a_safe - lap_a * grad_a / a_safe**2) / 2.0
+    complex_lap = g.laplacian(a)
+    complex_fq = (g.gradient(complex_lap) / a_safe
+                  - complex_lap * g.gradient(a) / a_safe**2) / 2.0
 
-    calls = []
-    fft = np.fft.fft
+    calls = {"fft": [], "rfftn": []}
+    for name in calls:
+        def counting(x, *args, _name=name, _real=getattr(np.fft, name),
+                     **kwargs):
+            calls[_name].append(x)
+            return _real(x, *args, **kwargs)
 
-    def counting_fft(x, *args, **kwargs):
-        calls.append(x)
-        return fft(x, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", counting_fft)
+        monkeypatch.setattr(np.fft, name, counting)
     bundle = madelung_extract(psi, PARAMS, pots)
     monkeypatch.undo()
     assert bundle.quantum_force.tobytes() == fq.tobytes()
     assert bundle.quantum_potential.tobytes() \
         == (-lap_a / (2.0 * a_safe)).tobytes()
+    # round-off: an order-m derivative is good to about eps k_max^m max a,
+    # and q and F_Q divide those errors by a and a^2
+    k_max = max(np.max(np.abs(k)) for k in g.wavenumbers)
+    err = [100 * np.finfo(float).eps * k_max**m * np.max(a) for m in (1, 2, 3)]
+    grad_scale = np.max(np.abs(g.gradient(a)))
+    assert np.all(np.abs(bundle.quantum_potential
+                         + complex_lap / (2.0 * a_safe))
+                  <= err[1] / (2.0 * a_safe))
+    assert np.all(np.abs(bundle.quantum_force - complex_fq)
+                  <= (err[2] / a_safe + (err[1] * grad_scale + err[0]
+                      * np.max(np.abs(complex_lap))) / a_safe**2) / 2.0)
     assert bundle.amp_peak == np.max(a)
     assert bundle.amp_floor == floor
-    # psi and lap a once per axis, a once per axis (it was twice)
-    assert len(calls) == 3 * g.dim
-    assert sum(x is a or np.array_equal(x, a) for x in calls) == g.dim
+    assert len(calls["rfftn"]) == 1 and calls["rfftn"][0] is bundle.amplitude
+    # the complex FFTs are those of psi's gradient, one per axis
+    assert len(calls["fft"]) == g.dim
+    assert all(x is psi.samples for x in calls["fft"])
