@@ -31,7 +31,8 @@ from .errors import (PastOrientedCurrentError, SolidynError,
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .stepping import NODE_MASK_REL, check_finite, drive
-from .trajectories import FlowHistory, trajectory_from_flow
+from .trajectories import (FlowHistory, FlowWalk, Reader, TrajectoryRecord,
+                           integrate_flow, interior_max)
 
 CFL_RATIO = 0.5   # dt <= CFL_RATIO * dx
 
@@ -183,8 +184,8 @@ class KGHistory(FlowHistory):
     _SNAPSHOT_LISTS = FlowHistory._SNAPSHOT_LISTS + (
         "mass_sq", "j0", "j1", "tachyon_masks", "past_masks")
 
-    def __init__(self, grid, params, potentials, window=None):
-        super().__init__(grid, params, potentials, window)
+    def __init__(self, grid, params, potentials):
+        super().__init__(grid, params, potentials)
         self.mass_sq = []
         self.j0 = []
         self.j1 = []
@@ -225,42 +226,6 @@ class KGHistory(FlowHistory):
             raise TachyonicRegionError(
                 f"tachyonic region (|v| >= 1) at t={t:.6g}", last_valid)
 
-    def mass_at(self, t, stencil):
-        msq = self._blend(self.mass_sq, t, stencil)
-        return np.sqrt(np.maximum(msq, 0.0))
-
-    def _mass_fields(self):
-        if not hasattr(self, "_mass_cache"):
-            self._mass_cache = [np.sqrt(np.maximum(m, 0.0))
-                                for m in self.mass_sq]
-        return self._mass_cache
-
-    def mass_at_series(self, ts, zs):
-        """M interpolated along a path sampled at (ts[i], zs[i])."""
-        out = np.empty(len(ts))
-        for i in range(len(ts)):
-            out[i] = self.mass_at(ts[i], self.grid.stencil(zs[i:i + 1]))[0]
-        return out
-
-    def mass_gradients(self, ts, zs):
-        """(dM/dt, dM/dx) along a path; dM/dt by centered snapshot
-        differences, dM/dx spectral."""
-        m = self._mass_fields()
-        times = self.times
-        n = len(times)
-        dmdt_fields = []
-        for i in range(n):
-            lo, hi = max(i - 1, 0), min(i + 1, n - 1)
-            dmdt_fields.append((m[hi] - m[lo]) / (times[hi] - times[lo]))
-        dmdx_fields = [self.grid.derivative(f, 0) for f in m]
-        out_t = np.empty(len(ts))
-        out_x = np.empty(len(ts))
-        for i in range(len(ts)):
-            stencil = self.grid.stencil(zs[i:i + 1])
-            out_t[i] = self._blend(dmdt_fields, ts[i], stencil)[0]
-            out_x[i] = self._blend(dmdx_fields, ts[i], stencil)[0]
-        return out_t, out_x
-
 
 @dataclass
 class KGRun:
@@ -277,8 +242,8 @@ def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
 
     Initial data: Psi(0) plus either dPsi/dt(0) or an explicit previous
     level Psi(-dt) (`psi_prev`, for exact discrete modes).  The snapshots
-    go to `history`, a new KGHistory that keeps every one by default; a
-    windowed one with `FlowWalk` readers streams its trajectories instead.
+    go to `history` (a new KGHistory by default), which keeps the last
+    three: attach its readers (`kg_bohm_trajectory`, ...) before this call.
     """
     if psi_prev is not None:
         state = KGState.from_levels(psi_prev, psi0, params, potentials, dt)
@@ -306,7 +271,6 @@ def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
         return {"energies": bundle.energy}
 
     (state, _), series = drive((state, None), steps + 1, step, sample)
-    history.freeze()
     final = Field(grid, state.psi_prev, state.time - dt)
     return KGRun(history=history, final_psi=final, **series)
 
@@ -319,65 +283,88 @@ def _field_energy(dpsi_dt, dpsi_dx, psi, grid, omega0):
     return float(grid.integrate(density))
 
 
-def kg_bohm_trajectory(z0, history: KGHistory):
-    """Guidance trajectory dz/dt = J1/J0; aborts on tachyonic regions (M^2
-    <= 0 or |v| >= 1), past-oriented current, node encounters, and box
-    exits (see `KGHistory.check`)."""
-    return trajectory_from_flow(history, z0)
+def kg_bohm_trajectory(z0, history: KGHistory) -> Reader:
+    """Guidance trajectory dz/dt = J1/J0 through the history as the wave
+    fills it; `finish()` returns its TrajectoryRecord.  Aborts on tachyonic
+    regions (M^2 <= 0 or |v| >= 1), past-oriented current, node encounters,
+    and box exits (see `KGHistory.check`)."""
+    flow = integrate_flow(history, z0)
+    return Reader(lambda: TrajectoryRecord.first_of(*flow.finish()))
 
 
-def current_conservation_residual(history: KGHistory) -> float:
-    """Max |dJ0/dt + dJ1/dx| over interior snapshots (centered in time)."""
-    times = history.times
-    if len(times) < 3:
-        raise SolidynError("need at least 3 snapshots")
-    worst = 0.0
-    for i in range(1, len(times) - 1):
-        dt2 = times[i + 1] - times[i - 1]
-        dj0 = (history.j0[i + 1] - history.j0[i - 1]) / dt2
-        dj1 = history.grid.derivative(history.j1[i], 0)
-        worst = max(worst, float(np.max(np.abs(dj0 + dj1))))
-    return worst
+def current_conservation_residual(history: KGHistory) -> Reader:
+    """Max |dJ0/dt + dJ1/dx| over interior snapshots (centered in time),
+    read as the wave fills the history; `finish()` returns it."""
+    def at_middle(h):
+        dj0 = (h.j0[-1] - h.j0[-3]) / (h.times[-1] - h.times[-3])
+        dj1 = h.grid.derivative(h.j1[-2], 0)
+        return float(np.max(np.abs(dj0 + dj1)))
+
+    return interior_max(history, at_middle)
 
 
-def kg_newton_residual(traj, history: KGHistory, params: PhysicalParams,
-                       potentials: Potentials):
-    """Residual of d/dtau(M u^mu) = d^mu M + e F^{mu nu} u_nu along a path.
+def kg_newton_residual(z0, history: KGHistory) -> Reader:
+    """Residual of d/dtau(M u^mu) = d^mu M + e F^{mu nu} u_nu along the
+    guidance path from z0, read as the wave fills the history.
 
-    Proper time comes from dtau = sqrt(1 - v^2) dt; the mass and its
-    gradients are interpolated from the stored snapshots.  Returns interior
-    times, the (n, 2) residual series, and its RMS relative to the dominant
-    term scale.
+    Proper time comes from dtau = sqrt(1 - v^2) dt; M, dM/dt (centered
+    over snapshots i-1 and i+1, one-sided at the ends) and dM/dx
+    (spectral) are interpolated at each path point as the walk visits it.
+    `finish()` returns interior times, the (n, 2) residual series, and its
+    RMS relative to the dominant term scale.
     """
-    t = traj.times
-    z = traj.positions
-    v = traj.velocities[:, 0]
-    if np.any(np.abs(v) >= 1.0):
-        raise SolidynError("path contains luminal segments")
-    gamma = 1.0 / np.sqrt(1.0 - v**2)
-    dtau_steps = 0.5 * (np.sqrt(1 - v[1:] ** 2) + np.sqrt(1 - v[:-1] ** 2)) \
-        * np.diff(t)
-    tau = np.concatenate([[0.0], np.cumsum(dtau_steps)])
+    grid = history.grid
+    charge = history.params.charge
+    path = ([], [], [], [], [], [])   # t, v, E, M, dM/dt, dM/dx
 
-    mass = history.mass_at_series(t, z)
-    dmass_dt, dmass_dx = history.mass_gradients(t, z)
-    p0 = mass * gamma
-    p1 = mass * gamma * v
-    dp0 = np.gradient(p0, tau)
-    dp1 = np.gradient(p1, tau)
+    def mass(p):
+        return np.sqrt(np.maximum(history.mass_sq[p], 0.0))
 
-    efield = np.array([params.charge
-                       * potentials.electric_field(t[i], z[i:i + 1])[0, 0]
-                       for i in range(len(t))])
-    rhs0 = dmass_dt + efield * gamma * v
-    rhs1 = -dmass_dx + efield * gamma
-    r0 = dp0 - rhs0
-    r1 = dp1 - rhs1
-    interior = slice(2, -2)
-    res = np.stack([r0[interior], r1[interior]], axis=1)
-    scale = max(float(np.max(np.abs(rhs0[interior])) if res.size else 0),
-                float(np.max(np.abs(rhs1[interior]))),
-                float(np.max(np.abs(dp0[interior]))),
-                float(np.max(np.abs(dp1[interior]))), 1e-300)
-    rel = float(np.sqrt(np.mean(res**2)) / scale)
-    return t[interior], res, rel
+    def dmass_dt(p):
+        lo, hi = max(p - 1, 0), min(p + 1, len(history.times) - 1)
+        return (mass(hi) - mass(lo)) / (history.times[hi] - history.times[lo])
+
+    def at_path(field, t, stencil):
+        # field(p) of the two snapshots bracketing t, blended at the point
+        fields = {p: field(p) for p in history.bracket(t)}
+        return history._blend(fields, t, stencil)[0]
+
+    def visit(i, t, z, stencil, k1):
+        msq = at_path(history.mass_sq.__getitem__, t, stencil)
+        values = (t, k1[0, 0],
+                  charge * history.potentials.electric_field(t, z)[0, 0],
+                  np.sqrt(np.maximum(msq, 0.0)),
+                  at_path(dmass_dt, t, stencil),
+                  at_path(lambda p: grid.derivative(mass(p), 0), t, stencil))
+        for column, value in zip(path, values):
+            column.append(value)
+
+    walk = FlowWalk(history, z0, visit)
+
+    def finish():
+        walk.finish()
+        t, v, efield, mass_path, dmass_dt_path, dmass_dx_path = (
+            np.asarray(column) for column in path)
+        if len(t) < 5:
+            raise SolidynError("need at least 5 trajectory points")
+        if np.any(np.abs(v) >= 1.0):
+            raise SolidynError("path contains luminal segments")
+        gamma = 1.0 / np.sqrt(1.0 - v**2)
+        dtau_steps = 0.5 * (np.sqrt(1 - v[1:] ** 2)
+                            + np.sqrt(1 - v[:-1] ** 2)) * np.diff(t)
+        tau = np.concatenate([[0.0], np.cumsum(dtau_steps)])
+        dp0 = np.gradient(mass_path * gamma, tau)
+        dp1 = np.gradient(mass_path * gamma * v, tau)
+        rhs0 = dmass_dt_path + efield * gamma * v
+        rhs1 = -dmass_dx_path + efield * gamma
+        interior = slice(2, -2)
+        res = np.stack([(dp0 - rhs0)[interior], (dp1 - rhs1)[interior]],
+                       axis=1)
+        scale = max(float(np.max(np.abs(rhs0[interior]))),
+                    float(np.max(np.abs(rhs1[interior]))),
+                    float(np.max(np.abs(dp0[interior]))),
+                    float(np.max(np.abs(dp1[interior]))), 1e-300)
+        rel = float(np.sqrt(np.mean(res**2)) / scale)
+        return t[interior], res, rel
+
+    return Reader(finish)

@@ -285,7 +285,6 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
     flow._append(t, pair.velocity, pair.amplitude, pair.amp_peak)
     flow._append(t + dt, new_pair.velocity, new_pair.amplitude,
                  new_pair.amp_peak)
-    flow.freeze()
     z_old = state.z
     z_new, _ = advance_positions(flow, np.atleast_2d(z_old), t, t + dt)
     z_new = z_new[0]

@@ -36,7 +36,7 @@ from .schrodinger import evolve_schrodinger
 from .snapshots import write_csv, write_snapshot, write_text
 from .soliton import (GaussonParams, SolitonState, classical_trajectory,
                       gausson_init, run_classical, run_coupled)
-from .trajectories import WALK_WINDOW, FlowHistory, FlowWalk
+from .trajectories import FlowHistory, FlowWalk
 
 # Largest step count a config may ask for (t_final / dt, rounded).  It
 # bounds run time (ten million coupled steps at N = 2048 take hours), not
@@ -653,7 +653,7 @@ def _run_kg_plane_wave(cfg, sink):
     psi0 = Field(grid, np.exp(1j * k * x))
     prev = np.exp(1j * (k * x + freq * cfg.dt))
     pots = cfg.potentials()
-    history = KGHistory(grid, cfg.params, pots, window=WALK_WINDOW)
+    history = KGHistory(grid, cfg.params, pots)
     mass_dev = -np.inf
 
     def track_mass(h):
@@ -697,7 +697,7 @@ def _run_kg_packet(cfg, sink):
                                         + ratio * np.exp(-1j * k * x)))
                      .astype(complex))
         pots = cfg.potentials()
-        history = KGHistory(grid, cfg.params, pots, window=WALK_WINDOW)
+        history = KGHistory(grid, cfg.params, pots)
         tachyon_cells = 0
 
         def count_tachyon_cells(h):
@@ -724,8 +724,8 @@ def _run_kg_packet(cfg, sink):
     # both waves run first and both walks end after them, so a wave's
     # error still comes before either walk's abort
     kg_pots, s_pots = cfg.potentials(), cfg.potentials()
-    kg_history = KGHistory(grid, cfg.params, kg_pots, window=WALK_WINDOW)
-    s_history = FlowHistory(grid, cfg.params, s_pots, window=WALK_WINDOW)
+    kg_history = KGHistory(grid, cfg.params, kg_pots)
+    s_history = FlowHistory(grid, cfg.params, s_pots)
     kg_walk, kg_path = _path_walk(kg_history, 0.5 * sigma)
     s_walk, s_path = _path_walk(s_history, 0.5 * sigma)
     evolve_kg(psi0, -1j * cfg.omega0 * psi0.samples, cfg.params, kg_pots,
@@ -843,7 +843,7 @@ def _run_equivariance(cfg, sink):
     x = grid.axes[0]
     psi0 = Field(grid, np.exp(-x**2 / (4 * sigma**2)).astype(complex))
     pots = cfg.potentials()
-    history = FlowHistory(grid, cfg.params, pots, window=WALK_WINDOW)
+    history = FlowHistory(grid, cfg.params, pots)
     starts = grid.sample_density(psi0.density(), count, cfg.seed)
     # keep the densities and the ensemble only at the reported snapshots
     indices = sorted({0, (cfg.steps + 1) // 2, cfg.steps})

@@ -26,7 +26,8 @@ from .errors import SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .stepping import NODE_MASK_REL, check_finite, drive, strang_step
-from .trajectories import FlowHistory, flow_steps, trajectory_from_flow
+from .trajectories import (FlowHistory, FlowWalk, Reader, TrajectoryRecord,
+                           integrate_flow, interior_max)
 
 
 @dataclass
@@ -101,13 +102,13 @@ def madelung_extract(psi: Field, params: PhysicalParams,
 
 @dataclass
 class SchrodingerRun:
-    """Evolution output: snapshot history for trajectories plus run series."""
+    """Evolution output: the flow history (last three snapshots) and series."""
 
     history: FlowHistory
     final_psi: Field
     norms: np.ndarray
     boundary_mass: np.ndarray
-    densities: list               # a^2 per stored snapshot
+    densities: list               # a^2 per kept snapshot
 
 
 def evolve_schrodinger(psi0: Field, params: PhysicalParams,
@@ -118,9 +119,8 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
 
     The cached velocity / quantum-force fields are what guidance trajectories
     interpolate, so the snapshot cadence bounds trajectory accuracy.  They go
-    to `history`, a new FlowHistory that keeps every snapshot by default; a
-    windowed one with `FlowWalk` readers streams its trajectories instead
-    (and `densities` then holds the kept snapshots only).
+    to `history` (a new FlowHistory by default), which keeps the last three:
+    attach its readers (`integrate_bohm`, ...) before this call.
     """
     if history is None:
         history = FlowHistory(psi0.grid, params, potentials)
@@ -141,31 +141,37 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
                 "boundary_mass": grid.boundary_mass_fraction(psi.density())}
 
     psi, series = drive(psi0, steps, step, sample)
-    history.freeze()
     return SchrodingerRun(history=history, final_psi=psi,
                           densities=[a ** 2 for a in history.amplitudes],
                           **series)
 
 
-def integrate_bohm(z0, history: FlowHistory):
-    """Guidance trajectory dz/dt = v(t, z) over the cached snapshot history.
+def integrate_bohm(z0, history: FlowHistory) -> Reader:
+    """Guidance trajectory dz/dt = v(t, z) through the history as the wave
+    fills it; `finish()` returns its TrajectoryRecord.
 
     Aborts with a node-encounter error if the path reaches the masked
     region, or a boundary-exit error if it leaves the box.
     """
-    return trajectory_from_flow(history, z0)
+    flow = integrate_flow(history, z0)
+    return Reader(lambda: TrajectoryRecord.first_of(*flow.finish()))
 
 
-def integrate_bohm_ensemble(z0s, history: FlowHistory):
-    """Vectorized trajectories from a batch of starts; returns (n_t, m, dim).
+def integrate_bohm_ensemble(z0s, history: FlowHistory) -> Reader:
+    """Trajectories from a batch of starts; `finish()` returns their
+    (n_t, m, dim) positions.
 
-    Only the positions are kept, so memory is one (n_t, m, dim) block.
+    Only the positions are kept, one row per snapshot, which `finish`
+    stacks into the block.
     """
-    for i, _, z, _, _ in flow_steps(history, z0s):
-        if i == 0:
-            positions = np.empty((len(history.times),) + z.shape)
-        positions[i] = z
-    return positions
+    rows = []
+    walk = FlowWalk(history, z0s, lambda i, t, z, stencil, k1: rows.append(z))
+
+    def finish():
+        walk.finish()
+        return np.asarray(rows)
+
+    return Reader(finish)
 
 
 def newton_bohm_residual(traj, params: PhysicalParams):
@@ -191,24 +197,19 @@ def newton_bohm_residual(traj, params: PhysicalParams):
     return times[1:-1], residual, rel_rms
 
 
-def continuity_residual(run: SchrodingerRun):
-    """Max-norm violation of d(a^2)/dt + div(a^2 v) = 0 across the history.
+def continuity_residual(history: FlowHistory) -> Reader:
+    """Max-norm violation of d(a^2)/dt + div(a^2 v) = 0 over the interior
+    snapshots, read as the wave fills the history; `finish()` returns it.
 
-    The time derivative is a centered difference over stored snapshots; the
-    divergence is spectral; only unmasked interior samples count.
+    The time derivative is a centered difference over the neighbouring
+    snapshots; the divergence is spectral; only unmasked samples count.
     """
-    hist = run.history
-    times = hist.times
-    if len(times) < 3:
-        raise SolidynError("need at least 3 snapshots")
-    worst = 0.0
-    for i in range(1, len(times) - 1):
-        dt2 = times[i + 1] - times[i - 1]
-        drho = (run.densities[i + 1] - run.densities[i - 1]) / dt2
-        flux = hist.velocities[i] * run.densities[i][None, ...]
-        div = hist.grid.divergence(flux)
-        mask = hist.amplitudes[i] >= NODE_MASK_REL * hist.amp_peaks[i]
+    def at_middle(h):
+        amps = h.amplitudes
+        drho = (amps[-1] ** 2 - amps[-3] ** 2) / (h.times[-1] - h.times[-3])
+        div = h.grid.divergence(h.velocities[-2] * (amps[-2] ** 2)[None, ...])
+        mask = amps[-2] >= NODE_MASK_REL * h.amp_peaks[-2]
         resid = np.abs(drho + div)[mask]
-        if resid.size:
-            worst = max(worst, float(np.max(resid)))
-    return worst
+        return float(np.max(resid)) if resid.size else 0.0
+
+    return interior_max(history, at_middle)

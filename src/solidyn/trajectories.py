@@ -1,4 +1,4 @@
-"""Guidance-flow trajectory integration over immutable snapshot histories.
+"""Guidance-flow trajectory integration while the wave fills its history.
 
 A flow history holds per-snapshot velocity fields (plus whatever per-snapshot
 data the producing solver masks on).  Trajectories advance with RK4 whose
@@ -6,12 +6,11 @@ stage velocities come from cubic-in-space, linear-in-time interpolation of
 the bracketing snapshots; the RK4 step equals the snapshot spacing, which is
 what limits accuracy (so higher-order time interpolation buys nothing).
 
-A history either keeps every snapshot or, with a window, only the last few:
-a `FlowWalk` steps its trajectories while the history is filled, so a
-window of three snapshots (`WALK_WINDOW`) is all it reads.  A complete
-history is not mutated, so ensembles of trajectories may be integrated
-concurrently; with a fixed seed and sequential execution results are
-bit-reproducible.
+A history keeps only its last three snapshots (`WALK_WINDOW`), since every
+time derivative along the flow is a centered difference.  So each reader
+attaches to a history before the wave fills it and reads every snapshot as
+it is stored (a `FlowWalk`, or `interior_max`); its `finish()` returns the
+result once the wave is done.  Results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -41,29 +40,29 @@ class TrajectoryRecord:
     em_force: np.ndarray         # (n, dim)
     node_proximity: np.ndarray   # (n,) bool
 
-    @property
-    def dim(self):
-        return self.positions.shape[1]
+    @classmethod
+    def first_of(cls, times, *blocks):
+        """The record of trajectory 0 in what `integrate_flow` gives."""
+        return cls(times, *(block[:, 0] for block in blocks))
 
 
 class FlowHistory:
-    """Snapshot sequence of guidance velocity fields plus node-mask data.
+    """The last `WALK_WINDOW` snapshots of the guidance velocity fields plus
+    node-mask data.
 
-    With `window` None every snapshot is kept; with a window only the last
-    `window` snapshots are, and `first` is the index of the oldest one kept.
-    Every per-snapshot list (`_SNAPSHOT_LISTS`) holds the kept snapshots,
-    and `bracket` returns positions in those lists.  `readers` are called
-    with the history after each stored snapshot.
+    `first` is the index of the oldest snapshot kept.  Every per-snapshot
+    list (`_SNAPSHOT_LISTS`) holds the kept snapshots, and `bracket` returns
+    positions in those lists.  `readers` are called with the history after
+    each stored snapshot.
     """
 
     _SNAPSHOT_LISTS = ("times", "velocities", "amplitudes", "quantum_forces",
                        "amp_peaks")
 
-    def __init__(self, grid, params, potentials, window=None):
+    def __init__(self, grid, params, potentials):
         self.grid = grid
         self.params = params
         self.potentials = potentials
-        self.window = window
         self.first = 0
         self.readers = []
         self.times = []
@@ -74,10 +73,6 @@ class FlowHistory:
         # size count still sums this list)
         self.quantum_potentials = []
         self.amp_peaks = []
-
-    def freeze(self):
-        self.times = np.asarray(self.times, dtype=float)
-        return self
 
     def append(self, t, velocity, amplitude, quantum_force=None):
         self._append(t, velocity, amplitude, float(np.max(amplitude)),
@@ -91,7 +86,7 @@ class FlowHistory:
         if quantum_force is not None:
             self.quantum_forces.append(quantum_force)
         self.amp_peaks.append(amp_peak)
-        if self.window is not None and len(self.times) > self.window:
+        if len(self.times) > WALK_WINDOW:
             for name in self._SNAPSHOT_LISTS:
                 stack = getattr(self, name)
                 if stack:
@@ -146,11 +141,6 @@ class FlowHistory:
 
     def amplitude_at(self, t, stencil):
         return self._blend(self.amplitudes, t, stencil)
-
-    def quantum_force_at(self, t, stencil):
-        if not self.quantum_forces:
-            raise SolidynError("history was built without quantum-force fields")
-        return self._blend(self.quantum_forces, t, stencil)
 
     def amp_floor(self, t):
         i, j = self.bracket(t)
@@ -296,12 +286,11 @@ class FlowWalk:
     """`flow_steps` over a history while the wave fills it.
 
     The walk reads the history after each stored snapshot and takes every
-    step whose lookups are stored: the step i -> i+1 once snapshot i+2 is
-    (see `WALK_WINDOW`), so over a history with that window it gives the
-    bits of `flow_steps` over the whole history.  `finish` takes the last
-    step once the history is complete.  visit(i, t, z, stencil, k1)
-    receives each yield of `flow_steps`.  A solver error (a trajectory
-    abort) stops the walk, not the wave; `finish` raises it.
+    step whose lookups are stored: the step i -> i+1 once snapshot i+2 is,
+    so visit i sees snapshots i-1, i and i+1 (see `WALK_WINDOW`).  `finish`
+    takes the last step once the history is complete.  visit(i, t, z,
+    stencil, k1) receives each yield of `flow_steps`.  A solver error (a
+    trajectory abort) stops the walk, not the wave; `finish` raises it.
     """
 
     def __init__(self, history, z0, visit):
@@ -312,6 +301,7 @@ class FlowWalk:
         self._visited = -1       # index of the last snapshot visited
         self._error = None
         history.readers.append(lambda h: self._walk(h.count))
+        self._walk(history.count)    # catch up with the snapshots stored
 
     def _walk(self, stored):
         # the step after snapshot `_visited` needs snapshot _visited + 2
@@ -336,40 +326,60 @@ class FlowWalk:
             raise self._error
 
 
-def integrate_flow(history, z0, record_quantum_force=True):
-    """RK4-integrate guidance trajectories over a full snapshot history.
+class Reader:
+    """What a reader attached to a history returns: `finish()`, called once
+    the wave is done, gives the result (or raises the walk's abort)."""
 
-    Returns (n_times, m, dim) blocks of positions, velocities, quantum force
-    and EM force, and the (n_times, m) node-proximity flags (see
-    `flow_steps` for z0 and the aborts).
+    def __init__(self, finish):
+        self.finish = finish
+
+
+def integrate_flow(history, z0):
+    """RK4 guidance trajectories from z0 through `history` as the wave
+    fills it (see `flow_steps` for z0 and the aborts).
+
+    `finish()` of the returned `Reader` gives the snapshot times, the
+    (n_times, m, dim) blocks of positions, velocities, quantum force (zero
+    if the history stores none) and EM force, and the (n_times, m)
+    node-proximity flags.
     """
-    grid = history.grid
-    n = len(history.times)
     charge = history.params.charge
-    record_fq = record_quantum_force and history.quantum_forces
-    for i, t, z, stencil, k1 in flow_steps(history, z0):
-        if i == 0:
-            shape = (n, z.shape[0], grid.dim)
-            positions, velocities = np.empty(shape), np.empty(shape)
-            fq, fem = np.zeros(shape), np.zeros(shape)
-            near = np.zeros(shape[:2], dtype=bool)
-        positions[i] = z
-        velocities[i] = k1
-        if record_fq:
-            fq[i] = history.quantum_force_at(t, stencil)
-        fem[i] = charge * history.potentials.electric_field(t, z)
-        near[i] = history.proximity_flags(t, stencil)
-    return positions, velocities, fq, fem, near
+    columns = ([], [], [], [], [], [])
+
+    def visit(i, t, z, stencil, k1):
+        fq = (history._blend(history.quantum_forces, t, stencil)
+              if history.quantum_forces else np.zeros_like(z))
+        fem = charge * history.potentials.electric_field(t, z)
+        near = history.proximity_flags(t, stencil)
+        for column, value in zip(columns, (t, z, k1, fq, fem, near)):
+            column.append(value)
+
+    walk = FlowWalk(history, z0, visit)
+
+    def finish():
+        walk.finish()
+        return tuple(np.asarray(column) for column in columns)
+
+    return Reader(finish)
 
 
-def trajectory_from_flow(history, z0):
-    """Single-trajectory convenience wrapper returning a TrajectoryRecord."""
-    pos, vel, fq, fem, near = integrate_flow(history, z0)
-    return TrajectoryRecord(
-        times=history.times.copy(),
-        positions=pos[:, 0, :],
-        velocities=vel[:, 0, :],
-        quantum_force=fq[:, 0, :],
-        em_force=fem[:, 0, :],
-        node_proximity=near[:, 0],
-    )
+def interior_max(history, residual):
+    """`Reader` of the largest `residual(history)` over the interior
+    snapshots: `residual` reads snapshot i at position -2 of the history,
+    between i-1 and i+1."""
+    if history.count:
+        raise SolidynError("a reader must attach before the first snapshot")
+    worst = 0.0
+
+    def read(h):
+        nonlocal worst
+        if len(h.times) >= 3:
+            worst = max(worst, residual(h))
+
+    def finish():
+        if history.count < 3:
+            raise SolidynError("need at least 3 snapshots")
+        return worst
+
+    history.readers.append(read)
+    return Reader(finish)

@@ -5,12 +5,43 @@
 wrapped indices on every call.  `reference_integrate_flow` integrates a
 flow history with it, interpolating each snapshot at every RK4 stage.  The
 stencil path must reproduce both bit for bit.
+
+A flow history keeps only its last three snapshots; the references read a
+history filled inside `keep_every_snapshot`, which keeps them all.
 """
+
+import contextlib
+import sys
+from unittest import mock
 
 import numpy as np
 
+from solidyn import trajectories
 from solidyn.errors import BoundaryExitError, NodeEncounterError, SolidynError
 from solidyn.stepping import NODE_PROXIMITY_REL
+
+
+@contextlib.contextmanager
+def keep_every_snapshot():
+    """Histories filled inside keep every snapshot (their window is widened
+    past any length), so that `flow_steps`, the references below and a walk
+    attached after the wave read the whole history."""
+    with mock.patch.object(trajectories, "WALK_WINDOW", sys.maxsize):
+        yield
+
+
+def record_snapshots(history, *names):
+    """A dict of lists that receive the named per-snapshot fields of
+    `history` (e.g. "times", "mass_sq") as the wave stores each snapshot;
+    attach it before the wave."""
+    lists = {name: [] for name in names}
+
+    def read(h):
+        for name in names:
+            lists[name].append(getattr(h, name)[-1])
+
+    history.readers.append(read)
+    return lists
 
 
 def reference_weights(frac):
@@ -101,7 +132,7 @@ def reference_rk4_step(history, z, t0, t1, k1=None):
     return z_new
 
 
-def reference_integrate_flow(history, z0, record_quantum_force=True):
+def reference_integrate_flow(history, z0):
     """(positions, velocities, fq, fem, near) as integrate_flow returns
     them; the Klein-Gordon sector checks are not repeated here."""
     grid = history.grid
@@ -119,7 +150,7 @@ def reference_integrate_flow(history, z0, record_quantum_force=True):
         t = times[i]
         positions[i] = z
         velocities[i] = _velocity(history, t, z, t)
-        if record_quantum_force and history.quantum_forces:
+        if history.quantum_forces:
             fq[i] = reference_blend(history, history.quantum_forces, t, z)
         fem[i] = history.params.charge \
             * history.potentials.electric_field(t, z)

@@ -59,7 +59,6 @@ def reference_pair_step(pair, state, dt):
     flow = FlowHistory(grid, None, None)
     flow.append(t, vel_t, amp_t)
     flow.append(t + dt, vel_next, amp_next)
-    flow.freeze()
     z_old = state.z
     z_new, _ = advance_positions(flow, np.atleast_2d(z_old), t, t + dt)
     z_new = z_new[0]

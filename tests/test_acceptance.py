@@ -10,13 +10,14 @@ import time
 import numpy as np
 import pytest
 
+from interp_reference import record_snapshots
 from solidyn.diagnostics import (cancellation_integrals, conservation_report,
                                  ehrenfest_report, equivariance_distance,
                                  static_energy_identity_deviation)
 from solidyn.errors import TachyonicRegionError
 from solidyn.grids import Field, Grid
-from solidyn.kleingordon import (discrete_mode_frequency, evolve_kg,
-                                 kg_bohm_trajectory)
+from solidyn.kleingordon import (KGHistory, discrete_mode_frequency,
+                                 evolve_kg, kg_bohm_trajectory)
 from solidyn.pair import PairState, product_pair, run_pair
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.scenarios import parse_config_dict, run_scenario
@@ -26,6 +27,7 @@ from solidyn.schrodinger import (evolve_schrodinger, integrate_bohm,
 from solidyn.soliton import (GaussonParams, SolitonState,
                              classical_trajectory, gausson_init, nls_step,
                              run_classical, run_coupled)
+from solidyn.trajectories import FlowHistory
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 
@@ -195,10 +197,11 @@ def test_criterion_07_newton_bohm_residual():
     psi = Field(grid, np.exp(-x**2 / 4).astype(complex))
     rels = {}
     for dt, steps in ((1e-3, 2000), (5e-4, 4000)):
-        run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=dt,
-                                 steps=steps)
-        traj = integrate_bohm([0.6745], run.history)
-        _, _, rels[dt] = newton_bohm_residual(traj, PARAMS)
+        history = FlowHistory(grid, PARAMS, Potentials.free())
+        path = integrate_bohm([0.6745], history)
+        evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=dt,
+                           steps=steps, history=history)
+        _, _, rels[dt] = newton_bohm_residual(path.finish(), PARAMS)
     ratio = rels[1e-3] / rels[5e-4]
     ok = rels[1e-3] < 0.02 and ratio >= 2.0
     assert report(7, "newton-bohm residual", ok,
@@ -210,11 +213,15 @@ def test_criterion_08_equivariance():
     grid = Grid(512, 30.0)
     x = grid.axes[0]
     psi = Field(grid, np.exp(-x**2 / 4).astype(complex))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-3,
-                             steps=2000)
+    history = FlowHistory(grid, PARAMS, Potentials.free())
+    stored = record_snapshots(history, "times", "amplitudes")
     starts = grid.sample_density(psi.density(), 2000, seed=42)
-    block = integrate_bohm_ensemble(starts, run.history)
-    rep = equivariance_distance(run.densities, grid, run.history.times,
+    ensemble = integrate_bohm_ensemble(starts, history)
+    evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-3, steps=2000,
+                       history=history)
+    block = ensemble.finish()
+    densities = [a ** 2 for a in stored["amplitudes"]]
+    rep = equivariance_distance(densities, grid, stored["times"],
                                 block, indices=[0, 2000], bins=64)
     dist = rep.final_distance
     ok = dist < 0.05
@@ -230,11 +237,14 @@ def test_criterion_09_kg_plane_wave():
     x = grid.axes[0]
     psi0 = Field(grid, np.exp(1j * k * x))
     prev = np.exp(1j * (k * x + freq * dt))
-    run = evolve_kg(psi0, None, PARAMS, Potentials.free(), dt=dt, steps=400,
-                    psi_prev=prev)
+    history = KGHistory(grid, PARAMS, Potentials.free())
+    stored = record_snapshots(history, "mass_sq")
+    path = kg_bohm_trajectory([0.0], history)
+    evolve_kg(psi0, None, PARAMS, Potentials.free(), dt=dt, steps=400,
+              psi_prev=prev, history=history)
     mass_dev = float(np.max(np.abs(
-        np.sqrt(np.maximum(np.asarray(run.history.mass_sq), 0.0)) - 1.0)))
-    traj = kg_bohm_trajectory([0.0], run.history)
+        np.sqrt(np.maximum(np.asarray(stored["mass_sq"]), 0.0)) - 1.0)))
+    traj = path.finish()
     slope = float(np.polyfit(traj.times, traj.positions[:, 0], 1)[0])
     slope_dev = abs(slope - k / np.sqrt(k**2 + 1.0))
     ok = mass_dev < 1e-8 and slope_dev < 1e-6
@@ -253,12 +263,16 @@ def test_criterion_10_kg_nonrelativistic_limit():
         psi0 = Field(grid, (np.exp(-x**2 / (4 * sigma**2))
                             * np.exp(1j * k * x)).astype(complex))
         dt, steps = 0.05, 100
-        kg = evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
-                       dt=dt, steps=steps)
-        sch = evolve_schrodinger(psi0, PARAMS, Potentials.free(), dt=dt,
-                                 steps=steps)
-        tr_kg = kg_bohm_trajectory([0.5 * sigma], kg.history)
-        tr_s = integrate_bohm([0.5 * sigma], sch.history)
+        kg = KGHistory(grid, PARAMS, Potentials.free())
+        sch = FlowHistory(grid, PARAMS, Potentials.free())
+        kg_path = kg_bohm_trajectory([0.5 * sigma], kg)
+        s_path = integrate_bohm([0.5 * sigma], sch)
+        evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
+                  dt=dt, steps=steps, history=kg)
+        evolve_schrodinger(psi0, PARAMS, Potentials.free(), dt=dt,
+                           steps=steps, history=sch)
+        tr_kg = kg_path.finish()
+        tr_s = s_path.finish()
         m = min(len(tr_kg.times), len(tr_s.times))
         gaps[k] = float(np.max(np.abs(tr_kg.positions[:m, 0]
                                       - tr_s.positions[:m, 0]))) / sigma
@@ -281,13 +295,16 @@ def test_criterion_11_tachyon_detection():
                  .astype(complex))
     prev = envelope * (np.exp(1j * (k * x + freq * dt))
                        + 0.8 * np.exp(1j * (-k * x + freq * dt)))
-    run = evolve_kg(psi0, None, PARAMS, Potentials.free(), dt=dt,
-                    steps=4000, psi_prev=prev)
-    cells = int(sum(m.sum() for m in run.history.tachyon_masks))
+    history = KGHistory(grid, PARAMS, Potentials.free())
+    stored = record_snapshots(history, "tachyon_masks")
+    path = kg_bohm_trajectory([1.5], history)
+    evolve_kg(psi0, None, PARAMS, Potentials.free(), dt=dt, steps=4000,
+              psi_prev=prev, history=history)
+    cells = int(sum(m.sum() for m in stored["tachyon_masks"]))
     aborted = False
     message = ""
     try:
-        kg_bohm_trajectory([1.5], run.history)
+        path.finish()
     except TachyonicRegionError as err:
         aborted = True
         message = str(err)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from interp_reference import record_snapshots
 from solidyn.diagnostics import (
     cancellation_integrals,
     conservation_report,
@@ -17,6 +18,7 @@ from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import evolve_schrodinger, integrate_bohm_ensemble
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
                              run_classical)
+from solidyn.trajectories import FlowHistory
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 
@@ -135,17 +137,27 @@ def test_ehrenfest_needs_enough_samples():
 # equivariance_distance
 # ---------------------------------------------------------------------------
 
+def first_and_last_report(psi, pots, starts, **evolve):
+    """equivariance_distance at the first and last snapshot of a run, with
+    the ensemble from `starts` integrated while the wave runs."""
+    history = FlowHistory(psi.grid, PARAMS, pots)
+    stored = record_snapshots(history, "times", "amplitudes")
+    ensemble = integrate_bohm_ensemble(starts, history)
+    evolve_schrodinger(psi, PARAMS, pots, history=history, **evolve)
+    densities = [a ** 2 for a in stored["amplitudes"]]
+    return equivariance_distance(densities, psi.grid, stored["times"],
+                                 ensemble.finish(),
+                                 indices=[0, len(densities) - 1])
+
+
 def test_equivariance_stationary_state():
     g = Grid(512, 30.0)
     spring = 0.25
     x = g.axes[0]
     psi = Field(g, np.exp(-0.5 * np.sqrt(spring) * x**2).astype(complex))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.harmonic(spring),
-                             dt=2e-3, steps=500)
     starts = g.sample_density(psi.density(), 600, seed=21)
-    block = integrate_bohm_ensemble(starts, run.history)
-    report = equivariance_distance(run.densities, g, run.history.times, block,
-                                   indices=[0, len(run.densities) - 1])
+    report = first_and_last_report(psi, Potentials.harmonic(spring), starts,
+                                   dt=2e-3, steps=500)
     assert abs(report.distances[-1] - report.distances[0]) < 0.05
     assert np.all(report.distances <= 2.0)
 
@@ -154,12 +166,9 @@ def test_equivariance_free_gaussian():
     g = Grid(512, 30.0)
     x = g.axes[0]
     psi = Field(g, np.exp(-(x**2) / 4).astype(complex))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=2e-3,
-                             steps=1000)
     starts = g.sample_density(psi.density(), 1000, seed=3)
-    block = integrate_bohm_ensemble(starts, run.history)
-    report = equivariance_distance(run.densities, g, run.history.times, block,
-                                   indices=[0, len(run.densities) - 1])
+    report = first_and_last_report(psi, Potentials.free(), starts, dt=2e-3,
+                                   steps=1000)
     assert report.final_distance < 0.08
 
 
@@ -171,12 +180,9 @@ def test_equivariance_coherent_state_period():
     psi = Field(g, np.exp(-0.5 * (x - 1.0) ** 2).astype(complex))
     dt = 2e-3
     steps = int(round(2 * np.pi / dt))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.harmonic(spring),
-                             dt=dt, steps=steps)
     starts = g.sample_density(psi.density(), 600, seed=9)
-    block = integrate_bohm_ensemble(starts, run.history)
-    report = equivariance_distance(run.densities, g, run.history.times, block,
-                                   indices=[0, len(run.densities) - 1])
+    report = first_and_last_report(psi, Potentials.harmonic(spring), starts,
+                                   dt=dt, steps=steps)
     assert abs(report.distances[-1] - report.distances[0]) < 0.05
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from interp_reference import record_snapshots
 from solidyn.errors import SolidynError, TachyonicRegionError
 from solidyn.grids import Field, Grid
 from solidyn.kleingordon import (
@@ -19,12 +20,15 @@ from solidyn.kleingordon import (
 )
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import evolve_schrodinger, integrate_bohm
+from solidyn.trajectories import FlowHistory
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 
 
-def plane_wave_run(k, dt, steps, n=256, boxes=2):
-    """Exact discrete eigenmode of the leapfrog at wavenumber k."""
+def plane_wave_run(k, dt, steps, n=256, boxes=2, attach=None):
+    """Exact discrete eigenmode of the leapfrog at wavenumber k; with
+    `attach`, also what attach(history) returned before the run (a reader,
+    or recorded snapshots)."""
     length = boxes * 2 * np.pi / k * 2   # grid-resonant k
     g = Grid(n, length)
     k_exact = 2 * np.pi * boxes * 2 / length
@@ -33,8 +37,11 @@ def plane_wave_run(k, dt, steps, n=256, boxes=2):
     x = g.axes[0]
     psi0 = Field(g, np.exp(1j * k * x))
     prev = np.exp(1j * (k * x + freq * dt))
-    return g, evolve_kg(psi0, None, PARAMS, Potentials.free(), dt=dt,
-                        steps=steps, psi_prev=prev)
+    history = KGHistory(g, PARAMS, Potentials.free())
+    attached = attach(history) if attach else None
+    run = evolve_kg(psi0, None, PARAMS, Potentials.free(), dt=dt,
+                    steps=steps, psi_prev=prev, history=history)
+    return (g, run, attached) if attach else (g, run)
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +138,13 @@ def test_kg_energy_and_current_share_one_derivative(monkeypatch):
         return derivative(self, samples, axis)
 
     monkeypatch.setattr(Grid, "derivative", spy)
-    run = evolve_kg(psi0, -1j * psi0.samples, PARAMS, pot, dt, steps)
+    history = KGHistory(g, PARAMS, pot)
+    stored = record_snapshots(history, "j1")
+    run = evolve_kg(psi0, -1j * psi0.samples, PARAMS, pot, dt, steps,
+                    history=history)
     assert np.array_equal(run.energies, np.asarray(energies))
-    assert all(np.array_equal(a, b) for a, b in zip(run.history.j1, j1))
-    assert len(run.history.j1) == steps + 1
+    assert all(np.array_equal(a, b) for a, b in zip(stored["j1"], j1))
+    assert len(stored["j1"]) == steps + 1
     # one derivative per step, each of that step's field level
     assert len(inputs) == steps + 1
     assert len({id(a) for a in inputs}) == steps + 1
@@ -146,11 +156,14 @@ def test_kg_current_conservation():
     x = g.axes[0]
     psi0 = Field(g, (np.exp(-x**2 / (4 * sigma**2))
                      * np.exp(1j * k * x)).astype(complex))
-    run = evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
-                    dt=0.05, steps=60)
-    resid = current_conservation_residual(run.history)
-    j0_max = float(np.max(run.history.j0[0]))
-    dt_snap = run.history.times[1] - run.history.times[0]
+    history = KGHistory(g, PARAMS, Potentials.free())
+    stored = record_snapshots(history, "j0", "times")
+    residual = current_conservation_residual(history)
+    evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
+              dt=0.05, steps=60, history=history)
+    resid = residual.finish()
+    j0_max = float(np.max(stored["j0"][0]))
+    dt_snap = stored["times"][1] - stored["times"][0]
     assert resid < 1e-4 * j0_max / dt_snap
 
 
@@ -160,15 +173,17 @@ def test_kg_current_conservation():
 
 def test_kg_madelung_plane_wave():
     dt = 2.5e-3
-    g, run = plane_wave_run(0.5, dt, 50)
-    h = run.history
+    g, _, h = plane_wave_run(0.5, dt, 50, attach=lambda history:
+                             record_snapshots(history, "mass_sq", "times",
+                                              "velocities", "tachyon_masks",
+                                              "past_masks"))
     e_cont = np.sqrt(1.25)
-    assert np.max(np.abs(np.asarray(h.mass_sq) - 1.0)) < 1e-8
-    mid = len(h.times) // 2
-    velocity = h.velocities[mid][0]
+    assert np.max(np.abs(np.asarray(h["mass_sq"]) - 1.0)) < 1e-8
+    mid = len(h["times"]) // 2
+    velocity = h["velocities"][mid][0]
     assert np.max(np.abs(velocity - 0.5 / e_cont)) < 1e-5
-    assert not h.tachyon_masks[mid].any()
-    assert not h.past_masks[mid].any()
+    assert not h["tachyon_masks"][mid].any()
+    assert not h["past_masks"][mid].any()
 
 
 def test_kg_madelung_standing_wave():
@@ -226,10 +241,20 @@ def test_kg_madelung_engineered_tachyon_region():
 # kg_bohm_trajectory
 # ---------------------------------------------------------------------------
 
+def streamed(attach, psi0, dpsi0, pots, **evolve):
+    """The `finish()` result of the reader that `attach(history)` attaches
+    to a new KGHistory before `evolve_kg(psi0, dpsi0, ...)` fills it."""
+    history = KGHistory(psi0.grid, PARAMS, pots)
+    reader = attach(history)
+    evolve_kg(psi0, dpsi0, PARAMS, pots, history=history, **evolve)
+    return reader.finish()
+
+
 def test_kg_trajectory_plane_wave_slope():
     dt = 2.5e-3
-    g, run = plane_wave_run(0.5, dt, 400)
-    traj = kg_bohm_trajectory([0.0], run.history)
+    g, _, path = plane_wave_run(0.5, dt, 400, attach=lambda h:
+                                kg_bohm_trajectory([0.0], h))
+    traj = path.finish()
     slope = np.polyfit(traj.times, traj.positions[:, 0], 1)[0]
     assert abs(slope - 0.5 / np.sqrt(1.25)) < 1e-6
     assert np.max(np.abs(traj.velocities)) < 1.0
@@ -242,12 +267,14 @@ def test_kg_trajectory_matches_schrodinger_for_slow_packet():
     psi0 = Field(g, (np.exp(-x**2 / (4 * sigma**2))
                      * np.exp(1j * k * x)).astype(complex))
     dt, steps = 0.05, 100
-    kg = evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
-                   dt=dt, steps=steps)
-    sch = evolve_schrodinger(psi0, PARAMS, Potentials.free(), dt=dt,
-                             steps=steps)
-    tr_kg = kg_bohm_trajectory([0.5 * sigma], kg.history)
-    tr_s = integrate_bohm([0.5 * sigma], sch.history)
+    tr_kg = streamed(lambda h: kg_bohm_trajectory([0.5 * sigma], h), psi0,
+                     -1j * psi0.samples, Potentials.free(), dt=dt,
+                     steps=steps)
+    sch = FlowHistory(g, PARAMS, Potentials.free())
+    path = integrate_bohm([0.5 * sigma], sch)
+    evolve_schrodinger(psi0, PARAMS, Potentials.free(), dt=dt, steps=steps,
+                       history=sch)
+    tr_s = path.finish()
     n = min(len(tr_kg.times), len(tr_s.times))
     gap = np.max(np.abs(tr_kg.positions[:n, 0] - tr_s.positions[:n, 0]))
     assert gap < 0.01 * sigma
@@ -265,12 +292,15 @@ def test_kg_trajectory_aborts_in_tachyon_sector():
                  .astype(complex))
     prev = (np.exp(1j * (k * x + freq * dt))
             + 0.8 * np.exp(1j * (-k * x + freq * dt)))
-    run = evolve_kg(psi0, None, PARAMS, Potentials.free(), dt=dt, steps=4000,
-                    psi_prev=prev)
-    assert run.history.tachyon_masks[0].any()
+    history = KGHistory(g, PARAMS, Potentials.free())
+    stored = record_snapshots(history, "tachyon_masks")
+    path = kg_bohm_trajectory([1.5], history)
+    evolve_kg(psi0, None, PARAMS, Potentials.free(), dt=dt, steps=4000,
+              psi_prev=prev, history=history)
+    assert stored["tachyon_masks"][0].any()
     # start in a bright zone; the static beat sweeps the path into the dip
     with pytest.raises(TachyonicRegionError, match="tachyonic region"):
-        kg_bohm_trajectory([1.5], run.history)
+        path.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +309,9 @@ def test_kg_trajectory_aborts_in_tachyon_sector():
 
 def test_kg_newton_plane_wave():
     dt = 2.5e-3
-    g, run = plane_wave_run(0.5, dt, 200)
-    traj = kg_bohm_trajectory([0.0], run.history)
-    _, res, rel = kg_newton_residual(traj, run.history, PARAMS,
-                                     Potentials.free())
+    g, _, newton = plane_wave_run(0.5, dt, 200, attach=lambda h:
+                                  kg_newton_residual([0.0], h))
+    _, res, rel = newton.finish()
     assert np.max(np.abs(res)) < 1e-6
 
 
@@ -292,12 +321,20 @@ def test_kg_newton_free_packet():
     x = g.axes[0]
     psi0 = Field(g, (np.exp(-x**2 / (4 * sigma**2))
                      * np.exp(1j * k * x)).astype(complex))
-    run = evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
-                    dt=0.05, steps=100)
-    traj = kg_bohm_trajectory([0.5 * sigma], run.history)
-    _, _, rel = kg_newton_residual(traj, run.history, PARAMS,
-                                   Potentials.free())
+    _, _, rel = streamed(lambda h: kg_newton_residual([0.5 * sigma], h),
+                         psi0, -1j * psi0.samples, Potentials.free(),
+                         dt=0.05, steps=100)
     assert rel < 0.05
+
+
+def test_kg_newton_needs_five_path_points():
+    # three steps give a four-point path: too short for the interior
+    # residual, which must say so rather than reduce an empty array
+    g, _, newton = plane_wave_run(0.5, 2.5e-3, 3, attach=lambda h:
+                                  kg_newton_residual([0.0], h))
+    with pytest.raises(SolidynError,
+                       match="^need at least 5 trajectory points$"):
+        newton.finish()
 
 
 def test_kg_newton_uniform_ramp_classical_limit():
@@ -311,8 +348,8 @@ def test_kg_newton_uniform_ramp_classical_limit():
     dt, steps = 0.05, 160
     # phase-rotate with the local energy w0 + eV so the slow branch dominates
     dpsi0 = -1j * (1.0 + pot.scalar_on_grid(g, 0.0)) * psi0.samples
-    run = evolve_kg(psi0, dpsi0, PARAMS, pot, dt=dt, steps=steps)
-    traj = kg_bohm_trajectory([0.0], run.history)
+    traj = streamed(lambda h: kg_bohm_trajectory([0.0], h), psi0, dpsi0, pot,
+                    dt=dt, steps=steps)
     coeffs = np.polyfit(traj.times, traj.positions[:, 0], 2)
     accel = 2.0 * coeffs[0]
     expected = e_field  # e E / w0
@@ -329,29 +366,35 @@ def test_kg_mass_deviation_scales_quadratically_in_k():
         x = g.axes[0]
         psi0 = Field(g, (np.exp(-x**2 / (4 * sigma**2))
                          * np.exp(1j * k * x)).astype(complex))
-        run = evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
-                        dt=0.05, steps=40)
-        mid = len(run.history.times) // 2
-        amp = run.history.amplitudes[mid]
+        history = KGHistory(g, PARAMS, Potentials.free())
+        stored = record_snapshots(history, "times", "amplitudes", "mass_sq")
+        evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
+                  dt=0.05, steps=40, history=history)
+        mid = len(stored["times"]) // 2
+        amp = stored["amplitudes"][mid]
         core = amp > 0.5 * amp.max()
-        mass = np.sqrt(np.maximum(run.history.mass_sq[mid], 0.0))
+        mass = np.sqrt(np.maximum(stored["mass_sq"][mid], 0.0))
         devs[k] = float(np.max(np.abs(mass[core] - 1.0)))
     assert devs[0.2] / devs[0.1] > 3.0
 
 
-def speed_history(speeds):
-    """A KGHistory of a uniform flow: one snapshot per speed (t = 0, 0.1,
-    ...), unit amplitude, positive M^2 and J0, so |v| alone decides."""
+def speed_path(speeds):
+    """kg_bohm_trajectory from 0 through a uniform flow: one snapshot per
+    speed (t = 0, 0.1, ...), unit amplitude, positive M^2 and J0, so |v|
+    alone decides; its `finish()` result."""
     g = Grid(64, 20.0)
+    ones = np.ones(g.shape)
+    snapshots = [KGMadelung(
+        grid=g, time_tag=0.1 * n, amplitude=ones, mass_sq=ones,
+        current_t=ones, current_x=speed * ones, velocity=speed * ones,
+        tachyon_mask=ones < 0,
+        past_oriented_mask=ones < 0, energy=0.0)
+        for n, speed in enumerate(speeds)]
     history = KGHistory(g, PARAMS, Potentials.free())
-    for n, speed in enumerate(speeds):
-        ones = np.ones(g.shape)
-        history.append_kg(KGMadelung(
-            grid=g, time_tag=0.1 * n, amplitude=ones, mass_sq=ones,
-            current_t=ones, current_x=speed * ones, velocity=speed * ones,
-            tachyon_mask=ones < 0,
-            past_oriented_mask=ones < 0, energy=0.0))
-    return history.freeze()
+    path = kg_bohm_trajectory([0.0], history)
+    for snapshot in snapshots:
+        history.append_kg(snapshot)
+    return path.finish()
 
 
 @pytest.mark.parametrize("speeds, t_abort, last_valid", [
@@ -364,11 +407,11 @@ def test_guidance_refuses_a_luminal_speed(speeds, t_abort, last_valid):
     with pytest.raises(TachyonicRegionError,
                        match=rf"^tachyonic region \(\|v\| >= 1\) at "
                              rf"t={t_abort}$") as info:
-        kg_bohm_trajectory([0.0], speed_history(speeds))
+        speed_path(speeds)
     assert info.value.last_valid_time == last_valid
 
 
 def test_guidance_below_light_speed_runs_through():
-    traj = kg_bohm_trajectory([0.0], speed_history((0.5, 0.9, 0.99)))
+    traj = speed_path((0.5, 0.9, 0.99))
     assert np.all(np.abs(traj.velocities) < 1.0)
     assert traj.times[-1] == pytest.approx(0.2)

@@ -279,6 +279,7 @@ def momentum_correlated_wave(g2, g1, k=1.5):
     return PairWave(Field(g2, psi2d), (1.0, 1.0), 1.0, FREE)
 
 
+@pytest.mark.slow
 def test_pair_nonlocality_witness():
     g2, g1 = grid_pair()
     dx = g2.spacing[0]
@@ -349,19 +350,21 @@ def test_pair_equivariance_2d():
     g2, g1 = grid_pair()
     pair = symmetrized_pair(packet(g1, -2.0, k=1.0), packet(g1, 2.0, k=-1.0),
                             g2, (1.0, 1.0), 1.0, FREE)
-    hist = FlowHistory(g2, PARAMS, Potentials.free(2))
-    densities = []
+    snapshots, densities = [], []
     dt = 2e-3
     for i in range(251):
         vel, amp = pair_velocity_fields(pair)
-        hist.append(pair.psi.time_tag, vel, amp)
+        snapshots.append((pair.psi.time_tag, vel, amp))
         densities.append(amp**2)
         if i < 250:
             pair = ls2_step(pair, dt)
-    hist.freeze()
     starts = g2.sample_density(densities[0], 2000, seed=11)
-    pos, _, _, _, _ = integrate_flow(hist, starts, record_quantum_force=False)
-    report = equivariance_distance(densities, g2, hist.times, pos,
+    hist = FlowHistory(g2, PARAMS, Potentials.free(2))
+    flow = integrate_flow(hist, starts)
+    for snapshot in snapshots:
+        hist.append(*snapshot)
+    times, pos, _, _, _, _ = flow.finish()
+    report = equivariance_distance(densities, g2, times, pos,
                                    indices=[0, 250], bins=8)
     assert np.all(report.distances < 0.07)
 
@@ -404,6 +407,7 @@ def test_line_velocity_equals_full_grid_fields():
                                   ref[axis][rows, cols])
 
 
+@pytest.mark.slow
 def test_run_pair_bit_identical_to_full_grid_reference():
     g2, g1 = grid_pair(n=256)
     dt, steps = 2e-3, 300

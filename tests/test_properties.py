@@ -113,6 +113,7 @@ configs = st.tuples(
                      if parts[2] or key != "scenario"})
 
 
+@pytest.mark.slow
 @settings(max_examples=400, deadline=None)
 @given(configs)
 def test_parse_config_dict_yields_config_or_config_error(raw):

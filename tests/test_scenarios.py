@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from interp_reference import record_snapshots
 from solidyn.cli import main as cli_main
 from solidyn import trajectories
 from solidyn.diagnostics import equivariance_distance
@@ -589,12 +590,16 @@ def test_equivariance_scenario_keeps_only_reported_snapshots(tmp_path):
     x = grid.axes[0]
     sigma = cfg.initial["packet_sigma"]
     psi0 = Field(grid, np.exp(-x**2 / (4 * sigma**2)).astype(complex))
-    run = evolve_schrodinger(psi0, cfg.params, cfg.potentials(), cfg.dt,
-                             cfg.steps)
+    history = trajectories.FlowHistory(grid, cfg.params, cfg.potentials())
+    stored = record_snapshots(history, "times", "amplitudes")
     starts = grid.sample_density(psi0.density(), 400, cfg.seed)
-    block = integrate_bohm_ensemble(starts, run.history)
-    n = len(run.densities)
-    report = equivariance_distance(run.densities, grid, run.history.times,
+    ensemble = integrate_bohm_ensemble(starts, history)
+    evolve_schrodinger(psi0, cfg.params, cfg.potentials(), cfg.dt, cfg.steps,
+                       history=history)
+    block = ensemble.finish()
+    densities = [a ** 2 for a in stored["amplitudes"]]
+    n = len(densities)
+    report = equivariance_distance(densities, grid, stored["times"],
                                    block, indices=[0, n // 2, n - 1],
                                    bins=16)
     write_csv(tmp_path / "want.csv", ["time", "l1_distance"],

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from interp_reference import keep_every_snapshot
 from solidyn.grids import Field, Grid
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import (
@@ -17,8 +18,27 @@ from solidyn.schrodinger import (
     madelung_extract,
     newton_bohm_residual,
 )
+from solidyn.trajectories import FlowHistory
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
+
+
+def streamed(attach, psi, pots, **evolve):
+    """The `finish()` result of the reader that `attach(history)` attaches
+    to a new history before `evolve_schrodinger(psi, ...)` fills it."""
+    history = FlowHistory(psi.grid, PARAMS, pots)
+    reader = attach(history)
+    evolve_schrodinger(psi, PARAMS, pots, history=history, **evolve)
+    return reader.finish()
+
+
+def trajectory(z0, psi, pots, **evolve):
+    return streamed(lambda h: integrate_bohm(z0, h), psi, pots, **evolve)
+
+
+def ensemble(starts, psi, pots, **evolve):
+    return streamed(lambda h: integrate_bohm_ensemble(starts, h), psi, pots,
+                    **evolve)
 
 
 def gaussian_packet(grid, sigma=1.0, center=0.0, k=0.0):
@@ -159,8 +179,7 @@ def test_bohm_plane_wave_straight_line():
     g = Grid(128, 20.0)
     k = 2 * np.pi * 2 / 20.0
     psi = Field(g, np.exp(1j * k * g.axes[0]))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-2, steps=200)
-    traj = integrate_bohm([0.5], run.history)
+    traj = trajectory([0.5], psi, Potentials.free(), dt=1e-2, steps=200)
     expected = 0.5 + k * traj.times
     assert np.max(np.abs(traj.positions[:, 0] - expected)) < 1e-9
 
@@ -171,9 +190,8 @@ def test_bohm_stationary_state():
     capital_omega = np.sqrt(spring)
     x = g.axes[0]
     psi = Field(g, np.exp(-0.5 * capital_omega * x**2).astype(complex))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.harmonic(spring),
-                             dt=1e-3, steps=500)
-    traj = integrate_bohm([0.8], run.history)
+    traj = trajectory([0.8], psi, Potentials.harmonic(spring), dt=1e-3,
+                      steps=500)
     assert np.max(np.abs(traj.positions[:, 0] - 0.8)) < 1e-6
 
 
@@ -184,10 +202,8 @@ def test_bohm_no_crossing_two_gaussian():
     x = g.axes[0]
     psi = Field(g, (np.exp(-((x - 3) ** 2) / 4) + np.exp(-((x + 3) ** 2) / 4))
                 .astype(complex))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=2e-3,
-                             steps=1500)
     starts = np.linspace(0.5, 4.5, 9).reshape(-1, 1)
-    block = integrate_bohm_ensemble(starts, run.history)
+    block = ensemble(starts, psi, Potentials.free(), dt=2e-3, steps=1500)
     assert np.all(block[:, :, 0] > 0.0)
     assert np.all(np.diff(block[:, :, 0], axis=1) > 0.0)
 
@@ -200,8 +216,7 @@ def test_newton_residual_plane_wave():
     g = Grid(128, 20.0)
     k = 2 * np.pi * 2 / 20.0
     psi = Field(g, np.exp(1j * k * g.axes[0]))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-2, steps=100)
-    traj = integrate_bohm([0.0], run.history)
+    traj = trajectory([0.0], psi, Potentials.free(), dt=1e-2, steps=100)
     _, residual, _ = newton_bohm_residual(traj, PARAMS)
     assert np.max(np.abs(residual)) < 1e-8
 
@@ -209,9 +224,8 @@ def test_newton_residual_plane_wave():
 def test_newton_residual_free_gaussian():
     g = Grid(512, 30.0)
     psi = gaussian_packet(g, sigma=1.0)
-    run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-3,
-                             steps=2000)
-    traj = integrate_bohm([0.6745], run.history)  # quartile of |psi0|^2
+    traj = trajectory([0.6745], psi, Potentials.free(), dt=1e-3,
+                      steps=2000)                # quartile of |psi0|^2
     _, _, rel = newton_bohm_residual(traj, PARAMS)
     assert rel < 0.02
 
@@ -222,9 +236,8 @@ def test_newton_residual_coherent_state():
     spring = 1.0
     x = g.axes[0]
     psi = Field(g, np.exp(-0.5 * (x - 1.0) ** 2).astype(complex))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.harmonic(spring),
-                             dt=1e-3, steps=3000)
-    traj = integrate_bohm([1.0], run.history)
+    traj = trajectory([1.0], psi, Potentials.harmonic(spring), dt=1e-3,
+                      steps=3000)
     times = traj.times
     dt = times[1] - times[0]
     z = traj.positions[:, 0]
@@ -242,8 +255,8 @@ def test_continuity_plane_wave():
     g = Grid(128, 20.0)
     k = 2 * np.pi * 2 / 20.0
     psi = Field(g, np.exp(1j * k * g.axes[0]))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-3, steps=20)
-    assert continuity_residual(run) < 1e-10
+    assert streamed(continuity_residual, psi, Potentials.free(), dt=1e-3,
+                    steps=20) < 1e-10
 
 
 def test_continuity_stationary_state():
@@ -251,20 +264,17 @@ def test_continuity_stationary_state():
     spring = 0.25
     x = g.axes[0]
     psi = Field(g, np.exp(-0.5 * np.sqrt(spring) * x**2).astype(complex))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.harmonic(spring),
-                             dt=1e-4, steps=40)
-    assert continuity_residual(run) < 1e-8
+    assert streamed(continuity_residual, psi, Potentials.harmonic(spring),
+                    dt=1e-4, steps=40) < 1e-8
 
 
 def test_continuity_free_gaussian_refinement():
     g = Grid(256, 30.0)
     psi = gaussian_packet(g, sigma=1.0)
-    coarse = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-3,
-                                steps=64, store_every=4)
-    fine = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-3,
-                              steps=64, store_every=2)
-    r_coarse = continuity_residual(coarse)
-    r_fine = continuity_residual(fine)
+    r_coarse = streamed(continuity_residual, psi, Potentials.free(),
+                        dt=1e-3, steps=64, store_every=4)
+    r_fine = streamed(continuity_residual, psi, Potentials.free(), dt=1e-3,
+                      steps=64, store_every=2)
     # centered-in-time differencing is second order in the snapshot spacing
     assert 3.0 < r_coarse / r_fine < 5.5
     rho_max = np.max(np.abs(psi.samples) ** 2)
@@ -273,7 +283,7 @@ def test_continuity_free_gaussian_refinement():
 
 def test_benchmark_history_size_reads_a_stored_run():
     """The benchmark's `schrodinger.history_mb` (perfbench/traced.py) sums
-    the arrays a stored run keeps; it must still find every one of them."""
+    the arrays a run keeps; it must still find every one of them."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         from traced import HistoryBytes
@@ -289,8 +299,8 @@ def test_benchmark_history_size_reads_a_stored_run():
              *history.quantum_forces, *history.quantum_potentials,
              *run.densities)
     assert size.total == sum(a.nbytes for a in named)
-    # four snapshots of velocity, |Psi|, quantum force and density
-    assert size.total == 4 * 4 * 64 * 8
+    # the three kept snapshots of velocity, |Psi|, quantum force and density
+    assert size.total == 3 * 4 * 64 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +310,9 @@ def test_benchmark_history_size_reads_a_stored_run():
 def test_ensemble_order_preserved_free_gaussian():
     g = Grid(256, 30.0)
     psi = gaussian_packet(g, sigma=1.0)
-    run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=2e-3, steps=500)
     starts = np.sort(g.sample_density(np.abs(psi.samples) ** 2, 64, seed=5),
                      axis=0)
-    block = integrate_bohm_ensemble(starts, run.history)
+    block = ensemble(starts, psi, Potentials.free(), dt=2e-3, steps=500)
     assert np.all(np.diff(block[0, :, 0]) > 0)
     assert np.all(np.diff(block[-1, :, 0]) > 0)
 
@@ -330,61 +339,63 @@ def test_integrate_bohm_boundary_exit():
     g = Grid(128, 20.0)
     k = 2 * np.pi * 4 / 20.0  # v = k/w0 ~ 1.26
     psi = Field(g, np.exp(1j * k * g.axes[0]))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-2,
-                             steps=300)
     with pytest.raises(BoundaryExitError, match="boundary exit") as err:
-        integrate_bohm([8.5], run.history)
+        trajectory([8.5], psi, Potentials.free(), dt=1e-2, steps=300)
     assert err.value.last_valid_time >= 0.0
+
+
+def hand_built(snapshots, z0):
+    """integrate_bohm from z0 attached to a history, which the hand-built
+    (t, velocity, amplitude) snapshots then fill; its `finish()` result."""
+    g = Grid(256, 20.0)
+    hist = FlowHistory(g, PARAMS, Potentials.free())
+    path = integrate_bohm(z0, hist)
+    for snapshot in snapshots:
+        hist.append(*snapshot)
+    return path.finish()
 
 
 def test_integrate_bohm_node_encounter():
     from solidyn.errors import NodeEncounterError
-    from solidyn.trajectories import FlowHistory, trajectory_from_flow
 
     # synthetic flow: uniform drift toward an amplitude dead zone
     g = Grid(256, 20.0)
     x = g.axes[0]
     amp = np.where(np.abs(x - 5.0) < 0.5, 1e-12, 1.0)
     vel = np.ones((1, 256))
-    hist = FlowHistory(g, PARAMS, Potentials.free())
-    for t in np.linspace(0.0, 6.0, 61):
-        hist.append(t, vel, amp)
-    hist.freeze()
+    snapshots = [(t, vel, amp) for t in np.linspace(0.0, 6.0, 61)]
     with pytest.raises(NodeEncounterError, match="node encounter") as err:
-        trajectory_from_flow(hist, [0.0])
+        hand_built(snapshots, [0.0])
     assert 0.0 < err.value.last_valid_time < 6.0
 
 
-def uniform_drift_history(v=1.0):
+def uniform_drift_snapshots(v=1.0):
     """Uniform drift at speed v through a featureless amplitude, t in [0, 1]."""
-    from solidyn.trajectories import FlowHistory
-
-    g = Grid(256, 20.0)
-    hist = FlowHistory(g, PARAMS, Potentials.free())
-    for t in np.linspace(0.0, 1.0, 11):
-        hist.append(t, np.full((1, 256), v), np.ones(256))
-    return hist.freeze()
+    return [(t, np.full((1, 256), v), np.ones(256))
+            for t in np.linspace(0.0, 1.0, 11)]
 
 
 def test_boundary_exit_mid_stage_keeps_error_class():
     from solidyn.errors import BoundaryExitError
     from solidyn.trajectories import advance_positions
 
+    with keep_every_snapshot():
+        hist = FlowHistory(Grid(256, 20.0), PARAMS, Potentials.free())
+        for snapshot in uniform_drift_snapshots():
+            hist.append(*snapshot)
     # from z = 9.96 the second RK4 stage point (9.96 + 0.05) is outside the
     # box: the stage's box check must raise, not the stencil built after it
     with pytest.raises(BoundaryExitError, match="boundary exit near") as err:
-        advance_positions(uniform_drift_history(), np.array([[9.96]]),
-                          0.1, 0.2)
+        advance_positions(hist, np.array([[9.96]]), 0.1, 0.2)
     assert err.value.last_valid_time == 0.1
 
 
 def test_boundary_exit_mid_run_last_valid():
     from solidyn.errors import BoundaryExitError
-    from solidyn.trajectories import trajectory_from_flow
 
     # the step from t = 0.5 (z ~ 9.93) leaves the box at its fourth stage
     with pytest.raises(BoundaryExitError, match="boundary exit near") as err:
-        trajectory_from_flow(uniform_drift_history(), [9.43])
+        hand_built(uniform_drift_snapshots(), [9.43])
     assert err.value.last_valid_time == 0.5
 
 
@@ -394,28 +405,27 @@ def test_integrate_bohm_boundary_exit_last_valid():
     g = Grid(128, 20.0)
     k = 2 * np.pi * 4 / 20.0
     psi = Field(g, np.exp(1j * k * g.axes[0]))
-    run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-2,
-                             steps=300)
+    times = []
+
+    def attach(history):
+        history.readers.append(lambda h: times.append(h.times[-1]))
+        return integrate_bohm([8.5], history)
+
     with pytest.raises(BoundaryExitError) as err:
-        integrate_bohm([8.5], run.history)
-    assert err.value.last_valid_time == run.history.times[119]
+        streamed(attach, psi, Potentials.free(), dt=1e-2, steps=300)
+    assert err.value.last_valid_time == times[119]
 
 
 def test_integrate_bohm_node_encounter_last_valid():
     from solidyn.errors import NodeEncounterError
-    from solidyn.trajectories import FlowHistory, trajectory_from_flow
 
     g = Grid(256, 20.0)
     x = g.axes[0]
     amp = np.where(np.abs(x - 5.0) < 0.5, 1e-12, 1.0)
-    hist = FlowHistory(g, PARAMS, Potentials.free())
     times = np.linspace(0.0, 6.0, 61)
-    for t in times:
-        hist.append(t, np.ones((1, 256)), amp)
-    hist.freeze()
     # z = t reaches the dead zone (x > 4.5) on the step that ends at t = 4.6
     with pytest.raises(NodeEncounterError, match="at t=4.6") as err:
-        trajectory_from_flow(hist, [0.0])
+        hand_built([(t, np.ones((1, 256)), amp) for t in times], [0.0])
     assert err.value.last_valid_time == times[45]
 
 

@@ -197,7 +197,6 @@ def test_advance_point_matches_two_snapshot_flow(data):
     flow = FlowHistory(grid, PhysicalParams(1.0), Potentials.free(grid.dim))
     flow.append(t0, bundle.velocity, bundle.amplitude)
     flow.append(t1, bundle_next.velocity, bundle_next.amplitude)
-    flow.freeze()
     k1 = flow.velocity_at(t0, grid.stencil(z))
     k1_point = [grid.point_stencil(z).apply(c) for c in bundle.velocity]
     assert same_bits(np.array([k1_point]), k1)

@@ -5,9 +5,9 @@ snapshots and to every component; the stencil at the new positions serves
 the node check, the proximity flags, the quantum force and the next step's
 first stage.  These tests require the results to be bit-identical to the
 reference in `interp_reference`, which interpolates every snapshot at every
-stage with freshly built weights.  A `FlowWalk` through a history that keeps
-only its last three snapshots must give the bits and the aborts of
-`flow_steps` over the whole history.
+stage with freshly built weights, over a history that keeps every snapshot.
+A reader attached to a history, which keeps only its last three snapshots,
+must give the bits and the aborts of `flow_steps` over the whole history.
 """
 
 import re
@@ -17,16 +17,19 @@ import warnings
 import numpy as np
 import pytest
 
-from interp_reference import (reference_blend, reference_integrate_flow,
-                              reference_interpolate, reference_rk4_step,
-                              same_bits)
+from interp_reference import (keep_every_snapshot, reference_blend,
+                              reference_integrate_flow, reference_interpolate,
+                              reference_rk4_step, same_bits)
+from solidyn import trajectories
 from solidyn.errors import (BoundaryExitError, NodeEncounterError,
                             SolidynError)
 from solidyn.grids import Field, Grid
-from solidyn.kleingordon import (KGHistory, KGMadelung, evolve_kg,
-                                 kg_bohm_trajectory)
+from solidyn.kleingordon import (KGHistory, KGMadelung,
+                                 current_conservation_residual, evolve_kg,
+                                 kg_bohm_trajectory, kg_newton_residual)
 from solidyn.potentials import PhysicalParams, Potentials
-from solidyn.schrodinger import (evolve_schrodinger, integrate_bohm_ensemble,
+from solidyn.schrodinger import (continuity_residual, evolve_schrodinger,
+                                 integrate_bohm, integrate_bohm_ensemble,
                                  ls_step, madelung_extract)
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
                              run_coupled)
@@ -43,47 +46,73 @@ except ImportError:            # the properties below skip without it
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 
 
-@pytest.fixture(scope="module")
-def packet_history():
-    """A moving, spreading Gaussian packet: Schrodinger history of 41
+def packet_run(history=None):
+    """A moving, spreading Gaussian packet, evolved into `history`: 41
     snapshots with velocity, amplitude and quantum-force fields."""
     g = Grid(256, 20.0)
     x = g.axes[0]
     psi0 = Field(g, (np.exp(-((x + 2.0) ** 2) / 4.0)
                      * np.exp(0.8j * x)).astype(complex))
-    run = evolve_schrodinger(psi0, PARAMS, Potentials.harmonic(0.1),
-                             dt=2e-2, steps=40)
+    return evolve_schrodinger(psi0, PARAMS, Potentials.harmonic(0.1),
+                              dt=2e-2, steps=40, history=history)
+
+
+@pytest.fixture(scope="module")
+def packet_history():
+    """The packet run's whole history, and its first density."""
+    with keep_every_snapshot():
+        run = packet_run()
     return run.history, run.densities[0]
 
 
-def smooth_2d_history():
+def streamed(attach, run, grid, pots):
+    """The `finish()` result of the reader that `attach(history)` attaches
+    to a new history, which `run(history)` then fills."""
+    history = FlowHistory(grid, PARAMS, pots)
+    reader = attach(history)
+    run(history)
+    return reader.finish()
+
+
+def smooth_2d_snapshots():
     g = Grid((48, 40), (12.0, 10.0))
     xs, ys = g.meshes()
-    hist = FlowHistory(g, PARAMS, Potentials.free(2))
+    snapshots = []
     for t in np.linspace(0.0, 0.5, 11):
         vel = np.stack([0.6 * np.sin(2 * np.pi * ys / 10.0 + t),
                         0.4 * np.cos(2 * np.pi * xs / 12.0 - t)])
         amp = np.exp(-0.02 * (xs**2 + ys**2))
-        hist.append(t, vel, amp)
-    return hist.freeze()
+        snapshots.append((t, vel, amp))
+    return g, snapshots
+
+
+def fill(history, snapshots):
+    for snapshot in snapshots:
+        history.append(*snapshot)
+    return history
 
 
 def test_integrate_flow_ensemble_matches_reference(packet_history):
     hist, density = packet_history
     starts = hist.grid.sample_density(density, 2000, seed=5)
-    got = integrate_flow(hist, starts)
+    times, *got = streamed(lambda h: integrate_flow(h, starts), packet_run,
+                           hist.grid, Potentials.harmonic(0.1))
     want = reference_integrate_flow(hist, starts)
+    assert same_bits(times, np.asarray(hist.times))
     for a, b in zip(got, want):
         assert same_bits(a, b)
     assert np.any(got[2] != 0.0)          # the quantum force was recorded
 
 
 def test_integrate_flow_2d_matches_reference():
-    hist = smooth_2d_history()
+    g, snapshots = smooth_2d_snapshots()
     rng = np.random.default_rng(3)
     starts = rng.uniform(-3.0, 3.0, size=(300, 2))
-    got = integrate_flow(hist, starts, record_quantum_force=False)
-    want = reference_integrate_flow(hist, starts, record_quantum_force=False)
+    _, *got = streamed(lambda h: integrate_flow(h, starts),
+                       lambda h: fill(h, snapshots), g, Potentials.free(2))
+    with keep_every_snapshot():
+        hist = fill(FlowHistory(g, PARAMS, Potentials.free(2)), snapshots)
+    want = reference_integrate_flow(hist, starts)
     for a, b in zip(got, want):
         assert same_bits(a, b)
 
@@ -113,7 +142,6 @@ def test_lookup_at_snapshot_time_reads_that_snapshot_only():
     hist = FlowHistory(g, PARAMS, Potentials.free())
     hist.append(0.0, np.cos(x)[None, :], np.ones(64))
     hist.append(0.1, np.full((1, 64), np.inf), np.ones(64))
-    hist.freeze()
     stencil = g.stencil([[0.37], [-1.9]])
     v = hist.velocity_at(0.0, stencil)
     assert np.all(np.isfinite(v))
@@ -121,31 +149,22 @@ def test_lookup_at_snapshot_time_reads_that_snapshot_only():
                                         stencil.positions))
 
 
-@pytest.fixture(scope="module")
-def kg_packet_run():
+def kg_packet_run(history=None):
     sigma, k = 8.0, 0.3
     g = Grid(256, 128.0)
     x = g.axes[0]
     psi0 = Field(g, (np.exp(-x**2 / (4 * sigma**2))
                      * np.exp(1j * k * x)).astype(complex))
     return evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
-                     dt=0.2, steps=80)
+                     dt=0.2, steps=80, history=history)
 
 
-def test_kg_path_matches_reference(kg_packet_run):
-    hist = kg_packet_run.history
-    traj = kg_bohm_trajectory([4.0], hist)
-    pos, vel, fq, fem, near = reference_integrate_flow(hist, [4.0])
-    assert same_bits(traj.positions, pos[:, 0, :])
-    assert same_bits(traj.velocities, vel[:, 0, :])
-    assert same_bits(traj.node_proximity, near[:, 0])
-
-    # the mass and its gradients along the path, one stencil per point
-    ts, zs = traj.times, traj.positions
+def reference_kg_newton(hist, ts, zs, vs):
+    """kg_newton_residual written out over a whole history, with the mass
+    and its gradients interpolated by the reference at each path point."""
     mass = np.array([np.sqrt(np.maximum(
         reference_blend(hist, hist.mass_sq, ts[i], zs[i:i + 1]), 0.0))[0]
         for i in range(len(ts))])
-    assert same_bits(hist.mass_at_series(ts, zs), mass)
     m = [np.sqrt(np.maximum(f, 0.0)) for f in hist.mass_sq]
     n = len(hist.times)
     dmdt = [(m[min(i + 1, n - 1)] - m[max(i - 1, 0)])
@@ -156,9 +175,43 @@ def test_kg_path_matches_reference(kg_packet_run):
                        for i in range(len(ts))])
     want_x = np.array([reference_blend(hist, dmdx, ts[i], zs[i:i + 1])[0]
                        for i in range(len(ts))])
-    got_t, got_x = hist.mass_gradients(ts, zs)
-    assert same_bits(got_t, want_t)
-    assert same_bits(got_x, want_x)
+    efield = np.array([PARAMS.charge * hist.potentials.electric_field(
+        ts[i], zs[i:i + 1])[0, 0] for i in range(len(ts))])
+    gamma = 1.0 / np.sqrt(1.0 - vs**2)
+    tau = np.concatenate([[0.0], np.cumsum(
+        0.5 * (np.sqrt(1 - vs[1:] ** 2) + np.sqrt(1 - vs[:-1] ** 2))
+        * np.diff(ts))])
+    dp0 = np.gradient(mass * gamma, tau)
+    dp1 = np.gradient(mass * gamma * vs, tau)
+    rhs0 = want_t + efield * gamma * vs
+    rhs1 = -want_x + efield * gamma
+    inner = slice(2, -2)
+    res = np.stack([(dp0 - rhs0)[inner], (dp1 - rhs1)[inner]], axis=1)
+    scale = max([float(np.max(np.abs(term[inner])))
+                 for term in (rhs0, rhs1, dp0, dp1)] + [1e-300])
+    return ts[inner], res, float(np.sqrt(np.mean(res**2)) / scale)
+
+
+def test_kg_path_matches_reference():
+    with keep_every_snapshot():
+        hist = kg_packet_run().history
+    history = KGHistory(hist.grid, PARAMS, hist.potentials)
+    path = kg_bohm_trajectory([4.0], history)
+    newton = kg_newton_residual([4.0], history)
+    kg_packet_run(history)
+    traj = path.finish()
+    pos, vel, fq, fem, near = reference_integrate_flow(hist, [4.0])
+    assert same_bits(traj.positions, pos[:, 0, :])
+    assert same_bits(traj.velocities, vel[:, 0, :])
+    assert same_bits(traj.node_proximity, near[:, 0])
+
+    # the residual, with the mass and its gradients along the path (one
+    # stencil per point), read while the wave runs
+    got = newton.finish()
+    want = reference_kg_newton(hist, traj.times, traj.positions,
+                               traj.velocities[:, 0])
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
 
 
 def test_run_coupled_reference_path_matches_reference():
@@ -193,7 +246,6 @@ def test_run_coupled_reference_path_matches_reference():
         flow = FlowHistory(g, PARAMS, pots)
         flow.append(t, bundle.velocity, bundle.amplitude)
         flow.append(t + dt, bundle_next.velocity, bundle_next.amplitude)
-        flow.freeze()
         k1 = reference_blend(flow, flow.velocities, t, z)
         vel.append(k1[0].copy())
         z = reference_rk4_step(flow, z, t, t + dt, k1=k1)
@@ -218,45 +270,49 @@ def test_run_coupled_reference_path_matches_reference():
 def test_ensemble_positions_match_reference(packet_history):
     hist, density = packet_history
     starts = hist.grid.sample_density(density, 500, seed=11)
-    want = reference_integrate_flow(hist, starts,
-                                    record_quantum_force=False)[0]
-    assert same_bits(integrate_bohm_ensemble(starts, hist), want)
+    want = reference_integrate_flow(hist, starts)[0]
+    got = streamed(lambda h: integrate_bohm_ensemble(starts, h), packet_run,
+                   hist.grid, Potentials.harmonic(0.1))
+    assert same_bits(got, want)
     # the recording the equivariance scenario keeps: three snapshots only
     indices = [0, len(hist.times) // 2, len(hist.times) - 1]
     kept = [z for i, _, z, _, _ in flow_steps(hist, starts) if i in indices]
     assert same_bits(np.stack(kept), want[indices])
 
 
-def long_packet_history():
-    """401 snapshots of a small moving packet (a long, thin history)."""
+def test_ensemble_peak_memory_is_one_position_block():
+    # 401 snapshots of a small moving packet (a long, thin run)
     g = Grid(128, 20.0)
     x = g.axes[0]
     psi0 = Field(g, (np.exp(-x**2 / 4.0) * np.exp(0.5j * x)).astype(complex))
-    run = evolve_schrodinger(psi0, PARAMS, Potentials.free(), dt=2e-3,
-                             steps=400)
-    return run.history, run.densities[0]
-
-
-def test_ensemble_peak_memory_is_one_position_block():
-    hist, density = long_packet_history()
-    starts = hist.grid.sample_density(density, 400, seed=2)
+    starts = g.sample_density(psi0.density(), 400, seed=2)
+    history = FlowHistory(g, PARAMS, Potentials.free())
+    # the walk, while the wave runs, holds one position row per snapshot
     tracemalloc.start()
     try:
-        block = integrate_bohm_ensemble(starts, hist)
+        ensemble = integrate_bohm_ensemble(starts, history)
+        evolve_schrodinger(psi0, PARAMS, Potentials.free(), dt=2e-3,
+                           steps=400, history=history)
+        _, walk_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # and `finish` stacks those rows into the block (a copy of them)
+    tracemalloc.start()
+    try:
+        block = ensemble.finish()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert block.shape == (401, 400, 1)
+    assert walk_peak < 1.5 * block.nbytes
     assert peak < 1.5 * block.nbytes
 
 
-def drift_history(amp):
+def drift_snapshots(amp):
     """Uniform drift at speed 1 over t in [0, 6] through amplitude `amp`."""
     g = Grid(256, 20.0)
-    hist = FlowHistory(g, PARAMS, Potentials.free())
-    for t in np.linspace(0.0, 6.0, 61):
-        hist.append(t, np.ones((1, 256)), amp(g.axes[0]))
-    return hist.freeze()
+    return g, [(t, np.ones((1, 256)), amp(g.axes[0]))
+               for t in np.linspace(0.0, 6.0, 61)]
 
 
 @pytest.mark.parametrize("error, amp, starts, culprit", [
@@ -267,11 +323,14 @@ def drift_history(amp):
 ])
 def test_ensemble_abort_mid_run_matches_reference(error, amp, starts,
                                                   culprit):
-    hist = drift_history(amp)
+    g, snapshots = drift_snapshots(amp)
+    with keep_every_snapshot():
+        hist = fill(FlowHistory(g, PARAMS, Potentials.free()), snapshots)
     with pytest.raises(error) as ref:
-        reference_integrate_flow(hist, starts, record_quantum_force=False)
+        reference_integrate_flow(hist, starts)
     with pytest.raises(error) as got:
-        integrate_bohm_ensemble(starts, hist)
+        streamed(lambda h: integrate_bohm_ensemble(starts, h),
+                 lambda h: fill(h, snapshots), g, Potentials.free())
     assert type(got.value) is type(ref.value)
     assert got.value.last_valid_time == ref.value.last_valid_time
     assert 0.0 < got.value.last_valid_time < 6.0
@@ -355,7 +414,6 @@ def filler(snapshots, times, kg):
                 history.append_kg(snap)
             else:
                 history.append(t, *snap)
-        history.freeze()
     return fill
 
 
@@ -387,11 +445,11 @@ def test_windowed_walk_equals_the_stored_walk_on_random_fields():
         kind = KGHistory if kg else FlowHistory
         pots = Potentials.free()
         stored = kind(grid, PARAMS, pots)
-        filler(snapshots, times, kg)(stored)
+        with keep_every_snapshot():
+            filler(snapshots, times, kg)(stored)
         want = walk_outcome(flow_steps(stored, starts))
         *got, kept = windowed_outcome(filler(snapshots, times, kg),
-                                      kind(grid, PARAMS, pots,
-                                           window=WALK_WINDOW), starts)
+                                      kind(grid, PARAMS, pots), starts)
         assert kept <= WALK_WINDOW
         assert_same_walk(want, got)
 
@@ -433,14 +491,14 @@ def test_windowed_walk_equals_the_stored_walk_on_evolved_waves():
                                           history=history)
             kind = FlowHistory
         try:
-            stored = evolve(kind(grid, PARAMS, pots)).history
+            with keep_every_snapshot():
+                stored = evolve(kind(grid, PARAMS, pots)).history
         except SolidynError as err:     # the wave itself failed
             with pytest.raises(type(err), match=re.escape(str(err))):
-                evolve(kind(grid, PARAMS, pots, window=WALK_WINDOW))
+                evolve(kind(grid, PARAMS, pots))
             return
         want = walk_outcome(flow_steps(stored, starts))
-        *got, kept = windowed_outcome(evolve, kind(grid, PARAMS, pots,
-                                                   window=WALK_WINDOW),
+        *got, kept = windowed_outcome(evolve, kind(grid, PARAMS, pots),
                                       starts)
         assert kept <= WALK_WINDOW
         assert_same_walk(want, got)
@@ -452,15 +510,74 @@ def test_walk_error_stops_the_walk_not_the_wave():
     # the drift leaves the box at t = 4.5: the wave's history still
     # receives every snapshot, and `finish` raises the abort
     g = Grid(256, 20.0)
-    hist = FlowHistory(g, PARAMS, Potentials.free(), window=WALK_WINDOW)
+    hist = FlowHistory(g, PARAMS, Potentials.free())
     seen = []
     walk = FlowWalk(hist, [[5.5]], lambda i, *rest: seen.append(i))
     for t in np.linspace(0.0, 6.0, 61):
         hist.append(t, np.ones((1, 256)), np.ones(256))
-    hist.freeze()
     assert hist.count == 61 and len(hist.times) == WALK_WINDOW
     with pytest.raises(BoundaryExitError) as info:
         walk.finish()
     assert seen == list(range(len(seen)))
     assert info.value.last_valid_time == pytest.approx(0.1 * seen[-1])
     assert 40 < len(seen) < 50
+
+
+LIBRARY_READERS = {
+    "integrate_bohm": lambda h: integrate_bohm([0.5], h),
+    "integrate_bohm_ensemble": lambda h: integrate_bohm_ensemble(
+        [[-1.0], [0.0], [1.0]], h),
+    "integrate_flow": lambda h: integrate_flow(h, [[0.5], [-0.5]]),
+    "continuity_residual": continuity_residual,
+    "kg_bohm_trajectory": lambda h: kg_bohm_trajectory([4.0], h),
+    "kg_newton_residual": lambda h: kg_newton_residual([4.0], h),
+    "current_conservation_residual": current_conservation_residual,
+}
+
+
+@pytest.mark.parametrize("reader", LIBRARY_READERS)
+def test_library_readers_keep_three_snapshots_at_any_length(monkeypatch,
+                                                            reader):
+    # every history a library reader reads keeps at most three snapshots
+    # after each stored one, at 100 steps as at 400, and still receives
+    # them all
+    spied = []
+    init = trajectories.FlowHistory.__init__
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        record = {"kept": 0}
+        spied.append((self, record))
+
+        def read(h):
+            record["kept"] = max(record["kept"], *(
+                len(getattr(h, name)) for name in h._SNAPSHOT_LISTS))
+        self.readers.append(read)
+
+    monkeypatch.setattr(trajectories.FlowHistory, "__init__", spy_init)
+    kg = reader.startswith(("kg_", "current_"))
+    for steps in (100, 400):
+        spied.clear()
+        if kg:
+            g = Grid(128, 128.0)
+            x = g.axes[0]
+            psi0 = Field(g, (np.exp(-x**2 / 128.0)
+                             * np.exp(0.1j * x)).astype(complex))
+            history = KGHistory(g, PARAMS, Potentials.free())
+            attached = LIBRARY_READERS[reader](history)
+            evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
+                      0.2, steps, history=history)
+        else:
+            g = Grid(64, 20.0)
+            x = g.axes[0]
+            psi0 = Field(g, (np.exp(-x**2 / 4.0)
+                             * np.exp(0.5j * x)).astype(complex))
+            history = FlowHistory(g, PARAMS, Potentials.free())
+            attached = LIBRARY_READERS[reader](history)
+            evolve_schrodinger(psi0, PARAMS, Potentials.free(), 2e-3, steps,
+                               history=history)
+        attached.finish()
+        assert spied
+        for history, record in spied:
+            assert history.count == steps + 1
+            assert 0 < record["kept"] <= 3
