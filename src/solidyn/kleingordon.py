@@ -31,8 +31,8 @@ from .errors import (PastOrientedCurrentError, SolidynError,
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .stepping import NODE_MASK_REL, check_finite, drive
-from .trajectories import (FlowHistory, FlowWalk, Reader, TrajectoryRecord,
-                           integrate_flow, interior_max)
+from .trajectories import (FlowHistory, FlowWalk, InteriorMax, RowBlock,
+                           trajectory_reader)
 
 CFL_RATIO = 0.5   # dt <= CFL_RATIO * dx
 
@@ -184,14 +184,6 @@ class KGHistory(FlowHistory):
     _SNAPSHOT_LISTS = FlowHistory._SNAPSHOT_LISTS + (
         "mass_sq", "j0", "j1", "tachyon_masks", "past_masks")
 
-    def __init__(self, grid, params, potentials):
-        super().__init__(grid, params, potentials)
-        self.mass_sq = []
-        self.j0 = []
-        self.j1 = []
-        self.tachyon_masks = []
-        self.past_masks = []
-
     def append_kg(self, bundle: KGMadelung):
         # the sector fields go first: `append` completes the snapshot
         self.mass_sq.append(bundle.mass_sq)
@@ -283,16 +275,15 @@ def _field_energy(dpsi_dt, dpsi_dx, psi, grid, omega0):
     return float(grid.integrate(density))
 
 
-def kg_bohm_trajectory(z0, history: KGHistory) -> Reader:
+def kg_bohm_trajectory(z0, history: KGHistory) -> FlowWalk:
     """Guidance trajectory dz/dt = J1/J0 through the history as the wave
     fills it; `finish()` returns its TrajectoryRecord.  Aborts on tachyonic
     regions (M^2 <= 0 or |v| >= 1), past-oriented current, node encounters,
     and box exits (see `KGHistory.check`)."""
-    flow = integrate_flow(history, z0)
-    return Reader(lambda: TrajectoryRecord.first_of(*flow.finish()))
+    return trajectory_reader(history, z0)
 
 
-def current_conservation_residual(history: KGHistory) -> Reader:
+def current_conservation_residual(history: KGHistory) -> InteriorMax:
     """Max |dJ0/dt + dJ1/dx| over interior snapshots (centered in time),
     read as the wave fills the history; `finish()` returns it."""
     def at_middle(h):
@@ -300,34 +291,39 @@ def current_conservation_residual(history: KGHistory) -> Reader:
         dj1 = h.grid.derivative(h.j1[-2], 0)
         return float(np.max(np.abs(dj0 + dj1)))
 
-    return interior_max(history, at_middle)
+    return InteriorMax(history, at_middle)
 
 
-def kg_newton_residual(z0, history: KGHistory) -> Reader:
+def kg_newton_residual(z0, history: KGHistory) -> FlowWalk:
     """Residual of d/dtau(M u^mu) = d^mu M + e F^{mu nu} u_nu along the
     guidance path from z0, read as the wave fills the history.
 
     Proper time comes from dtau = sqrt(1 - v^2) dt; M, dM/dt (centered
     over snapshots i-1 and i+1, one-sided at the ends) and dM/dx
-    (spectral) are interpolated at each path point as the walk visits it.
+    (spectral) are interpolated at each path point as the walk visits it;
+    M and dM/dx are made once per snapshot, as it is stored.
     `finish()` returns interior times, the (n, 2) residual series, and its
     RMS relative to the dominant term scale.
     """
     grid = history.grid
     charge = history.params.charge
-    path = ([], [], [], [], [], [])   # t, v, E, M, dM/dt, dM/dx
+    if history.count:
+        raise SolidynError("a reader must attach before the first snapshot")
+    path = [RowBlock() for _ in range(6)]   # t, v, E, M, dM/dt, dM/dx
+    masses = []   # (M, dM/dx) of each kept snapshot, made as it is stored
 
-    def mass(p):
-        return np.sqrt(np.maximum(history.mass_sq[p], 0.0))
+    def keep_mass(h):
+        mass = np.sqrt(np.maximum(h.mass_sq[-1], 0.0))
+        masses.append((mass, grid.derivative(mass, 0)))
+        del masses[:-len(h.times)]
 
     def dmass_dt(p):
         lo, hi = max(p - 1, 0), min(p + 1, len(history.times) - 1)
-        return (mass(hi) - mass(lo)) / (history.times[hi] - history.times[lo])
+        return ((masses[hi][0] - masses[lo][0])
+                / (history.times[hi] - history.times[lo]))
 
     def at_path(field, t, stencil):
-        # field(p) of the two snapshots bracketing t, blended at the point
-        fields = {p: field(p) for p in history.bracket(t)}
-        return history._blend(fields, t, stencil)[0]
+        return history._blend(field, t, stencil)[0]
 
     def visit(i, t, z, stencil, k1):
         msq = at_path(history.mass_sq.__getitem__, t, stencil)
@@ -335,16 +331,13 @@ def kg_newton_residual(z0, history: KGHistory) -> Reader:
                   charge * history.potentials.electric_field(t, z)[0, 0],
                   np.sqrt(np.maximum(msq, 0.0)),
                   at_path(dmass_dt, t, stencil),
-                  at_path(lambda p: grid.derivative(mass(p), 0), t, stencil))
+                  at_path(lambda p: masses[p][1], t, stencil))
         for column, value in zip(path, values):
             column.append(value)
 
-    walk = FlowWalk(history, z0, visit)
-
     def finish():
-        walk.finish()
         t, v, efield, mass_path, dmass_dt_path, dmass_dx_path = (
-            np.asarray(column) for column in path)
+            column.block() for column in path)
         if len(t) < 5:
             raise SolidynError("need at least 5 trajectory points")
         if np.any(np.abs(v) >= 1.0):
@@ -367,4 +360,5 @@ def kg_newton_residual(z0, history: KGHistory) -> Reader:
         rel = float(np.sqrt(np.mean(res**2)) / scale)
         return t[interior], res, rel
 
-    return Reader(finish)
+    history.readers.append(keep_mass)    # before the walk reads the masses
+    return FlowWalk(history, z0, visit, finish)

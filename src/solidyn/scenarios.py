@@ -28,11 +28,12 @@ from .diagnostics import (cancellation_integrals, conservation_report,
                           static_energy_identity_deviation)
 from .errors import ConfigError, SolidynError, TachyonicRegionError
 from .grids import MAX_TOTAL_SAMPLES, Field, Grid
-from .kleingordon import KGHistory, discrete_mode_frequency, evolve_kg
+from .kleingordon import (KGHistory, discrete_mode_frequency, evolve_kg,
+                          kg_bohm_trajectory)
 from .pair import (PairState, PairWave, pair_tracking_residual,
                    product_pair, run_pair)
 from .potentials import PhysicalParams, Potentials
-from .schrodinger import evolve_schrodinger
+from .schrodinger import evolve_schrodinger, integrate_bohm
 from .snapshots import write_csv, write_snapshot, write_text
 from .soliton import (GaussonParams, SolitonState, classical_trajectory,
                       gausson_init, run_classical, run_coupled)
@@ -662,11 +663,12 @@ def _run_kg_plane_wave(cfg, sink):
             np.sqrt(np.maximum(h.mass_sq[-1], 0.0)) - cfg.omega0)))
 
     history.readers.append(track_mass)
-    walk, path = _path_walk(history, 0.0)
+    walk = kg_bohm_trajectory(0.0, history)
     run = evolve_kg(psi0, None, cfg.params, pots, cfg.dt, cfg.steps,
                     psi_prev=prev, history=history)
-    walk.finish()
-    times, z, velocity = (np.asarray(column) for column in path)
+    path = walk.finish()
+    times, z, velocity = (path.times, path.positions[:, 0],
+                          path.velocities[:, 0])
     slope = float(np.polyfit(times, z, 1)[0])
     e_cont = np.sqrt(k**2 + cfg.omega0**2)
     slope_dev = abs(slope - k / e_cont)
@@ -705,7 +707,7 @@ def _run_kg_packet(cfg, sink):
             tachyon_cells += int(h.tachyon_masks[-1].sum())
 
         history.readers.append(count_tachyon_cells)
-        walk, _ = _path_walk(history, 0.15 * grid.lengths[0])
+        walk = kg_bohm_trajectory(0.15 * grid.lengths[0], history)
         evolve_kg(psi0, -1j * cfg.omega0 * psi0.samples, cfg.params, pots,
                   cfg.dt, cfg.steps, history=history)
         aborted = 0.0
@@ -726,16 +728,15 @@ def _run_kg_packet(cfg, sink):
     kg_pots, s_pots = cfg.potentials(), cfg.potentials()
     kg_history = KGHistory(grid, cfg.params, kg_pots)
     s_history = FlowHistory(grid, cfg.params, s_pots)
-    kg_walk, kg_path = _path_walk(kg_history, 0.5 * sigma)
-    s_walk, s_path = _path_walk(s_history, 0.5 * sigma)
+    kg_walk = kg_bohm_trajectory(0.5 * sigma, kg_history)
+    s_walk = integrate_bohm(0.5 * sigma, s_history)
     evolve_kg(psi0, -1j * cfg.omega0 * psi0.samples, cfg.params, kg_pots,
               cfg.dt, cfg.steps, history=kg_history)
     evolve_schrodinger(psi0, cfg.params, s_pots, cfg.dt, cfg.steps,
                        history=s_history)
-    kg_walk.finish()
-    s_walk.finish()
-    times, z_kg, _ = (np.asarray(column) for column in kg_path)
-    z_s = np.asarray(s_path[1])
+    kg_path = kg_walk.finish()
+    times, z_kg = kg_path.times, kg_path.positions[:, 0]
+    z_s = s_walk.finish().positions[:, 0]
     n = min(len(z_kg), len(z_s))
     gap = float(np.max(np.abs(z_kg[:n] - z_s[:n])))
     sink.series("trajectory.csv", ["time", "z_kg", "z_schrodinger"],
@@ -744,19 +745,6 @@ def _run_kg_packet(cfg, sink):
     checks = [("gap_over_width", gap / sigma, THRESHOLDS["kg_gap_frac"],
                "<")]
     return sink.summary(cfg.kind, cfg.seed, checks)
-
-
-def _path_walk(history, z0):
-    """A FlowWalk of one trajectory from z0 over `history`, and the lists
-    its visits fill: times, positions and velocities."""
-    path = ([], [], [])
-
-    def record(i, t, z, stencil, k1):
-        path[0].append(t)
-        path[1].append(z[0, 0])
-        path[2].append(k1[0, 0])
-
-    return FlowWalk(history, [z0], record), path
 
 
 def _run_entangled_pair(cfg, sink):
@@ -859,12 +847,11 @@ def _run_equivariance(cfg, sink):
             kept.append(z)
 
     history.readers.append(keep_density)
-    walk = FlowWalk(history, starts, keep_positions)
+    walk = FlowWalk(history, starts, keep_positions, lambda: np.stack(kept))
     evolve_schrodinger(psi0, cfg.params, pots, cfg.dt, cfg.steps,
                        history=history)
-    walk.finish()
     report = equivariance_distance(
-        densities, grid, times, np.stack(kept), indices=range(len(indices)),
+        densities, grid, times, walk.finish(), indices=range(len(indices)),
         bins=bins)
     sink.series("equivariance.csv", ["time", "l1_distance"],
                 [report.times, report.distances],

@@ -26,8 +26,8 @@ from .errors import SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .stepping import NODE_MASK_REL, check_finite, drive, strang_step
-from .trajectories import (FlowHistory, FlowWalk, Reader, TrajectoryRecord,
-                           integrate_flow, interior_max)
+from .trajectories import (FlowHistory, FlowWalk, InteriorMax, RowBlock,
+                           trajectory_reader)
 
 
 @dataclass
@@ -146,32 +146,25 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
                           **series)
 
 
-def integrate_bohm(z0, history: FlowHistory) -> Reader:
+def integrate_bohm(z0, history: FlowHistory) -> FlowWalk:
     """Guidance trajectory dz/dt = v(t, z) through the history as the wave
     fills it; `finish()` returns its TrajectoryRecord.
 
     Aborts with a node-encounter error if the path reaches the masked
     region, or a boundary-exit error if it leaves the box.
     """
-    flow = integrate_flow(history, z0)
-    return Reader(lambda: TrajectoryRecord.first_of(*flow.finish()))
+    return trajectory_reader(history, z0)
 
 
-def integrate_bohm_ensemble(z0s, history: FlowHistory) -> Reader:
+def integrate_bohm_ensemble(z0s, history: FlowHistory) -> FlowWalk:
     """Trajectories from a batch of starts; `finish()` returns their
     (n_t, m, dim) positions.
 
-    Only the positions are kept, one row per snapshot, which `finish`
-    stacks into the block.
+    Only the positions are kept, written row by row into the block.
     """
-    rows = []
-    walk = FlowWalk(history, z0s, lambda i, t, z, stencil, k1: rows.append(z))
-
-    def finish():
-        walk.finish()
-        return np.asarray(rows)
-
-    return Reader(finish)
+    rows = RowBlock()
+    return FlowWalk(history, z0s,
+                    lambda i, t, z, stencil, k1: rows.append(z), rows.block)
 
 
 def newton_bohm_residual(traj, params: PhysicalParams):
@@ -197,7 +190,7 @@ def newton_bohm_residual(traj, params: PhysicalParams):
     return times[1:-1], residual, rel_rms
 
 
-def continuity_residual(history: FlowHistory) -> Reader:
+def continuity_residual(history: FlowHistory) -> InteriorMax:
     """Max-norm violation of d(a^2)/dt + div(a^2 v) = 0 over the interior
     snapshots, read as the wave fills the history; `finish()` returns it.
 
@@ -212,4 +205,4 @@ def continuity_residual(history: FlowHistory) -> Reader:
         resid = np.abs(drho + div)[mask]
         return float(np.max(resid)) if resid.size else 0.0
 
-    return interior_max(history, at_middle)
+    return InteriorMax(history, at_middle)

@@ -9,7 +9,7 @@ what limits accuracy (so higher-order time interpolation buys nothing).
 A history keeps only its last three snapshots (`WALK_WINDOW`), since every
 time derivative along the flow is a centered difference.  So each reader
 attaches to a history before the wave fills it and reads every snapshot as
-it is stored (a `FlowWalk`, or `interior_max`); its `finish()` returns the
+it is stored (a `FlowWalk`, or `InteriorMax`); its `finish()` returns the
 result once the wave is done.  Results are bit-reproducible.
 """
 
@@ -40,11 +40,6 @@ class TrajectoryRecord:
     em_force: np.ndarray         # (n, dim)
     node_proximity: np.ndarray   # (n,) bool
 
-    @classmethod
-    def first_of(cls, times, *blocks):
-        """The record of trajectory 0 in what `integrate_flow` gives."""
-        return cls(times, *(block[:, 0] for block in blocks))
-
 
 class FlowHistory:
     """The last `WALK_WINDOW` snapshots of the guidance velocity fields plus
@@ -56,6 +51,8 @@ class FlowHistory:
     each stored snapshot.
     """
 
+    # per snapshot: its time, the (dim, *shape) velocity, |psi|, the
+    # (dim, *shape) quantum force (may stay empty) and the peak of |psi|
     _SNAPSHOT_LISTS = ("times", "velocities", "amplitudes", "quantum_forces",
                        "amp_peaks")
 
@@ -65,14 +62,11 @@ class FlowHistory:
         self.potentials = potentials
         self.first = 0
         self.readers = []
-        self.times = []
-        self.velocities = []       # (dim, *shape) per snapshot
-        self.amplitudes = []       # |psi| per snapshot
-        self.quantum_forces = []   # (dim, *shape) per snapshot (may stay empty)
+        for name in self._SNAPSHOT_LISTS:
+            setattr(self, name, [])
         # never filled: guidance does not read q (the benchmark's history
         # size count still sums this list)
         self.quantum_potentials = []
-        self.amp_peaks = []
 
     def append(self, t, velocity, amplitude, quantum_force=None):
         self._append(t, velocity, amplitude, float(np.max(amplitude)),
@@ -114,16 +108,18 @@ class FlowHistory:
         i = min(max(i, 0), len(times) - 2)
         return i, i + 1
 
-    def _blend(self, stack, t, stencil):
+    def _blend(self, field, t, stencil):
+        """field(p), the data of kept snapshot p, at time t and the stencil
+        points; field(j) is not called when t falls on snapshot i."""
         i, j = self.bracket(t)
         ti, tj = self.times[i], self.times[j]
-        vi = self._interp_snapshot(stack[i], stencil)
+        vi = self._interp_snapshot(field(i), stencil)
         if tj == ti:
             return vi
         theta = (t - ti) / (tj - ti)
         if theta == 0.0:
             return vi
-        vj = self._interp_snapshot(stack[j], stencil)
+        vj = self._interp_snapshot(field(j), stencil)
         return (1.0 - theta) * vi + theta * vj
 
     def _interp_snapshot(self, data, stencil):
@@ -137,10 +133,10 @@ class FlowHistory:
         return out
 
     def velocity_at(self, t, stencil):
-        return self._blend(self.velocities, t, stencil)
+        return self._blend(self.velocities.__getitem__, t, stencil)
 
     def amplitude_at(self, t, stencil):
-        return self._blend(self.amplitudes, t, stencil)
+        return self._blend(self.amplitudes.__getitem__, t, stencil)
 
     def amp_floor(self, t):
         i, j = self.bracket(t)
@@ -288,16 +284,18 @@ class FlowWalk:
     The walk reads the history after each stored snapshot and takes every
     step whose lookups are stored: the step i -> i+1 once snapshot i+2 is,
     so visit i sees snapshots i-1, i and i+1 (see `WALK_WINDOW`).  `finish`
-    takes the last step once the history is complete.  visit(i, t, z,
-    stencil, k1) receives each yield of `flow_steps`.  A solver error (a
-    trajectory abort) stops the walk, not the wave; `finish` raises it.
+    takes the last step once the history is complete and returns
+    `result()`.  visit(i, t, z, stencil, k1) receives each yield of
+    `flow_steps`.  A solver error (a trajectory abort) stops the walk, not
+    the wave; `finish` raises it.
     """
 
-    def __init__(self, history, z0, visit):
+    def __init__(self, history, z0, visit, result):
         if history.first:
             raise SolidynError("a walk must start at the first snapshot")
         self._steps = flow_steps(history, z0)
         self._visit = visit
+        self._result = result
         self._visited = -1       # index of the last snapshot visited
         self._error = None
         history.readers.append(lambda h: self._walk(h.count))
@@ -319,67 +317,95 @@ class FlowWalk:
             self._visit(*step)
 
     def finish(self):
-        """Walk to the last stored snapshot, then raise the error that
-        stopped the walk, if any."""
+        """Walk to the last stored snapshot, raise the error that stopped
+        the walk, if any, and return `result()`."""
         self._walk(math.inf)
         if self._error is not None:
             raise self._error
+        return self._result()
 
 
-class Reader:
-    """What a reader attached to a history returns: `finish()`, called once
-    the wave is done, gives the result (or raises the walk's abort)."""
+class RowBlock:
+    """Rows appended one per snapshot into one block, which grows in place
+    by a quarter when full (`ndarray.resize`, a `realloc`) and which
+    `block()` trims to the rows written: the rows are never held twice."""
 
-    def __init__(self, finish):
-        self.finish = finish
+    def __init__(self):
+        self._block, self._count = None, 0
+
+    def append(self, row):
+        row = np.asarray(row)
+        if self._block is None:
+            self._block = np.empty((16,) + row.shape, row.dtype)
+        elif self._count == len(self._block):
+            self._resize(self._count + self._count // 4)
+        self._block[self._count] = row
+        self._count += 1
+
+    def block(self):
+        """The (rows, *row shape) block."""
+        self._resize(self._count)
+        return self._block
+
+    def _resize(self, rows):
+        # no view of the block exists before `block()` returns it
+        self._block.resize((rows,) + self._block.shape[1:], refcheck=False)
 
 
-def integrate_flow(history, z0):
-    """RK4 guidance trajectories from z0 through `history` as the wave
-    fills it (see `flow_steps` for z0 and the aborts).
-
-    `finish()` of the returned `Reader` gives the snapshot times, the
-    (n_times, m, dim) blocks of positions, velocities, quantum force (zero
-    if the history stores none) and EM force, and the (n_times, m)
-    node-proximity flags.
-    """
+def _recorded_flow(history, z0, result):
+    """The `FlowWalk` of `integrate_flow`; `finish()` returns
+    result(times, *blocks)."""
     charge = history.params.charge
-    columns = ([], [], [], [], [], [])
+    columns = [RowBlock() for _ in range(6)]
 
     def visit(i, t, z, stencil, k1):
-        fq = (history._blend(history.quantum_forces, t, stencil)
+        fq = (history._blend(history.quantum_forces.__getitem__, t, stencil)
               if history.quantum_forces else np.zeros_like(z))
         fem = charge * history.potentials.electric_field(t, z)
         near = history.proximity_flags(t, stencil)
         for column, value in zip(columns, (t, z, k1, fq, fem, near)):
             column.append(value)
 
-    walk = FlowWalk(history, z0, visit)
-
-    def finish():
-        walk.finish()
-        return tuple(np.asarray(column) for column in columns)
-
-    return Reader(finish)
+    return FlowWalk(history, z0, visit,
+                    lambda: result(*(column.block() for column in columns)))
 
 
-def interior_max(history, residual):
-    """`Reader` of the largest `residual(history)` over the interior
-    snapshots: `residual` reads snapshot i at position -2 of the history,
-    between i-1 and i+1."""
-    if history.count:
-        raise SolidynError("a reader must attach before the first snapshot")
-    worst = 0.0
+def integrate_flow(history, z0):
+    """RK4 guidance trajectories from z0 through `history` as the wave
+    fills it (see `flow_steps` for z0 and the aborts).
 
-    def read(h):
-        nonlocal worst
+    `finish()` of the returned walk gives the snapshot times, the
+    (n_times, m, dim) blocks of positions, velocities, quantum force (zero
+    if the history stores none) and EM force, and the (n_times, m)
+    node-proximity flags.
+    """
+    return _recorded_flow(history, z0, lambda *blocks: blocks)
+
+
+def trajectory_reader(history, z0):
+    """`integrate_flow` from the single start z0; `finish()` gives its
+    `TrajectoryRecord`."""
+    return _recorded_flow(history, z0, lambda times, *blocks: TrajectoryRecord(
+        times, *(block[:, 0] for block in blocks)))
+
+
+class InteriorMax:
+    """The largest `residual(history)` over the interior snapshots, read as
+    the wave fills the history: `residual` reads snapshot i at position -2
+    of the history, between i-1 and i+1.  `finish()` returns it."""
+
+    def __init__(self, history, residual):
+        if history.count:
+            raise SolidynError(
+                "a reader must attach before the first snapshot")
+        self._history, self._residual, self._worst = history, residual, 0.0
+        history.readers.append(self._read)
+
+    def _read(self, h):
         if len(h.times) >= 3:
-            worst = max(worst, residual(h))
+            self._worst = max(self._worst, self._residual(h))
 
-    def finish():
-        if history.count < 3:
+    def finish(self):
+        if self._history.count < 3:
             raise SolidynError("need at least 3 snapshots")
-        return worst
-
-    history.readers.append(read)
-    return Reader(finish)
+        return self._worst

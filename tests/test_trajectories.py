@@ -280,32 +280,39 @@ def test_ensemble_positions_match_reference(packet_history):
     assert same_bits(np.stack(kept), want[indices])
 
 
-def test_ensemble_peak_memory_is_one_position_block():
-    # 401 snapshots of a small moving packet (a long, thin run)
+def long_packet_peak(attach):
+    """The result of the reader that attach(history, starts) returns over
+    401 snapshots of a small moving packet (a long, thin run) from 400
+    starts, and the peak traced memory from the attach to its `finish`."""
     g = Grid(128, 20.0)
     x = g.axes[0]
     psi0 = Field(g, (np.exp(-x**2 / 4.0) * np.exp(0.5j * x)).astype(complex))
     starts = g.sample_density(psi0.density(), 400, seed=2)
     history = FlowHistory(g, PARAMS, Potentials.free())
-    # the walk, while the wave runs, holds one position row per snapshot
     tracemalloc.start()
     try:
-        ensemble = integrate_bohm_ensemble(starts, history)
+        reader = attach(history, starts)
         evolve_schrodinger(psi0, PARAMS, Potentials.free(), dt=2e-3,
                            steps=400, history=history)
-        _, walk_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # and `finish` stacks those rows into the block (a copy of them)
-    tracemalloc.start()
-    try:
-        block = ensemble.finish()
+        result = reader.finish()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_ensemble_peak_memory_is_one_position_block():
+    block, peak = long_packet_peak(
+        lambda h, starts: integrate_bohm_ensemble(starts, h))
     assert block.shape == (401, 400, 1)
-    assert walk_peak < 1.5 * block.nbytes
     assert peak < 1.5 * block.nbytes
+
+
+def test_integrate_flow_peak_memory_is_one_copy_of_its_blocks():
+    blocks, peak = long_packet_peak(integrate_flow)
+    assert [b.shape for b in blocks] == [(401,)] + 4 * [(401, 400, 1)] + [
+        (401, 400)]
+    assert peak < 1.5 * sum(b.nbytes for b in blocks)
 
 
 def drift_snapshots(amp):
@@ -360,7 +367,7 @@ def windowed_outcome(fill, history, starts):
     history.readers.append(lambda h: kept.append(max(
         len(getattr(h, name)) for name in h._SNAPSHOT_LISTS)))
     walk = FlowWalk(history, starts, lambda i, t, z, stencil, k1: seen.append(
-        (i, t, z.copy(), k1.copy())))
+        (i, t, z.copy(), k1.copy())), list)
     fill(history)
     try:
         walk.finish()
@@ -512,7 +519,7 @@ def test_walk_error_stops_the_walk_not_the_wave():
     g = Grid(256, 20.0)
     hist = FlowHistory(g, PARAMS, Potentials.free())
     seen = []
-    walk = FlowWalk(hist, [[5.5]], lambda i, *rest: seen.append(i))
+    walk = FlowWalk(hist, [[5.5]], lambda i, *rest: seen.append(i), list)
     for t in np.linspace(0.0, 6.0, 61):
         hist.append(t, np.ones((1, 256)), np.ones(256))
     assert hist.count == 61 and len(hist.times) == WALK_WINDOW
