@@ -62,14 +62,14 @@ class KGState:
     dt: float
 
     @classmethod
-    def _validate(cls, grid, potentials, dt, t):
+    def _validate(cls, grid, potentials, dt):
         if grid.dim != 1:
             raise SolidynError("the Klein-Gordon sector is 1+1D only")
         if dt > CFL_RATIO * grid.spacing[0]:
             raise SolidynError(
                 f"dt = {dt} violates the CFL bound dt <= "
                 f"{CFL_RATIO} dx = {CFL_RATIO * grid.spacing[0]:.6g}")
-        if np.any(potentials.vector(t) != 0.0):
+        if potentials.has_vector:
             raise SolidynError("the Klein-Gordon sector requires A = 0")
 
     @classmethod
@@ -81,7 +81,7 @@ class KGState:
         field equation for the second time derivative.
         """
         grid = psi0.grid
-        cls._validate(grid, potentials, dt, psi0.time_tag)
+        cls._validate(grid, potentials, dt)
         e = params.charge
         v = potentials.scalar_on_grid(grid, psi0.time_tag)
         dpsi = np.asarray(dpsi_dt0, dtype=complex)
@@ -98,14 +98,14 @@ class KGState:
         """Start from two explicitly supplied levels Psi(-dt), Psi(0); use
         this to seed exact discrete eigenmodes of the leapfrog."""
         grid = psi0.grid
-        cls._validate(grid, potentials, dt, psi0.time_tag)
+        cls._validate(grid, potentials, dt)
         return cls(grid=grid, params=params, potentials=potentials,
                    psi_prev=np.asarray(psi_prev, dtype=complex),
                    psi=psi0.samples.copy(), time=psi0.time_tag, dt=dt)
 
 
-def lkg_step(state: KGState) -> tuple:
-    """One leapfrog update; returns (new state, psi at t + dt).
+def lkg_step(state: KGState) -> KGState:
+    """One leapfrog update; the new state holds psi at t + dt.
 
     Central differences in time around t, spectral Laplacian in space; with
     V = 0 the scheme conserves the discrete field energy up to a bounded
@@ -119,10 +119,9 @@ def lkg_step(state: KGState) -> tuple:
            + v**2 * state.psi + 2.0 * state.psi / dt**2
            - state.psi_prev * (1.0 / dt**2 - 1j * v / dt))
     psi_next = rhs / (1.0 / dt**2 + 1j * v / dt)
-    new = KGState(grid=grid, params=p, potentials=state.potentials,
-                  psi_prev=state.psi, psi=psi_next, time=state.time + dt,
-                  dt=dt)
-    return new, psi_next
+    return KGState(grid=grid, params=p, potentials=state.potentials,
+                   psi_prev=state.psi, psi=psi_next, time=state.time + dt,
+                   dt=dt)
 
 
 @dataclass
@@ -136,10 +135,11 @@ class KGMadelung:
     mass_sq: np.ndarray          # w0^2 + box(a)/a, floored amplitude
     current_t: np.ndarray        # J0
     current_x: np.ndarray        # J1
-    velocity: np.ndarray         # J1/J0 where defined
+    velocity: np.ndarray         # (1, N): J1/J0 where defined
     tachyon_mask: np.ndarray     # M^2 <= 0
     past_oriented_mask: np.ndarray  # J0 <= 0
     energy: float                # discrete field energy (see _field_energy)
+    amp_peak: float              # max(a)
 
 
 def kg_madelung(psi_prev, psi, psi_next, t, dt, grid: Grid,
@@ -173,26 +173,14 @@ def kg_madelung(psi_prev, psi, psi_next, t, dt, grid: Grid,
     if bad.all():
         raise SolidynError("every sample is masked; no guidance flow exists")
     return KGMadelung(grid=grid, time_tag=t, amplitude=a, mass_sq=mass_sq,
-                      current_t=j0, current_x=j1, velocity=velocity,
+                      current_t=j0, current_x=j1, velocity=velocity[None],
                       tachyon_mask=tachyon, past_oriented_mask=past,
-                      energy=energy)
+                      energy=energy, amp_peak=peak)
 
 
 class KGHistory(FlowHistory):
-    """Snapshot history with relativistic sector masks and mass fields."""
-
-    _SNAPSHOT_LISTS = FlowHistory._SNAPSHOT_LISTS + (
-        "mass_sq", "j0", "j1", "tachyon_masks", "past_masks")
-
-    def append_kg(self, bundle: KGMadelung):
-        # the sector fields go first: `append` completes the snapshot
-        self.mass_sq.append(bundle.mass_sq)
-        self.j0.append(bundle.current_t)
-        self.j1.append(bundle.current_x)
-        self.tachyon_masks.append(bundle.tachyon_mask)
-        self.past_masks.append(bundle.past_oriented_mask)
-        self.append(bundle.time_tag, bundle.velocity[None, ...],
-                    bundle.amplitude)
+    """The last three `KGMadelung` records appended; its check also reads
+    their `tachyon_mask` and `past_oriented_mask`."""
 
     def _nearest_cells(self, positions):
         x = positions[:, 0]
@@ -205,11 +193,11 @@ class KGHistory(FlowHistory):
         super().check(t, stencil, last_valid)
         i, j = self.bracket(t)
         cells = self._nearest_cells(stencil.positions)
-        for snap in (i, j):
-            if self.tachyon_masks[snap][cells].any():
+        for record in (self.records[i], self.records[j]):
+            if record.tachyon_mask[cells].any():
                 raise TachyonicRegionError(
                     f"tachyonic region (M^2 <= 0) at t={t:.6g}", last_valid)
-            if self.past_masks[snap][cells].any():
+            if record.past_oriented_mask[cells].any():
                 raise PastOrientedCurrentError(
                     f"past-oriented current (J0 <= 0) at t={t:.6g}",
                     last_valid)
@@ -233,9 +221,10 @@ def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
     step time 0, dt, ..., steps*dt.
 
     Initial data: Psi(0) plus either dPsi/dt(0) or an explicit previous
-    level Psi(-dt) (`psi_prev`, for exact discrete modes).  The snapshots
-    go to `history` (a new KGHistory by default), which keeps the last
-    three: attach its readers (`kg_bohm_trajectory`, ...) before this call.
+    level Psi(-dt) (`psi_prev`, for exact discrete modes).  Each snapshot's
+    `KGMadelung` goes to `history` (a new KGHistory by default), which
+    keeps the last three: attach its readers (`kg_bohm_trajectory`, ...)
+    before this call.
     """
     if psi_prev is not None:
         state = KGState.from_levels(psi_prev, psi0, params, potentials, dt)
@@ -249,8 +238,8 @@ def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
     # level at T - 2 dt: the three levels kg_madelung splits at T - dt
     def step(s, i):
         state, _ = s
-        new, psi_next = lkg_step(state)
-        check_finite(psi_next, i - 1)
+        new = lkg_step(state)
+        check_finite(new.psi, i - 1)
         return new, state.psi_prev
 
     def sample(s, i):
@@ -259,7 +248,7 @@ def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
         state, prev_level = s
         bundle = kg_madelung(prev_level, state.psi_prev, state.psi,
                              state.time - dt, dt, grid, params, potentials)
-        history.append_kg(bundle)
+        history.append(bundle)
         return {"energies": bundle.energy}
 
     (state, _), series = drive((state, None), steps + 1, step, sample)
@@ -286,9 +275,10 @@ def kg_bohm_trajectory(z0, history: KGHistory) -> FlowWalk:
 def current_conservation_residual(history: KGHistory) -> InteriorMax:
     """Max |dJ0/dt + dJ1/dx| over interior snapshots (centered in time),
     read as the wave fills the history; `finish()` returns it."""
-    def at_middle(h):
-        dj0 = (h.j0[-1] - h.j0[-3]) / (h.times[-1] - h.times[-3])
-        dj1 = h.grid.derivative(h.j1[-2], 0)
+    def at_middle(before, bundle, after):
+        dj0 = ((after.current_t - before.current_t)
+               / (after.time_tag - before.time_tag))
+        dj1 = history.grid.derivative(bundle.current_x, 0)
         return float(np.max(np.abs(dj0 + dj1)))
 
     return InteriorMax(history, at_middle)
@@ -301,7 +291,7 @@ def kg_newton_residual(z0, history: KGHistory) -> FlowWalk:
     Proper time comes from dtau = sqrt(1 - v^2) dt; M, dM/dt (centered
     over snapshots i-1 and i+1, one-sided at the ends) and dM/dx
     (spectral) are interpolated at each path point as the walk visits it;
-    M and dM/dx are made once per snapshot, as it is stored.
+    M and dM/dx are made once per record, as it is appended.
     `finish()` returns interior times, the (n, 2) residual series, and its
     RMS relative to the dominant term scale.
     """
@@ -310,28 +300,30 @@ def kg_newton_residual(z0, history: KGHistory) -> FlowWalk:
     if history.count:
         raise SolidynError("a reader must attach before the first snapshot")
     path = [RowBlock() for _ in range(6)]   # t, v, E, M, dM/dt, dM/dx
-    masses = []   # (M, dM/dx) of each kept snapshot, made as it is stored
+    # (record, M, dM/dx) of each kept record, made as it is appended, so
+    # that masses[p] goes with kept record p
+    masses = []
 
-    def keep_mass(h):
-        mass = np.sqrt(np.maximum(h.mass_sq[-1], 0.0))
-        masses.append((mass, grid.derivative(mass, 0)))
-        del masses[:-len(h.times)]
+    def keep_mass(record):
+        mass = np.sqrt(np.maximum(record.mass_sq, 0.0))
+        masses.append((record, mass, grid.derivative(mass, 0)))
+        del masses[:-(history.count - history.first)]
 
     def dmass_dt(p):
-        lo, hi = max(p - 1, 0), min(p + 1, len(history.times) - 1)
-        return ((masses[hi][0] - masses[lo][0])
-                / (history.times[hi] - history.times[lo]))
+        lo, hi = max(p - 1, 0), min(p + 1, len(masses) - 1)
+        return ((masses[hi][1] - masses[lo][1])
+                / (masses[hi][0].time_tag - masses[lo][0].time_tag))
 
     def at_path(field, t, stencil):
         return history._blend(field, t, stencil)[0]
 
     def visit(i, t, z, stencil, k1):
-        msq = at_path(history.mass_sq.__getitem__, t, stencil)
+        msq = at_path(lambda p: masses[p][0].mass_sq, t, stencil)
         values = (t, k1[0, 0],
                   charge * history.potentials.electric_field(t, z)[0, 0],
                   np.sqrt(np.maximum(msq, 0.0)),
                   at_path(dmass_dt, t, stencil),
-                  at_path(lambda p: masses[p][1], t, stencil))
+                  at_path(lambda p: masses[p][2], t, stencil))
         for column, value in zip(path, values):
             column.append(value)
 

@@ -45,8 +45,14 @@ class PairWave:
     def __post_init__(self):
         if self.psi.grid.dim != 2:
             raise SolidynError("pair wave needs a 2D configuration grid")
+        if any(pot.has_vector for pot in self.potentials):
+            raise SolidynError("the pair sector requires A = 0")
         self.axis_grids = _axis_grids(self.psi.grid.points,
                                       self.psi.grid.lengths)
+
+    @property
+    def time_tag(self):
+        return self.psi.time_tag
 
     @cached_property
     def amplitude(self):
@@ -282,9 +288,8 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
     # both waves keep the velocity lines the RK4 stencils derive, so the
     # next step reuses this step's new wave as is
     flow = FlowHistory(grid, None, None)
-    flow._append(t, pair.velocity, pair.amplitude, pair.amp_peak)
-    flow._append(t + dt, new_pair.velocity, new_pair.amplitude,
-                 new_pair.amp_peak)
+    flow.append(pair)
+    flow.append(new_pair)
     z_old = state.z
     z_new, _ = advance_positions(flow, np.atleast_2d(z_old), t, t + dt)
     z_new = z_new[0]

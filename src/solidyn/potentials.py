@@ -43,12 +43,12 @@ class Potentials:
     `stepping.cached`).
 
     `zero_field` is true when neither a scalar gradient nor a vector rate
-    was given, so E = -dA/dt - grad V is zero everywhere at all times.  The
-    soliton runs read it to skip work whose result they know: the
-    density-averaged force of a zero field (`soliton._density_mean_force`)
-    and the per-stage E of `soliton.classical_trajectory`.  Those
-    shortcuts keep the bits of the general path, which evaluates this E as
-    -0.0 per point.
+    was given, so E = -dA/dt - grad V is -0.0 everywhere at all times (the
+    bits of the general path): `electric_field` then calls no component
+    function, and the soliton runs skip work whose result they know
+    (`soliton._density_mean_force`, and the E of `classical_trajectory`
+    and `run_coupled`, taken once).  `has_vector` is true when an A was
+    given; the Klein-Gordon and pair sectors, which ignore A, refuse it.
     """
 
     def __init__(self, dim, scalar=None, scalar_gradient=None,
@@ -61,13 +61,9 @@ class Potentials:
         self._vector = vector or (lambda t: zero_vec)
         self._vector_rate = vector_rate or (lambda t: zero_vec)
         self.time_dependent = scalar is not None
-        self._zero_field = scalar_gradient is None and vector_rate is None
+        self.has_vector = vector is not None
+        self.zero_field = scalar_gradient is None and vector_rate is None
         self._factors = {}
-
-    @property
-    def zero_field(self):
-        """True when E vanishes identically (see the class docstring)."""
-        return self._zero_field
 
     # -- evaluation ------------------------------------------------------
 
@@ -116,6 +112,8 @@ class Potentials:
     def electric_field(self, t, positions):
         """E = -dA/dt - grad V at particle positions, shape (n, dim)."""
         positions = np.atleast_2d(positions)
+        if self.zero_field:
+            return np.full(positions.shape, -0.0)
         coords = tuple(positions[:, a] for a in range(self.dim))
         gradv = self._scalar_gradient(t, coords)
         out = np.empty(positions.shape, dtype=float)

@@ -657,10 +657,10 @@ def _run_kg_plane_wave(cfg, sink):
     history = KGHistory(grid, cfg.params, pots)
     mass_dev = -np.inf
 
-    def track_mass(h):
+    def track_mass(bundle):
         nonlocal mass_dev
         mass_dev = np.maximum(mass_dev, np.max(np.abs(
-            np.sqrt(np.maximum(h.mass_sq[-1], 0.0)) - cfg.omega0)))
+            np.sqrt(np.maximum(bundle.mass_sq, 0.0)) - cfg.omega0)))
 
     history.readers.append(track_mass)
     walk = kg_bohm_trajectory(0.0, history)
@@ -702,9 +702,9 @@ def _run_kg_packet(cfg, sink):
         history = KGHistory(grid, cfg.params, pots)
         tachyon_cells = 0
 
-        def count_tachyon_cells(h):
+        def count_tachyon_cells(bundle):
             nonlocal tachyon_cells
-            tachyon_cells += int(h.tachyon_masks[-1].sum())
+            tachyon_cells += int(bundle.tachyon_mask.sum())
 
         history.readers.append(count_tachyon_cells)
         walk = kg_bohm_trajectory(0.15 * grid.lengths[0], history)
@@ -837,9 +837,9 @@ def _run_equivariance(cfg, sink):
     indices = sorted({0, (cfg.steps + 1) // 2, cfg.steps})
     densities, times, kept = [], [], []
 
-    def keep_density(h):
-        if h.count - 1 in indices:
-            densities.append(h.amplitudes[-1] ** 2)
+    def keep_density(bundle):
+        if history.count - 1 in indices:
+            densities.append(bundle.amplitude ** 2)
 
     def keep_positions(i, t, z, stencil, k1):
         if i in indices:

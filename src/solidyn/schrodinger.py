@@ -118,9 +118,10 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
     """Evolve and cache Madelung snapshots every `store_every` steps.
 
     The cached velocity / quantum-force fields are what guidance trajectories
-    interpolate, so the snapshot cadence bounds trajectory accuracy.  They go
-    to `history` (a new FlowHistory by default), which keeps the last three:
-    attach its readers (`integrate_bohm`, ...) before this call.
+    interpolate, so the snapshot cadence bounds trajectory accuracy.  Each
+    snapshot's `MadelungBundle` goes to `history` (a new FlowHistory by
+    default), which keeps the last three: attach its readers
+    (`integrate_bohm`, ...) before this call.
     """
     if history is None:
         history = FlowHistory(psi0.grid, params, potentials)
@@ -134,9 +135,7 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
     def sample(psi, i):
         if i % store_every:
             return None
-        bundle = madelung_extract(psi, params, potentials)
-        history.append(psi.time_tag, bundle.velocity, bundle.amplitude,
-                       bundle.quantum_force)
+        history.append(madelung_extract(psi, params, potentials))
         return {"norms": psi.norm(),
                 "boundary_mass": grid.boundary_mass_fraction(psi.density())}
 
@@ -197,11 +196,12 @@ def continuity_residual(history: FlowHistory) -> InteriorMax:
     The time derivative is a centered difference over the neighbouring
     snapshots; the divergence is spectral; only unmasked samples count.
     """
-    def at_middle(h):
-        amps = h.amplitudes
-        drho = (amps[-1] ** 2 - amps[-3] ** 2) / (h.times[-1] - h.times[-3])
-        div = h.grid.divergence(h.velocities[-2] * (amps[-2] ** 2)[None, ...])
-        mask = amps[-2] >= NODE_MASK_REL * h.amp_peaks[-2]
+    def at_middle(before, bundle, after):
+        drho = ((after.amplitude ** 2 - before.amplitude ** 2)
+                / (after.time_tag - before.time_tag))
+        div = history.grid.divergence(
+            bundle.velocity * (bundle.amplitude ** 2)[None, ...])
+        mask = bundle.amplitude >= NODE_MASK_REL * bundle.amp_peak
         resid = np.abs(drho + div)[mask]
         return float(np.max(resid)) if resid.size else 0.0
 

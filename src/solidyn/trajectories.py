@@ -1,16 +1,18 @@
 """Guidance-flow trajectory integration while the wave fills its history.
 
-A flow history holds per-snapshot velocity fields (plus whatever per-snapshot
-data the producing solver masks on).  Trajectories advance with RK4 whose
+A flow history holds the snapshot records its producing solver built (a
+`MadelungBundle`, `KGMadelung` or `PairWave`) and reads their fields:
+`time_tag`, `velocity` (dim, *shape), `amplitude`, `amp_peak` and, for
+Schrodinger only, `quantum_force`.  Trajectories advance with RK4 whose
 stage velocities come from cubic-in-space, linear-in-time interpolation of
 the bracketing snapshots; the RK4 step equals the snapshot spacing, which is
 what limits accuracy (so higher-order time interpolation buys nothing).
 
-A history keeps only its last three snapshots (`WALK_WINDOW`), since every
-time derivative along the flow is a centered difference.  So each reader
-attaches to a history before the wave fills it and reads every snapshot as
-it is stored (a `FlowWalk`, or `InteriorMax`); its `finish()` returns the
-result once the wave is done.  Results are bit-reproducible.
+A history keeps only the last three records appended (`WALK_WINDOW`), since
+every time derivative along the flow is a centered difference.  So each
+reader attaches to a history before the wave fills it and reads every record
+as it is appended (a `FlowWalk`, or `InteriorMax`); its `finish()` returns
+the result once the wave is done.  Results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -42,19 +44,17 @@ class TrajectoryRecord:
 
 
 class FlowHistory:
-    """The last `WALK_WINDOW` snapshots of the guidance velocity fields plus
-    node-mask data.
+    """The last `WALK_WINDOW` snapshot records that a solver appended.
 
-    `first` is the index of the oldest snapshot kept.  Every per-snapshot
-    list (`_SNAPSHOT_LISTS`) holds the kept snapshots, and `bracket` returns
-    positions in those lists.  `readers` are called with the history after
-    each stored snapshot.
+    `records` holds them, oldest first; `first` is the index of the oldest
+    kept, and `bracket` returns positions in `records`.  A record carries
+    `time_tag`, `velocity` (dim, *shape), `amplitude`, `amp_peak` (the
+    maximum of `amplitude`) and optionally `quantum_force` (dim, *shape); a
+    record without one has zero quantum force.  `readers` are called with
+    each record after it is appended.
     """
 
-    # per snapshot: its time, the (dim, *shape) velocity, |psi|, the
-    # (dim, *shape) quantum force (may stay empty) and the peak of |psi|
-    _SNAPSHOT_LISTS = ("times", "velocities", "amplitudes", "quantum_forces",
-                       "amp_peaks")
+    quantum_potentials = ()   # never filled: guidance does not read q
 
     def __init__(self, grid, params, potentials):
         self.grid = grid
@@ -62,37 +62,35 @@ class FlowHistory:
         self.potentials = potentials
         self.first = 0
         self.readers = []
-        for name in self._SNAPSHOT_LISTS:
-            setattr(self, name, [])
-        # never filled: guidance does not read q (the benchmark's history
-        # size count still sums this list)
-        self.quantum_potentials = []
+        self.records = []
 
-    def append(self, t, velocity, amplitude, quantum_force=None):
-        self._append(t, velocity, amplitude, float(np.max(amplitude)),
-                     quantum_force)
-
-    def _append(self, t, velocity, amplitude, amp_peak, quantum_force=None):
-        """`append` for a caller that already holds np.max(amplitude)."""
-        self.times.append(float(t))
-        self.velocities.append(velocity)
-        self.amplitudes.append(amplitude)
-        if quantum_force is not None:
-            self.quantum_forces.append(quantum_force)
-        self.amp_peaks.append(amp_peak)
-        if len(self.times) > WALK_WINDOW:
-            for name in self._SNAPSHOT_LISTS:
-                stack = getattr(self, name)
-                if stack:
-                    del stack[0]
+    def append(self, record):
+        self.records.append(record)
+        if len(self.records) > WALK_WINDOW:
+            del self.records[0]
             self.first += 1
         for read in self.readers:
-            read(self)
+            read(record)
 
     @property
     def count(self):
         """Snapshots stored so far, dropped ones included."""
-        return self.first + len(self.times)
+        return self.first + len(self.records)
+
+    # read-only views of the kept records' fields, which the benchmark's
+    # history size count sums (with `quantum_potentials`)
+    @property
+    def velocities(self):
+        return tuple(r.velocity for r in self.records)
+
+    @property
+    def amplitudes(self):
+        return tuple(r.amplitude for r in self.records)
+
+    @property
+    def quantum_forces(self):
+        return tuple(r.quantum_force for r in self.records
+                     if getattr(r, "quantum_force", None) is not None)
 
     # -- interpolation helpers ----------------------------------------
     #
@@ -100,19 +98,20 @@ class FlowHistory:
     # cubic weights serves both bracketing snapshots and every component.
 
     def bracket(self, t):
-        """Positions (i, i+1) of the kept snapshots whose times bracket t."""
-        times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+        """Positions (i, i+1) of the kept records whose times bracket t."""
+        records = self.records
+        if (t < records[0].time_tag - 1e-12
+                or t > records[-1].time_tag + 1e-12):
             raise SolidynError(f"time {t} outside stored history")
-        i = bisect.bisect_right(times, t) - 1
-        i = min(max(i, 0), len(times) - 2)
+        i = bisect.bisect_right(records, t, key=lambda r: r.time_tag) - 1
+        i = min(max(i, 0), len(records) - 2)
         return i, i + 1
 
     def _blend(self, field, t, stencil):
-        """field(p), the data of kept snapshot p, at time t and the stencil
-        points; field(j) is not called when t falls on snapshot i."""
+        """field(p), the data of kept record p, at time t and the stencil
+        points; field(j) is not called when t falls on record i."""
         i, j = self.bracket(t)
-        ti, tj = self.times[i], self.times[j]
+        ti, tj = self.records[i].time_tag, self.records[j].time_tag
         vi = self._interp_snapshot(field(i), stencil)
         if tj == ti:
             return vi
@@ -133,14 +132,15 @@ class FlowHistory:
         return out
 
     def velocity_at(self, t, stencil):
-        return self._blend(self.velocities.__getitem__, t, stencil)
+        return self._blend(lambda p: self.records[p].velocity, t, stencil)
 
     def amplitude_at(self, t, stencil):
-        return self._blend(self.amplitudes.__getitem__, t, stencil)
+        return self._blend(lambda p: self.records[p].amplitude, t, stencil)
 
     def amp_floor(self, t):
         i, j = self.bracket(t)
-        return NODE_MASK_REL * max(self.amp_peaks[i], self.amp_peaks[j])
+        return NODE_MASK_REL * max(self.records[i].amp_peak,
+                                   self.records[j].amp_peak)
 
     # -- violation hooks ------------------------------------------------
 
@@ -158,7 +158,8 @@ class FlowHistory:
 
     def proximity_flags(self, t, stencil):
         i, j = self.bracket(t)
-        near = NODE_PROXIMITY_REL * max(self.amp_peaks[i], self.amp_peaks[j])
+        near = NODE_PROXIMITY_REL * max(self.records[i].amp_peak,
+                                        self.records[j].amp_peak)
         return self.amplitude_at(t, stencil) < near
 
 
@@ -265,7 +266,7 @@ def flow_steps(history, z0):
     """
     grid = history.grid
     z = np.atleast_2d(np.asarray(z0, dtype=float)).astype(float).copy()
-    i, t = 0, history.times[0]
+    i, t = 0, history.records[0].time_tag
     stencil = _enter_box(grid, t, z, t)
     history.check(t, stencil, last_valid=t)
     while True:
@@ -273,7 +274,7 @@ def flow_steps(history, z0):
         yield i, t, z, stencil, k1
         if i + 1 == history.count:
             return
-        t_next = history.times[i + 1 - history.first]
+        t_next = history.records[i + 1 - history.first].time_tag
         z, stencil = advance_positions(history, z, t, t_next, k1=k1)
         i, t = i + 1, t_next
 
@@ -298,7 +299,7 @@ class FlowWalk:
         self._result = result
         self._visited = -1       # index of the last snapshot visited
         self._error = None
-        history.readers.append(lambda h: self._walk(h.count))
+        history.readers.append(lambda record: self._walk(history.count))
         self._walk(history.count)    # catch up with the snapshots stored
 
     def _walk(self, stored):
@@ -359,8 +360,10 @@ def _recorded_flow(history, z0, result):
     columns = [RowBlock() for _ in range(6)]
 
     def visit(i, t, z, stencil, k1):
-        fq = (history._blend(history.quantum_forces.__getitem__, t, stencil)
-              if history.quantum_forces else np.zeros_like(z))
+        records = history.records
+        fq = (history._blend(lambda p: records[p].quantum_force, t, stencil)
+              if getattr(records[0], "quantum_force", None) is not None
+              else np.zeros_like(z))
         fem = charge * history.potentials.electric_field(t, z)
         near = history.proximity_flags(t, stencil)
         for column, value in zip(columns, (t, z, k1, fq, fem, near)):
@@ -376,7 +379,7 @@ def integrate_flow(history, z0):
 
     `finish()` of the returned walk gives the snapshot times, the
     (n_times, m, dim) blocks of positions, velocities, quantum force (zero
-    if the history stores none) and EM force, and the (n_times, m)
+    for records without one) and EM force, and the (n_times, m)
     node-proximity flags.
     """
     return _recorded_flow(history, z0, lambda *blocks: blocks)
@@ -390,9 +393,9 @@ def trajectory_reader(history, z0):
 
 
 class InteriorMax:
-    """The largest `residual(history)` over the interior snapshots, read as
-    the wave fills the history: `residual` reads snapshot i at position -2
-    of the history, between i-1 and i+1.  `finish()` returns it."""
+    """The largest `residual(before, record, after)` over the interior
+    records, read as the wave fills the history: each interior record with
+    its two neighbours.  `finish()` returns it."""
 
     def __init__(self, history, residual):
         if history.count:
@@ -401,9 +404,10 @@ class InteriorMax:
         self._history, self._residual, self._worst = history, residual, 0.0
         history.readers.append(self._read)
 
-    def _read(self, h):
-        if len(h.times) >= 3:
-            self._worst = max(self._worst, self._residual(h))
+    def _read(self, record):
+        records = self._history.records
+        if len(records) >= 3:
+            self._worst = max(self._worst, self._residual(*records[-3:]))
 
     def finish(self):
         if self._history.count < 3:

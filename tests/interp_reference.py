@@ -6,12 +6,14 @@ wrapped indices on every call.  `reference_integrate_flow` integrates a
 flow history with it, interpolating each snapshot at every RK4 stage.  The
 stencil path must reproduce both bit for bit.
 
-A flow history keeps only its last three snapshots; the references read a
-history filled inside `keep_every_snapshot`, which keeps them all.
+A flow history keeps only the last three records appended; the references
+read a history filled inside `keep_every_snapshot`, which keeps them all, and
+read the records' fields.
 """
 
 import contextlib
 import sys
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -30,18 +32,38 @@ def keep_every_snapshot():
         yield
 
 
+@dataclass
+class Snapshot:
+    """A hand-built flow-history record: the fields a history reads, with
+    `amp_peak` reduced from the amplitude (no quantum force by default)."""
+
+    time_tag: float
+    velocity: np.ndarray           # (dim, *shape)
+    amplitude: np.ndarray
+    quantum_force: np.ndarray = None
+    amp_peak: float = field(init=False)
+
+    def __post_init__(self):
+        self.amp_peak = float(np.max(self.amplitude))
+
+
 def record_snapshots(history, *names):
-    """A dict of lists that receive the named per-snapshot fields of
-    `history` (e.g. "times", "mass_sq") as the wave stores each snapshot;
-    attach it before the wave."""
+    """A dict of lists that receive the named fields of each record (e.g.
+    "time_tag", "mass_sq") as the wave appends it to `history`; attach it
+    before the wave."""
     lists = {name: [] for name in names}
 
-    def read(h):
+    def read(record):
         for name in names:
-            lists[name].append(getattr(h, name)[-1])
+            lists[name].append(getattr(record, name))
 
     history.readers.append(read)
     return lists
+
+
+def record_fields(history, name):
+    """The named field of each record `history` keeps, oldest first."""
+    return [getattr(record, name) for record in history.records]
 
 
 def reference_weights(frac):
@@ -90,9 +112,10 @@ def _interp_snapshot(grid, data, positions):
 
 
 def reference_blend(history, stack, t, positions):
-    """Linear-in-time blend of the two bracketing snapshots at t."""
+    """Linear-in-time blend of the two bracketing snapshots at t; `stack`
+    holds one field per kept record (see `record_fields`)."""
     i, j = history.bracket(t)
-    ti, tj = history.times[i], history.times[j]
+    ti, tj = history.records[i].time_tag, history.records[j].time_tag
     vi = _interp_snapshot(history.grid, stack[i], positions)
     if tj == ti:
         return vi
@@ -107,14 +130,16 @@ def _velocity(history, t, pts, last_valid):
     inside = history.grid.contains(pts)
     if not np.all(inside):
         raise BoundaryExitError("boundary exit", last_valid)
-    return reference_blend(history, history.velocities, t, pts)
+    return reference_blend(history, record_fields(history, "velocity"), t,
+                           pts)
 
 
 def _check_nodes(history, t, pts, last_valid):
     inside = history.grid.contains(pts)
     if not np.all(inside):
         raise BoundaryExitError("boundary exit", last_valid)
-    amp = reference_blend(history, history.amplitudes, t, pts)
+    amp = reference_blend(history, record_fields(history, "amplitude"), t,
+                          pts)
     if np.any(amp < history.amp_floor(t)):
         raise NodeEncounterError("node encounter", last_valid)
 
@@ -138,7 +163,10 @@ def reference_integrate_flow(history, z0):
     grid = history.grid
     z = np.atleast_2d(np.asarray(z0, dtype=float)).astype(float).copy()
     m = z.shape[0]
-    times = history.times
+    times = record_fields(history, "time_tag")
+    amplitudes = record_fields(history, "amplitude")
+    forces = [getattr(record, "quantum_force", None)
+              for record in history.records]
     n = len(times)
     positions = np.empty((n, m, grid.dim))
     velocities = np.empty((n, m, grid.dim))
@@ -150,14 +178,14 @@ def reference_integrate_flow(history, z0):
         t = times[i]
         positions[i] = z
         velocities[i] = _velocity(history, t, z, t)
-        if history.quantum_forces:
-            fq[i] = reference_blend(history, history.quantum_forces, t, z)
+        if forces[0] is not None:
+            fq[i] = reference_blend(history, forces, t, z)
         fem[i] = history.params.charge \
             * history.potentials.electric_field(t, z)
         i_, j_ = history.bracket(t)
-        level = NODE_PROXIMITY_REL * max(history.amp_peaks[i_],
-                                         history.amp_peaks[j_])
-        near[i] = reference_blend(history, history.amplitudes, t, z) < level
+        level = NODE_PROXIMITY_REL * max(history.records[i_].amp_peak,
+                                         history.records[j_].amp_peak)
+        near[i] = reference_blend(history, amplitudes, t, z) < level
         if i == n - 1:
             break
         z = reference_rk4_step(history, z, t, times[i + 1], k1=velocities[i])

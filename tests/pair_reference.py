@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from interp_reference import Snapshot
 from solidyn.errors import SolidynError
 from solidyn.pair import conditional_q, ls2_step
 from solidyn.soliton import SolitonState, nls_step
@@ -57,8 +58,8 @@ def reference_pair_step(pair, state, dt):
         vel_t, amp_t = reference_velocity_fields(pair)
     vel_next, amp_next = reference_velocity_fields(new_pair)
     flow = FlowHistory(grid, None, None)
-    flow.append(t, vel_t, amp_t)
-    flow.append(t + dt, vel_next, amp_next)
+    flow.append(Snapshot(t, vel_t, amp_t))
+    flow.append(Snapshot(t + dt, vel_next, amp_next))
     z_old = state.z
     z_new, _ = advance_positions(flow, np.atleast_2d(z_old), t, t + dt)
     z_new = z_new[0]

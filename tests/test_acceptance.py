@@ -214,14 +214,14 @@ def test_criterion_08_equivariance():
     x = grid.axes[0]
     psi = Field(grid, np.exp(-x**2 / 4).astype(complex))
     history = FlowHistory(grid, PARAMS, Potentials.free())
-    stored = record_snapshots(history, "times", "amplitudes")
+    stored = record_snapshots(history, "time_tag", "amplitude")
     starts = grid.sample_density(psi.density(), 2000, seed=42)
     ensemble = integrate_bohm_ensemble(starts, history)
     evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-3, steps=2000,
                        history=history)
     block = ensemble.finish()
-    densities = [a ** 2 for a in stored["amplitudes"]]
-    rep = equivariance_distance(densities, grid, stored["times"],
+    densities = [a ** 2 for a in stored["amplitude"]]
+    rep = equivariance_distance(densities, grid, stored["time_tag"],
                                 block, indices=[0, 2000], bins=64)
     dist = rep.final_distance
     ok = dist < 0.05
@@ -296,11 +296,11 @@ def test_criterion_11_tachyon_detection():
     prev = envelope * (np.exp(1j * (k * x + freq * dt))
                        + 0.8 * np.exp(1j * (-k * x + freq * dt)))
     history = KGHistory(grid, PARAMS, Potentials.free())
-    stored = record_snapshots(history, "tachyon_masks")
+    stored = record_snapshots(history, "tachyon_mask")
     path = kg_bohm_trajectory([1.5], history)
     evolve_kg(psi0, None, PARAMS, Potentials.free(), dt=dt, steps=4000,
               psi_prev=prev, history=history)
-    cells = int(sum(m.sum() for m in stored["tachyon_masks"]))
+    cells = int(sum(m.sum() for m in stored["tachyon_mask"]))
     aborted = False
     message = ""
     try:

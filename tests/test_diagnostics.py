@@ -141,11 +141,11 @@ def first_and_last_report(psi, pots, starts, **evolve):
     """equivariance_distance at the first and last snapshot of a run, with
     the ensemble from `starts` integrated while the wave runs."""
     history = FlowHistory(psi.grid, PARAMS, pots)
-    stored = record_snapshots(history, "times", "amplitudes")
+    stored = record_snapshots(history, "time_tag", "amplitude")
     ensemble = integrate_bohm_ensemble(starts, history)
     evolve_schrodinger(psi, PARAMS, pots, history=history, **evolve)
-    densities = [a ** 2 for a in stored["amplitudes"]]
-    return equivariance_distance(densities, psi.grid, stored["times"],
+    densities = [a ** 2 for a in stored["amplitude"]]
+    return equivariance_distance(densities, psi.grid, stored["time_tag"],
                                  ensemble.finish(),
                                  indices=[0, len(densities) - 1])
 

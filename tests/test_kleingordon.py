@@ -56,6 +56,17 @@ def test_kg_cfl_enforced():
                              Potentials.free(), dt=g.spacing[0])
 
 
+def test_kg_sector_refuses_a_vector_potential():
+    # the leapfrog and kg_madelung never read A, and vector_ramp has
+    # A(0) = -0.0, so a check of A(0) let it through and the run ignored it
+    g = Grid(128, 50.0)
+    psi = Field(g, np.exp(-g.axes[0] ** 2 / 16.0).astype(complex))
+    with pytest.raises(SolidynError,
+                       match="^the Klein-Gordon sector requires A = 0$"):
+        evolve_kg(psi, -1j * psi.samples, PARAMS,
+                  Potentials.vector_ramp(0.5), dt=0.05, steps=40)
+
+
 def test_kg_plane_wave_dispersion():
     # phase advance of the discrete mode matches its dispersion relation
     dt = 0.01
@@ -75,8 +86,7 @@ def test_kg_zero_field_stays_zero():
     psi = Field(g, np.zeros(128, dtype=complex))
     state = KGState.from_initial(psi, np.zeros(128, dtype=complex), PARAMS,
                                  Potentials.free(), dt=0.01)
-    state, nxt = lkg_step(state)
-    assert np.all(nxt == 0)
+    assert np.all(lkg_step(state).psi == 0)
 
 
 def test_kg_nonrelativistic_field_limit():
@@ -120,8 +130,8 @@ def test_kg_energy_and_current_share_one_derivative(monkeypatch):
     state = KGState.from_initial(psi0, -1j * psi0.samples, PARAMS, pot, dt)
     prev, energies, j1 = state.psi_prev, [], []
     for _ in range(steps + 1):
-        state, psi_next = lkg_step(state)
-        psi = state.psi_prev
+        state = lkg_step(state)
+        psi, psi_next = state.psi_prev, state.psi
         dpsi_dt = (psi_next - prev) / (2.0 * dt)
         density = (np.abs(dpsi_dt) ** 2 + np.abs(g.derivative(psi, 0)) ** 2
                    + PARAMS.omega0**2 * np.abs(psi) ** 2)
@@ -139,12 +149,12 @@ def test_kg_energy_and_current_share_one_derivative(monkeypatch):
 
     monkeypatch.setattr(Grid, "derivative", spy)
     history = KGHistory(g, PARAMS, pot)
-    stored = record_snapshots(history, "j1")
+    stored = record_snapshots(history, "current_x")
     run = evolve_kg(psi0, -1j * psi0.samples, PARAMS, pot, dt, steps,
                     history=history)
     assert np.array_equal(run.energies, np.asarray(energies))
-    assert all(np.array_equal(a, b) for a, b in zip(stored["j1"], j1))
-    assert len(stored["j1"]) == steps + 1
+    assert all(np.array_equal(a, b) for a, b in zip(stored["current_x"], j1))
+    assert len(stored["current_x"]) == steps + 1
     # one derivative per step, each of that step's field level
     assert len(inputs) == steps + 1
     assert len({id(a) for a in inputs}) == steps + 1
@@ -157,13 +167,13 @@ def test_kg_current_conservation():
     psi0 = Field(g, (np.exp(-x**2 / (4 * sigma**2))
                      * np.exp(1j * k * x)).astype(complex))
     history = KGHistory(g, PARAMS, Potentials.free())
-    stored = record_snapshots(history, "j0", "times")
+    stored = record_snapshots(history, "current_t", "time_tag")
     residual = current_conservation_residual(history)
     evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
               dt=0.05, steps=60, history=history)
     resid = residual.finish()
-    j0_max = float(np.max(stored["j0"][0]))
-    dt_snap = stored["times"][1] - stored["times"][0]
+    j0_max = float(np.max(stored["current_t"][0]))
+    dt_snap = stored["time_tag"][1] - stored["time_tag"][0]
     assert resid < 1e-4 * j0_max / dt_snap
 
 
@@ -174,16 +184,16 @@ def test_kg_current_conservation():
 def test_kg_madelung_plane_wave():
     dt = 2.5e-3
     g, _, h = plane_wave_run(0.5, dt, 50, attach=lambda history:
-                             record_snapshots(history, "mass_sq", "times",
-                                              "velocities", "tachyon_masks",
-                                              "past_masks"))
+                             record_snapshots(history, "mass_sq", "time_tag",
+                                              "velocity", "tachyon_mask",
+                                              "past_oriented_mask"))
     e_cont = np.sqrt(1.25)
     assert np.max(np.abs(np.asarray(h["mass_sq"]) - 1.0)) < 1e-8
-    mid = len(h["times"]) // 2
-    velocity = h["velocities"][mid][0]
+    mid = len(h["time_tag"]) // 2
+    velocity = h["velocity"][mid][0]
     assert np.max(np.abs(velocity - 0.5 / e_cont)) < 1e-5
-    assert not h["tachyon_masks"][mid].any()
-    assert not h["past_masks"][mid].any()
+    assert not h["tachyon_mask"][mid].any()
+    assert not h["past_oriented_mask"][mid].any()
 
 
 def test_kg_madelung_standing_wave():
@@ -293,11 +303,11 @@ def test_kg_trajectory_aborts_in_tachyon_sector():
     prev = (np.exp(1j * (k * x + freq * dt))
             + 0.8 * np.exp(1j * (-k * x + freq * dt)))
     history = KGHistory(g, PARAMS, Potentials.free())
-    stored = record_snapshots(history, "tachyon_masks")
+    stored = record_snapshots(history, "tachyon_mask")
     path = kg_bohm_trajectory([1.5], history)
     evolve_kg(psi0, None, PARAMS, Potentials.free(), dt=dt, steps=4000,
               psi_prev=prev, history=history)
-    assert stored["tachyon_masks"][0].any()
+    assert stored["tachyon_mask"][0].any()
     # start in a bright zone; the static beat sweeps the path into the dip
     with pytest.raises(TachyonicRegionError, match="tachyonic region"):
         path.finish()
@@ -367,11 +377,12 @@ def test_kg_mass_deviation_scales_quadratically_in_k():
         psi0 = Field(g, (np.exp(-x**2 / (4 * sigma**2))
                          * np.exp(1j * k * x)).astype(complex))
         history = KGHistory(g, PARAMS, Potentials.free())
-        stored = record_snapshots(history, "times", "amplitudes", "mass_sq")
+        stored = record_snapshots(history, "time_tag", "amplitude",
+                                  "mass_sq")
         evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
                   dt=0.05, steps=40, history=history)
-        mid = len(stored["times"]) // 2
-        amp = stored["amplitudes"][mid]
+        mid = len(stored["time_tag"]) // 2
+        amp = stored["amplitude"][mid]
         core = amp > 0.5 * amp.max()
         mass = np.sqrt(np.maximum(stored["mass_sq"][mid], 0.0))
         devs[k] = float(np.max(np.abs(mass[core] - 1.0)))
@@ -386,14 +397,14 @@ def speed_path(speeds):
     ones = np.ones(g.shape)
     snapshots = [KGMadelung(
         grid=g, time_tag=0.1 * n, amplitude=ones, mass_sq=ones,
-        current_t=ones, current_x=speed * ones, velocity=speed * ones,
+        current_t=ones, current_x=speed * ones, velocity=speed * ones[None],
         tachyon_mask=ones < 0,
-        past_oriented_mask=ones < 0, energy=0.0)
+        past_oriented_mask=ones < 0, energy=0.0, amp_peak=1.0)
         for n, speed in enumerate(speeds)]
     history = KGHistory(g, PARAMS, Potentials.free())
     path = kg_bohm_trajectory([0.0], history)
     for snapshot in snapshots:
-        history.append_kg(snapshot)
+        history.append(snapshot)
     return path.finish()
 
 

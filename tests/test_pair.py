@@ -29,6 +29,7 @@ from solidyn.soliton import GaussonParams, SolitonState, gausson_init, \
 from solidyn.stepping import NODE_MASK_REL
 from solidyn.trajectories import FlowHistory, integrate_flow
 
+from interp_reference import Snapshot
 from pair_reference import reference_run_pair, reference_velocity_fields
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
@@ -354,7 +355,7 @@ def test_pair_equivariance_2d():
     dt = 2e-3
     for i in range(251):
         vel, amp = pair_velocity_fields(pair)
-        snapshots.append((pair.psi.time_tag, vel, amp))
+        snapshots.append(Snapshot(pair.psi.time_tag, vel, amp))
         densities.append(amp**2)
         if i < 250:
             pair = ls2_step(pair, dt)
@@ -362,7 +363,7 @@ def test_pair_equivariance_2d():
     hist = FlowHistory(g2, PARAMS, Potentials.free(2))
     flow = integrate_flow(hist, starts)
     for snapshot in snapshots:
-        hist.append(*snapshot)
+        hist.append(snapshot)
     times, pos, _, _, _, _ = flow.finish()
     report = equivariance_distance(densities, g2, times, pos,
                                    indices=[0, 250], bins=8)
@@ -503,6 +504,18 @@ def test_rk4_stage_box_exit_matches_reference():
     assert err.value.last_valid_time == ref.value.last_valid_time > 0.0
 
 
+def test_pair_sector_refuses_a_vector_potential():
+    # ls2_step's kinetic multiplier and the velocity lines take A = 0, so a
+    # pair wave with an A on either axis would run as the free pair
+    g2, g1 = grid_pair(32)
+    ramp = Potentials.vector_ramp(0.5, 1)
+    for pots in ((ramp, ramp), (FREE[0], ramp)):
+        with pytest.raises(SolidynError,
+                           match="^the pair sector requires A = 0$"):
+            product_pair(packet(g1, -1.0), packet(g1, 1.0), g2, (1.0, 1.0),
+                         1.0, pots)
+
+
 def test_pair_norm_from_cached_amplitude():
     g2, g1 = grid_pair()
     wave = unequal_mass_wave(g2, g1)
@@ -528,8 +541,8 @@ def test_wave_peak_reduced_once_serves_every_floor(monkeypatch):
         peak = np.max(np.abs(w.psi.samples))
         assert w.amp_peak == peak and "amp_peak" in w.__dict__
         assert w.velocity.floor == NODE_MASK_REL * peak
-    assert flows[0].amp_peaks == [np.max(wave.amplitude),
-                                  np.max(new_wave.amplitude)]
+    assert [r.amp_peak for r in flows[0].records] == [
+        np.max(wave.amplitude), np.max(new_wave.amplitude)]
     # the conditional potentials' floor is the full-grid reduction too
     z2 = float(Z_START[1])
     a_slice = _axis_slice(g2, wave.amplitude, 1, z2)

@@ -11,8 +11,8 @@ Hypothesis).
   followed by `ls_step(-dt)` returns psi to round-off.
 - `soliton_center` and `second_central_moments` give the bits of offsets
   wrapped by np.mod, for a previous center anywhere, edges included.
-- The zero-field shortcuts of the soliton runs (`Potentials.zero_field`)
-  write the bytes of the general path.
+- The zero-field shortcuts (`Potentials.zero_field`) of `electric_field`
+  and of the soliton runs write the bytes of the general path.
 - A parsed config asks for a whole number of steps in [1, MAX_STEPS].
 - The CLI exit code follows from how a scenario runner ends: 2 for a
   `ConfigError`, 1 with a manifest naming the error for any other
@@ -349,6 +349,22 @@ def soliton_fields(draw):
     samples[rng.random(grid.shape) < draw(st.floats(0.0, 0.9))] = 0.0
     samples.flat[0] = 1.0                               # never all zero
     return Field(grid, samples, draw(st.floats(-10.0, 10.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.floats(-1e3, 1e3),
+       st.integers(0, 2**32 - 1))
+def test_zero_field_electric_field_keeps_the_general_bits(dim, n, t, seed):
+    positions = np.random.default_rng(seed).uniform(-10.0, 10.0, (n, dim))
+    free = Potentials.free(dim)
+
+    def refuse(*args):
+        raise AssertionError("a zero field calls no component function")
+
+    free._scalar_gradient = free._vector_rate = refuse
+    got = free.electric_field(t, positions)
+    want = general_zero(dim).electric_field(t, positions)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

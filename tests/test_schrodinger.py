@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from interp_reference import keep_every_snapshot
+from interp_reference import Snapshot, keep_every_snapshot
 from solidyn.grids import Field, Grid
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import (
@@ -346,12 +346,12 @@ def test_integrate_bohm_boundary_exit():
 
 def hand_built(snapshots, z0):
     """integrate_bohm from z0 attached to a history, which the hand-built
-    (t, velocity, amplitude) snapshots then fill; its `finish()` result."""
+    snapshot records then fill; its `finish()` result."""
     g = Grid(256, 20.0)
     hist = FlowHistory(g, PARAMS, Potentials.free())
     path = integrate_bohm(z0, hist)
     for snapshot in snapshots:
-        hist.append(*snapshot)
+        hist.append(snapshot)
     return path.finish()
 
 
@@ -363,7 +363,7 @@ def test_integrate_bohm_node_encounter():
     x = g.axes[0]
     amp = np.where(np.abs(x - 5.0) < 0.5, 1e-12, 1.0)
     vel = np.ones((1, 256))
-    snapshots = [(t, vel, amp) for t in np.linspace(0.0, 6.0, 61)]
+    snapshots = [Snapshot(t, vel, amp) for t in np.linspace(0.0, 6.0, 61)]
     with pytest.raises(NodeEncounterError, match="node encounter") as err:
         hand_built(snapshots, [0.0])
     assert 0.0 < err.value.last_valid_time < 6.0
@@ -371,7 +371,7 @@ def test_integrate_bohm_node_encounter():
 
 def uniform_drift_snapshots(v=1.0):
     """Uniform drift at speed v through a featureless amplitude, t in [0, 1]."""
-    return [(t, np.full((1, 256), v), np.ones(256))
+    return [Snapshot(t, np.full((1, 256), v), np.ones(256))
             for t in np.linspace(0.0, 1.0, 11)]
 
 
@@ -382,7 +382,7 @@ def test_boundary_exit_mid_stage_keeps_error_class():
     with keep_every_snapshot():
         hist = FlowHistory(Grid(256, 20.0), PARAMS, Potentials.free())
         for snapshot in uniform_drift_snapshots():
-            hist.append(*snapshot)
+            hist.append(snapshot)
     # from z = 9.96 the second RK4 stage point (9.96 + 0.05) is outside the
     # box: the stage's box check must raise, not the stencil built after it
     with pytest.raises(BoundaryExitError, match="boundary exit near") as err:
@@ -408,7 +408,7 @@ def test_integrate_bohm_boundary_exit_last_valid():
     times = []
 
     def attach(history):
-        history.readers.append(lambda h: times.append(h.times[-1]))
+        history.readers.append(lambda record: times.append(record.time_tag))
         return integrate_bohm([8.5], history)
 
     with pytest.raises(BoundaryExitError) as err:
@@ -425,7 +425,8 @@ def test_integrate_bohm_node_encounter_last_valid():
     times = np.linspace(0.0, 6.0, 61)
     # z = t reaches the dead zone (x > 4.5) on the step that ends at t = 4.6
     with pytest.raises(NodeEncounterError, match="at t=4.6") as err:
-        hand_built([(t, np.ones((1, 256)), amp) for t in times], [0.0])
+        hand_built([Snapshot(t, np.ones((1, 256)), amp) for t in times],
+                   [0.0])
     assert err.value.last_valid_time == times[45]
 
 

@@ -17,23 +17,26 @@ import warnings
 import numpy as np
 import pytest
 
-from interp_reference import (keep_every_snapshot, reference_blend,
-                              reference_integrate_flow, reference_interpolate,
-                              reference_rk4_step, same_bits)
+from interp_reference import (Snapshot, keep_every_snapshot, record_fields,
+                              reference_blend, reference_integrate_flow,
+                              reference_interpolate, reference_rk4_step,
+                              same_bits)
 from solidyn import trajectories
 from solidyn.errors import (BoundaryExitError, NodeEncounterError,
                             SolidynError)
 from solidyn.grids import Field, Grid
 from solidyn.kleingordon import (KGHistory, KGMadelung,
                                  current_conservation_residual, evolve_kg,
-                                 kg_bohm_trajectory, kg_newton_residual)
+                                 kg_bohm_trajectory, kg_madelung,
+                                 kg_newton_residual)
+from solidyn.pair import product_pair
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import (continuity_residual, evolve_schrodinger,
                                  integrate_bohm, integrate_bohm_ensemble,
                                  ls_step, madelung_extract)
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
                              run_coupled)
-from solidyn.stepping import NODE_PROXIMITY_REL
+from solidyn.stepping import NODE_MASK_REL, NODE_PROXIMITY_REL
 from solidyn.trajectories import (WALK_WINDOW, FlowHistory, FlowWalk,
                                   advance_positions, flow_steps,
                                   integrate_flow)
@@ -82,13 +85,13 @@ def smooth_2d_snapshots():
         vel = np.stack([0.6 * np.sin(2 * np.pi * ys / 10.0 + t),
                         0.4 * np.cos(2 * np.pi * xs / 12.0 - t)])
         amp = np.exp(-0.02 * (xs**2 + ys**2))
-        snapshots.append((t, vel, amp))
+        snapshots.append(Snapshot(t, vel, amp))
     return g, snapshots
 
 
 def fill(history, snapshots):
     for snapshot in snapshots:
-        history.append(*snapshot)
+        history.append(snapshot)
     return history
 
 
@@ -98,7 +101,7 @@ def test_integrate_flow_ensemble_matches_reference(packet_history):
     times, *got = streamed(lambda h: integrate_flow(h, starts), packet_run,
                            hist.grid, Potentials.harmonic(0.1))
     want = reference_integrate_flow(hist, starts)
-    assert same_bits(times, np.asarray(hist.times))
+    assert same_bits(times, np.asarray(record_fields(hist, "time_tag")))
     for a, b in zip(got, want):
         assert same_bits(a, b)
     assert np.any(got[2] != 0.0)          # the quantum force was recorded
@@ -121,17 +124,17 @@ def test_integrate_flow_2d_matches_reference():
 def test_advance_positions_matches_reference_step(packet_history, with_k1):
     hist, density = packet_history
     z = hist.grid.sample_density(density, 64, seed=9)
-    t0, t1 = hist.times[7], hist.times[8]
+    t0, t1 = hist.records[7].time_tag, hist.records[8].time_tag
     k1 = None
     if with_k1:
-        k1 = reference_blend(hist, hist.velocities, t0, z)
+        k1 = reference_blend(hist, record_fields(hist, "velocity"), t0, z)
     z_new, stencil = advance_positions(hist, z, t0, t1, k1=k1)
     assert same_bits(z_new, reference_rk4_step(hist, z, t0, t1, k1=k1))
     # the returned stencil is the one at z_new
     assert same_bits(stencil.positions, z_new)
-    assert same_bits(stencil.apply(hist.amplitudes[8]),
-                     reference_interpolate(hist.grid, hist.amplitudes[8],
-                                           z_new))
+    amp = hist.records[8].amplitude
+    assert same_bits(stencil.apply(amp),
+                     reference_interpolate(hist.grid, amp, z_new))
 
 
 def test_lookup_at_snapshot_time_reads_that_snapshot_only():
@@ -140,13 +143,13 @@ def test_lookup_at_snapshot_time_reads_that_snapshot_only():
     g = Grid(64, 8.0)
     x = g.axes[0]
     hist = FlowHistory(g, PARAMS, Potentials.free())
-    hist.append(0.0, np.cos(x)[None, :], np.ones(64))
-    hist.append(0.1, np.full((1, 64), np.inf), np.ones(64))
+    hist.append(Snapshot(0.0, np.cos(x)[None, :], np.ones(64)))
+    hist.append(Snapshot(0.1, np.full((1, 64), np.inf), np.ones(64)))
     stencil = g.stencil([[0.37], [-1.9]])
     v = hist.velocity_at(0.0, stencil)
     assert np.all(np.isfinite(v))
-    assert same_bits(v, reference_blend(hist, hist.velocities, 0.0,
-                                        stencil.positions))
+    assert same_bits(v, reference_blend(hist, record_fields(hist, "velocity"),
+                                        0.0, stencil.positions))
 
 
 def kg_packet_run(history=None):
@@ -162,13 +165,15 @@ def kg_packet_run(history=None):
 def reference_kg_newton(hist, ts, zs, vs):
     """kg_newton_residual written out over a whole history, with the mass
     and its gradients interpolated by the reference at each path point."""
+    mass_sq = record_fields(hist, "mass_sq")
+    times = record_fields(hist, "time_tag")
     mass = np.array([np.sqrt(np.maximum(
-        reference_blend(hist, hist.mass_sq, ts[i], zs[i:i + 1]), 0.0))[0]
+        reference_blend(hist, mass_sq, ts[i], zs[i:i + 1]), 0.0))[0]
         for i in range(len(ts))])
-    m = [np.sqrt(np.maximum(f, 0.0)) for f in hist.mass_sq]
-    n = len(hist.times)
+    m = [np.sqrt(np.maximum(f, 0.0)) for f in mass_sq]
+    n = len(times)
     dmdt = [(m[min(i + 1, n - 1)] - m[max(i - 1, 0)])
-            / (hist.times[min(i + 1, n - 1)] - hist.times[max(i - 1, 0)])
+            / (times[min(i + 1, n - 1)] - times[max(i - 1, 0)])
             for i in range(n)]
     dmdx = [hist.grid.derivative(f, 0) for f in m]
     want_t = np.array([reference_blend(hist, dmdt, ts[i], zs[i:i + 1])[0]
@@ -244,16 +249,17 @@ def test_run_coupled_reference_path_matches_reference():
         psi_next = ls_step(psi, PARAMS, pots, dt)
         bundle_next = madelung_extract(psi_next, PARAMS, pots)
         flow = FlowHistory(g, PARAMS, pots)
-        flow.append(t, bundle.velocity, bundle.amplitude)
-        flow.append(t + dt, bundle_next.velocity, bundle_next.amplitude)
-        k1 = reference_blend(flow, flow.velocities, t, z)
+        flow.append(bundle)
+        flow.append(bundle_next)
+        k1 = reference_blend(flow, record_fields(flow, "velocity"), t, z)
         vel.append(k1[0].copy())
         z = reference_rk4_step(flow, z, t, t + dt, k1=k1)
         pos.append(z[0].copy())
         fq.append(at(bundle_next.quantum_force, z))
-        level = NODE_PROXIMITY_REL * max(flow.amp_peaks)
-        near.append(bool(reference_blend(flow, flow.amplitudes, t + dt,
-                                         z)[0] < level))
+        level = NODE_PROXIMITY_REL * max(bundle.amp_peak,
+                                         bundle_next.amp_peak)
+        near.append(bool(reference_blend(flow, record_fields(
+            flow, "amplitude"), t + dt, z)[0] < level))
         psi, bundle = psi_next, bundle_next
     vel.append(at(bundle.velocity, z))
     assert same_bits(ref.positions, np.asarray(pos))
@@ -275,7 +281,7 @@ def test_ensemble_positions_match_reference(packet_history):
                    hist.grid, Potentials.harmonic(0.1))
     assert same_bits(got, want)
     # the recording the equivariance scenario keeps: three snapshots only
-    indices = [0, len(hist.times) // 2, len(hist.times) - 1]
+    indices = [0, len(hist.records) // 2, len(hist.records) - 1]
     kept = [z for i, _, z, _, _ in flow_steps(hist, starts) if i in indices]
     assert same_bits(np.stack(kept), want[indices])
 
@@ -318,7 +324,7 @@ def test_integrate_flow_peak_memory_is_one_copy_of_its_blocks():
 def drift_snapshots(amp):
     """Uniform drift at speed 1 over t in [0, 6] through amplitude `amp`."""
     g = Grid(256, 20.0)
-    return g, [(t, np.ones((1, 256)), amp(g.axes[0]))
+    return g, [Snapshot(t, np.ones((1, 256)), amp(g.axes[0]))
                for t in np.linspace(0.0, 6.0, 61)]
 
 
@@ -364,8 +370,7 @@ def windowed_outcome(fill, history, starts):
     """`walk_outcome` of a FlowWalk over `history`, filled by `fill`; also
     the most snapshots the history kept after any stored snapshot."""
     seen, kept = [], []
-    history.readers.append(lambda h: kept.append(max(
-        len(getattr(h, name)) for name in h._SNAPSHOT_LISTS)))
+    history.readers.append(lambda record: kept.append(len(history.records)))
     walk = FlowWalk(history, starts, lambda i, t, z, stencil, k1: seen.append(
         (i, t, z.copy(), k1.copy())), list)
     fill(history)
@@ -400,7 +405,8 @@ def random_snapshots(grid, rng, n, kg, speed, node_frac, sector_frac):
         amp[rng.random(shape) < node_frac] = 0.0
         vel = speed * rng.uniform(-1.0, 1.0, shape)
         if not kg:
-            out.append((vel[None], amp, rng.standard_normal((1,) + shape)))
+            out.append(Snapshot(0.0, vel[None], amp,
+                                rng.standard_normal((1,) + shape)))
             continue
         ones = np.ones(shape)
         tachyon = rng.random(shape) < sector_frac
@@ -408,19 +414,17 @@ def random_snapshots(grid, rng, n, kg, speed, node_frac, sector_frac):
         out.append(KGMadelung(
             grid=grid, time_tag=0.0, amplitude=amp,
             mass_sq=np.where(tachyon, -1.0, 1.0), current_t=ones,
-            current_x=vel, velocity=vel, tachyon_mask=tachyon,
-            past_oriented_mask=past, energy=0.0))
+            current_x=vel, velocity=vel[None], tachyon_mask=tachyon,
+            past_oriented_mask=past, energy=0.0,
+            amp_peak=float(np.max(amp))))
     return out
 
 
-def filler(snapshots, times, kg):
+def filler(snapshots, times):
     def fill(history):
         for t, snap in zip(times, snapshots):
-            if kg:
-                snap.time_tag = t
-                history.append_kg(snap)
-            else:
-                history.append(t, *snap)
+            snap.time_tag = t
+            history.append(snap)
     return fill
 
 
@@ -453,9 +457,9 @@ def test_windowed_walk_equals_the_stored_walk_on_random_fields():
         pots = Potentials.free()
         stored = kind(grid, PARAMS, pots)
         with keep_every_snapshot():
-            filler(snapshots, times, kg)(stored)
+            filler(snapshots, times)(stored)
         want = walk_outcome(flow_steps(stored, starts))
-        *got, kept = windowed_outcome(filler(snapshots, times, kg),
+        *got, kept = windowed_outcome(filler(snapshots, times),
                                       kind(grid, PARAMS, pots), starts)
         assert kept <= WALK_WINDOW
         assert_same_walk(want, got)
@@ -521,8 +525,8 @@ def test_walk_error_stops_the_walk_not_the_wave():
     seen = []
     walk = FlowWalk(hist, [[5.5]], lambda i, *rest: seen.append(i), list)
     for t in np.linspace(0.0, 6.0, 61):
-        hist.append(t, np.ones((1, 256)), np.ones(256))
-    assert hist.count == 61 and len(hist.times) == WALK_WINDOW
+        hist.append(Snapshot(t, np.ones((1, 256)), np.ones(256)))
+    assert hist.count == 61 and len(hist.records) == WALK_WINDOW
     with pytest.raises(BoundaryExitError) as info:
         walk.finish()
     assert seen == list(range(len(seen)))
@@ -556,9 +560,8 @@ def test_library_readers_keep_three_snapshots_at_any_length(monkeypatch,
         record = {"kept": 0}
         spied.append((self, record))
 
-        def read(h):
-            record["kept"] = max(record["kept"], *(
-                len(getattr(h, name)) for name in h._SNAPSHOT_LISTS))
+        def read(appended):
+            record["kept"] = max(record["kept"], len(self.records))
         self.readers.append(read)
 
     monkeypatch.setattr(trajectories.FlowHistory, "__init__", spy_init)
@@ -588,3 +591,53 @@ def test_library_readers_keep_three_snapshots_at_any_length(monkeypatch,
         for history, record in spied:
             assert history.count == steps + 1
             assert 0 < record["kept"] <= 3
+
+
+def schrodinger_record():
+    g = Grid(64, 20.0)
+    x = g.axes[0]
+    psi = Field(g, (np.exp(-x**2 / 4.0) * np.exp(0.5j * x)).astype(complex),
+                0.3)
+    return (FlowHistory(g, PARAMS, Potentials.free()),
+            madelung_extract(psi, PARAMS, Potentials.free()))
+
+
+def kg_record():
+    g = Grid(64, 64.0)
+    x = g.axes[0]
+
+    def psi_at(t):
+        return np.exp(-x**2 / 64.0) * np.exp(1j * (0.3 * x - 1.04 * t))
+
+    return (KGHistory(g, PARAMS, Potentials.free()),
+            kg_madelung(psi_at(0.2), psi_at(0.3), psi_at(0.4), 0.3, 0.1, g,
+                        PARAMS, Potentials.free()))
+
+
+def pair_record():
+    g2, g1 = Grid((32, 32), (12.0, 12.0)), Grid(32, 12.0)
+    x = g1.axes[0]
+    free = Potentials.free()
+    wave = product_pair(np.exp(-(x + 1.0) ** 2 / 4.0 + 0.7j * x),
+                        np.exp(-(x - 1.0) ** 2 / 2.0 - 0.4j * x), g2,
+                        (1.0, 1.6), 1.0, (free, free), time_tag=0.3)
+    return FlowHistory(g2, PARAMS, Potentials.free(2)), wave
+
+
+@pytest.mark.parametrize("build", [schrodinger_record, kg_record,
+                                   pair_record])
+def test_history_holds_each_producers_record(build):
+    # the history keeps the record its producer built, not a copy of its
+    # fields, and every lookup reads that record's fields
+    history, record = build()
+    history.append(record)
+    assert history.records[-1] is record
+    t = record.time_tag
+    assert history.amp_floor(t) == NODE_MASK_REL * record.amp_peak
+    grid = history.grid
+    rng = np.random.default_rng(4)
+    stencil = grid.stencil(rng.uniform(-0.5, 0.5, (7, grid.dim))
+                           * np.asarray(grid.lengths))
+    want = np.stack([stencil.apply(record.velocity[a])
+                     for a in range(grid.dim)], axis=1)
+    assert same_bits(history.velocity_at(t, stencil), want)
