@@ -180,7 +180,6 @@ def ehrenfest_report(run: SolitonRun, include_quantum_force=None) -> EhrenfestRe
 
 @dataclass
 class EquivarianceReport:
-    ensemble_size: int
     bins: int
     times: np.ndarray
     distances: np.ndarray       # L1 in [0, 2] per requested time
@@ -242,6 +241,6 @@ def equivariance_distance(densities, density_grid, times, block,
         q /= m
         out_t.append(times[idx])
         out_d.append(float(np.sum(np.abs(p - q))))
-    return EquivarianceReport(ensemble_size=m, bins=bins,
+    return EquivarianceReport(bins=bins,
                               times=np.asarray(out_t),
                               distances=np.asarray(out_d))

@@ -316,10 +316,6 @@ class PairRun:
     z: np.ndarray                 # (n, 2) synchronized trajectory
     centers1: np.ndarray          # (n,) soliton-1 first moment
     centers2: np.ndarray
-    wave_norms: np.ndarray
-    u1_norms: np.ndarray
-    u2_norms: np.ndarray
-    final_pair: PairWave = None
     final_state: PairState = None
 
 
@@ -333,11 +329,10 @@ def run_pair(pair: PairWave, state: PairState, dt: float,
         pair, state = s
         return {"times": pair.psi.time_tag, "z": state.z,
                 "centers1": state.u1.center[0],
-                "centers2": state.u2.center[0], "wave_norms": pair.norm(),
-                "u1_norms": state.u1.norm, "u2_norms": state.u2.norm}
+                "centers2": state.u2.center[0]}
 
-    (pair, state), series = drive((pair, state), steps, step, sample)
-    return PairRun(final_pair=pair, final_state=state, **series)
+    (_, state), series = drive((pair, state), steps, step, sample)
+    return PairRun(final_state=state, **series)
 
 
 def pair_tracking_residual(run: PairRun):

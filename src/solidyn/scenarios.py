@@ -28,8 +28,8 @@ from .diagnostics import (cancellation_integrals, conservation_report,
                           static_energy_identity_deviation)
 from .errors import ConfigError, SolidynError, TachyonicRegionError
 from .grids import MAX_TOTAL_SAMPLES, Field, Grid
-from .kleingordon import (KGHistory, discrete_mode_frequency, evolve_kg,
-                          kg_bohm_trajectory)
+from .kleingordon import (CFL_RATIO, KGHistory, discrete_mode_frequency,
+                          evolve_kg, kg_bohm_trajectory)
 from .pair import (PairState, PairWave, pair_tracking_residual,
                    product_pair, run_pair)
 from .potentials import PhysicalParams, Potentials
@@ -366,10 +366,10 @@ def _validate_initial(init, lengths):
 
 def _check_cfl(cfg):
     dx = cfg.lengths[0] / cfg.points[0]
-    if cfg.dt > 0.5 * dx:
+    if cfg.dt > CFL_RATIO * dx:
         raise ConfigError(
             f"[run].dt: {cfg.dt} violates the Klein-Gordon CFL bound "
-            f"dt <= 0.5 dx = {0.5 * dx:.6g}")
+            f"dt <= {CFL_RATIO} dx = {CFL_RATIO * dx:.6g}")
 
 
 def _check_double_slit(cfg):

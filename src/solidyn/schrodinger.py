@@ -40,7 +40,6 @@ class MadelungBundle:
     velocity: np.ndarray           # (dim, *shape)
     quantum_potential: np.ndarray  # q = -lap(a)/(2 omega0 a), floored
     quantum_force: np.ndarray      # -grad q, (dim, *shape)
-    amp_floor: float               # NODE_MASK_REL * amp_peak
     amp_peak: float                # max(a)
 
 
@@ -63,8 +62,8 @@ def ls_step(psi: Field, params: PhysicalParams, potentials: Potentials,
 
 def madelung_extract(psi: Field, params: PhysicalParams,
                      potentials: Potentials) -> MadelungBundle:
-    """Amplitude, guidance velocity, quantum potential/force, and the
-    amplitude floor below which a sample counts as a node."""
+    """Amplitude, guidance velocity, quantum potential/force, and the peak
+    amplitude (a sample below NODE_MASK_REL times it counts as a node)."""
     grid = psi.grid
     a = np.abs(psi.samples)
     peak = float(np.max(a))
@@ -95,7 +94,6 @@ def madelung_extract(psi: Field, params: PhysicalParams,
         velocity=velocity,
         quantum_potential=q,
         quantum_force=fq,
-        amp_floor=floor,
         amp_peak=peak,
     )
 
@@ -107,7 +105,6 @@ class SchrodingerRun:
     history: FlowHistory
     final_psi: Field
     norms: np.ndarray
-    boundary_mass: np.ndarray
     densities: list               # a^2 per kept snapshot
 
 
@@ -125,7 +122,6 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
     """
     if history is None:
         history = FlowHistory(psi0.grid, params, potentials)
-    grid = psi0.grid
 
     def step(psi, i):
         psi = ls_step(psi, params, potentials, dt)
@@ -136,8 +132,7 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
         if i % store_every:
             return None
         history.append(madelung_extract(psi, params, potentials))
-        return {"norms": psi.norm(),
-                "boundary_mass": grid.boundary_mass_fraction(psi.density())}
+        return {"norms": psi.norm()}
 
     psi, series = drive(psi0, steps, step, sample)
     return SchrodingerRun(history=history, final_psi=psi,

@@ -29,8 +29,8 @@ from .errors import BoundaryMassError, SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .schrodinger import MadelungBundle, ls_step, madelung_extract
-from .stepping import (BOUNDARY_MASS_LIMIT, NODE_PROXIMITY_REL, check_finite,
-                       drive, strang_step)
+from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, NODE_PROXIMITY_REL,
+                       check_finite, drive, strang_step)
 from .trajectories import TrajectoryRecord, advance_point
 
 RHO_FLOOR_REL = 1e-30      # vacuum floor for the logarithm, relative to f0^2
@@ -53,13 +53,12 @@ def log_potential_density(rho, b, f0):
 @dataclass(frozen=True)
 class GaussonParams:
     """Gausson shape and kinematics: inverse squared width b, reference
-    amplitude f0, initial center, velocity, and global phase."""
+    amplitude f0, initial center and velocity."""
 
     b: float
     f0: float
     center: tuple = (0.0,)
     velocity: tuple = (0.0,)
-    global_phase: float = 0.0
 
     def __post_init__(self):
         if self.b <= 0 or self.f0 <= 0:
@@ -85,7 +84,7 @@ def gausson_init(gp: GaussonParams, grid: Grid, omega0: float) -> Field:
                 "Gausson would wrap around the periodic seam")
     meshes = grid.meshes()
     r2 = 0.0
-    phase = gp.global_phase
+    phase = 0.0
     for a in range(d):
         delta = meshes[a] - center[a]
         r2 = r2 + delta**2
@@ -252,7 +251,7 @@ def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
     p = state.params
     u = state.u.samples
     rho = state.density
-    floor = (1e-8 * np.sqrt(float(rho.max()))) ** 2
+    floor = (NODE_MASK_REL * np.sqrt(float(rho.max()))) ** 2
     grad = grid.gradient(u)
     rho_safe = np.maximum(rho, floor)
 
@@ -285,7 +284,6 @@ def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
 class SolitonRun:
     """Series recorded along a soliton evolution (classical or coupled)."""
 
-    grid: Grid
     params: PhysicalParams
     potentials: Potentials
     b: float
@@ -343,7 +341,7 @@ def run_classical(state: SolitonState, potentials: Potentials, dt: float,
     state, series = drive(state, steps, step, sample)
     series["u_snapshots"] = list(series["u_snapshots"])
     return SolitonRun(
-        grid=grid, params=state.params, potentials=potentials,
+        params=state.params, potentials=potentials,
         b=state.b, f0=state.f0, mode="classical",
         fq_at_center=np.zeros((len(series["times"]), grid.dim)),
         final_state=state, **series)
@@ -392,7 +390,7 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
 
     z = tuple(float(c) for c in state.center)
     z_stencil = grid.point_stencil(z)
-    if z_stencil.apply(bundle.amplitude) < bundle.amp_floor:
+    if z_stencil.apply(bundle.amplitude) < NODE_MASK_REL * bundle.amp_peak:
         raise SolidynError("soliton center starts on the pilot node mask")
 
     pos = _grid_positions(grid)
@@ -455,7 +453,7 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     for name in ("u_snapshots", "psi_snapshots"):
         series[name] = list(series[name])
     return SolitonRun(
-        grid=grid, params=state.params, potentials=potentials,
+        params=state.params, potentials=potentials,
         b=state.b, f0=state.f0, mode="dbb", final_state=state,
         reference=reference, **series)
 

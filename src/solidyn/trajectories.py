@@ -238,7 +238,7 @@ def advance_point(bundle, bundle_next, z, t0, t1, k1):
                   for c, a, b, d, e in zip(z, k1, k2, k3, k4))
     stencil = _enter_point(grid, t1, z_new, t0, "at")
     amp, = blend(t1, stencil, (bundle.amplitude,), (bundle_next.amplitude,))
-    if amp < max(bundle.amp_floor, bundle_next.amp_floor):
+    if amp < NODE_MASK_REL * max(bundle.amp_peak, bundle_next.amp_peak):
         raise NodeEncounterError(
             f"node encounter at t={t1:.6g} (trajectory 0)", t0)
     return z_new, stencil, amp

@@ -330,12 +330,13 @@ def test_criterion_12_entangled_pair_nonlocality(tmp_path):
     x = g1.axes[0]
     psi1 = np.exp(-x**2 / 4).astype(complex)
     b, start = 25.0, -0.6745
-    single = run_coupled(
-        Field(g1, psi1.copy()),
-        SolitonState(gausson_init(GaussonParams(b, 1.0, center=(start,)),
-                                  g1, 1.0), PARAMS, b, 1.0,
-                     coupling_mode="dbb"),
-        PARAMS, Potentials.free(1), dt=1e-3, steps=300)
+    with pytest.warns(UserWarning, match="not well separated"):
+        single = run_coupled(
+            Field(g1, psi1.copy()),
+            SolitonState(gausson_init(GaussonParams(b, 1.0, center=(start,)),
+                                      g1, 1.0), PARAMS, b, 1.0,
+                         coupling_mode="dbb"),
+            PARAMS, Potentials.free(1), dt=1e-3, steps=300)
     gauge = Potentials(1, scalar=lambda t, c: -1.0 + 0.0 * c[0],
                        scalar_gradient=lambda t, c: (0.0,))
     pair = product_pair(psi1, np.ones(256, complex), g2, (1.0, 1.0), 1.0,

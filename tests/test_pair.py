@@ -1,5 +1,7 @@
 """Tests for the two-particle configuration-space wave and coupled solitons."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -207,10 +209,11 @@ def test_pair_product_bit_identical_to_single_run():
     b = 25.0
     start = -0.6745
     u0 = gausson_init(GaussonParams(b, 1.0, center=(start,)), g1, 1.0)
-    single = run_coupled(
-        Field(g1, psi1.copy()),
-        SolitonState(u0, PARAMS, b, 1.0, coupling_mode="dbb"),
-        PARAMS, Potentials.free(1), dt=1e-3, steps=300)
+    with pytest.warns(UserWarning, match="not well separated"):
+        single = run_coupled(
+            Field(g1, psi1.copy()),
+            SolitonState(u0, PARAMS, b, 1.0, coupling_mode="dbb"),
+            PARAMS, Potentials.free(1), dt=1e-3, steps=300)
 
     omega2 = 1.0
     gauge = Potentials(1, scalar=lambda t, c: -omega2 + 0.0 * c[0],
@@ -245,9 +248,10 @@ def test_pair_product_separability_generic_packets():
     state = PairState(u1=u1, u2=u2, z=[u1.center[0], u2.center[0]])
     run = run_pair(pair, state, dt=2e-3, steps=400)
 
-    single = run_coupled(
-        Field(g1, psi1.copy()), soliton(g1, -1.0), PARAMS,
-        Potentials.free(1), dt=2e-3, steps=400)
+    with pytest.warns(UserWarning, match="not well separated"):
+        single = run_coupled(
+            Field(g1, psi1.copy()), soliton(g1, -1.0), PARAMS,
+            Potentials.free(1), dt=2e-3, steps=400)
     assert np.max(np.abs(run.z[:, 0] - single.reference.positions[:, 0])) \
         < 1e-8
     assert np.max(np.abs(run.centers1 - single.centers[:, 0])) < 1e-8
@@ -522,6 +526,22 @@ def test_pair_norm_from_cached_amplitude():
     for _ in range(3):
         assert wave.norm() == wave.psi.norm()
         wave = ls2_step(wave, 2e-3)
+
+
+def test_finished_pair_run_keeps_no_pair_wave():
+    # a run's result holds its series and final solitons only, so a
+    # scenario's earlier runs hold no 2D wave while a later one runs
+    g2, g1 = grid_pair(32)
+    pair = product_pair(packet(g1, -1.0), packet(g1, 1.0), g2, (1.0, 1.0),
+                        1.0, FREE)
+    state = PairState(u1=soliton(g1, -1.0), u2=soliton(g1, 1.0),
+                      z=[-1.0, 1.0])
+    run = run_pair(pair, state, dt=2e-3, steps=3)
+    del pair, state
+    gc.collect()
+    assert not [o for o in gc.get_objects()
+                if isinstance(o, PairWave) and o.psi.grid is g2]
+    assert run.z.shape == (4, 2)
 
 
 def test_wave_peak_reduced_once_serves_every_floor(monkeypatch):

@@ -18,6 +18,7 @@ from solidyn.schrodinger import (
     madelung_extract,
     newton_bohm_residual,
 )
+from solidyn.stepping import NODE_MASK_REL
 from solidyn.trajectories import FlowHistory
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
@@ -128,7 +129,7 @@ def test_madelung_plane_wave():
     bundle = madelung_extract(psi, PARAMS, Potentials.free())
     assert np.max(np.abs(bundle.velocity[0] - k)) < 1e-10
     assert np.max(np.abs(bundle.quantum_potential)) < 1e-10
-    assert np.all(bundle.amplitude >= bundle.amp_floor)
+    assert np.all(bundle.amplitude >= NODE_MASK_REL * bundle.amp_peak)
 
 
 def test_madelung_harmonic_ground_state():
@@ -506,7 +507,7 @@ def test_madelung_extract_takes_one_real_spectrum_of_a(shape, lengths,
                   <= (err[2] / a_safe + (err[1] * grad_scale + err[0]
                       * np.max(np.abs(complex_lap))) / a_safe**2) / 2.0)
     assert bundle.amp_peak == np.max(a)
-    assert bundle.amp_floor == floor
+    assert NODE_MASK_REL * bundle.amp_peak == floor
     assert len(calls["rfftn"]) == 1 and calls["rfftn"][0] is bundle.amplitude
     # the complex FFTs are those of psi's gradient, one per axis
     assert len(calls["fft"]) == g.dim

@@ -20,7 +20,6 @@ from solidyn.errors import SolidynError, TrajectoryAbortError  # noqa: E402
 from solidyn.grids import Grid  # noqa: E402
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
 from solidyn.schrodinger import MadelungBundle  # noqa: E402
-from solidyn.stepping import NODE_MASK_REL  # noqa: E402
 from solidyn.trajectories import (FlowHistory, advance_point,  # noqa: E402
                                   advance_positions)
 
@@ -166,8 +165,7 @@ def random_bundle(grid, rng, speed, node_frac):
     peak = float(np.max(amp))
     return MadelungBundle(grid=grid, time_tag=0.0, amplitude=amp,
                           velocity=velocity, quantum_potential=None,
-                          quantum_force=None,
-                          amp_floor=NODE_MASK_REL * peak, amp_peak=peak)
+                          quantum_force=None, amp_peak=peak)
 
 
 def _outcome(step):
