@@ -157,6 +157,17 @@ class Grid:
         _require_finite(out[self.dim], "derivative input")
         return out
 
+    def real_laplacian(self, samples):
+        """lap f of a real field f alone: the bits of row `dim` of
+        `real_derivatives`, with the same two checks, from one real FFT
+        pair of f and no other inverse rows."""
+        _require_finite(samples, "second_derivative input")
+        out = np.fft.irfftn(
+            self._real_multipliers[self.dim] * np.fft.rfftn(samples),
+            s=self.shape, axes=range(self.dim))
+        _require_finite(out, "derivative input")
+        return out
+
     def derivative(self, samples, axis):
         """First derivative along one axis via FFT; dtype follows the input."""
         _require_finite(samples, "derivative input")

@@ -303,11 +303,14 @@ def kg_newton_residual(z0, history: KGHistory) -> FlowWalk:
     # (record, M, dM/dx) of each kept record, made as it is appended, so
     # that masses[p] goes with kept record p
     masses = []
+    # the history's record list, not the history: a reader that the
+    # history holds keeps no reference back to it
+    records = history.records
 
     def keep_mass(record):
         mass = np.sqrt(np.maximum(record.mass_sq, 0.0))
         masses.append((record, mass, grid.derivative(mass, 0)))
-        del masses[:-(history.count - history.first)]
+        del masses[:-len(records)]
 
     def dmass_dt(p):
         lo, hi = max(p - 1, 0), min(p + 1, len(masses) - 1)

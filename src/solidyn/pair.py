@@ -238,9 +238,9 @@ def conditional_q(pair: PairWave, which: int, partner_pos: float):
     if np.all(a_slice < floor):
         raise SolidynError(
             "conditional slice lies entirely below the node floor")
-    # the Laplacian row of the derivatives that madelung_extract takes, so
-    # a product pair's q has the bits of the single-particle q
-    d2a_slice = pair.axis_grids[own].real_derivatives(a_slice)[1]
+    # the bits of the Laplacian row of the derivatives that madelung_extract
+    # takes, so a product pair's q has the bits of the single-particle q
+    d2a_slice = pair.axis_grids[own].real_laplacian(a_slice)
     q = -d2a_slice / (2.0 * pair.masses[own] * np.maximum(a_slice, floor))
     return q
 

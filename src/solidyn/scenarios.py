@@ -14,6 +14,7 @@ never drift apart.  Exit codes: 0 all checks pass, 1 solver error,
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import os
 import shutil
@@ -836,9 +837,11 @@ def _run_equivariance(cfg, sink):
     # keep the densities and the ensemble only at the reported snapshots
     indices = sorted({0, (cfg.steps + 1) // 2, cfg.steps})
     densities, times, kept = [], [], []
+    # counted here, not read from the history, which holds this reader
+    snapshot = itertools.count()
 
     def keep_density(bundle):
-        if history.count - 1 in indices:
+        if next(snapshot) in indices:
             densities.append(bundle.amplitude ** 2)
 
     def keep_positions(i, t, z, stencil, k1):

@@ -34,10 +34,15 @@ def strang_step(samples, half_start, half_end, kinetic_phase):
     half_end : second half phase exp(-i dt W(t + dt) / 2), or a callable
         receiving the post-kinetic samples and returning it (for nonlinear W).
     kinetic_phase : precomputed exp(-i dt K) multiplier in Fourier space.
+
+    The output is built once, as half_start * samples, and both transforms
+    then run in place on it (`out=`), so a step holds one grid array and
+    `samples` is never written.
     """
-    out = np.fft.fftn(half_start * samples)
+    out = half_start * samples
+    np.fft.fftn(out, out=out)
     out *= kinetic_phase
-    out = np.fft.ifftn(out)
+    np.fft.ifftn(out, out=out)
     if callable(half_end):
         half_end = half_end(out)
     out *= half_end

@@ -279,6 +279,14 @@ def flow_steps(history, z0):
         i, t = i + 1, t_next
 
 
+def _detach(history, reader):
+    """Remove a finished reader from `history.readers`.  The history and an
+    attached reader hold each other, so without this a finished run's last
+    records would wait for the cyclic collector."""
+    if reader in history.readers:
+        history.readers.remove(reader)
+
+
 class FlowWalk:
     """`flow_steps` over a history while the wave fills it.
 
@@ -288,7 +296,8 @@ class FlowWalk:
     takes the last step once the history is complete and returns
     `result()`.  visit(i, t, z, stencil, k1) receives each yield of
     `flow_steps`.  A solver error (a trajectory abort) stops the walk, not
-    the wave; `finish` raises it.
+    the wave; `finish` raises it.  `finish` also detaches the walk from the
+    history (see `_detach`).
     """
 
     def __init__(self, history, z0, visit, result):
@@ -299,8 +308,12 @@ class FlowWalk:
         self._result = result
         self._visited = -1       # index of the last snapshot visited
         self._error = None
-        history.readers.append(lambda record: self._walk(history.count))
+        self._history = history
+        history.readers.append(self._read)
         self._walk(history.count)    # catch up with the snapshots stored
+
+    def _read(self, record):
+        self._walk(self._history.count)
 
     def _walk(self, stored):
         # the step after snapshot `_visited` needs snapshot _visited + 2
@@ -320,6 +333,7 @@ class FlowWalk:
     def finish(self):
         """Walk to the last stored snapshot, raise the error that stopped
         the walk, if any, and return `result()`."""
+        _detach(self._history, self._read)
         self._walk(math.inf)
         if self._error is not None:
             raise self._error
@@ -395,7 +409,8 @@ def trajectory_reader(history, z0):
 class InteriorMax:
     """The largest `residual(before, record, after)` over the interior
     records, read as the wave fills the history: each interior record with
-    its two neighbours.  `finish()` returns it."""
+    its two neighbours.  `finish()` detaches it (see `_detach`) and
+    returns it."""
 
     def __init__(self, history, residual):
         if history.count:
@@ -410,6 +425,7 @@ class InteriorMax:
             self._worst = max(self._worst, self._residual(*records[-3:]))
 
     def finish(self):
+        _detach(self._history, self._read)
         if self._history.count < 3:
             raise SolidynError("need at least 3 snapshots")
         return self._worst

@@ -301,3 +301,30 @@ def test_real_derivatives_check_their_input_and_laplacian(bad, message):
     with np.errstate(all="ignore"), pytest.raises(
             SolidynError, match=f"^non-finite values in {message}$"):
         g.real_derivatives(f)
+
+
+@pytest.mark.parametrize("shape, lengths", [((256,), (24.0,)),
+                                            ((512,), (16 * np.pi,)),
+                                            ((100,), (7.0,)),
+                                            ((63,), (7.0,)),
+                                            ((16, 24), (4.0, 3.0)),
+                                            ((15, 25), (5.0, 3.0))])
+def test_real_laplacian_has_the_bits_of_the_laplacian_row(shape, lengths):
+    # the one-row inverse gives row `dim` of `real_derivatives` bit for
+    # bit, on power-of-two spacings and on other spacings
+    g = Grid(shape, lengths)
+    f = np.random.default_rng(5).standard_normal(shape)
+    want = g.real_derivatives(f)[g.dim]
+    assert g.real_laplacian(f).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [(np.inf, "second_derivative input"),
+                                          (1e306, "derivative input")])
+def test_real_laplacian_checks_its_input_and_result(bad, message):
+    # the two checks of `real_derivatives`, with its messages
+    g = Grid(32, 4.0)
+    f = np.ones(32)
+    f[5] = bad
+    with np.errstate(all="ignore"), pytest.raises(
+            SolidynError, match=f"^non-finite values in {message}$"):
+        g.real_laplacian(f)

@@ -174,6 +174,27 @@ def test_conditional_q_slice_first_matches_full_grid_derivative():
                 <= 1e-12 * np.max(np.abs(old[lit]))
 
 
+@pytest.mark.parametrize("n, box", [(256, 24.0), (64, 16.0),
+                                     (512, 16 * np.pi), (100, 24.0),
+                                     (14, 7.0)])
+def test_conditional_q_has_the_bits_of_the_laplacian_row(n, box):
+    # q takes the Laplacian alone, with the bits of row 1 of
+    # `real_derivatives` (which madelung_extract reads), on power-of-two
+    # spacings and on other spacings; criterion 12 rests on these bits
+    g2, g1 = grid_pair(n, box)
+    pair = symmetrized_pair(packet(g1, -2.0, k=0.5),
+                            packet(g1, 2.0, k=-0.7, sigma=1.3), g2,
+                            (1.0, 1.7), 1.0, FREE)
+    floor = NODE_MASK_REL * pair.amp_peak
+    for which in (1, 2):
+        own, other = which - 1, 2 - which
+        for z in (-2.37, 0.0, 1.9):
+            a_slice = _axis_slice(g2, pair.amplitude, other, z)
+            want = -g1.real_derivatives(a_slice)[1] / (
+                2.0 * pair.masses[own] * np.maximum(a_slice, floor))
+            assert conditional_q(pair, which, z).tobytes() == want.tobytes()
+
+
 def test_conditional_q_entangled_depends_on_partner():
     g2, g1 = grid_pair()
     pair = symmetrized_pair(packet(g1, -2.0), packet(g1, 2.0), g2,

@@ -7,8 +7,11 @@ Hypothesis).
   string ('4e1') parses as the float it spells.
 - `Grid.sample_density` is deterministic for a fixed seed and draws inside
   the box.
-- `ls_step` and `nls_step` keep the norm to round-off, and `ls_step(dt)`
-  followed by `ls_step(-dt)` returns psi to round-off.
+- `ls_step`, `nls_step` and `ls2_step` keep the norm to round-off, and
+  `ls_step(dt)` followed by `ls_step(-dt)` returns psi to round-off.
+- `strang_step` gives the bits of the allocating reference step in
+  `strang_reference.py` on 1D and 2D inputs, with a constant or a callable
+  end phase, and leaves its input unchanged.
 - `soliton_center` and `second_central_moments` give the bits of offsets
   wrapped by np.mod, for a previous center anywhere, edges included.
 - The zero-field shortcuts (`Potentials.zero_field`) of `electric_field`
@@ -43,6 +46,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from solidyn import cli, errors  # noqa: E402
 from solidyn.errors import ConfigError  # noqa: E402
 from solidyn.grids import Field, Grid  # noqa: E402
+from solidyn.pair import ls2_step, product_pair, symmetrized_pair  # noqa: E402
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
 from solidyn.scenarios import (KINDS, MAX_STEPS,  # noqa: E402
                                ScenarioConfig, parse_config_dict)
@@ -50,6 +54,8 @@ from solidyn.schrodinger import ls_step  # noqa: E402
 from solidyn.soliton import (SolitonState, _density_mean_force,  # noqa: E402
                              _grid_positions, classical_trajectory, nls_step,
                              second_central_moments, soliton_center)
+from solidyn.stepping import strang_step  # noqa: E402
+from strang_reference import reference_strang_step  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # parse_config_dict
@@ -251,6 +257,72 @@ def test_nls_step_keeps_norm(u, potential, dt, b, f0, steps):
     for _ in range(steps):
         state = nls_step(state, pots, dt)
     assert norm_drift(u, state.u) < 1e-12 * steps
+
+
+@st.composite
+def pair_waves(draw):
+    """A product or an entangled pair wave on a small square 2D grid, each
+    axis with a free or a harmonic potential."""
+    n = draw(st.sampled_from([8, 16, 24, 32, 48]))
+    box = draw(st.floats(2.0, 40.0))
+    grid = Grid((n, n), (box, box))
+    line = Grid(n, box)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = line.axes[0]
+
+    def packet():
+        width = draw(st.floats(0.05, 0.5)) * box
+        center = draw(st.floats(-0.25, 0.25)) * box
+        envelope = np.exp(-(x - center) ** 2 / (4 * width**2)
+                          + 1j * draw(st.floats(-3.0, 3.0)) * x)
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        mix = draw(st.floats(0.0, 1.0))
+        return (1.0 - mix) * envelope + mix * noise
+
+    build = draw(st.sampled_from([product_pair, symmetrized_pair]))
+    masses = (draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0)))
+    axis_potentials = tuple(
+        draw(st.sampled_from([Potentials.free(1), Potentials.harmonic(0.3)]))
+        for _ in range(2))
+    return build(packet(), packet(), grid, masses, 1.0, axis_potentials)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_waves(), st.floats(1e-4, 0.1), st.integers(1, 20))
+def test_ls2_step_keeps_norm(pair, dt, steps):
+    out = pair
+    for _ in range(steps):
+        out = ls2_step(out, dt)
+    assert abs(out.norm() - pair.norm()) / pair.norm() < 1e-12 * steps
+
+
+@st.composite
+def strang_inputs(draw):
+    """Complex samples with unit-modulus start, end and kinetic phases."""
+    shape = draw(st.sampled_from([(16,), (48,), (100,), (256,), (8, 8),
+                                  (16, 12), (15, 9), (32, 32)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def phase():
+        return np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return samples, phase(), phase(), phase()
+
+
+@settings(max_examples=100, deadline=None)
+@given(strang_inputs(), st.booleans(), st.floats(1e-4, 0.1))
+def test_strang_step_gives_the_reference_bits_and_keeps_its_input(
+        inputs, nonlinear, dt):
+    samples, half_start, half_end, kinetic = inputs
+    if nonlinear:     # a phase read from the post-kinetic samples
+        def half_end(out):
+            return np.exp(-0.5j * dt * np.log(np.abs(out) ** 2 + 1e-30))
+    before = samples.copy()
+    want = reference_strang_step(samples, half_start, half_end, kinetic)
+    got = strang_step(samples, half_start, half_end, kinetic)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert samples.tobytes() == before.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

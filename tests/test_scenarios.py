@@ -1,6 +1,7 @@
 """Tests for configuration parsing, snapshot IO, the CLI, and determinism."""
 
 import dataclasses
+import gc
 import os
 import struct
 import subprocess
@@ -21,7 +22,8 @@ from solidyn.errors import (BoundaryExitError, ConfigError,
 from solidyn.grids import Field, Grid
 from solidyn.scenarios import (KINDS, MAX_STEPS, THRESHOLDS, parse_config,
                                parse_config_dict, run_scenario)
-from solidyn.schrodinger import evolve_schrodinger, integrate_bohm_ensemble
+from solidyn.schrodinger import (MadelungBundle, evolve_schrodinger,
+                                 integrate_bohm_ensemble)
 from solidyn.snapshots import read_snapshot, write_csv, write_snapshot
 
 
@@ -606,6 +608,28 @@ def test_equivariance_scenario_keeps_only_reported_snapshots(tmp_path):
               [report.times, report.distances], comment="dimensionless")
     assert (tmp_path / "eq" / "equivariance.csv").read_bytes() \
         == (tmp_path / "want.csv").read_bytes()
+
+
+def test_finished_equivariance_run_leaves_no_record_to_the_collector(
+        tmp_path):
+    # the density reader counts its snapshots and the walk detaches at
+    # `finish`, so no reader ties the history into a cycle: with the
+    # cyclic collector off, none of the run's records outlives the run
+    cfg = parse_config_dict({
+        "scenario": "equivariance",
+        "grid": {"points": 96, "length": 30.0},
+        "initial": {"trajectories": 100, "bins": 16},
+        "run": {"t_final": 0.1},
+        "output": {"directory": str(tmp_path / "eq")},
+    })
+    gc.disable()
+    try:
+        assert run_scenario(cfg, quiet=True) in (0, 3)
+        left = [o for o in gc.get_objects()
+                if isinstance(o, MadelungBundle) and o.grid == cfg.grid]
+    finally:
+        gc.enable()
+    assert not left
 
 
 def test_shipped_configs_all_validate():

@@ -1,6 +1,9 @@
 """Split-step factor caches against a reference Strang step that rebuilds
-every phase factor and the kinetic multiplier at every step; the time loop
-`drive`; and the step index and message with which each wave run aborts."""
+every phase factor and the kinetic multiplier at every step; the memory of
+one Strang step; the time loop `drive`; and the step index and message with
+which each wave run aborts."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from solidyn.schrodinger import evolve_schrodinger, ls_step
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
                              log_nonlinearity, nls_step, run_classical,
                              run_coupled)
-from solidyn.stepping import drive
+from solidyn.stepping import drive, strang_step
 
 STEPS = 50
 DT = 5e-3
@@ -159,6 +162,23 @@ def test_ls2_step_matches_reference(kind):
         ref = reference_strang(ref, DT, w_at(t), w_at(t + DT), kin)
         t = t + DT
     assert np.array_equal(pair.psi.samples, ref)
+
+
+def test_strang_step_holds_one_grid_array():
+    # the transforms run in place on the one output array; allocating
+    # transforms peak at three grid arrays
+    rng = np.random.default_rng(3)
+    shape = (256, 256)
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    strang_step(samples, phase, phase, phase)    # numpy's FFT set-up
+    tracemalloc.start()
+    try:
+        strang_step(samples, phase, phase, phase)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * samples.nbytes
 
 
 def test_static_scalar_on_grid_is_read_only():

@@ -10,9 +10,11 @@ A reader attached to a history, which keeps only its last three snapshots,
 must give the bits and the aborts of `flow_steps` over the whole history.
 """
 
+import gc
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -546,6 +548,48 @@ LIBRARY_READERS = {
 }
 
 
+def equivariance_walk(history):
+    """A walk that keeps an ensemble at a few snapshots, as the
+    equivariance scenario's does."""
+    kept = []
+
+    def keep(i, t, z, stencil, k1):
+        if i % 10 == 0:
+            kept.append(z)
+
+    starts = history.grid.sample_density(
+        np.exp(-history.grid.axes[0] ** 2 / 2.0), 50, 1)
+    return FlowWalk(history, starts, keep, lambda: np.stack(kept))
+
+
+FINISHED_READERS = dict(LIBRARY_READERS, equivariance_walk=equivariance_walk)
+
+
+def attach_and_evolve(reader, steps):
+    """Attach FINISHED_READERS[reader] to a new history and fill it with
+    `steps` steps of a moving packet; returns the reader, the history and
+    the wave run."""
+    if reader.startswith(("kg_", "current_")):
+        g = Grid(128, 128.0)
+        x = g.axes[0]
+        psi0 = Field(g, (np.exp(-x**2 / 128.0)
+                         * np.exp(0.1j * x)).astype(complex))
+        history = KGHistory(g, PARAMS, Potentials.free())
+        attached = FINISHED_READERS[reader](history)
+        run = evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
+                        0.2, steps, history=history)
+    else:
+        g = Grid(64, 20.0)
+        x = g.axes[0]
+        psi0 = Field(g, (np.exp(-x**2 / 4.0)
+                         * np.exp(0.5j * x)).astype(complex))
+        history = FlowHistory(g, PARAMS, Potentials.free())
+        attached = FINISHED_READERS[reader](history)
+        run = evolve_schrodinger(psi0, PARAMS, Potentials.free(), 2e-3,
+                                 steps, history=history)
+    return attached, history, run
+
+
 @pytest.mark.parametrize("reader", LIBRARY_READERS)
 def test_library_readers_keep_three_snapshots_at_any_length(monkeypatch,
                                                             reader):
@@ -565,32 +609,32 @@ def test_library_readers_keep_three_snapshots_at_any_length(monkeypatch,
         self.readers.append(read)
 
     monkeypatch.setattr(trajectories.FlowHistory, "__init__", spy_init)
-    kg = reader.startswith(("kg_", "current_"))
     for steps in (100, 400):
         spied.clear()
-        if kg:
-            g = Grid(128, 128.0)
-            x = g.axes[0]
-            psi0 = Field(g, (np.exp(-x**2 / 128.0)
-                             * np.exp(0.1j * x)).astype(complex))
-            history = KGHistory(g, PARAMS, Potentials.free())
-            attached = LIBRARY_READERS[reader](history)
-            evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
-                      0.2, steps, history=history)
-        else:
-            g = Grid(64, 20.0)
-            x = g.axes[0]
-            psi0 = Field(g, (np.exp(-x**2 / 4.0)
-                             * np.exp(0.5j * x)).astype(complex))
-            history = FlowHistory(g, PARAMS, Potentials.free())
-            attached = LIBRARY_READERS[reader](history)
-            evolve_schrodinger(psi0, PARAMS, Potentials.free(), 2e-3, steps,
-                               history=history)
+        attached, _, _ = attach_and_evolve(reader, steps)
         attached.finish()
         assert spied
         for history, record in spied:
             assert history.count == steps + 1
             assert 0 < record["kept"] <= 3
+
+
+@pytest.mark.parametrize("reader", FINISHED_READERS)
+def test_finished_reader_frees_the_last_records_without_the_collector(
+        reader):
+    # a history and an attached reader hold each other until `finish`
+    # detaches the reader, so a finished run's last records die with their
+    # last reference, with the cyclic collector off
+    gc.disable()
+    try:
+        attached, history, run = attach_and_evolve(reader, 30)
+        attached.finish()
+        records = [weakref.ref(record) for record in history.records]
+        assert len(records) == WALK_WINDOW
+        del attached, history, run
+        assert all(record() is None for record in records)
+    finally:
+        gc.enable()
 
 
 def schrodinger_record():
