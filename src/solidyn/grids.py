@@ -303,17 +303,24 @@ class Grid:
         return True
 
     def _point_stencil_in_box(self, position):
-        """`point_stencil` of a point whose box test the caller has made;
-        the index and offset arithmetic of `_fraction_index` in floats."""
+        """`point_stencil` of a point whose box test the caller has made."""
         weights, indices = [], []
-        for c, L, dx, n in zip(position, self.lengths, self.spacing,
-                               self.points):
-            s = (c + 0.5 * L) / dx
-            base = math.floor(s)
-            weights.append(_cubic_weight_terms(s - base))
-            indices.append(((base - 1) % n, base % n, (base + 1) % n,
-                            (base + 2) % n))
+        for axis, c in enumerate(position):
+            w, i = self._axis_cell(c, axis)
+            weights.append(w)
+            indices.append(i)
         return PointStencil(weights, indices)
+
+    def _axis_cell(self, c, axis):
+        """The four cubic weights and wrapped sample indices of a coordinate
+        inside the box along one axis: the index, offset and weight
+        arithmetic of `_fraction_index` and `_cubic_weights` in Python
+        floats and ints, with the same bits."""
+        s = (c + 0.5 * self.lengths[axis]) / self.spacing[axis]
+        base = math.floor(s)
+        n = self.points[axis]
+        return (_cubic_weight_terms(s - base),
+                ((base - 1) % n, base % n, (base + 1) % n, (base + 2) % n))
 
     def interpolate(self, samples, positions):
         """Separable cubic (4-point Lagrange) interpolation at off-grid points.
@@ -327,19 +334,22 @@ class Grid:
 
         Every interpolation goes through here, so profiles count it under
         one name.  To evaluate several fields at the same points, build
-        `stencil(positions)` once and pass it as `positions`.
+        `stencil(positions)` once and pass it as `positions`; for one point,
+        `point_stencil(position)` gives the same value as a Python float.
 
         Parameters
         ----------
-        samples : ndarray of the grid shape
+        samples : ndarray of the grid shape, or a field indexed like one
+            (such as a component of the pair wave's velocity lines)
         positions : (n, dim) or (dim,) array of query points, or a
-            `Stencil` built by this grid's `stencil`
+            `Stencil` or `PointStencil` built by this grid
 
         Returns
         -------
-        ndarray of n interpolated values (dtype follows `samples`).
+        ndarray of n interpolated values (dtype follows `samples`), or a
+        float for a `PointStencil` of a real field.
         """
-        if not isinstance(positions, Stencil):
+        if not isinstance(positions, (Stencil, PointStencil)):
             positions = self.stencil(positions)
         return positions.apply(samples)
 
@@ -422,28 +432,34 @@ class PointStencil:
     `Stencil.apply` returns for the same point: the same weights, and per
     axis the four products summed as numpy's einsum sums four terms of one
     point, 0.0 + ((w0 v0 + w2 v2) + (w1 v1 + w3 v3)) (the stencil property
-    tests check this).  Without numpy's per-call overhead a
-    one-point lookup costs about a microsecond.
+    tests check this).  Without numpy's per-call overhead a 1D one-point
+    lookup costs about a microsecond.
+
+    In 2D, `apply` reads the 4x4 block through one broadcast gather index,
+    `block`, as `Stencil.apply` reads its blocks, so a field derived on
+    demand (the pair wave's velocity lines) serves the block at once.
     """
 
-    __slots__ = ("weights", "indices")
+    __slots__ = ("weights", "indices", "block")
 
     def __init__(self, weights, indices):
         self.weights = weights      # per axis, 4 floats
         self.indices = indices      # per axis, 4 wrapped sample indices
+        if len(indices) == 2:
+            self.block = (np.array(indices[0]).reshape(4, 1),
+                          np.array(indices[1]).reshape(1, 4))
 
     def apply(self, samples):
         """Interpolated value of a real field `samples` (the grid shape)."""
-        value = samples.item
         if len(self.weights) == 1:
+            value = samples.item
             i0, i1, i2, i3 = self.indices[0]
             return _sum4(self.weights[0], value(i0), value(i1), value(i2),
                          value(i3))
         # 2D: reduce the second axis first, then the first (as Stencil)
-        w1, cols = self.weights[1], self.indices[1]
+        w1 = self.weights[1]
         return _sum4(self.weights[0], *(
-            _sum4(w1, *(value(r, c) for c in cols))
-            for r in self.indices[0]))
+            _sum4(w1, *row) for row in samples[self.block].tolist()))
 
 
 def _sum4(w, v0, v1, v2, v3):

@@ -26,11 +26,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import SolidynError
-from .grids import Field, Grid, _cubic_weights
+from .grids import Field, Grid
 from .soliton import SolitonState, nls_step
 from .stepping import (NODE_MASK_REL, cached, check_finite, drive,
                        kinetic_multiplier, strang_step)
-from .trajectories import FlowHistory, advance_positions
+from .trajectories import advance_point
 
 
 @dataclass
@@ -51,6 +51,10 @@ class PairWave:
                                       self.psi.grid.lengths)
 
     @property
+    def grid(self):
+        return self.psi.grid
+
+    @property
     def time_tag(self):
         return self.psi.time_tag
 
@@ -63,7 +67,7 @@ class PairWave:
     @cached_property
     def amp_peak(self):
         """max |Psi|, reduced once per wave (the node floors of the velocity
-        lines, the flow history and the conditional potentials share it)."""
+        lines, the point RK4 and the conditional potentials share it)."""
         return float(np.max(self.amplitude))
 
     @cached_property
@@ -153,11 +157,9 @@ class _VelocityLines:
     touches (columns for k = 0, rows for k = 1), once each, and keeps them.
     The node floor is taken from the whole wave's peak, and a line's FFT
     and elementwise arithmetic give the same bits as the full-grid ones, so
-    every value equals the full-grid field exactly.
+    every value equals the full-grid field exactly.  It iterates as its two
+    components, as the array does.
     """
-
-    ndim = 3                     # read by FlowHistory as a vector field
-    dtype = np.dtype(float)
 
     def __init__(self, psi: Field, amplitude, peak, masses):
         if peak == 0.0:
@@ -188,7 +190,8 @@ class _VelocityLines:
         rows, cols = index
         lines, across = (cols, rows) if axis == 0 else (rows, cols)
         slots = self._slots[axis]
-        missing = slots[lines] < 0
+        at = slots[lines]
+        missing = at < 0
         if missing.any():
             new = np.unique(lines[missing])
             block = self.derive(axis, new)
@@ -196,14 +199,21 @@ class _VelocityLines:
             slots[new] = np.arange(len(kept), len(kept) + new.size)
             self._kept[axis] = np.concatenate(
                 [kept, block.T if axis == 0 else block])
-        return self._kept[axis][slots[lines], across]
+            at = slots[lines]
+        return self._kept[axis][at, across]
 
     def __getitem__(self, axis):
         return _VelocityComponent(self, axis)
 
+    def __iter__(self):
+        return iter((_VelocityComponent(self, 0), _VelocityComponent(self, 1)))
+
 
 class _VelocityComponent:
-    """One component of a `_VelocityLines`, gathered by `Stencil.apply`."""
+    """One component of a `_VelocityLines`, indexed by a stencil's gather
+    index: `Grid.interpolate` reads it as it reads the full-grid array,
+    through a `Stencil`'s (4, 4, n) blocks or a `PointStencil`'s 4x4
+    block, and each block derives its missing lines as one batch."""
 
     __slots__ = ("velocity", "axis")
 
@@ -246,11 +256,9 @@ def conditional_q(pair: PairWave, which: int, partner_pos: float):
 
 
 def _axis_slice(grid: Grid, data, axis, coord):
-    """Cubic interpolation of a 2D array along one axis at a scalar coord."""
-    base, frac = grid._fraction_index(np.asarray([coord]), axis)
-    weights = _cubic_weights(frac)[:, 0]
-    n = grid.points[axis]
-    idx = [(int(base[0]) + off) % n for off in (-1, 0, 1, 2)]
+    """Cubic interpolation of a 2D array along one axis at a scalar coord
+    (its weights and cell in Python floats, as a point stencil's)."""
+    weights, idx = grid._axis_cell(coord, axis)
     take = (lambda j: data[:, j]) if axis == 1 else (lambda j: data[j, :])
     out = weights[0] * take(idx[0])
     for s in (1, 2, 3):
@@ -276,23 +284,19 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
     """Advance wave, synchronized trajectory point, and both solitons.
 
     Order per step: wave first; then the configuration-space RK4 for
-    (z1, z2) against the bracketing velocity fields; then each particle's
-    conditional quantum potential (at the partner's start and end
-    positions) drives its 1D soliton.
+    (z1, z2) against the bracketing waves (`advance_point`, the one-point
+    RK4 of the coupled run); then each particle's conditional quantum
+    potential (at the partner's start and end positions) drives its 1D
+    soliton.
     """
     t = pair.psi.time_tag
-    grid = pair.psi.grid
     new_pair = ls2_step(pair, dt)
     check_finite(new_pair.psi.samples, round(t / max(dt, 1e-300)) + 1)
 
     # both waves keep the velocity lines the RK4 stencils derive, so the
     # next step reuses this step's new wave as is
-    flow = FlowHistory(grid, None, None)
-    flow.append(pair)
-    flow.append(new_pair)
-    z_old = state.z
-    z_new, _ = advance_positions(flow, np.atleast_2d(z_old), t, t + dt)
-    z_new = z_new[0]
+    z_old = state.z.tolist()
+    z_new, _, _ = advance_point(pair, new_pair, z_old, t, t + dt)
 
     if state.q_cache is not None:
         q1_start, q2_start = state.q_cache

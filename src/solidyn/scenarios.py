@@ -780,9 +780,8 @@ def _run_entangled_pair(cfg, sink):
         # phase-harmony initial data: each soliton boosted to the local
         # guidance velocity of its particle (read through the wave's line
         # memo, which the first pair step then reuses)
-        stencil = grid.stencil(np.array([[z1, z2]]))
-        v0 = [grid.interpolate(pair_wave.velocity[a], stencil)[0]
-              for a in range(2)]
+        stencil = grid.point_stencil((z1, z2))
+        v0 = [grid.interpolate(v, stencil) for v in pair_wave.velocity]
         u1, u2 = (gausson_init(GaussonParams(cfg.b, cfg.f0, center=(z,),
                                              velocity=(v,)), g, cfg.omega0)
                   for z, v, g in zip((z1, z2), v0, axis_grids))

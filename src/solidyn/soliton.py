@@ -255,7 +255,8 @@ def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
     grad = grid.gradient(u)
     rho_safe = np.maximum(rho, floor)
 
-    v_z = np.array(_point_vector(grid.point_stencil(z), madelung.velocity))
+    v_z = np.array(_point_vector(grid, grid.point_stencil(z),
+                                 madelung.velocity))
     if potentials is not None:
         avec = p.charge * potentials.vector(state.u.time_tag)
     else:
@@ -375,10 +376,12 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     against the same two Madelung snapshots.  The coupling is one way: the
     pilot wave never sees u.
 
-    The reference point steps by `trajectories.advance_point`, an RK4 in
-    Python floats that reads the two Madelung bundles directly; it gives
-    the bits of `advance_positions` over a two-snapshot flow history, and
-    its point stencil serves every later lookup at the point.
+    The reference point steps by `trajectories.advance_point`, the
+    one-point RK4 in Python floats that also moves the pair run's
+    configuration point.  It reads the two Madelung bundles directly
+    through `Grid.interpolate` with a point stencil, gives the bits of
+    `advance_positions` over a two-snapshot flow history, and its point
+    stencil serves every later lookup at the point.
     """
     if state.coupling_mode != "dbb":
         raise SolidynError("run_coupled needs a dbb-mode state")
@@ -390,7 +393,8 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
 
     z = tuple(float(c) for c in state.center)
     z_stencil = grid.point_stencil(z)
-    if z_stencil.apply(bundle.amplitude) < NODE_MASK_REL * bundle.amp_peak:
+    if grid.interpolate(bundle.amplitude, z_stencil) \
+            < NODE_MASK_REL * bundle.amp_peak:
         raise SolidynError("soliton center starts on the pilot node mask")
 
     pos = _grid_positions(grid)
@@ -415,7 +419,7 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         near = amp < NODE_PROXIMITY_REL * max(bundle.amp_peak,
                                               bundle_next.amp_peak)
         return (psi_next, bundle_next, state, z, z_stencil,
-                _point_vector(z_stencil, bundle_next.velocity), near)
+                _point_vector(grid, z_stencil, bundle_next.velocity), near)
 
     def sample(s, i):
         psi, bundle, state, z, z_stencil, k1, near = s
@@ -426,11 +430,12 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
             "times": t, "centers": state.center, "norms": state.norm,
             "boundary_mass": grid.boundary_mass_fraction(state.density),
             "mean_em_force": _density_mean_force(state, potentials, pos),
-            "fq_at_center": _point_vector(grid.point_stencil(state.center),
-                                          bundle.quantum_force),
+            "fq_at_center": _point_vector(
+                grid, grid.point_stencil(state.center), bundle.quantum_force),
             # the reference trajectory
             "positions": z, "velocities": k1,
-            "quantum_force": _point_vector(z_stencil, bundle.quantum_force),
+            "quantum_force": _point_vector(grid, z_stencil,
+                                           bundle.quantum_force),
             "em_force": em0 if potentials.zero_field else em_force(t, z),
             "node_proximity": near,
             "u_snapshots": state.u if stored else None,
@@ -443,7 +448,7 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         }
 
     start = (psi0, bundle, state, z, z_stencil,
-             _point_vector(z_stencil, bundle.velocity), False)
+             _point_vector(grid, z_stencil, bundle.velocity), False)
     (_, _, state, *_), series = drive(start, steps, step, sample)
     reference = TrajectoryRecord(
         times=series["times"],
@@ -458,9 +463,9 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         reference=reference, **series)
 
 
-def _point_vector(stencil, components):
+def _point_vector(grid, stencil, components):
     """Per-axis components (dim, *grid shape) at a point stencil, as floats."""
-    return [stencil.apply(c) for c in components]
+    return [grid.interpolate(c, stencil) for c in components]
 
 
 def _warn_scale_separation(psi0: Field, b: float):

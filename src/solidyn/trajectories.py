@@ -1,7 +1,7 @@
 """Guidance-flow trajectory integration while the wave fills its history.
 
 A flow history holds the snapshot records its producing solver built (a
-`MadelungBundle`, `KGMadelung` or `PairWave`) and reads their fields:
+`MadelungBundle` or `KGMadelung`) and reads their fields:
 `time_tag`, `velocity` (dim, *shape), `amplitude`, `amp_peak` and, for
 Schrodinger only, `quantum_force`.  Trajectories advance with RK4 whose
 stage velocities come from cubic-in-space, linear-in-time interpolation of
@@ -202,35 +202,39 @@ def advance_positions(history, z, t0, t1, k1=None):
     return z_new, stencil
 
 
-def advance_point(bundle, bundle_next, z, t0, t1, k1):
-    """One RK4 step of a single point between two Madelung snapshots.
+def advance_point(bundle, bundle_next, z, t0, t1, k1=None):
+    """One RK4 step of a single point between two snapshot records.
 
     The float twin of `advance_positions` over the two-snapshot
     `FlowHistory` of `bundle` (at t0) and `bundle_next` (at t1): the same
     stencils (`Grid.point_stencil`), time blends and sums in Python floats,
     so it returns the same bits and raises the same aborts, at a small
-    fraction of numpy's per-call cost.  `z` and `k1` (the velocity at z and
-    t0) are per-axis sequences of floats.  Returns the new position (a
-    tuple), its point stencil, and the amplitude there at t1, which the
-    node check read.
+    fraction of numpy's per-call cost.  The records are the step's two
+    `MadelungBundle`s of the coupled run or `PairWave`s of the pair run;
+    every lookup goes through `Grid.interpolate`.  `z` and `k1` (the
+    velocity at z and t0, looked up here if not given) are per-axis
+    sequences of floats.  Returns the new position (a tuple), its point
+    stencil, and the amplitude there at t1, which the node check read.
     """
     grid = bundle.grid
     h = t1 - t0
 
     def blend(t, stencil, fields, fields_next):
-        now = [stencil.apply(f) for f in fields]
+        now = [grid.interpolate(f, stencil) for f in fields]
         if t1 == t0:
             return now
         theta = (t - t0) / (t1 - t0)
         if theta == 0.0:
             return now
-        nxt = [stencil.apply(f) for f in fields_next]
+        nxt = [grid.interpolate(f, stencil) for f in fields_next]
         return [(1.0 - theta) * a + theta * b for a, b in zip(now, nxt)]
 
     def velocity(t, pts):
         stencil = _enter_point(grid, t, pts, t0, "near")
         return blend(t, stencil, bundle.velocity, bundle_next.velocity)
 
+    if k1 is None:
+        k1 = velocity(t0, z)
     k2 = velocity(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(z, k1)])
     k3 = velocity(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(z, k2)])
     k4 = velocity(t1, [c + h * k for c, k in zip(z, k3)])

@@ -5,6 +5,10 @@ replaced: every step it differentiates the whole new wave along both axes
 (two full-grid complex FFT derivative pairs), carries the result to the
 next step in a cache, and reads it at one point's cubic stencil in the
 RK4.  The per-line path must reproduce it bit for bit.
+
+`reference_axis_slice` is the conditional potentials' slice with its cell
+and weights computed on one-element numpy arrays; `pair._axis_slice`,
+which computes them in Python floats, must give its bits.
 """
 
 from dataclasses import dataclass
@@ -13,10 +17,25 @@ import numpy as np
 
 from interp_reference import Snapshot
 from solidyn.errors import SolidynError
+from solidyn.grids import _cubic_weights
 from solidyn.pair import conditional_q, ls2_step
 from solidyn.soliton import SolitonState, nls_step
 from solidyn.stepping import NODE_MASK_REL, check_finite
 from solidyn.trajectories import FlowHistory, advance_positions
+
+
+def reference_axis_slice(grid, data, axis, coord):
+    """Cubic interpolation of a 2D array along one axis at a scalar coord,
+    with the cell and weights taken through one-element arrays."""
+    base, frac = grid._fraction_index(np.asarray([coord]), axis)
+    weights = _cubic_weights(frac)[:, 0]
+    n = grid.points[axis]
+    idx = [(int(base[0]) + off) % n for off in (-1, 0, 1, 2)]
+    take = (lambda j: data[:, j]) if axis == 1 else (lambda j: data[j, :])
+    out = weights[0] * take(idx[0])
+    for s in (1, 2, 3):
+        out = out + weights[s] * take(idx[s])
+    return out
 
 
 def reference_velocity_fields(pair):

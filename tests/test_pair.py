@@ -9,6 +9,7 @@ from solidyn.diagnostics import equivariance_distance
 from solidyn.errors import BoundaryExitError, NonFiniteFieldError, \
     SolidynError
 from solidyn import pair as pair_module
+from solidyn import trajectories
 from solidyn.grids import Field, Grid
 from solidyn.pair import (
     PairState,
@@ -73,14 +74,35 @@ def test_ls2_product_stays_product():
     assert schmidt_ratio(pair.psi.samples) < 1e-8
 
 
-def test_ls2_norm_conserved_entangled():
+@pytest.fixture(scope="module")
+def entangled_free_run():
+    """500 free steps of one entangled wave, shared by two tests: its norm
+    at both ends, and a Bohm ensemble walked through its first 250 steps
+    (the walk streams the snapshots, with |Psi|^2 kept at both ends)."""
     g2, g1 = grid_pair()
     pair = symmetrized_pair(packet(g1, -2.0, k=1.0), packet(g1, 2.0, k=-1.0),
                             g2, (1.0, 1.0), 1.0, FREE)
-    n0 = pair.norm()
-    for _ in range(500):
-        pair = ls2_step(pair, 2e-3)
-    assert abs(pair.norm() - n0) / n0 < 1e-12
+    norm0 = pair.norm()
+    history = FlowHistory(g2, PARAMS, Potentials.free(2))
+    densities = {}
+    for i in range(501):
+        if i <= 250:
+            vel, amp = pair_velocity_fields(pair)
+            if i == 0:
+                flow = integrate_flow(
+                    history, g2.sample_density(amp**2, 2000, seed=11))
+            if i in (0, 250):
+                densities[i] = amp**2
+            history.append(Snapshot(pair.psi.time_tag, vel, amp))
+        if i < 500:
+            pair = ls2_step(pair, 2e-3)
+    return {"grid": g2, "norms": (norm0, pair.norm()),
+            "densities": densities, "flow": flow.finish()}
+
+
+def test_ls2_norm_conserved_entangled(entangled_free_run):
+    n0, n_end = entangled_free_run["norms"]
+    assert abs(n_end - n0) / n0 < 1e-12
 
 
 def test_ls2_trap_on_one_leaves_partner_marginal():
@@ -372,25 +394,10 @@ def test_pair_zero_coupling_straight_lines():
     assert u2.center[0] == pytest.approx(2.0 - 0.25 * 1.0, abs=1e-4)
 
 
-def test_pair_equivariance_2d():
-    g2, g1 = grid_pair()
-    pair = symmetrized_pair(packet(g1, -2.0, k=1.0), packet(g1, 2.0, k=-1.0),
-                            g2, (1.0, 1.0), 1.0, FREE)
-    snapshots, densities = [], []
-    dt = 2e-3
-    for i in range(251):
-        vel, amp = pair_velocity_fields(pair)
-        snapshots.append(Snapshot(pair.psi.time_tag, vel, amp))
-        densities.append(amp**2)
-        if i < 250:
-            pair = ls2_step(pair, dt)
-    starts = g2.sample_density(densities[0], 2000, seed=11)
-    hist = FlowHistory(g2, PARAMS, Potentials.free(2))
-    flow = integrate_flow(hist, starts)
-    for snapshot in snapshots:
-        hist.append(snapshot)
-    times, pos, _, _, _, _ = flow.finish()
-    report = equivariance_distance(densities, g2, times, pos,
+def test_pair_equivariance_2d(entangled_free_run):
+    times, pos, _, _, _, _ = entangled_free_run["flow"]
+    report = equivariance_distance(entangled_free_run["densities"],
+                                   entangled_free_run["grid"], times, pos,
                                    indices=[0, 250], bins=8)
     assert np.all(report.distances < 0.07)
 
@@ -569,20 +576,23 @@ def test_wave_peak_reduced_once_serves_every_floor(monkeypatch):
     g2, g1 = grid_pair()
     wave = unequal_mass_wave(g2, g1)
     u1, u2 = unequal_mass_solitons(g1, Z_START)
-    flows = []
-    advance = pair_module.advance_positions
+    handed = []
+    advance = pair_module.advance_point
 
-    def spy(flow, *args, **kwargs):
-        flows.append(flow)
-        return advance(flow, *args, **kwargs)
+    def spy(bundle, bundle_next, *args, **kwargs):
+        handed.append((bundle, bundle_next))
+        return advance(bundle, bundle_next, *args, **kwargs)
 
-    monkeypatch.setattr(pair_module, "advance_positions", spy)
+    monkeypatch.setattr(pair_module, "advance_point", spy)
     new_wave, _ = pair_step(wave, PairState(u1=u1, u2=u2, z=Z_START), 2e-3)
     for w in (wave, new_wave):
         peak = np.max(np.abs(w.psi.samples))
         assert w.amp_peak == peak and "amp_peak" in w.__dict__
         assert w.velocity.floor == NODE_MASK_REL * peak
-    assert [r.amp_peak for r in flows[0].records] == [
+    # the point RK4 is handed the step's two waves, with their peaks
+    assert len(handed) == 1
+    assert handed[0][0] is wave and handed[0][1] is new_wave
+    assert [w.amp_peak for w in handed[0]] == [
         np.max(wave.amplitude), np.max(new_wave.amplitude)]
     # the conditional potentials' floor is the full-grid reduction too
     z2 = float(Z_START[1])
@@ -591,3 +601,19 @@ def test_wave_peak_reduced_once_serves_every_floor(monkeypatch):
     want = -g1.real_derivatives(a_slice)[1] \
         / (2.0 * MASSES[0] * np.maximum(a_slice, floor))
     assert np.array_equal(conditional_q(wave, 1, z2), want)
+
+
+def test_pair_step_builds_no_flow_history(monkeypatch):
+    # the configuration point moves by the one-point RK4 over the step's two
+    # waves; no throwaway flow history is built
+    g2, g1 = grid_pair()
+    wave = unequal_mass_wave(g2, g1)
+    u1, u2 = unequal_mass_solitons(g1, Z_START)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("pair_step built a FlowHistory")
+
+    monkeypatch.setattr(trajectories.FlowHistory, "__init__", refuse)
+    new_wave, state = pair_step(wave, PairState(u1=u1, u2=u2, z=Z_START),
+                                2e-3)
+    assert new_wave.time_tag == 2e-3 and state.z.shape == (2,)

@@ -3,9 +3,10 @@
 `Grid.stencil(p).apply(f)` must reproduce, bit for bit, the per-call
 reference interpolation in `interp_reference.py`.  The float twins must
 reproduce the numpy paths: `Grid.point_stencil(p).apply(f)` equals
-`Grid.stencil(p).apply(f)`, and `advance_point` over two Madelung bundles
+`Grid.stencil(p).apply(f)`, on arrays and on the pair wave's lazy velocity
+lines, and `advance_point` over two Madelung bundles or two pair waves
 equals `advance_positions` over their two-snapshot `FlowHistory`, aborts
-included.
+included.  The pair's conditional slice in floats equals its numpy form.
 """
 
 import numpy as np
@@ -15,9 +16,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from interp_reference import reference_interpolate, same_bits  # noqa: E402
+from interp_reference import (Snapshot, reference_interpolate,  # noqa: E402
+                              same_bits)
+from pair_reference import reference_axis_slice  # noqa: E402
 from solidyn.errors import SolidynError, TrajectoryAbortError  # noqa: E402
-from solidyn.grids import Grid  # noqa: E402
+from solidyn.grids import Field, Grid  # noqa: E402
+from solidyn.pair import (PairWave, _axis_slice,  # noqa: E402
+                          pair_velocity_fields, product_pair)
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
 from solidyn.schrodinger import MadelungBundle  # noqa: E402
 from solidyn.trajectories import (FlowHistory, advance_point,  # noqa: E402
@@ -215,3 +220,131 @@ def test_advance_point_matches_two_snapshot_flow(data):
     f = wide_field(grid, 5)
     assert same_bits(np.array([stencil.apply(f)]), want[1].apply(f))
     assert same_bits(np.array([amp]), flow.amplitude_at(t1, want[1]))
+
+
+# ---------------------------------------------------------------------------
+# the pair run's point path: velocity lines, point RK4 and conditional slice
+# ---------------------------------------------------------------------------
+
+@st.composite
+def pair_grids(draw):
+    """2D configuration grids with arbitrary or power-of-two spacings."""
+    points = tuple(draw(st.integers(4, 40)) for _ in range(2))
+    if draw(st.booleans()):
+        return Grid(points, tuple(n * 2.0 ** draw(st.integers(-6, 2))
+                                  for n in points))
+    return Grid(points, tuple(draw(st.floats(0.5, 60.0)) for _ in range(2)))
+
+
+def random_pair(grid, rng, entangled, node_frac):
+    """A product or entangled pair wave of random complex samples whose
+    factors have a share `node_frac` of zero samples (whole node lines of
+    the product), never all zero."""
+    def factor(n):
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f[rng.random(n) < node_frac] = 0.0
+        f[0] = 1.0
+        return f
+
+    masses = tuple(rng.uniform(0.5, 2.0, 2))
+    pots = (Potentials.free(1), Potentials.free(1))
+    if not entangled:
+        return product_pair(factor(grid.points[0]), factor(grid.points[1]),
+                            grid, masses, 1.0, pots)
+    psi = np.outer(factor(grid.points[0]), factor(grid.points[1])) \
+        + np.outer(factor(grid.points[0]), factor(grid.points[1]))
+    psi.flat[0] = 1.0
+    return PairWave(Field(grid, psi), masses, 1.0, pots)
+
+
+def derived_lines(pair):
+    """Per axis, the grid lines whose velocity the wave has derived."""
+    return [np.flatnonzero(slots >= 0).tolist()
+            for slots in pair.velocity._slots]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_point_stencil_matches_stencil_on_pair_velocity_lines(data):
+    grid = data.draw(pair_grids())
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    entangled = data.draw(st.booleans())
+    node_frac = data.draw(st.sampled_from([0.0, 0.3]))
+    # two copies of one wave: one read by point stencils, one by stencils
+    by_point, by_stencil = (
+        random_pair(grid, np.random.default_rng(seed), entangled, node_frac)
+        for _ in range(2))
+    full, _ = pair_velocity_fields(by_point)
+    for p in data.draw(in_box_points(grid)):
+        point, stencil = grid.point_stencil(p), grid.stencil(p)
+        for axis in range(2):
+            want = stencil.apply(by_stencil.velocity[axis])
+            got = grid.interpolate(by_point.velocity[axis], point)
+            assert type(got) is float
+            assert same_bits(np.array([got]), want)
+            assert same_bits(np.array([point.apply(full[axis])]),
+                             stencil.apply(full[axis]))
+        # both read the same 4x4 blocks, so they derive the same lines
+        assert derived_lines(by_point) == derived_lines(by_stencil)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_advance_point_over_pair_waves_matches_two_snapshot_flow(data):
+    grid = data.draw(pair_grids())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    entangled = data.draw(st.booleans())
+    node_frac = data.draw(st.sampled_from([0.0, 0.05, 0.5]))
+    t0 = data.draw(st.one_of(st.floats(-1e3, 1e3), st.just(1e17)))
+    pair, pair_next = (random_pair(grid, rng, entangled, node_frac)
+                       for _ in range(2))
+    # the full-grid fields that the per-line velocity must reproduce
+    (vel, amp), (vel_next, amp_next) = (pair_velocity_fields(p)
+                                        for p in (pair, pair_next))
+    # a step crosses none, some or many cells
+    speed = max(float(np.max(np.abs(vel))), 1e-300)
+    dt = data.draw(st.sampled_from([1e-3, 0.01, 0.3, 3.0])) \
+        * min(grid.lengths) / speed
+    t1 = t0 + dt
+    pair.psi.time_tag, pair_next.psi.time_tag = t0, t1
+    z = data.draw(in_box_points(grid))[0]
+    if data.draw(st.integers(0, 9)) == 0:
+        # a start outside the box fails the stage-1 lookup
+        axis = data.draw(st.integers(0, 1))
+        z[axis] = data.draw(st.sampled_from([-1.0, 1.0])) \
+            * grid.lengths[axis]
+
+    flow = FlowHistory(grid, None, None)
+    flow.append(Snapshot(t0, vel, amp))
+    flow.append(Snapshot(t1, vel_next, amp_next))
+    want, want_err = _outcome(lambda: advance_positions(
+        flow, np.atleast_2d(z), t0, t1))
+    got, got_err = _outcome(lambda: advance_point(
+        pair, pair_next, tuple(z), t0, t1))
+    if want_err is not None:
+        assert type(got_err) is type(want_err)
+        assert str(got_err) == str(want_err)
+        assert got_err.last_valid_time == want_err.last_valid_time
+        return
+    assert got_err is None
+    z_new, stencil, amp_at = got
+    assert same_bits(np.array([z_new]), want[0])
+    f = wide_field(grid, 5)
+    assert same_bits(np.array([stencil.apply(f)]), want[1].apply(f))
+    assert same_bits(np.array([amp_at]), flow.amplitude_at(t1, want[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_axis_slice_matches_its_numpy_form(data):
+    grid = data.draw(pair_grids())
+    f = wide_field(grid, data.draw(st.integers(0, 2**32 - 1)),
+                   data.draw(st.sampled_from([0.0, 0.5])))
+    axis = data.draw(st.integers(0, 1))
+    half = 0.5 * grid.lengths[axis]
+    coord = data.draw(st.one_of(
+        st.sampled_from(list(grid.axes[axis])), st.just(-half),
+        st.just(float(np.nextafter(half, 0.0))),
+        st.floats(-half, half, exclude_max=True)))
+    assert same_bits(_axis_slice(grid, f, axis, coord),
+                     reference_axis_slice(grid, f, axis, coord))

@@ -31,7 +31,6 @@ from solidyn.kleingordon import (KGHistory, KGMadelung,
                                  current_conservation_residual, evolve_kg,
                                  kg_bohm_trajectory, kg_madelung,
                                  kg_newton_residual)
-from solidyn.pair import product_pair
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import (continuity_residual, evolve_schrodinger,
                                  integrate_bohm, integrate_bohm_ensemble,
@@ -658,18 +657,7 @@ def kg_record():
                         PARAMS, Potentials.free()))
 
 
-def pair_record():
-    g2, g1 = Grid((32, 32), (12.0, 12.0)), Grid(32, 12.0)
-    x = g1.axes[0]
-    free = Potentials.free()
-    wave = product_pair(np.exp(-(x + 1.0) ** 2 / 4.0 + 0.7j * x),
-                        np.exp(-(x - 1.0) ** 2 / 2.0 - 0.4j * x), g2,
-                        (1.0, 1.6), 1.0, (free, free), time_tag=0.3)
-    return FlowHistory(g2, PARAMS, Potentials.free(2)), wave
-
-
-@pytest.mark.parametrize("build", [schrodinger_record, kg_record,
-                                   pair_record])
+@pytest.mark.parametrize("build", [schrodinger_record, kg_record])
 def test_history_holds_each_producers_record(build):
     # the history keeps the record its producer built, not a copy of its
     # fields, and every lookup reads that record's fields
