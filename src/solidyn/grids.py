@@ -152,8 +152,8 @@ class Grid:
         The input and the Laplacian are checked as those calls check them.
         """
         _require_finite(samples, "second_derivative input")
-        out = np.fft.irfftn(self._real_multipliers * np.fft.rfftn(samples),
-                            s=self.shape, axes=range(1, self.dim + 1))
+        out = self._real_inverse(self._real_multipliers
+                                 * self._real_spectrum(samples))
         _require_finite(out[self.dim], "derivative input")
         return out
 
@@ -162,11 +162,27 @@ class Grid:
         `real_derivatives`, with the same two checks, from one real FFT
         pair of f and no other inverse rows."""
         _require_finite(samples, "second_derivative input")
-        out = np.fft.irfftn(
-            self._real_multipliers[self.dim] * np.fft.rfftn(samples),
-            s=self.shape, axes=range(self.dim))
+        out = self._real_inverse(self._real_multipliers[self.dim]
+                                 * self._real_spectrum(samples))
         _require_finite(out, "derivative input")
         return out
+
+    def _real_spectrum(self, samples):
+        """`np.fft.rfftn` of a real grid field.  On a 1D grid this is the
+        one pocketfft call `rfftn` makes, without its per-axis
+        bookkeeping, so the bits are the same."""
+        if self.dim == 1:
+            return np.fft.rfft(samples)
+        return np.fft.rfftn(samples)
+
+    def _real_inverse(self, spectra):
+        """`np.fft.irfftn` over the last `dim` axes of `spectra` (real
+        spectra of grid fields, optionally stacked), back to the grid
+        shape; in 1D its one `irfft` call, with the same bits."""
+        if self.dim == 1:
+            return np.fft.irfft(spectra, n=self.points[0])
+        return np.fft.irfftn(spectra, s=self.shape,
+                             axes=range(spectra.ndim - self.dim, spectra.ndim))
 
     def derivative(self, samples, axis):
         """First derivative along one axis via FFT; dtype follows the input."""
@@ -267,6 +283,15 @@ class Grid:
             )
         return positions
 
+    @cached_property
+    def _wrap_tables(self):
+        """Per axis, the wrapped sample index (j - 1) % n of j = 0 .. n + 3,
+        built once per grid: entry base + 1 + o is (base + o) % n for each
+        stencil offset o in {-1, 0, 1, 2} and every cell index 0 <= base
+        <= n of a point inside the box (base == n where a coordinate just
+        below L/2 rounds up to the box length)."""
+        return tuple((np.arange(n + 4) - 1) % n for n in self.points)
+
     def _stencil_in_box(self, positions):
         """`stencil` of (n, dim) points whose box test the caller has made."""
         weights = []
@@ -274,7 +299,7 @@ class Grid:
         for axis in range(self.dim):
             base, frac = self._fraction_index(positions[:, axis], axis)
             weights.append(_cubic_weights(frac))
-            indices.append((base + _STENCIL_OFFSETS) % self.points[axis])
+            indices.append(self._wrap_tables[axis][base + _TABLE_OFFSETS])
         if self.dim == 2:
             # broadcast to the (4, 4, n) block of the 2D gather
             indices = [indices[0][:, None, :], indices[1][None, :, :]]
@@ -468,7 +493,8 @@ def _sum4(w, v0, v1, v2, v3):
     return 0.0 + ((w[0] * v0 + w[2] * v2) + (w[1] * v1 + w[3] * v3))
 
 
-_STENCIL_OFFSETS = np.arange(-1, 3)[:, None]   # stencil nodes {-1, 0, 1, 2}
+# stencil nodes {-1, 0, 1, 2}, shifted by one to index `Grid._wrap_tables`
+_TABLE_OFFSETS = np.arange(4)[:, None]
 
 
 def _cubic_weights(frac):
@@ -477,8 +503,30 @@ def _cubic_weights(frac):
     Returns shape (4, n).  At frac == 0 the weights are exactly (0, 1, 0, 0),
     so a query whose offset computes to exactly 0 reproduces the stored
     sample bit-for-bit.
+
+    One pass: f - 1, f - 2 and f + 1 are formed once and each weight is
+    written in place into its row, in the operation order of
+    `_cubic_weight_terms`, so the bits are those of stacking its terms.
     """
-    return np.stack(_cubic_weight_terms(frac))
+    f = frac
+    fm1, fm2, fp1 = f - 1.0, f - 2.0, f + 1.0
+    out = np.empty((4,) + f.shape)
+    w_m1, w_0, w_p1, w_p2 = out
+    np.negative(f, out=w_m1)
+    w_m1 *= fm1
+    w_m1 *= fm2
+    w_m1 /= 6.0
+    np.multiply(fp1, fm1, out=w_0)
+    w_0 *= fm2
+    w_0 /= 2.0
+    np.negative(fp1, out=w_p1)
+    w_p1 *= f
+    w_p1 *= fm2
+    w_p1 /= 2.0
+    np.multiply(fp1, f, out=w_p2)
+    w_p2 *= fm1
+    w_p2 /= 6.0
+    return out
 
 
 def _cubic_weight_terms(f):

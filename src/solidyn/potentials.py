@@ -40,7 +40,10 @@ class Potentials:
     anew at every call.  An omitted V (zero) and the V of the named
     constructors below are static: a static V is sampled once per grid, and
     the split-step factors built from it are memoized (see
-    `stepping.cached`).
+    `stepping.cached`).  Likewise a raw scalar gradient or vector rate is
+    assumed to depend on t and is evaluated at every call, while the E of
+    the named constructors is static, so its values on a grid's sample
+    points (`_field_on_grid`) are evaluated once per grid.
 
     `zero_field` is true when neither a scalar gradient nor a vector rate
     was given, so E = -dA/dt - grad V is -0.0 everywhere at all times (the
@@ -63,6 +66,7 @@ class Potentials:
         self.time_dependent = scalar is not None
         self.has_vector = vector is not None
         self.zero_field = scalar_gradient is None and vector_rate is None
+        self._static_field = False
         self._factors = {}
 
     # -- evaluation ------------------------------------------------------
@@ -123,11 +127,28 @@ class Potentials:
                 np.asarray(gradv[a], dtype=float), positions.shape[:1])
         return out
 
+    def _field_on_grid(self, grid, t, positions):
+        """`electric_field` at `positions`, the (size, dim) sample points of
+        `grid`: read-only and evaluated once per grid when E is static."""
+        if not self._static_field:
+            return self.electric_field(t, positions)
+        return cached(self._factors, "field", grid, None,
+                      lambda: self.electric_field(t, positions))
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def free(cls, dim=1):
         return cls(dim)
+
+    @classmethod
+    def _static(cls, dim, **callables):
+        """A potential whose V and E are closed forms that do not depend on
+        t (A may): V is sampled and E evaluated once per grid."""
+        pot = cls(dim, **callables)
+        pot.time_dependent = False
+        pot._static_field = True
+        return pot
 
     @classmethod
     def uniform_field(cls, e_field, dim=1):
@@ -143,9 +164,7 @@ class Potentials:
         def gradient(t, coords):
             return tuple(-e_field if a == 0 else 0.0 for a in range(dim))
 
-        pot = cls(dim, scalar=scalar, scalar_gradient=gradient)
-        pot.time_dependent = False
-        return pot
+        return cls._static(dim, scalar=scalar, scalar_gradient=gradient)
 
     @classmethod
     def vector_ramp(cls, e_field, dim=1):
@@ -154,7 +173,7 @@ class Potentials:
         direction = np.zeros(dim)
         direction[0] = 1.0
 
-        return cls(
+        return cls._static(
             dim,
             vector=lambda t: -e_field * t * direction,
             vector_rate=lambda t: -e_field * direction,
@@ -172,6 +191,4 @@ class Potentials:
         def gradient(t, coords):
             return tuple(spring * c for c in coords)
 
-        pot = cls(dim, scalar=scalar, scalar_gradient=gradient)
-        pot.time_dependent = False
-        return pot
+        return cls._static(dim, scalar=scalar, scalar_gradient=gradient)

@@ -356,7 +356,8 @@ def _density_mean_force(state: SolitonState, potentials: Potentials,
     if potentials.zero_field:
         # the general path sums rho * (-0.0), which numpy sums to +0.0
         return e * np.zeros(grid.dim)
-    efield = potentials.electric_field(state.u.time_tag, grid_positions)
+    efield = potentials._field_on_grid(grid, state.u.time_tag,
+                                       grid_positions)
     out = np.empty(grid.dim)
     for a in range(grid.dim):
         out[a] = grid.integrate(state.density

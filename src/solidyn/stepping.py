@@ -4,7 +4,9 @@ Every wave run advances through `drive`, the one loop over wave steps.  The
 same Strang kernel drives the linear Schrodinger wave, the nonlinear
 u-field, and the two-particle configuration-space wave; only the phase
 factors and the kinetic Fourier multiplier differ, and factors that do not
-change from step to step are built once and memoized with `cached`.  Phase
+change from step to step (and a static E on the grid) are built once and
+memoized with `cached`.  On a 1D grid the kernel runs the 1D transforms,
+which give the bits of the n-dimensional ones.  Phase
 sub-steps multiply by unit-modulus factors, so |field| is untouched by them
 and the total norm is conserved to round-off by the kinetic step's
 unitarity.
@@ -37,12 +39,16 @@ def strang_step(samples, half_start, half_end, kinetic_phase):
 
     The output is built once, as half_start * samples, and both transforms
     then run in place on it (`out=`), so a step holds one grid array and
-    `samples` is never written.
+    `samples` is never written.  A 1D step calls `fft`/`ifft`, the one
+    pocketfft call that `fftn`/`ifftn` would make without their per-axis
+    bookkeeping, so the bits are the same.
     """
     out = half_start * samples
-    np.fft.fftn(out, out=out)
+    forward, inverse = ((np.fft.fft, np.fft.ifft) if out.ndim == 1
+                        else (np.fft.fftn, np.fft.ifftn))
+    forward(out, out=out)
     out *= kinetic_phase
-    np.fft.ifftn(out, out=out)
+    inverse(out, out=out)
     if callable(half_end):
         half_end = half_end(out)
     out *= half_end

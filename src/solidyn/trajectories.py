@@ -17,7 +17,6 @@ the result once the wave is done.  Results are bit-reproducible.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -103,8 +102,11 @@ class FlowHistory:
         if (t < records[0].time_tag - 1e-12
                 or t > records[-1].time_tag + 1e-12):
             raise SolidynError(f"time {t} outside stored history")
-        i = bisect.bisect_right(records, t, key=lambda r: r.time_tag) - 1
-        i = min(max(i, 0), len(records) - 2)
+        # the last record before the newest whose time is at most t, else
+        # the first: at most two compares over the three kept records
+        i = len(records) - 2
+        while i > 0 and records[i].time_tag > t:
+            i -= 1
         return i, i + 1
 
     def _blend(self, field, t, stencil):

@@ -4,13 +4,15 @@
 `Grid.stencil` / `Stencil.apply` replaced: it rebuilds the weights and the
 wrapped indices on every call.  `reference_integrate_flow` integrates a
 flow history with it, interpolating each snapshot at every RK4 stage.  The
-stencil path must reproduce both bit for bit.
+stencil path must reproduce both bit for bit.  `reference_bracket` is the
+bisection that `FlowHistory.bracket`'s index compare replaced.
 
 A flow history keeps only the last three records appended; the references
 read a history filled inside `keep_every_snapshot`, which keeps them all, and
 read the records' fields.
 """
 
+import bisect
 import contextlib
 import sys
 from dataclasses import dataclass, field
@@ -64,6 +66,18 @@ def record_snapshots(history, *names):
 def record_fields(history, name):
     """The named field of each record `history` keeps, oldest first."""
     return [getattr(record, name) for record in history.records]
+
+
+def reference_bracket(history, t):
+    """`FlowHistory.bracket` as a bisection over the kept records' times,
+    clamped to a pair of positions."""
+    records = history.records
+    if (t < records[0].time_tag - 1e-12
+            or t > records[-1].time_tag + 1e-12):
+        raise SolidynError(f"time {t} outside stored history")
+    i = bisect.bisect_right(records, t, key=lambda r: r.time_tag) - 1
+    i = min(max(i, 0), len(records) - 2)
+    return i, i + 1
 
 
 def reference_weights(frac):

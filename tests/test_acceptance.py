@@ -18,7 +18,6 @@ from solidyn.errors import TachyonicRegionError
 from solidyn.grids import Field, Grid
 from solidyn.kleingordon import (KGHistory, discrete_mode_frequency,
                                  evolve_kg, kg_bohm_trajectory)
-from solidyn.pair import PairState, product_pair, run_pair
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.scenarios import parse_config_dict, run_scenario
 from solidyn.schrodinger import (evolve_schrodinger, integrate_bohm,
@@ -314,7 +313,7 @@ def test_criterion_11_tachyon_detection():
 
 
 @pytest.mark.slow
-def test_criterion_12_entangled_pair_nonlocality(tmp_path):
+def test_criterion_12_entangled_pair_nonlocality(tmp_path, product_pair_run):
     cfg = parse_config_dict({
         "scenario": "entangled_pair",
         "physics": {"b": 25.0},
@@ -325,32 +324,8 @@ def test_criterion_12_entangled_pair_nonlocality(tmp_path):
 
     # bit-identity: product pair run (uniform partner on a grid node, rest
     # energy gauged away) against the plain single-particle coupled run
-    g1 = Grid(256, 20.0)
-    g2 = Grid((256, 256), (20.0, 20.0))
-    x = g1.axes[0]
-    psi1 = np.exp(-x**2 / 4).astype(complex)
-    b, start = 25.0, -0.6745
-    with pytest.warns(UserWarning, match="not well separated"):
-        single = run_coupled(
-            Field(g1, psi1.copy()),
-            SolitonState(gausson_init(GaussonParams(b, 1.0, center=(start,)),
-                                      g1, 1.0), PARAMS, b, 1.0,
-                         coupling_mode="dbb"),
-            PARAMS, Potentials.free(1), dt=1e-3, steps=300)
-    gauge = Potentials(1, scalar=lambda t, c: -1.0 + 0.0 * c[0],
-                       scalar_gradient=lambda t, c: (0.0,))
-    pair = product_pair(psi1, np.ones(256, complex), g2, (1.0, 1.0), 1.0,
-                        (Potentials.free(1), gauge))
-    z2_node = float(g2.axes[1][160])
-    state = PairState(
-        u1=SolitonState(gausson_init(GaussonParams(b, 1.0, center=(start,)),
-                                     g1, 1.0), PARAMS, b, 1.0,
-                        coupling_mode="dbb"),
-        u2=SolitonState(gausson_init(GaussonParams(b, 1.0, center=(2.5,)),
-                                     g1, 1.0), PARAMS, b, 1.0,
-                        coupling_mode="dbb"),
-        z=[start, z2_node])
-    run = run_pair(pair, state, dt=1e-3, steps=300)
+    # (the shared run of `conftest.product_pair_run`)
+    single, run, _ = product_pair_run
     bit_identical = (
         np.array_equal(run.z[:, 0], single.reference.positions[:, 0])
         and np.array_equal(run.centers1, single.centers[:, 0])

@@ -268,20 +268,21 @@ def test_derivatives_match_per_call_multipliers(shape, lengths,
 def test_real_derivatives_match_the_complex_compositions(shape, lengths):
     # grad f, lap f and grad lap f from one real spectrum equal gradient,
     # laplacian and gradient(laplacian) to round-off, on even and odd axes
-    # (a random field fills the Nyquist bins), from one rfftn of f
+    # (a random field fills the Nyquist bins), from one real FFT of f
+    # (`rfft` on a 1D grid, `rfftn` on a 2D one)
     g = Grid(shape, lengths)
     f = np.random.default_rng(4).standard_normal(shape)
     lap = g.laplacian(f)
     want = np.concatenate([g.gradient(f), lap[None], g.gradient(lap)])
     calls = []
-    rfftn = np.fft.rfftn
-
-    def counting_rfftn(x, *args, **kwargs):
-        calls.append(x)
-        return rfftn(x, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.fft, "rfftn", counting_rfftn)
+        for name in ("rfft", "rfftn"):
+            def counting(x, *args, _real=getattr(np.fft, name), **kwargs):
+                calls.append(x)
+                return _real(x, *args, **kwargs)
+
+            patch.setattr(np.fft, name, counting)
         got = g.real_derivatives(f)
     assert len(calls) == 1 and calls[0] is f
     assert got.shape == (2 * g.dim + 1,) + g.shape
@@ -315,6 +316,27 @@ def test_real_laplacian_has_the_bits_of_the_laplacian_row(shape, lengths):
     g = Grid(shape, lengths)
     f = np.random.default_rng(5).standard_normal(shape)
     want = g.real_derivatives(f)[g.dim]
+    assert g.real_laplacian(f).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape, lengths", [((14,), (3.0,)),
+                                            ((63,), (7.0,)),
+                                            ((255,), (20.0,)),
+                                            ((256,), (24.0,)),
+                                            ((512,), (16 * np.pi,)),
+                                            ((2048,), (60.0,)),
+                                            ((15, 25), (5.0, 3.0))])
+def test_real_transforms_keep_the_bits_of_rfftn(shape, lengths):
+    # a 1D grid runs rfft/irfft, the one call rfftn/irfftn would make; the
+    # rows have the bits of the rfftn/irfftn body
+    g = Grid(shape, lengths)
+    f = np.random.default_rng(6).standard_normal(shape)
+    spectrum = np.fft.rfftn(f)
+    want = np.fft.irfftn(g._real_multipliers * spectrum, s=g.shape,
+                         axes=range(1, g.dim + 1))
+    assert g.real_derivatives(f).tobytes() == want.tobytes()
+    want = np.fft.irfftn(g._real_multipliers[g.dim] * spectrum, s=g.shape,
+                         axes=range(g.dim))
     assert g.real_laplacian(f).tobytes() == want.tobytes()
 
 

@@ -241,37 +241,12 @@ def test_conditional_q_rejects_dead_slice():
 # pair_step: separability and bit-identity
 # ---------------------------------------------------------------------------
 
-def test_pair_product_bit_identical_to_single_run():
+def test_pair_product_bit_identical_to_single_run(product_pair_run):
     # uniform partner pinned on a grid node, with the partner's rest energy
-    # absorbed into a flat (pure-gauge) potential: every float op along the
-    # particle-1 path coincides with the 1D coupled run
-    g1 = Grid(256, 20.0)
-    g2 = Grid((256, 256), (20.0, 20.0))
-    x = g1.axes[0]
-    psi1 = np.exp(-x**2 / 4).astype(complex)
-    b = 25.0
-    start = -0.6745
-    u0 = gausson_init(GaussonParams(b, 1.0, center=(start,)), g1, 1.0)
-    with pytest.warns(UserWarning, match="not well separated"):
-        single = run_coupled(
-            Field(g1, psi1.copy()),
-            SolitonState(u0, PARAMS, b, 1.0, coupling_mode="dbb"),
-            PARAMS, Potentials.free(1), dt=1e-3, steps=300)
-
-    omega2 = 1.0
-    gauge = Potentials(1, scalar=lambda t, c: -omega2 + 0.0 * c[0],
-                       scalar_gradient=lambda t, c: (0.0,))
-    pair = product_pair(psi1, np.ones(256, complex), g2, (1.0, omega2), 1.0,
-                        (Potentials.free(1), gauge))
-    z2_node = float(g2.axes[1][160])
-    state = PairState(
-        u1=SolitonState(gausson_init(GaussonParams(b, 1.0, center=(start,)),
-                                     g1, 1.0), PARAMS, b, 1.0,
-                        coupling_mode="dbb"),
-        u2=soliton(g1, 2.5, b=b),
-        z=[start, z2_node])
-    run = run_pair(pair, state, dt=1e-3, steps=300)
-
+    # absorbed into a flat (pure-gauge) potential: every float op along
+    # the particle-1 path coincides with the 1D coupled run (the shared
+    # run of `conftest.product_pair_run`)
+    single, run, z2_node = product_pair_run
     assert np.array_equal(run.z[:, 1], np.full(301, z2_node))
     assert np.array_equal(run.z[:, 0], single.reference.positions[:, 0])
     assert np.array_equal(run.centers1, single.centers[:, 0])

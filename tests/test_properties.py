@@ -16,6 +16,11 @@ Hypothesis).
   wrapped by np.mod, for a previous center anywhere, edges included.
 - The zero-field shortcuts (`Potentials.zero_field`) of `electric_field`
   and of the soliton runs write the bytes of the general path.
+- The E of the named constructors is evaluated once per grid and gives the
+  per-step bits of the soliton's mean force; a raw scalar gradient or
+  vector rate is evaluated at every step.
+- With V = 0 `lkg_step` keeps its discrete charge Im<psi^{n-1}, psi^n> to
+  round-off over 1000 steps.
 - A parsed config asks for a whole number of steps in [1, MAX_STEPS].
 - The CLI exit code follows from how a scenario runner ends: 2 for a
   `ConfigError`, 1 with a manifest naming the error for any other
@@ -46,6 +51,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from solidyn import cli, errors  # noqa: E402
 from solidyn.errors import ConfigError  # noqa: E402
 from solidyn.grids import Field, Grid  # noqa: E402
+from solidyn.kleingordon import CFL_RATIO, KGState, lkg_step  # noqa: E402
 from solidyn.pair import ls2_step, product_pair, symmetrized_pair  # noqa: E402
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
 from solidyn.scenarios import (KINDS, MAX_STEPS,  # noqa: E402
@@ -299,8 +305,9 @@ def test_ls2_step_keeps_norm(pair, dt, steps):
 @st.composite
 def strang_inputs(draw):
     """Complex samples with unit-modulus start, end and kinetic phases."""
-    shape = draw(st.sampled_from([(16,), (48,), (100,), (256,), (8, 8),
-                                  (16, 12), (15, 9), (32, 32)]))
+    shape = draw(st.sampled_from([(14,), (16,), (48,), (100,), (255,),
+                                  (256,), (512,), (2048,), (8, 8), (16, 12),
+                                  (15, 9), (32, 32)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def phase():
@@ -314,6 +321,8 @@ def strang_inputs(draw):
 @given(strang_inputs(), st.booleans(), st.floats(1e-4, 0.1))
 def test_strang_step_gives_the_reference_bits_and_keeps_its_input(
         inputs, nonlinear, dt):
+    # a 1D step runs fft/ifft, a 2D one fftn/ifftn; both give the bits of
+    # the allocating fftn/ifftn reference
     samples, half_start, half_end, kinetic = inputs
     if nonlinear:     # a phase read from the post-kinetic samples
         def half_end(out):
@@ -466,6 +475,108 @@ def test_zero_field_classical_trajectory_keeps_the_general_bits(
     got = classical_trajectory(times, z0, v0, params, Potentials.free(dim))
     want = classical_trajectory(times, z0, v0, params, general_zero(dim))
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a static E is evaluated once per grid and keeps the per-step bits
+# ---------------------------------------------------------------------------
+
+def per_step_mean_force(state, potentials, grid_positions):
+    """`_density_mean_force` with E evaluated at the state's time, as each
+    step evaluated it before E on the grid was memoized."""
+    grid = state.u.grid
+    efield = potentials.electric_field(state.u.time_tag, grid_positions)
+    out = np.empty(grid.dim)
+    for a in range(grid.dim):
+        out[a] = grid.integrate(state.density
+                                * efield[:, a].reshape(grid.shape)) \
+            / state.norm
+    return state.params.charge * out
+
+
+STATIC_FIELDS = {
+    "uniform_field": lambda dim: Potentials.uniform_field(0.7, dim),
+    "harmonic": lambda dim: Potentials.harmonic(0.3, dim),
+    "vector_ramp": lambda dim: Potentials.vector_ramp(0.4, dim),
+}
+
+
+def mean_forces(u, potentials, params, times, force=_density_mean_force):
+    """The bytes of force(state, potentials, grid positions) for the
+    soliton field u at each time."""
+    pos = _grid_positions(u.grid)
+    return [force(SolitonState(Field(u.grid, u.samples, t), params, 1.0, 1.0),
+                  potentials, pos).tobytes() for t in times]
+
+
+@settings(max_examples=100, deadline=None)
+@given(soliton_fields(), charges, st.sampled_from(sorted(STATIC_FIELDS)),
+       st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
+def test_static_field_is_evaluated_once_with_the_per_step_bits(
+        u, charge, kind, times):
+    dim = u.grid.dim
+    pots = STATIC_FIELDS[kind](dim)
+    calls = []
+    field = pots.electric_field
+    pots.electric_field = lambda t, pos: calls.append(t) or field(t, pos)
+    params = PhysicalParams(1.0, charge)
+    got = mean_forces(u, pots, params, times)
+    assert len(calls) == 1
+    assert got == mean_forces(u, STATIC_FIELDS[kind](dim), params, times,
+                              per_step_mean_force)
+
+
+@settings(max_examples=100, deadline=None)
+@given(soliton_fields(), st.lists(st.floats(-10.0, 10.0), min_size=2,
+                                  max_size=4, unique=True))
+def test_raw_field_callables_are_evaluated_at_each_step(u, times):
+    # a raw scalar gradient or vector rate may read t, so its E is not
+    # memoized: a memo would repeat the first time's force
+    dim = u.grid.dim
+    params = PhysicalParams(1.0, 1.0)
+    for pots in (
+            Potentials(dim, scalar_gradient=lambda t, coords: tuple(
+                (1.0 + t) * c for c in coords)),
+            Potentials(dim, vector_rate=lambda t: np.full(dim, 0.1 * t))):
+        assert mean_forces(u, pots, params, times) == mean_forces(
+            u, pots, params, times, per_step_mean_force)
+
+
+# ---------------------------------------------------------------------------
+# the leapfrog keeps its discrete charge
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([16, 32, 64, 128]), st.floats(4.0, 60.0),
+       st.floats(0.5, 3.0), st.floats(0.25, 1.0), st.integers(0, 2**32 - 1),
+       st.data())
+def test_lkg_step_keeps_its_discrete_charge(n, length, omega0, dt_share,
+                                            seed, data):
+    # with V = 0 the leapfrog conserves Im<psi^{n-1}, psi^n> exactly in
+    # exact arithmetic, so over 1000 steps it changes by round-off only.
+    # A harmonic V breaks this conservation law, so this test uses V = 0
+    # only.
+    grid = Grid(n, length)
+    kmax = data.draw(st.integers(0, n // 2 - 1))
+    energy = np.sqrt(grid.wavenumbers[0] ** 2 + omega0**2)
+    # inside the CFL bound, and stable for every mode round-off may fill
+    dt = dt_share * min(CFL_RATIO * grid.spacing[0], 1.8 / np.max(energy))
+    rng = np.random.default_rng(seed)
+    # band-limited random positive-frequency levels psi(-dt) and psi(0), so
+    # the charge is bounded away from zero
+    band = np.abs(np.fft.fftfreq(n, 1.0 / n)) <= kmax
+    coeffs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * band
+    state = KGState.from_levels(
+        np.fft.ifft(coeffs * np.exp(1j * energy * dt)),
+        Field(grid, np.fft.ifft(coeffs)), PhysicalParams(omega0, 1.0),
+        Potentials.free(), dt)
+    charge0 = np.vdot(state.psi_prev, state.psi).imag
+    worst = 0.0
+    for _ in range(1000):
+        state = lkg_step(state)
+        worst = max(worst, abs(np.vdot(state.psi_prev, state.psi).imag
+                               - charge0))
+    assert worst <= 1e-12 * abs(charge0)
 
 
 # ---------------------------------------------------------------------------

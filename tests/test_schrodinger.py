@@ -465,7 +465,8 @@ def _real_spectrum_reference(g, a):
                                             ((32, 48), (8.0, 10.0))])
 def test_madelung_extract_takes_one_real_spectrum_of_a(shape, lengths,
                                                        monkeypatch):
-    # a = |Psi| goes through exactly one rfftn and no complex FFT; q and
+    # a = |Psi| goes through exactly one real FFT (`rfft` on a 1D grid,
+    # `rfftn` on a 2D one) and no complex FFT; q and
     # F_Q have the bits of a written-out real-spectrum reference, and
     # equal the complex gradient/Laplacian composition to round-off
     g = Grid(shape, lengths)
@@ -482,7 +483,7 @@ def test_madelung_extract_takes_one_real_spectrum_of_a(shape, lengths,
     complex_fq = (g.gradient(complex_lap) / a_safe
                   - complex_lap * g.gradient(a) / a_safe**2) / 2.0
 
-    calls = {"fft": [], "rfftn": []}
+    calls = {"fft": [], "rfft": [], "rfftn": []}
     for name in calls:
         def counting(x, *args, _name=name, _real=getattr(np.fft, name),
                      **kwargs):
@@ -508,7 +509,8 @@ def test_madelung_extract_takes_one_real_spectrum_of_a(shape, lengths,
                       * np.max(np.abs(complex_lap))) / a_safe**2) / 2.0)
     assert bundle.amp_peak == np.max(a)
     assert NODE_MASK_REL * bundle.amp_peak == floor
-    assert len(calls["rfftn"]) == 1 and calls["rfftn"][0] is bundle.amplitude
+    real = calls["rfft"] + calls["rfftn"]
+    assert len(real) == 1 and real[0] is bundle.amplitude
     # the complex FFTs are those of psi's gradient, one per axis
     assert len(calls["fft"]) == g.dim
     assert all(x is psi.samples for x in calls["fft"])

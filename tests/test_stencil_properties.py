@@ -1,7 +1,9 @@
 """Property tests of the cubic interpolation stencil (needs Hypothesis).
 
 `Grid.stencil(p).apply(f)` must reproduce, bit for bit, the per-call
-reference interpolation in `interp_reference.py`.  The float twins must
+reference interpolation in `interp_reference.py`; its weights, written in
+place into one block, equal the stacked weight terms, and its indices, read
+from the grid's wrap table, equal (base + offsets) % n.  The float twins must
 reproduce the numpy paths: `Grid.point_stencil(p).apply(f)` equals
 `Grid.stencil(p).apply(f)`, on arrays and on the pair wave's lazy velocity
 lines, and `advance_point` over two Madelung bundles or two pair waves
@@ -20,7 +22,8 @@ from interp_reference import (Snapshot, reference_interpolate,  # noqa: E402
                               same_bits)
 from pair_reference import reference_axis_slice  # noqa: E402
 from solidyn.errors import SolidynError, TrajectoryAbortError  # noqa: E402
-from solidyn.grids import Field, Grid  # noqa: E402
+from solidyn.grids import (Field, Grid, _cubic_weight_terms,  # noqa: E402
+                           _cubic_weights)
 from solidyn.pair import (PairWave, _axis_slice,  # noqa: E402
                           pair_velocity_fields, product_pair)
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
@@ -114,6 +117,58 @@ def test_stencil_rejects_points_outside_the_box(data):
         grid.stencil(pts)
     with pytest.raises(SolidynError, match="outside the box"):
         grid.interpolate(np.zeros(grid.shape), pts)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass batch stencil: weights and wrapped indices
+# ---------------------------------------------------------------------------
+
+NEAR_ONE = float(np.nextafter(1.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True)
+                | st.sampled_from([0.0, NEAR_ONE, 0.5, 1e-300]),
+                max_size=40))
+def test_cubic_weights_keep_the_bits_of_the_stacked_terms(fracs):
+    # the weights written in place into one block are the stacked
+    # per-weight expressions, at offsets 0 and just below 1 included
+    f = np.array(fracs + [0.0, NEAR_ONE])
+    assert same_bits(_cubic_weights(f), np.stack(_cubic_weight_terms(f)))
+
+
+def assert_wrapped_indices(grid, pts):
+    """The stencil's per-axis indices are (base + offsets) % n, as int64."""
+    stencil = grid.stencil(pts)
+    for axis, n in enumerate(grid.points):
+        base, _ = grid._fraction_index(pts[:, axis], axis)
+        want = (base + np.arange(-1, 3)[:, None]) % n
+        got = stencil.indices[axis]
+        if grid.dim == 2:       # the broadcast views of the 2D gather
+            got = got[:, 0, :] if axis == 0 else got[0]
+        assert same_bits(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stencil_indices_are_the_wrapped_offsets(data):
+    grid = data.draw(grids())
+    assert_wrapped_indices(grid, data.draw(in_box_points(grid)))
+
+
+@pytest.mark.parametrize("points, lengths", [((10,), (3.0,)),
+                                             ((33,), (7.0,)),
+                                             ((12, 7), (20.0, 2 * np.pi))])
+def test_stencil_indices_at_the_box_edges(points, lengths):
+    # on spacings that are not powers of two, both box edges and a
+    # coordinate just below L/2 whose cell index rounds up to n
+    grid = Grid(points, lengths)
+    half = 0.5 * np.array(lengths)
+    pts = np.stack([-half, np.nextafter(half, 0.0), 0.37 * half,
+                    np.nextafter(-half, 0.0)])
+    for axis, n in enumerate(points):
+        assert grid._fraction_index(pts[:, axis], axis)[0][1] == n
+    assert_wrapped_indices(grid, pts)
 
 
 # ---------------------------------------------------------------------------

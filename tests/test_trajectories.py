@@ -13,6 +13,7 @@ must give the bits and the aborts of `flow_steps` over the whole history.
 import gc
 import re
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -20,7 +21,8 @@ import numpy as np
 import pytest
 
 from interp_reference import (Snapshot, keep_every_snapshot, record_fields,
-                              reference_blend, reference_integrate_flow,
+                              reference_blend, reference_bracket,
+                              reference_integrate_flow,
                               reference_interpolate, reference_rk4_step,
                               same_bits)
 from solidyn import trajectories
@@ -151,6 +153,40 @@ def test_lookup_at_snapshot_time_reads_that_snapshot_only():
     assert np.all(np.isfinite(v))
     assert same_bits(v, reference_blend(hist, record_fields(hist, "velocity"),
                                         0.0, stencil.positions))
+
+
+@pytest.mark.skipif(given is None, reason="needs Hypothesis")
+def test_bracket_matches_the_bisection():
+    # the index compare gives the clamped pair of the bisection and its
+    # out-of-range error, for one to five kept records (a history keeps
+    # three; a widened window more), repeated times, times at and just
+    # past the tolerance, and a NaN time
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        gaps = data.draw(st.lists(
+            st.sampled_from([0.0, 1e-13, 1e-12, 0.1]) | st.floats(0.0, 5.0),
+            min_size=0, max_size=4))
+        times = [data.draw(st.floats(-100.0, 100.0))]
+        for gap in gaps:
+            times.append(times[-1] + gap)
+        history = FlowHistory(Grid(8, 1.0), PARAMS, Potentials.free())
+        with keep_every_snapshot():
+            for t in times:
+                history.append(types.SimpleNamespace(time_tag=t))
+        edges = [times[0] - 1e-12, times[-1] + 1e-12]
+        edges += [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+        t = data.draw(st.sampled_from(times + edges + [np.nan])
+                      | st.floats(times[0] - 1.0, times[-1] + 1.0))
+        try:
+            want = reference_bracket(history, t)
+        except SolidynError as err:
+            with pytest.raises(SolidynError, match=f"^{re.escape(str(err))}$"):
+                history.bracket(t)
+        else:
+            assert history.bracket(t) == want
+
+    check()
 
 
 def kg_packet_run(history=None):
