@@ -23,34 +23,14 @@ import numpy as np
 
 from .errors import SolidynError
 from .grids import Field
-from .potentials import PhysicalParams, Potentials
-from .soliton import (SolitonRun, log_nonlinearity, log_potential_density)
+from .soliton import (SolitonRun, energy_nls,  # noqa: F401
+                      log_nonlinearity, log_potential_density)
 from .stepping import BOUNDARY_MASS_LIMIT, NODE_MASK_REL
 
 
 def norm_pt(u: Field, omega0: float) -> float:
     """Conserved charge P_t = 2 omega0 integral |u|^2."""
     return 2.0 * omega0 * u.norm()
-
-
-def energy_nls(u: Field, params: PhysicalParams, potentials: Potentials,
-               b: float, f0: float):
-    """Total energy E_t (NLS Hamiltonian) and static energy E_s = b C."""
-    grid = u.grid
-    p = params
-    rho = u.density()
-    avec = p.charge * potentials.vector(u.time_tag)
-    kinetic = np.zeros(grid.shape)
-    grad = grid.gradient(u.samples)
-    for a in range(grid.dim):
-        cov = grad[a] - 1j * avec[a] * u.samples
-        kinetic += np.abs(cov) ** 2
-    w = p.omega0 + p.charge * potentials.scalar_on_grid(grid, u.time_tag)
-    density = (kinetic / (2.0 * p.omega0) + w * rho
-               + log_potential_density(rho, b, f0) / (2.0 * p.omega0))
-    e_total = float(grid.integrate(density))
-    e_static = float(b * grid.integrate(rho))
-    return e_total, e_static
 
 
 def static_energy_identity_deviation(u: Field, b: float, f0: float) -> float:
@@ -105,26 +85,23 @@ class ConservationReport:
 
 
 def conservation_report(run: SolitonRun) -> ConservationReport:
-    """Energy/norm series over a run's stored snapshots."""
-    p = run.params
-    norms, energies, statics, ratios = [], [], [], []
-    for u in run.u_snapshots:
-        e_t, e_s = energy_nls(u, p, run.potentials, run.b, run.f0)
-        c = u.norm()
-        norms.append(2.0 * p.omega0 * c)
-        energies.append(e_t)
-        statics.append(e_s)
-        ratios.append(e_t / c)
-    norms = np.asarray(norms)
-    energies = np.asarray(energies)
-    edge = np.interp(run.snapshot_times, run.times, run.boundary_mass)
+    """Energy/norm series at a classical run's stored steps: the E_t that
+    `run_classical` recorded there, with the norm and boundary mass rows
+    of those steps (`SolitonState.norm` has the bits of `u.norm()`, and
+    E_s = b C the bits of `energy_nls`)."""
+    if run.energy is None:
+        raise SolidynError("conservation_report needs a classical run")
+    stored = np.searchsorted(run.times, run.snapshot_times)
+    c = run.norms[stored]
+    norms = 2.0 * run.final_state.params.omega0 * c
+    energies = run.energy
     return ConservationReport(
         times=run.snapshot_times,
         norm=norms,
         energy=energies,
-        static_energy=np.asarray(statics),
-        energy_ratio=np.asarray(ratios),
-        boundary_mass=edge,
+        static_energy=run.final_state.b * c,
+        energy_ratio=energies / c,
+        boundary_mass=run.boundary_mass[stored],
         norm_drift=float(np.max(np.abs(norms - norms[0])) / norms[0]),
         energy_drift=float(np.max(np.abs(energies - energies[0]))
                            / abs(energies[0])),
@@ -151,12 +128,13 @@ def ehrenfest_report(run: SolitonRun, include_quantum_force=None) -> EhrenfestRe
     In classical mode the law is w0 d2(xbar)/dt2 = <F_em>/C; in dbb mode the
     quantum force at the center joins the right-hand side.  Also evaluates
     the two mean-value cancellations that justify dropping the nonlinear and
-    internal-curvature forces for localized profiles.
+    internal-curvature forces for localized profiles, on the final field.
     """
     if len(run.times) < 7:
         raise SolidynError("need at least 7 samples for second differences")
+    final = run.final_state
     if include_quantum_force is None:
-        include_quantum_force = run.mode == "dbb"
+        include_quantum_force = final.coupling_mode == "dbb"
     dt = run.times[1] - run.times[0]
     if not np.allclose(np.diff(run.times), dt):
         raise SolidynError("ehrenfest_report expects uniform sampling")
@@ -165,12 +143,11 @@ def ehrenfest_report(run: SolitonRun, include_quantum_force=None) -> EhrenfestRe
     em = run.mean_em_force[1:-1]
     fq = run.fq_at_center[1:-1] if include_quantum_force \
         else np.zeros_like(em)
-    residual = run.params.omega0 * acc - em - fq
+    residual = final.params.omega0 * acc - em - fq
     scale = max(float(np.max(np.abs(em + fq))),
-                float(run.params.omega0 * np.max(np.abs(acc))), 1e-300)
+                float(final.params.omega0 * np.max(np.abs(acc))), 1e-300)
     rel = float(np.sqrt(np.mean(residual**2)) / scale)
-    grad_n, grad_ratio = cancellation_integrals(
-        run.u_snapshots[-1], run.b, run.f0)
+    grad_n, grad_ratio = cancellation_integrals(final.u, final.b, final.f0)
     return EhrenfestReport(
         times=run.times[1:-1], center=x[1:-1], acceleration=acc,
         mean_em_force=em, quantum_force=fq, residual=residual,

@@ -30,8 +30,8 @@ from .errors import (PastOrientedCurrentError, SolidynError,
                      TachyonicRegionError)
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
-from .stepping import NODE_MASK_REL, check_finite, drive
-from .trajectories import (FlowHistory, FlowWalk, InteriorMax, RowBlock,
+from .stepping import NODE_MASK_REL, RowBlock, check_finite, drive
+from .trajectories import (FlowHistory, FlowWalk, InteriorMax,
                            trajectory_reader)
 
 CFL_RATIO = 0.5   # dt <= CFL_RATIO * dx

@@ -49,8 +49,8 @@ class Potentials:
     was given, so E = -dA/dt - grad V is -0.0 everywhere at all times (the
     bits of the general path): `electric_field` then calls no component
     function, and the soliton runs skip work whose result they know
-    (`soliton._density_mean_force`, and the E of `classical_trajectory`
-    and `run_coupled`, taken once).  `has_vector` is true when an A was
+    (`soliton._density_mean_force`, and the E of `classical_trajectory`,
+    taken once).  `has_vector` is true when an A was
     given; the Klein-Gordon and pair sectors, which ignore A, refuse it.
     """
 

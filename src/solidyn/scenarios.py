@@ -41,8 +41,8 @@ from .soliton import (GaussonParams, SolitonState, classical_trajectory,
 from .trajectories import FlowHistory, FlowWalk
 
 # Largest step count a config may ask for (t_final / dt, rounded).  It
-# bounds run time (ten million coupled steps at N = 2048 take hours), not
-# memory: the per-step series of a run that long still take gigabytes.
+# bounds run time (ten million coupled steps at N = 2048 take hours) and the
+# per-step rows, 8 bytes x columns x steps (0.8 GB for a 1D coupled run).
 MAX_STEPS = 10**7
 
 # Keys of [initial] that count things: positive integers, at most
@@ -411,7 +411,6 @@ class OutputSink:
         path = os.path.join(self.directory, name)
         write_csv(path, header, columns, comment=comment)
         self.files.append(path)
-        return path
 
     def snapshot(self, field, label, index):
         sub = os.path.join(self.directory, "snapshots")
@@ -419,7 +418,6 @@ class OutputSink:
         path = os.path.join(sub, f"{label}_{index:06d}.sldn")
         write_snapshot(field, path)
         self.files.append(path)
-        return path
 
     def summary(self, kind, seed, checks, extras=()):
         lines = [f"scenario: {kind}", f"seed: {seed}"]
@@ -493,7 +491,29 @@ def _gausson_state(cfg, grid, velocity=None, center=None, mode="classical"):
     return SolitonState(u0, cfg.params, cfg.b, cfg.f0, coupling_mode=mode)
 
 
-def _emit_soliton_series(cfg, sink, run):
+def _snapshot_writer(cfg, sink, *labels):
+    """The `store` of a soliton run: writes its i-th stored fields as the
+    snapshots `<label>_<i>`, if the config asks for snapshots."""
+    index = itertools.count()
+
+    def store(*fields):
+        i = next(index)
+        for label, field in zip(labels, fields):
+            sink.snapshot(field, label, i)
+
+    return store if cfg.snapshot_every else lambda *fields: None
+
+
+def _soliton_series(cfg, sink, state, store_every=None, store=None,
+                    **options):
+    """`run_classical` of the config from `state` and its center and
+    conservation series; returns the run and its `conservation_report`.
+    By default every `snapshot_every`-th step (or the last) is stored."""
+    run = run_classical(state, cfg.potentials(), cfg.dt, cfg.steps,
+                        store_every=store_every or cfg.snapshot_every
+                        or cfg.steps,
+                        store=store or _snapshot_writer(cfg, sink, "u"),
+                        **options)
     sink.series("center.csv", ["time", "xbar"],
                 [run.times, run.centers[:, 0]],
                 comment="natural units hbar=c=1")
@@ -505,10 +525,7 @@ def _emit_soliton_series(cfg, sink, run):
                  report.static_energy, report.energy_ratio,
                  report.boundary_mass],
                 comment="natural units hbar=c=1")
-    if cfg.snapshot_every:
-        for i, u in enumerate(run.u_snapshots):
-            sink.snapshot(u, "u", i)
-    return report
+    return run, report
 
 
 def _run_free_gausson(cfg, sink):
@@ -516,21 +533,29 @@ def _run_free_gausson(cfg, sink):
     state = _gausson_state(cfg, grid)
     profile = np.abs(state.u.samples)
     norm_profile = np.sqrt(grid.integrate(profile**2))
-    store = cfg.snapshot_every or max(cfg.steps // 100, 1)
-    run = run_classical(state, cfg.potentials(), cfg.dt, cfg.steps,
-                        store_every=store)
-    report = _emit_soliton_series(cfg, sink, run)
-    dev = max(
-        np.sqrt(grid.integrate((np.abs(u.samples) - profile) ** 2))
-        / norm_profile
-        for u in run.u_snapshots)
-    identity = max(static_energy_identity_deviation(u, cfg.b, cfg.f0)
-                   for u in run.u_snapshots[:: max(len(run.u_snapshots) // 8,
-                                                   1)])
-    (vals_n, scales_n), (vals_r, scales_r) = cancellation_integrals(
-        run.u_snapshots[-1], cfg.b, cfg.f0)
-    cancel = max(float(np.max(np.abs(vals_n) / scales_n)),
-                 float(np.max(np.abs(vals_r) / scales_r)))
+    store_every = cfg.snapshot_every or max(cfg.steps // 100, 1)
+    # each stored field is checked as it comes: the profile deviation at
+    # each, the identity at every (count // 8)-th, cancellations at the last
+    count = cfg.steps // store_every + 1
+    write = _snapshot_writer(cfg, sink, "u")
+    index, dev, identity, cancel = 0, -math.inf, -math.inf, None
+
+    def store(u):
+        nonlocal index, dev, identity, cancel
+        write(u)
+        dev = max(dev, np.sqrt(grid.integrate(
+            (np.abs(u.samples) - profile) ** 2)) / norm_profile)
+        if index % max(count // 8, 1) == 0:
+            identity = max(identity, static_energy_identity_deviation(
+                u, cfg.b, cfg.f0))
+        if index == count - 1:
+            (vals_n, scales_n), (vals_r, scales_r) = cancellation_integrals(
+                u, cfg.b, cfg.f0)
+            cancel = max(float(np.max(np.abs(vals_n) / scales_n)),
+                         float(np.max(np.abs(vals_r) / scales_r)))
+        index += 1
+
+    _, report = _soliton_series(cfg, sink, state, store_every, store)
     checks = [
         ("profile_l2_deviation", dev, THRESHOLDS["profile_l2"], "<"),
         ("norm_drift", report.norm_drift, THRESHOLDS["norm_drift"], "<"),
@@ -544,15 +569,12 @@ def _run_free_gausson(cfg, sink):
 
 
 def _run_uniform_field(cfg, sink):
-    grid = cfg.grid
-    state = _gausson_state(cfg, grid)
+    state = _gausson_state(cfg, cfg.grid)
     z0 = state.center[0]
     # linear scalar potential on a periodic box: the boundary watchdog
     # aborts the run if wave mass reaches the seam
-    run = run_classical(state, cfg.potentials(), cfg.dt, cfg.steps,
-                        store_every=cfg.snapshot_every or cfg.steps,
-                        abort_on_boundary_mass=True)
-    report = _emit_soliton_series(cfg, sink, run)
+    run, report = _soliton_series(cfg, sink, state,
+                                  abort_on_boundary_mass=True)
     accel = cfg.charge * cfg.e_field / cfg.omega0
     expected = z0 + 0.5 * accel * run.times**2
     err = float(np.max(np.abs(run.centers[:, 0] - expected))
@@ -568,11 +590,8 @@ def _run_uniform_field(cfg, sink):
 
 
 def _run_harmonic_trap(cfg, sink):
-    grid = cfg.grid
-    state = _gausson_state(cfg, grid)
-    run = run_classical(state, cfg.potentials(), cfg.dt, cfg.steps,
-                        store_every=cfg.snapshot_every or cfg.steps)
-    report = _emit_soliton_series(cfg, sink, run)
+    state = _gausson_state(cfg, cfg.grid)
+    run, report = _soliton_series(cfg, sink, state)
     period = 2 * np.pi * np.sqrt(cfg.omega0 / (cfg.charge * cfg.spring))
     crossings = _downward_crossings(run.times, run.centers[:, 0])
     if len(crossings) < 2:
@@ -613,7 +632,8 @@ def _run_double_slit(cfg, sink):
                            mode="dbb")
     run = run_coupled(psi0, state, cfg.params, cfg.potentials(), cfg.dt,
                       cfg.steps, store_every=cfg.snapshot_every or cfg.steps,
-                      harmony_every=max(cfg.steps // 50, 1))
+                      harmony_every=max(cfg.steps // 50, 1),
+                      store=_snapshot_writer(cfg, sink, "u", "psi"))
     dx = grid.spacing[0]
     gap = float(np.max(np.abs(run.centers[:, 0]
                               - run.reference.positions[:, 0])))
@@ -630,10 +650,6 @@ def _run_double_slit(cfg, sink):
     sink.series("harmony.csv", ["time", "phase_harmony_residual"],
                 [run.harmony_times, run.harmony],
                 comment="dimensionless")
-    if cfg.snapshot_every:
-        for i, (u, p) in enumerate(zip(run.u_snapshots, run.psi_snapshots)):
-            sink.snapshot(u, "u", i)
-            sink.snapshot(p, "psi", i)
     norm_drift = float(np.max(np.abs(run.norms - run.norms[0]))
                        / run.norms[0])
     checks = [

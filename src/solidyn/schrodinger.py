@@ -25,8 +25,9 @@ import numpy as np
 from .errors import SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
-from .stepping import NODE_MASK_REL, check_finite, drive, strang_step
-from .trajectories import (FlowHistory, FlowWalk, InteriorMax, RowBlock,
+from .stepping import (NODE_MASK_REL, RowBlock, check_finite, drive,
+                       strang_step)
+from .trajectories import (FlowHistory, FlowWalk, InteriorMax,
                            trajectory_reader)
 
 

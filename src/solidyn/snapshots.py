@@ -45,15 +45,15 @@ def _atomic_write(path, payload: bytes):
 def write_snapshot(field: Field, path):
     """Serialize a complex field snapshot to the SLDN1 layout."""
     grid = field.grid
-    parts = [MAGIC, struct.pack("<I", grid.dim)]
-    for n in grid.points:
-        parts.append(struct.pack("<I", n))
-    for length in grid.lengths:
-        parts.append(struct.pack("<d", length))
-    parts.append(struct.pack("<d", field.time_tag))
-    samples = np.ascontiguousarray(field.samples, dtype=np.complex128)
-    parts.append(samples.astype("<c16").tobytes())
-    _atomic_write(path, b"".join(parts))
+    head = struct.pack(_header_format(grid.dim), grid.dim, *grid.points,
+                       *grid.lengths, field.time_tag)
+    samples = np.ascontiguousarray(field.samples, dtype="<c16")
+    _atomic_write(path, MAGIC + head + samples.tobytes())
+
+
+def _header_format(dim):
+    """The struct format of dim, points, lengths and time tag."""
+    return f"<I{dim}I{dim}dd"
 
 
 def read_snapshot(path) -> Field:
@@ -62,21 +62,10 @@ def read_snapshot(path) -> Field:
         blob = handle.read()
     if blob[:5] != MAGIC:
         raise SolidynError(f"{path}: not an SLDN1 snapshot")
-    offset = 5
-    (dim,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    points = []
-    for _ in range(dim):
-        (n,) = struct.unpack_from("<I", blob, offset)
-        points.append(n)
-        offset += 4
-    lengths = []
-    for _ in range(dim):
-        (length,) = struct.unpack_from("<d", blob, offset)
-        lengths.append(length)
-        offset += 8
-    (time_tag,) = struct.unpack_from("<d", blob, offset)
-    offset += 8
+    head = _header_format(struct.unpack_from("<I", blob, 5)[0])
+    dim, *sizes, time_tag = struct.unpack_from(head, blob, 5)
+    points, lengths = sizes[:dim], sizes[dim:]
+    offset = 5 + struct.calcsize(head)
     count = int(np.prod(points))
     expected = offset + 16 * count
     if len(blob) != expected:

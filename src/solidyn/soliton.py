@@ -50,6 +50,26 @@ def log_potential_density(rho, b, f0):
     return -b * rho * np.log(np.maximum(rho, floor) / f0**2)
 
 
+def energy_nls(u: Field, params: PhysicalParams, potentials: Potentials,
+               b: float, f0: float):
+    """Total energy E_t (NLS Hamiltonian) and static energy E_s = b C."""
+    grid = u.grid
+    p = params
+    rho = u.density()
+    avec = p.charge * potentials.vector(u.time_tag)
+    kinetic = np.zeros(grid.shape)
+    grad = grid.gradient(u.samples)
+    for a in range(grid.dim):
+        cov = grad[a] - 1j * avec[a] * u.samples
+        kinetic += np.abs(cov) ** 2
+    w = p.omega0 + p.charge * potentials.scalar_on_grid(grid, u.time_tag)
+    density = (kinetic / (2.0 * p.omega0) + w * rho
+               + log_potential_density(rho, b, f0) / (2.0 * p.omega0))
+    e_total = float(grid.integrate(density))
+    e_static = float(b * grid.integrate(rho))
+    return e_total, e_static
+
+
 @dataclass(frozen=True)
 class GaussonParams:
     """Gausson shape and kinematics: inverse squared width b, reference
@@ -283,13 +303,10 @@ def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
 
 @dataclass
 class SolitonRun:
-    """Series recorded along a soliton evolution (classical or coupled)."""
+    """Series recorded along a soliton evolution (classical or coupled):
+    a row per step from the initial state, and per stored step in
+    `snapshot_times` and `energy`; each stored field went to `store`."""
 
-    params: PhysicalParams
-    potentials: Potentials
-    b: float
-    f0: float
-    mode: str
     times: np.ndarray = None
     centers: np.ndarray = None        # (n, dim) wrap-aware xbar
     norms: np.ndarray = None          # (n,) C = integral |u|^2
@@ -297,11 +314,10 @@ class SolitonRun:
     fq_at_center: np.ndarray = None   # (n, dim); zeros in classical mode
     boundary_mass: np.ndarray = None
     snapshot_times: np.ndarray = None
-    u_snapshots: list = _dc_field(default_factory=list)
     final_state: SolitonState = None
+    energy: np.ndarray = None         # E_t at stored steps (classical)
     # coupled runs only:
     reference: TrajectoryRecord = None
-    psi_snapshots: list = _dc_field(default_factory=list)
     harmony_times: np.ndarray = None
     harmony: np.ndarray = None
 
@@ -313,8 +329,13 @@ def _grid_positions(grid):
 
 def run_classical(state: SolitonState, potentials: Potentials, dt: float,
                   steps: int, store_every: int = 1,
-                  abort_on_boundary_mass: bool = False) -> SolitonRun:
-    """Evolve a classical-mode soliton, recording center and norm series."""
+                  abort_on_boundary_mass: bool = False,
+                  store=None) -> SolitonRun:
+    """Evolve a classical-mode soliton, recording center and norm series.
+
+    Every `store_every`-th step, the initial state included, records its
+    time and energy E_t (`energy_nls`) and hands its field to `store(u)`.
+    """
     if state.coupling_mode != "classical":
         raise SolidynError("run_classical needs a classical-mode state")
     grid = state.u.grid
@@ -332,18 +353,19 @@ def run_classical(state: SolitonState, potentials: Potentials, dt: float,
                 f"boundary mass fraction {frac:.3e} exceeded "
                 f"{BOUNDARY_MASS_LIMIT} at step {i}")
         t = state.u.time_tag
-        stored = i % store_every == 0
-        return {"times": t, "centers": state.center, "norms": state.norm,
-                "boundary_mass": frac,
-                "mean_em_force": _density_mean_force(state, potentials, pos),
-                "u_snapshots": state.u if stored else None,
-                "snapshot_times": t if stored else None}
+        row = {"times": t, "centers": state.center, "norms": state.norm,
+               "boundary_mass": frac,
+               "mean_em_force": _density_mean_force(state, potentials, pos)}
+        if i % store_every == 0:
+            if store is not None:
+                store(state.u)
+            row["snapshot_times"] = t
+            row["energy"] = energy_nls(state.u, state.params, potentials,
+                                       state.b, state.f0)[0]
+        return row
 
     state, series = drive(state, steps, step, sample)
-    series["u_snapshots"] = list(series["u_snapshots"])
     return SolitonRun(
-        params=state.params, potentials=potentials,
-        b=state.b, f0=state.f0, mode="classical",
         fq_at_center=np.zeros((len(series["times"]), grid.dim)),
         final_state=state, **series)
 
@@ -368,7 +390,8 @@ def _density_mean_force(state: SolitonState, potentials: Potentials,
 
 def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
                 potentials: Potentials, dt: float, steps: int,
-                store_every: int = 0, harmony_every: int = 0) -> SolitonRun:
+                store_every: int = 0, harmony_every: int = 0,
+                store=None) -> SolitonRun:
     """Co-evolve pilot wave and dbb-coupled soliton in lockstep.
 
     Per step: advance the pilot wave, extract its quantum potential at both
@@ -377,12 +400,10 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     against the same two Madelung snapshots.  The coupling is one way: the
     pilot wave never sees u.
 
-    The reference point steps by `trajectories.advance_point`, the
-    one-point RK4 in Python floats that also moves the pair run's
-    configuration point.  It reads the two Madelung bundles directly
-    through `Grid.interpolate` with a point stencil, gives the bits of
-    `advance_positions` over a two-snapshot flow history, and its point
-    stencil serves every later lookup at the point.
+    The reference point steps by `trajectories.advance_point`, whose
+    point stencil serves every later lookup at the point.  The initial
+    state and every `store_every`-th step (none for 0) record their time
+    and hand their fields to `store(u, psi)`.
     """
     if state.coupling_mode != "dbb":
         raise SolidynError("run_coupled needs a dbb-mode state")
@@ -399,11 +420,6 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         raise SolidynError("soliton center starts on the pilot node mask")
 
     pos = _grid_positions(grid)
-    def em_force(t, z):
-        return pilot_params.charge * potentials.electric_field(t, [z])[0]
-
-    # a zero field has the same signed zero E at every time and place
-    em0 = em_force(psi0.time_tag, z)
 
     def step(s, i):
         psi, bundle, state, z, z_stencil, k1, _ = s
@@ -426,6 +442,8 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         psi, bundle, state, z, z_stencil, k1, near = s
         t = psi.time_tag
         stored = i == 0 or (store_every and i % store_every == 0)
+        if stored and store is not None:
+            store(state.u, psi)
         harmony = i > 0 and harmony_every and i % harmony_every == 0
         return {
             "times": t, "centers": state.center, "norms": state.norm,
@@ -437,10 +455,9 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
             "positions": z, "velocities": k1,
             "quantum_force": _point_vector(grid, z_stencil,
                                            bundle.quantum_force),
-            "em_force": em0 if potentials.zero_field else em_force(t, z),
+            "em_force": (pilot_params.charge
+                         * potentials.electric_field(t, [z])[0]),
             "node_proximity": near,
-            "u_snapshots": state.u if stored else None,
-            "psi_snapshots": psi if stored else None,
             "snapshot_times": t if stored else None,
             "harmony_times": t if harmony else None,
             "harmony": phase_harmony_residual(
@@ -456,12 +473,7 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         **{name: series.pop(name) for name in (
             "positions", "velocities", "quantum_force", "em_force",
             "node_proximity")})
-    for name in ("u_snapshots", "psi_snapshots"):
-        series[name] = list(series[name])
-    return SolitonRun(
-        params=state.params, potentials=potentials,
-        b=state.b, f0=state.f0, mode="dbb", final_state=state,
-        reference=reference, **series)
+    return SolitonRun(final_state=state, reference=reference, **series)
 
 
 def _point_vector(grid, stencil, components):

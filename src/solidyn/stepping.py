@@ -14,6 +14,8 @@ unitarity.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
 from .errors import NonFiniteFieldError
@@ -83,6 +85,40 @@ def cached(store, name, grid, key, build):
     return entry[1]
 
 
+class RowBlock:
+    """Rows appended one at a time into one typed block, which grows in
+    place by a quarter when full (`ndarray.resize`, a `realloc`) and which
+    `block()` trims to the rows written: the rows are never held twice.
+    The block has the shape, dtype and bits of `np.asarray` of the rows (a
+    row of a wider dtype widens it; no rows read shape (0,))."""
+
+    def __init__(self):
+        self._block, self._count = None, 0
+
+    def append(self, row):
+        row = np.asarray(row)
+        if self._block is None:
+            self._block = np.empty((16,) + row.shape, row.dtype)
+        elif row.dtype != self._block.dtype:
+            self._block = self._block.astype(
+                np.result_type(self._block.dtype, row.dtype), copy=False)
+        if self._count == len(self._block):
+            self._resize(self._count + self._count // 4)
+        self._block[self._count] = row
+        self._count += 1
+
+    def block(self):
+        """The (rows, *row shape) block."""
+        if self._block is None:
+            return np.empty(0)
+        self._resize(self._count)
+        return self._block
+
+    def _resize(self, rows):
+        # no view of the block exists before `block()` returns it
+        self._block.resize((rows,) + self._block.shape[1:], refcheck=False)
+
+
 def drive(state, steps, step, sample):
     """The time loop of every wave run.
 
@@ -90,23 +126,18 @@ def drive(state, steps, step, sample):
     i)` followed by sample(state, i).  A sample is a dict of named
     quantities, or None to record nothing at that step; a quantity whose
     value is None is not recorded at that step.  Returns the final state
-    and a dict with one array (`np.asarray` of the recorded values) per
-    quantity named by any sample.
+    and a dict with one array per quantity named by any sample: its
+    recorded values, kept in one `RowBlock` (so `np.asarray` of them).
     """
-    columns = {}
-
-    def record(row):
-        for name, value in (row or {}).items():
-            column = columns.setdefault(name, [])
+    columns = defaultdict(RowBlock)
+    for i in range(steps + 1):
+        if i:
+            state = step(state, i)
+        for name, value in (sample(state, i) or {}).items():
+            column = columns[name]      # named even if never recorded
             if value is not None:
                 column.append(value)
-
-    record(sample(state, 0))
-    for i in range(1, steps + 1):
-        state = step(state, i)
-        record(sample(state, i))
-    return state, {name: np.asarray(values)
-                   for name, values in columns.items()}
+    return state, {name: column.block() for name, column in columns.items()}
 
 
 def check_finite(samples, step_index):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryExitError, NodeEncounterError, SolidynError
-from .stepping import NODE_MASK_REL, NODE_PROXIMITY_REL
+from .stepping import NODE_MASK_REL, NODE_PROXIMITY_REL, RowBlock
 
 # Snapshots a FlowWalk reads at once: the RK4 step i -> i+1 reads i and
 # i+1, and its node check at t_{i+1} brackets i+1 and i+2.
@@ -344,33 +344,6 @@ class FlowWalk:
         if self._error is not None:
             raise self._error
         return self._result()
-
-
-class RowBlock:
-    """Rows appended one per snapshot into one block, which grows in place
-    by a quarter when full (`ndarray.resize`, a `realloc`) and which
-    `block()` trims to the rows written: the rows are never held twice."""
-
-    def __init__(self):
-        self._block, self._count = None, 0
-
-    def append(self, row):
-        row = np.asarray(row)
-        if self._block is None:
-            self._block = np.empty((16,) + row.shape, row.dtype)
-        elif self._count == len(self._block):
-            self._resize(self._count + self._count // 4)
-        self._block[self._count] = row
-        self._count += 1
-
-    def block(self):
-        """The (rows, *row shape) block."""
-        self._resize(self._count)
-        return self._block
-
-    def _resize(self, rows):
-        # no view of the block exists before `block()` returns it
-        self._block.resize((rows,) + self._block.shape[1:], refcheck=False)
 
 
 def _recorded_flow(history, z0, result):

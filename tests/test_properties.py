@@ -9,6 +9,9 @@ Hypothesis).
   the box.
 - `ls_step`, `nls_step` and `ls2_step` keep the norm to round-off, and
   `ls_step(dt)` followed by `ls_step(-dt)` returns psi to round-off.
+- `drive`'s columns have the bits, dtype and shape of `np.asarray` of the
+  sampled values, for floats, ints, bools, a mix of ints and floats,
+  tuples and arrays, with sparse and all-None columns.
 - `strang_step` gives the bits of the allocating reference step in
   `strang_reference.py` on 1D and 2D inputs, with a constant or a callable
   end phase, and leaves its input unchanged.
@@ -60,7 +63,7 @@ from solidyn.schrodinger import ls_step  # noqa: E402
 from solidyn.soliton import (SolitonState, _density_mean_force,  # noqa: E402
                              _grid_positions, classical_trajectory, nls_step,
                              second_central_moments, soliton_center)
-from solidyn.stepping import strang_step  # noqa: E402
+from solidyn.stepping import drive, strang_step  # noqa: E402
 from strang_reference import reference_strang_step  # noqa: E402
 
 # ---------------------------------------------------------------------------
@@ -300,6 +303,57 @@ def test_ls2_step_keeps_norm(pair, dt, steps):
     for _ in range(steps):
         out = ls2_step(out, dt)
     assert abs(out.norm() - pair.norm()) / pair.norm() < 1e-12 * steps
+
+
+# one kind of value per column: every row of a column has one shape
+ROW_VALUES = {
+    "float": lambda width: st.floats(),
+    "int": lambda width: st.integers(-2**63, 2**63 - 1),
+    "bool": lambda width: st.booleans(),
+    "int_or_float": lambda width: st.integers(-2**53, 2**53) | st.floats(),
+    "tuple": lambda width: st.tuples(*[st.floats()] * width),
+    "array": lambda width: st.lists(st.floats(), min_size=width,
+                                    max_size=width).map(np.array),
+}
+
+
+@st.composite
+def drive_samples(draw):
+    """The samples of a run of 0-40 steps: per step None or a dict naming
+    every column, with None for a quantity not recorded at that step;
+    one column is never recorded."""
+    steps = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from(sorted(ROW_VALUES)), min_size=1,
+                          max_size=4))
+    values = {f"{kind}{n}": ROW_VALUES[kind](draw(st.integers(1, 3)))
+              for n, kind in enumerate(kinds)}
+    sparse = {name: draw(st.floats(0.0, 1.0)) for name in values}
+
+    def row():
+        return {"never": None, **{
+            name: None if draw(st.floats(0.0, 1.0)) < sparse[name]
+            else draw(value) for name, value in values.items()}}
+
+    return [draw(st.none() | st.builds(row)) for _ in range(steps + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(drive_samples())
+def test_drive_columns_are_np_asarray_of_the_sampled_values(samples):
+    steps = len(samples) - 1
+    final, series = drive(0, steps, lambda state, i: state + 1,
+                          lambda state, i: samples[i])
+    assert final == steps
+    names = {name for row in samples if row for name in row}
+    assert set(series) == names
+    for name in names:
+        want = np.asarray([row[name] for row in samples
+                           if row and row[name] is not None])
+        got = series[name]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if names:
+        assert series["never"].shape == (0,)
 
 
 @st.composite

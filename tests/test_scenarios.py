@@ -3,9 +3,11 @@
 import dataclasses
 import gc
 import os
+import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -708,3 +710,50 @@ def test_history_runners_keep_three_snapshots_at_any_length(
         for history, record in spied:
             assert history.count == steps + 1
             assert 0 < record["kept"] <= 3
+
+
+def test_snapshot_run_memory_stays_flat_as_the_run_doubles(tmp_path):
+    # each stored (u, psi) pair is written as it is sampled and each
+    # per-step number is an 8-byte row, so the traced peak of a run that
+    # writes a snapshot pair every step barely grows from 100 to 200
+    # steps; holding the N = 2048 pairs to the end would add 64 KB per
+    # step, 6.4 MB here
+    peaks = {}
+    for steps in (2, 100, 200):      # the first run warms up
+        cfg = parse_config(os.path.join(CONFIG_DIR, "double_slit_dbb.yaml"))
+        cfg.t_final = steps * cfg.dt
+        cfg.snapshot_every = 1
+        cfg.output_dir = str(tmp_path / f"ds{steps}")
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, quiet=True)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(os.listdir(tmp_path / f"ds{steps}" / "snapshots")) \
+            == 2 * (steps + 1)
+    assert peaks[200] - peaks[100] < 512 * 1024
+
+
+def test_boundary_abort_lists_the_snapshots_written_before_it(tmp_path):
+    # a strong field pushes the soliton into the seam: the run exits 1,
+    # and its manifest lists the snapshots of the steps before the abort,
+    # in the order they were written
+    out = tmp_path / "out"
+    path = write_yaml(tmp_path, "push.yaml",
+                      "scenario: uniform_field\n"
+                      "grid:\n  points: 64\n  length: 20.0\n"
+                      "potential:\n  kind: uniform_e\n  e_field: 2.0\n"
+                      "run:\n  dt: 1.0e-2\n  t_final: 5.0\n"
+                      "  snapshot_every: 10\n"
+                      f"output:\n  directory: {out}\n")
+    assert cli_main(["run", path, "--quiet"]) == 1
+    manifest = (out / "manifest.txt").read_text()
+    abort_step = int(re.search(r"boundary mass .* at step (\d+)\n",
+                               manifest).group(1))
+    listed = manifest.split("partial outputs:\n")[1].split()
+    written = [str(out / "snapshots" / f"u_{i:06d}.sldn")
+               for i in range((abort_step - 1) // 10 + 1)]
+    assert listed == written
+    assert sorted(os.listdir(out / "snapshots")) \
+        == [os.path.basename(name) for name in written]

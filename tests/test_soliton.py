@@ -268,7 +268,7 @@ def test_coupled_free_gaussian_tracks_guidance():
     gap = np.abs(run.centers[:, 0] - run.reference.positions[:, 0])
     assert gap.max() < 3 * g.spacing[0]
     # underformability proxy: width stays put while the pilot packet spreads
-    m0 = second_central_moments(run.u_snapshots[0], run.centers[0])
+    m0 = second_central_moments(u0, run.centers[0])
     m_end = second_central_moments(run.final_state.u, run.centers[-1])
     assert abs(m_end[0] - m0[0]) / m0[0] < 0.01
     # without the quantum force the reference is a straight line and fails
