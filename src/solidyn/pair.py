@@ -168,11 +168,13 @@ class _VelocityLines:
         self._psi = psi
         self._amplitude = amplitude
         self._masses = masses
-        # per axis k: the derived lines along k, one per row, and the row
-        # of each grid line there (-1 until derived)
+        # per axis k: the derived lines along k, one per row, the row of
+        # each grid line there (-1 until derived), and the set of derived
+        # grid lines, which tells a block whose lines are all kept at once
         shape = psi.grid.shape
         self._slots = [np.full(shape[1 - k], -1) for k in (0, 1)]
         self._kept = [np.empty((0, shape[k])) for k in (0, 1)]
+        self._derived = [set(), set()]
 
     def derive(self, axis, lines):
         """v_axis on the lines along `axis` picked by `lines` (an index
@@ -190,17 +192,16 @@ class _VelocityLines:
         rows, cols = index
         lines, across = (cols, rows) if axis == 0 else (rows, cols)
         slots = self._slots[axis]
-        at = slots[lines]
-        missing = at < 0
-        if missing.any():
-            new = np.unique(lines[missing])
+        derived = self._derived[axis]
+        if not derived.issuperset(lines.ravel().tolist()):
+            new = np.unique(lines[slots[lines] < 0])
             block = self.derive(axis, new)
             kept = self._kept[axis]
             slots[new] = np.arange(len(kept), len(kept) + new.size)
             self._kept[axis] = np.concatenate(
                 [kept, block.T if axis == 0 else block])
-            at = slots[lines]
-        return self._kept[axis][at, across]
+            derived.update(new.tolist())
+        return self._kept[axis][slots[lines], across]
 
     def __getitem__(self, axis):
         return _VelocityComponent(self, axis)
@@ -283,18 +284,32 @@ class PairState:
 def pair_step(pair: PairWave, state: PairState, dt: float):
     """Advance wave, synchronized trajectory point, and both solitons.
 
-    Order per step: wave first; then the configuration-space RK4 for
-    (z1, z2) against the bracketing waves (`advance_point`, the one-point
-    RK4 of the coupled run); then each particle's conditional quantum
-    potential (at the partner's start and end positions) drives its 1D
-    soliton.
+    Order per step: wave first (`_step_wave`); then the particle half
+    (`_step_particles`): the configuration-space RK4 for (z1, z2) against
+    the bracketing waves (`advance_point`, the one-point RK4 of the coupled
+    run), then each particle's conditional quantum potential (at the
+    partner's start and end positions) drives its 1D soliton.  `run_pair`
+    runs the same two halves, the wave half once for all its states.
     """
+    new_pair = _step_wave(pair, dt)
+    return new_pair, _step_particles(pair, new_pair, state, dt)
+
+
+def _step_wave(pair: PairWave, dt: float) -> PairWave:
+    """The wave half of `pair_step`: `ls2_step` and its finiteness check."""
     t = pair.psi.time_tag
     new_pair = ls2_step(pair, dt)
     check_finite(new_pair.psi.samples, round(t / max(dt, 1e-300)) + 1)
+    return new_pair
 
+
+def _step_particles(pair: PairWave, new_pair: PairWave, state: PairState,
+                    dt: float) -> PairState:
+    """The particle half of `pair_step`: move `state` from `pair` to
+    `new_pair`, the next wave.  It only reads the two waves."""
     # both waves keep the velocity lines the RK4 stencils derive, so the
     # next step reuses this step's new wave as is
+    t = pair.psi.time_tag
     z_old = state.z.tolist()
     z_new, _, _ = advance_point(pair, new_pair, z_old, t, t + dt)
 
@@ -310,12 +325,14 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
                   external_q=q1_start, external_q_end=q1_end)
     u2 = nls_step(state.u2, pair.potentials[1], dt,
                   external_q=q2_start, external_q_end=q2_end)
-    return new_pair, PairState(u1=u1, u2=u2, z=z_new,
-                               q_cache=(q1_end, q2_end))
+    return PairState(u1=u1, u2=u2, z=z_new, q_cache=(q1_end, q2_end))
 
 
 @dataclass
 class PairRun:
+    """The series of one particle start of `run_pair`.  Runs of one call
+    share `times`, and their other series are views of one block."""
+
     times: np.ndarray
     z: np.ndarray                 # (n, 2) synchronized trajectory
     centers1: np.ndarray          # (n,) soliton-1 first moment
@@ -323,20 +340,37 @@ class PairRun:
     final_state: PairState = None
 
 
-def run_pair(pair: PairWave, state: PairState, dt: float,
-             steps: int) -> PairRun:
-    """Drive pair_step, recording trajectory and tracking series."""
+def run_pair(pair: PairWave, states, dt: float, steps: int) -> list:
+    """Drive one wave and every particle start in `states` through `steps`
+    pair steps, recording each start's trajectory and tracking series.
+
+    The guidance is one way (the wave never sees the particles), so each
+    time step runs the wave half of `pair_step` once, and then each state
+    in turn its particle half.  All states read the same `PairWave`s and
+    share their memoized amplitude, peak and velocity lines; each state's
+    series and final solitons have the bits of its run alone.  The run
+    stops at the first step at which any state fails, and if several fail
+    at that step, the first of them in `states` raises.  Returns one
+    `PairRun` per state, in order.
+    """
     def step(s, i):
-        return pair_step(*s, dt)
+        pair, states = s
+        new_pair = _step_wave(pair, dt)
+        return new_pair, [_step_particles(pair, new_pair, state, dt)
+                          for state in states]
 
     def sample(s, i):
-        pair, state = s
-        return {"times": pair.psi.time_tag, "z": state.z,
-                "centers1": state.u1.center[0],
-                "centers2": state.u2.center[0]}
+        pair, states = s
+        return {"times": pair.psi.time_tag,
+                "z": [state.z for state in states],
+                "centers1": [state.u1.center[0] for state in states],
+                "centers2": [state.u2.center[0] for state in states]}
 
-    (_, state), series = drive((pair, state), steps, step, sample)
-    return PairRun(final_state=state, **series)
+    (_, states), series = drive((pair, list(states)), steps, step, sample)
+    times, z = series["times"], series["z"]
+    c1, c2 = series["centers1"], series["centers2"]
+    return [PairRun(times, z[:, j], c1[:, j], c2[:, j], final_state=state)
+            for j, state in enumerate(states)]
 
 
 def pair_tracking_residual(run: PairRun):

@@ -809,14 +809,16 @@ def _run_entangled_pair(cfg, sink):
 
     z1, z2, z2b = init["z1"], init["z2"], init["z2_alternate"]
 
-    def run(entangled, z2_start):
-        # each initial wave is freed when its run ends, not kept to the end
+    def run(entangled):
+        # both partner starts ride one wave, stepped once for both; the
+        # entangled wave is freed before the product wave is built
         pair_wave = wave(entangled)
-        return run_pair(pair_wave, state(pair_wave, z1, z2_start), cfg.dt,
-                        cfg.steps)
+        return run_pair(pair_wave, [state(pair_wave, z1, z2),
+                                    state(pair_wave, z1, z2b)],
+                        cfg.dt, cfg.steps)
 
-    ent_a, ent_b = run(True, z2), run(True, z2b)
-    prod_a, prod_b = run(False, z2), run(False, z2b)
+    ent_a, ent_b = run(True)
+    prod_a, prod_b = run(False)
     dx = grid.spacing[0]
     ent_shift = float(np.max(np.abs(ent_a.z[:, 0] - ent_b.z[:, 0])))
     prod_shift = float(np.max(np.abs(prod_a.z[:, 0] - prod_b.z[:, 0])))

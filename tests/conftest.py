@@ -41,5 +41,5 @@ def product_pair_run():
                         (Potentials.free(1), gauge))
     z2_node = float(g2.axes[1][160])
     state = PairState(u1=soliton(start), u2=soliton(2.5), z=[start, z2_node])
-    run = run_pair(pair, state, dt=1e-3, steps=300)
+    run, = run_pair(pair, [state], dt=1e-3, steps=300)
     return single, run, z2_node

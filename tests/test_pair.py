@@ -1,6 +1,7 @@
 """Tests for the two-particle configuration-space wave and coupled solitons."""
 
 import gc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ def test_pair_product_separability_generic_packets():
     # start the synchronized point exactly where the single run starts: at
     # the soliton's computed first moment
     state = PairState(u1=u1, u2=u2, z=[u1.center[0], u2.center[0]])
-    run = run_pair(pair, state, dt=2e-3, steps=400)
+    run, = run_pair(pair, [state], dt=2e-3, steps=400)
 
     with pytest.warns(UserWarning, match="not well separated"):
         single = run_coupled(
@@ -302,26 +303,28 @@ def momentum_correlated_wave(g2, g1, k=1.5):
     return PairWave(Field(g2, psi2d), (1.0, 1.0), 1.0, FREE)
 
 
+def resting_states(g1, starts):
+    """Solitons at rest at each start (z1, z2), with the point there."""
+    return [PairState(u1=soliton(g1, z1), u2=soliton(g1, z2), z=[z1, z2])
+            for z1, z2 in starts]
+
+
 @pytest.mark.slow
 def test_pair_nonlocality_witness():
     g2, g1 = grid_pair()
     dx = g2.spacing[0]
 
-    def resting_state(z1, z2):
-        return PairState(u1=soliton(g1, z1), u2=soliton(g1, z2), z=[z1, z2])
-
-    run_a = run_pair(momentum_correlated_wave(g2, g1),
-                     resting_state(-2.0, -2.0), dt=2e-3, steps=400)
-    run_b = run_pair(momentum_correlated_wave(g2, g1),
-                     resting_state(-2.0, 3.0), dt=2e-3, steps=400)
+    # both partner starts ride one wave
+    starts = [(-2.0, -2.0), (-2.0, 3.0)]
+    run_a, run_b = run_pair(momentum_correlated_wave(g2, g1),
+                            resting_states(g1, starts), dt=2e-3, steps=400)
     assert np.max(np.abs(run_a.z[:, 0] - run_b.z[:, 0])) > 10 * dx
 
     psi1 = packet(g1, -2.0)
     psi2 = (packet(g1, -2.0) + packet(g1, 3.0)) / np.sqrt(2)
-    prod_a = run_pair(product_pair(psi1, psi2, g2, (1.0, 1.0), 1.0, FREE),
-                      resting_state(-2.0, -2.0), dt=2e-3, steps=400)
-    prod_b = run_pair(product_pair(psi1, psi2, g2, (1.0, 1.0), 1.0, FREE),
-                      resting_state(-2.0, 3.0), dt=2e-3, steps=400)
+    prod_a, prod_b = run_pair(
+        product_pair(psi1, psi2, g2, (1.0, 1.0), 1.0, FREE),
+        resting_states(g1, starts), dt=2e-3, steps=400)
     assert np.max(np.abs(prod_a.z[:, 0] - prod_b.z[:, 0])) < dx / 10
 
 
@@ -331,7 +334,7 @@ def test_pair_tracking_product_free():
                         1.0, FREE)
     state = PairState(u1=soliton(g1, -2.0), u2=soliton(g1, 2.0),
                       z=[-2.0, 2.0])
-    run = run_pair(pair, state, dt=2e-3, steps=600)
+    run, = run_pair(pair, [state], dt=2e-3, steps=600)
     r1, r2 = pair_tracking_residual(run)
     assert r1 < 3 * g2.spacing[0]
     assert r2 < 3 * g2.spacing[1]
@@ -346,7 +349,7 @@ def test_pair_tracking_entangled():
     state = PairState(u1=soliton(g1, -2.0, velocity=v0[0]),
                       u2=soliton(g1, -2.0, velocity=v0[1]),
                       z=[-2.0, -2.0])
-    run = run_pair(wave, state, dt=2e-3, steps=500)
+    run, = run_pair(wave, [state], dt=2e-3, steps=500)
     r1, r2 = pair_tracking_residual(run)
     assert r1 < 5 * g2.spacing[0]
     assert r2 < 5 * g2.spacing[1]
@@ -398,6 +401,7 @@ def unequal_mass_solitons(g1, z):
 
 
 Z_START = (-1.97, -2.03)        # off the grid nodes
+Z_NEAR = (-2.31, -1.62)         # a second start, a few cells away
 
 
 def test_line_velocity_equals_full_grid_fields():
@@ -423,8 +427,8 @@ def test_run_pair_bit_identical_to_full_grid_reference():
         unequal_mass_wave(g2, g1), *unequal_mass_solitons(g1, Z_START),
         Z_START, dt, steps)
     u1, u2 = unequal_mass_solitons(g1, Z_START)
-    run = run_pair(unequal_mass_wave(g2, g1),
-                   PairState(u1=u1, u2=u2, z=Z_START), dt, steps)
+    run, = run_pair(unequal_mass_wave(g2, g1),
+                    [PairState(u1=u1, u2=u2, z=Z_START)], dt, steps)
     cells = np.abs(ref_z[-1] - ref_z[0]) / g2.spacing[0]
     assert cells[0] > 5 and cells[1] > 5        # z crosses several cells
     assert np.array_equal(run.z, ref_z)
@@ -445,43 +449,67 @@ def _line_index(wave, block, axis, col):
     return int(hit[0]) if hit.size else None
 
 
-def test_pair_step_derives_only_stencil_lines_once(monkeypatch):
+def _check_lines_derived_once(monkeypatch, advance, bound):
+    """Run `advance(wave)` from the unequal-mass 256^2 wave and check every
+    derivative it takes: each block holds lines of its step's old or new
+    wave, no block is a full grid, no line of a wave is derived twice, and
+    no step derives more than `bound` lines.  Returns the wave steps."""
     g2, g1 = grid_pair(n=256)
     n = g2.points[0]
-    calls = []
-    derivative = Grid.derivative
+    waves = [None, unequal_mass_wave(g2, g1)]   # the step's old and new wave
+    per_step = []                               # lines derived in each step
+    derived = set()
+    derivative, wave_step = Grid.derivative, pair_module.ls2_step
+
+    def step_spy(pair, dt):
+        waves[:] = [pair, wave_step(pair, dt)]
+        per_step.append(0)
+        return waves[1]
 
     def spy(self, samples, axis):
-        calls.append((samples.copy(), axis))
+        count = samples.shape[1 - axis]
+        assert count < n, "a pair step derived a full grid"
+        step = len(per_step)
+        per_step[-1] += count
+        for col in range(count):
+            # the block's line belongs to the old or the new wave
+            for index, wave in zip((step - 1, step), waves):
+                line = _line_index(wave, samples, axis, col)
+                if line is not None:
+                    break
+            assert line is not None
+            assert (index, axis, line) not in derived, \
+                f"line {line} of wave {index} derived twice"
+            derived.add((index, axis, line))
         return derivative(self, samples, axis)
 
-    monkeypatch.setattr(Grid, "derivative", spy)
-    wave = unequal_mass_wave(g2, g1)
-    u1, u2 = unequal_mass_solitons(g1, Z_START)
-    state = PairState(u1=u1, u2=u2, z=Z_START)
-    waves = [wave]
-    derived = set()
-    for step in range(1, 121):
-        calls.clear()
-        wave, state = pair_step(wave, state, 2e-3)
-        waves.append(wave)
-        lines_this_step = 0
-        for block, axis in calls:
-            count = block.shape[1 - axis]
-            assert count < n, "a pair step derived a full grid"
-            lines_this_step += count
-            for col in range(count):
-                # the block's line belongs to the old or the new wave
-                for index in (step - 1, step):
-                    line = _line_index(waves[index], block, axis, col)
-                    if line is not None:
-                        break
-                assert line is not None
-                assert (index, axis, line) not in derived, \
-                    f"line {line} of wave {index} derived twice"
-                derived.add((index, axis, line))
-        assert lines_this_step <= 16
-        waves[step - 1] = None          # free what is no longer read
+    with monkeypatch.context() as m:
+        m.setattr(Grid, "derivative", spy)
+        m.setattr(pair_module, "ls2_step", step_spy)
+        advance(waves[1])
+    assert max(per_step) <= bound
+    return len(per_step)
+
+
+def test_pair_step_derives_only_stencil_lines_once(monkeypatch):
+    g1 = grid_pair(n=256)[1]
+    dt, steps = 2e-3, 120
+
+    def stepwise(wave):
+        u1, u2 = unequal_mass_solitons(g1, Z_START)
+        state = PairState(u1=u1, u2=u2, z=Z_START)
+        for _ in range(steps):
+            wave, state = pair_step(wave, state, dt)
+
+    assert _check_lines_derived_once(monkeypatch, stepwise, 16) == steps
+
+    # two starts on one wave in lockstep: each reads the lines the other
+    # derived, and still no line of a wave is derived twice
+    def lockstep(wave):
+        run_pair(wave, [PairState(*unequal_mass_solitons(g1, z), z=z)
+                        for z in (Z_START, Z_NEAR)], dt, steps)
+
+    assert _check_lines_derived_once(monkeypatch, lockstep, 2 * 16) == steps
 
 
 def test_nan_off_the_stencil_lines_still_aborts_step_one():
@@ -506,7 +534,7 @@ def test_rk4_stage_box_exit_matches_reference():
     with pytest.raises(BoundaryExitError, match="boundary exit near") as ref:
         reference_run_pair(wave(), u1, u2, z0, 2e-3, 40)
     with pytest.raises(BoundaryExitError, match="boundary exit near") as err:
-        run_pair(wave(), PairState(u1=u1, u2=u2, z=z0), 2e-3, 40)
+        run_pair(wave(), [PairState(u1=u1, u2=u2, z=z0)], 2e-3, 40)
     assert str(err.value) == str(ref.value)
     assert err.value.last_valid_time == ref.value.last_valid_time > 0.0
 
@@ -539,7 +567,7 @@ def test_finished_pair_run_keeps_no_pair_wave():
                         1.0, FREE)
     state = PairState(u1=soliton(g1, -1.0), u2=soliton(g1, 1.0),
                       z=[-1.0, 1.0])
-    run = run_pair(pair, state, dt=2e-3, steps=3)
+    run, = run_pair(pair, [state], dt=2e-3, steps=3)
     del pair, state
     gc.collect()
     assert not [o for o in gc.get_objects()
@@ -592,3 +620,120 @@ def test_pair_step_builds_no_flow_history(monkeypatch):
     new_wave, state = pair_step(wave, PairState(u1=u1, u2=u2, z=Z_START),
                                 2e-3)
     assert new_wave.time_tag == 2e-3 and state.z.shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# lockstep runs: several particle starts on one wave
+# ---------------------------------------------------------------------------
+
+LOCKSTEP_STARTS = ((-2.0, -2.0), (-1.97, 3.03), (-2.0, -2.0))  # last repeats
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+def test_lockstep_run_has_the_bits_of_each_start_alone(entangled):
+    g2, g1 = grid_pair()
+
+    def wave():
+        if entangled:
+            return momentum_correlated_wave(g2, g1)
+        partner = (packet(g1, -2.0) + packet(g1, 3.0)) / np.sqrt(2)
+        return product_pair(packet(g1, -2.0), partner, g2, (1.0, 1.0), 1.0,
+                            FREE)
+
+    dt, steps = 2e-3, 60
+    runs = run_pair(wave(), resting_states(g1, LOCKSTEP_STARTS), dt, steps)
+    assert len(runs) == len(LOCKSTEP_STARTS)
+    for start, run in zip(LOCKSTEP_STARTS, runs):
+        alone, = run_pair(wave(), resting_states(g1, [start]), dt, steps)
+        assert np.array_equal(run.times, alone.times)
+        assert np.array_equal(run.z, alone.z)
+        assert np.array_equal(run.centers1, alone.centers1)
+        assert np.array_equal(run.centers2, alone.centers2)
+        assert np.array_equal(run.final_state.u1.u.samples,
+                              alone.final_state.u1.u.samples)
+        assert np.array_equal(run.final_state.u2.u.samples,
+                              alone.final_state.u2.u.samples)
+    # the starts moved apart, so the comparison is not of one path
+    assert np.max(np.abs(runs[0].z[:, 0] - runs[1].z[:, 0])) > 0.0
+
+
+def test_lockstep_run_steps_and_reduces_each_wave_once(monkeypatch):
+    g2, g1 = grid_pair(n=64)
+    steps = 5
+    stepped, reduced = [], []
+    wave_step = pair_module.ls2_step
+    amplitude = PairWave.__dict__["amplitude"].func
+
+    def step_spy(pair, dt):
+        stepped.append(pair)
+        return wave_step(pair, dt)
+
+    def amplitude_spy(wave):
+        reduced.append(wave)
+        return amplitude(wave)
+
+    spy = cached_property(amplitude_spy)
+    spy.__set_name__(PairWave, "amplitude")
+    monkeypatch.setattr(PairWave, "amplitude", spy)
+    monkeypatch.setattr(pair_module, "ls2_step", step_spy)
+    for count in (1, 2, 3):
+        stepped.clear()
+        reduced.clear()
+        run_pair(momentum_correlated_wave(g2, g1),
+                 resting_states(g1, LOCKSTEP_STARTS[:count]), 2e-3, steps)
+        assert len(stepped) == steps
+        # every wave of the run (the first and one per step), each once
+        assert len(reduced) == steps + 1
+        assert len({id(w) for w in reduced}) == steps + 1
+
+
+def test_lockstep_abort_is_that_of_the_first_failing_start():
+    # the box exit of `test_rk4_stage_box_exit_matches_reference`: particle
+    # 1 runs at v = 5 into the box edge at x1 = 12
+    g2, g1 = grid_pair(n=256)
+
+    def wave():
+        return product_pair(packet(g1, 11.0, k=5.0), packet(g1, 0.0), g2,
+                            MASSES, 1.0, FREE)
+
+    def state(z):
+        return PairState(u1=soliton(g1, 11.0), u2=soliton(g1, 0.0), z=z)
+
+    def abort(starts):
+        with pytest.raises(SolidynError) as err:
+            run_pair(wave(), [state(z) for z in starts], 2e-3, 40)
+        return err.value
+
+    exit_start, later_exit, safe = (11.9, 0.02), (11.7, 0.02), (10.0, 0.02)
+    alone = abort([exit_start])
+    assert isinstance(alone, BoundaryExitError)
+    later = abort([later_exit])
+    assert later.last_valid_time > alone.last_valid_time
+    # a safe first start, or one that would fail later, does not change
+    # the abort of the start that fails first
+    for first in (safe, later_exit):
+        err = abort([first, exit_start])
+        assert type(err) is type(alone)
+        assert str(err) == str(alone)
+        assert err.last_valid_time == alone.last_valid_time
+
+
+def test_lockstep_abort_at_one_step_raises_the_first_start(monkeypatch):
+    g2, g1 = grid_pair(n=32)
+    dt = 2e-3
+    advance = pair_module.advance_point
+
+    def failing(bundle, bundle_next, z, t0, t1, **kwargs):
+        if t1 > 2.5 * dt:
+            # names the start by its partner coordinate, rounded
+            raise BoundaryExitError(f"start z2={round(z[1])}", t0)
+        return advance(bundle, bundle_next, z, t0, t1, **kwargs)
+
+    monkeypatch.setattr(pair_module, "advance_point", failing)
+    starts = ((-2.0, -2.0), (-1.97, 3.03))
+    for order in (starts, starts[::-1]):
+        with pytest.raises(BoundaryExitError) as err:
+            run_pair(momentum_correlated_wave(g2, g1),
+                     resting_states(g1, order), dt, 10)
+        assert str(err.value) == f"start z2={round(order[0][1])}"
+        assert err.value.last_valid_time == pytest.approx(2 * dt)
