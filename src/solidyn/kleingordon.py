@@ -31,8 +31,7 @@ from .errors import (PastOrientedCurrentError, SolidynError,
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .stepping import NODE_MASK_REL, RowBlock, check_finite, drive
-from .trajectories import (FlowHistory, FlowWalk, InteriorMax,
-                           trajectory_reader)
+from .trajectories import FlowHistory, FlowWalk, InteriorMax, integrate_flow
 
 CFL_RATIO = 0.5   # dt <= CFL_RATIO * dx
 
@@ -265,11 +264,12 @@ def _field_energy(dpsi_dt, dpsi_dx, psi, grid, omega0):
 
 
 def kg_bohm_trajectory(z0, history: KGHistory) -> FlowWalk:
-    """Guidance trajectory dz/dt = J1/J0 through the history as the wave
-    fills it; `finish()` returns its TrajectoryRecord.  Aborts on tachyonic
-    regions (M^2 <= 0 or |v| >= 1), past-oriented current, node encounters,
-    and box exits (see `KGHistory.check`)."""
-    return trajectory_reader(history, z0)
+    """`integrate_flow` of the Klein-Gordon guidance dz/dt = J1/J0 from z0
+    through the history as the wave fills it; `finish()` returns its
+    TrajectoryRecord, with (n, m, dim) positions and velocities.  Aborts on
+    tachyonic regions (M^2 <= 0 or |v| >= 1), past-oriented current, node
+    encounters, and box exits (see `KGHistory.check`)."""
+    return integrate_flow(history, z0)
 
 
 def current_conservation_residual(history: KGHistory) -> InteriorMax:

@@ -311,7 +311,7 @@ def _step_particles(pair: PairWave, new_pair: PairWave, state: PairState,
     # next step reuses this step's new wave as is
     t = pair.psi.time_tag
     z_old = state.z.tolist()
-    z_new, _, _ = advance_point(pair, new_pair, z_old, t, t + dt)
+    z_new, _ = advance_point(pair, new_pair, z_old, t, t + dt)
 
     if state.q_cache is not None:
         q1_start, q2_start = state.q_cache

@@ -34,11 +34,11 @@ from .kleingordon import (CFL_RATIO, KGHistory, discrete_mode_frequency,
 from .pair import (PairState, PairWave, pair_tracking_residual,
                    product_pair, run_pair)
 from .potentials import PhysicalParams, Potentials
-from .schrodinger import evolve_schrodinger, integrate_bohm
+from .schrodinger import evolve_schrodinger
 from .snapshots import write_csv, write_snapshot, write_text
 from .soliton import (GaussonParams, SolitonState, classical_trajectory,
                       gausson_init, run_classical, run_coupled)
-from .trajectories import FlowHistory, FlowWalk
+from .trajectories import FlowHistory, FlowWalk, integrate_flow
 
 # Largest step count a config may ask for (t_final / dt, rounded).  It
 # bounds run time (ten million coupled steps at N = 2048 take hours) and the
@@ -112,14 +112,16 @@ class ScenarioConfig:
         return int(round(self.t_final / self.dt))
 
     def potentials(self, dim=1):
-        if self.potential_kind == "none":
-            return Potentials.free(dim)
-        if self.potential_kind == "uniform_e":
-            return Potentials.uniform_field(self.e_field, dim)
-        if self.potential_kind == "harmonic":
-            return Potentials.harmonic(self.spring, dim)
-        raise ConfigError(f"[potential].kind: unknown kind "
-                          f"{self.potential_kind!r}")
+        return POTENTIAL_KINDS[self.potential_kind](self, dim)
+
+
+# Every [potential].kind, declared once: its `Potentials` from the config
+# and the grid dimension.
+POTENTIAL_KINDS = {
+    "none": lambda cfg, dim: Potentials.free(dim),
+    "uniform_e": lambda cfg, dim: Potentials.uniform_field(cfg.e_field, dim),
+    "harmonic": lambda cfg, dim: Potentials.harmonic(cfg.spring, dim),
+}
 
 
 @dataclass(frozen=True)
@@ -281,7 +283,7 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
 
     pot = _section(raw, "potential")
     pot_kind = pot.pop("kind", spec.potential)
-    if pot_kind not in ("none", "uniform_e", "harmonic"):
+    if not isinstance(pot_kind, str) or pot_kind not in POTENTIAL_KINDS:
         raise ConfigError(f"[potential].kind: unknown kind {pot_kind!r}")
     e_field = _number(pot.pop("e_field", 0.1), "[potential].e_field")
     spring = _number(pot.pop("spring", 0.25), "[potential].spring")
@@ -635,17 +637,16 @@ def _run_double_slit(cfg, sink):
                       harmony_every=max(cfg.steps // 50, 1),
                       store=_snapshot_writer(cfg, sink, "u", "psi"))
     dx = grid.spacing[0]
-    gap = float(np.max(np.abs(run.centers[:, 0]
-                              - run.reference.positions[:, 0])))
+    z_bohm = run.reference.positions[:, 0, 0]
+    gap = float(np.max(np.abs(run.centers[:, 0] - z_bohm)))
     classical = classical_trajectory(run.times, run.centers[0],
-                                     run.reference.velocities[0],
+                                     run.reference.velocities[0, 0],
                                      cfg.params, cfg.potentials())
     classical_gap = float(np.max(np.abs(run.centers[:, 0]
                                         - classical[:, 0])))
     sink.series("tracking.csv",
                 ["time", "xbar", "z_bohm", "z_classical"],
-                [run.times, run.centers[:, 0], run.reference.positions[:, 0],
-                 classical[:, 0]],
+                [run.times, run.centers[:, 0], z_bohm, classical[:, 0]],
                 comment="natural units hbar=c=1")
     sink.series("harmony.csv", ["time", "phase_harmony_residual"],
                 [run.harmony_times, run.harmony],
@@ -684,8 +685,8 @@ def _run_kg_plane_wave(cfg, sink):
     run = evolve_kg(psi0, None, cfg.params, pots, cfg.dt, cfg.steps,
                     psi_prev=prev, history=history)
     path = walk.finish()
-    times, z, velocity = (path.times, path.positions[:, 0],
-                          path.velocities[:, 0])
+    times, z, velocity = (path.times, path.positions[:, 0, 0],
+                          path.velocities[:, 0, 0])
     slope = float(np.polyfit(times, z, 1)[0])
     e_cont = np.sqrt(k**2 + cfg.omega0**2)
     slope_dev = abs(slope - k / e_cont)
@@ -746,14 +747,14 @@ def _run_kg_packet(cfg, sink):
     kg_history = KGHistory(grid, cfg.params, kg_pots)
     s_history = FlowHistory(grid, cfg.params, s_pots)
     kg_walk = kg_bohm_trajectory(0.5 * sigma, kg_history)
-    s_walk = integrate_bohm(0.5 * sigma, s_history)
+    s_walk = integrate_flow(s_history, 0.5 * sigma)
     evolve_kg(psi0, -1j * cfg.omega0 * psi0.samples, cfg.params, kg_pots,
               cfg.dt, cfg.steps, history=kg_history)
     evolve_schrodinger(psi0, cfg.params, s_pots, cfg.dt, cfg.steps,
                        history=s_history)
     kg_path = kg_walk.finish()
-    times, z_kg = kg_path.times, kg_path.positions[:, 0]
-    z_s = s_walk.finish().positions[:, 0]
+    times, z_kg = kg_path.times, kg_path.positions[:, 0, 0]
+    z_s = s_walk.finish().positions[:, 0, 0]
     n = min(len(z_kg), len(z_s))
     gap = float(np.max(np.abs(z_kg[:n] - z_s[:n])))
     sink.series("trajectory.csv", ["time", "z_kg", "z_schrodinger"],

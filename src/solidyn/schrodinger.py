@@ -27,8 +27,7 @@ from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .stepping import (NODE_MASK_REL, RowBlock, check_finite, drive,
                        strang_step)
-from .trajectories import (FlowHistory, FlowWalk, InteriorMax,
-                           trajectory_reader)
+from .trajectories import FlowHistory, FlowWalk, InteriorMax
 
 
 @dataclass
@@ -101,7 +100,9 @@ def madelung_extract(psi: Field, params: PhysicalParams,
 
 @dataclass
 class SchrodingerRun:
-    """Evolution output: the flow history (last three snapshots) and series."""
+    """Evolution output: the flow history (last three snapshots) and series.
+    Only the benchmark's history size count reads `history` and `densities`
+    (readers attach before the wave), so they stay until it drops them."""
 
     history: FlowHistory
     final_psi: Field
@@ -115,11 +116,11 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
                        history: FlowHistory = None) -> SchrodingerRun:
     """Evolve and cache Madelung snapshots every `store_every` steps.
 
-    The cached velocity / quantum-force fields are what guidance trajectories
-    interpolate, so the snapshot cadence bounds trajectory accuracy.  Each
-    snapshot's `MadelungBundle` goes to `history` (a new FlowHistory by
-    default), which keeps the last three: attach its readers
-    (`integrate_bohm`, ...) before this call.
+    The cached velocity fields are what guidance trajectories interpolate,
+    so the snapshot cadence bounds trajectory accuracy.  Each snapshot's
+    `MadelungBundle` goes to `history` (a new FlowHistory by default),
+    which keeps the last three: attach its readers (`integrate_flow`,
+    `newton_bohm_residual`, `continuity_residual`) before this call.
     """
     if history is None:
         history = FlowHistory(psi0.grid, params, potentials)
@@ -141,48 +142,41 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
                           **series)
 
 
-def integrate_bohm(z0, history: FlowHistory) -> FlowWalk:
-    """Guidance trajectory dz/dt = v(t, z) through the history as the wave
-    fills it; `finish()` returns its TrajectoryRecord.
+def newton_bohm_residual(z0, history: FlowHistory) -> FlowWalk:
+    """Residual of omega0 z''(t) = F_Q + F_em along the guidance path from
+    the single start z0, read as the wave fills the history.
 
-    Aborts with a node-encounter error if the path reaches the masked
-    region, or a boundary-exit error if it leaves the box.
+    Each visit blends F_Q from the records and evaluates F_em = e E at the
+    path point; z'' comes from centered differences of the positions.
+    `finish()` returns the interior times, the residual series, and its
+    RMS relative to the dominant force scale.
     """
-    return trajectory_reader(history, z0)
+    params = history.params
+    path = [RowBlock() for _ in range(4)]   # t, z, F_Q, F_em
 
+    def visit(i, t, z, stencil, k1):
+        records = history.records
+        fq = history._blend(lambda p: records[p].quantum_force, t, stencil)
+        fem = params.charge * history.potentials.electric_field(t, z)
+        for column, value in zip(path, (t, z[0], fq[0], fem[0])):
+            column.append(value)
 
-def integrate_bohm_ensemble(z0s, history: FlowHistory) -> FlowWalk:
-    """Trajectories from a batch of starts; `finish()` returns their
-    (n_t, m, dim) positions.
+    def finish():
+        times, z, fq, fem = (column.block() for column in path)
+        if len(times) < 5:
+            raise SolidynError("need at least 5 trajectory points")
+        dt = times[1] - times[0]
+        if not np.allclose(np.diff(times), dt):
+            raise SolidynError("newton_bohm_residual expects uniform sampling")
+        acc = (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dt**2
+        force = fq[1:-1] + fem[1:-1]
+        residual = params.omega0 * acc - force
+        scale = max(float(np.max(np.abs(force))),
+                    float(params.omega0 * np.max(np.abs(acc))), 1e-300)
+        rel_rms = float(np.sqrt(np.mean(residual**2)) / scale)
+        return times[1:-1], residual, rel_rms
 
-    Only the positions are kept, written row by row into the block.
-    """
-    rows = RowBlock()
-    return FlowWalk(history, z0s,
-                    lambda i, t, z, stencil, k1: rows.append(z), rows.block)
-
-
-def newton_bohm_residual(traj, params: PhysicalParams):
-    """Residual of the second-order law omega0 z''(t) = F_Q + F_em.
-
-    z'' comes from centered differences of the recorded positions, the
-    forces from the per-step annotations.  Returns the interior times, the
-    residual series, and its RMS relative to the dominant force scale.
-    """
-    times = traj.times
-    if len(times) < 5:
-        raise SolidynError("need at least 5 trajectory points")
-    dt = times[1] - times[0]
-    if not np.allclose(np.diff(times), dt):
-        raise SolidynError("newton_bohm_residual expects uniform sampling")
-    z = traj.positions
-    acc = (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dt**2
-    force = traj.quantum_force[1:-1] + traj.em_force[1:-1]
-    residual = params.omega0 * acc - force
-    scale = max(float(np.max(np.abs(force))),
-                float(params.omega0 * np.max(np.abs(acc))), 1e-300)
-    rel_rms = float(np.sqrt(np.mean(residual**2)) / scale)
-    return times[1:-1], residual, rel_rms
+    return FlowWalk(history, z0, visit, finish)
 
 
 def continuity_residual(history: FlowHistory) -> InteriorMax:

@@ -29,8 +29,8 @@ from .errors import BoundaryMassError, SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .schrodinger import MadelungBundle, ls_step, madelung_extract
-from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, NODE_PROXIMITY_REL,
-                       check_finite, drive, strang_step)
+from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, check_finite,
+                       drive, strang_step)
 from .trajectories import TrajectoryRecord, advance_point
 
 RHO_FLOOR_REL = 1e-30      # vacuum floor for the logarithm, relative to f0^2
@@ -422,24 +422,21 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     pos = _grid_positions(grid)
 
     def step(s, i):
-        psi, bundle, state, z, z_stencil, k1, _ = s
+        psi, bundle, state, z, k1 = s
         t = psi.time_tag
         psi_next = ls_step(psi, pilot_params, potentials, dt)
         check_finite(psi_next.samples, i)
         bundle_next = madelung_extract(psi_next, pilot_params, potentials)
-        z, z_stencil, amp = advance_point(bundle, bundle_next, z, t, t + dt,
-                                          k1)
+        z, z_stencil = advance_point(bundle, bundle_next, z, t, t + dt, k1)
         state = nls_step(state, potentials, dt,
                          external_q=bundle.quantum_potential,
                          external_q_end=bundle_next.quantum_potential)
         check_finite(state.u.samples, i)
-        near = amp < NODE_PROXIMITY_REL * max(bundle.amp_peak,
-                                              bundle_next.amp_peak)
-        return (psi_next, bundle_next, state, z, z_stencil,
-                _point_vector(grid, z_stencil, bundle_next.velocity), near)
+        return (psi_next, bundle_next, state, z,
+                _point_vector(grid, z_stencil, bundle_next.velocity))
 
     def sample(s, i):
-        psi, bundle, state, z, z_stencil, k1, near = s
+        psi, bundle, state, z, k1 = s
         t = psi.time_tag
         stored = i == 0 or (store_every and i % store_every == 0)
         if stored and store is not None:
@@ -453,11 +450,6 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
                 grid, grid.point_stencil(state.center), bundle.quantum_force),
             # the reference trajectory
             "positions": z, "velocities": k1,
-            "quantum_force": _point_vector(grid, z_stencil,
-                                           bundle.quantum_force),
-            "em_force": (pilot_params.charge
-                         * potentials.electric_field(t, [z])[0]),
-            "node_proximity": near,
             "snapshot_times": t if stored else None,
             "harmony_times": t if harmony else None,
             "harmony": phase_harmony_residual(
@@ -465,14 +457,12 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
                 potentials) if harmony else None,
         }
 
-    start = (psi0, bundle, state, z, z_stencil,
-             _point_vector(grid, z_stencil, bundle.velocity), False)
+    start = (psi0, bundle, state, z,
+             _point_vector(grid, z_stencil, bundle.velocity))
     (_, _, state, *_), series = drive(start, steps, step, sample)
-    reference = TrajectoryRecord(
-        times=series["times"],
-        **{name: series.pop(name) for name in (
-            "positions", "velocities", "quantum_force", "em_force",
-            "node_proximity")})
+    reference = TrajectoryRecord(series["times"],      # one start: m = 1
+                                 series.pop("positions")[:, None],
+                                 series.pop("velocities")[:, None])
     return SolitonRun(final_state=state, reference=reference, **series)
 
 

@@ -22,7 +22,8 @@ from .errors import NonFiniteFieldError
 
 # Relative amplitude thresholds shared by all solvers: below NODE_MASK_REL
 # times the peak amplitude, Madelung quantities are masked and trajectories
-# abort; below NODE_PROXIMITY_REL they are flagged but integration continues.
+# abort.  Only `FlowHistory.proximity_flags`, which the benchmark's layer
+# list names and no walk calls, reads NODE_PROXIMITY_REL.
 NODE_MASK_REL = 1e-8
 NODE_PROXIMITY_REL = 1e-6
 BOUNDARY_MASS_LIMIT = 1e-8

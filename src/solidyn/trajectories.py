@@ -2,17 +2,19 @@
 
 A flow history holds the snapshot records its producing solver built (a
 `MadelungBundle` or `KGMadelung`) and reads their fields:
-`time_tag`, `velocity` (dim, *shape), `amplitude`, `amp_peak` and, for
-Schrodinger only, `quantum_force`.  Trajectories advance with RK4 whose
-stage velocities come from cubic-in-space, linear-in-time interpolation of
-the bracketing snapshots; the RK4 step equals the snapshot spacing, which is
-what limits accuracy (so higher-order time interpolation buys nothing).
+`time_tag`, `velocity` (dim, *shape), `amplitude` and `amp_peak`.
+Trajectories advance with RK4 whose stage velocities come from
+cubic-in-space, linear-in-time interpolation of the bracketing snapshots;
+the RK4 step equals the snapshot spacing, which is what limits accuracy (so
+higher-order time interpolation buys nothing).
 
 A history keeps only the last three records appended (`WALK_WINDOW`), since
 every time derivative along the flow is a centered difference.  So each
 reader attaches to a history before the wave fills it and reads every record
 as it is appended (a `FlowWalk`, or `InteriorMax`); its `finish()` returns
-the result once the wave is done.  Results are bit-reproducible.
+the result once the wave is done.  `integrate_flow` is the one reader that
+records the paths; the residual readers (`newton_bohm_residual`,
+`kg_newton_residual`) are walks of their own.  Results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -32,14 +34,11 @@ WALK_WINDOW = 3
 
 @dataclass
 class TrajectoryRecord:
-    """A guidance trajectory with per-step force annotations."""
+    """Guidance trajectories read at the snapshot times."""
 
     times: np.ndarray            # (n,)
-    positions: np.ndarray        # (n, dim)
-    velocities: np.ndarray       # (n, dim)
-    quantum_force: np.ndarray    # (n, dim)
-    em_force: np.ndarray         # (n, dim)
-    node_proximity: np.ndarray   # (n,) bool
+    positions: np.ndarray        # (n, m, dim)
+    velocities: np.ndarray       # (n, m, dim)
 
 
 class FlowHistory:
@@ -47,10 +46,14 @@ class FlowHistory:
 
     `records` holds them, oldest first; `first` is the index of the oldest
     kept, and `bracket` returns positions in `records`.  A record carries
-    `time_tag`, `velocity` (dim, *shape), `amplitude`, `amp_peak` (the
-    maximum of `amplitude`) and optionally `quantum_force` (dim, *shape); a
-    record without one has zero quantum force.  `readers` are called with
-    each record after it is appended.
+    `time_tag`, `velocity` (dim, *shape), `amplitude` and `amp_peak` (the
+    maximum of `amplitude`); a Schrodinger record also carries
+    `quantum_force` (dim, *shape).  `readers` are called with each record
+    after it is appended.
+
+    No solver reads `quantum_potentials`, the field views below or
+    `proximity_flags`: the benchmark's history size count and its traced
+    layer list name them, so they stay until the benchmark drops them.
     """
 
     quantum_potentials = ()   # never filled: guidance does not read q
@@ -76,8 +79,7 @@ class FlowHistory:
         """Snapshots stored so far, dropped ones included."""
         return self.first + len(self.records)
 
-    # read-only views of the kept records' fields, which the benchmark's
-    # history size count sums (with `quantum_potentials`)
+    # read-only views of the kept records' fields (see the class docstring)
     @property
     def velocities(self):
         return tuple(r.velocity for r in self.records)
@@ -215,8 +217,8 @@ def advance_point(bundle, bundle_next, z, t0, t1, k1=None):
     `MadelungBundle`s of the coupled run or `PairWave`s of the pair run;
     every lookup goes through `Grid.interpolate`.  `z` and `k1` (the
     velocity at z and t0, looked up here if not given) are per-axis
-    sequences of floats.  Returns the new position (a tuple), its point
-    stencil, and the amplitude there at t1, which the node check read.
+    sequences of floats.  Returns the new position (a tuple) and its point
+    stencil.
     """
     grid = bundle.grid
     h = t1 - t0
@@ -247,7 +249,7 @@ def advance_point(bundle, bundle_next, z, t0, t1, k1=None):
     if amp < NODE_MASK_REL * max(bundle.amp_peak, bundle_next.amp_peak):
         raise NodeEncounterError(
             f"node encounter at t={t1:.6g} (trajectory 0)", t0)
-    return z_new, stencil, amp
+    return z_new, stencil
 
 
 def _enter_point(grid, t, point, last_valid, where):
@@ -346,43 +348,19 @@ class FlowWalk:
         return self._result()
 
 
-def _recorded_flow(history, z0, result):
-    """The `FlowWalk` of `integrate_flow`; `finish()` returns
-    result(times, *blocks)."""
-    charge = history.params.charge
-    columns = [RowBlock() for _ in range(6)]
-
-    def visit(i, t, z, stencil, k1):
-        records = history.records
-        fq = (history._blend(lambda p: records[p].quantum_force, t, stencil)
-              if getattr(records[0], "quantum_force", None) is not None
-              else np.zeros_like(z))
-        fem = charge * history.potentials.electric_field(t, z)
-        near = history.proximity_flags(t, stencil)
-        for column, value in zip(columns, (t, z, k1, fq, fem, near)):
-            column.append(value)
-
-    return FlowWalk(history, z0, visit,
-                    lambda: result(*(column.block() for column in columns)))
-
-
 def integrate_flow(history, z0):
     """RK4 guidance trajectories from z0 through `history` as the wave
-    fills it (see `flow_steps` for z0 and the aborts).
+    fills it (see `flow_steps` for z0 and the aborts); `finish()` of the
+    returned walk gives their `TrajectoryRecord`: (n, m, dim) positions and
+    velocities at the n snapshot times (m = 1 for a single start)."""
+    columns = [RowBlock() for _ in range(3)]
 
-    `finish()` of the returned walk gives the snapshot times, the
-    (n_times, m, dim) blocks of positions, velocities, quantum force (zero
-    for records without one) and EM force, and the (n_times, m)
-    node-proximity flags.
-    """
-    return _recorded_flow(history, z0, lambda *blocks: blocks)
+    def visit(i, t, z, stencil, k1):
+        for column, value in zip(columns, (t, z, k1)):
+            column.append(value)
 
-
-def trajectory_reader(history, z0):
-    """`integrate_flow` from the single start z0; `finish()` gives its
-    `TrajectoryRecord`."""
-    return _recorded_flow(history, z0, lambda times, *blocks: TrajectoryRecord(
-        times, *(block[:, 0] for block in blocks)))
+    return FlowWalk(history, z0, visit, lambda: TrajectoryRecord(
+        *(column.block() for column in columns)))
 
 
 class InteriorMax:

@@ -20,13 +20,11 @@ from solidyn.kleingordon import (KGHistory, discrete_mode_frequency,
                                  evolve_kg, kg_bohm_trajectory)
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.scenarios import parse_config_dict, run_scenario
-from solidyn.schrodinger import (evolve_schrodinger, integrate_bohm,
-                                 integrate_bohm_ensemble,
-                                 newton_bohm_residual)
+from solidyn.schrodinger import evolve_schrodinger, newton_bohm_residual
 from solidyn.soliton import (GaussonParams, SolitonState,
                              classical_trajectory, gausson_init, nls_step,
                              run_classical, run_coupled)
-from solidyn.trajectories import FlowHistory
+from solidyn.trajectories import FlowHistory, integrate_flow
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 
@@ -177,9 +175,9 @@ def test_criterion_06_dbb_tracking(double_slit):
     grid, run = double_slit
     dx = grid.spacing[0]
     gap = float(np.max(np.abs(run.centers[:, 0]
-                              - run.reference.positions[:, 0])))
+                              - run.reference.positions[:, 0, 0])))
     classical = classical_trajectory(run.times, run.centers[0],
-                                     run.reference.velocities[0], PARAMS,
+                                     run.reference.velocities[0, 0], PARAMS,
                                      Potentials.free())
     classical_gap = float(np.max(np.abs(run.centers[:, 0]
                                         - classical[:, 0])))
@@ -197,10 +195,10 @@ def test_criterion_07_newton_bohm_residual():
     rels = {}
     for dt, steps in ((1e-3, 2000), (5e-4, 4000)):
         history = FlowHistory(grid, PARAMS, Potentials.free())
-        path = integrate_bohm([0.6745], history)
+        newton = newton_bohm_residual([0.6745], history)
         evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=dt,
                            steps=steps, history=history)
-        _, _, rels[dt] = newton_bohm_residual(path.finish(), PARAMS)
+        _, _, rels[dt] = newton.finish()
     ratio = rels[1e-3] / rels[5e-4]
     ok = rels[1e-3] < 0.02 and ratio >= 2.0
     assert report(7, "newton-bohm residual", ok,
@@ -215,10 +213,10 @@ def test_criterion_08_equivariance():
     history = FlowHistory(grid, PARAMS, Potentials.free())
     stored = record_snapshots(history, "time_tag", "amplitude")
     starts = grid.sample_density(psi.density(), 2000, seed=42)
-    ensemble = integrate_bohm_ensemble(starts, history)
+    ensemble = integrate_flow(history, starts)
     evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-3, steps=2000,
                        history=history)
-    block = ensemble.finish()
+    block = ensemble.finish().positions
     densities = [a ** 2 for a in stored["amplitude"]]
     rep = equivariance_distance(densities, grid, stored["time_tag"],
                                 block, indices=[0, 2000], bins=64)
@@ -244,7 +242,7 @@ def test_criterion_09_kg_plane_wave():
     mass_dev = float(np.max(np.abs(
         np.sqrt(np.maximum(np.asarray(stored["mass_sq"]), 0.0)) - 1.0)))
     traj = path.finish()
-    slope = float(np.polyfit(traj.times, traj.positions[:, 0], 1)[0])
+    slope = float(np.polyfit(traj.times, traj.positions[:, 0, 0], 1)[0])
     slope_dev = abs(slope - k / np.sqrt(k**2 + 1.0))
     ok = mass_dev < 1e-8 and slope_dev < 1e-6
     assert report(9, "kg plane wave", ok,
@@ -265,7 +263,7 @@ def test_criterion_10_kg_nonrelativistic_limit():
         kg = KGHistory(grid, PARAMS, Potentials.free())
         sch = FlowHistory(grid, PARAMS, Potentials.free())
         kg_path = kg_bohm_trajectory([0.5 * sigma], kg)
-        s_path = integrate_bohm([0.5 * sigma], sch)
+        s_path = integrate_flow(sch, [0.5 * sigma])
         evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
                   dt=dt, steps=steps, history=kg)
         evolve_schrodinger(psi0, PARAMS, Potentials.free(), dt=dt,
@@ -273,8 +271,8 @@ def test_criterion_10_kg_nonrelativistic_limit():
         tr_kg = kg_path.finish()
         tr_s = s_path.finish()
         m = min(len(tr_kg.times), len(tr_s.times))
-        gaps[k] = float(np.max(np.abs(tr_kg.positions[:m, 0]
-                                      - tr_s.positions[:m, 0]))) / sigma
+        gaps[k] = float(np.max(np.abs(tr_kg.positions[:m, 0, 0]
+                                      - tr_s.positions[:m, 0, 0]))) / sigma
     ratio_hi = gaps[0.2] / gaps[0.1]
     ratio_lo = gaps[0.1] / gaps[0.05]
     ok = gaps[0.1] < 0.01 and ratio_hi >= 3.5 and ratio_lo >= 3.5
@@ -327,7 +325,7 @@ def test_criterion_12_entangled_pair_nonlocality(tmp_path, product_pair_run):
     # (the shared run of `conftest.product_pair_run`)
     single, run, _ = product_pair_run
     bit_identical = (
-        np.array_equal(run.z[:, 0], single.reference.positions[:, 0])
+        np.array_equal(run.z[:, 0], single.reference.positions[:, 0, 0])
         and np.array_equal(run.centers1, single.centers[:, 0])
         and np.array_equal(run.final_state.u1.u.samples,
                            single.final_state.u.samples))

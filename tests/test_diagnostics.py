@@ -15,10 +15,10 @@ from solidyn.diagnostics import (
 )
 from solidyn.grids import Field, Grid
 from solidyn.potentials import PhysicalParams, Potentials
-from solidyn.schrodinger import evolve_schrodinger, integrate_bohm_ensemble
+from solidyn.schrodinger import evolve_schrodinger
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
                              run_classical)
-from solidyn.trajectories import FlowHistory
+from solidyn.trajectories import FlowHistory, integrate_flow
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 
@@ -144,11 +144,11 @@ def first_and_last_report(psi, pots, starts, **evolve):
     the ensemble from `starts` integrated while the wave runs."""
     history = FlowHistory(psi.grid, PARAMS, pots)
     stored = record_snapshots(history, "time_tag", "amplitude")
-    ensemble = integrate_bohm_ensemble(starts, history)
+    ensemble = integrate_flow(history, starts)
     evolve_schrodinger(psi, PARAMS, pots, history=history, **evolve)
     densities = [a ** 2 for a in stored["amplitude"]]
     return equivariance_distance(densities, psi.grid, stored["time_tag"],
-                                 ensemble.finish(),
+                                 ensemble.finish().positions,
                                  indices=[0, len(densities) - 1])
 
 

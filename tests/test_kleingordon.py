@@ -19,8 +19,8 @@ from solidyn.kleingordon import (
     lkg_step,
 )
 from solidyn.potentials import PhysicalParams, Potentials
-from solidyn.schrodinger import evolve_schrodinger, integrate_bohm
-from solidyn.trajectories import FlowHistory
+from solidyn.schrodinger import evolve_schrodinger
+from solidyn.trajectories import FlowHistory, integrate_flow
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 
@@ -265,7 +265,7 @@ def test_kg_trajectory_plane_wave_slope():
     g, _, path = plane_wave_run(0.5, dt, 400, attach=lambda h:
                                 kg_bohm_trajectory([0.0], h))
     traj = path.finish()
-    slope = np.polyfit(traj.times, traj.positions[:, 0], 1)[0]
+    slope = np.polyfit(traj.times, traj.positions[:, 0, 0], 1)[0]
     assert abs(slope - 0.5 / np.sqrt(1.25)) < 1e-6
     assert np.max(np.abs(traj.velocities)) < 1.0
 
@@ -281,12 +281,13 @@ def test_kg_trajectory_matches_schrodinger_for_slow_packet():
                      -1j * psi0.samples, Potentials.free(), dt=dt,
                      steps=steps)
     sch = FlowHistory(g, PARAMS, Potentials.free())
-    path = integrate_bohm([0.5 * sigma], sch)
+    path = integrate_flow(sch, [0.5 * sigma])
     evolve_schrodinger(psi0, PARAMS, Potentials.free(), dt=dt, steps=steps,
                        history=sch)
     tr_s = path.finish()
     n = min(len(tr_kg.times), len(tr_s.times))
-    gap = np.max(np.abs(tr_kg.positions[:n, 0] - tr_s.positions[:n, 0]))
+    gap = np.max(np.abs(tr_kg.positions[:n, 0, 0]
+                        - tr_s.positions[:n, 0, 0]))
     assert gap < 0.01 * sigma
 
 
@@ -360,7 +361,7 @@ def test_kg_newton_uniform_ramp_classical_limit():
     dpsi0 = -1j * (1.0 + pot.scalar_on_grid(g, 0.0)) * psi0.samples
     traj = streamed(lambda h: kg_bohm_trajectory([0.0], h), psi0, dpsi0, pot,
                     dt=dt, steps=steps)
-    coeffs = np.polyfit(traj.times, traj.positions[:, 0], 2)
+    coeffs = np.polyfit(traj.times, traj.positions[:, 0, 0], 2)
     accel = 2.0 * coeffs[0]
     expected = e_field  # e E / w0
     assert abs(accel - expected) / expected < 0.02

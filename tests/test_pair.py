@@ -249,7 +249,7 @@ def test_pair_product_bit_identical_to_single_run(product_pair_run):
     # run of `conftest.product_pair_run`)
     single, run, z2_node = product_pair_run
     assert np.array_equal(run.z[:, 1], np.full(301, z2_node))
-    assert np.array_equal(run.z[:, 0], single.reference.positions[:, 0])
+    assert np.array_equal(run.z[:, 0], single.reference.positions[:, 0, 0])
     assert np.array_equal(run.centers1, single.centers[:, 0])
     assert np.array_equal(run.final_state.u1.u.samples,
                           single.final_state.u.samples)
@@ -271,8 +271,8 @@ def test_pair_product_separability_generic_packets():
         single = run_coupled(
             Field(g1, psi1.copy()), soliton(g1, -1.0), PARAMS,
             Potentials.free(1), dt=2e-3, steps=400)
-    assert np.max(np.abs(run.z[:, 0] - single.reference.positions[:, 0])) \
-        < 1e-8
+    z_single = single.reference.positions[:, 0, 0]
+    assert np.max(np.abs(run.z[:, 0] - z_single)) < 1e-8
     assert np.max(np.abs(run.centers1 - single.centers[:, 0])) < 1e-8
 
 
@@ -373,10 +373,10 @@ def test_pair_zero_coupling_straight_lines():
 
 
 def test_pair_equivariance_2d(entangled_free_run):
-    times, pos, _, _, _, _ = entangled_free_run["flow"]
+    flow = entangled_free_run["flow"]
     report = equivariance_distance(entangled_free_run["densities"],
-                                   entangled_free_run["grid"], times, pos,
-                                   indices=[0, 250], bins=8)
+                                   entangled_free_run["grid"], flow.times,
+                                   flow.positions, indices=[0, 250], bins=8)
     assert np.all(report.distances < 0.07)
 
 

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from solidyn.errors import (BoundaryExitError, ConfigError,
 from solidyn.grids import Field, Grid
 from solidyn.scenarios import (KINDS, MAX_STEPS, THRESHOLDS, parse_config,
                                parse_config_dict, run_scenario)
-from solidyn.schrodinger import (MadelungBundle, evolve_schrodinger,
-                                 integrate_bohm_ensemble)
+from solidyn.potentials import Potentials
+from solidyn.schrodinger import MadelungBundle, evolve_schrodinger
 from solidyn.snapshots import read_snapshot, write_csv, write_snapshot
 
 
@@ -597,10 +598,10 @@ def test_equivariance_scenario_keeps_only_reported_snapshots(tmp_path):
     history = trajectories.FlowHistory(grid, cfg.params, cfg.potentials())
     stored = record_snapshots(history, "time_tag", "amplitude")
     starts = grid.sample_density(psi0.density(), 400, cfg.seed)
-    ensemble = integrate_bohm_ensemble(starts, history)
+    ensemble = trajectories.integrate_flow(history, starts)
     evolve_schrodinger(psi0, cfg.params, cfg.potentials(), cfg.dt, cfg.steps,
                        history=history)
-    block = ensemble.finish()
+    block = ensemble.finish().positions
     densities = [a ** 2 for a in stored["amplitude"]]
     n = len(densities)
     report = equivariance_distance(densities, grid, stored["time_tag"],
@@ -610,6 +611,38 @@ def test_equivariance_scenario_keeps_only_reported_snapshots(tmp_path):
               [report.times, report.distances], comment="dimensionless")
     assert (tmp_path / "eq" / "equivariance.csv").read_bytes() \
         == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind, initial, t_finals", [
+    ("kg_plane_wave", {}, (0.05, 0.1)),
+    ("kg_packet", {}, (0.5, 1.0)),
+    ("kg_packet", {"mode": "counter"}, (0.5, 1.0)),
+    ("equivariance", {"trajectories": 50}, (0.01, 0.02)),
+    ("double_slit_dbb", {}, (0.01, 0.02)),
+])
+def test_walks_and_coupled_steps_read_no_flag_or_field_per_visit(
+        tmp_path, monkeypatch, kind, initial, t_finals):
+    # the trajectory walks and the coupled run's reference point record
+    # times, positions and velocities only: a run twice as long calls the
+    # node-proximity flags and the electric field no more often
+    counts = []
+    for cls, method in ((trajectories.FlowHistory, "proximity_flags"),
+                        (Potentials, "electric_field")):
+        def spy(self, *args, original=getattr(cls, method), method=method):
+            counts[-1][method] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, method, spy)
+    for t_final in t_finals:
+        counts.append({"proximity_flags": 0, "electric_field": 0})
+        cfg = parse_config_dict({
+            "scenario": kind, "initial": initial, "run": {"t_final": t_final},
+            "output": {"directory": str(tmp_path / str(t_final))}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # scale separation aside
+            assert run_scenario(cfg, quiet=True) in (0, 3)
+    assert counts[0] == counts[1]
+    assert counts[1]["proximity_flags"] == 0
 
 
 def test_finished_equivariance_run_leaves_no_record_to_the_collector(

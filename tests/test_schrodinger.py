@@ -12,14 +12,12 @@ from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import (
     continuity_residual,
     evolve_schrodinger,
-    integrate_bohm,
-    integrate_bohm_ensemble,
     ls_step,
     madelung_extract,
     newton_bohm_residual,
 )
 from solidyn.stepping import NODE_MASK_REL
-from solidyn.trajectories import FlowHistory
+from solidyn.trajectories import FlowHistory, integrate_flow
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 
@@ -34,11 +32,15 @@ def streamed(attach, psi, pots, **evolve):
 
 
 def trajectory(z0, psi, pots, **evolve):
-    return streamed(lambda h: integrate_bohm(z0, h), psi, pots, **evolve)
+    return streamed(lambda h: integrate_flow(h, z0), psi, pots, **evolve)
 
 
 def ensemble(starts, psi, pots, **evolve):
-    return streamed(lambda h: integrate_bohm_ensemble(starts, h), psi, pots,
+    return trajectory(starts, psi, pots, **evolve).positions
+
+
+def newton(z0, psi, pots, **evolve):
+    return streamed(lambda h: newton_bohm_residual(z0, h), psi, pots,
                     **evolve)
 
 
@@ -173,7 +175,7 @@ def test_madelung_rejects_zero_wave():
 
 
 # ---------------------------------------------------------------------------
-# integrate_bohm
+# integrate_flow
 # ---------------------------------------------------------------------------
 
 def test_bohm_plane_wave_straight_line():
@@ -182,7 +184,7 @@ def test_bohm_plane_wave_straight_line():
     psi = Field(g, np.exp(1j * k * g.axes[0]))
     traj = trajectory([0.5], psi, Potentials.free(), dt=1e-2, steps=200)
     expected = 0.5 + k * traj.times
-    assert np.max(np.abs(traj.positions[:, 0] - expected)) < 1e-9
+    assert np.max(np.abs(traj.positions[:, 0, 0] - expected)) < 1e-9
 
 
 def test_bohm_stationary_state():
@@ -193,7 +195,7 @@ def test_bohm_stationary_state():
     psi = Field(g, np.exp(-0.5 * capital_omega * x**2).astype(complex))
     traj = trajectory([0.8], psi, Potentials.harmonic(spring), dt=1e-3,
                       steps=500)
-    assert np.max(np.abs(traj.positions[:, 0] - 0.8)) < 1e-6
+    assert np.max(np.abs(traj.positions[:, 0, 0] - 0.8)) < 1e-6
 
 
 def test_bohm_no_crossing_two_gaussian():
@@ -217,17 +219,16 @@ def test_newton_residual_plane_wave():
     g = Grid(128, 20.0)
     k = 2 * np.pi * 2 / 20.0
     psi = Field(g, np.exp(1j * k * g.axes[0]))
-    traj = trajectory([0.0], psi, Potentials.free(), dt=1e-2, steps=100)
-    _, residual, _ = newton_bohm_residual(traj, PARAMS)
+    _, residual, _ = newton([0.0], psi, Potentials.free(), dt=1e-2,
+                            steps=100)
     assert np.max(np.abs(residual)) < 1e-8
 
 
 def test_newton_residual_free_gaussian():
     g = Grid(512, 30.0)
     psi = gaussian_packet(g, sigma=1.0)
-    traj = trajectory([0.6745], psi, Potentials.free(), dt=1e-3,
-                      steps=2000)                # quartile of |psi0|^2
-    _, _, rel = newton_bohm_residual(traj, PARAMS)
+    _, _, rel = newton([0.6745], psi, Potentials.free(), dt=1e-3,
+                       steps=2000)               # quartile of |psi0|^2
     assert rel < 0.02
 
 
@@ -241,7 +242,7 @@ def test_newton_residual_coherent_state():
                       steps=3000)
     times = traj.times
     dt = times[1] - times[0]
-    z = traj.positions[:, 0]
+    z = traj.positions[:, 0, 0]
     acc = (z[2:] - 2 * z[1:-1] + z[:-2]) / dt**2
     expected = -spring * z[1:-1]
     scale = np.max(np.abs(expected))
@@ -346,11 +347,11 @@ def test_integrate_bohm_boundary_exit():
 
 
 def hand_built(snapshots, z0):
-    """integrate_bohm from z0 attached to a history, which the hand-built
+    """integrate_flow from z0 attached to a history, which the hand-built
     snapshot records then fill; its `finish()` result."""
     g = Grid(256, 20.0)
     hist = FlowHistory(g, PARAMS, Potentials.free())
-    path = integrate_bohm(z0, hist)
+    path = integrate_flow(hist, z0)
     for snapshot in snapshots:
         hist.append(snapshot)
     return path.finish()
@@ -410,7 +411,7 @@ def test_integrate_bohm_boundary_exit_last_valid():
 
     def attach(history):
         history.readers.append(lambda record: times.append(record.time_tag))
-        return integrate_bohm([8.5], history)
+        return integrate_flow(history, [8.5])
 
     with pytest.raises(BoundaryExitError) as err:
         streamed(attach, psi, Potentials.free(), dt=1e-2, steps=300)

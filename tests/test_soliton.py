@@ -249,7 +249,7 @@ def test_coupled_plane_wave_rides_free():
     state = SolitonState(u0, PARAMS, 100.0, 1.0, coupling_mode="dbb")
     run = run_coupled(psi, state, PARAMS, Potentials.free(), dt=1e-3,
                       steps=1000)
-    gap = np.abs(run.centers[:, 0] - run.reference.positions[:, 0])
+    gap = np.abs(run.centers[:, 0] - run.reference.positions[:, 0, 0])
     assert gap.max() < 1e-6
     assert run.centers[-1, 0] == pytest.approx(-1.0 + k, abs=1e-5)
 
@@ -265,7 +265,7 @@ def test_coupled_free_gaussian_tracks_guidance():
         warnings.simplefilter("ignore")   # sqrt(b) sits below 20/sigma here
         run = run_coupled(psi, state, PARAMS, Potentials.free(), dt=1e-3,
                           steps=4000)
-    gap = np.abs(run.centers[:, 0] - run.reference.positions[:, 0])
+    gap = np.abs(run.centers[:, 0] - run.reference.positions[:, 0, 0])
     assert gap.max() < 3 * g.spacing[0]
     # underformability proxy: width stays put while the pilot packet spreads
     m0 = second_central_moments(u0, run.centers[0])
@@ -273,7 +273,7 @@ def test_coupled_free_gaussian_tracks_guidance():
     assert abs(m_end[0] - m0[0]) / m0[0] < 0.01
     # without the quantum force the reference is a straight line and fails
     classical = classical_trajectory(run.times, run.centers[0],
-                                     run.reference.velocities[0],
+                                     run.reference.velocities[0, 0],
                                      PARAMS, Potentials.free())
     assert np.max(np.abs(run.centers[:, 0] - classical[:, 0])) \
         > 3 * g.spacing[0]
@@ -342,4 +342,4 @@ def test_run_coupled_builds_no_flow_history(monkeypatch):
         warnings.simplefilter("ignore")
         run = run_coupled(psi, state, PARAMS, Potentials.free(), dt=1e-3,
                           steps=20)
-    assert run.reference.positions.shape == (21, 1)
+    assert run.reference.positions.shape == (21, 1, 1)

@@ -270,11 +270,10 @@ def test_advance_point_matches_two_snapshot_flow(data):
         assert got_err.last_valid_time == want_err.last_valid_time
         return
     assert got_err is None
-    z_new, stencil, amp = got
+    z_new, stencil = got
     assert same_bits(np.array([z_new]), want[0])
     f = wide_field(grid, 5)
     assert same_bits(np.array([stencil.apply(f)]), want[1].apply(f))
-    assert same_bits(np.array([amp]), flow.amplitude_at(t1, want[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +381,10 @@ def test_advance_point_over_pair_waves_matches_two_snapshot_flow(data):
         assert got_err.last_valid_time == want_err.last_valid_time
         return
     assert got_err is None
-    z_new, stencil, amp_at = got
+    z_new, stencil = got
     assert same_bits(np.array([z_new]), want[0])
     f = wide_field(grid, 5)
     assert same_bits(np.array([stencil.apply(f)]), want[1].apply(f))
-    assert same_bits(np.array([amp_at]), flow.amplitude_at(t1, want[1]))
 
 
 @settings(max_examples=300, deadline=None)

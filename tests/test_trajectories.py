@@ -2,10 +2,10 @@
 
 Every RK4 stage builds one cubic stencil and applies it to both bracketing
 snapshots and to every component; the stencil at the new positions serves
-the node check, the proximity flags, the quantum force and the next step's
-first stage.  These tests require the results to be bit-identical to the
-reference in `interp_reference`, which interpolates every snapshot at every
-stage with freshly built weights, over a history that keeps every snapshot.
+the node check and the next step's first stage.  These tests require the
+results to be bit-identical to the reference in `interp_reference`, which
+interpolates every snapshot at every stage with freshly built weights, over
+a history that keeps every snapshot.
 A reader attached to a history, which keeps only its last three snapshots,
 must give the bits and the aborts of `flow_steps` over the whole history.
 """
@@ -35,11 +35,11 @@ from solidyn.kleingordon import (KGHistory, KGMadelung,
                                  kg_newton_residual)
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import (continuity_residual, evolve_schrodinger,
-                                 integrate_bohm, integrate_bohm_ensemble,
-                                 ls_step, madelung_extract)
+                                 ls_step, madelung_extract,
+                                 newton_bohm_residual)
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
                              run_coupled)
-from solidyn.stepping import NODE_MASK_REL, NODE_PROXIMITY_REL
+from solidyn.stepping import NODE_MASK_REL, RowBlock
 from solidyn.trajectories import (WALK_WINDOW, FlowHistory, FlowWalk,
                                   advance_positions, flow_steps,
                                   integrate_flow)
@@ -101,26 +101,25 @@ def fill(history, snapshots):
 def test_integrate_flow_ensemble_matches_reference(packet_history):
     hist, density = packet_history
     starts = hist.grid.sample_density(density, 2000, seed=5)
-    times, *got = streamed(lambda h: integrate_flow(h, starts), packet_run,
-                           hist.grid, Potentials.harmonic(0.1))
-    want = reference_integrate_flow(hist, starts)
-    assert same_bits(times, np.asarray(record_fields(hist, "time_tag")))
-    for a, b in zip(got, want):
-        assert same_bits(a, b)
-    assert np.any(got[2] != 0.0)          # the quantum force was recorded
+    got = streamed(lambda h: integrate_flow(h, starts), packet_run,
+                   hist.grid, Potentials.harmonic(0.1))
+    pos, vel, *_ = reference_integrate_flow(hist, starts)
+    assert same_bits(got.times, np.asarray(record_fields(hist, "time_tag")))
+    assert same_bits(got.positions, pos)
+    assert same_bits(got.velocities, vel)
 
 
 def test_integrate_flow_2d_matches_reference():
     g, snapshots = smooth_2d_snapshots()
     rng = np.random.default_rng(3)
     starts = rng.uniform(-3.0, 3.0, size=(300, 2))
-    _, *got = streamed(lambda h: integrate_flow(h, starts),
-                       lambda h: fill(h, snapshots), g, Potentials.free(2))
+    got = streamed(lambda h: integrate_flow(h, starts),
+                   lambda h: fill(h, snapshots), g, Potentials.free(2))
     with keep_every_snapshot():
         hist = fill(FlowHistory(g, PARAMS, Potentials.free(2)), snapshots)
-    want = reference_integrate_flow(hist, starts)
-    for a, b in zip(got, want):
-        assert same_bits(a, b)
+    pos, vel, *_ = reference_integrate_flow(hist, starts)
+    assert same_bits(got.positions, pos)
+    assert same_bits(got.velocities, vel)
 
 
 @pytest.mark.parametrize("with_k1", [False, True])
@@ -242,16 +241,44 @@ def test_kg_path_matches_reference():
     newton = kg_newton_residual([4.0], history)
     kg_packet_run(history)
     traj = path.finish()
-    pos, vel, fq, fem, near = reference_integrate_flow(hist, [4.0])
-    assert same_bits(traj.positions, pos[:, 0, :])
-    assert same_bits(traj.velocities, vel[:, 0, :])
-    assert same_bits(traj.node_proximity, near[:, 0])
+    pos, vel, *_ = reference_integrate_flow(hist, [4.0])
+    assert same_bits(traj.positions, pos)
+    assert same_bits(traj.velocities, vel)
 
     # the residual, with the mass and its gradients along the path (one
     # stencil per point), read while the wave runs
     got = newton.finish()
-    want = reference_kg_newton(hist, traj.times, traj.positions,
-                               traj.velocities[:, 0])
+    want = reference_kg_newton(hist, traj.times, traj.positions[:, 0],
+                               traj.velocities[:, 0, 0])
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
+
+
+def reference_newton_bohm(times, z, fq, fem, omega0):
+    """newton_bohm_residual's formula over a recorded path of one start:
+    its (n, dim) positions, quantum force and EM force."""
+    dt = times[1] - times[0]
+    acc = (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dt**2
+    force = fq[1:-1] + fem[1:-1]
+    residual = omega0 * acc - force
+    scale = max(float(np.max(np.abs(force))),
+                float(omega0 * np.max(np.abs(acc))), 1e-300)
+    return (times[1:-1], residual,
+            float(np.sqrt(np.mean(residual**2)) / scale))
+
+
+def test_newton_bohm_residual_matches_reference(packet_history):
+    # the reader blends F_Q and evaluates F_em at each path point as it
+    # visits it; the residual has the bits of the formula applied to the
+    # reference's positions and forces over the whole history
+    hist, _ = packet_history
+    got = streamed(lambda h: newton_bohm_residual([-1.5], h), packet_run,
+                   hist.grid, Potentials.harmonic(0.1))
+    pos, _, fq, fem, _ = reference_integrate_flow(hist, [-1.5])
+    assert np.all(fq != 0.0) and np.all(fem != 0.0)   # both forces enter
+    want = reference_newton_bohm(np.asarray(record_fields(hist, "time_tag")),
+                                 pos[:, 0], fq[:, 0], fem[:, 0],
+                                 PARAMS.omega0)
     for a, b in zip(got, want):
         assert same_bits(a, b)
 
@@ -279,8 +306,7 @@ def test_run_coupled_reference_path_matches_reference():
     psi = psi0
     bundle = madelung_extract(psi, PARAMS, pots)
     z = np.atleast_2d(state.center.copy())
-    pos, vel, fq, near = [z[0].copy()], [], [at(bundle.quantum_force, z)], \
-        [False]
+    pos, vel = [z.copy()], []
     for _ in range(steps):
         t = psi.time_tag
         psi_next = ls_step(psi, PARAMS, pots, dt)
@@ -289,33 +315,35 @@ def test_run_coupled_reference_path_matches_reference():
         flow.append(bundle)
         flow.append(bundle_next)
         k1 = reference_blend(flow, record_fields(flow, "velocity"), t, z)
-        vel.append(k1[0].copy())
+        vel.append(k1.copy())
         z = reference_rk4_step(flow, z, t, t + dt, k1=k1)
-        pos.append(z[0].copy())
-        fq.append(at(bundle_next.quantum_force, z))
-        level = NODE_PROXIMITY_REL * max(bundle.amp_peak,
-                                         bundle_next.amp_peak)
-        near.append(bool(reference_blend(flow, record_fields(
-            flow, "amplitude"), t + dt, z)[0] < level))
+        pos.append(z.copy())
         psi, bundle = psi_next, bundle_next
-    vel.append(at(bundle.velocity, z))
+    vel.append(at(bundle.velocity, z)[None])
+    # the one start's (n, 1, dim) record
     assert same_bits(ref.positions, np.asarray(pos))
     assert same_bits(ref.velocities, np.asarray(vel))
-    assert same_bits(ref.quantum_force, np.asarray(fq))
-    assert same_bits(ref.node_proximity, np.asarray(near))
     assert np.ptp(ref.positions) > 5 * g.spacing[0]    # the point moved
 
 
 # ---------------------------------------------------------------------------
-# ensembles: positions only
+# ensembles
 # ---------------------------------------------------------------------------
+
+def positions_walk(history, starts):
+    """A walk that keeps only the ensemble's positions, row by row in one
+    block; `finish()` returns the (n, m, dim) block."""
+    rows = RowBlock()
+    return FlowWalk(history, starts,
+                    lambda i, t, z, stencil, k1: rows.append(z), rows.block)
+
 
 def test_ensemble_positions_match_reference(packet_history):
     hist, density = packet_history
     starts = hist.grid.sample_density(density, 500, seed=11)
     want = reference_integrate_flow(hist, starts)[0]
-    got = streamed(lambda h: integrate_bohm_ensemble(starts, h), packet_run,
-                   hist.grid, Potentials.harmonic(0.1))
+    got = streamed(lambda h: integrate_flow(h, starts), packet_run,
+                   hist.grid, Potentials.harmonic(0.1)).positions
     assert same_bits(got, want)
     # the recording the equivariance scenario keeps: three snapshots only
     indices = [0, len(hist.records) // 2, len(hist.records) - 1]
@@ -345,16 +373,15 @@ def long_packet_peak(attach):
 
 
 def test_ensemble_peak_memory_is_one_position_block():
-    block, peak = long_packet_peak(
-        lambda h, starts: integrate_bohm_ensemble(starts, h))
+    block, peak = long_packet_peak(positions_walk)
     assert block.shape == (401, 400, 1)
     assert peak < 1.5 * block.nbytes
 
 
 def test_integrate_flow_peak_memory_is_one_copy_of_its_blocks():
-    blocks, peak = long_packet_peak(integrate_flow)
-    assert [b.shape for b in blocks] == [(401,)] + 4 * [(401, 400, 1)] + [
-        (401, 400)]
+    record, peak = long_packet_peak(integrate_flow)
+    blocks = (record.times, record.positions, record.velocities)
+    assert [b.shape for b in blocks] == [(401,)] + 2 * [(401, 400, 1)]
     assert peak < 1.5 * sum(b.nbytes for b in blocks)
 
 
@@ -379,7 +406,7 @@ def test_ensemble_abort_mid_run_matches_reference(error, amp, starts,
     with pytest.raises(error) as ref:
         reference_integrate_flow(hist, starts)
     with pytest.raises(error) as got:
-        streamed(lambda h: integrate_bohm_ensemble(starts, h),
+        streamed(lambda h: integrate_flow(h, starts),
                  lambda h: fill(h, snapshots), g, Potentials.free())
     assert type(got.value) is type(ref.value)
     assert got.value.last_valid_time == ref.value.last_valid_time
@@ -572,10 +599,8 @@ def test_walk_error_stops_the_walk_not_the_wave():
 
 
 LIBRARY_READERS = {
-    "integrate_bohm": lambda h: integrate_bohm([0.5], h),
-    "integrate_bohm_ensemble": lambda h: integrate_bohm_ensemble(
-        [[-1.0], [0.0], [1.0]], h),
     "integrate_flow": lambda h: integrate_flow(h, [[0.5], [-0.5]]),
+    "newton_bohm_residual": lambda h: newton_bohm_residual([0.5], h),
     "continuity_residual": continuity_residual,
     "kg_bohm_trajectory": lambda h: kg_bohm_trajectory([4.0], h),
     "kg_newton_residual": lambda h: kg_newton_residual([4.0], h),
