@@ -6,7 +6,9 @@ The field obeys (natural units, A = 0, static scalar potential V(x))
     (d/dt + ieV)^2 Psi = d^2Psi/dx^2 - w0^2 Psi
 
 advanced by an explicit leapfrog in time with a spectral spatial Laplacian.
-The polar split yields a variable squared mass
+As `ls_step` does, `lkg_step` steps fields: from the samples at t - dt and
+the `Field` at t it makes the `Field` at t + dt.  The polar split yields a
+variable squared mass
 
     M^2(t, x) = w0^2 + box(a)/a,   box(a) = d^2a/dt^2 - d^2a/dx^2
 
@@ -48,79 +50,46 @@ def discrete_mode_frequency(k: float, omega0: float, dt: float) -> float:
     return 2.0 / dt * np.arcsin(arg)
 
 
-@dataclass
-class KGState:
-    """Two retained field levels (t - dt, t) plus the step size."""
-
-    grid: Grid
-    params: PhysicalParams
-    potentials: Potentials
-    psi_prev: np.ndarray
-    psi: np.ndarray
-    time: float
-    dt: float
-
-    @classmethod
-    def _validate(cls, grid, potentials, dt):
-        if grid.dim != 1:
-            raise SolidynError("the Klein-Gordon sector is 1+1D only")
-        if dt > CFL_RATIO * grid.spacing[0]:
-            raise SolidynError(
-                f"dt = {dt} violates the CFL bound dt <= "
-                f"{CFL_RATIO} dx = {CFL_RATIO * grid.spacing[0]:.6g}")
-        if potentials.has_vector:
-            raise SolidynError("the Klein-Gordon sector requires A = 0")
-
-    @classmethod
-    def from_initial(cls, psi0: Field, dpsi_dt0, params: PhysicalParams,
-                     potentials: Potentials, dt: float) -> "KGState":
-        """Build the starting level pair from Psi(0) and dPsi/dt(0).
-
-        Psi(-dt) comes from a second-order Taylor step backwards using the
-        field equation for the second time derivative.
-        """
-        grid = psi0.grid
-        cls._validate(grid, potentials, dt)
-        e = params.charge
-        v = potentials.scalar_on_grid(grid, psi0.time_tag)
-        dpsi = np.asarray(dpsi_dt0, dtype=complex)
-        d2 = (grid.laplacian(psi0.samples) - params.omega0**2 * psi0.samples
-              - 2j * e * v * dpsi + (e * v) ** 2 * psi0.samples)
-        psi_prev = psi0.samples - dt * dpsi + 0.5 * dt**2 * d2
-        return cls(grid=grid, params=params, potentials=potentials,
-                   psi_prev=psi_prev, psi=psi0.samples.copy(),
-                   time=psi0.time_tag, dt=dt)
-
-    @classmethod
-    def from_levels(cls, psi_prev, psi0: Field, params: PhysicalParams,
-                    potentials: Potentials, dt: float) -> "KGState":
-        """Start from two explicitly supplied levels Psi(-dt), Psi(0); use
-        this to seed exact discrete eigenmodes of the leapfrog."""
-        grid = psi0.grid
-        cls._validate(grid, potentials, dt)
-        return cls(grid=grid, params=params, potentials=potentials,
-                   psi_prev=np.asarray(psi_prev, dtype=complex),
-                   psi=psi0.samples.copy(), time=psi0.time_tag, dt=dt)
+def _check_kg(grid, potentials, dt):
+    """Refuse a grid past 1D, a dt past the CFL bound and a vector A."""
+    if grid.dim != 1:
+        raise SolidynError("the Klein-Gordon sector is 1+1D only")
+    if dt > CFL_RATIO * grid.spacing[0]:
+        raise SolidynError(
+            f"dt = {dt} violates the CFL bound dt <= "
+            f"{CFL_RATIO} dx = {CFL_RATIO * grid.spacing[0]:.6g}")
+    if potentials.has_vector:
+        raise SolidynError("the Klein-Gordon sector requires A = 0")
 
 
-def lkg_step(state: KGState) -> KGState:
-    """One leapfrog update; the new state holds psi at t + dt.
+def _previous_level(psi0: Field, dpsi_dt0, params: PhysicalParams,
+                    potentials: Potentials, dt: float):
+    """Psi(-dt) from Psi(0) and dPsi/dt(0): a second-order Taylor step
+    backwards, using the field equation for the second time derivative."""
+    grid = psi0.grid
+    e = params.charge
+    v = potentials.scalar_on_grid(grid, psi0.time_tag)
+    dpsi = np.asarray(dpsi_dt0, dtype=complex)
+    d2 = (grid.laplacian(psi0.samples) - params.omega0**2 * psi0.samples
+          - 2j * e * v * dpsi + (e * v) ** 2 * psi0.samples)
+    return psi0.samples - dt * dpsi + 0.5 * dt**2 * d2
+
+
+def lkg_step(psi_prev, psi: Field, params: PhysicalParams,
+             potentials: Potentials, dt: float) -> Field:
+    """One leapfrog update from the samples at t - dt and the field at t;
+    returns the field at t + dt.
 
     Central differences in time around t, spectral Laplacian in space; with
     V = 0 the scheme conserves the discrete field energy up to a bounded
     O(dt^2) oscillation with no secular drift.
     """
-    grid, p = state.grid, state.params
-    e = p.charge
-    dt = state.dt
-    v = e * state.potentials.scalar_on_grid(grid, state.time)
-    rhs = (grid.laplacian(state.psi) - p.omega0**2 * state.psi
-           + v**2 * state.psi + 2.0 * state.psi / dt**2
-           - state.psi_prev * (1.0 / dt**2 - 1j * v / dt))
-    psi_next = rhs / (1.0 / dt**2 + 1j * v / dt)
-    return KGState(grid=grid, params=p, potentials=state.potentials,
-                   psi_prev=state.psi, psi=psi_next, time=state.time + dt,
-                   dt=dt)
+    grid, t, u = psi.grid, psi.time_tag, psi.samples
+    v = params.charge * potentials.scalar_on_grid(grid, t)
+    rhs = (grid.laplacian(u) - params.omega0**2 * u
+           + v**2 * u + 2.0 * u / dt**2
+           - psi_prev * (1.0 / dt**2 - 1j * v / dt))
+    return Field(grid, rhs / (1.0 / dt**2 + 1j * v / dt), t + dt)
 
 
 @dataclass
@@ -219,39 +188,40 @@ def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
     """Evolve the Klein-Gordon wave, caching guidance snapshots at every
     step time 0, dt, ..., steps*dt.
 
-    Initial data: Psi(0) plus either dPsi/dt(0) or an explicit previous
-    level Psi(-dt) (`psi_prev`, for exact discrete modes).  Each snapshot's
-    `KGMadelung` goes to `history` (a new KGHistory by default), which
-    keeps the last three: attach its readers (`kg_bohm_trajectory`, ...)
-    before this call.
+    Initial data: Psi(0) plus either dPsi/dt(0), from which a Taylor step
+    backwards makes Psi(-dt), or that previous level itself (`psi_prev`,
+    for exact discrete modes).  The grid, step and potentials are checked
+    first (1+1D, CFL, A = 0).  Each snapshot's `KGMadelung` goes to
+    `history` (a new KGHistory by default), which keeps the last three:
+    attach its readers (`kg_bohm_trajectory`, ...) before this call.
     """
-    if psi_prev is not None:
-        state = KGState.from_levels(psi_prev, psi0, params, potentials, dt)
-    else:
-        state = KGState.from_initial(psi0, dpsi_dt0, params, potentials, dt)
     grid = psi0.grid
+    _check_kg(grid, potentials, dt)
+    if psi_prev is None:
+        psi_prev = _previous_level(psi0, dpsi_dt0, params, potentials, dt)
     if history is None:
         history = KGHistory(grid, params, potentials)
 
-    # a drive state pairs the leapfrog state (levels T - dt and T) with the
-    # level at T - 2 dt: the three levels kg_madelung splits at T - dt
+    # a drive state holds the three levels kg_madelung splits at T - dt:
+    # the samples at T - 2 dt and T - dt and the field at T
     def step(s, i):
-        state, _ = s
-        new = lkg_step(state)
-        check_finite(new.psi, i - 1)
-        return new, state.psi_prev
+        _, prev, psi = s
+        new = lkg_step(prev, psi, params, potentials, dt)
+        check_finite(new.samples, i - 1)
+        return prev, psi.samples, new
 
     def sample(s, i):
         if i == 0:
             return None     # the first snapshot needs the first update
-        state, prev_level = s
-        bundle = kg_madelung(prev_level, state.psi_prev, state.psi,
-                             state.time - dt, dt, grid, params, potentials)
+        before, middle, psi = s
+        bundle = kg_madelung(before, middle, psi.samples,
+                             psi.time_tag - dt, dt, grid, params, potentials)
         history.append(bundle)
         return {"energies": bundle.energy}
 
-    (state, _), series = drive((state, None), steps + 1, step, sample)
-    final = Field(grid, state.psi_prev, state.time - dt)
+    start = (None, np.asarray(psi_prev, dtype=complex), psi0)
+    (_, middle, psi), series = drive(start, steps + 1, step, sample)
+    final = Field(grid, middle, psi.time_tag - dt)
     return KGRun(history=history, final_psi=final, **series)
 
 

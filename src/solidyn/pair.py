@@ -291,22 +291,23 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
     partner's start and end positions) drives its 1D soliton.  `run_pair`
     runs the same two halves, the wave half once for all its states.
     """
-    new_pair = _step_wave(pair, dt)
-    return new_pair, _step_particles(pair, new_pair, state, dt)
+    i = round(pair.psi.time_tag / max(dt, 1e-300)) + 1
+    new_pair = _step_wave(pair, dt, i)
+    return new_pair, _step_particles(pair, new_pair, state, dt, i)
 
 
-def _step_wave(pair: PairWave, dt: float) -> PairWave:
-    """The wave half of `pair_step`: `ls2_step` and its finiteness check."""
-    t = pair.psi.time_tag
+def _step_wave(pair: PairWave, dt: float, i: int) -> PairWave:
+    """The wave half of pair step `i`: `ls2_step` and its finiteness check."""
     new_pair = ls2_step(pair, dt)
-    check_finite(new_pair.psi.samples, round(t / max(dt, 1e-300)) + 1)
+    check_finite(new_pair.psi.samples, i)
     return new_pair
 
 
 def _step_particles(pair: PairWave, new_pair: PairWave, state: PairState,
-                    dt: float) -> PairState:
-    """The particle half of `pair_step`: move `state` from `pair` to
-    `new_pair`, the next wave.  It only reads the two waves."""
+                    dt: float, i: int) -> PairState:
+    """The particle half of pair step `i`: move `state` from `pair` to
+    `new_pair`, the next wave, and check each new soliton.  It only reads
+    the two waves."""
     # both waves keep the velocity lines the RK4 stencils derive, so the
     # next step reuses this step's new wave as is
     t = pair.psi.time_tag
@@ -323,8 +324,10 @@ def _step_particles(pair: PairWave, new_pair: PairWave, state: PairState,
 
     u1 = nls_step(state.u1, pair.potentials[0], dt,
                   external_q=q1_start, external_q_end=q1_end)
+    check_finite(u1.u.samples, i)
     u2 = nls_step(state.u2, pair.potentials[1], dt,
                   external_q=q2_start, external_q_end=q2_end)
+    check_finite(u2.u.samples, i)
     return PairState(u1=u1, u2=u2, z=z_new, q_cache=(q1_end, q2_end))
 
 
@@ -355,8 +358,8 @@ def run_pair(pair: PairWave, states, dt: float, steps: int) -> list:
     """
     def step(s, i):
         pair, states = s
-        new_pair = _step_wave(pair, dt)
-        return new_pair, [_step_particles(pair, new_pair, state, dt)
+        new_pair = _step_wave(pair, dt, i)
+        return new_pair, [_step_particles(pair, new_pair, state, dt, i)
                           for state in states]
 
     def sample(s, i):

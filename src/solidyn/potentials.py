@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolidynError
 from .stepping import cached, kinetic_multiplier
 
 
@@ -26,7 +27,7 @@ class PhysicalParams:
 
     def __post_init__(self):
         if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
+            raise SolidynError("omega0 must be positive")
 
 
 class Potentials:

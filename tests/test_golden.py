@@ -8,7 +8,6 @@ import pytest
 from make_golden import golden_path, run_all
 
 
-@pytest.mark.slow
 def test_shipped_configs_write_the_golden_bytes(tmp_path):
     path = golden_path()
     if not path.exists():

@@ -9,7 +9,6 @@ from solidyn.grids import Field, Grid
 from solidyn.kleingordon import (
     KGHistory,
     KGMadelung,
-    KGState,
     current_conservation_residual,
     discrete_mode_frequency,
     evolve_kg,
@@ -52,8 +51,30 @@ def test_kg_cfl_enforced():
     g = Grid(256, 20.0)
     psi = Field(g, np.exp(-g.axes[0] ** 2).astype(complex))
     with pytest.raises(SolidynError):
-        KGState.from_initial(psi, -1j * psi.samples, PARAMS,
-                             Potentials.free(), dt=g.spacing[0])
+        evolve_kg(psi, -1j * psi.samples, PARAMS, Potentials.free(),
+                  dt=g.spacing[0], steps=1)
+
+
+def test_evolve_kg_names_each_refusal():
+    # a 2D grid, a step past the CFL bound and a vector potential, each
+    # refused before any step with its full message
+    g2 = Grid((32, 32), (10.0, 10.0))
+    psi2 = Field(g2, np.ones((32, 32), dtype=complex))
+    with pytest.raises(SolidynError,
+                       match="^the Klein-Gordon sector is 1\\+1D only$"):
+        evolve_kg(psi2, np.zeros((32, 32), dtype=complex), PARAMS,
+                  Potentials.free(2), dt=0.01, steps=1)
+    g = Grid(128, 20.0)
+    psi = Field(g, np.exp(-g.axes[0] ** 2).astype(complex))
+    with pytest.raises(SolidynError, match=(
+            "^dt = 0\\.1 violates the CFL bound dt <= "
+            "0\\.5 dx = 0\\.078125$")):
+        evolve_kg(psi, -1j * psi.samples, PARAMS, Potentials.free(),
+                  dt=0.1, steps=1)
+    with pytest.raises(SolidynError,
+                       match="^the Klein-Gordon sector requires A = 0$"):
+        evolve_kg(psi, -1j * psi.samples, PARAMS,
+                  Potentials.vector_ramp(0.5), dt=0.05, steps=1)
 
 
 def test_kg_sector_refuses_a_vector_potential():
@@ -84,9 +105,8 @@ def test_kg_plane_wave_dispersion():
 def test_kg_zero_field_stays_zero():
     g = Grid(128, 20.0)
     psi = Field(g, np.zeros(128, dtype=complex))
-    state = KGState.from_initial(psi, np.zeros(128, dtype=complex), PARAMS,
-                                 Potentials.free(), dt=0.01)
-    assert np.all(lkg_step(state).psi == 0)
+    assert np.all(lkg_step(np.zeros(128, dtype=complex), psi, PARAMS,
+                           Potentials.free(), 0.01).samples == 0)
 
 
 def test_kg_nonrelativistic_field_limit():
@@ -127,11 +147,13 @@ def test_kg_energy_and_current_share_one_derivative(monkeypatch):
     pot = Potentials.harmonic(1e-3)
     psi0 = Field(g, (np.exp(-x**2 / (4 * sigma**2))
                      * np.exp(1j * k * x)).astype(complex))
-    state = KGState.from_initial(psi0, -1j * psi0.samples, PARAMS, pot, dt)
-    prev, energies, j1 = state.psi_prev, [], []
+    # an explicit previous level, the same one handed to evolve_kg below
+    psi_prev = psi0.samples * np.exp(1j * np.sqrt(k**2 + 1.0) * dt)
+    prev, level, energies, j1 = psi_prev, psi0, [], []
     for _ in range(steps + 1):
-        state = lkg_step(state)
-        psi, psi_next = state.psi_prev, state.psi
+        new = lkg_step(prev, level, PARAMS, pot, dt)
+        psi, psi_next = level.samples, new.samples
+        level = new
         dpsi_dt = (psi_next - prev) / (2.0 * dt)
         density = (np.abs(dpsi_dt) ** 2 + np.abs(g.derivative(psi, 0)) ** 2
                    + PARAMS.omega0**2 * np.abs(psi) ** 2)
@@ -150,7 +172,7 @@ def test_kg_energy_and_current_share_one_derivative(monkeypatch):
     monkeypatch.setattr(Grid, "derivative", spy)
     history = KGHistory(g, PARAMS, pot)
     stored = record_snapshots(history, "current_x")
-    run = evolve_kg(psi0, -1j * psi0.samples, PARAMS, pot, dt, steps,
+    run = evolve_kg(psi0, None, PARAMS, pot, dt, steps, psi_prev=psi_prev,
                     history=history)
     assert np.array_equal(run.energies, np.asarray(energies))
     assert all(np.array_equal(a, b) for a, b in zip(stored["current_x"], j1))

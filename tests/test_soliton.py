@@ -102,6 +102,13 @@ def test_gausson_rejects_small_box():
         gausson_init(GaussonParams(b=1.0, f0=1.0), g, 1.0)
 
 
+@pytest.mark.parametrize("omega0", (0.0, -1.0))
+def test_physical_params_rejects_a_non_positive_mass(omega0):
+    # a solver failure, as GaussonParams raises for b and f0
+    with pytest.raises(SolidynError, match="^omega0 must be positive$"):
+        PhysicalParams(omega0)
+
+
 # ---------------------------------------------------------------------------
 # nls_step
 # ---------------------------------------------------------------------------

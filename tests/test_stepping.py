@@ -8,11 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from solidyn import soliton
+from solidyn import pair, soliton
 from solidyn.errors import BoundaryMassError, NonFiniteFieldError
 from solidyn.grids import Field, Grid
 from solidyn.kleingordon import evolve_kg
-from solidyn.pair import PairWave, ls2_step
+from solidyn.pair import PairState, PairWave, ls2_step, product_pair, run_pair
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import evolve_schrodinger, ls_step
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
@@ -308,6 +308,31 @@ def test_run_coupled_names_the_non_finite_soliton_step(monkeypatch):
         run_coupled(guard_pilot(), guard_soliton("dbb"), GUARD_PARAMS,
                     Potentials.free(), GUARD_DT, 40, store_every=7,
                     harmony_every=5)
+
+
+@pytest.mark.parametrize("which", (1, 2))
+def test_run_pair_names_the_non_finite_soliton_step(monkeypatch, which):
+    # the wave stays finite; soliton `which` turns NaN after T_BAD
+    real, calls = pair.nls_step, []
+
+    def poisoned(state, *args, **kwargs):
+        out = real(state, *args, **kwargs)
+        calls.append(out)
+        if out.u.time_tag > T_BAD and len(calls) % 2 == which % 2:
+            out.u.samples[3] = np.nan
+        return out
+
+    grid = Grid(128, 20.0)
+    x = grid.axes[0]
+    packet = np.exp(-x**2 / 4.0).astype(complex)
+    wave = product_pair(packet, packet, Grid((128, 128), (20.0, 20.0)),
+                        (1.0, 1.0), 1.0, (Potentials.free(),) * 2)
+    state = PairState(u1=guard_soliton("dbb", -0.5),
+                      u2=guard_soliton("dbb", 0.5), z=(-0.5, 0.5))
+    monkeypatch.setattr(pair, "nls_step", poisoned)
+    with pytest.raises(NonFiniteFieldError,
+                       match=r"^non-finite field after step 18$"):
+        run_pair(wave, [state], GUARD_DT, 40)
 
 
 def test_run_classical_boundary_watchdog_names_its_step():
