@@ -46,36 +46,29 @@ def main(argv=None):
             print(f"{kind:18s} {spec.description}")
         return 0
 
+    overrides = {}
+    if args.command == "run":
+        # each flag is the config key it overrides, checked by the parser
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        if args.snapshots is not None:
+            overrides["run"] = {"snapshot_every": args.snapshots}
+        if args.output_dir is not None:
+            overrides["output"] = {"directory": args.output_dir}
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.config, overrides)
+        if args.command == "run":
+            return run_scenario(cfg, quiet=args.quiet)
     except ConfigError as err:
-        if not getattr(args, "quiet", False):
+        if not args.quiet:
             print(f"configuration error: {err}", file=sys.stderr)
         return 2
-
-    if args.command == "validate":
-        if not args.quiet:
-            points = "x".join(str(int(p)) for p in cfg.points)
-            lengths = "x".join(f"{float(ell):g}" for ell in cfg.lengths)
-            print(f"ok: {cfg.kind} scenario, grid {points} over {lengths}, "
-                  f"dt={cfg.dt:g}, t_final={cfg.t_final:g}")
-        return 0
-
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
-    if args.snapshots is not None:
-        if args.snapshots < 0:
-            print("configuration error: --snapshots must be >= 0",
-                  file=sys.stderr)
-            return 2
-        cfg.snapshot_every = args.snapshots
-    if args.seed is not None:
-        if args.seed < 0:
-            print("configuration error: --seed must be >= 0",
-                  file=sys.stderr)
-            return 2
-        cfg.seed = args.seed
-    return run_scenario(cfg, quiet=args.quiet)
+    if not args.quiet:
+        points = "x".join(str(int(p)) for p in cfg.points)
+        lengths = "x".join(f"{float(ell):g}" for ell in cfg.lengths)
+        print(f"ok: {cfg.kind} scenario, grid {points} over {lengths}, "
+              f"dt={cfg.dt:g}, t_final={cfg.t_final:g}")
+    return 0
 
 
 if __name__ == "__main__":

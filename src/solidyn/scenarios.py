@@ -217,8 +217,30 @@ def _reject_unknown(section, section_name):
         raise ConfigError(f"[{section_name}].{key}: unknown key")
 
 
-def parse_config(path) -> ScenarioConfig:
-    """Load and strictly validate a scenario configuration file."""
+def _read(raw, name, defaults):
+    """Section `name` of `raw`, each key of `defaults` read by the type of
+    its default: an int takes integers only, a str is passed through, None
+    takes a number or null, anything else a float.  Other keys are
+    refused."""
+    section = _section(raw, name)
+    values = {}
+    for key, default in defaults.items():
+        value = section.pop(key, default)
+        if isinstance(default, str) or (default is None and value is None):
+            values[key] = value
+        else:
+            values[key] = _number(value, f"[{name}].{key}",
+                                  int if isinstance(default, int) else float)
+    _reject_unknown(section, name)
+    return values
+
+
+def parse_config(path, overrides=None) -> ScenarioConfig:
+    """Load and strictly validate a scenario configuration file.
+
+    `overrides` maps top-level keys to values that replace the file's, as
+    `solidyn run` passes its flags; a mapping merges into a section that is
+    a mapping or absent.  The parser checks them as it checks the file."""
     try:
         with open(path) as handle:
             raw = yaml.safe_load(handle)
@@ -230,6 +252,12 @@ def parse_config(path) -> ScenarioConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    for key, value in (overrides or {}).items():
+        section = raw.get(key)
+        if isinstance(value, dict) and isinstance(section, dict):
+            section.update(value)
+        elif not isinstance(value, dict) or section is None:
+            raw[key] = value
     return parse_config_dict(raw)
 
 
@@ -248,17 +276,14 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
     if seed < 0:
         raise ConfigError("seed: expected a non-negative integer")
 
-    physics = _section(raw, "physics")
-    omega0 = _number(physics.pop("omega0", 1.0), "[physics].omega0")
-    charge = _number(physics.pop("charge", 1.0), "[physics].charge")
-    b = _number(physics.pop("b", 1.0), "[physics].b")
-    f0 = _number(physics.pop("f0", 1.0), "[physics].f0")
-    _reject_unknown(physics, "physics")
-    _require_positive("physics", omega0=omega0, b=b, f0=f0)
+    physics = _read(raw, "physics",
+                    {"omega0": 1.0, "charge": 1.0, "b": 1.0, "f0": 1.0})
+    _require_positive("physics", omega0=physics["omega0"], b=physics["b"],
+                      f0=physics["f0"])
 
     grid_sec = _section(raw, "grid")
     default_points, default_lengths = spec.grid or (
-        (256,), (20.0 / np.sqrt(b),))
+        (256,), (20.0 / np.sqrt(physics["b"]),))
     points = grid_sec.pop("points", None)
     lengths = grid_sec.pop("length", None)
     _reject_unknown(grid_sec, "grid")
@@ -281,51 +306,34 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
     if any(ell <= 0 for ell in lengths):
         raise ConfigError("[grid].length: must satisfy length > 0")
 
-    pot = _section(raw, "potential")
-    pot_kind = pot.pop("kind", spec.potential)
+    pot = _read(raw, "potential",
+                {"kind": spec.potential, "e_field": 0.1, "spring": 0.25})
+    pot_kind = pot.pop("kind")
     if not isinstance(pot_kind, str) or pot_kind not in POTENTIAL_KINDS:
         raise ConfigError(f"[potential].kind: unknown kind {pot_kind!r}")
-    e_field = _number(pot.pop("e_field", 0.1), "[potential].e_field")
-    spring = _number(pot.pop("spring", 0.25), "[potential].spring")
-    _reject_unknown(pot, "potential")
     if pot_kind == "harmonic":
-        _require_positive("potential", spring=spring)
+        _require_positive("potential", spring=pot["spring"])
 
-    init = _section(raw, "initial")
-    parsed_init = {}
-    for key, default in spec.initial.items():
-        if isinstance(default, str) or (default is None
-                                        and init.get(key) is None):
-            parsed_init[key] = init.pop(key, default)
-        else:
-            # a key with an integer default takes integers only
-            parsed_init[key] = _number(
-                init.pop(key, default), f"[initial].{key}",
-                int if isinstance(default, int) else float)
-    _reject_unknown(init, "initial")
-    _validate_initial(parsed_init, lengths)
+    initial = _read(raw, "initial", spec.initial)
+    _validate_initial(initial, lengths)
 
-    run = _section(raw, "run")
-    dt = _number(run.pop("dt", spec.dt), "[run].dt")
-    t_final = _number(run.pop("t_final", spec.t_final), "[run].t_final")
-    snapshot_every = _number(run.pop("snapshot_every", 0),
-                             "[run].snapshot_every", int)
-    _reject_unknown(run, "run")
-    _require_positive("run", dt=dt, t_final=t_final)
-    _check_step_count(t_final / dt)
-    if snapshot_every < 0:
+    run = _read(raw, "run", {"dt": spec.dt, "t_final": spec.t_final,
+                             "snapshot_every": 0})
+    _require_positive("run", dt=run["dt"], t_final=run["t_final"])
+    _check_step_count(run["t_final"] / run["dt"])
+    if run["snapshot_every"] < 0:
         raise ConfigError("[run].snapshot_every: must be >= 0")
 
-    out = _section(raw, "output")
-    directory = out.pop("directory", "out")
-    _reject_unknown(out, "output")
+    directory = _read(raw, "output", {"directory": "out"})["directory"]
+    if not isinstance(directory, str) or not directory:
+        raise ConfigError(f"[output].directory: expected a non-empty "
+                          f"string, got {directory!r}")
     _reject_unknown(raw, "config")
 
     cfg = ScenarioConfig(
-        kind=kind, seed=seed, points=points, lengths=lengths, omega0=omega0,
-        charge=charge, b=b, f0=f0, potential_kind=pot_kind, e_field=e_field,
-        spring=spring, initial=parsed_init, dt=dt, t_final=t_final,
-        snapshot_every=snapshot_every, output_dir=str(directory))
+        kind=kind, seed=seed, points=points, lengths=lengths, **physics,
+        potential_kind=pot_kind, **pot, initial=initial, **run,
+        output_dir=directory)
     if spec.check is not None:
         spec.check(cfg)
     return cfg
@@ -375,6 +383,43 @@ def _check_cfl(cfg):
             f"dt <= {CFL_RATIO} dx = {CFL_RATIO * dx:.6g}")
 
 
+def _check_plane_wave(cfg):
+    _check_cfl(cfg)
+    # a mode at or past the Nyquist harmonic aliases to a lower one
+    harmonic, half = cfg.initial["harmonic"], 0.5 * cfg.points[0]
+    if not abs(harmonic) < half:
+        raise ConfigError(f"[initial].harmonic: must satisfy |harmonic| < "
+                          f"points/2 = {half:g}")
+    try:
+        discrete_mode_frequency(2 * np.pi * harmonic / cfg.lengths[0],
+                                cfg.omega0, cfg.dt)
+    except (SolidynError, OverflowError):
+        raise ConfigError(
+            f"[run].dt: {cfg.dt} puts the plane-wave mode outside the "
+            f"leapfrog stability region (dt/2) sqrt(k^2 + omega0^2) < 1"
+        ) from None
+
+
+def _check_packet(cfg):
+    _check_cfl(cfg)
+    # a single packet's two walks start at 0.5 packet_sigma
+    sigma, half = cfg.initial["packet_sigma"], 0.5 * cfg.lengths[0]
+    if cfg.initial["mode"] == "single" and not 0.5 * sigma < half:
+        raise ConfigError(
+            f"[initial].packet_sigma: {sigma!r} starts the walks at "
+            f"{0.5 * sigma:g}, outside the box [{-half:g}, {half:g})")
+
+
+def _check_gausson_box(cfg):
+    shortest = GaussonParams(cfg.b, cfg.f0).min_box_length
+    for length in cfg.lengths:
+        if length < shortest:
+            raise ConfigError(
+                f"[grid].length: {length:g} is below 10/sqrt(b) = "
+                f"{shortest:.6g}; the Gausson would wrap around the "
+                f"periodic seam")
+
+
 def _check_double_slit(cfg):
     # the pilot packets sit at +-separation/2, and the soliton starts on
     # the left one unless soliton_start is set
@@ -385,6 +430,7 @@ def _check_double_slit(cfg):
             raise ConfigError(
                 f"[initial].separation: {separation!r} puts a packet centre "
                 f"at {centre!r}, outside the box [{-half:g}, {half:g})")
+    _check_gausson_box(cfg)
 
 
 def _check_trap(cfg):
@@ -394,6 +440,7 @@ def _check_trap(cfg):
         raise ConfigError(f"[potential].kind: harmonic_trap needs kind "
                           f"'harmonic', got {cfg.potential_kind!r}")
     _require_positive("physics", charge=cfg.charge)
+    _check_gausson_box(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -445,21 +492,20 @@ class OutputSink:
 # ---------------------------------------------------------------------------
 
 def run_scenario(cfg: ScenarioConfig, quiet=False) -> int:
-    """Execute a scenario; returns the process exit code.
+    """Execute a parsed scenario; returns the process exit code.
 
-    A configuration error leaves no output directory that the run made,
-    as when it is found before the run.
+    The parser has checked every setting but one: an output directory that
+    cannot be made raises a ConfigError, after removing what it made.
     """
     made = _first_missing_directory(cfg.output_dir)
-    sink = OutputSink(cfg.output_dir, quiet=quiet)
     try:
-        ok = KINDS[cfg.kind].runner(cfg, sink)
-    except ConfigError as err:
+        sink = OutputSink(cfg.output_dir, quiet=quiet)
+    except (OSError, ValueError) as err:
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)
-        if not quiet:
-            print(f"configuration error: {err}")
-        return 2
+        raise ConfigError(f"[output].directory: {err}") from err
+    try:
+        ok = KINDS[cfg.kind].runner(cfg, sink)
     except SolidynError as err:
         _write_failure_manifest(cfg, sink, err)
         if not quiet:
@@ -889,12 +935,13 @@ KINDS = {
     "free_gausson": Kind(
         _run_free_gausson,
         "resting soliton: stationarity, norm/energy checks",
-        dt=1e-3, t_final=10.0, initial={"center": 0.0, "velocity": 0.0}),
+        dt=1e-3, t_final=10.0, initial={"center": 0.0, "velocity": 0.0},
+        check=_check_gausson_box),
     "uniform_field": Kind(
         _run_uniform_field,
         "soliton in a uniform electric field: parabolic center",
         dt=1e-3, t_final=5.0, initial={"center": 0.0, "velocity": 0.0},
-        potential="uniform_e"),
+        potential="uniform_e", check=_check_gausson_box),
     "harmonic_trap": Kind(
         _run_harmonic_trap, "soliton in a harmonic trap: oscillation period",
         dt=1e-3, t_final=8 * np.pi, initial={"center": 1.0, "velocity": 0.0},
@@ -909,7 +956,7 @@ KINDS = {
         _run_kg_plane_wave,
         "Klein-Gordon plane wave: constant mass, slope k/E",
         dt=2.5e-3, t_final=1.0, initial={"harmonic": 4},
-        grid=((256,), (16 * np.pi,)), check=_check_cfl),
+        grid=((256,), (16 * np.pi,)), check=_check_plane_wave),
     "kg_packet": Kind(
         _run_kg_packet,
         "Klein-Gordon packet: non-relativistic limit or tachyon detection "
@@ -917,13 +964,13 @@ KINDS = {
         dt=0.05, t_final=5.0,
         initial={"packet_sigma": 8.0, "wavenumber": 0.1, "mode": "single",
                  "amplitude_ratio": 0.8},
-        grid=((1024,), (256.0,)), check=_check_cfl),
+        grid=((1024,), (256.0,)), check=_check_packet),
     "entangled_pair": Kind(
         _run_entangled_pair, "two-particle nonlocality witness",
         dt=2e-3, t_final=0.8,
         initial={"packet_offset": 2.0, "packet_sigma": 1.0, "boost": 1.5,
                  "z1": -2.0, "z2": -2.0, "z2_alternate": 3.0},
-        grid=((256, 256), (24.0, 24.0))),
+        grid=((256, 256), (24.0, 24.0)), check=_check_gausson_box),
     "equivariance": Kind(
         _run_equivariance, "Born-rule ensemble transport",
         dt=1e-3, t_final=2.0,

@@ -84,6 +84,12 @@ class GaussonParams:
         if self.b <= 0 or self.f0 <= 0:
             raise SolidynError("b and f0 must be positive")
 
+    @property
+    def min_box_length(self):
+        """Shortest periodic box side that holds the Gausson, 10/sqrt(b):
+        in a shorter one its tail wraps around the seam."""
+        return 10.0 / np.sqrt(self.b)
+
 
 def gausson_init(gp: GaussonParams, grid: Grid, omega0: float) -> Field:
     """Construct a (possibly boosted) Gausson on the grid.
@@ -96,7 +102,7 @@ def gausson_init(gp: GaussonParams, grid: Grid, omega0: float) -> Field:
     d = grid.dim
     center = np.asarray(gp.center, dtype=float).reshape(d)
     velocity = np.asarray(gp.velocity, dtype=float).reshape(d)
-    min_width = 10.0 / np.sqrt(gp.b)
+    min_width = gp.min_box_length
     for L in grid.lengths:
         if L < min_width:
             raise SolidynError(

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per
 criterion.  Defaults throughout: natural units hbar = c = 1 and omega0 = 1,
-b = 1, f0 = 1 unless a criterion states otherwise.
+b = 1, f0 = 1 unless a criterion states otherwise.  Each tolerance is read
+from `scenarios.THRESHOLDS`, which the scenario summaries check too.
 """
 
 import time
@@ -19,7 +20,7 @@ from solidyn.grids import Field, Grid
 from solidyn.kleingordon import (KGHistory, discrete_mode_frequency,
                                  evolve_kg, kg_bohm_trajectory)
 from solidyn.potentials import PhysicalParams, Potentials
-from solidyn.scenarios import parse_config_dict, run_scenario
+from solidyn.scenarios import THRESHOLDS, parse_config_dict, run_scenario
 from solidyn.schrodinger import evolve_schrodinger, newton_bohm_residual
 from solidyn.soliton import (GaussonParams, SolitonState,
                              classical_trajectory, gausson_init, nls_step,
@@ -101,9 +102,11 @@ def trap_run():
 def test_criterion_01_gausson_stationarity(gausson_t10):
     dev = gausson_t10["max_dev"]
     elapsed = gausson_t10["elapsed"]
-    ok = dev < 1e-6 and elapsed < 10.0
+    bound = THRESHOLDS["profile_l2"]
+    ok = dev < bound and elapsed < 10.0
     assert report(1, "gausson stationarity", ok,
-                  f"max L2 dev {dev:.3e} < 1e-6, runtime {elapsed:.2f}s < 10s")
+                  f"max L2 dev {dev:.3e} < {bound:g}, runtime {elapsed:.2f}s "
+                  f"< 10s")
 
 
 @pytest.mark.slow      # the double-slit fixture: 8000 coupled steps
@@ -118,16 +121,17 @@ def test_criterion_02_norm_conservation(gausson_t10, double_slit, trap_run):
                                / trap_run.norms[0]),
     }
     worst = max(drifts.values())
-    ok = worst < 1e-10
+    ok = worst < THRESHOLDS["norm_drift"]
     assert report(2, "norm conservation", ok,
-                  f"worst drift {worst:.3e} < 1e-10 across "
+                  f"worst drift {worst:.3e} < {THRESHOLDS['norm_drift']:g} "
+                  f"across "
                   f"{len(drifts)} scenarios")
 
 
 def test_criterion_03_static_energy_identity(gausson_t10):
     dev = max(static_energy_identity_deviation(u, 1.0, 1.0)
               for u in gausson_t10["snapshots"])
-    ok = dev < 1e-12
+    ok = dev < THRESHOLDS["static_energy_identity"]
     assert report(3, "static-energy identity", ok, f"deviation {dev:.3e}")
 
 
@@ -151,10 +155,12 @@ def test_criterion_04_classical_ehrenfest(trap_run):
                              + frac * (trap_run.times[i + 1]
                                        - trap_run.times[i]))
     period_err = abs((crossings[1] - crossings[0]) - 4 * np.pi) / (4 * np.pi)
-    ok = rel < 1e-3 and period_err < 5e-3
+    parabola, period = (THRESHOLDS["uniform_center_rel"],
+                        THRESHOLDS["trap_period_rel"])
+    ok = rel < parabola and period_err < period
     assert report(4, "classical ehrenfest", ok,
-                  f"parabola rel {rel:.3e} < 1e-3, "
-                  f"period rel {period_err:.3e} < 5e-3")
+                  f"parabola rel {rel:.3e} < {parabola:g}, "
+                  f"period rel {period_err:.3e} < {period:g}")
 
 
 def test_criterion_05_mean_force_cancellations(gausson_t10):
@@ -165,9 +171,10 @@ def test_criterion_05_mean_force_cancellations(gausson_t10):
         worst = max(worst,
                     float(np.max(np.abs(vals_n) / scales_n)),
                     float(np.max(np.abs(vals_r) / scales_r)))
-    ok = worst < 1e-8
+    bound = THRESHOLDS["cancellation_rel"]
+    ok = worst < bound
     assert report(5, "mean-force cancellations", ok,
-                  f"worst ratio {worst:.3e} < 1e-8")
+                  f"worst ratio {worst:.3e} < {bound:g}")
 
 
 @pytest.mark.slow      # shares the double-slit fixture
@@ -181,10 +188,11 @@ def test_criterion_06_dbb_tracking(double_slit):
                                      Potentials.free())
     classical_gap = float(np.max(np.abs(run.centers[:, 0]
                                         - classical[:, 0])))
-    ok = gap < 3 * dx and classical_gap > 3 * dx
+    cells = THRESHOLDS["tracking_cells"]
+    ok = gap < cells * dx and classical_gap > cells * dx
     assert report(6, "dbb soliton tracking", ok,
-                  f"|xbar-z| {gap:.3e} < 3dx={3*dx:.3e}; "
-                  f"no-F_Q reference {classical_gap:.3e} > 3dx")
+                  f"|xbar-z| {gap:.3e} < {cells:g}dx={cells * dx:.3e}; "
+                  f"no-F_Q reference {classical_gap:.3e} > {cells:g}dx")
 
 
 @pytest.mark.slow
@@ -200,9 +208,10 @@ def test_criterion_07_newton_bohm_residual():
                            steps=steps, history=history)
         _, _, rels[dt] = newton.finish()
     ratio = rels[1e-3] / rels[5e-4]
-    ok = rels[1e-3] < 0.02 and ratio >= 2.0
+    bound = THRESHOLDS["newton_rms"]
+    ok = rels[1e-3] < bound and ratio >= 2.0
     assert report(7, "newton-bohm residual", ok,
-                  f"rel RMS {rels[1e-3]:.3e} < 2%, refinement ratio "
+                  f"rel RMS {rels[1e-3]:.3e} < {bound:.0%}, refinement ratio "
                   f"{ratio:.2f} >= 2 (order >= 1)")
 
 
@@ -221,9 +230,11 @@ def test_criterion_08_equivariance():
     rep = equivariance_distance(densities, grid, stored["time_tag"],
                                 block, indices=[0, 2000], bins=64)
     dist = rep.final_distance
-    ok = dist < 0.05
+    bound = THRESHOLDS["equivariance_l1"]
+    ok = dist < bound
     assert report(8, "born-rule equivariance", ok,
-                  f"L1 {dist:.4f} < 0.05 (2000 trajectories, 64 bins, T=2)")
+                  f"L1 {dist:.4f} < {bound:g} (2000 trajectories, 64 bins, "
+                  f"T=2)")
 
 
 def test_criterion_09_kg_plane_wave():
@@ -244,10 +255,11 @@ def test_criterion_09_kg_plane_wave():
     traj = path.finish()
     slope = float(np.polyfit(traj.times, traj.positions[:, 0, 0], 1)[0])
     slope_dev = abs(slope - k / np.sqrt(k**2 + 1.0))
-    ok = mass_dev < 1e-8 and slope_dev < 1e-6
+    mass, slope_bound = THRESHOLDS["kg_mass_dev"], THRESHOLDS["kg_slope_dev"]
+    ok = mass_dev < mass and slope_dev < slope_bound
     assert report(9, "kg plane wave", ok,
-                  f"|M - w0| {mass_dev:.3e} < 1e-8, slope dev "
-                  f"{slope_dev:.3e} < 1e-6")
+                  f"|M - w0| {mass_dev:.3e} < {mass:g}, slope dev "
+                  f"{slope_dev:.3e} < {slope_bound:g}")
 
 
 def test_criterion_10_kg_nonrelativistic_limit():
@@ -275,9 +287,11 @@ def test_criterion_10_kg_nonrelativistic_limit():
                                       - tr_s.positions[:m, 0, 0]))) / sigma
     ratio_hi = gaps[0.2] / gaps[0.1]
     ratio_lo = gaps[0.1] / gaps[0.05]
-    ok = gaps[0.1] < 0.01 and ratio_hi >= 3.5 and ratio_lo >= 3.5
+    bound = THRESHOLDS["kg_gap_frac"]
+    ok = gaps[0.1] < bound and ratio_hi >= 3.5 and ratio_lo >= 3.5
     assert report(10, "kg non-relativistic limit", ok,
-                  f"gap/width {gaps[0.1]:.4%} < 1% at k=0.1; scaling ratios "
+                  f"gap/width {gaps[0.1]:.4%} < {bound:.0%} at k=0.1; scaling "
+                  f"ratios "
                   f"{ratio_lo:.1f}, {ratio_hi:.1f} >= 3.5 (at least k^2)")
 
 

@@ -2,18 +2,25 @@
 
 One config per check: `solidyn validate` and `solidyn run` both exit 2
 with exactly the pinned `configuration error: ...` line on stderr, and the
-run writes nothing.  The exact `solidyn list-scenarios` output is pinned
-too.  These strings are the CLI's contract with its users; a refactor of
-the config layer must leave every one of them as it is.
+run writes nothing.  The `solidyn run` flags are checked as the config keys
+they set, and only the parser and the making of the output directory raise
+a ConfigError.  The exact `solidyn list-scenarios` output is pinned too.
+These strings are the CLI's contract with its users; a refactor of the
+config layer must leave every one of them as it is.
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import solidyn
 from solidyn import cli
 
 HUGE = "1" + "0" * 400
 BUDGET = 16777216
 STEPS = "the step count must round to between 1 and 10000000"
+WRAP = "the Gausson would wrap around the periodic seam"
 
 # (id, config text, message); {path} stands for the config file's path
 CASES = [
@@ -200,6 +207,34 @@ CASES = [
      "[run].dt: 0.1 violates the Klein-Gordon CFL bound dt <= 0.5 dx = 0.05"),
     ("cfl-packet", "scenario: kg_packet\nrun:\n  dt: 0.2\n",
      "[run].dt: 0.2 violates the Klein-Gordon CFL bound dt <= 0.5 dx = 0.125"),
+    ("gausson-box-double-slit",
+     "scenario: double_slit_dbb\nphysics:\n  b: 0.01\n",
+     f"[grid].length: 40 is below 10/sqrt(b) = 100; {WRAP}"),
+    ("gausson-box-pair", "scenario: entangled_pair\nphysics:\n  b: 0.1\n",
+     f"[grid].length: 24 is below 10/sqrt(b) = 31.6228; {WRAP}"),
+    ("gausson-box-free",
+     "scenario: free_gausson\nphysics:\n  b: 0.01\ngrid:\n  length: 20\n",
+     f"[grid].length: 20 is below 10/sqrt(b) = 100; {WRAP}"),
+    ("mode-stability",
+     "scenario: kg_plane_wave\nphysics:\n  omega0: 30\nrun:\n  dt: 0.09\n",
+     "[run].dt: 0.09 puts the plane-wave mode outside the leapfrog "
+     "stability region (dt/2) sqrt(k^2 + omega0^2) < 1"),
+    ("harmonic-nyquist",
+     "scenario: kg_plane_wave\ninitial:\n  harmonic: 200\n",
+     "[initial].harmonic: must satisfy |harmonic| < points/2 = 128"),
+    ("packet-start-outside",
+     "scenario: kg_packet\ninitial:\n  packet_sigma: 500\n",
+     "[initial].packet_sigma: 500.0 starts the walks at 250, outside the box "
+     "[-128, 128)"),
+    ("output-directory-null",
+     "scenario: free_gausson\noutput:\n  directory: null\n",
+     "[output].directory: expected a non-empty string, got None"),
+    ("output-directory-list",
+     "scenario: free_gausson\noutput:\n  directory: [a]\n",
+     "[output].directory: expected a non-empty string, got ['a']"),
+    ("output-directory-empty",
+     "scenario: free_gausson\noutput:\n  directory: ''\n",
+     "[output].directory: expected a non-empty string, got ''"),
 ]
 
 
@@ -219,6 +254,81 @@ def test_parse_time_check_pins_its_message(tmp_path, monkeypatch, capsys,
         assert (captured.out, captured.err) == ("", want)
     assert sorted(p.name for p in tmp_path.iterdir()) == (
         [] if text is None else ["config.yaml"])
+
+
+# (id, `solidyn run` flags, message); {tmp} stands for the working
+# directory, which holds the config and a file named `taken`
+FLAG_CASES = [
+    ("seed", ["--seed", "-1"], "seed: expected a non-negative integer"),
+    ("snapshots", ["--snapshots", "-1"],
+     "[run].snapshot_every: must be >= 0"),
+    ("output-dir-file", ["--output-dir", "{tmp}/taken"],
+     "[output].directory: [Errno 17] File exists: '{tmp}/taken'"),
+    ("output-dir-under-file", ["--output-dir", "{tmp}/taken/out"],
+     "[output].directory: [Errno 20] Not a directory: '{tmp}/taken/out'"),
+    ("output-dir-nul", ["--output-dir", "{tmp}/a\0b"],
+     "[output].directory: embedded null byte"),
+]
+
+
+@pytest.mark.parametrize("flags, message", [case[1:] for case in FLAG_CASES],
+                         ids=[case[0] for case in FLAG_CASES])
+def test_run_flag_is_checked_as_its_config_key(tmp_path, monkeypatch, capsys,
+                                               flags, message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.yaml"
+    path.write_text("scenario: free_gausson\n")
+    (tmp_path / "taken").write_text("kept\n")
+    argv = ["run", str(path)] + [flag.format(tmp=tmp_path) for flag in flags]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"configuration error: {message.format(tmp=tmp_path)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml",
+                                                          "taken"]
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def test_only_the_parser_and_the_output_directory_raise_a_config_error():
+    # parse time is `parse_config` and every scenarios function it names,
+    # with the kind checks of KINDS; at run time only the handler of
+    # run_scenario's try that makes the OutputSink may raise one
+    source = Path(solidyn.__file__).parent
+    tree = ast.parse((source / "scenarios.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    kinds = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "KINDS")
+    pending = ["parse_config"] + [
+        keyword.value.id for call in ast.walk(kinds)
+        if isinstance(call, ast.Call) for keyword in call.keywords
+        if keyword.arg == "check"]
+    parse_time = set()
+    while pending:
+        name = pending.pop()
+        if name in functions and name not in parse_time:
+            parse_time.add(name)
+            pending.extend(node.id for node in ast.walk(functions[name])
+                           if isinstance(node, ast.Name))
+    assert {"parse_config_dict", "_read", "_check_gausson_box"} <= parse_time
+    allowed = {id(node) for name in parse_time
+               for node in ast.walk(functions[name])}
+    for block in ast.walk(functions["run_scenario"]):
+        if isinstance(block, ast.Try) and any(
+                getattr(node.func, "id", None) == "OutputSink"
+                for statement in block.body for node in ast.walk(statement)
+                if isinstance(node, ast.Call)):
+            allowed |= {id(node) for handler in block.handlers
+                        for node in ast.walk(handler)}
+    raises = [(path.name, node) for path in sorted(source.glob("*.py"))
+              for node in ast.walk(tree if path.name == "scenarios.py"
+                                   else ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and getattr(node.exc.func, "id", None) == "ConfigError"]
+    assert raises
+    assert [(name, node.lineno) for name, node in raises
+            if id(node) not in allowed] == []
 
 
 def test_list_scenarios_output_is_pinned(capsys):

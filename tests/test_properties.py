@@ -25,9 +25,10 @@ Hypothesis).
 - With V = 0 `lkg_step` keeps its discrete charge Im<psi^{n-1}, psi^n> to
   round-off over 1000 steps.
 - A parsed config asks for a whole number of steps in [1, MAX_STEPS].
-- The CLI exit code follows from how a scenario runner ends: 2 for a
-  `ConfigError`, 1 with a manifest naming the error for any other
-  `SolidynError`, 3 for a failed check and 0 for a pass, never a traceback.
+- The CLI exit code follows from how a scenario runner ends: 1 with a
+  manifest naming the error for any `SolidynError` (a `ConfigError`
+  included, since the parser alone checks a config), 3 for a failed
+  check and 0 for a pass, never a traceback.
 - Two in-process runs of a small valid config of any kind, with the same
   seed, end with the same exit code and write the same bytes to every
   output file.
@@ -694,8 +695,6 @@ def test_cli_exit_code_follows_from_the_error_class(outcome, message):
             assert code == 0
         elif outcome is False:
             assert code == 3
-        elif outcome is ConfigError:
-            assert code == 2
         else:
             assert code == 1
             assert f"error: {message}\n" in manifest.read_text()

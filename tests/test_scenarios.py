@@ -213,29 +213,29 @@ def test_trajectory_aborts_share_one_base(tmp_path, monkeypatch, error):
 
 
 @pytest.mark.parametrize("existing", [False, True])
-def test_config_error_in_a_runner_leaves_no_new_directory(tmp_path,
-                                                          monkeypatch,
-                                                          existing):
-    # as a config refused at parse time, a runner's ConfigError ends in
-    # exit 2 and leaves no directory the run made; one that was there stays
-    def refuse(cfg, sink):
-        raise ConfigError("[initial].center: refused by the runner")
-
-    monkeypatch.setitem(KINDS, "free_gausson", dataclasses.replace(
-        KINDS["free_gausson"], runner=refuse))
+def test_an_output_directory_that_cannot_be_made_leaves_none_behind(
+        tmp_path, capsys, existing):
+    # a name too long for the file system is refused only after the
+    # directories above it are made: the run exits 2 naming
+    # [output].directory and removes the directories it made; one that was
+    # there stays
     out = tmp_path / "new" / "out"
     if existing:
         out.mkdir(parents=True)
         (out / "kept.txt").write_text("kept\n")
-    path = write_yaml(tmp_path, "refuse.yaml",
+    path = write_yaml(tmp_path, "long.yaml",
                       f"scenario: free_gausson\n"
-                      f"output:\n  directory: {out}\n")
-    assert cli_main(["run", path, "--quiet"]) == 2
+                      f"output:\n  directory: {out / ('x' * 300)}\n")
+    assert cli_main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "configuration error: [output].directory: [Errno 36] File name too "
+        "long: ")
     if existing:
         assert sorted(p.name for p in out.iterdir()) == ["kept.txt"]
     else:
-        assert not (tmp_path / "new").exists()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["refuse.yaml"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.yaml"]
 
 
 _HUGE_INT = "-1" + "0" * 400
