@@ -187,15 +187,22 @@ class Grid:
     def derivative(self, samples, axis):
         """First derivative along one axis via FFT; dtype follows the input."""
         _require_finite(samples, "derivative input")
-        return _from_spectrum(self._ik[axis] * np.fft.fft(samples, axis=axis),
-                              axis, samples)
+        return self._spectral(samples, axis, self._ik[axis])
 
     def second_derivative(self, samples, axis):
         """Second derivative along one axis via FFT (-k^2 multiplier)."""
         _require_finite(samples, "second_derivative input")
-        return _from_spectrum(
-            self._minus_k2[axis] * np.fft.fft(samples, axis=axis), axis,
-            samples)
+        return self._spectral(samples, axis, self._minus_k2[axis])
+
+    def _spectral(self, samples, axis, multiplier):
+        """ifft(multiplier * fft(samples)) along one axis, in the one array
+        `fft` returns: the product and `ifft` write into it (`out=`), with
+        the bits of the allocating calls.  The real part (a view) when
+        `samples` is real."""
+        out = np.fft.fft(samples, axis=axis)
+        np.multiply(multiplier, out, out=out)
+        np.fft.ifft(out, axis=axis, out=out)
+        return out if np.iscomplexobj(samples) else out.real
 
     def gradient(self, samples):
         """All first derivatives, stacked as shape (dim, *grid shape)."""
@@ -220,13 +227,14 @@ class Grid:
     # ------------------------------------------------------------------
 
     def integrate(self, samples):
-        """Rectangle-rule integral over the box."""
-        return np.sum(samples) * self.cell_volume
+        """Rectangle-rule integral over the box (`ndarray.sum`, the
+        pairwise bits of `np.sum` without its wrapper)."""
+        return samples.sum() * self.cell_volume
 
-    def boundary_mass_fraction(self, density):
+    def boundary_mass_fraction(self, density, total=None):
         """Fraction of total mass within `BOUNDARY_CELLS` samples of any box
-        edge."""
-        total = float(np.sum(density))
+        edge.  `total` may pass `density.sum()` when the caller holds it."""
+        total = float(density.sum() if total is None else total)
         if total <= 0.0:
             return 0.0
         interior = density
@@ -235,7 +243,7 @@ class Grid:
             sl[axis] = slice(BOUNDARY_CELLS,
                              self.points[axis] - BOUNDARY_CELLS)
             interior = interior[tuple(sl)]
-        return float((total - np.sum(interior)) / total)
+        return float((total - interior.sum()) / total)
 
     # ------------------------------------------------------------------
     # off-grid evaluation
@@ -552,22 +560,16 @@ class Field:
             raise SolidynError("sample count does not match the grid")
 
     def density(self):
-        """|samples|^2 as a real array."""
-        return np.abs(self.samples) ** 2
+        """|samples|^2 as a real array (squared in place: the bits of
+        `np.abs(samples) ** 2`)."""
+        rho = np.abs(self.samples)
+        return np.square(rho, out=rho)
 
     def norm(self):
         """Integral of |samples|^2 over the box."""
         return float(self.grid.integrate(self.density()))
 
 
-def _from_spectrum(spectrum, axis, samples):
-    """Inverse FFT of a derivative spectrum; real when `samples` is real."""
-    out = np.fft.ifft(spectrum, axis=axis)
-    if not np.iscomplexobj(samples):
-        out = out.real
-    return out
-
-
 def _require_finite(samples, context):
-    if not np.all(np.isfinite(samples)):
+    if not np.isfinite(samples).all():
         raise NonFiniteFieldError(f"non-finite values in {context}")

@@ -448,7 +448,9 @@ def _check_trap(cfg):
 # ---------------------------------------------------------------------------
 
 class OutputSink:
-    """Atomic series/snapshot/summary writer rooted at one directory."""
+    """Atomic series/snapshot/summary writer rooted at one directory;
+    `files` lists the outputs written.  An output that cannot be written
+    raises a SolidynError, so the run exits 1 with a manifest."""
 
     def __init__(self, directory, quiet=False):
         self.directory = directory
@@ -456,17 +458,23 @@ class OutputSink:
         self.files = []
         os.makedirs(directory, exist_ok=True)
 
-    def series(self, name, header, columns, comment=None):
-        path = os.path.join(self.directory, name)
-        write_csv(path, header, columns, comment=comment)
+    def _write(self, path, write):
+        try:
+            write()
+        except OSError as err:
+            raise SolidynError(f"cannot write {path}: {err}") from err
         self.files.append(path)
 
+    def series(self, name, header, columns, comment=None):
+        path = os.path.join(self.directory, name)
+        self._write(path, lambda: write_csv(path, header, columns,
+                                            comment=comment))
+
     def snapshot(self, field, label, index):
-        sub = os.path.join(self.directory, "snapshots")
-        os.makedirs(sub, exist_ok=True)
-        path = os.path.join(sub, f"{label}_{index:06d}.sldn")
-        write_snapshot(field, path)
-        self.files.append(path)
+        # the atomic write makes the snapshot directory
+        path = os.path.join(self.directory, "snapshots",
+                            f"{label}_{index:06d}.sldn")
+        self._write(path, lambda: write_snapshot(field, path))
 
     def summary(self, kind, seed, checks, extras=()):
         lines = [f"scenario: {kind}", f"seed: {seed}"]
@@ -480,8 +488,7 @@ class OutputSink:
                 f" {'PASS' if passed else 'FAIL'}")
         lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
         path = os.path.join(self.directory, "summary.txt")
-        write_text(path, "\n".join(lines) + "\n")
-        self.files.append(path)
+        self._write(path, lambda: write_text(path, "\n".join(lines) + "\n"))
         if not self.quiet:
             print("\n".join(lines))
         return ok

@@ -63,30 +63,52 @@ def ls_step(psi: Field, params: PhysicalParams, potentials: Potentials,
 def madelung_extract(psi: Field, params: PhysicalParams,
                      potentials: Potentials) -> MadelungBundle:
     """Amplitude, guidance velocity, quantum potential/force, and the peak
-    amplitude (a sample below NODE_MASK_REL times it counts as a node)."""
+    amplitude (a sample below NODE_MASK_REL times it counts as a node).
+
+    The current is written over each derivative of Psi as
+    np.multiply(conj(Psi), dPsi): conj(Psi) stays the first operand,
+    because numpy's SIMD complex product fuses one product of the
+    imaginary part, chosen by operand order (`dPsi * conj(Psi)` gives
+    other bits on an AVX-512 host).  q and F_Q are written into the rows
+    of the real-derivative stack, in the operation order of the
+    expressions in the comments below.
+    """
     grid = psi.grid
-    a = np.abs(psi.samples)
-    peak = float(np.max(a))
+    samples = psi.samples
+    a = np.abs(samples)
+    peak = float(a.max())
     if peak == 0.0:
         raise SolidynError("cannot extract Madelung fields from a zero wave")
     floor = NODE_MASK_REL * peak
     a_safe = np.maximum(a, floor)
     rho_safe = a_safe ** 2
-    grad_psi = grid.gradient(psi.samples)
-    current = np.imag(np.conj(psi.samples)[None, ...] * grad_psi)
+    currents = [grid.derivative(samples, axis) for axis in range(grid.dim)]
+    conj = np.conj(samples)
     avec = params.charge * potentials.vector(psi.time_tag)
-    velocity = np.empty_like(current)
-    for axis in range(grid.dim):
-        velocity[axis] = (current[axis] / rho_safe - avec[axis]) / params.omega0
+    velocity = np.empty((grid.dim,) + grid.shape)
+    for axis, current in enumerate(currents):
+        np.multiply(conj, current, out=current)
+        v = np.divide(current.imag, rho_safe, out=velocity[axis])
+        v -= avec[axis]
+        v /= params.omega0
     # grad a, lap a and grad lap a from one real spectrum of a
     derivs = grid.real_derivatives(a)
     grad_a, lap_a, grad_lap = (derivs[:grid.dim], derivs[grid.dim],
                                derivs[grid.dim + 1:])
-    q = -lap_a / (2.0 * params.omega0 * a_safe)
+    two_w0 = 2.0 * params.omega0
     # F_Q = -grad q via the quotient rule: only smooth fields pass through
-    # the FFT, so the amplitude-floor clamp cannot ring across the box
-    fq = (grad_lap / a_safe - lap_a * grad_a / rho_safe) \
-        / (2.0 * params.omega0)
+    # the FFT, so the amplitude-floor clamp cannot ring across the box;
+    # fq = (grad_lap / a_safe - lap_a * grad_a / rho_safe) / two_w0
+    fq = grad_lap
+    fq /= a_safe
+    grad_a *= lap_a
+    grad_a /= rho_safe
+    fq -= grad_a
+    fq /= two_w0
+    # q = -lap_a / (two_w0 * a_safe)
+    a_safe *= two_w0
+    q = np.divide(lap_a, a_safe, out=lap_a)
+    np.negative(q, out=q)
     return MadelungBundle(
         grid=grid,
         time_tag=psi.time_tag,

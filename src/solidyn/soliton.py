@@ -21,7 +21,7 @@ Coupling is strictly one way: the pilot wave never sees the u-field.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass, field as _dc_field, replace
+from dataclasses import InitVar, dataclass, field as _dc_field
 
 import numpy as np
 
@@ -125,10 +125,10 @@ class SolitonState:
     center (kept wrap-aware so seam crossings stay continuous).
 
     Without a `center`, the center is computed by `soliton_center`,
-    re-referenced to `previous_center` if given.  `density` (|u|^2) and
-    `norm` (its integral) are computed once per u, when the state is
-    built; the center, the next step's nonlinearity and the run series all
-    read them.
+    re-referenced to `previous_center` if given.  `density` (|u|^2), its
+    sum and `norm` (its integral) are computed once per u, when the state
+    is built; the center, the boundary mass, the next step's nonlinearity
+    and the run series all read them.
     """
 
     u: Field
@@ -140,30 +140,34 @@ class SolitonState:
     previous_center: InitVar[np.ndarray] = None
     density: np.ndarray = _dc_field(init=False, repr=False, compare=False)
     norm: float = _dc_field(init=False, repr=False, compare=False)
+    _density_sum: float = _dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self, previous_center):
         if self.coupling_mode not in ("classical", "dbb"):
             raise SolidynError(f"unknown coupling mode {self.coupling_mode!r}")
         self.density = self.u.density()
+        self._density_sum = self.density.sum()
         if self.center is None:
             self.center, self.norm = soliton_center(
-                self.u, previous_center, density=self.density)
+                self.u, previous_center, self.density, self._density_sum)
         else:
             self.center = np.asarray(self.center, dtype=float)
-            self.norm = float(self.u.grid.integrate(self.density))
+            self.norm = float(self._density_sum * self.u.grid.cell_volume)
 
 
-def soliton_center(u: Field, previous=None, density=None):
+def soliton_center(u: Field, previous=None, density=None, total=None):
     """First moment xbar of |u|^2 and the norm C, wrap-aware.
 
     Coordinates are re-referenced to the previous center (mapped into the
     half-open window of width L around it), so a soliton crossing the
-    periodic seam keeps a continuous track.  `density` may pass |u|^2 when
-    the caller already holds it.
+    periodic seam keeps a continuous track.  `density` may pass |u|^2, and
+    `total` its `ndarray.sum`, when the caller already holds them.
     """
     grid = u.grid
     rho = u.density() if density is None else density
-    c = float(grid.integrate(rho))
+    if total is None:
+        total = rho.sum()
+    c = float(total * grid.cell_volume)
     if c <= 0.0:
         raise SolidynError("u-field has zero norm; no center defined")
     if previous is None:
@@ -228,6 +232,11 @@ def nls_step(state: SolitonState, potentials: Potentials, dt: float,
     modulus untouched, so the norm is conserved to round-off.  In dbb mode
     `external_q` (and optionally `external_q_end` for the second half step)
     must supply the pilot quantum potential on the same grid.
+
+    Both half phases run through one real and one complex buffer per
+    call: W is built in place with the bits of `base +
+    log_nonlinearity(rho, b, f0) / (2 w0)`, and `_half_phase` turns it
+    into exp(-i dt W / 2) as cos and sin of W (-dt/2) + 0.0.
     """
     if (state.coupling_mode == "dbb") != (external_q is not None):
         raise SolidynError("external_q must be supplied exactly in dbb mode")
@@ -236,28 +245,52 @@ def nls_step(state: SolitonState, potentials: Potentials, dt: float,
     t = u.time_tag
     e = p.charge
     two_w0 = 2.0 * p.omega0
+    f0_sq = state.f0**2
+    floor = RHO_FLOOR_REL * f0_sq
     if external_q_end is None:
         external_q_end = external_q
+    buffer = np.empty(grid.shape)
+    phase = np.empty(grid.shape, dtype=complex)
 
-    w_start = potentials.linear_potential(grid, p.omega0, e, t)
-    if external_q is not None:
-        w_start = w_start + external_q
-    w_start = w_start + log_nonlinearity(state.density, state.b,
-                                         state.f0) / two_w0
-
-    base_end = potentials.linear_potential(grid, p.omega0, e, t + dt)
-    if external_q_end is not None:
-        base_end = base_end + external_q_end
+    def half_phase(rho, t, q):
+        """exp(-i dt W(t) / 2) of the density `rho` (which may be
+        `buffer`), built in `buffer` and `phase`."""
+        base = potentials.linear_potential(grid, p.omega0, e, t)
+        if q is not None:
+            base = base + q
+        # log_nonlinearity(rho, b, f0) / (2 w0) + base, in place
+        w = np.maximum(rho, floor, out=buffer)
+        w /= f0_sq
+        np.log(w, out=w)
+        w += 1.0
+        w *= -state.b
+        w /= two_w0
+        w += base
+        return _half_phase(w, dt, phase)
 
     def half_end(mid):
-        rho = np.abs(mid) ** 2
-        w_end = base_end + log_nonlinearity(rho, state.b, state.f0) / two_w0
-        return np.exp(-0.5j * dt * w_end)
+        rho = np.abs(mid, out=buffer)
+        return half_phase(np.square(rho, out=rho), t + dt, external_q_end)
 
     kin = potentials.kinetic_phase(grid, p.omega0, e, dt, t + 0.5 * dt)
-    out = strang_step(u.samples, np.exp(-0.5j * dt * w_start), half_end, kin)
-    return replace(state, u=Field(grid, out, t + dt), center=None,
-                   previous_center=state.center)
+    out = strang_step(u.samples, half_phase(state.density, t, external_q),
+                      half_end, kin)
+    return SolitonState(Field(grid, out, t + dt), p, state.b, state.f0,
+                        state.coupling_mode, previous_center=state.center)
+
+
+def _half_phase(w, dt, out):
+    """np.exp(-0.5j * dt * w), with its bits, as cos and sin of the angle
+    w (-0.5 dt) + 0.0 written into the real and imaginary views of `out`
+    (`w` becomes the angle): the complex product -0.5j dt w is (+0.0,
+    (-0.5 dt) w + 0.0).  Without the `+ 0.0` a w of +0.0 would give the
+    angle -0.0 and the sine -0.0; with `w * -0.5 * dt` a subnormal w
+    would round twice."""
+    w *= -0.5 * dt
+    w += 0.0
+    np.cos(w, out=out.real)
+    np.sin(w, out=out.imag)
+    return out
 
 
 def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
@@ -353,7 +386,8 @@ def run_classical(state: SolitonState, potentials: Potentials, dt: float,
         return state
 
     def sample(state, i):
-        frac = grid.boundary_mass_fraction(state.density)
+        frac = grid.boundary_mass_fraction(state.density,
+                                           state._density_sum)
         if abort_on_boundary_mass and i and frac > BOUNDARY_MASS_LIMIT:
             raise BoundaryMassError(
                 f"boundary mass fraction {frac:.3e} exceeded "
@@ -450,7 +484,8 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         harmony = i > 0 and harmony_every and i % harmony_every == 0
         return {
             "times": t, "centers": state.center, "norms": state.norm,
-            "boundary_mass": grid.boundary_mass_fraction(state.density),
+            "boundary_mass": grid.boundary_mass_fraction(
+                state.density, state._density_sum),
             "mean_em_force": _density_mean_force(state, potentials, pos),
             "fq_at_center": _point_vector(
                 grid, grid.point_stencil(state.center), bundle.quantum_force),

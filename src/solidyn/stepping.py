@@ -40,6 +40,10 @@ def strang_step(samples, half_start, half_end, kinetic_phase):
         receiving the post-kinetic samples and returning it (for nonlinear W).
     kinetic_phase : precomputed exp(-i dt K) multiplier in Fourier space.
 
+    `soliton.nls_step` builds its half phases as cos + i sin of the angle
+    W (-dt/2) + 0.0, the bits of np.exp(-0.5j * dt * W): the `+ 0.0`
+    gives W = +0.0 the +0.0 angle of the complex product.
+
     The output is built once, as half_start * samples, and both transforms
     then run in place on it (`out=`), so a step holds one grid array and
     `samples` is never written.  A 1D step calls `fft`/`ifft`, the one
@@ -91,18 +95,29 @@ class RowBlock:
     place by a quarter when full (`ndarray.resize`, a `realloc`) and which
     `block()` trims to the rows written: the rows are never held twice.
     The block has the shape, dtype and bits of `np.asarray` of the rows (a
-    row of a wider dtype widens it; no rows read shape (0,))."""
+    row of a wider dtype widens it; no rows read shape (0,)).
+
+    A float row of a 1D float64 block with room left is stored without
+    `np.asarray`: no float widens float64, and the store casts as it."""
 
     def __init__(self):
         self._block, self._count = None, 0
+        self._floats = False    # the block is 1D float64
 
     def append(self, row):
+        if (self._floats and isinstance(row, float)
+                and self._count < len(self._block)):
+            self._block[self._count] = row
+            self._count += 1
+            return
         row = np.asarray(row)
         if self._block is None:
             self._block = np.empty((16,) + row.shape, row.dtype)
+            self._floats = row.shape == () and row.dtype == np.float64
         elif row.dtype != self._block.dtype:
             self._block = self._block.astype(
                 np.result_type(self._block.dtype, row.dtype), copy=False)
+            self._floats = row.shape == () and self._block.dtype == np.float64
         if self._count == len(self._block):
             self._resize(self._count + self._count // 4)
         self._block[self._count] = row
@@ -142,5 +157,5 @@ def drive(state, steps, step, sample):
 
 
 def check_finite(samples, step_index):
-    if not np.all(np.isfinite(samples)):
+    if not np.isfinite(samples).all():
         raise NonFiniteFieldError(f"non-finite field after step {step_index}")

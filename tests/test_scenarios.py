@@ -790,3 +790,33 @@ def test_boundary_abort_lists_the_snapshots_written_before_it(tmp_path):
     assert listed == written
     assert sorted(os.listdir(out / "snapshots")) \
         == [os.path.basename(name) for name in written]
+
+
+@pytest.mark.parametrize("blocker", ["snapshots", "center.csv"])
+def test_an_output_that_cannot_be_written_ends_in_exit_1(tmp_path, capsys,
+                                                         blocker):
+    # a file named `snapshots` where the snapshot directory goes, or a
+    # directory named like a series file: the run exits 1 with one
+    # "solver error" line, no traceback, and a manifest of the files
+    # written before the failing one
+    out = tmp_path / "out"
+    out.mkdir()
+    if blocker == "snapshots":
+        (out / "snapshots").write_text("not a directory\n")
+    else:
+        (out / "center.csv").mkdir()
+    path = write_yaml(tmp_path, "blocked.yaml", FAST_FREE.format(out=out))
+    assert cli_main(["run", path, "--snapshots", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(
+        f"solver error: cannot write {out / blocker}")
+    assert captured.out.count("\n") == 1
+    manifest = (out / "manifest.txt").read_text()
+    assert manifest.startswith("scenario: free_gausson\nstatus: solver "
+                               "error\nerror: cannot write ")
+    listed = manifest.split("partial outputs:\n")[1].split()
+    written = sorted(str(p) for p in (out / "snapshots").iterdir()) \
+        if blocker == "center.csv" else []
+    assert listed == written
+    assert len(written) == (6 if blocker == "center.csv" else 0)

@@ -1,0 +1,177 @@
+"""Property tests: the lean coupled-step kernels keep the reference bits
+(needs Hypothesis).
+
+- `soliton._half_phase` gives the bits of np.exp(-0.5j * dt * w), for w
+  holding +0.0, -0.0, subnormals and 1e300.
+- `nls_step` gives the bits of the allocating step in
+  `soliton_reference.py` (log path, complex exp and `dataclasses.replace`
+  rebuild) on 1D and 2D grids, in classical and dbb mode, with q omitted,
+  equal at both ends or different at each end, and with densities at the
+  `RHO_FLOOR_REL` floor.  The next state's density, center and norm have
+  the bits of `np.sum` reductions, its boundary mass those of the
+  two-sum fraction, and the input state is left unchanged.
+- `madelung_extract` gives the bits of the allocating reference body, at
+  wave nodes too, and leaves its input unchanged.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from solidyn.grids import BOUNDARY_CELLS, Field, Grid  # noqa: E402
+from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
+from solidyn.schrodinger import madelung_extract  # noqa: E402
+from solidyn.soliton import (RHO_FLOOR_REL, SolitonState,  # noqa: E402
+                             _half_phase, nls_step)
+from soliton_reference import (reference_boundary_mass_fraction,  # noqa: E402
+                               reference_madelung_extract,
+                               reference_nls_step, reference_state_moments)
+
+# +-0.0, subnormals (3 ulps rounds differently through w * -0.5 first),
+# and a huge angle
+SPECIAL_W = [0.0, -0.0, 5e-324, -5e-324, 1.5e-323, 3e-323, 1e-310,
+             -2.5e-310, 1e300, -1e300]
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                max_size=64),
+       st.floats(1e-6, 1.0))
+@example(w=[], dt=0.75)
+def test_half_phase_gives_the_bits_of_the_complex_exp(w, dt):
+    w = np.array(SPECIAL_W + w)
+    want = np.exp(-0.5j * dt * w)
+    out = np.empty(w.shape, dtype=complex)
+    got = _half_phase(w.copy(), dt, out)
+    assert got is out
+    assert same_bits(got, want)
+
+
+SHAPES = [(16,), (48,), (100,), (256,), (2048,), (8, 8), (16, 12), (15, 9),
+          (32, 32)]
+
+
+def random_samples(draw, grid, rng):
+    """Complex samples: an envelope mixed with noise, with a few exact
+    zeros and a few samples whose density sits at the log floor."""
+    meshes = grid.meshes()
+    r2 = sum(m**2 for m in meshes)
+    width = draw(st.floats(0.05, 0.5)) * max(grid.lengths)
+    envelope = np.exp(-r2 / (4 * width**2) + 1j * rng.uniform(-3, 3) *
+                      meshes[0])
+    noise = (rng.standard_normal(grid.shape)
+             + 1j * rng.standard_normal(grid.shape))
+    mix = draw(st.floats(0.0, 1.0))
+    samples = (1.0 - mix) * envelope + mix * noise
+    holes = rng.integers(0, grid.size, size=draw(st.integers(0, 3)))
+    samples.flat[holes] = 0.0
+    return samples
+
+
+POTENTIALS = {
+    "free": lambda dim: Potentials.free(dim),
+    "harmonic": lambda dim: Potentials.harmonic(0.3, dim),
+    "uniform_e": lambda dim: Potentials.uniform_field(0.2, dim),
+    "vector_ramp": lambda dim: Potentials.vector_ramp(0.4, dim),
+    # a raw V is sampled anew at every call, so W's linear part is fresh
+    "raw": lambda dim: Potentials(
+        dim, scalar=lambda t, c: 0.1 * np.sin(t + c[0])),
+}
+
+
+@st.composite
+def soliton_cases(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    grid = Grid(shape, tuple(draw(st.floats(2.0, 60.0)) for _ in shape))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f0 = draw(st.floats(0.2, 5.0))
+    samples = random_samples(draw, grid, rng)
+    # a few samples exactly at the floor density and one just under it
+    at_floor = rng.integers(0, grid.size, size=2)
+    samples.flat[at_floor] = f0 * np.sqrt(RHO_FLOOR_REL)
+    samples.flat[rng.integers(grid.size)] = 0.5 * f0 * np.sqrt(RHO_FLOOR_REL)
+    mode = draw(st.sampled_from(["classical", "dbb"]))
+    ends = draw(st.sampled_from(["none", "same", "different"])) \
+        if mode == "dbb" else "omitted"
+    q = q_end = None
+    if mode == "dbb":
+        q = 0.1 * rng.standard_normal(grid.shape)
+        if ends == "same":
+            q_end = q
+        elif ends == "different":
+            q_end = 0.1 * rng.standard_normal(grid.shape)
+    params = PhysicalParams(draw(st.floats(0.2, 5.0)),
+                            draw(st.floats(-2.0, 2.0)))
+    return dict(
+        grid=grid, samples=samples, params=params, f0=f0,
+        b=draw(st.floats(0.1, 100.0)), mode=mode, q=q, q_end=q_end,
+        potential=draw(st.sampled_from(sorted(POTENTIALS))),
+        dt=draw(st.floats(1e-4, 0.1)), t0=draw(st.floats(-5.0, 5.0)),
+        steps=draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(soliton_cases())
+def test_nls_step_gives_the_reference_bits(case):
+    grid = case["grid"]
+    u = Field(grid, case["samples"], case["t0"])
+    state = SolitonState(u, case["params"], case["b"], case["f0"],
+                         coupling_mode=case["mode"])
+    pots = POTENTIALS[case["potential"]](grid.dim)
+    q, q_end = case["q"], case["q_end"]
+    kwargs = {} if q is None else {"external_q": q, "external_q_end": q_end}
+    want_state = state
+    for _ in range(case["steps"]):
+        before = (state.u.samples.copy(), state.density.copy())
+        got = nls_step(state, pots, case["dt"], **kwargs)
+        want = reference_nls_step(want_state, pots, case["dt"], **kwargs)
+        assert state.u.samples.tobytes() == before[0].tobytes()
+        assert state.density.tobytes() == before[1].tobytes()
+        assert same_bits(got.u.samples, want.u.samples)
+        assert got.u.time_tag == want.u.time_tag
+        assert (got.params, got.b, got.f0, got.coupling_mode) == (
+            want.params, want.b, want.f0, want.coupling_mode)
+        rho, center, norm = reference_state_moments(want.u, state.center)
+        assert same_bits(got.density, rho)
+        assert same_bits(got.center, center)
+        assert type(got.norm) is float and got.norm == norm
+        assert grid.boundary_mass_fraction(got.density, got._density_sum) \
+            == reference_boundary_mass_fraction(grid, rho, BOUNDARY_CELLS)
+        state, want_state = got, want
+
+
+@st.composite
+def pilot_cases(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    grid = Grid(shape, tuple(draw(st.floats(2.0, 60.0)) for _ in shape))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = Field(grid, random_samples(draw, grid, rng),
+                draw(st.floats(-5.0, 5.0)))
+    params = PhysicalParams(draw(st.floats(0.2, 5.0)),
+                            draw(st.floats(-2.0, 2.0)))
+    return psi, params, draw(st.sampled_from(sorted(POTENTIALS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pilot_cases())
+def test_madelung_extract_gives_the_reference_bits(case):
+    psi, params, potential = case
+    pots = POTENTIALS[potential](psi.grid.dim)
+    before = psi.samples.copy()
+    got = madelung_extract(psi, params, pots)
+    want = reference_madelung_extract(psi, params, pots)
+    assert psi.samples.tobytes() == before.tobytes()
+    for name in ("amplitude", "velocity", "quantum_potential",
+                 "quantum_force"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert (got.grid, got.time_tag, got.amp_peak) == (
+        want.grid, want.time_tag, want.amp_peak)

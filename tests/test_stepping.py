@@ -18,7 +18,7 @@ from solidyn.schrodinger import evolve_schrodinger, ls_step
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
                              log_nonlinearity, nls_step, run_classical,
                              run_coupled)
-from solidyn.stepping import drive, strang_step
+from solidyn.stepping import RowBlock, drive, strang_step
 
 STEPS = 50
 DT = 5e-3
@@ -232,6 +232,35 @@ def test_drive_without_steps_samples_the_start_once():
     final, series = drive("s", 0, None, lambda state, i: {"i": i})
     assert final == "s"
     assert series["i"].tolist() == [0]
+
+
+ROW_SEQUENCES = {
+    "floats": [0.5 * i - 7.25 for i in range(100)] + [-0.0, 5e-324, 1e300],
+    "numpy floats": [np.float64(i) / 3.0 for i in range(40)],
+    "ints": list(range(-20, 20)) + [2**62 + 1],
+    "bools": [i % 3 == 0 for i in range(40)],
+    "0-d arrays": [np.array(i / 7.0) for i in range(40)],
+    "1-d rows": [np.array([i, -i / 3.0]) for i in range(40)],
+    # widened partway, through the fast path and after a resize
+    "ints then floats": list(range(30)) + [2**62 + 1]
+    + [i / 9.0 for i in range(30)],
+    "bools then floats": [True, False] * 10 + [i / 9.0 for i in range(30)],
+    "floats then complex": [i / 9.0 for i in range(30)] + [1.5 + 2j]
+    + [i / 7.0 for i in range(10)],
+    "float32 then floats": [np.float32(i) / 3 for i in range(20)]
+    + [i / 9.0 for i in range(20)],
+    "0-d then floats": [np.array(0.25)] + [i / 9.0 for i in range(30)],
+}
+
+
+@pytest.mark.parametrize("rows", ROW_SEQUENCES.values(), ids=ROW_SEQUENCES)
+def test_row_block_has_the_bits_of_np_asarray(rows):
+    block = RowBlock()
+    for row in rows:
+        block.append(row)
+    got, want = block.block(), np.asarray(rows)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
