@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import SolidynError
 from .grids import Field
-from .soliton import (SolitonRun, energy_nls,  # noqa: F401
-                      log_nonlinearity, log_potential_density)
+from .soliton import SolitonRun, log_nonlinearity, log_potential_density
 from .stepping import BOUNDARY_MASS_LIMIT, NODE_MASK_REL
 
 

@@ -27,9 +27,10 @@ import numpy as np
 
 from .errors import SolidynError
 from .grids import Field, Grid
+from .schrodinger import _guidance_velocity, _quantum_potential
 from .soliton import SolitonState, nls_step
-from .stepping import (NODE_MASK_REL, cached, check_finite, drive,
-                       kinetic_multiplier, strang_step)
+from .stepping import (NODE_MASK_REL, _half_phase, cached, check_finite,
+                       drive, kinetic_multiplier, strang_step)
 from .trajectories import advance_point
 
 
@@ -72,10 +73,14 @@ class PairWave:
 
     @cached_property
     def velocity(self):
-        """Guidance velocity of this wave, derived per grid line on demand
-        and kept with it (see `_VelocityLines`)."""
-        return _VelocityLines(self.psi, self.amplitude, self.amp_peak,
-                              self.masses)
+        """Guidance velocity of this wave, one `_VelocityLines` per
+        component, derived per grid line on demand and kept with it."""
+        if self.amp_peak == 0.0:
+            raise SolidynError("zero pair wave")
+        floor = NODE_MASK_REL * self.amp_peak
+        return tuple(_VelocityLines(self.psi, self.amplitude, floor,
+                                    self.masses[axis], axis)
+                     for axis in (0, 1))
 
     def norm(self):
         return float(self.psi.grid.integrate(self.amplitude ** 2))
@@ -123,7 +128,7 @@ def ls2_step(pair: PairWave, dt: float) -> PairWave:
         w1, w2 = (pot.linear_potential(axis_grid, mass, e, tt)
                   for pot, axis_grid, mass in zip(
                       pair.potentials, pair.axis_grids, pair.masses))
-        return np.exp(-0.5j * dt * (w1[:, None] + w2[None, :]))
+        return _half_phase(w1[:, None] + w2[None, :], dt)
 
     if any(pot.time_dependent for pot in pair.potentials):
         half_start, half_end = half_at(t), half_at(t + dt)
@@ -143,87 +148,60 @@ def pair_velocity_fields(pair: PairWave):
     """Guidance velocity components v_k = Im[d_k Psi / Psi] / w0k on the
     full grid, plus the amplitude (for node masking)."""
     vel = np.empty((2,) + pair.psi.grid.shape)
-    for axis in range(2):
-        vel[axis] = pair.velocity.derive(axis, slice(None))
+    for axis, component in enumerate(pair.velocity):
+        vel[axis] = component.derive(slice(None))
     return vel, pair.amplitude
 
 
 class _VelocityLines:
-    """Guidance velocity of one wave, indexed like the (2, *shape) array of
-    `pair_velocity_fields` but derived one grid line at a time.
+    """One guidance velocity component of a wave, indexed like its row of
+    the (2, *shape) array of `pair_velocity_fields` but derived one grid
+    line at a time.
 
     Component k at (x1, x2) needs only the line through that point along
-    axis k, so a stencil gather from component k derives just the lines it
-    touches (columns for k = 0, rows for k = 1), once each, and keeps them.
-    The node floor is taken from the whole wave's peak, and a line's FFT
-    and elementwise arithmetic give the same bits as the full-grid ones, so
-    every value equals the full-grid field exactly.  It iterates as its two
-    components, as the array does.
+    axis k, so each stencil gather `Grid.interpolate` makes derives just
+    the lines it touches (columns for k = 0, rows for k = 1) as one batch,
+    once each, and keeps them.  The node floor is the whole wave's, and a
+    line's FFT and elementwise arithmetic give the bits of the full-grid
+    ones, so every value equals the full-grid field exactly.
     """
 
-    def __init__(self, psi: Field, amplitude, peak, masses):
-        if peak == 0.0:
-            raise SolidynError("zero pair wave")
-        self.floor = NODE_MASK_REL * peak
+    def __init__(self, psi: Field, amplitude, floor, mass, axis):
+        self.floor = floor
         self._psi = psi
         self._amplitude = amplitude
-        self._masses = masses
-        # per axis k: the derived lines along k, one per row, the row of
-        # each grid line there (-1 until derived), and the set of derived
-        # grid lines, which tells a block whose lines are all kept at once
+        self._mass = mass
+        self._axis = axis
+        # the derived lines, one per row; the row of each grid line (-1
+        # until derived); the set of derived lines, to pass a kept gather
         shape = psi.grid.shape
-        self._slots = [np.full(shape[1 - k], -1) for k in (0, 1)]
-        self._kept = [np.empty((0, shape[k])) for k in (0, 1)]
-        self._derived = [set(), set()]
+        self._slots = np.full(shape[1 - axis], -1)
+        self._kept = np.empty((0, shape[axis]))
+        self._derived = set()
 
-    def derive(self, axis, lines):
-        """v_axis on the lines along `axis` picked by `lines` (an index
-        into the other axis), in grid orientation; nothing is kept."""
-        at = (slice(None), lines) if axis == 0 else (lines, slice(None))
-        psi = self._psi.samples[at]
-        grad = self._psi.grid.derivative(psi, axis)
-        current = np.imag(np.conj(psi) * grad)
+    def derive(self, lines):
+        """The component on the lines along its axis picked by `lines` (an
+        index into the other axis), in grid orientation; nothing is kept."""
+        at = (slice(None), lines) if self._axis == 0 else (lines, slice(None))
         rho_safe = np.maximum(self._amplitude[at], self.floor) ** 2
-        return current / rho_safe / self._masses[axis]
-
-    def gather(self, axis, index):
-        """Component `axis` at a 2D gather index (rows, cols), deriving the
-        lines it touches that are not yet kept."""
-        rows, cols = index
-        lines, across = (cols, rows) if axis == 0 else (rows, cols)
-        slots = self._slots[axis]
-        derived = self._derived[axis]
-        if not derived.issuperset(lines.ravel().tolist()):
-            new = np.unique(lines[slots[lines] < 0])
-            block = self.derive(axis, new)
-            kept = self._kept[axis]
-            slots[new] = np.arange(len(kept), len(kept) + new.size)
-            self._kept[axis] = np.concatenate(
-                [kept, block.T if axis == 0 else block])
-            derived.update(new.tolist())
-        return self._kept[axis][slots[lines], across]
-
-    def __getitem__(self, axis):
-        return _VelocityComponent(self, axis)
-
-    def __iter__(self):
-        return iter((_VelocityComponent(self, 0), _VelocityComponent(self, 1)))
-
-
-class _VelocityComponent:
-    """One component of a `_VelocityLines`, indexed by a stencil's gather
-    index: `Grid.interpolate` reads it as it reads the full-grid array,
-    through a `Stencil`'s (4, 4, n) blocks or a `PointStencil`'s 4x4
-    block, and each block derives its missing lines as one batch."""
-
-    __slots__ = ("velocity", "axis")
-
-    def __init__(self, velocity, axis):
-        self.velocity = velocity
-        self.axis = axis
+        return _guidance_velocity(self._psi.samples[at], self._psi.grid,
+                                  self._axis, rho_safe, self._mass)
 
     def __getitem__(self, index):
-        return self.velocity.gather(self.axis, index)
+        """The component at a 2D gather index (rows, cols), deriving the
+        lines it touches that are not yet kept."""
+        rows, cols = index
+        lines, across = (cols, rows) if self._axis == 0 else (rows, cols)
+        slots = self._slots
+        if not self._derived.issuperset(lines.ravel().tolist()):
+            new = np.unique(lines[slots[lines] < 0])
+            block = self.derive(new)
+            kept = self._kept
+            slots[new] = np.arange(len(kept), len(kept) + new.size)
+            self._kept = np.concatenate(
+                [kept, block.T if self._axis == 0 else block])
+            self._derived.update(new.tolist())
+        return self._kept[slots[lines], across]
 
 
 def conditional_q(pair: PairWave, which: int, partner_pos: float):
@@ -250,10 +228,11 @@ def conditional_q(pair: PairWave, which: int, partner_pos: float):
         raise SolidynError(
             "conditional slice lies entirely below the node floor")
     # the bits of the Laplacian row of the derivatives that madelung_extract
-    # takes, so a product pair's q has the bits of the single-particle q
+    # takes, and its q kernel, so a product pair's q has the bits of the
+    # single-particle q
     d2a_slice = pair.axis_grids[own].real_laplacian(a_slice)
-    q = -d2a_slice / (2.0 * pair.masses[own] * np.maximum(a_slice, floor))
-    return q
+    return _quantum_potential(d2a_slice, np.maximum(a_slice, floor),
+                              pair.masses[own])
 
 
 def _axis_slice(grid: Grid, data, axis, coord):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolidynError
-from .stepping import cached, kinetic_multiplier
+from .stepping import _half_phase, cached, kinetic_multiplier
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ class Potentials:
         V one array serves both halves of every step."""
         return self._memo(
             "half", grid, (mass, charge, dt),
-            lambda: np.exp(-0.5j * dt * self.linear_potential(
-                grid, mass, charge, t)))
+            lambda: _half_phase(np.array(self.linear_potential(
+                grid, mass, charge, t)), dt))
 
     def kinetic_phase(self, grid, mass, charge, dt, t):
         """`kinetic_multiplier` with A(t), rebuilt only when the grid, mass,

@@ -18,6 +18,7 @@ import itertools
 import math
 import os
 import shutil
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -534,7 +535,12 @@ def _write_failure_manifest(cfg, sink, err):
     text = (f"scenario: {cfg.kind}\nstatus: solver error\n"
             f"error: {err}\npartial outputs:\n"
             + "\n".join(f"  {p}" for p in sink.files) + "\n")
-    write_text(os.path.join(cfg.output_dir, "manifest.txt"), text)
+    path = os.path.join(cfg.output_dir, "manifest.txt")
+    try:
+        write_text(path, text)
+    except OSError as write_err:
+        print(f"cannot write the manifest {path}: {write_err}",
+              file=sys.stderr)
 
 
 def _gausson_state(cfg, grid, velocity=None, center=None, mode="classical"):
@@ -824,17 +830,15 @@ def _run_entangled_pair(cfg, sink):
     sigma = init["packet_sigma"]
     off = init["packet_offset"]
     boost = init["boost"]
-    axis_grids = [Grid(n, L) for n, L in zip(grid.points, grid.lengths)]
 
-    def packets(axis_grid):
+    def packets(x):
         # the left and right packets of one particle, on its own axis
-        x = axis_grid.axes[0]
         return ((np.exp(-((x + off) ** 2) / (4 * sigma**2))
                  * np.exp(-1j * boost * x)).astype(complex),
                 (np.exp(-((x - off) ** 2) / (4 * sigma**2))
                  * np.exp(1j * boost * x)).astype(complex))
 
-    (left1, right1), (left2, right2) = (packets(g) for g in axis_grids)
+    (left1, right1), (left2, right2) = (packets(x) for x in grid.axes)
     pots = (cfg.potentials(1), cfg.potentials(1))
     masses = (cfg.omega0, cfg.omega0)
 
@@ -851,15 +855,11 @@ def _run_entangled_pair(cfg, sink):
         # guidance velocity of its particle (read through the wave's line
         # memo, which the first pair step then reuses)
         stencil = grid.point_stencil((z1, z2))
-        v0 = [grid.interpolate(v, stencil) for v in pair_wave.velocity]
-        u1, u2 = (gausson_init(GaussonParams(cfg.b, cfg.f0, center=(z,),
-                                             velocity=(v,)), g, cfg.omega0)
-                  for z, v, g in zip((z1, z2), v0, axis_grids))
-        p = cfg.params
-        return PairState(
-            u1=SolitonState(u1, p, cfg.b, cfg.f0, coupling_mode="dbb"),
-            u2=SolitonState(u2, p, cfg.b, cfg.f0, coupling_mode="dbb"),
-            z=[z1, z2])
+        u1, u2 = (_gausson_state(cfg, g, center=(z,), mode="dbb",
+                                 velocity=(grid.interpolate(v, stencil),))
+                  for z, v, g in zip((z1, z2), pair_wave.velocity,
+                                     pair_wave.axis_grids))
+        return PairState(u1=u1, u2=u2, z=[z1, z2])
 
     z1, z2, z2b = init["z1"], init["z2"], init["z2_alternate"]
 

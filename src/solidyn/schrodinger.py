@@ -65,13 +65,10 @@ def madelung_extract(psi: Field, params: PhysicalParams,
     """Amplitude, guidance velocity, quantum potential/force, and the peak
     amplitude (a sample below NODE_MASK_REL times it counts as a node).
 
-    The current is written over each derivative of Psi as
-    np.multiply(conj(Psi), dPsi): conj(Psi) stays the first operand,
-    because numpy's SIMD complex product fuses one product of the
-    imaginary part, chosen by operand order (`dPsi * conj(Psi)` gives
-    other bits on an AVX-512 host).  q and F_Q are written into the rows
-    of the real-derivative stack, in the operation order of the
-    expressions in the comments below.
+    The velocity rows come from `_guidance_velocity` and q from
+    `_quantum_potential`, the kernels the pair sector runs on its lines
+    and slices.  F_Q is written into the rows of the real-derivative
+    stack, in the operation order of the expression in the comment below.
     """
     grid = psi.grid
     samples = psi.samples
@@ -82,42 +79,60 @@ def madelung_extract(psi: Field, params: PhysicalParams,
     floor = NODE_MASK_REL * peak
     a_safe = np.maximum(a, floor)
     rho_safe = a_safe ** 2
-    currents = [grid.derivative(samples, axis) for axis in range(grid.dim)]
-    conj = np.conj(samples)
     avec = params.charge * potentials.vector(psi.time_tag)
     velocity = np.empty((grid.dim,) + grid.shape)
-    for axis, current in enumerate(currents):
-        np.multiply(conj, current, out=current)
-        v = np.divide(current.imag, rho_safe, out=velocity[axis])
-        v -= avec[axis]
-        v /= params.omega0
+    for axis in range(grid.dim):
+        _guidance_velocity(samples, grid, axis, rho_safe, params.omega0,
+                           avec[axis], out=velocity[axis])
     # grad a, lap a and grad lap a from one real spectrum of a
     derivs = grid.real_derivatives(a)
     grad_a, lap_a, grad_lap = (derivs[:grid.dim], derivs[grid.dim],
                                derivs[grid.dim + 1:])
-    two_w0 = 2.0 * params.omega0
     # F_Q = -grad q via the quotient rule: only smooth fields pass through
     # the FFT, so the amplitude-floor clamp cannot ring across the box;
-    # fq = (grad_lap / a_safe - lap_a * grad_a / rho_safe) / two_w0
+    # fq = (grad_lap / a_safe - lap_a * grad_a / rho_safe) / (2 w0)
     fq = grad_lap
     fq /= a_safe
     grad_a *= lap_a
     grad_a /= rho_safe
     fq -= grad_a
-    fq /= two_w0
-    # q = -lap_a / (two_w0 * a_safe)
-    a_safe *= two_w0
-    q = np.divide(lap_a, a_safe, out=lap_a)
-    np.negative(q, out=q)
+    fq /= 2.0 * params.omega0
     return MadelungBundle(
         grid=grid,
         time_tag=psi.time_tag,
         amplitude=a,
         velocity=velocity,
-        quantum_potential=q,
+        quantum_potential=_quantum_potential(lap_a, a_safe, params.omega0),
         quantum_force=fq,
         amp_peak=peak,
     )
+
+
+def _guidance_velocity(samples, grid, axis, rho_safe, mass, shift=0.0,
+                       out=None):
+    """Guidance velocity (Im[conj(Psi) d_axis Psi] / rho_safe - shift) /
+    mass of `samples` (on the whole of `grid`, or on its lines along
+    `axis`), with the floored density `rho_safe`.
+
+    The current is written over the derivative as np.multiply(conj(Psi),
+    dPsi): conj(Psi) stays the first operand, because numpy's SIMD complex
+    product fuses one product of the imaginary part, chosen by operand
+    order (`dPsi * conj(Psi)` gives other bits on an AVX-512 host).
+    """
+    current = grid.derivative(samples, axis)
+    np.multiply(np.conj(samples), current, out=current)
+    v = np.divide(current.imag, rho_safe, out=out)
+    v -= shift
+    v /= mass
+    return v
+
+
+def _quantum_potential(lap_a, a_safe, mass):
+    """q = -lap_a / (2 mass a_safe), written over `lap_a` (`a_safe` is
+    scaled in place)."""
+    a_safe *= 2.0 * mass
+    q = np.divide(lap_a, a_safe, out=lap_a)
+    return np.negative(q, out=q)
 
 
 @dataclass

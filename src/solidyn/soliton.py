@@ -29,19 +29,27 @@ from .errors import BoundaryMassError, SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .schrodinger import MadelungBundle, ls_step, madelung_extract
-from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, check_finite,
-                       drive, strang_step)
+from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, _half_phase,
+                       check_finite, drive, strang_step)
 from .trajectories import TrajectoryRecord, advance_point
 
 RHO_FLOOR_REL = 1e-30      # vacuum floor for the logarithm, relative to f0^2
 SCALE_SEPARATION = 20.0    # recommended sqrt(b) * sigma_psi lower bound
 
 
-def log_nonlinearity(rho, b, f0):
+def log_nonlinearity(rho, b, f0, out=None):
     """N_log(rho) with a vacuum floor; the floor only touches regions of
-    negligible density, where the phase it produces is physically empty."""
-    floor = RHO_FLOOR_REL * f0**2
-    return -b * (1.0 + np.log(np.maximum(rho, floor) / f0**2))
+    negligible density, where the phase it produces is physically empty.
+
+    The result has the bits of -b (1 + ln(max(rho, floor) / f0^2)), built
+    in place in `out` if given (which may be `rho`)."""
+    f0_sq = f0**2
+    n = np.maximum(rho, RHO_FLOOR_REL * f0_sq, out=out)
+    n /= f0_sq
+    n = np.log(n, out=out)
+    n += 1.0
+    n *= -b
+    return n
 
 
 def log_potential_density(rho, b, f0):
@@ -62,7 +70,7 @@ def energy_nls(u: Field, params: PhysicalParams, potentials: Potentials,
     for a in range(grid.dim):
         cov = grad[a] - 1j * avec[a] * u.samples
         kinetic += np.abs(cov) ** 2
-    w = p.omega0 + p.charge * potentials.scalar_on_grid(grid, u.time_tag)
+    w = potentials.linear_potential(grid, p.omega0, p.charge, u.time_tag)
     density = (kinetic / (2.0 * p.omega0) + w * rho
                + log_potential_density(rho, b, f0) / (2.0 * p.omega0))
     e_total = float(grid.integrate(density))
@@ -234,9 +242,8 @@ def nls_step(state: SolitonState, potentials: Potentials, dt: float,
     must supply the pilot quantum potential on the same grid.
 
     Both half phases run through one real and one complex buffer per
-    call: W is built in place with the bits of `base +
-    log_nonlinearity(rho, b, f0) / (2 w0)`, and `_half_phase` turns it
-    into exp(-i dt W / 2) as cos and sin of W (-dt/2) + 0.0.
+    call: W is built in place by `log_nonlinearity`, `/ (2 w0)` and `+
+    base`, and `stepping._half_phase` turns it into exp(-i dt W / 2).
     """
     if (state.coupling_mode == "dbb") != (external_q is not None):
         raise SolidynError("external_q must be supplied exactly in dbb mode")
@@ -245,8 +252,6 @@ def nls_step(state: SolitonState, potentials: Potentials, dt: float,
     t = u.time_tag
     e = p.charge
     two_w0 = 2.0 * p.omega0
-    f0_sq = state.f0**2
-    floor = RHO_FLOOR_REL * f0_sq
     if external_q_end is None:
         external_q_end = external_q
     buffer = np.empty(grid.shape)
@@ -258,12 +263,7 @@ def nls_step(state: SolitonState, potentials: Potentials, dt: float,
         base = potentials.linear_potential(grid, p.omega0, e, t)
         if q is not None:
             base = base + q
-        # log_nonlinearity(rho, b, f0) / (2 w0) + base, in place
-        w = np.maximum(rho, floor, out=buffer)
-        w /= f0_sq
-        np.log(w, out=w)
-        w += 1.0
-        w *= -state.b
+        w = log_nonlinearity(rho, state.b, state.f0, out=buffer)
         w /= two_w0
         w += base
         return _half_phase(w, dt, phase)
@@ -277,20 +277,6 @@ def nls_step(state: SolitonState, potentials: Potentials, dt: float,
                       half_end, kin)
     return SolitonState(Field(grid, out, t + dt), p, state.b, state.f0,
                         state.coupling_mode, previous_center=state.center)
-
-
-def _half_phase(w, dt, out):
-    """np.exp(-0.5j * dt * w), with its bits, as cos and sin of the angle
-    w (-0.5 dt) + 0.0 written into the real and imaginary views of `out`
-    (`w` becomes the angle): the complex product -0.5j dt w is (+0.0,
-    (-0.5 dt) w + 0.0).  Without the `+ 0.0` a w of +0.0 would give the
-    angle -0.0 and the sine -0.0; with `w * -0.5 * dt` a subnormal w
-    would round twice."""
-    w *= -0.5 * dt
-    w += 0.0
-    np.cos(w, out=out.real)
-    np.sin(w, out=out.imag)
-    return out
 
 
 def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,

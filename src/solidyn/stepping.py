@@ -35,14 +35,10 @@ def strang_step(samples, half_start, half_end, kinetic_phase):
     Parameters
     ----------
     samples : complex ndarray
-    half_start : first half phase exp(-i dt W(t) / 2).
+    half_start : first half phase exp(-i dt W(t) / 2) (`_half_phase`).
     half_end : second half phase exp(-i dt W(t + dt) / 2), or a callable
         receiving the post-kinetic samples and returning it (for nonlinear W).
     kinetic_phase : precomputed exp(-i dt K) multiplier in Fourier space.
-
-    `soliton.nls_step` builds its half phases as cos + i sin of the angle
-    W (-dt/2) + 0.0, the bits of np.exp(-0.5j * dt * W): the `+ 0.0`
-    gives W = +0.0 the +0.0 angle of the complex product.
 
     The output is built once, as half_start * samples, and both transforms
     then run in place on it (`out=`), so a step holds one grid array and
@@ -59,6 +55,23 @@ def strang_step(samples, half_start, half_end, kinetic_phase):
     if callable(half_end):
         half_end = half_end(out)
     out *= half_end
+    return out
+
+
+def _half_phase(w, dt, out=None):
+    """The Strang half phase exp(-i dt w / 2) of a real potential `w`, with
+    the bits of `np.exp` of the complex product -0.5j dt w, which is
+    (+0.0, (-0.5 dt) w + 0.0): cos and sin of that angle are written into
+    the real and imaginary views of `out` (a new complex array by
+    default), and `w` becomes the angle.  Without the `+ 0.0` a w of +0.0
+    would give the angle -0.0 and the sine -0.0, and with `w * -0.5 * dt`
+    a subnormal w would round twice."""
+    if out is None:
+        out = np.empty(w.shape, dtype=complex)
+    w *= -0.5 * dt
+    w += 0.0
+    np.cos(w, out=out.real)
+    np.sin(w, out=out.imag)
     return out
 
 

@@ -8,7 +8,6 @@ from solidyn.diagnostics import (
     cancellation_integrals,
     conservation_report,
     ehrenfest_report,
-    energy_nls,
     equivariance_distance,
     norm_pt,
     static_energy_identity_deviation,
@@ -16,8 +15,8 @@ from solidyn.diagnostics import (
 from solidyn.grids import Field, Grid
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import evolve_schrodinger
-from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
-                             run_classical)
+from solidyn.soliton import (GaussonParams, SolitonState, energy_nls,
+                             gausson_init, run_classical)
 from solidyn.trajectories import FlowHistory, integrate_flow
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)

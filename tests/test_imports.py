@@ -1,0 +1,45 @@
+"""Import guard: every name a `solidyn` module imports is used in it.
+
+No linter runs on this tree, so an unused import (a leftover of a moved
+kernel, or a re-export nothing reads) would otherwise stay.  A name counts
+as used when the module's code reads it; docstrings and comments do not
+count.  The one exemption is the package's `nls_step`, which the
+benchmark's tracer rebinds there.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "solidyn"
+EXEMPT = {("__init__.py", "nls_step")}
+MODULES = sorted(path.name for path in SOURCE.glob("*.py"))
+
+
+def imported_names(tree):
+    """(bound name, line) of every import in the module, `__future__`
+    features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_the_guard_sees_the_modules():
+    assert {"pair.py", "schrodinger.py", "soliton.py",
+            "stepping.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    tree = ast.parse((SOURCE / module).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{module}:{line} {name}"
+              for name, line in imported_names(tree)
+              if name not in used and (module, name) not in EXEMPT]
+    assert unused == []

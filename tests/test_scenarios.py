@@ -820,3 +820,27 @@ def test_an_output_that_cannot_be_written_ends_in_exit_1(tmp_path, capsys,
         if blocker == "center.csv" else []
     assert listed == written
     assert len(written) == (6 if blocker == "center.csv" else 0)
+
+
+def test_a_manifest_that_cannot_be_written_still_ends_in_exit_1(tmp_path,
+                                                                 capsys):
+    # a directory named `manifest.txt` where a failed run writes its
+    # manifest: the run still exits 1 with its one "solver error" line,
+    # and stderr says the manifest could not be written
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "snapshots").write_text("not a directory\n")
+    (out / "manifest.txt").mkdir()
+    path = write_yaml(tmp_path, "blocked.yaml", FAST_FREE.format(out=out))
+    assert cli_main(["run", path, "--snapshots", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(
+        f"solver error: cannot write {out / 'snapshots'}")
+    assert captured.out.count("\n") == 1
+    assert captured.err.startswith(
+        f"cannot write the manifest {out / 'manifest.txt'}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert (out / "manifest.txt").is_dir()
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.txt",
+                                                     "snapshots"]

@@ -1,8 +1,13 @@
 """Property tests: the lean coupled-step kernels keep the reference bits
 (needs Hypothesis).
 
-- `soliton._half_phase` gives the bits of np.exp(-0.5j * dt * w), for w
-  holding +0.0, -0.0, subnormals and 1e300.
+- `stepping._half_phase` gives the bits of np.exp(-0.5j * dt * w), for w
+  holding +0.0, -0.0, subnormals and 1e300, in 1D and as the 2D sum of
+  two axis potentials; so does each named potential's cached
+  `Potentials.half_phase` factor on 1D and 2D grids.
+- `log_nonlinearity` gives the bits of its allocating reference body into
+  a new array, a buffer or the density itself, on scalars, and on
+  densities at and under its floor.
 - `nls_step` gives the bits of the allocating step in
   `soliton_reference.py` (log path, complex exp and `dataclasses.replace`
   rebuild) on 1D and 2D grids, in classical and dbb mode, with q omitted,
@@ -25,8 +30,10 @@ from solidyn.grids import BOUNDARY_CELLS, Field, Grid  # noqa: E402
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
 from solidyn.schrodinger import madelung_extract  # noqa: E402
 from solidyn.soliton import (RHO_FLOOR_REL, SolitonState,  # noqa: E402
-                             _half_phase, nls_step)
+                             log_nonlinearity, nls_step)
+from solidyn.stepping import _half_phase  # noqa: E402
 from soliton_reference import (reference_boundary_mass_fraction,  # noqa: E402
+                               reference_log_nonlinearity,
                                reference_madelung_extract,
                                reference_nls_step, reference_state_moments)
 
@@ -42,18 +49,79 @@ def same_bits(got, want):
             and got.tobytes() == want.tobytes())
 
 
+# axis potentials whose 2D sums stay finite
+AXIS_W = st.lists(st.floats(-1e307, 1e307), max_size=16)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                 max_size=64),
-       st.floats(1e-6, 1.0))
-@example(w=[], dt=0.75)
-def test_half_phase_gives_the_bits_of_the_complex_exp(w, dt):
+       st.floats(1e-6, 1.0), AXIS_W, AXIS_W)
+@example(w=[], dt=0.75, w1=[], w2=[])
+def test_half_phase_gives_the_bits_of_the_complex_exp(w, dt, w1, w2):
     w = np.array(SPECIAL_W + w)
     want = np.exp(-0.5j * dt * w)
     out = np.empty(w.shape, dtype=complex)
     got = _half_phase(w.copy(), dt, out)
     assert got is out
     assert same_bits(got, want)
+    # the 2D sum of two axis potentials, as the pair step builds it, into
+    # a new array
+    w1, w2 = np.array(SPECIAL_W + w1), np.array(SPECIAL_W + w2)
+    grid_w = w1[:, None] + w2[None, :]
+    assert same_bits(_half_phase(grid_w.copy(), dt),
+                     np.exp(-0.5j * dt * grid_w))
+
+
+NAMED_POTENTIALS = ["free", "harmonic", "uniform_e", "vector_ramp"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(16,), (100,), (256,), (8, 8), (15, 9)]),
+       st.sampled_from(NAMED_POTENTIALS), st.floats(2.0, 60.0),
+       st.floats(0.2, 5.0), st.floats(-2.0, 2.0), st.floats(1e-6, 1.0),
+       st.floats(-5.0, 5.0))
+def test_cached_half_phase_gives_the_bits_of_the_complex_exp(
+        shape, potential, length, mass, charge, dt, t):
+    grid = Grid(shape, (length,) * len(shape))
+    pots = POTENTIALS[potential](grid.dim)
+    w = mass + charge * pots.scalar_on_grid(grid, t)
+    want = np.exp(-0.5j * dt * w)
+    linear = pots.linear_potential(grid, mass, charge, t).copy()
+    got = pots.half_phase(grid, mass, charge, dt, t)
+    assert same_bits(got, want)
+    # cached and read-only, and the linear potential it was built from is
+    # left as it was
+    assert pots.half_phase(grid, mass, charge, dt, t + dt) is got
+    assert not got.flags.writeable
+    assert same_bits(pots.linear_potential(grid, mass, charge, t), linear)
+
+
+# zero, subnormal, at and under the floor density of f0 = 1, and above it
+SPECIAL_RHO = [0.0, 5e-324, 1e-310, 1e-31, RHO_FLOOR_REL, 2e-30, 1e-12, 0.5,
+               1.0, 7.25, 1e300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e300), max_size=64), st.floats(0.1, 100.0),
+       st.floats(0.2, 5.0), st.sampled_from(["new", "buffer", "rho"]))
+def test_log_nonlinearity_gives_the_reference_bits(rho, b, f0, out):
+    rho = np.array(SPECIAL_RHO + rho)
+    want = reference_log_nonlinearity(rho, b, f0)
+    given_rho = rho.copy()
+    target = {"new": None, "buffer": np.empty(rho.shape),
+              "rho": given_rho}[out]
+    got = log_nonlinearity(given_rho, b, f0, out=target)
+    assert same_bits(got, want)
+    if out == "new":
+        assert same_bits(given_rho, rho)
+    else:
+        assert got is target
+    # one scalar density at a time: a numpy scalar, as the array form
+    for value in (float(rho[0]), rho[-1], np.float64(f0) ** 2 * 1e-40):
+        got = log_nonlinearity(value, b, f0)
+        want = reference_log_nonlinearity(value, b, f0)
+        assert type(got) is np.float64 and same_bits(got, want)
 
 
 SHAPES = [(16,), (48,), (100,), (256,), (2048,), (8, 8), (16, 12), (15, 9),

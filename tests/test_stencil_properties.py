@@ -313,8 +313,8 @@ def random_pair(grid, rng, entangled, node_frac):
 
 def derived_lines(pair):
     """Per axis, the grid lines whose velocity the wave has derived."""
-    return [np.flatnonzero(slots >= 0).tolist()
-            for slots in pair.velocity._slots]
+    return [np.flatnonzero(v._slots >= 0).tolist()
+            for v in pair.velocity]
 
 
 @settings(max_examples=200, deadline=None)
