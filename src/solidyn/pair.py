@@ -20,6 +20,7 @@ into independent single-particle runs.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -36,7 +37,11 @@ from .trajectories import advance_point
 
 @dataclass
 class PairWave:
-    """Configuration-space wave plus per-particle masses and potentials."""
+    """Configuration-space wave plus per-particle masses and potentials.
+
+    A wave keeps its peak `amp_peak` and its velocity lines but no full
+    `|Psi|` (see `amplitude`), so a run holds its complex waves only (one
+    more while `run_pair` steps the next wave ahead)."""
 
     psi: Field                    # 2D samples, axes (x1, x2)
     masses: tuple                 # (w01, w02)
@@ -59,17 +64,20 @@ class PairWave:
     def time_tag(self):
         return self.psi.time_tag
 
-    @cached_property
+    @property
     def amplitude(self):
-        """|Psi|, computed once per wave and kept with it (velocity fields,
-        conditional potentials and the norm share it)."""
-        return np.abs(self.psi.samples)
+        """|Psi|, indexed like the grid array but never built whole: each
+        read takes `np.abs` of the samples it reads (a velocity line block,
+        a conditional slice's four lines, the point RK4's 4x4 node-check
+        block), which gives the full array's bits elementwise."""
+        return _Modulus(self.psi.samples)
 
     @cached_property
     def amp_peak(self):
-        """max |Psi|, reduced once per wave (the node floors of the velocity
-        lines, the point RK4 and the conditional potentials share it)."""
-        return float(np.max(self.amplitude))
+        """max |Psi|, reduced once per wave from a transient |Psi| (the node
+        floors of the velocity lines, the point RK4 and the conditional
+        potentials share it)."""
+        return float(np.abs(self.psi.samples).max())
 
     @cached_property
     def velocity(self):
@@ -78,12 +86,24 @@ class PairWave:
         if self.amp_peak == 0.0:
             raise SolidynError("zero pair wave")
         floor = NODE_MASK_REL * self.amp_peak
-        return tuple(_VelocityLines(self.psi, self.amplitude, floor,
-                                    self.masses[axis], axis)
+        return tuple(_VelocityLines(self.psi, floor, self.masses[axis], axis)
                      for axis in (0, 1))
 
     def norm(self):
-        return float(self.psi.grid.integrate(self.amplitude ** 2))
+        return self.psi.norm()
+
+
+class _Modulus:
+    """|samples| read through indexing: `modulus[index]` is
+    `np.abs(samples[index])`."""
+
+    __slots__ = ("_samples",)
+
+    def __init__(self, samples):
+        self._samples = samples
+
+    def __getitem__(self, index):
+        return np.abs(self._samples[index])
 
 
 @lru_cache(maxsize=4)
@@ -118,8 +138,9 @@ def symmetrized_pair(samples_a, samples_b, grid: Grid, masses, charge,
 _STEP_FACTORS = {}
 
 
-def ls2_step(pair: PairWave, dt: float) -> PairWave:
-    """Strang split step of the two-particle wave (unitary to round-off)."""
+def ls2_step(pair: PairWave, dt: float, out=None) -> PairWave:
+    """Strang split step of the two-particle wave (unitary to round-off),
+    built in `out` if given (see `strang_step`)."""
     grid = pair.psi.grid
     t = pair.psi.time_tag
     e = pair.charge
@@ -139,18 +160,18 @@ def ls2_step(pair: PairWave, dt: float) -> PairWave:
     kin = cached(_STEP_FACTORS, "kinetic", grid, (pair.masses, e, dt),
                  lambda: kinetic_multiplier(grid, pair.masses, e,
                                             (0.0, 0.0), dt))
-    out = strang_step(pair.psi.samples, half_start, half_end, kin)
+    out = strang_step(pair.psi.samples, half_start, half_end, kin, out)
     return PairWave(Field(grid, out, t + dt), pair.masses, pair.charge,
                     pair.potentials)
 
 
 def pair_velocity_fields(pair: PairWave):
     """Guidance velocity components v_k = Im[d_k Psi / Psi] / w0k on the
-    full grid, plus the amplitude (for node masking)."""
+    full grid, plus the full-grid amplitude |Psi| (for node masking)."""
     vel = np.empty((2,) + pair.psi.grid.shape)
     for axis, component in enumerate(pair.velocity):
         vel[axis] = component.derive(slice(None))
-    return vel, pair.amplitude
+    return vel, np.abs(pair.psi.samples)
 
 
 class _VelocityLines:
@@ -166,10 +187,9 @@ class _VelocityLines:
     ones, so every value equals the full-grid field exactly.
     """
 
-    def __init__(self, psi: Field, amplitude, floor, mass, axis):
+    def __init__(self, psi: Field, floor, mass, axis):
         self.floor = floor
         self._psi = psi
-        self._amplitude = amplitude
         self._mass = mass
         self._axis = axis
         # the derived lines, one per row; the row of each grid line (-1
@@ -183,9 +203,10 @@ class _VelocityLines:
         """The component on the lines along its axis picked by `lines` (an
         index into the other axis), in grid orientation; nothing is kept."""
         at = (slice(None), lines) if self._axis == 0 else (lines, slice(None))
-        rho_safe = np.maximum(self._amplitude[at], self.floor) ** 2
-        return _guidance_velocity(self._psi.samples[at], self._psi.grid,
-                                  self._axis, rho_safe, self._mass)
+        samples = self._psi.samples[at]
+        rho_safe = np.maximum(np.abs(samples), self.floor) ** 2
+        return _guidance_velocity(samples, self._psi.grid, self._axis,
+                                  rho_safe, self._mass)
 
     def __getitem__(self, index):
         """The component at a 2D gather index (rows, cols), deriving the
@@ -275,9 +296,10 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
     return new_pair, _step_particles(pair, new_pair, state, dt, i)
 
 
-def _step_wave(pair: PairWave, dt: float, i: int) -> PairWave:
-    """The wave half of pair step `i`: `ls2_step` and its finiteness check."""
-    new_pair = ls2_step(pair, dt)
+def _step_wave(pair: PairWave, dt: float, i: int, out=None) -> PairWave:
+    """The wave half of pair step `i`: `ls2_step` (into `out`, if given) and
+    its finiteness check."""
+    new_pair = ls2_step(pair, dt, out=out)
     check_finite(new_pair.psi.samples, i)
     return new_pair
 
@@ -328,16 +350,23 @@ def run_pair(pair: PairWave, states, dt: float, steps: int) -> list:
 
     The guidance is one way (the wave never sees the particles), so each
     time step runs the wave half of `pair_step` once, and then each state
-    in turn its particle half.  All states read the same `PairWave`s and
-    share their memoized amplitude, peak and velocity lines; each state's
-    series and final solitons have the bits of its run alone.  The run
-    stops at the first step at which any state fails, and if several fail
-    at that step, the first of them in `states` raises.  Returns one
-    `PairRun` per state, in order.
+    in turn its particle half.  The wave half runs one step ahead on a
+    worker thread (`_WaveAhead`): while the states move from wave i - 1 to
+    wave i, the worker steps wave i to wave i + 1.  All states read the
+    same `PairWave`s and share their memoized peak and velocity lines; each
+    state's series and final solitons have the bits of its run alone, and
+    of the serial run.  The run stops at the first step at which the wave
+    or any state fails, as the serial run does: a wave error raises at its
+    step, after the earlier steps' particle halves, and if several states
+    fail at one step, the first of them in `states` raises.  The worker is
+    joined before the run returns or raises.  Returns one `PairRun` per
+    state, in order.
     """
+    ahead = _WaveAhead(dt, steps)
+
     def step(s, i):
         pair, states = s
-        new_pair = _step_wave(pair, dt, i)
+        new_pair = ahead.take(pair, i)
         return new_pair, [_step_particles(pair, new_pair, state, dt, i)
                           for state in states]
 
@@ -348,11 +377,72 @@ def run_pair(pair: PairWave, states, dt: float, steps: int) -> list:
                 "centers1": [state.u1.center[0] for state in states],
                 "centers2": [state.u2.center[0] for state in states]}
 
-    (_, states), series = drive((pair, list(states)), steps, step, sample)
+    try:
+        (_, states), series = drive((pair, list(states)), steps, step,
+                                    sample)
+    finally:
+        ahead.close()
     times, z = series["times"], series["z"]
     c1, c2 = series["centers1"], series["centers2"]
     return [PairRun(times, z[:, j], c1[:, j], c2[:, j], final_state=state)
             for j, state in enumerate(states)]
+
+
+class _WaveAhead:
+    """The wave half of `run_pair`, one step ahead on a worker thread.
+
+    `take(pair, i)` returns wave i, stepped from `pair` (wave i - 1) by
+    `_step_wave`: on the calling thread at the first step, so that every
+    FFT plan the run needs exists before a worker starts, and by the worker
+    that the previous `take` started at every later step.  It then starts
+    a worker on wave i + 1, unless step i is the last.  An error of the
+    worker's wave raises from the `take` of its step.  `close()` joins the
+    worker and drops its wave or error (a particle abort wins over the wave
+    in flight).
+
+    Only the wave half runs on the worker: it reads its wave, which nothing
+    writes, and writes a new one.  The new wave's array is allocated on the
+    calling thread, so it does not come from the worker's allocator arena.
+    The overlap is bounded by the interpreter lock: the worker's transforms
+    and products release it, but the worker must take it back after each
+    of them, and the particle halves, which run Python on small arrays,
+    give it up only at the interpreter's switch interval.
+    """
+
+    def __init__(self, dt, steps):
+        self._dt, self._steps = dt, steps
+        self._worker = self._result = None
+
+    def take(self, pair: PairWave, i: int) -> PairWave:
+        if self._worker is None:
+            new_pair = _step_wave(pair, self._dt, i)
+        else:
+            self._worker.join()
+            (new_pair, error), self._worker, self._result = \
+                self._result, None, None
+            if error is not None:
+                raise error
+        if i < self._steps:
+            self._start(new_pair, i + 1)
+        return new_pair
+
+    def _start(self, pair: PairWave, i: int):
+        out = np.empty_like(pair.psi.samples)
+
+        def work():
+            try:
+                self._result = (_step_wave(pair, self._dt, i, out), None)
+            except BaseException as error:     # re-raised by `take`
+                self._result = (None, error)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        self._worker = worker
+
+    def close(self):
+        if self._worker is not None:
+            self._worker.join()
+            self._worker = self._result = None
 
 
 def pair_tracking_residual(run: PairRun):

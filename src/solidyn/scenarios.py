@@ -66,7 +66,6 @@ THRESHOLDS = {
     "trap_period_rel": 5e-3,       # harmonic trap k = 0.25
     "cancellation_rel": 1e-8,      # mean-force cancellation quadratures
     "tracking_cells": 3.0,         # |xbar - z| bound in units of dx
-    "pair_tracking_cells": 5.0,    # entangled tracking bound in dx
     "newton_rms": 0.02,            # free-Gaussian trajectory residual
     "equivariance_l1": 0.05,       # 2000 trajectories, 64 bins, T = 2
     "kg_mass_dev": 1e-8,           # plane wave |M - w0|

@@ -9,6 +9,11 @@ RK4.  The per-line path must reproduce it bit for bit.
 `reference_axis_slice` is the conditional potentials' slice with its cell
 and weights computed on one-element numpy arrays; `pair._axis_slice`,
 which computes them in Python floats, must give its bits.
+
+`serial_run_pair` is `run_pair` before it stepped the wave one step ahead
+on a worker thread: each step's wave half, then its particle halves, all
+on the calling thread.  `run_pair` must give its series, final solitons
+and exits.
 """
 
 from dataclasses import dataclass
@@ -18,9 +23,10 @@ import numpy as np
 from interp_reference import Snapshot
 from solidyn.errors import SolidynError
 from solidyn.grids import _cubic_weights
-from solidyn.pair import conditional_q, ls2_step
+from solidyn.pair import (PairRun, _step_particles, _step_wave,
+                          conditional_q, ls2_step)
 from solidyn.soliton import SolitonState, nls_step
-from solidyn.stepping import NODE_MASK_REL, check_finite
+from solidyn.stepping import NODE_MASK_REL, check_finite, drive
 from solidyn.trajectories import FlowHistory, advance_positions
 
 
@@ -113,3 +119,25 @@ def reference_run_pair(pair, u1, u2, z, dt, steps):
         c2.append(state.u2.center[0])
     return (np.asarray(zs), np.asarray(c1), np.asarray(c2),
             state.u1.u.samples, state.u2.u.samples)
+
+
+def serial_run_pair(pair, states, dt, steps):
+    """One `PairRun` per state in `states`, as `run_pair` returns them."""
+    def step(s, i):
+        pair, states = s
+        new_pair = _step_wave(pair, dt, i)
+        return new_pair, [_step_particles(pair, new_pair, state, dt, i)
+                          for state in states]
+
+    def sample(s, i):
+        pair, states = s
+        return {"times": pair.psi.time_tag,
+                "z": [state.z for state in states],
+                "centers1": [state.u1.center[0] for state in states],
+                "centers2": [state.u2.center[0] for state in states]}
+
+    (_, states), series = drive((pair, list(states)), steps, step, sample)
+    times, z = series["times"], series["z"]
+    c1, c2 = series["centers1"], series["centers2"]
+    return [PairRun(times, z[:, j], c1[:, j], c2[:, j], final_state=state)
+            for j, state in enumerate(states)]

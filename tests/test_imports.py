@@ -5,10 +5,16 @@ kernel, or a re-export nothing reads) would otherwise stay.  A name counts
 as used when the module's code reads it; docstrings and comments do not
 count.  The one exemption is the package's `nls_step`, which the
 benchmark's tracer rebinds there.
+
+The CLI also loads no executor or process-pool module, which would add to
+every run's set-up time and memory.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -43,3 +49,19 @@ def test_every_imported_name_is_used(module):
               for name, line in imported_names(tree)
               if name not in used and (module, name) not in EXEMPT]
     assert unused == []
+
+
+def test_the_cli_loads_no_executor_or_process_module():
+    # the pair run's worker is a plain `threading.Thread`: importing
+    # concurrent.futures alone adds about 0.7 MB to every run's RSS, and
+    # multiprocessing more, to the CLI's set-up time as well
+    code = ("import sys, solidyn.cli; print(sorted(name for name in "
+            "sys.modules if name.startswith(('concurrent.futures', "
+            "'multiprocessing'))))")
+    path = os.pathsep.join(filter(None, [str(SOURCE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,6 +1,8 @@
 """Tests for the two-particle configuration-space wave and coupled solitons."""
 
 import gc
+import sys
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +36,8 @@ from solidyn.stepping import NODE_MASK_REL
 from solidyn.trajectories import FlowHistory, integrate_flow
 
 from interp_reference import Snapshot
-from pair_reference import reference_run_pair, reference_velocity_fields
+from pair_reference import (reference_run_pair, reference_velocity_fields,
+                            serial_run_pair)
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
 FREE = (Potentials.free(1), Potentials.free(1))
@@ -456,25 +459,32 @@ def _check_lines_derived_once(monkeypatch, advance, bound):
     no step derives more than `bound` lines.  Returns the wave steps."""
     g2, g1 = grid_pair(n=256)
     n = g2.points[0]
-    waves = [None, unequal_mass_wave(g2, g1)]   # the step's old and new wave
-    per_step = []                               # lines derived in each step
+    waves = [unequal_mass_wave(g2, g1)]         # wave k of the run at [k]
+    current = [None]                            # the step whose particles run
+    per_step = {}                               # lines derived in each step
     derived = set()
     derivative, wave_step = Grid.derivative, pair_module.ls2_step
+    particles = pair_module._step_particles
 
-    def step_spy(pair, dt):
-        waves[:] = [pair, wave_step(pair, dt)]
-        per_step.append(0)
-        return waves[1]
+    def step_spy(pair, dt, out=None):
+        # `run_pair` steps each wave one step ahead of the particle halves
+        waves.append(wave_step(pair, dt, out=out))
+        return waves[-1]
+
+    def particles_spy(pair, new_pair, state, dt, i):
+        current[0] = i
+        per_step.setdefault(i, 0)
+        return particles(pair, new_pair, state, dt, i)
 
     def spy(self, samples, axis):
         count = samples.shape[1 - axis]
         assert count < n, "a pair step derived a full grid"
-        step = len(per_step)
-        per_step[-1] += count
+        step = current[0]
+        per_step[step] += count
         for col in range(count):
             # the block's line belongs to the old or the new wave
-            for index, wave in zip((step - 1, step), waves):
-                line = _line_index(wave, samples, axis, col)
+            for index in (step - 1, step):
+                line = _line_index(waves[index], samples, axis, col)
                 if line is not None:
                     break
             assert line is not None
@@ -486,9 +496,11 @@ def _check_lines_derived_once(monkeypatch, advance, bound):
     with monkeypatch.context() as m:
         m.setattr(Grid, "derivative", spy)
         m.setattr(pair_module, "ls2_step", step_spy)
-        advance(waves[1])
-    assert max(per_step) <= bound
-    return len(per_step)
+        m.setattr(pair_module, "_step_particles", particles_spy)
+        advance(waves[0])
+    assert max(per_step.values()) <= bound
+    assert sorted(per_step) == list(range(1, len(waves)))
+    return len(waves) - 1
 
 
 def test_pair_step_derives_only_stencil_lines_once(monkeypatch):
@@ -596,11 +608,11 @@ def test_wave_peak_reduced_once_serves_every_floor(monkeypatch):
     assert len(handed) == 1
     assert handed[0][0] is wave and handed[0][1] is new_wave
     assert [w.amp_peak for w in handed[0]] == [
-        np.max(wave.amplitude), np.max(new_wave.amplitude)]
+        np.max(np.abs(w.psi.samples)) for w in (wave, new_wave)]
     # the conditional potentials' floor is the full-grid reduction too
     z2 = float(Z_START[1])
     a_slice = _axis_slice(g2, wave.amplitude, 1, z2)
-    floor = NODE_MASK_REL * np.max(wave.amplitude)
+    floor = NODE_MASK_REL * np.max(np.abs(wave.psi.samples))
     want = -g1.real_derivatives(a_slice)[1] \
         / (2.0 * MASSES[0] * np.maximum(a_slice, floor))
     assert np.array_equal(conditional_q(wave, 1, z2), want)
@@ -662,19 +674,19 @@ def test_lockstep_run_steps_and_reduces_each_wave_once(monkeypatch):
     steps = 5
     stepped, reduced = [], []
     wave_step = pair_module.ls2_step
-    amplitude = PairWave.__dict__["amplitude"].func
+    amp_peak = PairWave.__dict__["amp_peak"].func
 
-    def step_spy(pair, dt):
+    def step_spy(pair, dt, out=None):
         stepped.append(pair)
-        return wave_step(pair, dt)
+        return wave_step(pair, dt, out=out)
 
-    def amplitude_spy(wave):
+    def amp_peak_spy(wave):
         reduced.append(wave)
-        return amplitude(wave)
+        return amp_peak(wave)
 
-    spy = cached_property(amplitude_spy)
-    spy.__set_name__(PairWave, "amplitude")
-    monkeypatch.setattr(PairWave, "amplitude", spy)
+    spy = cached_property(amp_peak_spy)
+    spy.__set_name__(PairWave, "amp_peak")
+    monkeypatch.setattr(PairWave, "amp_peak", spy)
     monkeypatch.setattr(pair_module, "ls2_step", step_spy)
     for count in (1, 2, 3):
         stepped.clear()
@@ -737,3 +749,149 @@ def test_lockstep_abort_at_one_step_raises_the_first_start(monkeypatch):
                      resting_states(g1, order), dt, 10)
         assert str(err.value) == f"start z2={round(order[0][1])}"
         assert err.value.last_valid_time == pytest.approx(2 * dt)
+
+
+# ---------------------------------------------------------------------------
+# the wave half one step ahead: the serial run's bits and exits
+# ---------------------------------------------------------------------------
+
+# a slowly ramped linear potential on particle 2's axis, sampled anew at
+# every step, so the worker evaluates V while the particle halves read it
+RAMP = Potentials(1, scalar=lambda t, c: 0.05 * t * c[0],
+                  scalar_gradient=lambda t, c: (0.05 * t + 0.0 * c[0],))
+
+
+def lookahead_wave(g2, g1, entangled):
+    if entangled:
+        return momentum_correlated_wave(g2, g1)
+    partner = (packet(g1, -2.0) + packet(g1, 3.0)) / np.sqrt(2)
+    return product_pair(packet(g1, -2.0), partner, g2, (1.0, 1.0), 1.0,
+                        (FREE[0], RAMP))
+
+
+def assert_same_runs(got, want):
+    assert len(got) == len(want)
+    for run, ref in zip(got, want):
+        for name in ("times", "z", "centers1", "centers2"):
+            a, b = getattr(run, name), getattr(ref, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        for u in ("u1", "u2"):
+            a = getattr(run.final_state, u).u.samples
+            b = getattr(ref.final_state, u).u.samples
+            assert a.tobytes() == b.tobytes(), u
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("entangled", [False, True])
+def test_run_pair_has_the_bits_of_the_serial_run(entangled, count):
+    g2, g1 = grid_pair()
+    starts = LOCKSTEP_STARTS[:count]
+    for steps in (0, 1, 2, 50):
+        want = serial_run_pair(lookahead_wave(g2, g1, entangled),
+                               resting_states(g1, starts), 2e-3, steps)
+        before = threading.active_count()
+        got = run_pair(lookahead_wave(g2, g1, entangled),
+                       resting_states(g1, starts), 2e-3, steps)
+        assert threading.active_count() == before
+        assert_same_runs(got, want)
+        assert len(got[0].times) == steps + 1
+
+
+def test_run_pair_keeps_its_bits_under_fast_thread_switches():
+    # the interpreter switches threads every microsecond, so the particle
+    # halves and the wave in flight interleave as finely as they can
+    g2, g1 = grid_pair(n=64)
+
+    def run(runner):
+        return runner(lookahead_wave(g2, g1, True),
+                      resting_states(g1, LOCKSTEP_STARTS), 2e-3, 30)
+
+    want = run(serial_run_pair)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run(run_pair)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_runs(got, want)
+
+
+def test_a_wave_error_raises_at_its_step_after_the_earlier_halves(
+        monkeypatch):
+    # wave k is non-finite: the run raises at step k, once every particle
+    # half of steps 1 .. k - 1 has run and none of step k
+    g2, g1 = grid_pair(n=32)
+    dt, k = 2e-3, 4
+    starts = LOCKSTEP_STARTS[:2]
+    wave_step, particles = pair_module.ls2_step, pair_module._step_particles
+    halves = []
+
+    def poisoned(pair, dt, **kwargs):
+        new = wave_step(pair, dt, **kwargs)
+        if round(new.time_tag / dt) == k:
+            new.psi.samples[3, 5] = np.nan
+        return new
+
+    def particles_spy(pair, new_pair, state, dt, i):
+        halves.append(i)
+        return particles(pair, new_pair, state, dt, i)
+
+    monkeypatch.setattr(pair_module, "ls2_step", poisoned)
+    monkeypatch.setattr(pair_module, "_step_particles", particles_spy)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteFieldError,
+                       match=f"^non-finite field after step {k}$"):
+        run_pair(momentum_correlated_wave(g2, g1), resting_states(g1, starts),
+                 dt, 10)
+    assert threading.active_count() == before
+    assert halves == [i for i in range(1, k) for _ in starts]
+
+
+def test_a_particle_abort_wins_over_the_wave_in_flight(monkeypatch):
+    # a particle half aborts at step k while wave k + 1, non-finite, may be
+    # in flight: the particle abort raises, and the wave's error is dropped
+    g2, g1 = grid_pair(n=32)
+    dt, k = 2e-3, 3
+    wave_step, advance = pair_module.ls2_step, pair_module.advance_point
+
+    def poisoned(pair, dt, **kwargs):
+        new = wave_step(pair, dt, **kwargs)
+        if round(new.time_tag / dt) == k + 1:
+            new.psi.samples[3, 5] = np.nan
+        return new
+
+    def failing(bundle, bundle_next, z, t0, t1, **kwargs):
+        if t1 > (k - 0.5) * dt:
+            raise BoundaryExitError("particle abort", t0)
+        return advance(bundle, bundle_next, z, t0, t1, **kwargs)
+
+    monkeypatch.setattr(pair_module, "ls2_step", poisoned)
+    monkeypatch.setattr(pair_module, "advance_point", failing)
+    before = threading.active_count()
+    with pytest.raises(BoundaryExitError, match="^particle abort$") as err:
+        run_pair(momentum_correlated_wave(g2, g1),
+                 resting_states(g1, LOCKSTEP_STARTS[:2]), dt, 10)
+    assert threading.active_count() == before
+    assert err.value.last_valid_time == pytest.approx((k - 1) * dt)
+
+
+def test_the_worker_steps_into_an_array_made_on_the_calling_thread(
+        monkeypatch):
+    # the first wave step runs on the calling thread (the FFT plans exist
+    # before a worker starts); every later one on a worker, into an output
+    # array allocated by the calling thread, not in the worker's arena
+    g2, g1 = grid_pair(n=32)
+    wave_step = pair_module.ls2_step
+    caller = threading.current_thread()
+    calls = []
+
+    def step_spy(pair, dt, out=None):
+        calls.append((threading.current_thread() is caller, out is None))
+        new = wave_step(pair, dt, out=out)
+        assert out is None or new.psi.samples is out
+        return new
+
+    monkeypatch.setattr(pair_module, "ls2_step", step_spy)
+    run_pair(momentum_correlated_wave(g2, g1),
+             resting_states(g1, LOCKSTEP_STARTS[:1]), 2e-3, 6)
+    assert calls == [(True, True)] + [(False, False)] * 5

@@ -181,6 +181,24 @@ def test_strang_step_holds_one_grid_array():
     assert peak <= 1.1 * samples.nbytes
 
 
+def test_strang_step_into_a_given_array_allocates_no_grid_array():
+    # the step is built in `out`, with the bits of the allocating step
+    rng = np.random.default_rng(4)
+    shape = (256, 256)
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    want = strang_step(samples, phase, phase, phase)
+    out = np.empty_like(samples)
+    tracemalloc.start()
+    try:
+        got = strang_step(samples, phase, phase, phase, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is out and got.tobytes() == want.tobytes()
+    assert peak < 0.1 * samples.nbytes
+
+
 def test_static_scalar_on_grid_is_read_only():
     grid, _ = line()
     v = Potentials.harmonic(SPRING).scalar_on_grid(grid, 0.0)
