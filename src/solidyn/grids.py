@@ -250,11 +250,14 @@ class Grid:
     # ------------------------------------------------------------------
 
     def _fraction_index(self, coords, axis):
-        """Cell index and fractional offset of coordinates along one axis."""
-        s = (coords + 0.5 * self.lengths[axis]) / self.spacing[axis]
+        """Cell index and fractional offset of coordinates along one axis
+        (the offset is formed in place, in the array of the cell
+        coordinate)."""
+        s = coords + 0.5 * self.lengths[axis]
+        s /= self.spacing[axis]
         base = np.floor(s)
-        frac = s - base
-        return base.astype(np.int64), frac
+        s -= base
+        return base.astype(np.int64), s
 
     def contains(self, positions):
         """True where every coordinate lies inside the box (half-open)."""
@@ -293,12 +296,14 @@ class Grid:
 
     @cached_property
     def _wrap_tables(self):
-        """Per axis, the wrapped sample index (j - 1) % n of j = 0 .. n + 3,
-        built once per grid: entry base + 1 + o is (base + o) % n for each
-        stencil offset o in {-1, 0, 1, 2} and every cell index 0 <= base
-        <= n of a point inside the box (base == n where a coordinate just
-        below L/2 rounds up to the box length)."""
-        return tuple((np.arange(n + 4) - 1) % n for n in self.points)
+        """Per axis, the (4, n + 1) wrapped sample indices of every cell,
+        built once per grid: column base holds (base + o) % n for the
+        stencil offsets o = -1, 0, 1, 2, for each cell index 0 <= base <= n
+        of a point inside the box (base == n where a coordinate just below
+        L/2 rounds up to the box length).  One `take` of the columns gives
+        a stencil's (4, m) indices."""
+        return tuple((np.arange(n + 1) + np.arange(-1, 3)[:, None]) % n
+                     for n in self.points)
 
     def _stencil_in_box(self, positions):
         """`stencil` of (n, dim) points whose box test the caller has made."""
@@ -307,7 +312,7 @@ class Grid:
         for axis in range(self.dim):
             base, frac = self._fraction_index(positions[:, axis], axis)
             weights.append(_cubic_weights(frac))
-            indices.append(self._wrap_tables[axis][base + _TABLE_OFFSETS])
+            indices.append(self._wrap_tables[axis].take(base, axis=1))
         if self.dim == 2:
             # broadcast to the (4, 4, n) block of the 2D gather
             indices = [indices[0][:, None, :], indices[1][None, :, :]]
@@ -342,7 +347,7 @@ class Grid:
             w, i = self._axis_cell(c, axis)
             weights.append(w)
             indices.append(i)
-        return PointStencil(weights, indices)
+        return PointStencil(position, weights, indices)
 
     def _axis_cell(self, c, axis):
         """The four cubic weights and wrapped sample indices of a coordinate
@@ -448,11 +453,13 @@ class Stencil:
 
     def apply(self, samples):
         """Interpolated values of `samples` (the grid shape) at the points;
-        the dtype follows `samples`."""
-        vals = samples[self.indices]                    # (4, n) or (4, 4, n)
+        the dtype follows `samples`.  A 1D gather is one `np.take` of the
+        (4, n) samples, the values and layout of `samples[indices]`."""
         if len(self.weights) == 1:
-            return np.einsum("sn,sn->n", self.weights[0], vals)
+            return np.einsum("sn,sn->n", self.weights[0],
+                             np.take(samples, self.indices[0]))
         # 2D: reduce the second axis first, then the first.
+        vals = samples[self.indices]                    # (4, 4, n)
         partial = np.einsum("tn,stn->sn", self.weights[1], vals)
         return np.einsum("sn,sn->n", self.weights[0], partial)
 
@@ -473,9 +480,10 @@ class PointStencil:
     demand (the pair wave's velocity lines) serves the block at once.
     """
 
-    __slots__ = ("weights", "indices", "block")
+    __slots__ = ("position", "weights", "indices", "block")
 
-    def __init__(self, weights, indices):
+    def __init__(self, position, weights, indices):
+        self.position = position    # per axis, the point's float
         self.weights = weights      # per axis, 4 floats
         self.indices = indices      # per axis, 4 wrapped sample indices
         if len(indices) == 2:
@@ -501,10 +509,6 @@ def _sum4(w, v0, v1, v2, v3):
     return 0.0 + ((w[0] * v0 + w[2] * v2) + (w[1] * v1 + w[3] * v3))
 
 
-# stencil nodes {-1, 0, 1, 2}, shifted by one to index `Grid._wrap_tables`
-_TABLE_OFFSETS = np.arange(4)[:, None]
-
-
 def _cubic_weights(frac):
     """Lagrange weights on the stencil {-1, 0, 1, 2} for offset frac in [0,1).
 
@@ -512,26 +516,26 @@ def _cubic_weights(frac):
     so a query whose offset computes to exactly 0 reproduces the stored
     sample bit-for-bit.
 
-    One pass: f - 1, f - 2 and f + 1 are formed once and each weight is
-    written in place into its row, in the operation order of
-    `_cubic_weight_terms`, so the bits are those of stacking its terms.
+    Fourteen passes: f - 1, f - 2 and f + 1 are formed once, (f + 1) f once
+    for both upper weights, and each weight is written in place into its
+    row with the products of `_cubic_weight_terms` in its order.  The signs
+    move to the final scaling, and the halves are products by 0.5: negation
+    and scaling by a power of two are exact, so the bits are those of
+    stacking its terms.
     """
     f = frac
     fm1, fm2, fp1 = f - 1.0, f - 2.0, f + 1.0
     out = np.empty((4,) + f.shape)
     w_m1, w_0, w_p1, w_p2 = out
-    np.negative(f, out=w_m1)
-    w_m1 *= fm1
+    np.multiply(f, fm1, out=w_m1)
     w_m1 *= fm2
-    w_m1 /= 6.0
+    w_m1 /= -6.0
     np.multiply(fp1, fm1, out=w_0)
     w_0 *= fm2
-    w_0 /= 2.0
-    np.negative(fp1, out=w_p1)
-    w_p1 *= f
-    w_p1 *= fm2
-    w_p1 /= 2.0
+    w_0 *= 0.5
     np.multiply(fp1, f, out=w_p2)
+    np.multiply(w_p2, fm2, out=w_p1)
+    w_p1 *= -0.5
     w_p2 *= fm1
     w_p2 /= 6.0
     return out

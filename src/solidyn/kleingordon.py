@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (PastOrientedCurrentError, SolidynError,
                      TachyonicRegionError)
-from .grids import Field, Grid
+from .grids import Field, Grid, PointStencil
 from .potentials import PhysicalParams, Potentials
 from .stepping import NODE_MASK_REL, RowBlock, check_finite, drive
 from .trajectories import FlowHistory, FlowWalk, InteriorMax, integrate_flow
@@ -150,17 +150,22 @@ class KGHistory(FlowHistory):
     """The last three `KGMadelung` records appended; its check also reads
     their `tachyon_mask` and `past_oriented_mask`."""
 
-    def _nearest_cells(self, positions):
-        x = positions[:, 0]
-        n = self.grid.points[0]
-        idx = np.rint((x + 0.5 * self.grid.lengths[0])
-                      / self.grid.spacing[0]).astype(int)
-        return idx % n
+    def _nearest_cells(self, stencil):
+        """The nearest sample of each point of a `Stencil`, or of the point
+        of a `PointStencil` (an int: `round` rounds half to even, as
+        `np.rint` does)."""
+        grid = self.grid
+        if isinstance(stencil, PointStencil):
+            s = (stencil.position[0] + 0.5 * grid.lengths[0]) / grid.spacing[0]
+            return round(s) % grid.points[0]
+        idx = np.rint((stencil.positions[:, 0] + 0.5 * grid.lengths[0])
+                      / grid.spacing[0]).astype(int)
+        return idx % grid.points[0]
 
     def check(self, t, stencil, last_valid):
         super().check(t, stencil, last_valid)
         i, j = self.bracket(t)
-        cells = self._nearest_cells(stencil.positions)
+        cells = self._nearest_cells(stencil)
         for record in (self.records[i], self.records[j]):
             if record.tachyon_mask[cells].any():
                 raise TachyonicRegionError(
@@ -170,7 +175,7 @@ class KGHistory(FlowHistory):
                     f"past-oriented current (J0 <= 0) at t={t:.6g}",
                     last_valid)
         speed = np.abs(self.velocity_at(t, stencil))
-        if np.any(speed >= 1.0):
+        if (speed >= 1.0).any():
             raise TachyonicRegionError(
                 f"tachyonic region (|v| >= 1) at t={t:.6g}", last_valid)
 

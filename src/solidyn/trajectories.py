@@ -6,7 +6,11 @@ A flow history holds the snapshot records its producing solver built (a
 Trajectories advance with RK4 whose stage velocities come from
 cubic-in-space, linear-in-time interpolation of the bracketing snapshots;
 the RK4 step equals the snapshot spacing, which is what limits accuracy (so
-higher-order time interpolation buys nothing).
+higher-order time interpolation buys nothing).  A batch of starts advances
+in lockstep through numpy (`advance_positions`); a single start walks on
+Python floats, through `PointStencil`s and the RK4 stages that
+`advance_point` takes (`_point_stages`), with the same bits and aborts at
+a fraction of numpy's per-call cost.
 
 A history keeps only the last three records appended (`WALK_WINDOW`), since
 every time derivative along the flow is a centered difference.  So each
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryExitError, NodeEncounterError, SolidynError
+from .grids import PointStencil
 from .stepping import NODE_MASK_REL, NODE_PROXIMITY_REL, RowBlock
 
 # Snapshots a FlowWalk reads at once: the RK4 step i -> i+1 reads i and
@@ -97,6 +102,7 @@ class FlowHistory:
     #
     # Lookups take a `grids.Stencil` of the query points, so one set of
     # cubic weights serves both bracketing snapshots and every component.
+    # A `PointStencil` of one point gives the same shapes and bits.
 
     def bracket(self, t):
         """Positions (i, i+1) of the kept records whose times bracket t."""
@@ -123,11 +129,22 @@ class FlowHistory:
         if theta == 0.0:
             return vi
         vj = self._interp_snapshot(field(j), stencil)
-        return (1.0 - theta) * vi + theta * vj
+        # (1 - theta) vi + theta vj, in the interpolated arrays
+        vi *= 1.0 - theta
+        vj *= theta
+        vi += vj
+        return vi
 
     def _interp_snapshot(self, data, stencil):
+        """`data` (a scalar or (dim, *shape) field) at the stencil points,
+        as a new (n,) or (n, dim) array; n = 1 for a `PointStencil`."""
         grid = self.grid
-        if data.ndim == grid.dim:             # scalar field
+        scalar = data.ndim == grid.dim
+        if isinstance(stencil, PointStencil):
+            if scalar:
+                return np.array([grid.interpolate(data, stencil)])
+            return np.array([[grid.interpolate(c, stencil) for c in data]])
+        if scalar:
             return grid.interpolate(data, stencil)
         out = np.empty((stencil.positions.shape[0], grid.dim),
                        dtype=data.dtype)
@@ -155,7 +172,7 @@ class FlowHistory:
         """
         amp = self.amplitude_at(t, stencil)
         floor = self.amp_floor(t)
-        if np.any(amp < floor):
+        if (amp < floor).any():
             raise NodeEncounterError(
                 f"node encounter at t={t:.6g} (trajectory "
                 f"{int(np.argmin(amp))})", last_valid)
@@ -168,16 +185,23 @@ class FlowHistory:
 
 
 def _enter_box(grid, t, pts, last_valid, where="at"):
-    """Stencil of `pts`, after raising BoundaryExitError if any left the box.
+    """Stencil of `pts`, an (m, dim) float array that the walk built, after
+    raising BoundaryExitError if any point left the box.
 
-    This box test replaces the one in `Grid.stencil`, so it runs once.
+    This box test replaces the one in `Grid.stencil`, so it runs once.  Its
+    two reductions per axis accept exactly what `Grid.contains` accepts (a
+    NaN minimum or maximum fails them); only a refused batch pays for
+    `contains`, to name the first point outside.
     """
-    inside = grid.contains(pts)
-    if not np.all(inside):
-        raise BoundaryExitError(
-            f"boundary exit {where} t={t:.6g} (trajectory "
-            f"{int(np.argmin(inside))})", last_valid)
-    return grid._stencil_in_box(grid._query_points(pts))
+    for axis, length in enumerate(grid.lengths):
+        half = 0.5 * length
+        col = pts[:, axis]
+        if not (col.min(initial=math.inf) >= -half
+                and col.max(initial=-math.inf) < half):
+            raise BoundaryExitError(
+                f"boundary exit {where} t={t:.6g} (trajectory "
+                f"{int(np.argmin(grid.contains(pts)))})", last_valid)
+    return grid._stencil_in_box(pts)
 
 
 def guided_velocity(history, t, pts, last_valid):
@@ -218,10 +242,10 @@ def advance_point(bundle, bundle_next, z, t0, t1, k1=None):
     every lookup goes through `Grid.interpolate`.  `z` and `k1` (the
     velocity at z and t0, looked up here if not given) are per-axis
     sequences of floats.  Returns the new position (a tuple) and its point
-    stencil.
+    stencil.  The stages are `_point_stages`, which also walk a single
+    start through a longer history (`flow_steps`).
     """
     grid = bundle.grid
-    h = t1 - t0
 
     def blend(t, stencil, fields, fields_next):
         now = [grid.interpolate(f, stencil) for f in fields]
@@ -233,23 +257,37 @@ def advance_point(bundle, bundle_next, z, t0, t1, k1=None):
         nxt = [grid.interpolate(f, stencil) for f in fields_next]
         return [(1.0 - theta) * a + theta * b for a, b in zip(now, nxt)]
 
-    def velocity(t, pts):
-        stencil = _enter_point(grid, t, pts, t0, "near")
+    def velocity(t, stencil):
         return blend(t, stencil, bundle.velocity, bundle_next.velocity)
 
     if k1 is None:
-        k1 = velocity(t0, z)
-    k2 = velocity(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(z, k1)])
-    k3 = velocity(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(z, k2)])
-    k4 = velocity(t1, [c + h * k for c, k in zip(z, k3)])
-    z_new = tuple(c + (h / 6.0) * (a + 2.0 * b + 2.0 * d + e)
-                  for c, a, b, d, e in zip(z, k1, k2, k3, k4))
-    stencil = _enter_point(grid, t1, z_new, t0, "at")
+        k1 = velocity(t0, _enter_point(grid, t0, z, t0, "near"))
+    z_new, stencil = _point_stages(grid, velocity, z, t0, t1, k1)
     amp, = blend(t1, stencil, (bundle.amplitude,), (bundle_next.amplitude,))
     if amp < NODE_MASK_REL * max(bundle.amp_peak, bundle_next.amp_peak):
         raise NodeEncounterError(
             f"node encounter at t={t1:.6g} (trajectory 0)", t0)
     return z_new, stencil
+
+
+def _point_stages(grid, velocity, z, t0, t1, k1):
+    """The RK4 stages of one point from t0 to t1: the arithmetic of
+    `advance_positions` in Python floats.  velocity(t, stencil) gives the
+    per-axis velocity floats at the `PointStencil` of each stage point,
+    after its box test; k1 is the first stage.  Returns the new position (a
+    tuple) and its point stencil, after the box test at t1; the node and
+    sector checks at t1 are the caller's."""
+    h = t1 - t0
+
+    def stage(t, pts):
+        return velocity(t, _enter_point(grid, t, pts, t0, "near"))
+
+    k2 = stage(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(z, k1)])
+    k3 = stage(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(z, k2)])
+    k4 = stage(t1, [c + h * k for c, k in zip(z, k3)])
+    z_new = tuple(c + (h / 6.0) * (a + 2.0 * b + 2.0 * d + e)
+                  for c, a, b, d, e in zip(z, k1, k2, k3, k4))
+    return z_new, _enter_point(grid, t1, z_new, t0, "at")
 
 
 def _enter_point(grid, t, point, last_valid, where):
@@ -260,22 +298,50 @@ def _enter_point(grid, t, point, last_valid, where):
     return grid._point_stencil_in_box(point)
 
 
+def _advance_start(history, z, t0, t1, k1):
+    """`advance_positions` of a single start, on Python floats: the stages
+    of `_point_stages` read the history's blends at `PointStencil`s, and the
+    history checks the new position at t1, so the bits and the aborts are
+    those of the (1, dim) batch.  `z` and `k1` are (1, dim) arrays; returns
+    the new (1, dim) position and its point stencil."""
+    def velocity(t, stencil):
+        return history.velocity_at(t, stencil).tolist()[0]
+
+    z_new, stencil = _point_stages(history.grid, velocity, z.tolist()[0],
+                                   t0, t1, k1.tolist()[0])
+    history.check(t1, stencil, last_valid=t0)
+    return np.array([z_new]), stencil
+
+
 def flow_steps(history, z0):
     """Walk guidance trajectories through a snapshot history by RK4.
 
-    z0 may be a single position or an (m, dim) batch; batches advance in
-    lockstep (vectorized stages).  Yields ``(i, t, z, stencil, k1)`` at each
-    snapshot before stepping past it: the (m, dim) positions, their stencil
-    and the velocity there, which is also the next step's first stage.
-    Callers record what they read and must not modify the arrays.  A node
-    encounter or box exit raises with the last valid time.  The walk ends
-    at the last stored snapshot; a `FlowWalk` asks for each step only once
-    the snapshots it reads are stored.
+    z0 may be a single position or an (m, dim) batch, copied here, when the
+    walk is made.  A batch advances in lockstep (vectorized stages,
+    `advance_positions`); a single start (m = 1) walks on Python floats
+    (`_advance_start`), with the same bits and aborts.  The returned
+    generator yields ``(i, t, z, stencil, k1)`` at each snapshot before
+    stepping past it: the (m, dim) positions, their stencil (a
+    `PointStencil` for a single start) and the (m, dim) velocity there,
+    which is also the next step's first stage.  Callers record what they
+    read and must not modify the arrays.  A node encounter or box exit
+    raises with the last valid time.  The walk ends at the last stored
+    snapshot; a `FlowWalk` asks for each step only once the snapshots it
+    reads are stored.
     """
+    return _walk(history, np.array(z0, dtype=float, ndmin=2))
+
+
+def _walk(history, z):
+    """The generator of `flow_steps`, from its (m, dim) copy of the starts."""
     grid = history.grid
-    z = np.atleast_2d(np.asarray(z0, dtype=float)).astype(float).copy()
     i, t = 0, history.records[0].time_tag
     stencil = _enter_box(grid, t, z, t)
+    grid._query_points(z)              # the axis count, after the box test
+    advance = advance_positions
+    if len(z) == 1:
+        advance = _advance_start
+        stencil = grid._point_stencil_in_box(z.tolist()[0])
     history.check(t, stencil, last_valid=t)
     while True:
         k1 = history.velocity_at(t, stencil)
@@ -283,7 +349,7 @@ def flow_steps(history, z0):
         if i + 1 == history.count:
             return
         t_next = history.records[i + 1 - history.first].time_tag
-        z, stencil = advance_positions(history, z, t, t_next, k1=k1)
+        z, stencil = advance(history, z, t, t_next, k1=k1)
         i, t = i + 1, t_next
 
 

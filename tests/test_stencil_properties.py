@@ -3,13 +3,17 @@
 `Grid.stencil(p).apply(f)` must reproduce, bit for bit, the per-call
 reference interpolation in `interp_reference.py`; its weights, written in
 place into one block, equal the stacked weight terms, and its indices, read
-from the grid's wrap table, equal (base + offsets) % n.  The float twins must
+from the grid's wrap table, equal (base + offsets) % n.  The walk's box
+test (`_enter_box`) accepts exactly the batches that `Grid.contains`
+accepts and names the first point outside.  The float twins must
 reproduce the numpy paths: `Grid.point_stencil(p).apply(f)` equals
 `Grid.stencil(p).apply(f)`, on arrays and on the pair wave's lazy velocity
 lines, and `advance_point` over two Madelung bundles or two pair waves
 equals `advance_positions` over their two-snapshot `FlowHistory`, aborts
 included.  The pair's conditional slice in floats equals its numpy form.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -21,15 +25,16 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from interp_reference import (Snapshot, reference_interpolate,  # noqa: E402
                               same_bits)
 from pair_reference import reference_axis_slice  # noqa: E402
-from solidyn.errors import SolidynError, TrajectoryAbortError  # noqa: E402
+from solidyn.errors import (BoundaryExitError, SolidynError,  # noqa: E402
+                            TrajectoryAbortError)
 from solidyn.grids import (Field, Grid, _cubic_weight_terms,  # noqa: E402
                            _cubic_weights)
 from solidyn.pair import (PairWave, _axis_slice,  # noqa: E402
                           pair_velocity_fields, product_pair)
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
 from solidyn.schrodinger import MadelungBundle  # noqa: E402
-from solidyn.trajectories import (FlowHistory, advance_point,  # noqa: E402
-                                  advance_positions)
+from solidyn.trajectories import (FlowHistory, _enter_box,  # noqa: E402
+                                  advance_point, advance_positions)
 
 
 @st.composite
@@ -112,11 +117,50 @@ def test_stencil_rejects_points_outside_the_box(data):
     pts[row, axis] = data.draw(st.one_of(
         st.just(half), st.floats(half, 10 * half),
         st.floats(-10 * half, -half, exclude_max=True),
-        st.just(np.nan)))
+        st.sampled_from([np.nan, np.inf, -np.inf])))
     with pytest.raises(SolidynError, match="outside the box"):
         grid.stencil(pts)
     with pytest.raises(SolidynError, match="outside the box"):
         grid.interpolate(np.zeros(grid.shape), pts)
+    # the walk's box test names the one point outside
+    with pytest.raises(BoundaryExitError, match=re.escape(
+            f"boundary exit near t=0.25 (trajectory {row})")):
+        _enter_box(grid, 0.25, pts, 0.0, "near")
+
+
+def box_coordinates(half):
+    """Coordinates on one axis of half-length `half`: inside, on or just
+    past either edge, infinite or NaN."""
+    return st.one_of(
+        st.sampled_from([-half, float(np.nextafter(-half, -np.inf)), half,
+                         float(np.nextafter(half, 0.0)), np.inf, -np.inf,
+                         np.nan]),
+        st.floats(-half, half, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_walk_box_test_accepts_exactly_what_contains_accepts(data):
+    # the two reductions per axis accept a batch exactly when `contains`
+    # accepts every point; a refused batch names the first point outside,
+    # and an accepted one gets the stencil of `Grid.stencil`
+    grid = data.draw(grids())
+    n = data.draw(st.integers(1, 8))
+    pts = np.array([[data.draw(box_coordinates(0.5 * length))
+                     for length in grid.lengths] for _ in range(n)])
+    inside = grid.contains(pts)
+    if inside.all():
+        got, want = _enter_box(grid, 1.5, pts, 1.0), grid.stencil(pts)
+        assert got.positions is pts
+        for a in range(grid.dim):
+            assert same_bits(got.weights[a], want.weights[a])
+            assert same_bits(got.indices[a], want.indices[a])
+        return
+    first = int(np.flatnonzero(~inside)[0])
+    with pytest.raises(BoundaryExitError) as info:
+        _enter_box(grid, 1.5, pts, 1.0)
+    assert str(info.value) == f"boundary exit at t=1.5 (trajectory {first})"
+    assert info.value.last_valid_time == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from interp_reference import (Snapshot, keep_every_snapshot, record_fields,
                               same_bits)
 from solidyn import trajectories
 from solidyn.errors import (BoundaryExitError, NodeEncounterError,
-                            SolidynError)
+                            PastOrientedCurrentError, SolidynError,
+                            TachyonicRegionError)
 from solidyn.grids import Field, Grid
 from solidyn.kleingordon import (KGHistory, KGMadelung,
                                  current_conservation_residual, evolve_kg,
@@ -734,3 +735,186 @@ def test_history_holds_each_producers_record(build):
     want = np.stack([stencil.apply(record.velocity[a])
                      for a in range(grid.dim)], axis=1)
     assert same_bits(history.velocity_at(t, stencil), want)
+
+
+# ---------------------------------------------------------------------------
+# a single start walks on floats, with the bits of the array walk
+# ---------------------------------------------------------------------------
+
+LENGTH = 20.0
+FIXED_GRID = Grid(64, LENGTH)
+FIXED_TIMES = [0.1 * k for k in range(21)]
+
+
+def array_walk(history, z0):
+    """`flow_steps` with every step on the array path: the walk of a
+    one-row batch through `advance_positions`, the ensemble's path."""
+    grid = history.grid
+    z = np.array(z0, dtype=float, ndmin=2)
+    i, t = 0, history.records[0].time_tag
+    stencil = trajectories._enter_box(grid, t, z, t)
+    history.check(t, stencil, last_valid=t)
+    while True:
+        k1 = history.velocity_at(t, stencil)
+        yield i, t, z, stencil, k1
+        if i + 1 == history.count:
+            return
+        t_next = history.records[i + 1 - history.first].time_tag
+        z, stencil = advance_positions(history, z, t, t_next, k1=k1)
+        i, t = i + 1, t_next
+
+
+def assert_single_start_has_array_walk_bits(kind, grid, snapshots, times,
+                                            start):
+    """A single start's walk over the stored history, and its
+    `integrate_flow` (`kg_bohm_trajectory` for Klein-Gordon) attached to a
+    history that the same snapshots fill, give the positions, velocities
+    and abort of the array walk.  Returns the array walk's abort."""
+    pots = Potentials.free()
+    with keep_every_snapshot():
+        stored = kind(grid, PARAMS, pots)
+        filler(snapshots, times)(stored)
+    want_seen, want_err = want = walk_outcome(array_walk(stored, start))
+    assert_same_walk(want, walk_outcome(flow_steps(stored, start)))
+
+    history = kind(grid, PARAMS, pots)
+    if kind is KGHistory:
+        reader = kg_bohm_trajectory(start, history)
+    else:
+        reader = integrate_flow(history, start)
+    filler(snapshots, times)(history)
+    if want_err is not None:
+        with pytest.raises(type(want_err)) as info:
+            reader.finish()
+        assert str(info.value) == str(want_err)
+        assert info.value.last_valid_time == want_err.last_valid_time
+        return want_err
+    record = reader.finish()
+    assert same_bits(record.times, np.array([t for _, t, _, _ in want_seen]))
+    assert same_bits(record.positions, np.stack([z for *_, z, _ in want_seen]))
+    assert same_bits(record.velocities,
+                     np.stack([k1 for *_, k1 in want_seen]))
+
+
+@pytest.mark.skipif(given is None, reason="needs Hypothesis")
+def test_single_start_walks_with_the_bits_of_the_array_walk():
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        kg = data.draw(st.booleans())
+        grid = Grid(data.draw(st.integers(8, 48)), LENGTH)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(2, 12))
+        t0 = data.draw(st.floats(-100.0, 100.0))
+        dt = data.draw(st.floats(1e-3, 0.5))
+        speed = data.draw(st.sampled_from([0.0, 0.01, 0.3, 3.0])) \
+            * LENGTH / dt
+        if kg:
+            speed = min(speed, data.draw(st.sampled_from([0.5, 0.999, 2.0])))
+        snapshots = random_snapshots(
+            grid, rng, n, kg, speed,
+            data.draw(st.sampled_from([0.0, 0.02, 0.3])),
+            data.draw(st.sampled_from([0.0, 0.005, 0.1])))
+        start = data.draw(st.one_of(
+            st.floats(-0.5 * LENGTH, 0.5 * LENGTH, exclude_max=True),
+            st.sampled_from([-0.5 * LENGTH,
+                             float(np.nextafter(0.5 * LENGTH, 0.0))])))
+        form = data.draw(st.sampled_from([start, [start], [[start]]]))
+        assert_single_start_has_array_walk_bits(
+            KGHistory if kg else FlowHistory, grid, snapshots,
+            [t0 + k * dt for k in range(n)], form)
+
+    check()
+
+
+def fixed_drift(kg, velocity, amplitude=None, tachyon=None, past=None):
+    """Snapshots at `FIXED_TIMES` of one drift on `FIXED_GRID`: the
+    velocity, amplitude (1 by default) and Klein-Gordon sector masks (none
+    by default) are fixed functions of x."""
+    grid = FIXED_GRID
+    x = grid.axes[0]
+    ones, none = np.ones(64), np.zeros(64, dtype=bool)
+    vel = velocity(x)[None]
+    amp = ones if amplitude is None else amplitude(x)
+    out = []
+    for _ in FIXED_TIMES:
+        if not kg:
+            out.append(Snapshot(0.0, vel, amp))
+            continue
+        tachyon_mask = none if tachyon is None else tachyon(x)
+        out.append(KGMadelung(
+            grid=grid, time_tag=0.0, amplitude=amp,
+            mass_sq=np.where(tachyon_mask, -1.0, 1.0), current_t=ones,
+            current_x=vel[0], velocity=vel, tachyon_mask=tachyon_mask,
+            past_oriented_mask=none if past is None else past(x),
+            energy=0.0, amp_peak=float(np.max(amp))))
+    return out
+
+
+def ahead(x):
+    """The cells a drift from 0 reaches at about t = 1."""
+    return (x > 0.9) & (x < 1.6)
+
+
+PINNED_ABORTS = {
+    "node": (False, dict(velocity=np.ones_like,
+                         amplitude=lambda x: np.where(ahead(x), 0.0, 1.0)),
+             0.0, NodeEncounterError, "node encounter"),
+    "box exit": (False, dict(velocity=np.ones_like), 9.2,
+                 BoundaryExitError, "boundary exit near"),
+    "M^2 <= 0": (True, dict(velocity=lambda x: np.full_like(x, 0.9),
+                            tachyon=ahead),
+                 0.0, TachyonicRegionError, "M^2 <= 0"),
+    "J0 <= 0": (True, dict(velocity=lambda x: np.full_like(x, 0.9),
+                           past=ahead),
+                0.0, PastOrientedCurrentError, "J0 <= 0"),
+    "|v| >= 1": (True, dict(velocity=lambda x: 0.5 + 0.4 * np.abs(x)), 0.0,
+                 TachyonicRegionError, "|v| >= 1"),
+}
+
+
+@pytest.mark.parametrize("abort", PINNED_ABORTS)
+def test_single_start_aborts_as_the_array_walk(abort):
+    kg, fields, start, error, text = PINNED_ABORTS[abort]
+    err = assert_single_start_has_array_walk_bits(
+        KGHistory if kg else FlowHistory, FIXED_GRID,
+        fixed_drift(kg, **fields), FIXED_TIMES, [start])
+    assert type(err) is error and text in str(err)
+    assert 0.0 < err.last_valid_time < 2.0
+
+
+def test_a_walk_copies_its_start_when_it_is_made():
+    # the walk is a generator that first steps once two snapshots are
+    # stored; a start changed after the walk was made must not move it
+    history = FlowHistory(FIXED_GRID, PARAMS, Potentials.free())
+    z0 = np.array([[1.5]])
+    walk = integrate_flow(history, z0)
+    z0[:] = 0.0
+    filler(fixed_drift(False, np.zeros_like), FIXED_TIMES)(history)
+    assert np.all(walk.finish().positions == 1.5)
+
+
+def test_single_start_configs_never_take_the_array_step(monkeypatch,
+                                                        tmp_path):
+    # a spy on the array step: the single-start Klein-Gordon configs, run
+    # as short as the golden runs, never call it; the ensemble does
+    from make_golden import RUNS, run_all
+    calls = []
+    advance = trajectories.advance_positions
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape)
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(trajectories, "advance_positions", spy)
+    runs = {run[0]: run for run in RUNS}
+    for config in ("kg_plane_wave.yaml", "kg_packet.yaml", "kg_tachyon.yaml",
+                   "equivariance.yaml"):
+        calls.clear()
+        monkeypatch.setattr("make_golden.RUNS", (runs[config],))
+        (tmp_path / config).mkdir()
+        run_all(tmp_path / config)
+        if config == "equivariance.yaml":
+            assert calls and all(shape[0] > 1 for shape in calls)
+        else:
+            assert calls == []
