@@ -151,16 +151,13 @@ class KGHistory(FlowHistory):
     their `tachyon_mask` and `past_oriented_mask`."""
 
     def _nearest_cells(self, stencil):
-        """The nearest sample of each point of a `Stencil`, or of the point
-        of a `PointStencil` (an int: `round` rounds half to even, as
-        `np.rint` does)."""
-        grid = self.grid
-        if isinstance(stencil, PointStencil):
-            s = (stencil.position[0] + 0.5 * grid.lengths[0]) / grid.spacing[0]
-            return round(s) % grid.points[0]
-        idx = np.rint((stencil.positions[:, 0] + 0.5 * grid.lengths[0])
-                      / grid.spacing[0]).astype(int)
-        return idx % grid.points[0]
+        """The nearest sample of each point of a `Stencil` or `PointStencil`."""
+        x = (stencil.position[0] if isinstance(stencil, PointStencil)
+             else stencil.positions[:, 0])
+        n = self.grid.points[0]
+        idx = np.rint((x + 0.5 * self.grid.lengths[0])
+                      / self.grid.spacing[0]).astype(int)
+        return idx % n
 
     def check(self, t, stencil, last_valid):
         super().check(t, stencil, last_valid)
