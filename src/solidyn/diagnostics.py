@@ -128,12 +128,21 @@ def ehrenfest_report(run: SolitonRun, include_quantum_force=None) -> EhrenfestRe
     quantum force at the center joins the right-hand side.  Also evaluates
     the two mean-value cancellations that justify dropping the nonlinear and
     internal-curvature forces for localized profiles, on the final field.
+    The run must carry the force series it reads: `run_classical` records
+    them, `run_coupled` does not.
     """
-    if len(run.times) < 7:
-        raise SolidynError("need at least 7 samples for second differences")
     final = run.final_state
     if include_quantum_force is None:
         include_quantum_force = final.coupling_mode == "dbb"
+    needed = ["mean_em_force"] + (["fq_at_center"] if include_quantum_force
+                                  else [])
+    missing = [name for name in needed if getattr(run, name) is None]
+    if missing:
+        raise SolidynError(
+            f"ehrenfest_report needs the {' and '.join(missing)} series, "
+            "which this run did not record")
+    if len(run.times) < 7:
+        raise SolidynError("need at least 7 samples for second differences")
     dt = run.times[1] - run.times[0]
     if not np.allclose(np.diff(run.times), dt):
         raise SolidynError("ehrenfest_report expects uniform sampling")

@@ -19,6 +19,7 @@ amplitude are masked, and trajectories abort rather than integrate garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,15 +33,36 @@ from .trajectories import FlowHistory, FlowWalk, InteriorMax
 
 @dataclass
 class MadelungBundle:
-    """Hydrodynamic fields extracted from a wavefunction snapshot."""
+    """Hydrodynamic fields extracted from a wavefunction snapshot, and the
+    quantum force, derived from them when first read."""
 
     grid: Grid
     time_tag: float
     amplitude: np.ndarray          # a = |Psi|
     velocity: np.ndarray           # (dim, *shape)
     quantum_potential: np.ndarray  # q = -lap(a)/(2 omega0 a), floored
-    quantum_force: np.ndarray      # -grad q, (dim, *shape)
     amp_peak: float                # max(a)
+    omega0: float
+
+    @cached_property
+    def quantum_force(self):
+        """F_Q = -grad q, (dim, *shape), by the quotient rule on one real
+        spectrum of a (`Grid.real_derivatives`): only smooth fields pass
+        through the FFT, so the amplitude-floor clamp cannot ring across
+        the box.  F_Q is written into the rows of that stack in the
+        operation order of (grad_lap / a_safe - lap_a * grad_a / a_safe**2)
+        / (2 w0), with a_safe floored as in `madelung_extract`."""
+        grid, a = self.grid, self.amplitude
+        a_safe = np.maximum(a, NODE_MASK_REL * self.amp_peak)
+        derivs = grid.real_derivatives(a)
+        grad_a, lap_a, fq = (derivs[:grid.dim], derivs[grid.dim],
+                             derivs[grid.dim + 1:])
+        fq /= a_safe
+        grad_a *= lap_a
+        grad_a /= a_safe ** 2
+        fq -= grad_a
+        fq /= 2.0 * self.omega0
+        return fq
 
 
 def ls_step(psi: Field, params: PhysicalParams, potentials: Potentials,
@@ -62,13 +84,14 @@ def ls_step(psi: Field, params: PhysicalParams, potentials: Potentials,
 
 def madelung_extract(psi: Field, params: PhysicalParams,
                      potentials: Potentials) -> MadelungBundle:
-    """Amplitude, guidance velocity, quantum potential/force, and the peak
-    amplitude (a sample below NODE_MASK_REL times it counts as a node).
+    """Amplitude, guidance velocity, quantum potential and the peak
+    amplitude (a sample below NODE_MASK_REL times it counts as a node);
+    the quantum force is derived only when read.
 
     The velocity rows come from `_guidance_velocity` and q from
     `_quantum_potential`, the kernels the pair sector runs on its lines
-    and slices.  F_Q is written into the rows of the real-derivative
-    stack, in the operation order of the expression in the comment below.
+    and slices.  q takes lap a from `Grid.real_laplacian`, one real FFT
+    pair of a, with the bits of row `dim` of `Grid.real_derivatives`.
     """
     grid = psi.grid
     samples = psi.samples
@@ -76,35 +99,22 @@ def madelung_extract(psi: Field, params: PhysicalParams,
     peak = float(a.max())
     if peak == 0.0:
         raise SolidynError("cannot extract Madelung fields from a zero wave")
-    floor = NODE_MASK_REL * peak
-    a_safe = np.maximum(a, floor)
+    a_safe = np.maximum(a, NODE_MASK_REL * peak)
     rho_safe = a_safe ** 2
     avec = params.charge * potentials.vector(psi.time_tag)
     velocity = np.empty((grid.dim,) + grid.shape)
     for axis in range(grid.dim):
         _guidance_velocity(samples, grid, axis, rho_safe, params.omega0,
                            avec[axis], out=velocity[axis])
-    # grad a, lap a and grad lap a from one real spectrum of a
-    derivs = grid.real_derivatives(a)
-    grad_a, lap_a, grad_lap = (derivs[:grid.dim], derivs[grid.dim],
-                               derivs[grid.dim + 1:])
-    # F_Q = -grad q via the quotient rule: only smooth fields pass through
-    # the FFT, so the amplitude-floor clamp cannot ring across the box;
-    # fq = (grad_lap / a_safe - lap_a * grad_a / rho_safe) / (2 w0)
-    fq = grad_lap
-    fq /= a_safe
-    grad_a *= lap_a
-    grad_a /= rho_safe
-    fq -= grad_a
-    fq /= 2.0 * params.omega0
     return MadelungBundle(
         grid=grid,
         time_tag=psi.time_tag,
         amplitude=a,
         velocity=velocity,
-        quantum_potential=_quantum_potential(lap_a, a_safe, params.omega0),
-        quantum_force=fq,
+        quantum_potential=_quantum_potential(grid.real_laplacian(a), a_safe,
+                                             params.omega0),
         amp_peak=peak,
+        omega0=params.omega0,
     )
 
 

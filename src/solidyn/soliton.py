@@ -330,7 +330,13 @@ def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
 class SolitonRun:
     """Series recorded along a soliton evolution (classical or coupled):
     a row per step from the initial state, and per stored step in
-    `snapshot_times` and `energy`; each stored field went to `store`."""
+    `snapshot_times` and `energy`; each stored field went to `store`.
+
+    Both runs record `times`, `centers` and `norms`.  `run_classical` also
+    records the rows of `mean_em_force`, `fq_at_center` (zeros),
+    `boundary_mass`, `snapshot_times` and `energy`, which the diagnostics
+    read; `run_coupled` leaves them None and records the reference path
+    and the harmony series instead."""
 
     times: np.ndarray = None
     centers: np.ndarray = None        # (n, dim) wrap-aware xbar
@@ -428,8 +434,10 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
 
     The reference point steps by `trajectories.advance_point`, whose
     point stencil serves every later lookup at the point.  The initial
-    state and every `store_every`-th step (none for 0) record their time
-    and hand their fields to `store(u, psi)`.
+    state and every `store_every`-th step (none for 0) hand their fields
+    to `store(u, psi)`.  The run records the times, centers and norms,
+    the reference path, and the phase-harmony residual every
+    `harmony_every`-th step (none for 0); it derives no quantum force.
     """
     if state.coupling_mode != "dbb":
         raise SolidynError("run_coupled needs a dbb-mode state")
@@ -444,8 +452,6 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     if grid.interpolate(bundle.amplitude, z_stencil) \
             < NODE_MASK_REL * bundle.amp_peak:
         raise SolidynError("soliton center starts on the pilot node mask")
-
-    pos = _grid_positions(grid)
 
     def step(s, i):
         psi, bundle, state, z, k1 = s
@@ -470,14 +476,8 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         harmony = i > 0 and harmony_every and i % harmony_every == 0
         return {
             "times": t, "centers": state.center, "norms": state.norm,
-            "boundary_mass": grid.boundary_mass_fraction(
-                state.density, state._density_sum),
-            "mean_em_force": _density_mean_force(state, potentials, pos),
-            "fq_at_center": _point_vector(
-                grid, grid.point_stencil(state.center), bundle.quantum_force),
             # the reference trajectory
             "positions": z, "velocities": k1,
-            "snapshot_times": t if stored else None,
             "harmony_times": t if harmony else None,
             "harmony": phase_harmony_residual(
                 state, bundle, state.center, 4.0 / np.sqrt(state.b),
@@ -521,31 +521,46 @@ def classical_trajectory(times, z0, v0, params: PhysicalParams,
 
     RK4 on the (position, velocity) pair over the same time stamps as a
     guidance trajectory; used as the discriminating comparison for coupled
-    tracking runs.
+    tracking runs.  The stages run on Python floats, per axis in the
+    operation order of the array expressions (`0.5 * h * k` is `(0.5 * h)
+    * k`), so the bits are those of stepping numpy arrays; E comes from
+    `Potentials.electric_field` at the one stage point.
     """
-    z = np.asarray(z0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    times = np.asarray(times, dtype=float).tolist()
+    z = np.asarray(z0, dtype=float).tolist()
+    v = np.asarray(v0, dtype=float).tolist()
     e_over_m = params.charge / params.omega0
+
+    def field(t, pos):
+        return [e_over_m * f
+                for f in potentials.electric_field(t, [pos])[0].tolist()]
 
     if potentials.zero_field:
         # E is the same signed zero at every time and place: evaluate once
-        constant = e_over_m * potentials.electric_field(0.0, z[None, :])[0]
+        constant = field(0.0, z)
 
         def accel(t, pos):
             return constant
     else:
-        def accel(t, pos):
-            return e_over_m * potentials.electric_field(t, pos[None, :])[0]
+        accel = field
 
-    out = np.empty((len(times), z.size))
-    out[0] = z
+    def axpy(x, s, y):
+        return [xj + s * yj for xj, yj in zip(x, y)]
+
+    def rk4_sum(x, s, k1, k2, k3, k4):
+        return [xj + s * (a + 2 * b + 2 * c + d)
+                for xj, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+    out = [z]
     for i in range(len(times) - 1):
         t, h = times[i], times[i + 1] - times[i]
+        half = 0.5 * h
         k1z, k1v = v, accel(t, z)
-        k2z, k2v = v + 0.5 * h * k1v, accel(t + 0.5 * h, z + 0.5 * h * k1z)
-        k3z, k3v = v + 0.5 * h * k2v, accel(t + 0.5 * h, z + 0.5 * h * k2z)
-        k4z, k4v = v + h * k3v, accel(t + h, z + h * k3z)
-        z = z + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        out[i + 1] = z
-    return out
+        k2z, k2v = axpy(v, half, k1v), accel(t + half, axpy(z, half, k1z))
+        k3z, k3v = axpy(v, half, k2v), accel(t + half, axpy(z, half, k2z))
+        k4z, k4v = axpy(v, h, k3v), accel(t + h, axpy(z, h, k3z))
+        sixth = h / 6.0
+        z = rk4_sum(z, sixth, k1z, k2z, k3z, k4z)
+        v = rk4_sum(v, sixth, k1v, k2v, k3v, k4v)
+        out.append(z)
+    return np.array(out)

@@ -52,9 +52,9 @@ class FlowHistory:
     `records` holds them, oldest first; `first` is the index of the oldest
     kept, and `bracket` returns positions in `records`.  A record carries
     `time_tag`, `velocity` (dim, *shape), `amplitude` and `amp_peak` (the
-    maximum of `amplitude`); a Schrodinger record also carries
-    `quantum_force` (dim, *shape).  `readers` are called with each record
-    after it is appended.
+    maximum of `amplitude`); a Schrodinger record also gives
+    `quantum_force` (dim, *shape), derived when first read.  `readers` are
+    called with each record after it is appended.
 
     No solver reads `quantum_potentials`, the field views below or
     `proximity_flags`: the benchmark's history size count and its traced

@@ -1,13 +1,14 @@
-"""Reference bodies of `soliton.nls_step` and `schrodinger.madelung_extract`,
-written out with allocating operations.
+"""Reference bodies of `soliton.nls_step`, `schrodinger.madelung_extract`
+and `soliton.classical_trajectory`, written out with allocating operations.
 
 `reference_nls_step` is the step as it stood before its half phases were
 built in place: `log_nonlinearity` returns a new array, each half phase is
 `np.exp(-0.5j * dt * w)`, and the next state is a `dataclasses.replace` of
 the last.  `reference_madelung_extract` takes its complex gradient from
 allocating transforms stacked by `Grid.gradient`, and builds the velocity,
-quantum potential and quantum force from full-grid temporaries.  The lean
-kernels must reproduce both bit for bit.
+quantum potential and quantum force from full-grid temporaries.
+`reference_classical_trajectory` steps its RK4 on numpy arrays of the
+axes.  The lean kernels must reproduce all three bit for bit.
 """
 
 from dataclasses import replace
@@ -87,9 +88,11 @@ def reference_madelung_extract(psi, params, potentials):
     q = -lap_a / (2.0 * params.omega0 * a_safe)
     fq = (grad_lap / a_safe - lap_a * grad_a / rho_safe) \
         / (2.0 * params.omega0)
-    return MadelungBundle(grid=grid, time_tag=psi.time_tag, amplitude=a,
-                          velocity=velocity, quantum_potential=q,
-                          quantum_force=fq, amp_peak=peak)
+    bundle = MadelungBundle(grid=grid, time_tag=psi.time_tag, amplitude=a,
+                            velocity=velocity, quantum_potential=q,
+                            amp_peak=peak, omega0=params.omega0)
+    bundle.quantum_force = fq       # in place of the derivation on read
+    return bundle
 
 
 def reference_state_moments(u, previous_center):
@@ -125,3 +128,32 @@ def reference_boundary_mass_fraction(grid, density, cells):
         sl[axis] = slice(cells, grid.points[axis] - cells)
         interior = interior[tuple(sl)]
     return float((total - np.sum(interior)) / total)
+
+
+def reference_classical_trajectory(times, z0, v0, params, potentials):
+    z = np.asarray(z0, dtype=float).copy()
+    v = np.asarray(v0, dtype=float).copy()
+    e_over_m = params.charge / params.omega0
+
+    if potentials.zero_field:
+        # E is the same signed zero at every time and place: evaluate once
+        constant = e_over_m * potentials.electric_field(0.0, z[None, :])[0]
+
+        def accel(t, pos):
+            return constant
+    else:
+        def accel(t, pos):
+            return e_over_m * potentials.electric_field(t, pos[None, :])[0]
+
+    out = np.empty((len(times), z.size))
+    out[0] = z
+    for i in range(len(times) - 1):
+        t, h = times[i], times[i + 1] - times[i]
+        k1z, k1v = v, accel(t, z)
+        k2z, k2v = v + 0.5 * h * k1v, accel(t + 0.5 * h, z + 0.5 * h * k1z)
+        k3z, k3v = v + 0.5 * h * k2v, accel(t + 0.5 * h, z + 0.5 * h * k2z)
+        k4z, k4v = v + h * k3v, accel(t + h, z + h * k3z)
+        z = z + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        out[i + 1] = z
+    return out

@@ -1,5 +1,8 @@
 """Tests for conservation, energy, Ehrenfest, and equivariance reports."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,13 @@ from solidyn.diagnostics import (
     norm_pt,
     static_energy_identity_deviation,
 )
+from solidyn.errors import SolidynError
 from solidyn.grids import Field, Grid
 from solidyn.potentials import PhysicalParams, Potentials
-from solidyn.schrodinger import evolve_schrodinger
+from solidyn.schrodinger import evolve_schrodinger, madelung_extract
 from solidyn.soliton import (GaussonParams, SolitonState, energy_nls,
-                             gausson_init, run_classical)
+                             gausson_init, run_classical, run_coupled,
+                             soliton_center)
 from solidyn.trajectories import FlowHistory, integrate_flow
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
@@ -134,6 +139,24 @@ def test_ehrenfest_needs_enough_samples():
         ehrenfest_report(run)
 
 
+def test_ehrenfest_names_the_force_series_a_coupled_run_lacks():
+    # run_coupled records neither force series
+    g = Grid(256, 20.0)
+    x = g.axes[0]
+    psi = Field(g, np.exp(-(x**2) / 4).astype(complex))
+    u0 = gausson_init(GaussonParams(100.0, 1.0, center=(-0.6745,)), g, 1.0)
+    state = SolitonState(u0, PARAMS, 100.0, 1.0, coupling_mode="dbb")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run = run_coupled(psi, state, PARAMS, Potentials.free(), dt=1e-3,
+                          steps=10)
+    with pytest.raises(SolidynError,
+                       match="mean_em_force and fq_at_center series"):
+        ehrenfest_report(run)
+    with pytest.raises(SolidynError, match=r"the mean_em_force series"):
+        ehrenfest_report(run, include_quantum_force=False)
+
+
 # ---------------------------------------------------------------------------
 # equivariance_distance
 # ---------------------------------------------------------------------------
@@ -199,20 +222,30 @@ def test_cancellation_integrals_high_b():
 @pytest.mark.slow
 def test_ehrenfest_dbb_discriminator():
     # coupled interference run: with F_Q the mean-force balance closes;
-    # dropping F_Q leaves most of the force unaccounted for
-    import warnings
-    from solidyn.soliton import run_coupled
-
+    # dropping F_Q leaves most of the force unaccounted for.  The run does
+    # not record the force series, so the store hook samples F_Q at each
+    # step's center (found as the run finds it), and the mean Lorentz force
+    # of the free potential is zero
     g = Grid(1024, 30.0)
     x = g.axes[0]
     psi = Field(g, (np.exp(-((x - 3) ** 2) / 8) + np.exp(-((x + 3) ** 2) / 8))
                 .astype(complex))
     u0 = gausson_init(GaussonParams(100.0, 1.0, center=(-3.0,)), g, 1.0)
     state = SolitonState(u0, PARAMS, 100.0, 1.0, coupling_mode="dbb")
+    centers, fq = [], []
+
+    def store(u, psi):
+        center, _ = soliton_center(u, centers[-1] if centers else None)
+        centers.append(center)
+        force = madelung_extract(psi, PARAMS, Potentials.free()).quantum_force
+        fq.append([g.interpolate(f, g.point_stencil(center)) for f in force])
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run = run_coupled(psi, state, PARAMS, Potentials.free(), dt=1e-3,
-                          steps=4000)
+                          steps=4000, store_every=1, store=store)
+    run = dataclasses.replace(run, fq_at_center=np.array(fq),
+                              mean_em_force=np.zeros((len(fq), 1)))
     with_fq = ehrenfest_report(run, include_quantum_force=True)
     without_fq = ehrenfest_report(run, include_quantum_force=False)
     assert with_fq.residual_rel_rms < 0.05

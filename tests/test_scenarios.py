@@ -580,6 +580,26 @@ def test_double_slit_scenario_reduced(tmp_path):
     assert (tmp_path / "ds" / "harmony.csv").exists()
 
 
+def test_double_slit_scenario_derives_no_quantum_force(tmp_path,
+                                                       monkeypatch):
+    # no reader of the coupled run reads F_Q, so the one real-derivative
+    # stack that would hold it is never built; q still takes its Laplacian
+    calls = {"real_derivatives": 0, "real_laplacian": 0}
+    for name in calls:
+        def counting(self, samples, _name=name, _real=getattr(Grid, name)):
+            calls[_name] += 1
+            return _real(self, samples)
+
+        monkeypatch.setattr(Grid, name, counting)
+    with open(os.path.join(CONFIG_DIR, "double_slit_dbb.yaml")) as f:
+        raw = yaml.safe_load(f)
+    raw["run"]["t_final"] = 0.05
+    raw["output"]["directory"] = str(tmp_path / "ds")
+    cfg = parse_config_dict(raw)
+    assert run_scenario(cfg, quiet=True) in (0, 3)
+    assert calls == {"real_derivatives": 0, "real_laplacian": cfg.steps + 1}
+
+
 def test_equivariance_scenario_keeps_only_reported_snapshots(tmp_path):
     # the scenario records the ensemble at three snapshots; its CSV must
     # equal the report computed from the full position block

@@ -16,7 +16,11 @@
   the bits of `np.sum` reductions, its boundary mass those of the
   two-sum fraction, and the input state is left unchanged.
 - `madelung_extract` gives the bits of the allocating reference body, at
-  wave nodes too, and leaves its input unchanged.
+  wave nodes too, and leaves its input unchanged; its quantum force,
+  derived on first read, is kept.
+- `classical_trajectory` (RK4 on Python floats) gives the bits of the
+  array RK4 for the named potentials, 1- and 2-axis starts and uneven
+  time stamps.
 """
 
 import numpy as np
@@ -30,9 +34,11 @@ from solidyn.grids import BOUNDARY_CELLS, Field, Grid  # noqa: E402
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
 from solidyn.schrodinger import madelung_extract  # noqa: E402
 from solidyn.soliton import (RHO_FLOOR_REL, SolitonState,  # noqa: E402
-                             log_nonlinearity, nls_step)
+                             classical_trajectory, log_nonlinearity,
+                             nls_step)
 from solidyn.stepping import _half_phase  # noqa: E402
 from soliton_reference import (reference_boundary_mass_fraction,  # noqa: E402
+                               reference_classical_trajectory,
                                reference_log_nonlinearity,
                                reference_madelung_extract,
                                reference_nls_step, reference_state_moments)
@@ -241,5 +247,25 @@ def test_madelung_extract_gives_the_reference_bits(case):
     for name in ("amplitude", "velocity", "quantum_potential",
                  "quantum_force"):
         assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert got.quantum_force is got.quantum_force
     assert (got.grid, got.time_tag, got.amp_peak) == (
         want.grid, want.time_tag, want.amp_peak)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["free", "uniform_e", "harmonic", "vector_ramp"]),
+       st.integers(1, 2), st.floats(-2.0, 2.0), st.floats(0.2, 5.0),
+       st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_classical_trajectory_gives_the_array_rk4_bits(
+        potential, dim, charge, omega0, seed, n):
+    rng = np.random.default_rng(seed)
+    # uneven stamps from an arbitrary origin
+    times = np.cumsum(rng.uniform(1e-4, 0.2, n)) - rng.uniform(-5.0, 5.0)
+    # some axes start at signed zeros
+    z0, v0 = (rng.standard_normal(dim) * rng.choice([-0.0, 0.0, 3.0], dim)
+              for _ in range(2))
+    params = PhysicalParams(omega0, charge)
+    pots = POTENTIALS[potential](dim)
+    got = classical_trajectory(times, z0, v0, params, pots)
+    want = reference_classical_trajectory(times, z0, v0, params, pots)
+    assert same_bits(got, want)

@@ -269,7 +269,7 @@ def random_bundle(grid, rng, speed, node_frac):
     peak = float(np.max(amp))
     return MadelungBundle(grid=grid, time_tag=0.0, amplitude=amp,
                           velocity=velocity, quantum_potential=None,
-                          quantum_force=None, amp_peak=peak)
+                          amp_peak=peak, omega0=1.0)
 
 
 def _outcome(step):
