@@ -27,11 +27,6 @@ from .soliton import SolitonRun, log_nonlinearity, log_potential_density
 from .stepping import BOUNDARY_MASS_LIMIT, NODE_MASK_REL
 
 
-def norm_pt(u: Field, omega0: float) -> float:
-    """Conserved charge P_t = 2 omega0 integral |u|^2."""
-    return 2.0 * omega0 * u.norm()
-
-
 def static_energy_identity_deviation(u: Field, b: float, f0: float) -> float:
     """Relative deviation of integral[U - N rho] from b integral rho.
 

@@ -258,7 +258,8 @@ def current_conservation_residual(history: KGHistory) -> InteriorMax:
 
 def kg_newton_residual(z0, history: KGHistory) -> FlowWalk:
     """Residual of d/dtau(M u^mu) = d^mu M + e F^{mu nu} u_nu along the
-    guidance path from z0, read as the wave fills the history.
+    guidance path from the single start z0, read as the wave fills the
+    history.
 
     Proper time comes from dtau = sqrt(1 - v^2) dt; M, dM/dt (centered
     over snapshots i-1 and i+1, one-sided at the ends) and dM/dx
@@ -271,6 +272,8 @@ def kg_newton_residual(z0, history: KGHistory) -> FlowWalk:
     charge = history.params.charge
     if history.count:
         raise SolidynError("a reader must attach before the first snapshot")
+    if np.size(z0) != grid.dim:
+        raise SolidynError("kg_newton_residual takes a single start")
     path = [RowBlock() for _ in range(6)]   # t, v, E, M, dM/dt, dM/dx
     # (record, M, dM/dx) of each kept record, made as it is appended, so
     # that masses[p] goes with kept record p
@@ -290,7 +293,7 @@ def kg_newton_residual(z0, history: KGHistory) -> FlowWalk:
                 / (masses[hi][0].time_tag - masses[lo][0].time_tag))
 
     def at_path(field, t, stencil):
-        return history._blend(field, t, stencil)[0]
+        return history._blend(lambda p: (field(p),), t, stencil)[0]
 
     def visit(i, t, z, stencil, k1):
         msq = at_path(lambda p: masses[p][0].mass_sq, t, stencil)

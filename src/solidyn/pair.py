@@ -32,7 +32,7 @@ from .schrodinger import _guidance_velocity, _quantum_potential
 from .soliton import SolitonState, nls_step
 from .stepping import (NODE_MASK_REL, _half_phase, cached, check_finite,
                        drive, kinetic_multiplier, strang_step)
-from .trajectories import advance_point
+from .trajectories import FlowHistory, advance_point
 
 
 @dataclass
@@ -285,11 +285,12 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
     """Advance wave, synchronized trajectory point, and both solitons.
 
     Order per step: wave first (`_step_wave`); then the particle half
-    (`_step_particles`): the configuration-space RK4 for (z1, z2) against
-    the bracketing waves (`advance_point`, the one-point RK4 of the coupled
-    run), then each particle's conditional quantum potential (at the
-    partner's start and end positions) drives its 1D soliton.  `run_pair`
-    runs the same two halves, the wave half once for all its states.
+    (`_step_particles`): the configuration-space RK4 for (z1, z2) over the
+    two-record flow history of the bracketing waves (`advance_point`, the
+    one-point RK4 of the coupled run and of a walked single start), then
+    each particle's conditional quantum potential (at the partner's start
+    and end positions) drives its 1D soliton.  `run_pair` runs the same
+    two halves, the wave half once for all its states.
     """
     i = round(pair.psi.time_tag / max(dt, 1e-300)) + 1
     new_pair = _step_wave(pair, dt, i)
@@ -313,7 +314,7 @@ def _step_particles(pair: PairWave, new_pair: PairWave, state: PairState,
     # next step reuses this step's new wave as is
     t = pair.psi.time_tag
     z_old = state.z.tolist()
-    z_new, _ = advance_point(pair, new_pair, z_old, t, t + dt)
+    z_new, _ = advance_point(FlowHistory.of(pair, new_pair), z_old, t, t + dt)
 
     if state.q_cache is not None:
         q1_start, q2_start = state.q_cache

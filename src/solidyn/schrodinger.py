@@ -198,14 +198,17 @@ def newton_bohm_residual(z0, history: FlowHistory) -> FlowWalk:
     `finish()` returns the interior times, the residual series, and its
     RMS relative to the dominant force scale.
     """
+    if np.size(z0) != history.grid.dim:
+        raise SolidynError("newton_bohm_residual takes a single start")
     params = history.params
     path = [RowBlock() for _ in range(4)]   # t, z, F_Q, F_em
 
     def visit(i, t, z, stencil, k1):
         records = history.records
+        # per axis, a float at the single start's point stencil
         fq = history._blend(lambda p: records[p].quantum_force, t, stencil)
         fem = params.charge * history.potentials.electric_field(t, z)
-        for column, value in zip(path, (t, z[0], fq[0], fem[0])):
+        for column, value in zip(path, (t, z[0], fq, fem[0])):
             column.append(value)
 
     def finish():

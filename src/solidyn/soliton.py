@@ -31,7 +31,7 @@ from .potentials import PhysicalParams, Potentials
 from .schrodinger import MadelungBundle, ls_step, madelung_extract
 from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, _half_phase,
                        check_finite, drive, strang_step)
-from .trajectories import TrajectoryRecord, advance_point
+from .trajectories import FlowHistory, TrajectoryRecord, advance_point
 
 RHO_FLOOR_REL = 1e-30      # vacuum floor for the logarithm, relative to f0^2
 SCALE_SEPARATION = 20.0    # recommended sqrt(b) * sigma_psi lower bound
@@ -432,12 +432,14 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     against the same two Madelung snapshots.  The coupling is one way: the
     pilot wave never sees u.
 
-    The reference point steps by `trajectories.advance_point`, whose
-    point stencil serves every later lookup at the point.  The initial
-    state and every `store_every`-th step (none for 0) hand their fields
-    to `store(u, psi)`.  The run records the times, centers and norms,
-    the reference path, and the phase-harmony residual every
-    `harmony_every`-th step (none for 0); it derives no quantum force.
+    The reference point steps by `trajectories.advance_point` over the
+    two-record `FlowHistory.of` the step's bundles, with the blends and
+    node check of every walk; its point stencil serves every later lookup
+    at the point.  The initial state and every `store_every`-th step (none
+    for 0) hand their fields to `store(u, psi)`.  The run records the
+    times, centers and norms, the reference path, and the phase-harmony
+    residual every `harmony_every`-th step (none for 0); it derives no
+    quantum force.
     """
     if state.coupling_mode != "dbb":
         raise SolidynError("run_coupled needs a dbb-mode state")
@@ -459,7 +461,8 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         psi_next = ls_step(psi, pilot_params, potentials, dt)
         check_finite(psi_next.samples, i)
         bundle_next = madelung_extract(psi_next, pilot_params, potentials)
-        z, z_stencil = advance_point(bundle, bundle_next, z, t, t + dt, k1)
+        z, z_stencil = advance_point(FlowHistory.of(bundle, bundle_next), z,
+                                     t, t + dt, k1)
         state = nls_step(state, potentials, dt,
                          external_q=bundle.quantum_potential,
                          external_q_end=bundle_next.quantum_potential)

@@ -1,16 +1,18 @@
 """Guidance-flow trajectory integration while the wave fills its history.
 
 A flow history holds the snapshot records its producing solver built (a
-`MadelungBundle` or `KGMadelung`) and reads their fields:
-`time_tag`, `velocity` (dim, *shape), `amplitude` and `amp_peak`.
+`MadelungBundle`, `KGMadelung` or `PairWave`) and reads their fields:
+`time_tag`, `velocity` (dim components), `amplitude` and `amp_peak`.
 Trajectories advance with RK4 whose stage velocities come from
 cubic-in-space, linear-in-time interpolation of the bracketing snapshots;
 the RK4 step equals the snapshot spacing, which is what limits accuracy (so
 higher-order time interpolation buys nothing).  A batch of starts advances
-in lockstep through numpy (`advance_positions`); a single start walks on
-Python floats, through `PointStencil`s and the RK4 stages that
-`advance_point` takes (`_point_stages`), with the same bits and aborts at
-a fraction of numpy's per-call cost.
+in lockstep through numpy (`advance_positions`); a single point moves on
+Python floats through the history's lookups at `PointStencil`s
+(`advance_point`), with the same bits and aborts at a fraction of numpy's
+per-call cost.  That point is a walked single start, the coupled run's
+reference point or the pair run's configuration point; the lockstep runs
+step it over a two-record history of each step (`FlowHistory.of`).
 
 A history keeps only the last three records appended (`WALK_WINDOW`), since
 every time derivative along the flow is a centered difference.  So each
@@ -50,11 +52,14 @@ class FlowHistory:
     """The last `WALK_WINDOW` snapshot records that a solver appended.
 
     `records` holds them, oldest first; `first` is the index of the oldest
-    kept, and `bracket` returns positions in `records`.  A record carries
-    `time_tag`, `velocity` (dim, *shape), `amplitude` and `amp_peak` (the
-    maximum of `amplitude`); a Schrodinger record also gives
-    `quantum_force` (dim, *shape), derived when first read.  `readers` are
-    called with each record after it is appended.
+    kept, and `bracket` returns positions in `records`.  A record (a
+    `MadelungBundle`, `KGMadelung` or `PairWave`) carries `time_tag`,
+    `velocity` (a sequence of dim components), `amplitude` and `amp_peak`
+    (the maximum of `amplitude`); a Schrodinger record also gives
+    `quantum_force` (dim, *shape), derived when first read.  A field or
+    component is anything indexed like the grid array: an array, or a pair
+    wave's `_VelocityLines` and `_Modulus`, which derive what a stencil
+    reads.  `readers` are called with each record after it is appended.
 
     No solver reads `quantum_potentials`, the field views below or
     `proximity_flags`: the benchmark's history size count and its traced
@@ -70,6 +75,14 @@ class FlowHistory:
         self.first = 0
         self.readers = []
         self.records = []
+
+    @classmethod
+    def of(cls, *records):
+        """A history of `records`, oldest first, as they are: no copies and
+        no readers (the two records of a lockstep run's step)."""
+        history = cls(records[0].grid, None, None)
+        history.records = list(records)
+        return history
 
     def append(self, record):
         self.records.append(record)
@@ -102,7 +115,8 @@ class FlowHistory:
     #
     # Lookups take a `grids.Stencil` of the query points, so one set of
     # cubic weights serves both bracketing snapshots and every component.
-    # A `PointStencil` of one point gives the same shapes and bits.
+    # At a `PointStencil` of one point they give the same bits as Python
+    # floats.
 
     def bracket(self, t):
         """Positions (i, i+1) of the kept records whose times bracket t."""
@@ -118,8 +132,10 @@ class FlowHistory:
         return i, i + 1
 
     def _blend(self, field, t, stencil):
-        """field(p), the data of kept record p, at time t and the stencil
-        points; field(j) is not called when t falls on record i."""
+        """field(p), the components of kept record p's field, at time t and
+        the stencil points; field(j) is not called when t falls on record
+        i.  Gives a float per component at a `PointStencil`, else an
+        (n, components) array."""
         i, j = self.bracket(t)
         ti, tj = self.records[i].time_tag, self.records[j].time_tag
         vi = self._interp_snapshot(field(i), stencil)
@@ -129,34 +145,33 @@ class FlowHistory:
         if theta == 0.0:
             return vi
         vj = self._interp_snapshot(field(j), stencil)
+        if isinstance(stencil, PointStencil):
+            # the bits of the in-place blend below, one float at a time
+            return [(1.0 - theta) * a + theta * b for a, b in zip(vi, vj)]
         # (1 - theta) vi + theta vj, in the interpolated arrays
         vi *= 1.0 - theta
         vj *= theta
         vi += vj
         return vi
 
-    def _interp_snapshot(self, data, stencil):
-        """`data` (a scalar or (dim, *shape) field) at the stencil points,
-        as a new (n,) or (n, dim) array; n = 1 for a `PointStencil`."""
+    def _interp_snapshot(self, components, stencil):
+        """Each of `components` (fields indexed like the grid array) at the
+        stencil points: a list of floats for a `PointStencil`, else a new
+        (n, components) array."""
         grid = self.grid
-        scalar = data.ndim == grid.dim
         if isinstance(stencil, PointStencil):
-            if scalar:
-                return np.array([grid.interpolate(data, stencil)])
-            return np.array([[grid.interpolate(c, stencil) for c in data]])
-        if scalar:
-            return grid.interpolate(data, stencil)
-        out = np.empty((stencil.positions.shape[0], grid.dim),
-                       dtype=data.dtype)
-        for a in range(grid.dim):
-            out[:, a] = grid.interpolate(data[a], stencil)
+            return [grid.interpolate(c, stencil) for c in components]
+        out = np.empty((stencil.positions.shape[0], len(components)))
+        for a, c in enumerate(components):
+            out[:, a] = grid.interpolate(c, stencil)
         return out
 
     def velocity_at(self, t, stencil):
         return self._blend(lambda p: self.records[p].velocity, t, stencil)
 
     def amplitude_at(self, t, stencil):
-        return self._blend(lambda p: self.records[p].amplitude, t, stencil)
+        amp = self._blend(lambda p: (self.records[p].amplitude,), t, stencil)
+        return amp[0] if isinstance(stencil, PointStencil) else amp[:, 0]
 
     def amp_floor(self, t):
         i, j = self.bracket(t)
@@ -171,8 +186,9 @@ class FlowHistory:
         Box exits are raised where the stencil is built, before this check.
         """
         amp = self.amplitude_at(t, stencil)
-        floor = self.amp_floor(t)
-        if (amp < floor).any():
+        below = amp < self.amp_floor(t)
+        # a point's amplitude is a float, compared without numpy
+        if (below if isinstance(stencil, PointStencil) else below.any()):
             raise NodeEncounterError(
                 f"node encounter at t={t:.6g} (trajectory "
                 f"{int(np.argmin(amp))})", last_valid)
@@ -230,64 +246,37 @@ def advance_positions(history, z, t0, t1, k1=None):
     return z_new, stencil
 
 
-def advance_point(bundle, bundle_next, z, t0, t1, k1=None):
-    """One RK4 step of a single point between two snapshot records.
+def advance_point(history, z, t0, t1, k1=None):
+    """`advance_positions` of a single point, on Python floats.
 
-    The float twin of `advance_positions` over the two-snapshot
-    `FlowHistory` of `bundle` (at t0) and `bundle_next` (at t1): the same
-    stencils (`Grid.point_stencil`), time blends and sums in Python floats,
-    so it returns the same bits and raises the same aborts, at a small
-    fraction of numpy's per-call cost.  The records are the step's two
-    `MadelungBundle`s of the coupled run or `PairWave`s of the pair run;
-    every lookup goes through `Grid.interpolate`.  `z` and `k1` (the
-    velocity at z and t0, looked up here if not given) are per-axis
-    sequences of floats.  Returns the new position (a tuple) and its point
-    stencil.  The stages are `_point_stages`, which also walk a single
-    start through a longer history (`flow_steps`).
+    The stages read the history's blends at `PointStencil`s
+    (`Grid.point_stencil`) and the history checks the new position at t1,
+    with the sums of `advance_positions` in floats, so the bits and the
+    aborts are those of the (1, dim) batch, at a fraction of numpy's
+    per-call cost.  It walks a single start (`flow_steps`) and moves the
+    coupled run's reference point and the pair run's configuration point
+    over the two-record history of each step (`FlowHistory.of`).  `z` and
+    `k1` (the velocity at z and t0, looked up here if not given) are
+    per-axis sequences of floats.  Returns the new position (a tuple) and
+    its point stencil, which serves every later lookup at it.
     """
-    grid = bundle.grid
-
-    def blend(t, stencil, fields, fields_next):
-        now = [grid.interpolate(f, stencil) for f in fields]
-        if t1 == t0:
-            return now
-        theta = (t - t0) / (t1 - t0)
-        if theta == 0.0:
-            return now
-        nxt = [grid.interpolate(f, stencil) for f in fields_next]
-        return [(1.0 - theta) * a + theta * b for a, b in zip(now, nxt)]
-
-    def velocity(t, stencil):
-        return blend(t, stencil, bundle.velocity, bundle_next.velocity)
-
-    if k1 is None:
-        k1 = velocity(t0, _enter_point(grid, t0, z, t0, "near"))
-    z_new, stencil = _point_stages(grid, velocity, z, t0, t1, k1)
-    amp, = blend(t1, stencil, (bundle.amplitude,), (bundle_next.amplitude,))
-    if amp < NODE_MASK_REL * max(bundle.amp_peak, bundle_next.amp_peak):
-        raise NodeEncounterError(
-            f"node encounter at t={t1:.6g} (trajectory 0)", t0)
-    return z_new, stencil
-
-
-def _point_stages(grid, velocity, z, t0, t1, k1):
-    """The RK4 stages of one point from t0 to t1: the arithmetic of
-    `advance_positions` in Python floats.  velocity(t, stencil) gives the
-    per-axis velocity floats at the `PointStencil` of each stage point,
-    after its box test; k1 is the first stage.  Returns the new position (a
-    tuple) and its point stencil, after the box test at t1; the node and
-    sector checks at t1 are the caller's."""
+    grid = history.grid
     h = t1 - t0
 
-    def stage(t, pts):
-        return velocity(t, _enter_point(grid, t, pts, t0, "near"))
+    def stage(t, point):
+        return history.velocity_at(t, _enter_point(grid, t, point, t0,
+                                                   "near"))
 
+    if k1 is None:
+        k1 = stage(t0, z)
     k2 = stage(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(z, k1)])
     k3 = stage(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(z, k2)])
     k4 = stage(t1, [c + h * k for c, k in zip(z, k3)])
     z_new = tuple(c + (h / 6.0) * (a + 2.0 * b + 2.0 * d + e)
                   for c, a, b, d, e in zip(z, k1, k2, k3, k4))
-    return z_new, _enter_point(grid, t1, z_new, t0, "at")
+    stencil = _enter_point(grid, t1, z_new, t0, "at")
+    history.check(t1, stencil, last_valid=t0)
+    return z_new, stencil
 
 
 def _enter_point(grid, t, point, last_valid, where):
@@ -298,28 +287,13 @@ def _enter_point(grid, t, point, last_valid, where):
     return grid._point_stencil_in_box(point)
 
 
-def _advance_start(history, z, t0, t1, k1):
-    """`advance_positions` of a single start, on Python floats: the stages
-    of `_point_stages` read the history's blends at `PointStencil`s, and the
-    history checks the new position at t1, so the bits and the aborts are
-    those of the (1, dim) batch.  `z` and `k1` are (1, dim) arrays; returns
-    the new (1, dim) position and its point stencil."""
-    def velocity(t, stencil):
-        return history.velocity_at(t, stencil).tolist()[0]
-
-    z_new, stencil = _point_stages(history.grid, velocity, z.tolist()[0],
-                                   t0, t1, k1.tolist()[0])
-    history.check(t1, stencil, last_valid=t0)
-    return np.array([z_new]), stencil
-
-
 def flow_steps(history, z0):
     """Walk guidance trajectories through a snapshot history by RK4.
 
     z0 may be a single position or an (m, dim) batch, copied here, when the
     walk is made.  A batch advances in lockstep (vectorized stages,
     `advance_positions`); a single start (m = 1) walks on Python floats
-    (`_advance_start`), with the same bits and aborts.  The returned
+    (`advance_point`), with the same bits and aborts.  The returned
     generator yields ``(i, t, z, stencil, k1)`` at each snapshot before
     stepping past it: the (m, dim) positions, their stencil (a
     `PointStencil` for a single start) and the (m, dim) velocity there,
@@ -338,14 +312,17 @@ def _walk(history, z):
     i, t = 0, history.records[0].time_tag
     stencil = _enter_box(grid, t, z, t)
     grid._query_points(z)              # the axis count, after the box test
-    advance = advance_positions
+    advance, rows = advance_positions, np.asarray
     if len(z) == 1:
-        advance = _advance_start
-        stencil = grid._point_stencil_in_box(z.tolist()[0])
+        # a single start walks on floats; its (1, dim) rows are built only
+        # to be yielded
+        advance, rows = advance_point, lambda v: np.array([v])
+        z = z.tolist()[0]
+        stencil = grid._point_stencil_in_box(z)
     history.check(t, stencil, last_valid=t)
     while True:
         k1 = history.velocity_at(t, stencil)
-        yield i, t, z, stencil, k1
+        yield i, t, rows(z), stencil, rows(k1)
         if i + 1 == history.count:
             return
         t_next = history.records[i + 1 - history.first].time_tag

@@ -12,7 +12,6 @@ from solidyn.diagnostics import (
     conservation_report,
     ehrenfest_report,
     equivariance_distance,
-    norm_pt,
     static_energy_identity_deviation,
 )
 from solidyn.errors import SolidynError
@@ -25,30 +24,6 @@ from solidyn.soliton import (GaussonParams, SolitonState, energy_nls,
 from solidyn.trajectories import FlowHistory, integrate_flow
 
 PARAMS = PhysicalParams(omega0=1.0, charge=1.0)
-
-
-# ---------------------------------------------------------------------------
-# norm_pt
-# ---------------------------------------------------------------------------
-
-def test_norm_pt_gausson():
-    g = Grid(256, 24.0)
-    amp = 1.7
-    u = Field(g, amp * np.exp(-0.5 * g.axes[0] ** 2).astype(complex))
-    assert norm_pt(u, omega0=1.0) == pytest.approx(2 * amp**2 * np.sqrt(np.pi),
-                                                   abs=1e-12)
-
-
-def test_norm_pt_quadratic_scaling():
-    g = Grid(256, 24.0)
-    u = Field(g, np.exp(-0.5 * g.axes[0] ** 2).astype(complex))
-    u3 = Field(g, 3.0 * u.samples)
-    assert norm_pt(u3, 1.0) == pytest.approx(9 * norm_pt(u, 1.0), rel=1e-13)
-
-
-def test_norm_pt_zero_field():
-    g = Grid(64, 8.0)
-    assert norm_pt(Field(g, np.zeros(64, dtype=complex)), 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,29 @@ def test_field_norm_and_validation():
         Field(g, np.zeros(32))
 
 
+# the conserved charge is P_t = 2 omega0 C, C = `Field.norm()`; doubling is
+# exact, so these are the checks of P_t at half its tolerances
+
+
+def test_field_norm_gausson():
+    g = Grid(256, 24.0)
+    amp = 1.7
+    u = Field(g, amp * np.exp(-0.5 * g.axes[0] ** 2).astype(complex))
+    assert u.norm() == pytest.approx(amp**2 * np.sqrt(np.pi), abs=5e-13)
+
+
+def test_field_norm_quadratic_scaling():
+    g = Grid(256, 24.0)
+    u = Field(g, np.exp(-0.5 * g.axes[0] ** 2).astype(complex))
+    u3 = Field(g, 3.0 * u.samples)
+    assert u3.norm() == pytest.approx(9 * u.norm(), rel=1e-13)
+
+
+def test_field_norm_zero_field():
+    g = Grid(64, 8.0)
+    assert Field(g, np.zeros(64, dtype=complex)).norm() == 0.0
+
+
 def _written_out(grid, samples, axis, order):
     """The derivative with its multiplier built in place, per call."""
     k = grid._k_along(axis)

@@ -4,7 +4,9 @@ No linter runs on this tree, so an unused import (a leftover of a moved
 kernel, or a re-export nothing reads) would otherwise stay.  A name counts
 as used when the module's code reads it; docstrings and comments do not
 count.  The one exemption is the package's `nls_step`, which the
-benchmark's tracer rebinds there.
+benchmark's tracer rebinds there.  Likewise every private top-level
+function and class is read by some `solidyn` module outside its own
+definition, so a superseded helper cannot stay behind.
 
 The CLI also loads no executor or process-pool module, which would add to
 every run's set-up time and memory.
@@ -49,6 +51,28 @@ def test_every_imported_name_is_used(module):
               for name, line in imported_names(tree)
               if name not in used and (module, name) not in EXEMPT]
     assert unused == []
+
+
+def test_every_private_definition_is_read():
+    # a read is a loaded name, so a method or attribute of the same name
+    # does not count for a top-level definition
+    statements = [(module, node) for module in MODULES
+                  for node in ast.parse((SOURCE / module).read_text()).body]
+    reads = [{sub.id for sub in ast.walk(node)
+              if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+             for _, node in statements]
+    private = [(module, node) for module, node in statements
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.endswith("__")]
+    assert len(private) > 20
+    unread = [f"{module}:{node.lineno} {node.name}"
+              for module, node in private
+              if not any(node.name in names
+                         for (_, other), names in zip(statements, reads)
+                         if other is not node)]
+    assert unread == []
 
 
 def test_the_cli_loads_no_executor_or_process_module():

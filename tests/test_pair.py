@@ -594,9 +594,9 @@ def test_wave_peak_reduced_once_serves_every_floor(monkeypatch):
     handed = []
     advance = pair_module.advance_point
 
-    def spy(bundle, bundle_next, *args, **kwargs):
-        handed.append((bundle, bundle_next))
-        return advance(bundle, bundle_next, *args, **kwargs)
+    def spy(history, *args, **kwargs):
+        handed.append(history.records)
+        return advance(history, *args, **kwargs)
 
     monkeypatch.setattr(pair_module, "advance_point", spy)
     new_wave, _ = pair_step(wave, PairState(u1=u1, u2=u2, z=Z_START), 2e-3)
@@ -618,20 +618,40 @@ def test_wave_peak_reduced_once_serves_every_floor(monkeypatch):
     assert np.array_equal(conditional_q(wave, 1, z2), want)
 
 
-def test_pair_step_builds_no_flow_history(monkeypatch):
-    # the configuration point moves by the one-point RK4 over the step's two
-    # waves; no throwaway flow history is built
+def test_pair_step_builds_one_flow_history_per_step(monkeypatch):
+    # each particle half moves its configuration point by the one-point
+    # RK4 over a history of the step's own two waves, built once and read
+    # by no one else; the run builds no other flow history
     g2, g1 = grid_pair()
     wave = unequal_mass_wave(g2, g1)
     u1, u2 = unequal_mass_solitons(g1, Z_START)
+    built, halves = [], []
+    init, particles = (trajectories.FlowHistory.__init__,
+                       pair_module._step_particles)
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("pair_step built a FlowHistory")
+    def spy_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(trajectories.FlowHistory, "__init__", refuse)
+    def spy_particles(pair, new_pair, *args):
+        halves.append((pair, new_pair))
+        return particles(pair, new_pair, *args)
+
+    monkeypatch.setattr(trajectories.FlowHistory, "__init__", spy_init)
+    monkeypatch.setattr(pair_module, "_step_particles", spy_particles)
     new_wave, state = pair_step(wave, PairState(u1=u1, u2=u2, z=Z_START),
                                 2e-3)
     assert new_wave.time_tag == 2e-3 and state.z.shape == (2,)
+    assert halves[0][0] is wave and halves[0][1] is new_wave
+    # and a lockstep run of two starts over three steps
+    runs = run_pair(momentum_correlated_wave(g2, g1),
+                    resting_states(g1, LOCKSTEP_STARTS[:2]), 2e-3, 3)
+    assert [run.z.shape for run in runs] == [(4, 2), (4, 2)]
+    assert len(halves) == 1 + 6 and len(built) == len(halves)
+    for history, (pair, new_pair) in zip(built, halves):
+        assert len(history.records) == 2
+        assert history.records[0] is pair and history.records[1] is new_pair
+        assert not history.readers
 
 
 # ---------------------------------------------------------------------------
@@ -735,11 +755,11 @@ def test_lockstep_abort_at_one_step_raises_the_first_start(monkeypatch):
     dt = 2e-3
     advance = pair_module.advance_point
 
-    def failing(bundle, bundle_next, z, t0, t1, **kwargs):
+    def failing(history, z, t0, t1, **kwargs):
         if t1 > 2.5 * dt:
             # names the start by its partner coordinate, rounded
             raise BoundaryExitError(f"start z2={round(z[1])}", t0)
-        return advance(bundle, bundle_next, z, t0, t1, **kwargs)
+        return advance(history, z, t0, t1, **kwargs)
 
     monkeypatch.setattr(pair_module, "advance_point", failing)
     starts = ((-2.0, -2.0), (-1.97, 3.03))
@@ -860,10 +880,10 @@ def test_a_particle_abort_wins_over_the_wave_in_flight(monkeypatch):
             new.psi.samples[3, 5] = np.nan
         return new
 
-    def failing(bundle, bundle_next, z, t0, t1, **kwargs):
+    def failing(history, z, t0, t1, **kwargs):
         if t1 > (k - 0.5) * dt:
             raise BoundaryExitError("particle abort", t0)
-        return advance(bundle, bundle_next, z, t0, t1, **kwargs)
+        return advance(history, z, t0, t1, **kwargs)
 
     monkeypatch.setattr(pair_module, "ls2_step", poisoned)
     monkeypatch.setattr(pair_module, "advance_point", failing)

@@ -333,13 +333,26 @@ def test_state_keeps_the_density_and_norm_of_its_field():
     assert kept.center.tolist() == [0.25] and kept.norm == state.norm
 
 
-def test_run_coupled_builds_no_flow_history(monkeypatch):
-    from solidyn import trajectories
+def test_run_coupled_builds_one_flow_history_per_step(monkeypatch):
+    # the reference point moves by the one-point RK4 over a history of the
+    # step's own two Madelung bundles, built once and read by no one else;
+    # the run builds no other flow history
+    from solidyn import soliton as soliton_module, trajectories
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("run_coupled built a FlowHistory")
+    built, bundles = [], []
+    init, extract = (trajectories.FlowHistory.__init__,
+                     soliton_module.madelung_extract)
 
-    monkeypatch.setattr(trajectories.FlowHistory, "__init__", refuse)
+    def spy_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def spy_extract(*args, **kwargs):
+        bundles.append(extract(*args, **kwargs))
+        return bundles[-1]
+
+    monkeypatch.setattr(trajectories.FlowHistory, "__init__", spy_init)
+    monkeypatch.setattr(soliton_module, "madelung_extract", spy_extract)
     g = Grid(256, 20.0)
     x = g.axes[0]
     psi = Field(g, np.exp(-(x**2) / 4).astype(complex))
@@ -350,3 +363,9 @@ def test_run_coupled_builds_no_flow_history(monkeypatch):
         run = run_coupled(psi, state, PARAMS, Potentials.free(), dt=1e-3,
                           steps=20)
     assert run.reference.positions.shape == (21, 1, 1)
+    assert len(bundles) == 21 and len(built) == 20
+    for k, history in enumerate(built):
+        assert len(history.records) == 2
+        assert history.records[0] is bundles[k]
+        assert history.records[1] is bundles[k + 1]
+        assert not history.readers

@@ -8,8 +8,9 @@ test (`_enter_box`) accepts exactly the batches that `Grid.contains`
 accepts and names the first point outside.  The float twins must
 reproduce the numpy paths: `Grid.point_stencil(p).apply(f)` equals
 `Grid.stencil(p).apply(f)`, on arrays and on the pair wave's lazy velocity
-lines, and `advance_point` over two Madelung bundles or two pair waves
-equals `advance_positions` over their two-snapshot `FlowHistory`, aborts
+lines, and `advance_point` over the two-record `FlowHistory.of` two
+Madelung bundles or two pair waves, as the lockstep runs step, equals
+`advance_positions` over a two-snapshot history of the same fields, aborts
 included.  The pair's conditional slice in floats equals its numpy form.
 """
 
@@ -307,7 +308,7 @@ def test_advance_point_matches_two_snapshot_flow(data):
     want, want_err = _outcome(lambda: advance_positions(
         flow, np.atleast_2d(z), t0, t1, k1=k1))
     got, got_err = _outcome(lambda: advance_point(
-        bundle, bundle_next, tuple(z), t0, t1, k1_point))
+        FlowHistory.of(bundle, bundle_next), tuple(z), t0, t1, k1_point))
     if want_err is not None:
         assert type(got_err) is type(want_err)
         assert str(got_err) == str(want_err)
@@ -418,7 +419,7 @@ def test_advance_point_over_pair_waves_matches_two_snapshot_flow(data):
     want, want_err = _outcome(lambda: advance_positions(
         flow, np.atleast_2d(z), t0, t1))
     got, got_err = _outcome(lambda: advance_point(
-        pair, pair_next, tuple(z), t0, t1))
+        FlowHistory.of(pair, pair_next), tuple(z), t0, t1))
     if want_err is not None:
         assert type(got_err) is type(want_err)
         assert str(got_err) == str(want_err)

@@ -34,6 +34,7 @@ from solidyn.kleingordon import (KGHistory, KGMadelung,
                                  current_conservation_residual, evolve_kg,
                                  kg_bohm_trajectory, kg_madelung,
                                  kg_newton_residual)
+from solidyn.pair import PairWave, ls2_step
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import (continuity_residual, evolve_schrodinger,
                                  ls_step, madelung_extract,
@@ -735,6 +736,76 @@ def test_history_holds_each_producers_record(build):
     want = np.stack([stencil.apply(record.velocity[a])
                      for a in range(grid.dim)], axis=1)
     assert same_bits(history.velocity_at(t, stencil), want)
+
+
+def schrodinger_records():
+    g = Grid(64, 20.0)
+    x = g.axes[0]
+    pots = Potentials.harmonic(0.1)
+    psi = Field(g, (np.exp(-x**2 / 4.0) * np.exp(0.5j * x)).astype(complex),
+                0.3)
+    return FlowHistory, [madelung_extract(p, PARAMS, pots)
+                         for p in (psi, ls_step(psi, PARAMS, pots, 0.1))]
+
+
+def kg_records():
+    g = Grid(64, 64.0)
+    x = g.axes[0]
+
+    def psi_at(t):
+        return np.exp(-(x - 0.5 * t)**2 / 64.0) \
+            * np.exp(1j * (0.3 * x - 1.04 * t))
+
+    return KGHistory, [kg_madelung(psi_at(t - 0.1), psi_at(t),
+                                   psi_at(t + 0.1), t, 0.1, g, PARAMS,
+                                   Potentials.free())
+                       for t in (0.3, 0.4)]
+
+
+def pair_records():
+    g = Grid((32, 24), (12.0, 10.0))
+    x1, x2 = g.meshes()
+    psi = (np.exp(-(x1**2 + (x2 - 1.0)**2) / 4.0 + 1j * (0.7 * x1 - x2))
+           + np.exp(-((x1 + 1.0)**2 + x2**2) / 3.0)).astype(complex)
+    pair = PairWave(Field(g, psi, 0.3), (1.0, 1.7), 1.0,
+                    (Potentials.free(1), Potentials.free(1)))
+    return FlowHistory, [pair, ls2_step(pair, 0.1)]
+
+
+@pytest.mark.parametrize("build", [schrodinger_records, kg_records,
+                                   pair_records])
+def test_point_lookups_give_the_floats_of_a_one_point_stencil(build):
+    # at a snapshot time, between the two and at the later one (the
+    # theta == 1 blend), each component is a float with the bits of the
+    # same lookup at a one-point stencil: the lockstep runs' point RK4
+    # reads its two records through these lookups
+    kind, records = build()
+    history = kind.of(*records)
+    assert len(history.records) == 2 and not history.readers
+    assert all(kept is record
+               for kept, record in zip(history.records, records))
+    grid = history.grid
+    t0, t1 = (record.time_tag for record in records)
+    rng = np.random.default_rng(8)
+    for p in rng.uniform(-0.45, 0.45, (6, grid.dim)) * grid.lengths:
+        point, stencil = grid.point_stencil(p), grid.stencil(p)
+        for t in (t0, 0.5 * (t0 + t1), t1):
+            v = history.velocity_at(t, point)
+            assert [type(c) for c in v] == [float] * grid.dim
+            assert same_bits([v], history.velocity_at(t, stencil))
+            a = history.amplitude_at(t, point)
+            assert type(a) is float
+            assert same_bits([a], history.amplitude_at(t, stencil))
+
+
+@pytest.mark.parametrize("reader, kind", [
+    (newton_bohm_residual, FlowHistory), (kg_newton_residual, KGHistory)])
+def test_residual_readers_refuse_a_batch_of_starts(reader, kind):
+    # their visits read the float lookups of a single start's point stencil
+    history = kind(Grid(64, 20.0), PARAMS, Potentials.free())
+    with pytest.raises(SolidynError, match="takes a single start"):
+        reader([[0.5], [0.6]], history)
+    assert not history.readers
 
 
 # ---------------------------------------------------------------------------
