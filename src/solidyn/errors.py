@@ -17,6 +17,10 @@ class TrajectoryAbortError(SolidynError):
         super().__init__(message)
         self.last_valid_time = last_valid_time
 
+    def __reduce__(self):
+        # pickled with both arguments, so an abort crosses a process pipe
+        return type(self), (self.args[0], self.last_valid_time)
+
 
 class NodeEncounterError(TrajectoryAbortError):
     """Trajectory entered the node-masked region of the guiding wave."""

@@ -16,11 +16,14 @@ For entangled waves this makes particle 1's dynamics depend on where
 particle 2 actually is: the nonlocality of the guidance law, made explicit.
 For product waves the partner dependence cancels and everything factorizes
 into independent single-particle runs.
+
+`run_pair` steps one wave for every particle start it guides, all in the
+calling process; the `entangled_pair` scenario runs its entangled and its
+product run at once in two processes (`scenarios._concurrently`).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -40,8 +43,7 @@ class PairWave:
     """Configuration-space wave plus per-particle masses and potentials.
 
     A wave keeps its peak `amp_peak` and its velocity lines but no full
-    `|Psi|` (see `amplitude`), so a run holds its complex waves only (one
-    more while `run_pair` steps the next wave ahead)."""
+    `|Psi|` (see `amplitude`), so a run holds its complex waves only."""
 
     psi: Field                    # 2D samples, axes (x1, x2)
     masses: tuple                 # (w01, w02)
@@ -138,9 +140,8 @@ def symmetrized_pair(samples_a, samples_b, grid: Grid, masses, charge,
 _STEP_FACTORS = {}
 
 
-def ls2_step(pair: PairWave, dt: float, out=None) -> PairWave:
-    """Strang split step of the two-particle wave (unitary to round-off),
-    built in `out` if given (see `strang_step`)."""
+def ls2_step(pair: PairWave, dt: float) -> PairWave:
+    """Strang split step of the two-particle wave (unitary to round-off)."""
     grid = pair.psi.grid
     t = pair.psi.time_tag
     e = pair.charge
@@ -160,7 +161,7 @@ def ls2_step(pair: PairWave, dt: float, out=None) -> PairWave:
     kin = cached(_STEP_FACTORS, "kinetic", grid, (pair.masses, e, dt),
                  lambda: kinetic_multiplier(grid, pair.masses, e,
                                             (0.0, 0.0), dt))
-    out = strang_step(pair.psi.samples, half_start, half_end, kin, out)
+    out = strang_step(pair.psi.samples, half_start, half_end, kin)
     return PairWave(Field(grid, out, t + dt), pair.masses, pair.charge,
                     pair.potentials)
 
@@ -297,10 +298,10 @@ def pair_step(pair: PairWave, state: PairState, dt: float):
     return new_pair, _step_particles(pair, new_pair, state, dt, i)
 
 
-def _step_wave(pair: PairWave, dt: float, i: int, out=None) -> PairWave:
-    """The wave half of pair step `i`: `ls2_step` (into `out`, if given) and
-    its finiteness check."""
-    new_pair = ls2_step(pair, dt, out=out)
+def _step_wave(pair: PairWave, dt: float, i: int) -> PairWave:
+    """The wave half of pair step `i`: `ls2_step` and its finiteness
+    check."""
+    new_pair = ls2_step(pair, dt)
     check_finite(new_pair.psi.samples, i)
     return new_pair
 
@@ -351,23 +352,16 @@ def run_pair(pair: PairWave, states, dt: float, steps: int) -> list:
 
     The guidance is one way (the wave never sees the particles), so each
     time step runs the wave half of `pair_step` once, and then each state
-    in turn its particle half.  The wave half runs one step ahead on a
-    worker thread (`_WaveAhead`): while the states move from wave i - 1 to
-    wave i, the worker steps wave i to wave i + 1.  All states read the
-    same `PairWave`s and share their memoized peak and velocity lines; each
-    state's series and final solitons have the bits of its run alone, and
-    of the serial run.  The run stops at the first step at which the wave
-    or any state fails, as the serial run does: a wave error raises at its
-    step, after the earlier steps' particle halves, and if several states
-    fail at one step, the first of them in `states` raises.  The worker is
-    joined before the run returns or raises.  Returns one `PairRun` per
-    state, in order.
+    in turn its particle half.  All states read the same `PairWave`s and
+    share their memoized peak and velocity lines; each state's series and
+    final solitons have the bits of its run alone.  The run stops at the
+    first step at which the wave or any state fails: a wave error raises
+    at its step, and if several states fail at one step, the first of them
+    in `states` raises.  Returns one `PairRun` per state, in order.
     """
-    ahead = _WaveAhead(dt, steps)
-
     def step(s, i):
         pair, states = s
-        new_pair = ahead.take(pair, i)
+        new_pair = _step_wave(pair, dt, i)
         return new_pair, [_step_particles(pair, new_pair, state, dt, i)
                           for state in states]
 
@@ -378,72 +372,11 @@ def run_pair(pair: PairWave, states, dt: float, steps: int) -> list:
                 "centers1": [state.u1.center[0] for state in states],
                 "centers2": [state.u2.center[0] for state in states]}
 
-    try:
-        (_, states), series = drive((pair, list(states)), steps, step,
-                                    sample)
-    finally:
-        ahead.close()
+    (_, states), series = drive((pair, list(states)), steps, step, sample)
     times, z = series["times"], series["z"]
     c1, c2 = series["centers1"], series["centers2"]
     return [PairRun(times, z[:, j], c1[:, j], c2[:, j], final_state=state)
             for j, state in enumerate(states)]
-
-
-class _WaveAhead:
-    """The wave half of `run_pair`, one step ahead on a worker thread.
-
-    `take(pair, i)` returns wave i, stepped from `pair` (wave i - 1) by
-    `_step_wave`: on the calling thread at the first step, so that every
-    FFT plan the run needs exists before a worker starts, and by the worker
-    that the previous `take` started at every later step.  It then starts
-    a worker on wave i + 1, unless step i is the last.  An error of the
-    worker's wave raises from the `take` of its step.  `close()` joins the
-    worker and drops its wave or error (a particle abort wins over the wave
-    in flight).
-
-    Only the wave half runs on the worker: it reads its wave, which nothing
-    writes, and writes a new one.  The new wave's array is allocated on the
-    calling thread, so it does not come from the worker's allocator arena.
-    The overlap is bounded by the interpreter lock: the worker's transforms
-    and products release it, but the worker must take it back after each
-    of them, and the particle halves, which run Python on small arrays,
-    give it up only at the interpreter's switch interval.
-    """
-
-    def __init__(self, dt, steps):
-        self._dt, self._steps = dt, steps
-        self._worker = self._result = None
-
-    def take(self, pair: PairWave, i: int) -> PairWave:
-        if self._worker is None:
-            new_pair = _step_wave(pair, self._dt, i)
-        else:
-            self._worker.join()
-            (new_pair, error), self._worker, self._result = \
-                self._result, None, None
-            if error is not None:
-                raise error
-        if i < self._steps:
-            self._start(new_pair, i + 1)
-        return new_pair
-
-    def _start(self, pair: PairWave, i: int):
-        out = np.empty_like(pair.psi.samples)
-
-        def work():
-            try:
-                self._result = (_step_wave(pair, self._dt, i, out), None)
-            except BaseException as error:     # re-raised by `take`
-                self._result = (None, error)
-
-        worker = threading.Thread(target=work)
-        worker.start()
-        self._worker = worker
-
-    def close(self):
-        if self._worker is not None:
-            self._worker.join()
-            self._worker = self._result = None
 
 
 def pair_tracking_residual(run: PairRun):

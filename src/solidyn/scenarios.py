@@ -17,7 +17,9 @@ import copy
 import itertools
 import math
 import os
+import pickle
 import shutil
+import signal
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -32,8 +34,8 @@ from .errors import ConfigError, SolidynError, TachyonicRegionError
 from .grids import MAX_TOTAL_SAMPLES, Field, Grid
 from .kleingordon import (CFL_RATIO, KGHistory, discrete_mode_frequency,
                           evolve_kg, kg_bohm_trajectory)
-from .pair import (PairState, PairWave, pair_tracking_residual,
-                   product_pair, run_pair)
+from .pair import (PairRun, PairState, PairWave,
+                   pair_tracking_residual, product_pair, run_pair)
 from .potentials import PhysicalParams, Potentials
 from .schrodinger import evolve_schrodinger
 from .snapshots import write_csv, write_snapshot, write_text
@@ -823,6 +825,54 @@ def _run_kg_packet(cfg, sink):
     return sink.summary(cfg.kind, cfg.seed, checks)
 
 
+def _concurrently(first, second):
+    """(first(), second()), with second() run in a forked child process
+    while this process runs first().
+
+    The child pickles its result, or its exception, into a pipe and ends
+    with `os._exit`.  Errors keep the order of the serial calls: an error
+    of first() raises at once, and the child is killed; otherwise an error
+    of second() raises here, with its class, message and attributes.  The
+    child is reaped on every path.  Without `os.fork` the two run in
+    order.
+    """
+    if not hasattr(os, "fork"):
+        return first(), second()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                reply = (True, second())
+            except BaseException as err:
+                reply = (False, err)
+            data = pickle.dumps(reply)
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            result = first()
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if not data:
+        raise SolidynError(f"the concurrent run ended with no result (exit "
+                           f"status {os.waitstatus_to_exitcode(status)})")
+    done, value = pickle.loads(data)
+    if not done:
+        raise value
+    return result, value
+
+
 def _run_entangled_pair(cfg, sink):
     grid = cfg.grid
     init = cfg.initial
@@ -863,15 +913,21 @@ def _run_entangled_pair(cfg, sink):
     z1, z2, z2b = init["z1"], init["z2"], init["z2_alternate"]
 
     def run(entangled):
-        # both partner starts ride one wave, stepped once for both; the
-        # entangled wave is freed before the product wave is built
+        # both partner starts ride one wave, stepped once for both
         pair_wave = wave(entangled)
         return run_pair(pair_wave, [state(pair_wave, z1, z2),
                                     state(pair_wave, z1, z2b)],
                         cfg.dt, cfg.steps)
 
-    ent_a, ent_b = run(True)
-    prod_a, prod_b = run(False)
+    def product_series():
+        # the series the summary reads, without the final solitons
+        return [PairRun(r.times, r.z, r.centers1, r.centers2)
+                for r in run(False)]
+
+    # the entangled and the product runs share nothing: the product run
+    # goes on in a child process, so both waves are resident at once
+    (ent_a, ent_b), (prod_a, prod_b) = _concurrently(lambda: run(True),
+                                                     product_series)
     dx = grid.spacing[0]
     ent_shift = float(np.max(np.abs(ent_a.z[:, 0] - ent_b.z[:, 0])))
     prod_shift = float(np.max(np.abs(prod_a.z[:, 0] - prod_b.z[:, 0])))

@@ -29,7 +29,7 @@ NODE_PROXIMITY_REL = 1e-6
 BOUNDARY_MASS_LIMIT = 1e-8
 
 
-def strang_step(samples, half_start, half_end, kinetic_phase, out=None):
+def strang_step(samples, half_start, half_end, kinetic_phase):
     """One Strang split step of i du/dt = (W + K) u.
 
     Parameters
@@ -39,18 +39,14 @@ def strang_step(samples, half_start, half_end, kinetic_phase, out=None):
     half_end : second half phase exp(-i dt W(t + dt) / 2), or a callable
         receiving the post-kinetic samples and returning it (for nonlinear W).
     kinetic_phase : precomputed exp(-i dt K) multiplier in Fourier space.
-    out : complex array of the samples' shape to build the step in (a new
-        one by default); it must not overlap `samples`.
 
     The output is built once, as half_start * samples, and both transforms
     then run in place on it (`out=`), so a step holds one grid array and
-    `samples` is never written.  `pair.run_pair`, which steps its wave on a
-    worker thread, passes an `out` allocated on the calling thread, so the
-    array does not come from the worker's allocator arena.  A 1D step
-    calls `fft`/`ifft`, the one pocketfft call that `fftn`/`ifftn` would
-    make without their per-axis bookkeeping, so the bits are the same.
+    `samples` is never written.  A 1D step calls `fft`/`ifft`, the one
+    pocketfft call that `fftn`/`ifftn` would make without their per-axis
+    bookkeeping, so the bits are the same.
     """
-    out = np.multiply(half_start, samples, out=out)
+    out = half_start * samples
     forward, inverse = ((np.fft.fft, np.fft.ifft) if out.ndim == 1
                         else (np.fft.fftn, np.fft.ifftn))
     forward(out, out=out)

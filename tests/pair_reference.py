@@ -10,10 +10,9 @@ RK4.  The per-line path must reproduce it bit for bit.
 and weights computed on one-element numpy arrays; `pair._axis_slice`,
 which computes them in Python floats, must give its bits.
 
-`serial_run_pair` is `run_pair` before it stepped the wave one step ahead
-on a worker thread: each step's wave half, then its particle halves, all
-on the calling thread.  `run_pair` must give its series, final solitons
-and exits.
+`serial_run_pair` is the serial lockstep run: each step's wave half, then
+its particle halves in order.  `run_pair` must give its series, final
+solitons and exits.
 """
 
 from dataclasses import dataclass

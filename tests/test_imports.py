@@ -9,7 +9,8 @@ function and class is read by some `solidyn` module outside its own
 definition, so a superseded helper cannot stay behind.
 
 The CLI also loads no executor or process-pool module, which would add to
-every run's set-up time and memory.
+every run's set-up time and memory, and the package has one concurrency
+mechanism: the `os.fork` of `scenarios._concurrently`.
 """
 
 import ast
@@ -76,7 +77,7 @@ def test_every_private_definition_is_read():
 
 
 def test_the_cli_loads_no_executor_or_process_module():
-    # the pair run's worker is a plain `threading.Thread`: importing
+    # the pair scenario's second run is a plain `os.fork`: importing
     # concurrent.futures alone adds about 0.7 MB to every run's RSS, and
     # multiprocessing more, to the CLI's set-up time as well
     code = ("import sys, solidyn.cli; print(sorted(name for name in "
@@ -89,3 +90,33 @@ def test_the_cli_loads_no_executor_or_process_module():
                           env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_the_one_concurrency_mechanism_is_the_fork_of_concurrently():
+    # no thread, process-pool or executor module is imported, and `os.fork`
+    # is read only inside `scenarios._concurrently`
+    banned = ("threading", "_thread", "multiprocessing", "concurrent")
+    imports, forks = [], []
+    for module in MODULES:
+        tree = ast.parse((SOURCE / module).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                names = []
+            imports += [f"{module}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] in banned
+                        or name == "os.fork"]
+        inside = {id(sub) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_concurrently"
+                  for sub in ast.walk(node)}
+        forks += [(module, id(node) in inside) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "fork"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "os"]
+    assert imports == []
+    assert forks == [("scenarios.py", True)]

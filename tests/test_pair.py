@@ -1,7 +1,6 @@
 """Tests for the two-particle configuration-space wave and coupled solitons."""
 
 import gc
-import sys
 import threading
 from functools import cached_property
 
@@ -466,9 +465,8 @@ def _check_lines_derived_once(monkeypatch, advance, bound):
     derivative, wave_step = Grid.derivative, pair_module.ls2_step
     particles = pair_module._step_particles
 
-    def step_spy(pair, dt, out=None):
-        # `run_pair` steps each wave one step ahead of the particle halves
-        waves.append(wave_step(pair, dt, out=out))
+    def step_spy(pair, dt):
+        waves.append(wave_step(pair, dt))
         return waves[-1]
 
     def particles_spy(pair, new_pair, state, dt, i):
@@ -696,9 +694,9 @@ def test_lockstep_run_steps_and_reduces_each_wave_once(monkeypatch):
     wave_step = pair_module.ls2_step
     amp_peak = PairWave.__dict__["amp_peak"].func
 
-    def step_spy(pair, dt, out=None):
+    def step_spy(pair, dt):
         stepped.append(pair)
-        return wave_step(pair, dt, out=out)
+        return wave_step(pair, dt)
 
     def amp_peak_spy(wave):
         reduced.append(wave)
@@ -772,11 +770,11 @@ def test_lockstep_abort_at_one_step_raises_the_first_start(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the wave half one step ahead: the serial run's bits and exits
+# the lockstep run: the serial run's bits and exits
 # ---------------------------------------------------------------------------
 
 # a slowly ramped linear potential on particle 2's axis, sampled anew at
-# every step, so the worker evaluates V while the particle halves read it
+# every step
 RAMP = Potentials(1, scalar=lambda t, c: 0.05 * t * c[0],
                   scalar_gradient=lambda t, c: (0.05 * t + 0.0 * c[0],))
 
@@ -817,25 +815,6 @@ def test_run_pair_has_the_bits_of_the_serial_run(entangled, count):
         assert len(got[0].times) == steps + 1
 
 
-def test_run_pair_keeps_its_bits_under_fast_thread_switches():
-    # the interpreter switches threads every microsecond, so the particle
-    # halves and the wave in flight interleave as finely as they can
-    g2, g1 = grid_pair(n=64)
-
-    def run(runner):
-        return runner(lookahead_wave(g2, g1, True),
-                      resting_states(g1, LOCKSTEP_STARTS), 2e-3, 30)
-
-    want = run(serial_run_pair)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = run(run_pair)
-    finally:
-        sys.setswitchinterval(interval)
-    assert_same_runs(got, want)
-
-
 def test_a_wave_error_raises_at_its_step_after_the_earlier_halves(
         monkeypatch):
     # wave k is non-finite: the run raises at step k, once every particle
@@ -868,8 +847,8 @@ def test_a_wave_error_raises_at_its_step_after_the_earlier_halves(
 
 
 def test_a_particle_abort_wins_over_the_wave_in_flight(monkeypatch):
-    # a particle half aborts at step k while wave k + 1, non-finite, may be
-    # in flight: the particle abort raises, and the wave's error is dropped
+    # a particle half aborts at step k, and wave k + 1 would be non-finite:
+    # the particle abort raises, and wave k + 1 is never stepped
     g2, g1 = grid_pair(n=32)
     dt, k = 2e-3, 3
     wave_step, advance = pair_module.ls2_step, pair_module.advance_point
@@ -893,25 +872,3 @@ def test_a_particle_abort_wins_over_the_wave_in_flight(monkeypatch):
                  resting_states(g1, LOCKSTEP_STARTS[:2]), dt, 10)
     assert threading.active_count() == before
     assert err.value.last_valid_time == pytest.approx((k - 1) * dt)
-
-
-def test_the_worker_steps_into_an_array_made_on_the_calling_thread(
-        monkeypatch):
-    # the first wave step runs on the calling thread (the FFT plans exist
-    # before a worker starts); every later one on a worker, into an output
-    # array allocated by the calling thread, not in the worker's arena
-    g2, g1 = grid_pair(n=32)
-    wave_step = pair_module.ls2_step
-    caller = threading.current_thread()
-    calls = []
-
-    def step_spy(pair, dt, out=None):
-        calls.append((threading.current_thread() is caller, out is None))
-        new = wave_step(pair, dt, out=out)
-        assert out is None or new.psi.samples is out
-        return new
-
-    monkeypatch.setattr(pair_module, "ls2_step", step_spy)
-    run_pair(momentum_correlated_wave(g2, g1),
-             resting_states(g1, LOCKSTEP_STARTS[:1]), 2e-3, 6)
-    assert calls == [(True, True)] + [(False, False)] * 5

@@ -4,9 +4,11 @@ import dataclasses
 import gc
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -16,15 +18,16 @@ import yaml
 
 from interp_reference import record_snapshots
 from solidyn.cli import main as cli_main
-from solidyn import trajectories
+from solidyn import scenarios, trajectories
 from solidyn.diagnostics import equivariance_distance
 from solidyn.errors import (BoundaryExitError, ConfigError,
-                            NodeEncounterError, PastOrientedCurrentError,
-                            SolidynError, TachyonicRegionError,
-                            TrajectoryAbortError)
+                            NodeEncounterError, NonFiniteFieldError,
+                            PastOrientedCurrentError, SolidynError,
+                            TachyonicRegionError, TrajectoryAbortError)
 from solidyn.grids import Field, Grid
-from solidyn.scenarios import (KINDS, MAX_STEPS, THRESHOLDS, parse_config,
-                               parse_config_dict, run_scenario)
+from solidyn.pair import product_pair, run_pair
+from solidyn.scenarios import (KINDS, MAX_STEPS, THRESHOLDS, _concurrently,
+                               parse_config, parse_config_dict, run_scenario)
 from solidyn.potentials import Potentials
 from solidyn.schrodinger import MadelungBundle, evolve_schrodinger
 from solidyn.snapshots import read_snapshot, write_csv, write_snapshot
@@ -864,3 +867,187 @@ def test_a_manifest_that_cannot_be_written_still_ends_in_exit_1(tmp_path,
     assert (out / "manifest.txt").is_dir()
     assert sorted(p.name for p in out.iterdir()) == ["manifest.txt",
                                                      "snapshots"]
+
+
+# ---------------------------------------------------------------------------
+# the entangled and product pair runs in two processes
+# ---------------------------------------------------------------------------
+
+SHORT_PAIR = ("scenario: entangled_pair\n"
+              "grid:\n  points: [64, 64]\n  length: [24.0, 24.0]\n"
+              "run:\n  t_final: 0.02\n"
+              "output:\n  directory: {out}\n")
+
+
+def open_fd_count():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_pair_config(tmp_path, capsys, name, text=SHORT_PAIR):
+    """Exit code, stdout and output files of one `run_scenario` of `text`;
+    checks that the run leaves no child process and no open descriptor."""
+    out = tmp_path / name
+    fds = open_fd_count()
+    path = write_yaml(tmp_path, f"{name}.yaml", text.format(out=out))
+    code = run_scenario(parse_config(path))
+    assert_no_child_left()
+    assert open_fd_count() == fds
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return code, capsys.readouterr().out, files
+
+
+def test_concurrently_returns_both_results_and_reaps_its_child():
+    fds = open_fd_count()
+    parent = os.getpid()
+    first, second = _concurrently(lambda: os.getpid(),
+                                  lambda: (os.getpid(), np.arange(3.0)))
+    assert first == parent and second[0] != parent
+    assert second[1].tobytes() == np.arange(3.0).tobytes()
+    assert_no_child_left()
+    assert open_fd_count() == fds
+
+
+@pytest.mark.parametrize("error", [NodeEncounterError("node", 0.25),
+                                   NonFiniteFieldError("non-finite"),
+                                   ValueError("not a solver error")])
+def test_concurrently_raises_the_childs_error_after_first(error):
+    ran = []
+
+    def fail():
+        raise error
+
+    with pytest.raises(type(error)) as err:
+        _concurrently(lambda: ran.append("first"), fail)
+    assert ran == ["first"]
+    assert str(err.value) == str(error)
+    assert getattr(err.value, "last_valid_time", None) \
+        == getattr(error, "last_valid_time", None)
+    assert_no_child_left()
+
+
+def test_concurrently_reports_a_child_that_ends_with_no_result():
+    fds = open_fd_count()
+    with pytest.raises(SolidynError, match=r"no result \(exit status 7\)$"):
+        _concurrently(lambda: None, lambda: os._exit(7))
+    assert_no_child_left()
+    assert open_fd_count() == fds
+
+
+def test_concurrently_without_fork_runs_first_then_second(monkeypatch):
+    order = []
+    monkeypatch.delattr(os, "fork")
+    assert _concurrently(lambda: order.append(1) or "a",
+                         lambda: order.append(2) or "b") == ("a", "b")
+    assert order == [1, 2]
+
+
+def test_pair_runs_without_fork_write_the_forked_bytes(tmp_path, capsys,
+                                                       monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    forked = run_pair_config(tmp_path, capsys, "forked")
+    assert forks == [os.getpid()]
+    monkeypatch.delattr(os, "fork")
+    serial = run_pair_config(tmp_path, capsys, "serial")
+    assert forked == serial
+    assert forked[0] in (0, 3)
+    assert sorted(forked[2]) == ["summary.txt", "trajectories.csv"]
+
+
+def product_aborts(monkeypatch, entangled_error=None, product_delay=0.0):
+    """Make the product run of `entangled_pair` abort at its end, after
+    `product_delay` seconds, and the entangled run raise `entangled_error`
+    if given.  The product wave is told apart by the `product_pair` that
+    built it."""
+    products = []
+
+    def tagged(*args, **kwargs):
+        products.append(product_pair(*args, **kwargs))
+        return products[-1]
+
+    def aborting(pair, states, dt, steps):
+        runs = run_pair(pair, states, dt, steps)
+        if not any(pair is wave for wave in products):
+            if entangled_error is not None:
+                raise entangled_error
+            return runs
+        time.sleep(product_delay)
+        raise NodeEncounterError(
+            "node encounter at t=0.018 (trajectory 1)", 0.016)
+
+    monkeypatch.setattr(scenarios, "product_pair", tagged)
+    monkeypatch.setattr(scenarios, "run_pair", aborting)
+
+
+def test_a_product_only_abort_exits_1_as_the_serial_run(tmp_path, capsys,
+                                                        monkeypatch):
+    # the abort is patched before the fork, so it happens in the child
+    product_aborts(monkeypatch)
+    forked = run_pair_config(tmp_path, capsys, "forked")
+    monkeypatch.delattr(os, "fork")
+    serial = run_pair_config(tmp_path, capsys, "serial")
+    assert forked == serial
+    code, out, files = forked
+    assert code == 1
+    assert out == "solver error: node encounter at t=0.018 (trajectory 1)\n"
+    assert list(files) == ["manifest.txt"]
+    assert files["manifest.txt"] == (
+        b"scenario: entangled_pair\nstatus: solver error\n"
+        b"error: node encounter at t=0.018 (trajectory 1)\n"
+        b"partial outputs:\n\n")
+
+
+def test_an_entangled_abort_wins_and_its_child_is_killed(tmp_path, capsys,
+                                                         monkeypatch):
+    # the product run would abort too, but only after a minute
+    product_aborts(monkeypatch, BoundaryExitError("entangled abort", 0.01),
+                   product_delay=60.0)
+    kills = []
+    kill = os.kill
+
+    def spy(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", spy)
+    start = time.perf_counter()
+    forked = run_pair_config(tmp_path, capsys, "forked")
+    assert time.perf_counter() - start < 30.0
+    assert [sig for _, sig in kills] == [signal.SIGKILL]
+    assert kills[0][0] != os.getpid()
+    monkeypatch.delattr(os, "fork")
+    serial = run_pair_config(tmp_path, capsys, "serial")
+    assert forked == serial
+    assert forked[:2] == (1, "solver error: entangled abort\n")
+
+
+def test_an_abort_at_the_first_steps_keeps_its_exit_and_manifest(
+        tmp_path, capsys, monkeypatch):
+    # a start where the pair wave lies below its node mask: both runs
+    # abort, and the entangled run's abort is the one reported
+    text = SHORT_PAIR.replace(
+        "run:\n  t_final: 0.02\n",
+        "initial:\n  packet_sigma: 0.3\n  z1: 10\n").replace(
+        "grid:\n  points: [64, 64]\n  length: [24.0, 24.0]\n", "")
+    forked = run_pair_config(tmp_path, capsys, "forked", text)
+    monkeypatch.delattr(os, "fork")
+    serial = run_pair_config(tmp_path, capsys, "serial", text)
+    assert forked == serial
+    code, out, files = forked
+    assert code == 1
+    assert out == "solver error: node encounter at t=0.002 (trajectory 0)\n"
+    assert files["manifest.txt"] == (
+        b"scenario: entangled_pair\nstatus: solver error\n"
+        b"error: node encounter at t=0.002 (trajectory 0)\n"
+        b"partial outputs:\n\n")
