@@ -207,15 +207,9 @@ def equivariance_distance(densities, density_grid, times, block,
     out_t, out_d = [], []
     for idx in indices:
         rho = densities[idx]
-        total = grid.integrate(rho)
-        meshes = grid.meshes()
-        edges = []
-        for a in range(grid.dim):
-            mean = grid.integrate(rho * meshes[a]) / total
-            sigma = np.sqrt(grid.integrate(rho * (meshes[a] - mean) ** 2)
-                            / total)
-            edges.append(np.linspace(mean - 4 * sigma, mean + 4 * sigma,
-                                     bins + 1))
+        total, means, variances = grid._moments(rho)
+        edges = [np.linspace(mean - 4 * sigma, mean + 4 * sigma, bins + 1)
+                 for mean, sigma in zip(means, np.sqrt(variances))]
         p = binned_density(grid, rho, edges) / total
         q, _ = np.histogramdd(block[idx], bins=edges)
         q /= m

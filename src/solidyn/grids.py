@@ -231,6 +231,17 @@ class Grid:
         pairwise bits of `np.sum` without its wrapper)."""
         return samples.sum() * self.cell_volume
 
+    def _moments(self, rho):
+        """integral(rho), and per axis the mean and the variance of the law
+        rho / integral(rho) (not wrap-aware)."""
+        total = self.integrate(rho)
+        means, variances = [], []
+        for mesh in self.meshes():
+            mean = self.integrate(rho * mesh) / total
+            means.append(mean)
+            variances.append(self.integrate(rho * (mesh - mean) ** 2) / total)
+        return total, means, variances
+
     def boundary_mass_fraction(self, density, total=None):
         """Fraction of total mass within `BOUNDARY_CELLS` samples of any box
         edge.  `total` may pass `density.sum()` when the caller holds it."""

@@ -244,7 +244,7 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
     `solidyn run` passes its flags; a mapping merges into a section that is
     a mapping or absent.  The parser checks them as it checks the file."""
     try:
-        with open(path) as handle:
+        with open(path, "rb") as handle:
             raw = yaml.safe_load(handle)
     except yaml.YAMLError as err:
         raise ConfigError(f"{path}: malformed YAML ({err})") from err
@@ -678,15 +678,19 @@ def _downward_crossings(times, series):
     return out
 
 
+def _packet(x, center, sigma):
+    """exp(-(x - center)^2 / (4 sigma^2)): a packet of spread sigma."""
+    return np.exp(-((x - center) ** 2) / (4 * sigma**2))
+
+
 def _run_double_slit(cfg, sink):
     grid = cfg.grid
     init = cfg.initial
     sigma = init["packet_sigma"]
     half_sep = 0.5 * init["separation"]
     x = grid.axes[0]
-    psi0 = Field(grid, (np.exp(-((x - half_sep) ** 2) / (4 * sigma**2))
-                        + np.exp(-((x + half_sep) ** 2) / (4 * sigma**2)))
-                 .astype(complex))
+    psi0 = Field(grid, (_packet(x, half_sep, sigma)
+                        + _packet(x, -half_sep, sigma)).astype(complex))
     start = init["soliton_start"]
     if start is None:
         start = -half_sep
@@ -772,7 +776,7 @@ def _run_kg_packet(cfg, sink):
     x = grid.axes[0]
     if init["mode"] == "counter":
         ratio = init["amplitude_ratio"]
-        envelope = np.exp(-x**2 / (4 * (0.25 * grid.lengths[0]) ** 2))
+        envelope = _packet(x, 0.0, 0.25 * grid.lengths[0])
         psi0 = Field(grid, (envelope * (np.exp(1j * k * x)
                                         + ratio * np.exp(-1j * k * x)))
                      .astype(complex))
@@ -799,7 +803,7 @@ def _run_kg_packet(cfg, sink):
         ]
         return sink.summary(cfg.kind, cfg.seed, checks)
 
-    psi0 = Field(grid, (np.exp(-x**2 / (4 * sigma**2))
+    psi0 = Field(grid, (_packet(x, 0.0, sigma)
                         * np.exp(1j * k * x)).astype(complex))
     # both waves run first and both walks end after them, so a wave's
     # error still comes before either walk's abort
@@ -833,8 +837,9 @@ def _concurrently(first, second):
     with `os._exit`.  Errors keep the order of the serial calls: an error
     of first() raises at once, and the child is killed; otherwise an error
     of second() raises here, with its class, message and attributes.  The
-    child is reaped on every path.  Without `os.fork` the two run in
-    order.
+    child is reaped on every path, and a SIGTERM while first() runs kills
+    and reaps it (`_end_child_on_sigterm`).  Without `os.fork` the two run
+    in order.
     """
     if not hasattr(os, "fork"):
         return first(), second()
@@ -855,6 +860,7 @@ def _concurrently(first, second):
         finally:
             os._exit(code)
     os.close(write_end)
+    restore = _end_child_on_sigterm(pid)
     try:
         with open(read_end, "rb") as pipe:
             result = first()
@@ -863,6 +869,9 @@ def _concurrently(first, second):
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        # the child has ended or been killed: a SIGTERM from here on may
+        # end this process at once
+        restore()
         status = os.waitpid(pid, 0)[1]
     if not data:
         raise SolidynError(f"the concurrent run ended with no result (exit "
@@ -871,6 +880,28 @@ def _concurrently(first, second):
     if not done:
         raise value
     return result, value
+
+
+def _end_child_on_sigterm(pid):
+    """Make a SIGTERM at its default action, which would end this process
+    alone, first kill and reap the child `pid`; the process then ends by
+    the same signal.  Returns the function that puts the default back.
+    Off the main thread, where no handler can be set, or when SIGTERM has
+    a handler already (whose exception reaps the child), nothing changes."""
+    if signal.getsignal(signal.SIGTERM) != signal.SIG_DFL:
+        return lambda: None
+
+    def end(signum, frame):
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+
+    try:
+        signal.signal(signal.SIGTERM, end)
+    except ValueError:              # not the main thread
+        return lambda: None
+    return lambda: signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _run_entangled_pair(cfg, sink):
@@ -882,9 +913,9 @@ def _run_entangled_pair(cfg, sink):
 
     def packets(x):
         # the left and right packets of one particle, on its own axis
-        return ((np.exp(-((x + off) ** 2) / (4 * sigma**2))
+        return ((_packet(x, -off, sigma)
                  * np.exp(-1j * boost * x)).astype(complex),
-                (np.exp(-((x - off) ** 2) / (4 * sigma**2))
+                (_packet(x, off, sigma)
                  * np.exp(1j * boost * x)).astype(complex))
 
     (left1, right1), (left2, right2) = (packets(x) for x in grid.axes)
@@ -956,7 +987,7 @@ def _run_equivariance(cfg, sink):
     count = int(init["trajectories"])
     bins = int(init["bins"])
     x = grid.axes[0]
-    psi0 = Field(grid, np.exp(-x**2 / (4 * sigma**2)).astype(complex))
+    psi0 = Field(grid, _packet(x, 0.0, sigma).astype(complex))
     pots = cfg.potentials()
     history = FlowHistory(grid, cfg.params, pots)
     starts = grid.sample_density(psi0.density(), count, cfg.seed)

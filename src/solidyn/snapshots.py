@@ -62,10 +62,17 @@ def read_snapshot(path) -> Field:
         blob = handle.read()
     if blob[:5] != MAGIC:
         raise SolidynError(f"{path}: not an SLDN1 snapshot")
-    head = _header_format(struct.unpack_from("<I", blob, 5)[0])
+    if len(blob) < 9:
+        raise SolidynError(f"{path}: truncated snapshot header")
+    dim = struct.unpack_from("<I", blob, 5)[0]
+    if dim not in (1, 2):
+        raise SolidynError(f"{path}: snapshot dim {dim} is not 1 or 2")
+    head = _header_format(dim)
+    offset = 5 + struct.calcsize(head)
+    if len(blob) < offset:
+        raise SolidynError(f"{path}: truncated snapshot header")
     dim, *sizes, time_tag = struct.unpack_from(head, blob, 5)
     points, lengths = sizes[:dim], sizes[dim:]
-    offset = 5 + struct.calcsize(head)
     count = int(np.prod(points))
     expected = offset + 16 * count
     if len(blob) != expected:

@@ -31,7 +31,8 @@ from .potentials import PhysicalParams, Potentials
 from .schrodinger import MadelungBundle, ls_step, madelung_extract
 from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, _half_phase,
                        check_finite, drive, strang_step)
-from .trajectories import FlowHistory, TrajectoryRecord, advance_point
+from .trajectories import (FlowHistory, TrajectoryRecord, _rk4, _values_at,
+                           advance_point)
 
 RHO_FLOOR_REL = 1e-30      # vacuum floor for the logarithm, relative to f0^2
 SCALE_SEPARATION = 20.0    # recommended sqrt(b) * sigma_psi lower bound
@@ -300,8 +301,7 @@ def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
     grad = grid.gradient(u)
     rho_safe = np.maximum(rho, floor)
 
-    v_z = np.array(_point_vector(grid, grid.point_stencil(z),
-                                 madelung.velocity))
+    v_z = np.array(_values_at(grid, grid.point_stencil(z), madelung.velocity))
     if potentials is not None:
         avec = p.charge * potentials.vector(state.u.time_tag)
     else:
@@ -333,16 +333,15 @@ class SolitonRun:
     `snapshot_times` and `energy`; each stored field went to `store`.
 
     Both runs record `times`, `centers` and `norms`.  `run_classical` also
-    records the rows of `mean_em_force`, `fq_at_center` (zeros),
-    `boundary_mass`, `snapshot_times` and `energy`, which the diagnostics
-    read; `run_coupled` leaves them None and records the reference path
-    and the harmony series instead."""
+    records the rows of `mean_em_force`, `boundary_mass`, `snapshot_times`
+    and `energy`, which the diagnostics read; `run_coupled` leaves them
+    None and records the reference path and the harmony series instead."""
 
     times: np.ndarray = None
     centers: np.ndarray = None        # (n, dim) wrap-aware xbar
     norms: np.ndarray = None          # (n,) C = integral |u|^2
     mean_em_force: np.ndarray = None  # (n, dim) integral(rho e E) / C
-    fq_at_center: np.ndarray = None   # (n, dim); zeros in classical mode
+    fq_at_center: np.ndarray = None   # (n, dim) F_Q; no run records it
     boundary_mass: np.ndarray = None
     snapshot_times: np.ndarray = None
     final_state: SolitonState = None
@@ -397,9 +396,7 @@ def run_classical(state: SolitonState, potentials: Potentials, dt: float,
         return row
 
     state, series = drive(state, steps, step, sample)
-    return SolitonRun(
-        fq_at_center=np.zeros((len(series["times"]), grid.dim)),
-        final_state=state, **series)
+    return SolitonRun(final_state=state, **series)
 
 
 def _density_mean_force(state: SolitonState, potentials: Potentials,
@@ -468,7 +465,7 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
                          external_q_end=bundle_next.quantum_potential)
         check_finite(state.u.samples, i)
         return (psi_next, bundle_next, state, z,
-                _point_vector(grid, z_stencil, bundle_next.velocity))
+                _values_at(grid, z_stencil, bundle_next.velocity))
 
     def sample(s, i):
         psi, bundle, state, z, k1 = s
@@ -488,7 +485,7 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
         }
 
     start = (psi0, bundle, state, z,
-             _point_vector(grid, z_stencil, bundle.velocity))
+             _values_at(grid, z_stencil, bundle.velocity))
     (_, _, state, *_), series = drive(start, steps, step, sample)
     reference = TrajectoryRecord(series["times"],      # one start: m = 1
                                  series.pop("positions")[:, None],
@@ -496,21 +493,9 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     return SolitonRun(final_state=state, reference=reference, **series)
 
 
-def _point_vector(grid, stencil, components):
-    """Per-axis components (dim, *grid shape) at a point stencil, as floats."""
-    return [grid.interpolate(c, stencil) for c in components]
-
-
 def _warn_scale_separation(psi0: Field, b: float):
-    grid = psi0.grid
-    rho = psi0.density()
-    total = grid.integrate(rho)
-    meshes = grid.meshes()
-    var = 0.0
-    for a in range(grid.dim):
-        mean = grid.integrate(rho * meshes[a]) / total
-        var += grid.integrate(rho * (meshes[a] - mean) ** 2) / total
-    sigma = np.sqrt(var / grid.dim)
+    _, _, variances = psi0.grid._moments(psi0.density())
+    sigma = np.sqrt(sum(variances) / psi0.grid.dim)
     if np.sqrt(b) < SCALE_SEPARATION / sigma:
         warnings.warn(
             f"soliton width 1/sqrt(b) = {1/np.sqrt(b):.3g} is not well "
@@ -524,14 +509,14 @@ def classical_trajectory(times, z0, v0, params: PhysicalParams,
 
     RK4 on the (position, velocity) pair over the same time stamps as a
     guidance trajectory; used as the discriminating comparison for coupled
-    tracking runs.  The stages run on Python floats, per axis in the
-    operation order of the array expressions (`0.5 * h * k` is `(0.5 * h)
-    * k`), so the bits are those of stepping numpy arrays; E comes from
+    tracking runs.  The stages run on Python floats through the point
+    RK4 of the guidance walk (`trajectories._rk4`, on z and v side by
+    side), so the bits are those of stepping numpy arrays; E comes from
     `Potentials.electric_field` at the one stage point.
     """
     times = np.asarray(times, dtype=float).tolist()
     z = np.asarray(z0, dtype=float).tolist()
-    v = np.asarray(v0, dtype=float).tolist()
+    dim = len(z)
     e_over_m = params.charge / params.omega0
 
     def field(t, pos):
@@ -547,23 +532,13 @@ def classical_trajectory(times, z0, v0, params: PhysicalParams,
     else:
         accel = field
 
-    def axpy(x, s, y):
-        return [xj + s * yj for xj, yj in zip(x, y)]
+    def rate(t, y):
+        return [*y[dim:], *accel(t, y[:dim])]
 
-    def rk4_sum(x, s, k1, k2, k3, k4):
-        return [xj + s * (a + 2 * b + 2 * c + d)
-                for xj, a, b, c, d in zip(x, k1, k2, k3, k4)]
-
+    y = (*z, *np.asarray(v0, dtype=float).tolist())
     out = [z]
     for i in range(len(times) - 1):
         t, h = times[i], times[i + 1] - times[i]
-        half = 0.5 * h
-        k1z, k1v = v, accel(t, z)
-        k2z, k2v = axpy(v, half, k1v), accel(t + half, axpy(z, half, k1z))
-        k3z, k3v = axpy(v, half, k2v), accel(t + half, axpy(z, half, k2z))
-        k4z, k4v = axpy(v, h, k3v), accel(t + h, axpy(z, h, k3z))
-        sixth = h / 6.0
-        z = rk4_sum(z, sixth, k1z, k2z, k3z, k4z)
-        v = rk4_sum(v, sixth, k1v, k2v, k3v, k4v)
-        out.append(z)
+        y = _rk4(rate, y, t, h, t + h)
+        out.append(y[:dim])
     return np.array(out)

@@ -138,13 +138,13 @@ class FlowHistory:
         (n, components) array."""
         i, j = self.bracket(t)
         ti, tj = self.records[i].time_tag, self.records[j].time_tag
-        vi = self._interp_snapshot(field(i), stencil)
+        vi = _values_at(self.grid, stencil, field(i))
         if tj == ti:
             return vi
         theta = (t - ti) / (tj - ti)
         if theta == 0.0:
             return vi
-        vj = self._interp_snapshot(field(j), stencil)
+        vj = _values_at(self.grid, stencil, field(j))
         if isinstance(stencil, PointStencil):
             # the bits of the in-place blend below, one float at a time
             return [(1.0 - theta) * a + theta * b for a, b in zip(vi, vj)]
@@ -153,18 +153,6 @@ class FlowHistory:
         vj *= theta
         vi += vj
         return vi
-
-    def _interp_snapshot(self, components, stencil):
-        """Each of `components` (fields indexed like the grid array) at the
-        stencil points: a list of floats for a `PointStencil`, else a new
-        (n, components) array."""
-        grid = self.grid
-        if isinstance(stencil, PointStencil):
-            return [grid.interpolate(c, stencil) for c in components]
-        out = np.empty((stencil.positions.shape[0], len(components)))
-        for a, c in enumerate(components):
-            out[:, a] = grid.interpolate(c, stencil)
-        return out
 
     def velocity_at(self, t, stencil):
         return self._blend(lambda p: self.records[p].velocity, t, stencil)
@@ -198,6 +186,18 @@ class FlowHistory:
         near = NODE_PROXIMITY_REL * max(self.records[i].amp_peak,
                                         self.records[j].amp_peak)
         return self.amplitude_at(t, stencil) < near
+
+
+def _values_at(grid, stencil, components):
+    """Each of `components` (fields indexed like the grid array) at the
+    stencil points: a list of floats for a `PointStencil`, else a new
+    (n, components) array."""
+    if isinstance(stencil, PointStencil):
+        return [grid.interpolate(c, stencil) for c in components]
+    out = np.empty((stencil.positions.shape[0], len(components)))
+    for a, c in enumerate(components):
+        out[:, a] = grid.interpolate(c, stencil)
+    return out
 
 
 def _enter_box(grid, t, pts, last_valid, where="at"):
@@ -260,23 +260,28 @@ def advance_point(history, z, t0, t1, k1=None):
     per-axis sequences of floats.  Returns the new position (a tuple) and
     its point stencil, which serves every later lookup at it.
     """
-    grid = history.grid
-    h = t1 - t0
-
     def stage(t, point):
-        return history.velocity_at(t, _enter_point(grid, t, point, t0,
-                                                   "near"))
+        return history.velocity_at(t, _enter_point(history.grid, t, point,
+                                                   t0, "near"))
 
-    if k1 is None:
-        k1 = stage(t0, z)
-    k2 = stage(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(z, k1)])
-    k3 = stage(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(z, k2)])
-    k4 = stage(t1, [c + h * k for c, k in zip(z, k3)])
-    z_new = tuple(c + (h / 6.0) * (a + 2.0 * b + 2.0 * d + e)
-                  for c, a, b, d, e in zip(z, k1, k2, k3, k4))
-    stencil = _enter_point(grid, t1, z_new, t0, "at")
+    z_new = _rk4(stage, z, t0, t1 - t0, t1, k1)
+    stencil = _enter_point(history.grid, t1, z_new, t0, "at")
     history.check(t1, stencil, last_valid=t0)
     return z_new, stencil
+
+
+def _rk4(rate, y, t0, h, t1, k1=None):
+    """RK4 of dy/dt = rate(t, y) from t0 to t1 = t0 + h on float sequences,
+    as a tuple; `k1` may pass rate(t0, y).  The operation order is that of
+    `advance_positions` (`0.5 * h * k` is `(0.5 * h) * k`), so the bits are
+    those of stepping numpy arrays."""
+    if k1 is None:
+        k1 = rate(t0, y)
+    k2 = rate(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(y, k1)])
+    k3 = rate(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(y, k2)])
+    k4 = rate(t1, [c + h * k for c, k in zip(y, k3)])
+    return tuple(c + (h / 6.0) * (a + 2.0 * b + 2.0 * d + e)
+                 for c, a, b, d, e in zip(y, k1, k2, k3, k4))
 
 
 def _enter_point(grid, t, point, last_valid, where):

@@ -22,7 +22,8 @@ BUDGET = 16777216
 STEPS = "the step count must round to between 1 and 10000000"
 WRAP = "the Gausson would wrap around the periodic seam"
 
-# (id, config text, message); {path} stands for the config file's path
+# (id, config text or bytes, message); {path} stands for the config file's
+# path
 CASES = [
     ("unknown-top-level", "scenario: free_gausson\nextra: 1\n",
      "[config].extra: unknown key"),
@@ -56,6 +57,9 @@ CASES = [
      "  in \"{path}\", line 1, column 11\n"
      "expected ',' or ']', but got '<stream end>'\n"
      "  in \"{path}\", line 2, column 1)"),
+    ("not-utf-8", b"scenario: free_gausson\n\xff\xfe\n",
+     "{path}: malformed YAML (unacceptable character #x00ff: invalid start "
+     "byte\n  in \"{path}\", position 23)"),
     ("scenario-missing", "seed: 1\n", "scenario: required key missing"),
     ("scenario-unknown", "scenario: warp\n",
      "scenario: unknown kind 'warp' (choose from free_gausson, "
@@ -245,7 +249,9 @@ def test_parse_time_check_pins_its_message(tmp_path, monkeypatch, capsys,
     # the default output directory is "out", under the working directory
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "config.yaml"
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     want = f"configuration error: {message.format(path=path)}\n"
     for argv in (["validate", str(path)], ["run", str(path)]):

@@ -468,6 +468,30 @@ def test_snapshot_rejects_bad_magic(tmp_path):
         read_snapshot(str(path))
 
 
+@pytest.mark.parametrize("grid", [Grid(8, 1.0), Grid((4, 2), (2.0, 1.0))],
+                         ids=["1d", "2d"])
+def test_snapshot_rejects_every_proper_prefix(tmp_path, grid):
+    path = tmp_path / "whole.sldn"
+    write_snapshot(Field(grid, np.ones(grid.shape, dtype=complex)), path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.sldn"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(SolidynError, match="cut.sldn"):
+            read_snapshot(str(cut))
+
+
+def test_snapshot_rejects_a_header_dim_it_cannot_hold(tmp_path):
+    path = tmp_path / "dim.sldn"
+    write_snapshot(Field(Grid(8, 1.0), np.ones(8, dtype=complex)), path)
+    blob = bytearray(path.read_bytes())
+    for dim in (0, 3, 10**8):
+        blob[5:9] = struct.pack("<I", dim)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SolidynError, match="dim.sldn"):
+            read_snapshot(str(path))
+
+
 # ---------------------------------------------------------------------------
 # run_scenario / CLI
 # ---------------------------------------------------------------------------
@@ -936,6 +960,62 @@ def test_concurrently_reports_a_child_that_ends_with_no_result():
         _concurrently(lambda: None, lambda: os._exit(7))
     assert_no_child_left()
     assert open_fd_count() == fds
+
+
+SIGTERMED = """
+import os, sys, time
+from solidyn.scenarios import _concurrently
+
+def mark(name):
+    # written whole: the test reads the file once it exists
+    with open(name + ".tmp", "w") as handle:
+        handle.write(str(os.getpid()))
+    os.replace(name + ".tmp", name)
+
+def second():
+    mark(sys.argv[2])
+    time.sleep(60)
+
+# first() runs once the handler is set: its file tells the test so
+_concurrently(lambda: mark(sys.argv[1]) or time.sleep(60), second)
+"""
+
+
+def test_a_sigterm_during_first_ends_the_child_and_then_the_process(
+        tmp_path):
+    marks = [tmp_path / "first", tmp_path / "second"]
+    path = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(scenarios.__file__)),
+        os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", SIGTERMED,
+                             *map(str, marks)],
+                            env=dict(os.environ, PYTHONPATH=path))
+    gone = False
+    try:
+        deadline = time.monotonic() + 60
+        while not all(m.exists() for m in marks):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 2
+        while True:
+            try:
+                os.kill(int(marks[1].read_text()), 0)
+            except ProcessLookupError:
+                gone = True
+                break
+            assert time.monotonic() < deadline, "the child outlived the run"
+            time.sleep(0.01)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        if not gone and marks[1].exists():
+            try:
+                os.kill(int(marks[1].read_text()), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def test_concurrently_without_fork_runs_first_then_second(monkeypatch):
