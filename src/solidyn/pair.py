@@ -135,8 +135,8 @@ def symmetrized_pair(samples_a, samples_b, grid: Grid, masses, charge,
                     tuple(potentials))
 
 
-# 2D split-step factors of ls2_step, one entry per configuration grid: the
-# runs of one scenario share them, and memory stays bounded.
+# 2D split-step factors of ls2_step, of one configuration grid: the runs of
+# one scenario share them, and a step on another grid drops them.
 _STEP_FACTORS = {}
 
 
@@ -152,6 +152,8 @@ def ls2_step(pair: PairWave, dt: float) -> PairWave:
                       pair.potentials, pair.axis_grids, pair.masses))
         return _half_phase(w1[:, None] + w2[None, :], dt)
 
+    if any(slot[1:] != (grid.points, grid.lengths) for slot in _STEP_FACTORS):
+        _STEP_FACTORS.clear()
     if any(pot.time_dependent for pot in pair.potentials):
         half_start, half_end = half_at(t), half_at(t + dt)
     else:

@@ -17,9 +17,7 @@ import copy
 import itertools
 import math
 import os
-import pickle
 import shutil
-import signal
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -41,6 +39,7 @@ from .schrodinger import evolve_schrodinger
 from .snapshots import write_csv, write_snapshot, write_text
 from .soliton import (GaussonParams, SolitonState, classical_trajectory,
                       gausson_init, run_classical, run_coupled)
+from .stepping import run_ahead
 from .trajectories import FlowHistory, FlowWalk, integrate_flow
 
 # Largest step count a config may ask for (t_final / dt, rounded).  It
@@ -831,77 +830,16 @@ def _run_kg_packet(cfg, sink):
 
 def _concurrently(first, second):
     """(first(), second()), with second() run in a forked child process
-    while this process runs first().
-
-    The child pickles its result, or its exception, into a pipe and ends
-    with `os._exit`.  Errors keep the order of the serial calls: an error
-    of first() raises at once, and the child is killed; otherwise an error
-    of second() raises here, with its class, message and attributes.  The
-    child is reaped on every path, and a SIGTERM while first() runs kills
-    and reaps it (`_end_child_on_sigterm`).  Without `os.fork` the two run
-    in order.
-    """
-    if not hasattr(os, "fork"):
-        return first(), second()
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            try:
-                reply = (True, second())
-            except BaseException as err:
-                reply = (False, err)
-            data = pickle.dumps(reply)
-            with open(write_end, "wb") as pipe:
-                pipe.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    restore = _end_child_on_sigterm(pid)
-    try:
-        with open(read_end, "rb") as pipe:
-            result = first()
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        # the child has ended or been killed: a SIGTERM from here on may
-        # end this process at once
-        restore()
-        status = os.waitpid(pid, 0)[1]
-    if not data:
-        raise SolidynError(f"the concurrent run ended with no result (exit "
-                           f"status {os.waitstatus_to_exitcode(status)})")
-    done, value = pickle.loads(data)
-    if not done:
-        raise value
+    while this process runs first(): the one-item use of
+    `stepping.run_ahead`, whose child pickles back the result or the
+    error.  Errors keep the order of the serial calls: an error of first()
+    raises at once, and the child is killed; otherwise an error of
+    second() raises here, with its class, message and attributes.
+    Without a fork the two run in order."""
+    with run_ahead(lambda: (run() for run in (second,))) as results:
+        result = first()
+        (value,) = results
     return result, value
-
-
-def _end_child_on_sigterm(pid):
-    """Make a SIGTERM at its default action, which would end this process
-    alone, first kill and reap the child `pid`; the process then ends by
-    the same signal.  Returns the function that puts the default back.
-    Off the main thread, where no handler can be set, or when SIGTERM has
-    a handler already (whose exception reaps the child), nothing changes."""
-    if signal.getsignal(signal.SIGTERM) != signal.SIG_DFL:
-        return lambda: None
-
-    def end(signum, frame):
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        signal.signal(signum, signal.SIG_DFL)
-        os.kill(os.getpid(), signum)
-
-    try:
-        signal.signal(signal.SIGTERM, end)
-    except ValueError:              # not the main thread
-        return lambda: None
-    return lambda: signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _run_entangled_pair(cfg, sink):

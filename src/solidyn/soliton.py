@@ -15,7 +15,8 @@ Two coupling modes:
              linear pilot wave, which steers the soliton center along the
              guidance trajectory.
 
-Coupling is strictly one way: the pilot wave never sees the u-field.
+Coupling is strictly one way: the pilot wave never sees the u-field, so
+`run_coupled` steps the pilot wave ahead in a child process.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .schrodinger import MadelungBundle, ls_step, madelung_extract
 from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, _half_phase,
-                       check_finite, drive, strang_step)
+                       check_finite, drive, run_ahead, strang_step)
 from .trajectories import (FlowHistory, TrajectoryRecord, _rk4, _values_at,
                            advance_point)
 
@@ -427,7 +428,12 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     ends of the step, advance the u-field with that external potential, and
     advance the reference guidance trajectory (same start as the soliton)
     against the same two Madelung snapshots.  The coupling is one way: the
-    pilot wave never sees u.
+    pilot wave never sees u.  So the pilot's loop (`ls_step`, its
+    finiteness check and `madelung_extract`) runs in the child process of
+    `stepping.run_ahead`, which ships each step's `MadelungBundle`, and the
+    wave itself at the steps `store` writes; this process rebuilds them
+    and does the rest.  A pilot error raises at its step, before that
+    step's soliton step, as in one process.
 
     The reference point steps by `trajectories.advance_point` over the
     two-record `FlowHistory.of` the step's bundles, with the blends and
@@ -452,12 +458,24 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
             < NODE_MASK_REL * bundle.amp_peak:
         raise SolidynError("soliton center starts on the pilot node mask")
 
+    def stored(i):
+        return store is not None and (
+            i == 0 or (store_every and i % store_every == 0))
+
+    def pilot():
+        # the pilot's own loop, in the `run_ahead` child: each step's
+        # bundle, and its wave at the steps that `store` writes
+        psi = psi0
+        for i in range(1, steps + 1):
+            psi = ls_step(psi, pilot_params, potentials, dt)
+            check_finite(psi.samples, i)
+            yield (madelung_extract(psi, pilot_params, potentials),
+                   psi if stored(i) else None)
+
     def step(s, i):
-        psi, bundle, state, z, k1 = s
-        t = psi.time_tag
-        psi_next = ls_step(psi, pilot_params, potentials, dt)
-        check_finite(psi_next.samples, i)
-        bundle_next = madelung_extract(psi_next, pilot_params, potentials)
+        _, bundle, state, z, k1 = s
+        t = bundle.time_tag
+        bundle_next, psi_next = next(pilot_steps)
         z, z_stencil = advance_point(FlowHistory.of(bundle, bundle_next), z,
                                      t, t + dt, k1)
         state = nls_step(state, potentials, dt,
@@ -469,9 +487,8 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
 
     def sample(s, i):
         psi, bundle, state, z, k1 = s
-        t = psi.time_tag
-        stored = i == 0 or (store_every and i % store_every == 0)
-        if stored and store is not None:
+        t = bundle.time_tag
+        if stored(i):
             store(state.u, psi)
         harmony = i > 0 and harmony_every and i % harmony_every == 0
         return {
@@ -486,7 +503,8 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
 
     start = (psi0, bundle, state, z,
              _values_at(grid, z_stencil, bundle.velocity))
-    (_, _, state, *_), series = drive(start, steps, step, sample)
+    with run_ahead(pilot, shared=(grid,)) as pilot_steps:
+        (_, _, state, *_), series = drive(start, steps, step, sample)
     reference = TrajectoryRecord(series["times"],      # one start: m = 1
                                  series.pop("positions")[:, None],
                                  series.pop("velocities")[:, None])

@@ -10,15 +10,27 @@ which give the bits of the n-dimensional ones.  Phase
 sub-steps multiply by unit-modulus factors, so |field| is untouched by them
 and the total norm is conserved to round-off by the kinetic step's
 unitarity.
+
+`run_ahead` is the package's one fork: a child process runs a generator
+and pickles each item back through a pipe while the calling process goes
+on.  The coupled run's pilot wave (`ls_step`, its finiteness check and
+`madelung_extract`) and the `entangled_pair` scenario's product run go on
+in that child.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import pickle
+import signal
+import sys
 from collections import defaultdict
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NonFiniteFieldError
+from .errors import NonFiniteFieldError, SolidynError
 
 # Relative amplitude thresholds shared by all solvers: below NODE_MASK_REL
 # times the peak amplitude, Madelung quantities are masked and trajectories
@@ -27,6 +39,11 @@ from .errors import NonFiniteFieldError
 NODE_MASK_REL = 1e-8
 NODE_PROXIMITY_REL = 1e-6
 BOUNDARY_MASS_LIMIT = 1e-8
+# Bytes `run_ahead` widens its pipe to where the kernel allows it: a child
+# that ships a few arrays per step then runs some steps ahead of the reader
+# instead of stalling on each write (the default pipe holds 64 KiB).
+PIPE_BYTES = 1 << 20
+PR_SET_PDEATHSIG = 1        # <linux/prctl.h>
 
 
 def strang_step(samples, half_start, half_end, kinetic_phase):
@@ -167,6 +184,144 @@ def drive(state, steps, step, sample):
             if value is not None:
                 column.append(value)
     return state, {name: column.block() for name, column in columns.items()}
+
+
+@contextmanager
+def run_ahead(items, shared=()):
+    """The items of the generator `items()`, made in a forked child
+    process and read here in order, while this process goes on.
+
+    The fork is made at once.  The child pickles each item (protocol 5),
+    or the error that ended the generator, into a pipe and ends with
+    `os._exit`; an object of `shared`, which both processes hold from
+    before the fork, is pickled by reference.  Errors keep the order of
+    the serial loop: the child's error raises where its item would have
+    been read, with its class, message and attributes, and an error of
+    this process ends the `with` block, which kills the child.  The child
+    is reaped when the block ends, on every path; while it runs, a SIGTERM
+    at its default action kills and reaps it first
+    (`_end_child_on_sigterm`), and on Linux the kernel kills it when the
+    thread that forked it ends (`_end_with_parent`).  Where `os.fork` does
+    not exist, or this process may run on one CPU only, `items()` runs in
+    this process instead.
+    """
+    if not hasattr(os, "fork") or _cpus() < 2:
+        yield items()
+        return
+    import fcntl
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe, open(write_end, "wb") as sink:
+        try:
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except (AttributeError, OSError):  # not Linux, or over the limit
+            pass
+        parent = os.getpid()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                pipe.close()
+                _end_with_parent(parent)
+                _send(sink, items, shared)
+                code = 0
+            finally:
+                os._exit(code)
+        sink.close()
+        restore = _end_child_on_sigterm(pid)
+        ended = []              # the child's exit code, once reaped
+
+        def reap(kill):
+            if not ended:
+                if kill:
+                    os.kill(pid, signal.SIGKILL)
+                # the child has ended or been killed: a SIGTERM from here
+                # on may end this process at once
+                restore()
+                ended.append(os.waitstatus_to_exitcode(
+                    os.waitpid(pid, 0)[1]))
+            return ended[0]
+
+        def received():
+            while pipe.peek(1):
+                unpickler = pickle.Unpickler(pipe)
+                unpickler.persistent_load = shared.__getitem__
+                try:
+                    done, value = unpickler.load()
+                except (EOFError, pickle.UnpicklingError):    # cut off
+                    break
+                if not done:
+                    raise value
+                yield value
+            code = reap(kill=False)
+            if code:
+                raise SolidynError(f"the concurrent run ended with no "
+                                   f"result (exit status {code})")
+
+        try:
+            yield received()
+        finally:
+            reap(kill=True)
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _send(pipe, items, shared):
+    """Pickle (True, item) for each item of `items()`, then (False, error)
+    if the generator ends in an error, into the file `pipe`, one flushed
+    message each."""
+    ids = {id(obj): index for index, obj in enumerate(shared)}
+
+    def send(message):
+        pickler = pickle.Pickler(pipe, protocol=5)
+        pickler.persistent_id = lambda obj: ids.get(id(obj))
+        pickler.dump(message)
+        pipe.flush()
+
+    try:
+        for item in items():
+            send((True, item))
+    except BaseException as err:
+        send((False, err))
+
+
+def _end_with_parent(parent):
+    """In a forked child: on Linux, have the kernel SIGKILL this process
+    when the thread that forked it ends; then end at once if the process
+    `parent` has ended already, before that request took hold."""
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+        prctl.restype = ctypes.c_int
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _end_child_on_sigterm(pid):
+    """Make a SIGTERM at its default action, which would end this process
+    alone, first kill and reap the child `pid`; the process then ends by
+    the same signal.  Returns the function that puts the default back.
+    Off the main thread, where no handler can be set, or when SIGTERM has
+    a handler already (whose exception reaps the child), nothing changes."""
+    if signal.getsignal(signal.SIGTERM) != signal.SIG_DFL:
+        return lambda: None
+
+    def end(signum, frame):
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+
+    try:
+        signal.signal(signal.SIGTERM, end)
+    except ValueError:              # not the main thread
+        return lambda: None
+    return lambda: signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def check_finite(samples, step_index):

@@ -10,7 +10,7 @@ definition, so a superseded helper cannot stay behind.
 
 The CLI also loads no executor or process-pool module, which would add to
 every run's set-up time and memory, and the package has one concurrency
-mechanism: the `os.fork` of `scenarios._concurrently`.
+mechanism: the `os.fork` of `stepping.run_ahead`.
 """
 
 import ast
@@ -92,9 +92,9 @@ def test_the_cli_loads_no_executor_or_process_module():
     assert done.stdout.strip() == "[]"
 
 
-def test_the_one_concurrency_mechanism_is_the_fork_of_concurrently():
+def test_the_one_concurrency_mechanism_is_the_fork_of_run_ahead():
     # no thread, process-pool or executor module is imported, and `os.fork`
-    # is read only inside `scenarios._concurrently`
+    # is read only inside `stepping.run_ahead`
     banned = ("threading", "_thread", "multiprocessing", "concurrent")
     imports, forks = [], []
     for module in MODULES:
@@ -112,11 +112,11 @@ def test_the_one_concurrency_mechanism_is_the_fork_of_concurrently():
                         or name == "os.fork"]
         inside = {id(sub) for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef)
-                  and node.name == "_concurrently"
+                  and node.name == "run_ahead"
                   for sub in ast.walk(node)}
         forks += [(module, id(node) in inside) for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "fork"
                   and isinstance(node.value, ast.Name)
                   and node.value.id == "os"]
     assert imports == []
-    assert forks == [("scenarios.py", True)]
+    assert forks == [("stepping.py", True)]

@@ -77,6 +77,21 @@ def test_ls2_product_stays_product():
     assert schmidt_ratio(pair.psi.samples) < 1e-8
 
 
+def test_step_factors_keep_one_configuration_grid():
+    # a step on a new grid drops the factors of the grid before it, so a
+    # process that steps many grids holds one grid's 2D factors
+    for n, box in ((16, 24.0), (32, 24.0), (32, 20.0)):
+        g2, g1 = grid_pair(n, box)
+        pair = product_pair(packet(g1, -1.0), packet(g1, 1.0), g2,
+                            (1.0, 1.0), 1.0, FREE)
+        for _ in range(2):
+            pair = ls2_step(pair, 2e-3)
+    assert sorted(slot[0] for slot in pair_module._STEP_FACTORS) \
+        == ["half", "kinetic"]
+    assert {slot[1:] for slot in pair_module._STEP_FACTORS} \
+        == {((32, 32), (20.0, 20.0))}
+
+
 @pytest.fixture(scope="module")
 def entangled_free_run():
     """500 free steps of one entangled wave, shared by two tests: its norm

@@ -19,6 +19,7 @@ import yaml
 from interp_reference import record_snapshots
 from solidyn.cli import main as cli_main
 from solidyn import scenarios, trajectories
+from solidyn import soliton as soliton_module
 from solidyn.diagnostics import equivariance_distance
 from solidyn.errors import (BoundaryExitError, ConfigError,
                             NodeEncounterError, NonFiniteFieldError,
@@ -28,9 +29,11 @@ from solidyn.grids import Field, Grid
 from solidyn.pair import product_pair, run_pair
 from solidyn.scenarios import (KINDS, MAX_STEPS, THRESHOLDS, _concurrently,
                                parse_config, parse_config_dict, run_scenario)
-from solidyn.potentials import Potentials
+from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import MadelungBundle, evolve_schrodinger
 from solidyn.snapshots import read_snapshot, write_csv, write_snapshot
+from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
+                             run_coupled)
 
 
 def write_yaml(tmp_path, name, text):
@@ -610,7 +613,9 @@ def test_double_slit_scenario_reduced(tmp_path):
 def test_double_slit_scenario_derives_no_quantum_force(tmp_path,
                                                        monkeypatch):
     # no reader of the coupled run reads F_Q, so the one real-derivative
-    # stack that would hold it is never built; q still takes its Laplacian
+    # stack that would hold it is never built; q still takes its Laplacian.
+    # The spies count calls in this process, so the pilot runs here too
+    monkeypatch.delattr(os, "fork")
     calls = {"real_derivatives": 0, "real_laplacian": 0}
     for name in calls:
         def counting(self, samples, _name=name, _real=getattr(Grid, name)):
@@ -894,8 +899,18 @@ def test_a_manifest_that_cannot_be_written_still_ends_in_exit_1(tmp_path,
 
 
 # ---------------------------------------------------------------------------
-# the entangled and product pair runs in two processes
+# runs in two processes (`stepping.run_ahead`): the entangled and product
+# pair runs, and the coupled run's pilot wave
 # ---------------------------------------------------------------------------
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    # for every test of this module: `run_ahead` forks only where the
+    # process may use two CPUs, so the fork tests fork on any host (the
+    # one-CPU test patches this back)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
 
 SHORT_PAIR = ("scenario: entangled_pair\n"
               "grid:\n  points: [64, 64]\n  length: [24.0, 24.0]\n"
@@ -912,16 +927,18 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def run_pair_config(tmp_path, capsys, name, text=SHORT_PAIR):
-    """Exit code, stdout and output files of one `run_scenario` of `text`;
-    checks that the run leaves no child process and no open descriptor."""
+def run_config(tmp_path, capsys, name, text=SHORT_PAIR):
+    """Exit code, stdout and output files (by path under the output
+    directory) of one `run_scenario` of `text`; checks that the run leaves
+    no child process and no open descriptor."""
     out = tmp_path / name
     fds = open_fd_count()
     path = write_yaml(tmp_path, f"{name}.yaml", text.format(out=out))
     code = run_scenario(parse_config(path))
     assert_no_child_left()
     assert open_fd_count() == fds
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
     return code, capsys.readouterr().out, files
 
 
@@ -962,15 +979,22 @@ def test_concurrently_reports_a_child_that_ends_with_no_result():
     assert open_fd_count() == fds
 
 
-SIGTERMED = """
+# Scripts run in a subprocess (`signal_during_a_run`): the calling process
+# writes its pid to the file argv[1] once it is busy, and the child writes
+# its own to argv[2].
+SCRIPT_HEAD = """
 import os, sys, time
-from solidyn.scenarios import _concurrently
+os.sched_getaffinity = lambda pid: {0, 1}   # fork on any host
 
 def mark(name):
     # written whole: the test reads the file once it exists
     with open(name + ".tmp", "w") as handle:
         handle.write(str(os.getpid()))
     os.replace(name + ".tmp", name)
+"""
+
+CONCURRENT = SCRIPT_HEAD + """
+from solidyn.scenarios import _concurrently
 
 def second():
     mark(sys.argv[2])
@@ -980,42 +1004,103 @@ def second():
 _concurrently(lambda: mark(sys.argv[1]) or time.sleep(60), second)
 """
 
+# the pilot could run 10^5 steps ahead, but it blocks once the pipe is full
+COUPLED = SCRIPT_HEAD + """
+import numpy as np
+from solidyn import soliton
+from solidyn.grids import Field, Grid
+from solidyn.potentials import PhysicalParams, Potentials
 
-def test_a_sigterm_during_first_ends_the_child_and_then_the_process(
-        tmp_path):
+ls_step = soliton.ls_step
+
+def pilot_step(*args):
+    mark(sys.argv[2])
+    return ls_step(*args)
+
+def soliton_step(*args, **kwargs):
+    mark(sys.argv[1])
+    time.sleep(60)
+
+soliton.ls_step, soliton.nls_step = pilot_step, soliton_step
+grid = Grid(256, 20.0)
+x = grid.axes[0]
+params = PhysicalParams(omega0=1.0, charge=1.0)
+u0 = soliton.gausson_init(soliton.GaussonParams(100.0, 1.0), grid, 1.0)
+state = soliton.SolitonState(u0, params, 100.0, 1.0, coupling_mode="dbb")
+soliton.run_coupled(Field(grid, np.exp(-x**2 / 32.0).astype(complex)),
+                    state, params, Potentials.free(), 1e-3, 100000)
+"""
+
+
+def gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def ended(pid):
+    """Gone, or a zombie: an orphan is reaped by init in its own time."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def signal_during_a_run(tmp_path, script, signum, has_ended=gone):
+    """Run `script` in a subprocess, send it `signum` once both of its
+    processes have marked, and check that it ends by that signal and that
+    its child `has_ended` within 2 s; whatever is left is killed."""
+    fds = open_fd_count()
     marks = [tmp_path / "first", tmp_path / "second"]
     path = os.pathsep.join(filter(None, [
         os.path.dirname(os.path.dirname(scenarios.__file__)),
         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-c", SIGTERMED,
+    proc = subprocess.Popen([sys.executable, "-c", script,
                              *map(str, marks)],
                             env=dict(os.environ, PYTHONPATH=path))
-    gone = False
+    done = False
     try:
         deadline = time.monotonic() + 60
         while not all(m.exists() for m in marks):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == -signal.SIGTERM
+        assert marks[0].read_text() != marks[1].read_text()
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) == -signum
         deadline = time.monotonic() + 2
-        while True:
-            try:
-                os.kill(int(marks[1].read_text()), 0)
-            except ProcessLookupError:
-                gone = True
-                break
+        while not has_ended(int(marks[1].read_text())):
             assert time.monotonic() < deadline, "the child outlived the run"
             time.sleep(0.01)
+        done = True
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-        if not gone and marks[1].exists():
+        if not done and marks[1].exists():
             try:
                 os.kill(int(marks[1].read_text()), signal.SIGKILL)
             except ProcessLookupError:
                 pass
+    assert_no_child_left()
+    assert open_fd_count() == fds
+
+
+def test_a_sigterm_during_first_ends_the_child_and_then_the_process(
+        tmp_path):
+    signal_during_a_run(tmp_path, CONCURRENT, signal.SIGTERM)
+
+
+def test_a_sigterm_during_a_coupled_run_ends_its_pilot_child(tmp_path):
+    signal_during_a_run(tmp_path, COUPLED, signal.SIGTERM)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the child ends with its parent on Linux only")
+def test_a_sigkill_of_the_process_ends_the_child(tmp_path):
+    signal_during_a_run(tmp_path, CONCURRENT, signal.SIGKILL, ended)
 
 
 def test_concurrently_without_fork_runs_first_then_second(monkeypatch):
@@ -1026,8 +1111,8 @@ def test_concurrently_without_fork_runs_first_then_second(monkeypatch):
     assert order == [1, 2]
 
 
-def test_pair_runs_without_fork_write_the_forked_bytes(tmp_path, capsys,
-                                                       monkeypatch):
+def counted_forks(monkeypatch):
+    """The list to which each later `os.fork` appends the forking pid."""
     forks = []
     fork = os.fork
 
@@ -1036,10 +1121,16 @@ def test_pair_runs_without_fork_write_the_forked_bytes(tmp_path, capsys,
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
-    forked = run_pair_config(tmp_path, capsys, "forked")
+    return forks
+
+
+def test_pair_runs_without_fork_write_the_forked_bytes(tmp_path, capsys,
+                                                       monkeypatch):
+    forks = counted_forks(monkeypatch)
+    forked = run_config(tmp_path, capsys, "forked")
     assert forks == [os.getpid()]
     monkeypatch.delattr(os, "fork")
-    serial = run_pair_config(tmp_path, capsys, "serial")
+    serial = run_config(tmp_path, capsys, "serial")
     assert forked == serial
     assert forked[0] in (0, 3)
     assert sorted(forked[2]) == ["summary.txt", "trajectories.csv"]
@@ -1074,9 +1165,9 @@ def test_a_product_only_abort_exits_1_as_the_serial_run(tmp_path, capsys,
                                                         monkeypatch):
     # the abort is patched before the fork, so it happens in the child
     product_aborts(monkeypatch)
-    forked = run_pair_config(tmp_path, capsys, "forked")
+    forked = run_config(tmp_path, capsys, "forked")
     monkeypatch.delattr(os, "fork")
-    serial = run_pair_config(tmp_path, capsys, "serial")
+    serial = run_config(tmp_path, capsys, "serial")
     assert forked == serial
     code, out, files = forked
     assert code == 1
@@ -1102,12 +1193,12 @@ def test_an_entangled_abort_wins_and_its_child_is_killed(tmp_path, capsys,
 
     monkeypatch.setattr(os, "kill", spy)
     start = time.perf_counter()
-    forked = run_pair_config(tmp_path, capsys, "forked")
+    forked = run_config(tmp_path, capsys, "forked")
     assert time.perf_counter() - start < 30.0
     assert [sig for _, sig in kills] == [signal.SIGKILL]
     assert kills[0][0] != os.getpid()
     monkeypatch.delattr(os, "fork")
-    serial = run_pair_config(tmp_path, capsys, "serial")
+    serial = run_config(tmp_path, capsys, "serial")
     assert forked == serial
     assert forked[:2] == (1, "solver error: entangled abort\n")
 
@@ -1120,9 +1211,9 @@ def test_an_abort_at_the_first_steps_keeps_its_exit_and_manifest(
         "run:\n  t_final: 0.02\n",
         "initial:\n  packet_sigma: 0.3\n  z1: 10\n").replace(
         "grid:\n  points: [64, 64]\n  length: [24.0, 24.0]\n", "")
-    forked = run_pair_config(tmp_path, capsys, "forked", text)
+    forked = run_config(tmp_path, capsys, "forked", text)
     monkeypatch.delattr(os, "fork")
-    serial = run_pair_config(tmp_path, capsys, "serial", text)
+    serial = run_config(tmp_path, capsys, "serial", text)
     assert forked == serial
     code, out, files = forked
     assert code == 1
@@ -1131,3 +1222,114 @@ def test_an_abort_at_the_first_steps_keeps_its_exit_and_manifest(
         b"scenario: entangled_pair\nstatus: solver error\n"
         b"error: node encounter at t=0.002 (trajectory 0)\n"
         b"partial outputs:\n\n")
+
+
+def short_slit(every):
+    """A 50-step `double_slit_dbb` config storing every `every`-th step
+    (none for 0); `{out}` is left for `run_config`."""
+    return ("scenario: double_slit_dbb\nphysics:\n  b: 100.0\n"
+            "initial:\n  packet_sigma: 2.0\n  separation: 8.0\n"
+            f"run:\n  t_final: 0.05\n  snapshot_every: {every}\n"
+            "output:\n  directory: {out}\n")
+
+
+@pytest.mark.parametrize("every", (0, 20))
+def test_a_coupled_run_writes_the_same_bytes_forked_and_in_process(
+        tmp_path, capsys, monkeypatch, every):
+    # with snapshots the child ships the pilot wave at the stored steps
+    forks = counted_forks(monkeypatch)
+    forked = run_config(tmp_path, capsys, "forked", short_slit(every))
+    assert forks == [os.getpid()]
+    monkeypatch.delattr(os, "fork")
+    serial = run_config(tmp_path, capsys, "serial", short_slit(every))
+    assert forked == serial
+    assert forked[0] in (0, 3)
+    snapshots = [name for name in forked[2] if name.startswith("snapshots/")]
+    assert snapshots == ([f"snapshots/{field}_{i:06d}.sldn"
+                          for field in ("psi", "u") for i in range(3)]
+                         if every else [])
+
+
+def test_a_pilot_error_exits_1_as_the_serial_run(tmp_path, capsys,
+                                                 monkeypatch):
+    # the error is patched into ls_step before the fork, so it happens in
+    # the child, at step 25: after the stored steps 0 and 20
+    real, calls = soliton_module.ls_step, []
+
+    def poisoned(*args):
+        calls.append(1)
+        psi = real(*args)
+        if len(calls) == 25:
+            psi.samples[3] = np.nan
+        return psi
+
+    def run(name):
+        # the manifest names each file by its path, under `name`
+        code, out, files = run_config(tmp_path, capsys, name, short_slit(20))
+        files["manifest.txt"] = files["manifest.txt"].replace(
+            os.fsencode(tmp_path / name), b"<out>")
+        return code, out, files
+
+    monkeypatch.setattr(soliton_module, "ls_step", poisoned)
+    forked = run("forked")
+    assert calls == []          # no pilot step ran in this process
+    monkeypatch.delattr(os, "fork")
+    serial = run("serial")
+    assert len(calls) == 25
+    assert forked == serial
+    code, out, files = forked
+    assert code == 1
+    assert out == "solver error: non-finite field after step 25\n"
+    assert files["manifest.txt"] == (
+        b"scenario: double_slit_dbb\nstatus: solver error\n"
+        b"error: non-finite field after step 25\npartial outputs:\n"
+        + b"".join(b"  <out>/snapshots/%s_%06d.sldn\n" % (field, i)
+                   for i in range(2) for field in (b"u", b"psi")))
+
+
+@pytest.mark.parametrize("error", [NonFiniteFieldError("non-finite"),
+                                   ValueError("not a solver error")])
+def test_a_soliton_abort_kills_and_reaps_the_pilot_child(monkeypatch,
+                                                         error):
+    # the pilot could run 2000 steps ahead, but it blocks once the pipe is
+    # full: the soliton's error at step 3 raises, and the child is killed
+    real = soliton_module.nls_step
+
+    def failing(state, *args, **kwargs):
+        out = real(state, *args, **kwargs)
+        if out.u.time_tag > 2.5e-3:
+            raise error
+        return out
+
+    monkeypatch.setattr(soliton_module, "nls_step", failing)
+    kills = []
+    kill = os.kill
+
+    def spy(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", spy)
+    fds = open_fd_count()
+    grid = Grid(2048, 20.0)
+    x = grid.axes[0]
+    params = PhysicalParams(omega0=1.0, charge=1.0)
+    u0 = gausson_init(GaussonParams(100.0, 1.0), grid, 1.0)
+    state = SolitonState(u0, params, 100.0, 1.0, coupling_mode="dbb")
+    with pytest.raises(type(error)) as raised:
+        run_coupled(Field(grid, np.exp(-x**2 / 32.0).astype(complex)),
+                    state, params, Potentials.free(), 1e-3, 2000)
+    assert raised.value is error
+    assert [sig for _, sig in kills] == [signal.SIGKILL]
+    assert kills[0][0] != os.getpid()
+    assert_no_child_left()
+    assert open_fd_count() == fds
+
+
+def test_on_one_cpu_nothing_is_forked(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    forks = counted_forks(monkeypatch)
+    assert run_config(tmp_path, capsys, "slit", short_slit(20))[0] in (0, 3)
+    assert run_config(tmp_path, capsys, "pair")[0] in (0, 3)
+    assert forks == []

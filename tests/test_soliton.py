@@ -1,6 +1,7 @@
 """Tests for the logarithmic-nonlinearity soliton: Gaussons, stepping,
 center tracking, phase harmony, and the coupled pilot-wave run."""
 
+import os
 import warnings
 
 import numpy as np
@@ -336,8 +337,11 @@ def test_state_keeps_the_density_and_norm_of_its_field():
 def test_run_coupled_builds_one_flow_history_per_step(monkeypatch):
     # the reference point moves by the one-point RK4 over a history of the
     # step's own two Madelung bundles, built once and read by no one else;
-    # the run builds no other flow history
+    # the run builds no other flow history.  The spies count calls in this
+    # process, so the pilot runs here too (no fork: see `run_ahead`)
     from solidyn import soliton as soliton_module, trajectories
+
+    monkeypatch.delattr(os, "fork")
 
     built, bundles = [], []
     init, extract = (trajectories.FlowHistory.__init__,
