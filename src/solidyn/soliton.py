@@ -16,7 +16,8 @@ Two coupling modes:
              guidance trajectory.
 
 Coupling is strictly one way: the pilot wave never sees the u-field, so
-`run_coupled` steps the pilot wave ahead in a child process.
+`run_coupled` steps the pilot wave, and the guidance point it is checked
+against, ahead in a child process, which ships q and the point per step.
 """
 
 from __future__ import annotations
@@ -428,12 +429,16 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     ends of the step, advance the u-field with that external potential, and
     advance the reference guidance trajectory (same start as the soliton)
     against the same two Madelung snapshots.  The coupling is one way: the
-    pilot wave never sees u.  So the pilot's loop (`ls_step`, its
-    finiteness check and `madelung_extract`) runs in the child process of
-    `stepping.run_ahead`, which ships each step's `MadelungBundle`, and the
-    wave itself at the steps `store` writes; this process rebuilds them
-    and does the rest.  A pilot error raises at its step, before that
-    step's soliton step, as in one process.
+    pilot wave never sees u, and the reference point reads the pilot
+    alone.  So the pilot's loop (`ls_step`, its finiteness check and
+    `madelung_extract`) and the reference point's step run in the child
+    process of `stepping.run_ahead`.  Each step it ships the time, q and
+    the point's position and velocity; the `MadelungBundle` only at the
+    harmony steps, whose residual reads its velocity, and the wave only at
+    the steps `store` writes.  This process does the soliton step, the
+    harmony residual and the series.  A pilot error or a reference abort
+    raises at its step, before that step's soliton step, as in one
+    process.
 
     The reference point steps by `trajectories.advance_point` over the
     two-record `FlowHistory.of` the step's bundles, with the blends and
@@ -449,62 +454,69 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     grid = psi0.grid
     if grid != state.u.grid:
         raise SolidynError("pilot wave and soliton must share one grid")
-    bundle = madelung_extract(psi0, pilot_params, potentials)
+    start_bundle = madelung_extract(psi0, pilot_params, potentials)
     _warn_scale_separation(psi0, state.b)
 
     z = tuple(float(c) for c in state.center)
     z_stencil = grid.point_stencil(z)
-    if grid.interpolate(bundle.amplitude, z_stencil) \
-            < NODE_MASK_REL * bundle.amp_peak:
+    if grid.interpolate(start_bundle.amplitude, z_stencil) \
+            < NODE_MASK_REL * start_bundle.amp_peak:
         raise SolidynError("soliton center starts on the pilot node mask")
+    start_k1 = _values_at(grid, z_stencil, start_bundle.velocity)
 
     def stored(i):
         return store is not None and (
             i == 0 or (store_every and i % store_every == 0))
 
+    def harmonic(i):
+        return i > 0 and harmony_every and i % harmony_every == 0
+
     def pilot():
-        # the pilot's own loop, in the `run_ahead` child: each step's
-        # bundle, and its wave at the steps that `store` writes
-        psi = psi0
+        # the pilot's own loop and the reference point, in the `run_ahead`
+        # child: each step's time, q, reference position and velocity, the
+        # bundle at the harmony steps and the wave at the steps `store`
+        # writes
+        psi, bundle, point, k1 = psi0, start_bundle, z, start_k1
         for i in range(1, steps + 1):
             psi = ls_step(psi, pilot_params, potentials, dt)
             check_finite(psi.samples, i)
-            yield (madelung_extract(psi, pilot_params, potentials),
+            bundle_next = madelung_extract(psi, pilot_params, potentials)
+            t = bundle.time_tag
+            point, stencil = advance_point(
+                FlowHistory.of(bundle, bundle_next), point, t, t + dt, k1)
+            bundle = bundle_next
+            k1 = _values_at(grid, stencil, bundle.velocity)
+            yield (bundle.time_tag, bundle.quantum_potential, point, k1,
+                   bundle if harmonic(i) else None,
                    psi if stored(i) else None)
 
     def step(s, i):
-        _, bundle, state, z, k1 = s
-        t = bundle.time_tag
-        bundle_next, psi_next = next(pilot_steps)
-        z, z_stencil = advance_point(FlowHistory.of(bundle, bundle_next), z,
-                                     t, t + dt, k1)
-        state = nls_step(state, potentials, dt,
-                         external_q=bundle.quantum_potential,
-                         external_q_end=bundle_next.quantum_potential)
+        state, (_, q, *_) = s
+        item = next(pilot_steps)
+        state = nls_step(state, potentials, dt, external_q=q,
+                         external_q_end=item[1])
         check_finite(state.u.samples, i)
-        return (psi_next, bundle_next, state, z,
-                _values_at(grid, z_stencil, bundle_next.velocity))
+        return state, item
 
     def sample(s, i):
-        psi, bundle, state, z, k1 = s
-        t = bundle.time_tag
+        state, (t, _, point, k1, bundle, psi) = s
         if stored(i):
             store(state.u, psi)
-        harmony = i > 0 and harmony_every and i % harmony_every == 0
+        harmony = harmonic(i)
         return {
             "times": t, "centers": state.center, "norms": state.norm,
             # the reference trajectory
-            "positions": z, "velocities": k1,
+            "positions": point, "velocities": k1,
             "harmony_times": t if harmony else None,
             "harmony": phase_harmony_residual(
                 state, bundle, state.center, 4.0 / np.sqrt(state.b),
                 potentials) if harmony else None,
         }
 
-    start = (psi0, bundle, state, z,
-             _values_at(grid, z_stencil, bundle.velocity))
+    start = (state, (start_bundle.time_tag, start_bundle.quantum_potential,
+                     z, start_k1, None, psi0))
     with run_ahead(pilot, shared=(grid,)) as pilot_steps:
-        (_, _, state, *_), series = drive(start, steps, step, sample)
+        (state, _), series = drive(start, steps, step, sample)
     reference = TrajectoryRecord(series["times"],      # one start: m = 1
                                  series.pop("positions")[:, None],
                                  series.pop("velocities")[:, None])

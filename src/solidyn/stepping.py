@@ -14,8 +14,8 @@ unitarity.
 `run_ahead` is the package's one fork: a child process runs a generator
 and pickles each item back through a pipe while the calling process goes
 on.  The coupled run's pilot wave (`ls_step`, its finiteness check and
-`madelung_extract`) and the `entangled_pair` scenario's product run go on
-in that child.
+`madelung_extract`) with its reference guidance point (`advance_point`),
+and the `entangled_pair` scenario's product run, go on in that child.
 """
 
 from __future__ import annotations

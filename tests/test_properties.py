@@ -33,6 +33,9 @@ Hypothesis).
   and particle-1 potentials: particle 1 of a product pair with a uniform
   partner on a grid node keeps the bits of the 1D coupled run, wherever
   the lookup at that node is exact (one node where it is not is pinned).
+- A constant shift of the potential, V -> V + c, moves the pilot's
+  guidance velocity, q and a guided single-start path by no more than a
+  bound derived from round-off: the shift is a global phase.
 - Two in-process runs of a small valid config of any kind, with the same
   seed, end with the same exit code and write the same bytes to every
   output file.
@@ -66,11 +69,12 @@ from solidyn.pair import (_STEP_FACTORS, ls2_step,  # noqa: E402
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
 from solidyn.scenarios import (KINDS, MAX_STEPS,  # noqa: E402
                                ScenarioConfig, parse_config_dict)
-from solidyn.schrodinger import ls_step  # noqa: E402
+from solidyn.schrodinger import evolve_schrodinger, ls_step  # noqa: E402
 from solidyn.soliton import (SolitonState, _density_mean_force,  # noqa: E402
                              _grid_positions, classical_trajectory, nls_step,
                              second_central_moments, soliton_center)
-from solidyn.stepping import drive, strang_step  # noqa: E402
+from solidyn.stepping import NODE_MASK_REL, drive, strang_step  # noqa: E402
+from solidyn.trajectories import FlowHistory, integrate_flow  # noqa: E402
 from conftest import single_and_product_runs  # noqa: E402
 from strang_reference import reference_strang_step  # noqa: E402
 
@@ -776,6 +780,171 @@ def test_a_product_pair_on_an_inexact_partner_node_keeps_the_bits():
             64, 23.7, 25.0, np.exp(-x**2 / 4).astype(complex), -0.5, 1,
             1e-3, 10, Potentials.free(1))
     assert_particle_1_has_the_single_bits(single, run)
+
+
+# ---------------------------------------------------------------------------
+# a constant shift of the potential changes the pilot by a global phase
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+LAGRANGE_SUM = 1.25     # largest sum of |weights| of the 4-point cubic
+LAGRANGE_SLOPE = 2.0    # largest sum of |d weight / ds| over the cell
+
+SCALARS = {
+    "free": np.zeros_like,
+    "harmonic": lambda x: 0.15 * x**2,
+    "ramp": lambda x: -0.2 * x,
+}
+
+
+def pilot_and_path(psi0, params, scalar, dt, steps, z0):
+    """Every Madelung bundle of `steps` pilot steps under the raw scalar
+    potential `scalar(t, coords)`, and the guidance path from z0."""
+    pots = Potentials(1, scalar=scalar)
+    history = FlowHistory(psi0.grid, params, pots)
+    bundles = []
+    history.readers.append(bundles.append)
+    path = integrate_flow(history, [z0])
+    evolve_schrodinger(psi0, params, pots, dt, steps, history=history)
+    return bundles, path.finish().positions[:, 0, 0]
+
+
+def shift_bounds(psi0, omega0, w_max, dt, steps, one, other):
+    """Round-off bounds on |v_c - v| and |q_c - q| at each grid point, for
+    the bundles `one` and `other` of two runs whose potentials differ by a
+    constant (unit charge, A = 0, N a power of two).
+
+    In exact arithmetic the shifted wave is the unshifted one times
+    exp(-i c t): the half phases differ by the factor exp(-i c dt / 2) and
+    every other operation is linear.  So the fields differ by round-off
+    alone.  With u = eps / 2, per step and relative to ||psi||_2:
+    - each half phase cos + i sin of -(dt / 2) W, W = w0 + V (+ c),
+      |W| <= w_max: W and the angle carry 6u |theta| <= 2 eps dt w_max,
+      cos and sin 1 ulp each, the product with psi 2 eps; twice per step;
+    - each of the forward and inverse FFT, radix 2 over log2 N levels,
+      (log2 N) (mu + gamma_4 (sqrt 2 + mu)) <= 4 eps log2 N (Higham,
+      Accuracy and Stability, Thm 24.2), and eps for the 1/N scaling;
+    - the product with the kinetic factor 2 eps.  That factor is the same
+      array in both runs, so its own rounding cancels.
+    The steps are unitary, so the errors add: each run's psi lies within
+    steps * eps (12 + 4 dt w_max + 8 log2 N) ||psi0||_2 of its exact
+    value, and the two within B, twice that, up to the global phase.
+    A sample moves by at most its l2 norm, and the spectral derivative
+    and Laplacian of a difference grow its l2 norm by at most kmax and
+    kmax^2; each run's transform pair of the fields themselves adds
+    (8 log2 N + 4) eps of their norm (F).  Then, pointwise:
+    - |Delta a| <= B + 2 eps a, and the floored a_s moves by that plus
+      NODE_MASK_REL of the peak's move;
+    - the current Im(conj(psi) dpsi), with |dpsi| <= kmax ||psi0||_2,
+      moves by B kmax ||psi0|| + (a + B) E + 4 eps a kmax ||psi0||, with
+      E = kmax B + 2 F kmax ||psi0||; v = J / (w0 a_s^2) moves by that
+      over w0 a_s^2, plus |v| |Delta a_s^2| / a_s^2, plus 4 eps |v|;
+    - q = -lap a / (2 w0 a_s) moves by kmax^2 (B + 2 eps ||a||) + 2 F
+      kmax^2 ||a|| over 2 w0 a_s, plus |q| |Delta a_s| / a_s, plus
+      4 eps |q|.
+    a_s is the smaller of the two runs' floored amplitudes, and |v|, |q|
+    the larger of their values.  Returns the two bounds per snapshot.
+    """
+    n = psi0.grid.points[0]
+    log_n = np.log2(n)
+    kmax = float(np.max(np.abs(psi0.grid.wavenumbers[0])))
+    norm0 = float(np.linalg.norm(psi0.samples))
+    b = 2 * steps * EPS * (12 + 4 * dt * w_max + 8 * log_n) * norm0
+    f = (8 * log_n + 4) * EPS
+    e = kmax * b + 2 * f * kmax * norm0
+    bounds = []
+    for x, y in zip(one, other):
+        a = np.maximum(x.amplitude, y.amplitude)
+        peak = max(x.amp_peak, y.amp_peak)
+        a_s = np.minimum(np.maximum(x.amplitude, NODE_MASK_REL * x.amp_peak),
+                         np.maximum(y.amplitude, NODE_MASK_REL * y.amp_peak))
+        d_a_s = b + 2 * EPS * a + NODE_MASK_REL * (b + 2 * EPS * peak)
+        d_rho = 2 * a_s * d_a_s + d_a_s**2 + 2 * EPS * a_s**2
+        v = np.maximum(np.abs(x.velocity[0]), np.abs(y.velocity[0]))
+        d_j = b * kmax * norm0 + (a + b) * e + 4 * EPS * a * kmax * norm0
+        d_v = (d_j / (omega0 * a_s**2) + v * d_rho / a_s**2 + 4 * EPS * v)
+        q = np.maximum(np.abs(x.quantum_potential),
+                       np.abs(y.quantum_potential))
+        norm_a = float(np.linalg.norm(a))
+        d_lap = kmax**2 * (b + 2 * EPS * norm_a) + 2 * f * kmax**2 * norm_a
+        d_q = d_lap / (2 * omega0 * a_s) + q * d_a_s / a_s + 4 * EPS * q
+        bounds.append((d_v, d_q))
+    return bounds
+
+
+def path_bound(grid, dt, one, other, v_bounds, path):
+    """Round-off bound on the distance of two guidance paths from one
+    start, stepped by RK4 over velocity fields within `v_bounds` of each
+    other (one bound per snapshot).
+
+    Over the step from snapshot m, the stage points lie within R of the
+    path points, R = 2 dx (the stencil) + h 1.25 max|v| over the nodes
+    within R: a cubic lookup is at most 1.25 (`LAGRANGE_SUM`) times its
+    largest node value, and the time blend is convex.  On those nodes the
+    lookups of the two runs differ by at most 1.25 dv + 16 eps max|v| (the
+    lookups' own round-off), and the interpolated velocity has a slope
+    of at most L = 2 (`LAGRANGE_SLOPE`) (max v - min v) / dx.  An RK4 step
+    is Lipschitz with constant exp(h L), and a velocity moved by d moves
+    it by at most h d exp(h L); each run's step adds 12 eps (|z| + h
+    max|v|) of its own sums.  So the distance e_m grows as
+    e_{m+1} = exp(h L) (e_m + h (1.25 dv + 16 eps max|v|))
+              + 24 eps (|z_m| + h max|v|).
+    """
+    x, dx = grid.axes[0], grid.spacing[0]
+    out = [0.0]
+    for m in range(len(path) - 1):
+        lo, hi = min(path[m], path[m + 1]), max(path[m], path[m + 1])
+        reach, old = 2 * dx, -1.0
+        while reach > old:              # grows to its fixed point
+            old = reach
+            near = (x >= lo - reach - dx) & (x <= hi + reach + dx)
+            fields = [r.velocity[0][near] for r in
+                      (one[m], one[m + 1], other[m], other[m + 1])]
+            v_max = max(float(np.max(np.abs(f))) for f in fields)
+            reach = max(old, 2 * dx + LAGRANGE_SUM * dt * v_max)
+        spread = max(float(np.max(f) - np.min(f)) for f in fields)
+        growth = np.exp(dt * LAGRANGE_SLOPE * spread / dx)
+        d_v = max(float(np.max(v_bounds[k][near])) for k in (m, m + 1))
+        out.append(growth * (out[-1] + dt * (LAGRANGE_SUM * d_v
+                                             + 16 * EPS * v_max))
+                   + 24 * EPS * (abs(path[m]) + dt * v_max))
+    return np.array(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([32, 64, 128]), st.floats(12.0, 40.0),
+       st.floats(0.08, 0.2), st.floats(-0.1, 0.1), st.floats(-1.0, 1.0),
+       st.floats(0.5, 3.0), st.sampled_from(sorted(SCALARS)),
+       st.floats(-100.0, 100.0), st.floats(1e-3, 0.05), st.integers(1, 20),
+       st.floats(-0.5, 0.5))
+def test_a_constant_potential_shift_moves_no_guidance_quantity(
+        n, length, width_share, center_share, k0, omega0, kind, shift, dt,
+        steps, start_share):
+    # V -> V + c multiplies the pilot by exp(-i c t) alone, so the
+    # guidance velocity, q and the guided path agree to round-off
+    # (`shift_bounds`, `path_bound`)
+    grid = Grid(n, length)
+    x = grid.axes[0]
+    sigma, center = width_share * length, center_share * length
+    psi0 = Field(grid, np.exp(-(x - center) ** 2 / (4 * sigma**2)
+                              + 1j * k0 * x))
+    params = PhysicalParams(omega0=omega0, charge=1.0)
+    scalar = SCALARS[kind]
+    z0 = center + start_share * sigma
+    one, path = pilot_and_path(psi0, params, lambda t, c: scalar(c[0]),
+                               dt, steps, z0)
+    other, shifted_path = pilot_and_path(
+        psi0, params, lambda t, c: scalar(c[0]) + shift, dt, steps, z0)
+    w_max = omega0 + float(np.max(np.abs(scalar(x)))) + abs(shift)
+    bounds = shift_bounds(psi0, omega0, w_max, dt, steps, one, other)
+    for x_bundle, y_bundle, (d_v, d_q) in zip(one, other, bounds):
+        assert np.all(np.abs(y_bundle.velocity[0] - x_bundle.velocity[0])
+                      <= d_v)
+        assert np.all(np.abs(y_bundle.quantum_potential
+                             - x_bundle.quantum_potential) <= d_q)
+    reach = path_bound(grid, dt, one, other, [d_v for d_v, _ in bounds],
+                       path)
+    assert np.all(np.abs(shifted_path - path) <= reach)
 
 
 # ---------------------------------------------------------------------------

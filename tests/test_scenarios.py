@@ -1,8 +1,10 @@
 """Tests for configuration parsing, snapshot IO, the CLI, and determinism."""
 
+import contextlib
 import dataclasses
 import gc
 import os
+import pickle
 import re
 import signal
 import struct
@@ -676,7 +678,10 @@ def test_walks_and_coupled_steps_read_no_flag_or_field_per_visit(
         tmp_path, monkeypatch, kind, initial, t_finals):
     # the trajectory walks and the coupled run's reference point record
     # times, positions and velocities only: a run twice as long calls the
-    # node-proximity flags and the electric field no more often
+    # node-proximity flags and the electric field no more often.  The
+    # spies count calls in this process, so the coupled run's pilot child
+    # (and its reference point) runs here too
+    monkeypatch.delattr(os, "fork")
     counts = []
     for cls, method in ((trajectories.FlowHistory, "proximity_flags"),
                         (Potentials, "electric_field")):
@@ -1324,6 +1329,118 @@ def test_a_soliton_abort_kills_and_reaps_the_pilot_child(monkeypatch,
     assert kills[0][0] != os.getpid()
     assert_no_child_left()
     assert open_fd_count() == fds
+
+
+def plane_wave_pilot(start):
+    """A plane-wave pilot carrying the reference point z = start + 1.2566 t
+    (unit mass), and a dbb Gausson at `start` moving with it."""
+    grid = Grid(256, 20.0)
+    k = 2 * np.pi * 4 / 20.0
+    u0 = gausson_init(GaussonParams(100.0, 1.0, center=(start,),
+                                    velocity=(k,)), grid, 1.0)
+    params = PhysicalParams(omega0=1.0, charge=1.0)
+    return (Field(grid, np.exp(1j * k * grid.axes[0])),
+            SolitonState(u0, params, 100.0, 1.0, coupling_mode="dbb"),
+            params)
+
+
+@pytest.mark.parametrize("start, dead_zone, error, message, last_valid", [
+    # z reaches the box edge on the step from t = 1.59 (a stage point)
+    (8.0, False, BoundaryExitError, "boundary exit near t=1.595", 159),
+    # z = 2 + 1.2566 t crosses x = 4.5 at t = 1.99; the lookup at the
+    # point first reads below the mask at t = 2.02 (z = 4.538)
+    (2.0, True, NodeEncounterError, "node encounter at t=2.02", 201),
+])
+def test_a_reference_abort_raises_as_the_serial_run(
+        monkeypatch, start, dead_zone, error, message, last_valid):
+    # the reference point moves in the pilot child, so its abort crosses
+    # the pipe: the same class, message and last valid time as in one
+    # process, and no reference step in the calling process
+    real, calls = soliton_module.advance_point, []
+
+    def advance(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(soliton_module, "advance_point", advance)
+    if dead_zone:
+        # every bundle's amplitude is 1e-12 of its peak on |x - 5| < 0.5
+        extract = soliton_module.madelung_extract
+
+        def dead(*args):
+            bundle = extract(*args)
+            bundle.amplitude[np.abs(bundle.grid.axes[0] - 5.0) < 0.5] = 1e-12
+            return bundle
+
+        monkeypatch.setattr(soliton_module, "madelung_extract", dead)
+
+    def run():
+        psi, state, params = plane_wave_pilot(start)
+        with pytest.raises(error) as raised:
+            run_coupled(psi, state, params, Potentials.free(), 1e-2, 400)
+        return raised.value
+
+    forks = counted_forks(monkeypatch)
+    fds = open_fd_count()
+    forked = run()
+    assert forks == [os.getpid()]
+    assert calls == []              # no reference step in this process
+    assert_no_child_left()
+    assert open_fd_count() == fds
+    monkeypatch.delattr(os, "fork")
+    serial = run()
+    assert len(calls) == last_valid + 1
+    assert type(forked) is type(serial) is error
+    assert str(forked) == str(serial)
+    assert str(forked).startswith(message)
+    t = 0.0
+    for _ in range(last_valid):     # the pilot's time tag, step by step
+        t += 1e-2
+    assert forked.last_valid_time == serial.last_valid_time == t
+
+
+def test_the_pilot_child_ships_q_and_only_what_each_step_reads(monkeypatch):
+    # per step the child ships one grid array, q, beside the reference
+    # point's floats: the bundle only at the harmony steps and the pilot
+    # wave only at the stored steps
+    monkeypatch.delattr(os, "fork")
+    items, real = [], soliton_module.run_ahead
+
+    @contextlib.contextmanager
+    def recording(generate, shared=()):
+        def recorded():
+            for item in generate():
+                items.append(item)
+                yield item
+
+        with real(recorded, shared) as steps:
+            yield steps
+
+    monkeypatch.setattr(soliton_module, "run_ahead", recording)
+    grid = Grid(256, 20.0)
+    x = grid.axes[0]
+    params = PhysicalParams(omega0=1.0, charge=1.0)
+    u0 = gausson_init(GaussonParams(100.0, 1.0), grid, 1.0)
+    state = SolitonState(u0, params, 100.0, 1.0, coupling_mode="dbb")
+    stored = []
+    run = run_coupled(Field(grid, np.exp(-x**2 / 32.0).astype(complex)),
+                      state, params, Potentials.free(), 1e-3, 12,
+                      store_every=5, harmony_every=4,
+                      store=lambda u, psi: stored.append(psi.time_tag))
+    assert len(items) == 12
+    for i, item in enumerate(items, start=1):
+        arrays = [m for m in item if isinstance(m, np.ndarray)]
+        bundles = [m for m in item if isinstance(m, MadelungBundle)]
+        fields = [m for m in item if isinstance(m, Field)]
+        assert len(arrays) == 1 and arrays[0].shape == grid.shape
+        assert len(bundles) == (i % 4 == 0)
+        assert len(fields) == (i % 5 == 0)
+        if bundles:
+            assert arrays[0] is bundles[0].quantum_potential
+        if not bundles and not fields:
+            assert len(pickle.dumps(item, protocol=5)) \
+                < arrays[0].nbytes + 512
+    assert len(stored) == 3 and len(run.harmony) == 3
 
 
 def test_on_one_cpu_nothing_is_forked(tmp_path, capsys, monkeypatch):
