@@ -788,7 +788,7 @@ def test_a_product_pair_on_an_inexact_partner_node_keeps_the_bits():
 
 EPS = np.finfo(float).eps
 LAGRANGE_SUM = 1.25     # largest sum of |weights| of the 4-point cubic
-LAGRANGE_SLOPE = 2.0    # largest sum of |d weight / ds| over the cell
+LAGRANGE_SLOPE = 7 / 3  # largest sum of |d weight / ds| over the cell
 
 SCALARS = {
     "free": np.zeros_like,
@@ -882,11 +882,13 @@ def path_bound(grid, dt, one, other, v_bounds, path):
     within R: a cubic lookup is at most 1.25 (`LAGRANGE_SUM`) times its
     largest node value, and the time blend is convex.  On those nodes the
     lookups of the two runs differ by at most 1.25 dv + 16 eps max|v| (the
-    lookups' own round-off), and the interpolated velocity has a slope
-    of at most L = 2 (`LAGRANGE_SLOPE`) (max v - min v) / dx.  An RK4 step
-    is Lipschitz with constant exp(h L), and a velocity moved by d moves
-    it by at most h d exp(h L); each run's step adds 12 eps (|z| + h
-    max|v|) of its own sums.  So the distance e_m grows as
+    lookups' own round-off).  The weights' slopes sum to zero, so they
+    may weigh each v less the mid-range value: the interpolated velocity
+    has a slope of at most L = 7/3 (`LAGRANGE_SLOPE`) (max v - min v) /
+    (2 dx).  An RK4 step is Lipschitz with constant exp(h L), and a
+    velocity moved by d moves it by at most h d exp(h L); each run's step
+    adds 12 eps (|z| + h max|v|) of its own sums.  So the distance e_m
+    grows as
     e_{m+1} = exp(h L) (e_m + h (1.25 dv + 16 eps max|v|))
               + 24 eps (|z_m| + h max|v|).
     """
@@ -903,7 +905,7 @@ def path_bound(grid, dt, one, other, v_bounds, path):
             v_max = max(float(np.max(np.abs(f))) for f in fields)
             reach = max(old, 2 * dx + LAGRANGE_SUM * dt * v_max)
         spread = max(float(np.max(f) - np.min(f)) for f in fields)
-        growth = np.exp(dt * LAGRANGE_SLOPE * spread / dx)
+        growth = np.exp(dt * LAGRANGE_SLOPE * spread / (2 * dx))
         d_v = max(float(np.max(v_bounds[k][near])) for k in (m, m + 1))
         out.append(growth * (out[-1] + dt * (LAGRANGE_SUM * d_v
                                              + 16 * EPS * v_max))
