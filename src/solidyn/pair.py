@@ -359,7 +359,9 @@ def run_pair(pair: PairWave, states, dt: float, steps: int) -> list:
     final solitons have the bits of its run alone.  The run stops at the
     first step at which the wave or any state fails: a wave error raises
     at its step, and if several states fail at one step, the first of them
-    in `states` raises.  Returns one `PairRun` per state, in order.
+    in `states` raises.  Each soliton's center is taken as its step is
+    recorded, against its center of the step before (a stepped
+    `SolitonState` has none).  Returns one `PairRun` per state, in order.
     """
     def step(s, i):
         pair, states = s
@@ -367,8 +369,17 @@ def run_pair(pair: PairWave, states, dt: float, steps: int) -> list:
         return new_pair, [_step_particles(pair, new_pair, state, dt, i)
                           for state in states]
 
+    before = states
+
     def sample(s, i):
+        # each soliton's center, against its center of the step before
+        nonlocal before
         pair, states = s
+        if i:
+            for state, old in zip(states, before):
+                state.u1.track_center(old.u1.center)
+                state.u2.track_center(old.u2.center)
+        before = states
         return {"times": pair.psi.time_tag,
                 "z": [state.z for state in states],
                 "centers1": [state.u1.center[0] for state in states],

@@ -503,7 +503,11 @@ def run_scenario(cfg: ScenarioConfig, quiet=False) -> int:
     """Execute a parsed scenario; returns the process exit code.
 
     The parser has checked every setting but one: an output directory that
-    cannot be made raises a ConfigError, after removing what it made.
+    cannot be made raises a ConfigError, after removing what it made.  Any
+    other failure of the run (an `Exception`) exits 1 with the failure
+    manifest and one "solver error" line: a solidyn error by its message,
+    any other (a `MemoryError`, or a `ValueError` raised again from a
+    child process) by its class name and message.
     """
     made = _first_missing_directory(cfg.output_dir)
     try:
@@ -514,10 +518,12 @@ def run_scenario(cfg: ScenarioConfig, quiet=False) -> int:
         raise ConfigError(f"[output].directory: {err}") from err
     try:
         ok = KINDS[cfg.kind].runner(cfg, sink)
-    except SolidynError as err:
-        _write_failure_manifest(cfg, sink, err)
+    except Exception as err:
+        message = str(err) if isinstance(err, SolidynError) else ": ".join(
+            filter(None, (type(err).__name__, str(err))))
+        _write_failure_manifest(cfg, sink, message)
         if not quiet:
-            print(f"solver error: {err}")
+            print(f"solver error: {message}")
         return 1
     return 0 if ok else 3
 
@@ -531,9 +537,9 @@ def _first_missing_directory(path):
     return missing
 
 
-def _write_failure_manifest(cfg, sink, err):
+def _write_failure_manifest(cfg, sink, message):
     text = (f"scenario: {cfg.kind}\nstatus: solver error\n"
-            f"error: {err}\npartial outputs:\n"
+            f"error: {message}\npartial outputs:\n"
             + "\n".join(f"  {p}" for p in sink.files) + "\n")
     path = os.path.join(cfg.output_dir, "manifest.txt")
     try:

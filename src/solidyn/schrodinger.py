@@ -14,6 +14,10 @@ The velocity is always computed from Im[Psi* grad Psi] / |Psi|^2, never from
 an unwrapped phase, so branch cuts cannot corrupt it.  Near wave nodes the
 quantum potential is singular: samples below NODE_MASK_REL times the peak
 amplitude are masked, and trajectories abort rather than integrate garbage.
+
+`evolve_schrodinger` steps the wave and extracts its Madelung fields ahead
+in a child process (`stepping.drive` with `ship`); the flow history and
+its readers take each snapshot's bundle in the calling process.
 """
 
 from __future__ import annotations
@@ -168,6 +172,13 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
     `MadelungBundle` goes to `history` (a new FlowHistory by default),
     which keeps the last three: attach its readers (`integrate_flow`,
     `newton_bohm_residual`, `continuity_residual`) before this call.
+
+    The wave chain (`ls_step`, its finiteness check, and
+    `madelung_extract` with the norm at each snapshot) runs ahead in the
+    child process of `stepping.run_ahead` (`drive` with `ship`), which
+    ships the snapshots' bundles and norms, and the wave at the last step.
+    The history and its readers take each bundle in this process, in step
+    order, as in one process.
     """
     if history is None:
         history = FlowHistory(psi0.grid, params, potentials)
@@ -177,13 +188,20 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
         check_finite(psi.samples, i)
         return psi
 
-    def sample(psi, i):
-        if i % store_every:
-            return None
-        history.append(madelung_extract(psi, params, potentials))
-        return {"norms": psi.norm()}
+    def ship(psi, i):
+        snapshot = None if i % store_every else (
+            madelung_extract(psi, params, potentials), psi.norm())
+        return snapshot, psi if i == steps else None
 
-    psi, series = drive(psi0, steps, step, sample)
+    def sample(item, i):
+        snapshot, _ = item
+        if snapshot is None:
+            return None
+        bundle, norm = snapshot
+        history.append(bundle)
+        return {"norms": norm}
+
+    (_, psi), series = drive(psi0, steps, step, sample, ship, (psi0.grid,))
     return SchrodingerRun(history=history, final_psi=psi,
                           densities=[a ** 2 for a in history.amplitudes],
                           **series)

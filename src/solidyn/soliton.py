@@ -18,6 +18,11 @@ Two coupling modes:
 Coupling is strictly one way: the pilot wave never sees the u-field, so
 `run_coupled` steps the pilot wave, and the guidance point it is checked
 against, ahead in a child process, which ships q and the point per step.
+`run_classical` steps the u-field itself ahead the same way and ships
+|u|^2 and its sum; the center, norm, boundary mass, mean force and energy
+are taken in the calling process (`stepping.drive` with `ship`).  A
+stepped `SolitonState` carries no center: each run takes it where it
+records, re-referenced to the one before.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
 from .schrodinger import MadelungBundle, ls_step, madelung_extract
 from .stepping import (BOUNDARY_MASS_LIMIT, NODE_MASK_REL, _half_phase,
-                       check_finite, drive, run_ahead, strang_step)
+                       check_finite, drive, strang_step)
 from .trajectories import (FlowHistory, TrajectoryRecord, _rk4, _values_at,
                            advance_point)
 
@@ -132,14 +137,15 @@ def gausson_init(gp: GaussonParams, grid: Grid, omega0: float) -> Field:
 
 @dataclass
 class SolitonState:
-    """Evolving u-field plus its nonlinearity, coupling mode, and tracked
-    center (kept wrap-aware so seam crossings stay continuous).
+    """Evolving u-field plus its nonlinearity, coupling mode and center.
 
-    Without a `center`, the center is computed by `soliton_center`,
-    re-referenced to `previous_center` if given.  `density` (|u|^2), its
-    sum and `norm` (its integral) are computed once per u, when the state
-    is built; the center, the boundary mass, the next step's nonlinearity
-    and the run series all read them.
+    `density` (|u|^2), its sum and `norm` (its integral) are computed once
+    per u, when the state is built; the next step's nonlinearity, the
+    center, the boundary mass and the run series all read them.  A state
+    built by hand takes its center from `soliton_center` unless given one.
+    A stepped state (`nls_step`) has none: the center is no part of the
+    step chain, and a run takes it where it records (`track_center`),
+    re-referenced to the center before, so seam crossings stay continuous.
     """
 
     u: Field
@@ -148,34 +154,41 @@ class SolitonState:
     f0: float
     coupling_mode: str = "classical"   # or "dbb"
     center: np.ndarray = None
-    previous_center: InitVar[np.ndarray] = None
+    stepped: InitVar[bool] = False
     density: np.ndarray = _dc_field(init=False, repr=False, compare=False)
     norm: float = _dc_field(init=False, repr=False, compare=False)
     _density_sum: float = _dc_field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, previous_center):
+    def __post_init__(self, stepped):
         if self.coupling_mode not in ("classical", "dbb"):
             raise SolidynError(f"unknown coupling mode {self.coupling_mode!r}")
         self.density = self.u.density()
-        self._density_sum = self.density.sum()
-        if self.center is None:
-            self.center, self.norm = soliton_center(
-                self.u, previous_center, self.density, self._density_sum)
-        else:
+        self._density_sum = float(self.density.sum())
+        self.norm = float(self._density_sum * self.u.grid.cell_volume)
+        if self.center is not None:
             self.center = np.asarray(self.center, dtype=float)
-            self.norm = float(self._density_sum * self.u.grid.cell_volume)
+        elif not stepped:
+            self.track_center(None)
+
+    def track_center(self, previous):
+        """Take the center re-referenced to the center `previous` (about
+        the peak for None), keep it as `center` and return it."""
+        self.center = soliton_center(self.u.grid, self.density, previous,
+                                     self._density_sum)[0]
+        return self.center
 
 
-def soliton_center(u: Field, previous=None, density=None, total=None):
-    """First moment xbar of |u|^2 and the norm C, wrap-aware.
+def soliton_center(grid: Grid, density, previous=None, total=None):
+    """First moment xbar of the density |u|^2 on `grid`, and the norm C,
+    wrap-aware.
 
     Coordinates are re-referenced to the previous center (mapped into the
     half-open window of width L around it), so a soliton crossing the
-    periodic seam keeps a continuous track.  `density` may pass |u|^2, and
-    `total` its `ndarray.sum`, when the caller already holds them.
+    periodic seam keeps a continuous track; without one, to the density's
+    peak.  `total` may pass the density's `ndarray.sum`, when the caller
+    already holds it.
     """
-    grid = u.grid
-    rho = u.density() if density is None else density
+    rho = density
     if total is None:
         total = rho.sum()
     c = float(total * grid.cell_volume)
@@ -279,7 +292,7 @@ def nls_step(state: SolitonState, potentials: Potentials, dt: float,
     out = strang_step(u.samples, half_phase(state.density, t, external_q),
                       half_end, kin)
     return SolitonState(Field(grid, out, t + dt), p, state.b, state.f0,
-                        state.coupling_mode, previous_center=state.center)
+                        state.coupling_mode, stepped=True)
 
 
 def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
@@ -367,56 +380,74 @@ def run_classical(state: SolitonState, potentials: Potentials, dt: float,
 
     Every `store_every`-th step, the initial state included, records its
     time and energy E_t (`energy_nls`) and hands its field to `store(u)`.
+
+    The field chain (`nls_step` and its finiteness check) runs ahead in
+    the child process of `stepping.run_ahead` (`drive` with `ship`).  Each
+    step it ships the time, |u|^2 and its sum, and u only at the stored
+    steps and the last.  This process takes the wrap-aware center, the
+    norm, the boundary mass (and its abort), the mean force, the energy
+    and the stored fields from them, in step order, as in one process.
     """
     if state.coupling_mode != "classical":
         raise SolidynError("run_classical needs a classical-mode state")
     grid = state.u.grid
     pos = _grid_positions(grid)
+    center = state.center
+
+    def stored(i):
+        return i % store_every == 0
 
     def step(state, i):
         state = nls_step(state, potentials, dt)
         check_finite(state.u.samples, i)
         return state
 
-    def sample(state, i):
-        frac = grid.boundary_mass_fraction(state.density,
-                                           state._density_sum)
+    def ship(state, i):
+        return (state.u.time_tag, state.density, state._density_sum,
+                state.u if stored(i) or i == steps else None)
+
+    def sample(item, i):
+        nonlocal center
+        t, density, total, u = item
+        if i:
+            center = soliton_center(grid, density, center, total)[0]
+        norm = float(total * grid.cell_volume)
+        frac = grid.boundary_mass_fraction(density, total)
         if abort_on_boundary_mass and i and frac > BOUNDARY_MASS_LIMIT:
             raise BoundaryMassError(
                 f"boundary mass fraction {frac:.3e} exceeded "
                 f"{BOUNDARY_MASS_LIMIT} at step {i}")
-        t = state.u.time_tag
-        row = {"times": t, "centers": state.center, "norms": state.norm,
+        row = {"times": t, "centers": center, "norms": norm,
                "boundary_mass": frac,
-               "mean_em_force": _density_mean_force(state, potentials, pos)}
-        if i % store_every == 0:
+               "mean_em_force": _density_mean_force(
+                   grid, t, density, norm, state.params.charge, potentials,
+                   pos)}
+        if stored(i):
             if store is not None:
-                store(state.u)
+                store(u)
             row["snapshot_times"] = t
-            row["energy"] = energy_nls(state.u, state.params, potentials,
+            row["energy"] = energy_nls(u, state.params, potentials,
                                        state.b, state.f0)[0]
         return row
 
-    state, series = drive(state, steps, step, sample)
-    return SolitonRun(final_state=state, **series)
+    (*_, u), series = drive(state, steps, step, sample, ship, (grid,))
+    final = SolitonState(u, state.params, state.b, state.f0, center=center)
+    return SolitonRun(final_state=final, **series)
 
 
-def _density_mean_force(state: SolitonState, potentials: Potentials,
-                        grid_positions):
-    """integral(|u|^2 e E(t, x)) / C: the density-averaged Lorentz force."""
-    grid = state.u.grid
-    e = state.params.charge
+def _density_mean_force(grid: Grid, t, density, norm, charge,
+                        potentials: Potentials, grid_positions):
+    """integral(|u|^2 e E(t, x)) / C of the density |u|^2, of norm C, at
+    time t: the density-averaged Lorentz force."""
     if potentials.zero_field:
         # the general path sums rho * (-0.0), which numpy sums to +0.0
-        return e * np.zeros(grid.dim)
-    efield = potentials._field_on_grid(grid, state.u.time_tag,
-                                       grid_positions)
+        return charge * np.zeros(grid.dim)
+    efield = potentials._field_on_grid(grid, t, grid_positions)
     out = np.empty(grid.dim)
     for a in range(grid.dim):
-        out[a] = grid.integrate(state.density
-                                * efield[:, a].reshape(grid.shape)) \
-            / state.norm
-    return e * out
+        out[a] = grid.integrate(density * efield[:, a].reshape(grid.shape)) \
+            / norm
+    return charge * out
 
 
 def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
@@ -430,12 +461,13 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     advance the reference guidance trajectory (same start as the soliton)
     against the same two Madelung snapshots.  The coupling is one way: the
     pilot wave never sees u, and the reference point reads the pilot
-    alone.  So the pilot's loop (`ls_step`, its finiteness check and
-    `madelung_extract`) and the reference point's step run in the child
-    process of `stepping.run_ahead`.  Each step it ships the time, q and
-    the point's position and velocity; the `MadelungBundle` only at the
-    harmony steps, whose residual reads its velocity, and the wave only at
-    the steps `store` writes.  This process does the soliton step, the
+    alone.  So the pilot's chain (`ls_step`, its finiteness check,
+    `madelung_extract` and the reference point's step) runs ahead in the
+    child process of `stepping.run_ahead` (`drive` with `ship`).  Each step
+    it ships the time, q and the point's position and velocity; the
+    `MadelungBundle` only at the harmony steps, whose residual reads its
+    velocity, and the wave only at the steps `store` writes.  This process
+    does the soliton step as it records each item, with the center, the
     harmony residual and the series.  A pilot error or a reference abort
     raises at its step, before that step's soliton step, as in one
     process.
@@ -471,35 +503,36 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
     def harmonic(i):
         return i > 0 and harmony_every and i % harmony_every == 0
 
-    def pilot():
-        # the pilot's own loop and the reference point, in the `run_ahead`
-        # child: each step's time, q, reference position and velocity, the
-        # bundle at the harmony steps and the wave at the steps `store`
-        # writes
-        psi, bundle, point, k1 = psi0, start_bundle, z, start_k1
-        for i in range(1, steps + 1):
-            psi = ls_step(psi, pilot_params, potentials, dt)
-            check_finite(psi.samples, i)
-            bundle_next = madelung_extract(psi, pilot_params, potentials)
-            t = bundle.time_tag
-            point, stencil = advance_point(
-                FlowHistory.of(bundle, bundle_next), point, t, t + dt, k1)
-            bundle = bundle_next
-            k1 = _values_at(grid, stencil, bundle.velocity)
-            yield (bundle.time_tag, bundle.quantum_potential, point, k1,
-                   bundle if harmonic(i) else None,
-                   psi if stored(i) else None)
+    def pilot_step(pilot, i):
+        psi, bundle, point, k1 = pilot
+        psi = ls_step(psi, pilot_params, potentials, dt)
+        check_finite(psi.samples, i)
+        bundle_next = madelung_extract(psi, pilot_params, potentials)
+        t = bundle.time_tag
+        point, stencil = advance_point(
+            FlowHistory.of(bundle, bundle_next), point, t, t + dt, k1)
+        return (psi, bundle_next, point,
+                _values_at(grid, stencil, bundle_next.velocity))
 
-    def step(s, i):
-        state, (_, q, *_) = s
-        item = next(pilot_steps)
-        state = nls_step(state, potentials, dt, external_q=q,
-                         external_q_end=item[1])
-        check_finite(state.u.samples, i)
-        return state, item
+    def ship(pilot, i):
+        psi, bundle, point, k1 = pilot
+        return (bundle.time_tag, bundle.quantum_potential, point, k1,
+                bundle if harmonic(i) else None, psi if stored(i) else None)
 
-    def sample(s, i):
-        state, (t, _, point, k1, bundle, psi) = s
+    q = None            # the pilot's q at the start of the next step
+
+    def sample(item, i):
+        # the soliton's step i, under the pilot's q at both of its ends,
+        # and then the row of step i
+        nonlocal state, q
+        t, q_next, point, k1, bundle, psi = item
+        if i:
+            center = state.center
+            state = nls_step(state, potentials, dt, external_q=q,
+                             external_q_end=q_next)
+            check_finite(state.u.samples, i)
+            state.track_center(center)
+        q = q_next
         if stored(i):
             store(state.u, psi)
         harmony = harmonic(i)
@@ -513,10 +546,8 @@ def run_coupled(psi0: Field, state: SolitonState, pilot_params: PhysicalParams,
                 potentials) if harmony else None,
         }
 
-    start = (state, (start_bundle.time_tag, start_bundle.quantum_potential,
-                     z, start_k1, None, psi0))
-    with run_ahead(pilot, shared=(grid,)) as pilot_steps:
-        (state, _), series = drive(start, steps, step, sample)
+    _, series = drive((psi0, start_bundle, z, start_k1), steps, pilot_step,
+                      sample, ship, (grid,))
     reference = TrajectoryRecord(series["times"],      # one start: m = 1
                                  series.pop("positions")[:, None],
                                  series.pop("velocities")[:, None])

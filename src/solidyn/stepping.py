@@ -12,10 +12,15 @@ and the total norm is conserved to round-off by the kinetic step's
 unitarity.
 
 `run_ahead` is the package's one fork: a child process runs a generator
-and pickles each item back through a pipe while the calling process goes
-on.  The coupled run's pilot wave (`ls_step`, its finiteness check and
-`madelung_extract`) with its reference guidance point (`advance_point`),
-and the `entangled_pair` scenario's product run, go on in that child.
+and pickles its items back through a pipe, a block of them at a time,
+while the calling process goes on.  `drive` reaches it through `ship`: a
+run's field chain then steps ahead in the child, which ships what the
+calling process records, and the readers, series and snapshots stay in
+the calling process, in step order.  The classical soliton run
+(`nls_step`), the Schrodinger wave with its Madelung fields (`ls_step`,
+`madelung_extract`) and the coupled run's pilot wave with its reference
+guidance point go on that way; the `entangled_pair` scenario's product
+run goes on in the child as one item (`scenarios._concurrently`).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import pickle
 import signal
 import sys
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -43,6 +48,10 @@ BOUNDARY_MASS_LIMIT = 1e-8
 # that ships a few arrays per step then runs some steps ahead of the reader
 # instead of stalling on each write (the default pipe holds 64 KiB).
 PIPE_BYTES = 1 << 20
+# Items `run_ahead` packs into one pickle and one pipe write, so a short
+# step that ships a few small arrays (the trap's soliton step at N = 256)
+# pays a pickle and a write per block, not per step.
+BLOCK_ITEMS = 16
 PR_SET_PDEATHSIG = 1        # <linux/prctl.h>
 
 
@@ -165,25 +174,40 @@ class RowBlock:
         self._block.resize((rows,) + self._block.shape[1:], refcheck=False)
 
 
-def drive(state, steps, step, sample):
+def drive(state, steps, step, sample, ship=None, shared=()):
     """The time loop of every wave run.
 
-    Calls sample(state, 0), then for i = 1 ... steps `state = step(state,
-    i)` followed by sample(state, i).  A sample is a dict of named
-    quantities, or None to record nothing at that step; a quantity whose
-    value is None is not recorded at that step.  Returns the final state
-    and a dict with one array per quantity named by any sample: its
-    recorded values, kept in one `RowBlock` (so `np.asarray` of them).
+    For i = 0 ... steps, `state = step(state, i)` (for i > 0) and then
+    sample(state, i).  A sample is a dict of named quantities, or None to
+    record nothing at that step; a quantity whose value is None is not
+    recorded at that step.  Returns the final state and a dict with one
+    array per quantity named by any sample: its recorded values, kept in
+    one `RowBlock` (so `np.asarray` of them).
+
+    With `ship`, the chain of states runs ahead in the child process of
+    `run_ahead` (`shared` as there): it sends ship(state, i) after each
+    step, and sample(item, i) receives that item here, in step order, in
+    place of the state; the last item is returned in place of the final
+    state.  So the calling process records while the child steps, and
+    errors keep the order of the serial loop.  A sample may advance a
+    chain of its own that reads the items (the coupled run's soliton).
     """
+    def chain():
+        # the loop's states, or with `ship` its items, made as they are read
+        nonlocal state
+        for i in range(steps + 1):
+            if i:
+                state = step(state, i)
+            yield ship(state, i) if ship else state
+
     columns = defaultdict(RowBlock)
-    for i in range(steps + 1):
-        if i:
-            state = step(state, i)
-        for name, value in (sample(state, i) or {}).items():
-            column = columns[name]      # named even if never recorded
-            if value is not None:
-                column.append(value)
-    return state, {name: column.block() for name, column in columns.items()}
+    with run_ahead(chain, shared) if ship else nullcontext(chain()) as items:
+        for i, item in enumerate(items):
+            for name, value in (sample(item, i) or {}).items():
+                column = columns[name]      # named even if never recorded
+                if value is not None:
+                    column.append(value)
+    return item, {name: column.block() for name, column in columns.items()}
 
 
 @contextmanager
@@ -191,19 +215,19 @@ def run_ahead(items, shared=()):
     """The items of the generator `items()`, made in a forked child
     process and read here in order, while this process goes on.
 
-    The fork is made at once.  The child pickles each item (protocol 5),
-    or the error that ended the generator, into a pipe and ends with
-    `os._exit`; an object of `shared`, which both processes hold from
-    before the fork, is pickled by reference.  Errors keep the order of
-    the serial loop: the child's error raises where its item would have
-    been read, with its class, message and attributes, and an error of
-    this process ends the `with` block, which kills the child.  The child
-    is reaped when the block ends, on every path; while it runs, a SIGTERM
-    at its default action kills and reaps it first
-    (`_end_child_on_sigterm`), and on Linux the kernel kills it when the
-    thread that forked it ends (`_end_with_parent`).  Where `os.fork` does
-    not exist, or this process may run on one CPU only, `items()` runs in
-    this process instead.
+    The fork is made at once.  The child pickles the items (protocol 5)
+    into a pipe in blocks of `BLOCK_ITEMS`, the error that ended the
+    generator with the last, and ends with `os._exit`; an object of
+    `shared`, which both processes hold from before the fork, is pickled
+    by reference.  Errors keep the order of the serial loop: the child's
+    error raises where its item would have been read, with its class,
+    message and attributes, and an error of this process ends the `with`
+    block, which kills the child.  The child is reaped when the block
+    ends, on every path; while it runs, a SIGTERM at its default action
+    kills and reaps it first (`_end_child_on_sigterm`), and on Linux the
+    kernel kills it when the thread that forked it ends
+    (`_end_with_parent`).  Where `os.fork` does not exist, or this process
+    may run on one CPU only, `items()` runs in this process instead.
     """
     if not hasattr(os, "fork") or _cpus() < 2:
         yield items()
@@ -246,12 +270,12 @@ def run_ahead(items, shared=()):
                 unpickler = pickle.Unpickler(pipe)
                 unpickler.persistent_load = shared.__getitem__
                 try:
-                    done, value = unpickler.load()
+                    block, error = unpickler.load()
                 except (EOFError, pickle.UnpicklingError):    # cut off
                     break
-                if not done:
-                    raise value
-                yield value
+                yield from block
+                if error is not None:
+                    raise error
             code = reap(kill=False)
             if code:
                 raise SolidynError(f"the concurrent run ended with no "
@@ -271,22 +295,29 @@ def _cpus():
 
 
 def _send(pipe, items, shared):
-    """Pickle (True, item) for each item of `items()`, then (False, error)
-    if the generator ends in an error, into the file `pipe`, one flushed
-    message each."""
+    """Pickle the items of `items()` into the file `pipe` in blocks of up
+    to `BLOCK_ITEMS`, one flushed (items, None) message each; the block
+    an error of the generator cuts short goes as (items, error)."""
     ids = {id(obj): index for index, obj in enumerate(shared)}
 
-    def send(message):
+    def send(block, error=None):
         pickler = pickle.Pickler(pipe, protocol=5)
         pickler.persistent_id = lambda obj: ids.get(id(obj))
-        pickler.dump(message)
+        pickler.dump((block, error))
         pipe.flush()
 
+    block = []
     try:
         for item in items():
-            send((True, item))
+            block.append(item)
+            if len(block) == BLOCK_ITEMS:
+                send(block)
+                block = []
     except BaseException as err:
-        send((False, err))
+        send(block, err)
+    else:
+        if block:
+            send(block)
 
 
 def _end_with_parent(parent):

@@ -112,7 +112,10 @@ def reference_run_pair(pair, u1, u2, z, dt, steps):
     c1 = [state.u1.center[0]]
     c2 = [state.u2.center[0]]
     for _ in range(steps):
+        centers = state.u1.center, state.u2.center
         pair, state = reference_pair_step(pair, state, dt)
+        state.u1.track_center(centers[0])
+        state.u2.track_center(centers[1])
         zs.append(state.z.copy())
         c1.append(state.u1.center[0])
         c2.append(state.u2.center[0])
@@ -125,8 +128,12 @@ def serial_run_pair(pair, states, dt, steps):
     def step(s, i):
         pair, states = s
         new_pair = _step_wave(pair, dt, i)
-        return new_pair, [_step_particles(pair, new_pair, state, dt, i)
-                          for state in states]
+        stepped = [_step_particles(pair, new_pair, state, dt, i)
+                   for state in states]
+        for new, old in zip(stepped, states):
+            new.u1.track_center(old.u1.center)
+            new.u2.track_center(old.u2.center)
+        return new_pair, stepped
 
     def sample(s, i):
         pair, states = s

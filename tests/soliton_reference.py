@@ -60,7 +60,7 @@ def reference_nls_step(state, potentials, dt, external_q=None,
     out = reference_strang_step(u.samples, np.exp(-0.5j * dt * w_start),
                                 half_end, kin)
     return replace(state, u=Field(grid, out, t + dt), center=None,
-                   previous_center=state.center)
+                   stepped=True)
 
 
 def reference_madelung_extract(psi, params, potentials):

@@ -210,7 +210,8 @@ def test_ehrenfest_dbb_discriminator():
     centers, fq = [], []
 
     def store(u, psi):
-        center, _ = soliton_center(u, centers[-1] if centers else None)
+        center, _ = soliton_center(g, u.density(),
+                                   centers[-1] if centers else None)
         centers.append(center)
         force = madelung_extract(psi, PARAMS, Potentials.free()).quantum_force
         fq.append([g.interpolate(f, g.point_stencil(center)) for f in force])

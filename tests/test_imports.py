@@ -10,7 +10,8 @@ definition, so a superseded helper cannot stay behind.
 
 The CLI also loads no executor or process-pool module, which would add to
 every run's set-up time and memory, and the package has one concurrency
-mechanism: the `os.fork` of `stepping.run_ahead`.
+mechanism: the `os.fork` of `stepping.run_ahead`, which only `drive`'s
+shared path and `scenarios._concurrently` reach.
 """
 
 import ast
@@ -93,10 +94,12 @@ def test_the_cli_loads_no_executor_or_process_module():
 
 
 def test_the_one_concurrency_mechanism_is_the_fork_of_run_ahead():
-    # no thread, process-pool or executor module is imported, and `os.fork`
-    # is read only inside `stepping.run_ahead`
+    # no thread, process-pool or executor module is imported, `os.fork` is
+    # read only inside `stepping.run_ahead`, and `run_ahead` only by the
+    # shared path of `stepping.drive` and by `scenarios._concurrently`, so
+    # no run steps a field ahead by a loop of its own
     banned = ("threading", "_thread", "multiprocessing", "concurrent")
-    imports, forks = [], []
+    imports, forks, users = [], [], set()
     for module in MODULES:
         tree = ast.parse((SOURCE / module).read_text())
         for node in ast.walk(tree):
@@ -118,5 +121,14 @@ def test_the_one_concurrency_mechanism_is_the_fork_of_run_ahead():
                   if isinstance(node, ast.Attribute) and node.attr == "fork"
                   and isinstance(node.value, ast.Name)
                   and node.value.id == "os"]
+        for top in tree.body:
+            users.update((module, getattr(top, "name", None))
+                         for node in ast.walk(top)
+                         if (isinstance(node, ast.Name)
+                             and node.id == "run_ahead")
+                         or (isinstance(node, ast.Attribute)
+                             and node.attr == "run_ahead"))
     assert imports == []
     assert forks == [("stepping.py", True)]
+    assert users == {("stepping.py", "drive"),
+                     ("scenarios.py", "_concurrently")}

@@ -382,9 +382,12 @@ def test_pair_zero_coupling_straight_lines():
     u2 = soliton(g1, 2.0, b=9.0, velocity=-0.25)
     dt = 2e-3
     for _ in range(500):
+        centers = u1.center, u2.center
         wave = ls2_step(wave, dt)
         u1 = nls_step(u1, FREE[0], dt, external_q=zero_q)
         u2 = nls_step(u2, FREE[1], dt, external_q=zero_q)
+        u1.track_center(centers[0])
+        u2.track_center(centers[1])
     assert u1.center[0] == pytest.approx(-2.0 + 0.5 * 1.0, abs=1e-4)
     assert u2.center[0] == pytest.approx(2.0 - 0.25 * 1.0, abs=1e-4)
 

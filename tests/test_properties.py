@@ -36,6 +36,10 @@ Hypothesis).
 - A constant shift of the potential, V -> V + c, moves the pilot's
   guidance velocity, q and a guided single-start path by no more than a
   bound derived from round-off: the shift is a global phase.
+- A constant vector potential A -> A + c with Psi -> exp(i e c x) Psi,
+  e c a grid wavenumber, moves the guidance velocity, q and one
+  `ls_step` (up to the gauge factor) by no more than a bound derived from
+  round-off: the guidance law is gauge covariant.
 - Two in-process runs of a small valid config of any kind, with the same
   seed, end with the same exit code and write the same bytes to every
   output file.
@@ -69,7 +73,8 @@ from solidyn.pair import (_STEP_FACTORS, ls2_step,  # noqa: E402
 from solidyn.potentials import PhysicalParams, Potentials  # noqa: E402
 from solidyn.scenarios import (KINDS, MAX_STEPS,  # noqa: E402
                                ScenarioConfig, parse_config_dict)
-from solidyn.schrodinger import evolve_schrodinger, ls_step  # noqa: E402
+from solidyn.schrodinger import (evolve_schrodinger, ls_step,  # noqa: E402
+                                 madelung_extract)
 from solidyn.soliton import (SolitonState, _density_mean_force,  # noqa: E402
                              _grid_positions, classical_trajectory, nls_step,
                              second_central_moments, soliton_center)
@@ -464,7 +469,7 @@ def center_cases(draw):
 def test_soliton_center_keeps_the_bits_of_np_mod(case):
     u, previous = case
     rho = u.density()
-    xbar, c = soliton_center(u, previous, density=rho)
+    xbar, c = soliton_center(u.grid, rho, previous)
     want_xbar, want_c, want_spread = wrapped_reference(u, rho, previous)
     assert xbar.tobytes() == want_xbar.tobytes() and c == want_c
     spread = second_central_moments(u, previous)
@@ -479,6 +484,13 @@ def general_zero(dim):
     """A potential whose E is zero but that takes the general path (a
     scalar gradient is given, so `zero_field` is False)."""
     return Potentials(dim, scalar_gradient=lambda t, coords: (0.0,) * dim)
+
+
+def state_mean_force(state, potentials, grid_positions):
+    """`_density_mean_force` of the density of `state` at its time."""
+    return _density_mean_force(state.u.grid, state.u.time_tag, state.density,
+                               state.norm, state.params.charge, potentials,
+                               grid_positions)
 
 
 charges = st.floats(0.0, 5.0).flatmap(
@@ -522,8 +534,8 @@ def test_zero_field_mean_force_keeps_the_general_bits(u, charge):
     pos = _grid_positions(u.grid)
     assert Potentials.free(dim).zero_field
     assert not general_zero(dim).zero_field
-    got = _density_mean_force(state, Potentials.free(dim), pos)
-    want = _density_mean_force(state, general_zero(dim), pos)
+    got = state_mean_force(state, Potentials.free(dim), pos)
+    want = state_mean_force(state, general_zero(dim), pos)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -567,7 +579,7 @@ STATIC_FIELDS = {
 }
 
 
-def mean_forces(u, potentials, params, times, force=_density_mean_force):
+def mean_forces(u, potentials, params, times, force=state_mean_force):
     """The bytes of force(state, potentials, grid positions) for the
     soliton field u at each time."""
     pos = _grid_positions(u.grid)
@@ -948,6 +960,131 @@ def test_a_constant_potential_shift_moves_no_guidance_quantity(
                        path)
     assert np.all(np.abs(shifted_path - path) <= reach)
 
+
+# ---------------------------------------------------------------------------
+# a constant A -> A + c with Psi -> exp(i e c x) Psi is a gauge transform
+# ---------------------------------------------------------------------------
+
+def gauge_bounds(grid, omega0, e_a, e_c, dt, one, other, s_one, s_other):
+    """Round-off bounds on |v' - v| and |q' - q| at each grid point, for
+    the Madelung bundles `one` and `other` of the band-limited waves
+    `s_one` (vector potential A, e A = e_a) and `s_other` (its spectrum
+    rolled by m bins, with A + c, e c = e_c the grid's wavenumber of bin m,
+    unit charge, N a power of two), and on max |psi' - G psi| after one
+    `ls_step` of each, G_n = exp(2 pi i m n / N).
+
+    In exact arithmetic the rolled wave is G psi, G = exp(i e c (x + L/2)),
+    and the covariant derivative (d - i e A) of G psi is G times that of
+    psi: the current gains e c |psi|^2, which the e A' of the velocity
+    takes away, |psi| and so q are unchanged, and a Strang step maps G psi
+    to G times the step of psi (the half phases are pointwise, and the
+    kinetic factor of bin j + m under A + c is that of bin j under A, no
+    band crossing the Nyquist bin).  So the fields differ by round-off
+    alone.  With P = ||psi||_2, L = log2 N and kmax the grid's largest
+    |k| (Higham, Accuracy and Stability, Thm 24.2, as in `shift_bounds`):
+    - each wave is an inverse FFT of exact coefficients, within (4 L + 1)
+      eps P of its exact value, so the two within B = 2 (4 L + 1) eps P
+      of G times each other, in l2 and so at every sample;
+    - |Delta a| <= B + 2 eps a; a stays above 0.5, far above the node
+      mask, so the floored a_s is a;
+    - q = -lap a / (2 w0 a): the Laplacian of the difference is at most
+      kmax^2 (B + 2 eps ||a||), and each run's real transform pair adds
+      F kmax^2 ||a||, F = (8 L + 4) eps; then as in `shift_bounds`;
+    - the derivative of G psi is G (d psi + i e c psi), at most
+      D = (kmax + |e c|) P; the two runs' derivatives differ from that
+      relation by E = (kmax + |e c|) B + 2 F kmax P, so the currents J
+      differ from J + e c rho by B D + (a + B) E + 4 eps a D (the complex
+      products); J / rho_s then by that over rho_s, plus W |Delta rho| /
+      rho_s and 2 eps W, with W the larger |J / rho_s| (w0 |v| + |e A|
+      of each run, 16 eps over) and Delta rho = 2 a Delta a + Delta a^2
+      + 2 eps a^2;
+    - the shift e A' - e A is e c to 5 eps |e c| (the computed wavenumber)
+      plus eps (|e A| + |e c|) (the sum A + c); the subtraction, the
+      division by w0 and the two runs' sums add eps (4 W + 3 |e A| +
+      8 |e c|) / w0 + 2 eps |v|;
+    - a step: both runs build the same half phases, so only their
+      products differ (2 eps each, with the half phases' own modulus,
+      12 eps over both runs), each run's transform pair adds 2 (4 L + 1)
+      eps, the kinetic products 4 eps; the kinetic factors, angles dt
+      (k - e A)^2 / (2 w0) with |k - e A| <= K = kmax + |e A| + |e c|,
+      each carry eps (2 + 6 dt K^2 / w0), and the exact factors differ
+      by the 5 eps |e c| of the computed wavenumber, 5 eps dt K^2 / w0.
+      The step is unitary, so psi' - G psi stays within B + eps P (24 +
+      16 L + 17 dt K^2 / w0); G computed from its angle 2 pi m n / N
+      moves by eps (2 pi |m| + 3) |psi|.
+    Returns the velocity bound, the q bound and the step bound.
+    """
+    n = grid.points[0]
+    log_n = np.log2(n)
+    kmax = float(np.max(np.abs(grid.wavenumbers[0])))
+    norm = max(float(np.linalg.norm(s)) for s in (s_one, s_other))
+    b = 2 * (4 * log_n + 1) * EPS * norm
+    f = (8 * log_n + 4) * EPS
+    a = np.maximum(one.amplitude, other.amplitude)
+    a_s = np.minimum(one.amplitude, other.amplitude)
+    d_a = b + 2 * EPS * a
+    q = np.maximum(np.abs(one.quantum_potential),
+                   np.abs(other.quantum_potential))
+    norm_a = float(np.linalg.norm(a))
+    d_lap = kmax**2 * (b + 2 * EPS * norm_a) + 2 * f * kmax**2 * norm_a
+    d_q = d_lap / (2 * omega0 * a_s) + q * d_a / a_s + 4 * EPS * q
+    d_max = (kmax + abs(e_c)) * norm
+    e = (kmax + abs(e_c)) * b + 2 * f * kmax * norm
+    d_j = b * d_max + (a + b) * e + 4 * EPS * a * d_max
+    v = np.maximum(np.abs(one.velocity[0]), np.abs(other.velocity[0]))
+    w = (omega0 * v + abs(e_a) + abs(e_c)) * (1 + 16 * EPS)
+    d_rho = 2 * a * d_a + d_a**2 + 2 * EPS * a**2
+    d_v = ((d_j + w * d_rho) / (omega0 * a_s**2)
+           + EPS * (6 * w + 3 * abs(e_a) + 8 * abs(e_c)) / omega0
+           + 2 * EPS * v)
+    k_all = kmax + abs(e_a) + abs(e_c)
+    d_step = b + EPS * norm * (24 + 16 * log_n + 17 * dt * k_all**2 / omega0)
+    return d_v, d_q, d_step
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([64, 128]), st.floats(10.0, 40.0),
+       st.integers(1, 6), st.integers(-4, 4).filter(bool),
+       st.floats(-2.0, 2.0), st.floats(0.5, 3.0),
+       st.floats(-1.0, 1.0), st.floats(1e-3, 0.05),
+       st.integers(0, 2**32 - 1))
+def test_a_gauge_transform_moves_no_guidance_quantity(
+        n, length, band, m, a0, omega0, v0, dt, seed):
+    # A -> A + c with Psi -> exp(i e c x) Psi, e c the wavenumber of bin m:
+    # the guidance velocity, q and one ls_step agree to round-off
+    # (`gauge_bounds`); a wave of the bins |j| <= band around a constant
+    # keeps |Psi| in [0.5, 2.5], and its roll by m crosses no Nyquist bin.
+    # V = v0 cos(2 pi x / L) is periodic, so its half phases move the
+    # spectrum by a few bins only (Bessel weights of dt |v0| / 2): a
+    # potential with a kink at the seam would fill the bins a roll wraps
+    grid = Grid(n, length)
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[0] = 1.5 * n
+    bins = np.r_[1:band + 1, -band:0]
+    modes = rng.standard_normal(bins.size) + 1j * rng.standard_normal(
+        bins.size)
+    coeffs[bins] = modes / np.sum(np.abs(modes)) * n
+    e_c = float(grid.wavenumbers[0][m])
+    params = PhysicalParams(omega0=omega0, charge=1.0)
+    runs = []
+    for roll, vector in ((0, a0), (m, a0 + e_c)):
+        psi = Field(grid, np.fft.ifft(np.roll(coeffs, roll)))
+        pots = Potentials(1, scalar=lambda t, c: v0 * np.cos(
+                              2 * np.pi * c[0] / length),
+                          vector=lambda t, vector=vector: np.array([vector]))
+        runs.append((psi.samples, madelung_extract(psi, params, pots),
+                     ls_step(psi, params, pots, dt).samples))
+    (s_one, one, step_one), (s_other, other, step_other) = runs
+    d_v, d_q, d_step = gauge_bounds(grid, omega0, a0, e_c, dt, one, other,
+                                    s_one, s_other)
+    assert np.all(np.abs(other.velocity[0] - one.velocity[0]) <= d_v)
+    assert np.all(np.abs(other.quantum_potential - one.quantum_potential)
+                  <= d_q)
+    gauge = np.exp(2j * np.pi * m * np.arange(n) / n)
+    assert np.all(np.abs(step_other - gauge * step_one)
+                  <= d_step + EPS * (2 * np.pi * abs(m) + 3)
+                  * np.abs(step_one))
 
 # ---------------------------------------------------------------------------
 # reruns

@@ -20,7 +20,7 @@ import yaml
 
 from interp_reference import record_snapshots
 from solidyn.cli import main as cli_main
-from solidyn import scenarios, trajectories
+from solidyn import scenarios, stepping, trajectories
 from solidyn import soliton as soliton_module
 from solidyn.diagnostics import equivariance_distance
 from solidyn.errors import (BoundaryExitError, ConfigError,
@@ -1036,6 +1036,31 @@ soliton.run_coupled(Field(grid, np.exp(-x**2 / 32.0).astype(complex)),
                     state, params, Potentials.free(), 1e-3, 100000)
 """
 
+# the soliton chain could run 10^5 steps ahead, but it blocks once the pipe
+# is full; this process sleeps in its first step's mean force
+TRAP = SCRIPT_HEAD + """
+from solidyn import soliton
+from solidyn.grids import Grid
+from solidyn.potentials import PhysicalParams, Potentials
+
+nls_step = soliton.nls_step
+
+def soliton_step(*args):
+    mark(sys.argv[2])
+    return nls_step(*args)
+
+def mean_force(*args):
+    mark(sys.argv[1])
+    time.sleep(60)
+
+soliton.nls_step, soliton._density_mean_force = soliton_step, mean_force
+grid = Grid(256, 20.0)
+params = PhysicalParams(omega0=1.0, charge=1.0)
+u0 = soliton.gausson_init(soliton.GaussonParams(1.0, 1.0), grid, 1.0)
+soliton.run_classical(soliton.SolitonState(u0, params, 1.0, 1.0),
+                      Potentials.harmonic(0.25), 1e-3, 100000)
+"""
+
 
 def gone(pid):
     try:
@@ -1100,6 +1125,10 @@ def test_a_sigterm_during_first_ends_the_child_and_then_the_process(
 
 def test_a_sigterm_during_a_coupled_run_ends_its_pilot_child(tmp_path):
     signal_during_a_run(tmp_path, COUPLED, signal.SIGTERM)
+
+
+def test_a_sigterm_during_a_trap_run_ends_its_soliton_child(tmp_path):
+    signal_during_a_run(tmp_path, TRAP, signal.SIGTERM)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -1229,30 +1258,169 @@ def test_an_abort_at_the_first_steps_keeps_its_exit_and_manifest(
         b"partial outputs:\n\n")
 
 
+def short_run(kind, **sections):
+    """A `kind` config with the YAML lines of each section (a dict of its
+    keys); `{out}` is left for `run_config`."""
+    text = f"scenario: {kind}\n"
+    for name, keys in sections.items():
+        text += f"{name}:\n" + "".join(f"  {key}: {value}\n"
+                                       for key, value in keys.items())
+    return text + "output:\n  directory: {out}\n"
+
+
 def short_slit(every):
     """A 50-step `double_slit_dbb` config storing every `every`-th step
     (none for 0); `{out}` is left for `run_config`."""
-    return ("scenario: double_slit_dbb\nphysics:\n  b: 100.0\n"
-            "initial:\n  packet_sigma: 2.0\n  separation: 8.0\n"
-            f"run:\n  t_final: 0.05\n  snapshot_every: {every}\n"
-            "output:\n  directory: {out}\n")
+    return short_run("double_slit_dbb", physics={"b": 100.0},
+                     initial={"packet_sigma": 2.0, "separation": 8.0},
+                     run={"t_final": 0.05, "snapshot_every": every})
 
 
-@pytest.mark.parametrize("every", (0, 20))
-def test_a_coupled_run_writes_the_same_bytes_forked_and_in_process(
-        tmp_path, capsys, monkeypatch, every):
-    # with snapshots the child ships the pilot wave at the stored steps
+# a trap run long enough, at a coarse step, to measure its period, with
+# the fields of the steps 0, 500, ..., 2000 stored
+SHORT_TRAP = short_run("harmonic_trap", potential={"kind": "harmonic",
+                                                   "spring": 0.25},
+                       run={"dt": 1e-2, "t_final": 20.0,
+                            "snapshot_every": 500})
+
+
+def snapshot_names(fields, count):
+    return [f"snapshots/{field}_{i:06d}.sldn"
+            for field in fields for i in range(count)]
+
+
+@pytest.mark.parametrize("text, snapshots", [
+    pytest.param(short_slit(0), [], id="slit"),
+    pytest.param(short_slit(20), snapshot_names(("psi", "u"), 3),
+                 id="slit-snapshots"),
+    pytest.param(SHORT_TRAP, snapshot_names(("u",), 5), id="trap-snapshots"),
+    pytest.param(short_run("free_gausson", run={"t_final": 0.05}), [],
+                 id="free_gausson"),
+    pytest.param(short_run("uniform_field", run={"t_final": 0.05}), [],
+                 id="uniform_field"),
+    pytest.param(short_run("equivariance",
+                           grid={"points": 128, "length": 30.0},
+                           initial={"trajectories": 100, "bins": 16},
+                           run={"t_final": 0.05}), [], id="equivariance"),
+    pytest.param(short_run("kg_packet", run={"t_final": 0.5}), [],
+                 id="kg_packet"),
+])
+def test_a_forked_run_writes_the_same_bytes_as_in_process(
+        tmp_path, capsys, monkeypatch, text, snapshots):
+    # each run's field chain steps ahead in the child of `run_ahead`, which
+    # ships what this process records (the fields at the stored steps); the
+    # Klein-Gordon wave of kg_packet stays in this process
     forks = counted_forks(monkeypatch)
-    forked = run_config(tmp_path, capsys, "forked", short_slit(every))
+    forked = run_config(tmp_path, capsys, "forked", text)
     assert forks == [os.getpid()]
     monkeypatch.delattr(os, "fork")
-    serial = run_config(tmp_path, capsys, "serial", short_slit(every))
+    serial = run_config(tmp_path, capsys, "serial", text)
     assert forked == serial
     assert forked[0] in (0, 3)
-    snapshots = [name for name in forked[2] if name.startswith("snapshots/")]
-    assert snapshots == ([f"snapshots/{field}_{i:06d}.sldn"
-                          for field in ("psi", "u") for i in range(3)]
-                         if every else [])
+    assert [name for name in forked[2]
+            if name.startswith("snapshots/")] == snapshots
+
+
+def failed_run(tmp_path, capsys, name, text):
+    """`run_config` with the output directory in the manifest written as
+    <out>."""
+    code, out, files = run_config(tmp_path, capsys, name, text)
+    files["manifest.txt"] = files["manifest.txt"].replace(
+        os.fsencode(tmp_path / name), b"<out>")
+    return code, out, files
+
+
+def test_a_trap_error_in_the_child_exits_1_as_the_serial_run(
+        tmp_path, capsys, monkeypatch):
+    # a NaN patched into the soliton chain before the fork turns up in the
+    # child at step 1234, after the stored steps 0, 500 and 1000
+    real, calls = soliton_module.nls_step, []
+
+    def poisoned(*args):
+        calls.append(1)
+        state = real(*args)
+        if len(calls) == 1234:
+            state.u.samples[3] = np.nan
+        return state
+
+    monkeypatch.setattr(soliton_module, "nls_step", poisoned)
+    forked = failed_run(tmp_path, capsys, "forked", SHORT_TRAP)
+    assert calls == []          # no soliton step ran in this process
+    monkeypatch.delattr(os, "fork")
+    serial = failed_run(tmp_path, capsys, "serial", SHORT_TRAP)
+    assert len(calls) == 1234
+    assert forked == serial
+    code, out, files = forked
+    assert code == 1
+    assert out == "solver error: non-finite field after step 1234\n"
+    assert files["manifest.txt"] == (
+        b"scenario: harmonic_trap\nstatus: solver error\n"
+        b"error: non-finite field after step 1234\npartial outputs:\n"
+        + b"".join(b"  <out>/snapshots/u_%06d.sldn\n" % i for i in range(3)))
+
+
+def test_a_boundary_abort_in_this_process_kills_the_child(
+        tmp_path, capsys, monkeypatch):
+    # the boundary watchdog runs where the step is recorded, while the
+    # child steps ahead: its abort ends the run as in one process
+    text = short_run("uniform_field",
+                     potential={"kind": "uniform_e", "e_field": 2.0})
+    kills = []
+    kill = os.kill
+
+    def spy(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", spy)
+    forks = counted_forks(monkeypatch)
+    forked = failed_run(tmp_path, capsys, "forked", text)
+    assert forks == [os.getpid()]
+    assert [sig for _, sig in kills] == [signal.SIGKILL]
+    monkeypatch.delattr(os, "fork")
+    serial = failed_run(tmp_path, capsys, "serial", text)
+    assert forked == serial
+    code, out, files = forked
+    assert code == 1
+    assert re.fullmatch(r"solver error: boundary mass fraction \S+ exceeded "
+                        r"1e-08 at step \d+\n", out)
+    assert list(files) == ["manifest.txt"]
+
+
+@pytest.mark.parametrize("where", ("child", "caller"))
+def test_a_non_solidyn_error_exits_1_with_its_manifest(
+        tmp_path, capsys, monkeypatch, where):
+    # a ValueError of the soliton chain, raised again from the child, and
+    # a MemoryError of this process's reduction both end as solver errors
+    # (exit 1, the manifest, one line), never in a traceback
+    if where == "child":
+        real = soliton_module.nls_step
+
+        def failing(state, *args):
+            if state.u.time_tag > 0.25:
+                raise ValueError("not a solver error")
+            return real(state, *args)
+
+        monkeypatch.setattr(soliton_module, "nls_step", failing)
+        message = b"ValueError: not a solver error"
+    else:
+        def failing(run):
+            raise MemoryError()
+
+        monkeypatch.setattr(scenarios, "conservation_report", failing)
+        message = b"MemoryError"
+    forked = failed_run(tmp_path, capsys, "forked", SHORT_TRAP)
+    monkeypatch.delattr(os, "fork")
+    assert failed_run(tmp_path, capsys, "serial", SHORT_TRAP) == forked
+    code, out, files = forked
+    assert (code, out) == (1, f"solver error: {message.decode()}\n")
+    stored = 1 if where == "child" else 5
+    assert files["manifest.txt"] == (
+        b"scenario: harmonic_trap\nstatus: solver error\n"
+        b"error: " + message + b"\npartial outputs:\n"
+        + b"".join(b"  <out>/snapshots/u_%06d.sldn\n" % i
+                   for i in range(stored))
+        + (b"  <out>/center.csv\n" if where == "caller" else b""))
 
 
 def test_a_pilot_error_exits_1_as_the_serial_run(tmp_path, capsys,
@@ -1268,18 +1436,11 @@ def test_a_pilot_error_exits_1_as_the_serial_run(tmp_path, capsys,
             psi.samples[3] = np.nan
         return psi
 
-    def run(name):
-        # the manifest names each file by its path, under `name`
-        code, out, files = run_config(tmp_path, capsys, name, short_slit(20))
-        files["manifest.txt"] = files["manifest.txt"].replace(
-            os.fsencode(tmp_path / name), b"<out>")
-        return code, out, files
-
     monkeypatch.setattr(soliton_module, "ls_step", poisoned)
-    forked = run("forked")
+    forked = failed_run(tmp_path, capsys, "forked", short_slit(20))
     assert calls == []          # no pilot step ran in this process
     monkeypatch.delattr(os, "fork")
-    serial = run("serial")
+    serial = failed_run(tmp_path, capsys, "serial", short_slit(20))
     assert len(calls) == 25
     assert forked == serial
     code, out, files = forked
@@ -1402,9 +1563,9 @@ def test_a_reference_abort_raises_as_the_serial_run(
 def test_the_pilot_child_ships_q_and_only_what_each_step_reads(monkeypatch):
     # per step the child ships one grid array, q, beside the reference
     # point's floats: the bundle only at the harmony steps and the pilot
-    # wave only at the stored steps
+    # wave only at the stored steps (item 0 is the initial state's)
     monkeypatch.delattr(os, "fork")
-    items, real = [], soliton_module.run_ahead
+    items, real = [], stepping.run_ahead
 
     @contextlib.contextmanager
     def recording(generate, shared=()):
@@ -1416,7 +1577,7 @@ def test_the_pilot_child_ships_q_and_only_what_each_step_reads(monkeypatch):
         with real(recorded, shared) as steps:
             yield steps
 
-    monkeypatch.setattr(soliton_module, "run_ahead", recording)
+    monkeypatch.setattr(stepping, "run_ahead", recording)
     grid = Grid(256, 20.0)
     x = grid.axes[0]
     params = PhysicalParams(omega0=1.0, charge=1.0)
@@ -1427,13 +1588,13 @@ def test_the_pilot_child_ships_q_and_only_what_each_step_reads(monkeypatch):
                       state, params, Potentials.free(), 1e-3, 12,
                       store_every=5, harmony_every=4,
                       store=lambda u, psi: stored.append(psi.time_tag))
-    assert len(items) == 12
-    for i, item in enumerate(items, start=1):
+    assert len(items) == 13
+    for i, item in enumerate(items):
         arrays = [m for m in item if isinstance(m, np.ndarray)]
         bundles = [m for m in item if isinstance(m, MadelungBundle)]
         fields = [m for m in item if isinstance(m, Field)]
         assert len(arrays) == 1 and arrays[0].shape == grid.shape
-        assert len(bundles) == (i % 4 == 0)
+        assert len(bundles) == (i > 0 and i % 4 == 0)
         assert len(fields) == (i % 5 == 0)
         if bundles:
             assert arrays[0] is bundles[0].quantum_potential

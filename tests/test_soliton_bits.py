@@ -216,7 +216,8 @@ def test_nls_step_gives_the_reference_bits(case):
             want.params, want.b, want.f0, want.coupling_mode)
         rho, center, norm = reference_state_moments(want.u, state.center)
         assert same_bits(got.density, rho)
-        assert same_bits(got.center, center)
+        assert got.center is None       # taken where a run records
+        assert same_bits(got.track_center(state.center), center)
         assert type(got.norm) is float and got.norm == norm
         assert grid.boundary_mass_fraction(got.density, got._density_sum) \
             == reference_boundary_mass_fraction(grid, rho, BOUNDARY_CELLS)
