@@ -96,11 +96,15 @@ def conservation_report(run: SolitonRun) -> ConservationReport:
         static_energy=run.final_state.b * c,
         energy_ratio=energies / c,
         boundary_mass=run.boundary_mass[stored],
-        norm_drift=float(np.max(np.abs(norms - norms[0])) / norms[0]),
-        energy_drift=float(np.max(np.abs(energies - energies[0]))
-                           / abs(energies[0])),
+        norm_drift=_drift(norms),
+        energy_drift=_drift(energies),
         boundary_flagged=bool(np.max(run.boundary_mass) > BOUNDARY_MASS_LIMIT),
     )
+
+
+def _drift(series):
+    """max |x_t - x_0| / |x_0| of a series x."""
+    return float(np.max(np.abs(series - series[0])) / abs(series[0]))
 
 
 @dataclass

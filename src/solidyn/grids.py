@@ -260,12 +260,18 @@ class Grid:
     # off-grid evaluation
     # ------------------------------------------------------------------
 
+    def _cell_coordinate(self, x, axis):
+        """(x + L/2) / dx along one axis, of a float or an array (formed in
+        place in the new array of the sum): the one coordinate-to-cell rule."""
+        s = x + 0.5 * self.lengths[axis]
+        s /= self.spacing[axis]
+        return s
+
     def _fraction_index(self, coords, axis):
         """Cell index and fractional offset of coordinates along one axis
         (the offset is formed in place, in the array of the cell
         coordinate)."""
-        s = coords + 0.5 * self.lengths[axis]
-        s /= self.spacing[axis]
+        s = self._cell_coordinate(coords, axis)
         base = np.floor(s)
         s -= base
         return base.astype(np.int64), s
@@ -365,7 +371,7 @@ class Grid:
         inside the box along one axis: the index, offset and weight
         arithmetic of `_fraction_index` and `_cubic_weights` in Python
         floats and ints, with the same bits."""
-        s = (c + 0.5 * self.lengths[axis]) / self.spacing[axis]
+        s = self._cell_coordinate(c, axis)
         base = math.floor(s)
         n = self.points[axis]
         return (_cubic_weight_terms(s - base),

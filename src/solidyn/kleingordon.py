@@ -25,6 +25,7 @@ mismatched analytic derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +96,8 @@ def lkg_step(psi_prev, psi: Field, params: PhysicalParams,
 @dataclass
 class KGMadelung:
     """Polar-split fields of a Klein-Gordon snapshot (at the middle of three
-    retained time levels)."""
+    retained time levels), and the mass M and its gradient, derived from
+    them when first read."""
 
     grid: Grid
     time_tag: float
@@ -108,6 +110,16 @@ class KGMadelung:
     past_oriented_mask: np.ndarray  # J0 <= 0
     energy: float                # discrete field energy (see _field_energy)
     amp_peak: float              # max(a)
+
+    @cached_property
+    def mass(self):
+        """M = sqrt(max(M^2, 0)): zero in the tachyonic sector."""
+        return np.sqrt(np.maximum(self.mass_sq, 0.0))
+
+    @cached_property
+    def mass_gradient(self):
+        """dM/dx, spectral."""
+        return self.grid.derivative(self.mass, 0)
 
 
 def kg_madelung(psi_prev, psi, psi_next, t, dt, grid: Grid,
@@ -154,10 +166,8 @@ class KGHistory(FlowHistory):
         """The nearest sample of each point of a `Stencil` or `PointStencil`."""
         x = (stencil.position[0] if isinstance(stencil, PointStencil)
              else stencil.positions[:, 0])
-        n = self.grid.points[0]
-        idx = np.rint((x + 0.5 * self.grid.lengths[0])
-                      / self.grid.spacing[0]).astype(int)
-        return idx % n
+        idx = np.rint(self.grid._cell_coordinate(x, 0)).astype(int)
+        return idx % self.grid.points[0]
 
     def check(self, t, stencil, last_valid):
         super().check(t, stencil, last_valid)
@@ -264,44 +274,31 @@ def kg_newton_residual(z0, history: KGHistory) -> FlowWalk:
     Proper time comes from dtau = sqrt(1 - v^2) dt; M, dM/dt (centered
     over snapshots i-1 and i+1, one-sided at the ends) and dM/dx
     (spectral) are interpolated at each path point as the walk visits it;
-    M and dM/dx are made once per record, as it is appended.
-    `finish()` returns interior times, the (n, 2) residual series, and its
-    RMS relative to the dominant term scale.
+    M and dM/dx are each derived once per record (`KGMadelung.mass` and
+    `.mass_gradient`).  `finish()` returns interior times, the (n, 2)
+    residual series, and its RMS relative to the dominant term scale.
     """
-    grid = history.grid
     charge = history.params.charge
-    if history.count:
-        raise SolidynError("a reader must attach before the first snapshot")
-    if np.size(z0) != grid.dim:
+    if np.size(z0) != history.grid.dim:
         raise SolidynError("kg_newton_residual takes a single start")
     path = [RowBlock() for _ in range(6)]   # t, v, E, M, dM/dt, dM/dx
-    # (record, M, dM/dx) of each kept record, made as it is appended, so
-    # that masses[p] goes with kept record p
-    masses = []
-    # the history's record list, not the history: a reader that the
-    # history holds keeps no reference back to it
     records = history.records
 
-    def keep_mass(record):
-        mass = np.sqrt(np.maximum(record.mass_sq, 0.0))
-        masses.append((record, mass, grid.derivative(mass, 0)))
-        del masses[:-len(records)]
-
     def dmass_dt(p):
-        lo, hi = max(p - 1, 0), min(p + 1, len(masses) - 1)
-        return ((masses[hi][1] - masses[lo][1])
-                / (masses[hi][0].time_tag - masses[lo][0].time_tag))
+        lo, hi = max(p - 1, 0), min(p + 1, len(records) - 1)
+        return ((records[hi].mass - records[lo].mass)
+                / (records[hi].time_tag - records[lo].time_tag))
 
     def at_path(field, t, stencil):
         return history._blend(lambda p: (field(p),), t, stencil)[0]
 
     def visit(i, t, z, stencil, k1):
-        msq = at_path(lambda p: masses[p][0].mass_sq, t, stencil)
+        msq = at_path(lambda p: records[p].mass_sq, t, stencil)
         values = (t, k1[0, 0],
                   charge * history.potentials.electric_field(t, z)[0, 0],
                   np.sqrt(np.maximum(msq, 0.0)),
                   at_path(dmass_dt, t, stencil),
-                  at_path(lambda p: masses[p][2], t, stencil))
+                  at_path(lambda p: records[p].mass_gradient, t, stencil))
         for column, value in zip(path, values):
             column.append(value)
 
@@ -330,5 +327,4 @@ def kg_newton_residual(z0, history: KGHistory) -> FlowWalk:
         rel = float(np.sqrt(np.mean(res**2)) / scale)
         return t[interior], res, rel
 
-    history.readers.append(keep_mass)    # before the walk reads the masses
     return FlowWalk(history, z0, visit, finish)

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .diagnostics import (cancellation_integrals, conservation_report,
-                          ehrenfest_report, equivariance_distance,
+from .diagnostics import (_drift, cancellation_integrals,
+                          conservation_report, ehrenfest_report,
+                          equivariance_distance,
                           static_energy_identity_deviation)
 from .errors import ConfigError, SolidynError, TachyonicRegionError
 from .grids import MAX_TOTAL_SAMPLES, Field, Grid
@@ -131,7 +132,7 @@ class Kind:
     `solidyn list-scenarios` line, and the defaults and checks of its
     config."""
 
-    runner: Callable        # runner(cfg, sink) is True if all checks pass
+    runner: Callable        # runner(cfg, snapshot): see run_scenario
     description: str
     dt: float
     t_final: float
@@ -466,7 +467,7 @@ class OutputSink:
             raise SolidynError(f"cannot write {path}: {err}") from err
         self.files.append(path)
 
-    def series(self, name, header, columns, comment=None):
+    def series(self, name, header, columns, comment="natural units hbar=c=1"):
         path = os.path.join(self.directory, name)
         self._write(path, lambda: write_csv(path, header, columns,
                                             comment=comment))
@@ -477,7 +478,7 @@ class OutputSink:
                             f"{label}_{index:06d}.sldn")
         self._write(path, lambda: write_snapshot(field, path))
 
-    def summary(self, kind, seed, checks, extras=()):
+    def summary(self, kind, seed, checks, extras):
         lines = [f"scenario: {kind}", f"seed: {seed}"]
         lines.extend(extras)
         ok = True
@@ -502,12 +503,16 @@ class OutputSink:
 def run_scenario(cfg: ScenarioConfig, quiet=False) -> int:
     """Execute a parsed scenario; returns the process exit code.
 
-    The parser has checked every setting but one: an output directory that
-    cannot be made raises a ConfigError, after removing what it made.  Any
-    other failure of the run (an `Exception`) exits 1 with the failure
-    manifest and one "solver error" line: a solidyn error by its message,
-    any other (a `MemoryError`, or a `ValueError` raised again from a
-    child process) by its class name and message.
+    It is the one writer of a run's series and summary.  The kind's
+    runner(cfg, snapshot), a generator, yields each series (name, header,
+    columns[, comment]), written here as it comes, and returns the
+    summary's (checks, extras).  The parser has checked every setting but
+    one: an output directory that cannot be made raises a ConfigError,
+    after removing what it made.  Any other failure of the run (an
+    `Exception`) exits 1 with the failure manifest and one "solver error"
+    line: a solidyn error by its message, any other (a `MemoryError`, or a
+    `ValueError` raised again from a child process) by its class name and
+    message.
     """
     made = _first_missing_directory(cfg.output_dir)
     try:
@@ -517,7 +522,13 @@ def run_scenario(cfg: ScenarioConfig, quiet=False) -> int:
             shutil.rmtree(made, ignore_errors=True)
         raise ConfigError(f"[output].directory: {err}") from err
     try:
-        ok = KINDS[cfg.kind].runner(cfg, sink)
+        run = KINDS[cfg.kind].runner(cfg, sink.snapshot)
+        try:
+            while True:
+                sink.series(*next(run))
+        except StopIteration as done:
+            checks, extras = done.value
+        ok = sink.summary(cfg.kind, cfg.seed, checks, extras)
     except Exception as err:
         message = str(err) if isinstance(err, SolidynError) else ": ".join(
             filter(None, (type(err).__name__, str(err))))
@@ -558,7 +569,7 @@ def _gausson_state(cfg, grid, velocity=None, center=None, mode="classical"):
     return SolitonState(u0, cfg.params, cfg.b, cfg.f0, coupling_mode=mode)
 
 
-def _snapshot_writer(cfg, sink, *labels):
+def _snapshot_writer(cfg, snapshot, *labels):
     """The `store` of a soliton run: writes its i-th stored fields as the
     snapshots `<label>_<i>`, if the config asks for snapshots."""
     index = itertools.count()
@@ -566,36 +577,32 @@ def _snapshot_writer(cfg, sink, *labels):
     def store(*fields):
         i = next(index)
         for label, field in zip(labels, fields):
-            sink.snapshot(field, label, i)
+            snapshot(field, label, i)
 
     return store if cfg.snapshot_every else lambda *fields: None
 
 
-def _soliton_series(cfg, sink, state, store_every=None, store=None,
+def _soliton_series(cfg, snapshot, state, store_every=None, store=None,
                     **options):
-    """`run_classical` of the config from `state` and its center and
-    conservation series; returns the run and its `conservation_report`.
+    """`run_classical` of the config from `state`: yields its center and
+    conservation series, returns the run and its `conservation_report`.
     By default every `snapshot_every`-th step (or the last) is stored."""
     run = run_classical(state, cfg.potentials(), cfg.dt, cfg.steps,
                         store_every=store_every or cfg.snapshot_every
                         or cfg.steps,
-                        store=store or _snapshot_writer(cfg, sink, "u"),
+                        store=store or _snapshot_writer(cfg, snapshot, "u"),
                         **options)
-    sink.series("center.csv", ["time", "xbar"],
-                [run.times, run.centers[:, 0]],
-                comment="natural units hbar=c=1")
+    yield "center.csv", ["time", "xbar"], [run.times, run.centers[:, 0]]
     report = conservation_report(run)
-    sink.series("conservation.csv",
-                ["time", "norm_pt", "energy", "static_energy",
-                 "energy_ratio", "boundary_mass"],
-                [report.times, report.norm, report.energy,
-                 report.static_energy, report.energy_ratio,
-                 report.boundary_mass],
-                comment="natural units hbar=c=1")
+    yield ("conservation.csv",
+           ["time", "norm_pt", "energy", "static_energy", "energy_ratio",
+            "boundary_mass"],
+           [report.times, report.norm, report.energy, report.static_energy,
+            report.energy_ratio, report.boundary_mass])
     return run, report
 
 
-def _run_free_gausson(cfg, sink):
+def _run_free_gausson(cfg, snapshot):
     grid = cfg.grid
     state = _gausson_state(cfg, grid)
     profile = np.abs(state.u.samples)
@@ -604,7 +611,7 @@ def _run_free_gausson(cfg, sink):
     # each stored field is checked as it comes: the profile deviation at
     # each, the identity at every (count // 8)-th, cancellations at the last
     count = cfg.steps // store_every + 1
-    write = _snapshot_writer(cfg, sink, "u")
+    write = _snapshot_writer(cfg, snapshot, "u")
     index, dev, identity, cancel = 0, -math.inf, -math.inf, None
 
     def store(u):
@@ -622,8 +629,9 @@ def _run_free_gausson(cfg, sink):
                          float(np.max(np.abs(vals_r) / scales_r)))
         index += 1
 
-    _, report = _soliton_series(cfg, sink, state, store_every, store)
-    checks = [
+    _, report = yield from _soliton_series(cfg, snapshot, state,
+                                           store_every, store)
+    return [
         ("profile_l2_deviation", dev, THRESHOLDS["profile_l2"], "<"),
         ("norm_drift", report.norm_drift, THRESHOLDS["norm_drift"], "<"),
         ("static_energy_identity", identity,
@@ -631,34 +639,32 @@ def _run_free_gausson(cfg, sink):
         ("energy_drift", report.energy_drift, THRESHOLDS["energy_drift"],
          "<"),
         ("cancellation_ratio", cancel, THRESHOLDS["cancellation_rel"], "<"),
-    ]
-    return sink.summary(cfg.kind, cfg.seed, checks)
+    ], ()
 
 
-def _run_uniform_field(cfg, sink):
+def _run_uniform_field(cfg, snapshot):
     state = _gausson_state(cfg, cfg.grid)
     z0 = state.center[0]
     # linear scalar potential on a periodic box: the boundary watchdog
     # aborts the run if wave mass reaches the seam
-    run, report = _soliton_series(cfg, sink, state,
-                                  abort_on_boundary_mass=True)
+    run, report = yield from _soliton_series(cfg, snapshot, state,
+                                             abort_on_boundary_mass=True)
     accel = cfg.charge * cfg.e_field / cfg.omega0
     expected = z0 + 0.5 * accel * run.times**2
     err = float(np.max(np.abs(run.centers[:, 0] - expected))
                 / max(abs(expected[-1] - z0), 1e-300))
     ehr = ehrenfest_report(run)
-    checks = [
+    return [
         ("parabola_rel_err", err, THRESHOLDS["uniform_center_rel"], "<"),
         ("ehrenfest_rms", ehr.residual_rel_rms,
          THRESHOLDS["uniform_center_rel"], "<"),
         ("norm_drift", report.norm_drift, THRESHOLDS["norm_drift"], "<"),
-    ]
-    return sink.summary(cfg.kind, cfg.seed, checks)
+    ], ()
 
 
-def _run_harmonic_trap(cfg, sink):
+def _run_harmonic_trap(cfg, snapshot):
     state = _gausson_state(cfg, cfg.grid)
-    run, report = _soliton_series(cfg, sink, state)
+    run, report = yield from _soliton_series(cfg, snapshot, state)
     period = 2 * np.pi * np.sqrt(cfg.omega0 / (cfg.charge * cfg.spring))
     crossings = _downward_crossings(run.times, run.centers[:, 0])
     if len(crossings) < 2:
@@ -669,9 +675,8 @@ def _run_harmonic_trap(cfg, sink):
         ("period_rel_err", err, THRESHOLDS["trap_period_rel"], "<"),
         ("norm_drift", report.norm_drift, THRESHOLDS["norm_drift"], "<"),
     ]
-    extras = [f"period_measured: {float(measured)!r}",
-              f"period_expected: {float(period)!r}"]
-    return sink.summary(cfg.kind, cfg.seed, checks, extras)
+    return checks, [f"period_measured: {float(measured)!r}",
+                    f"period_expected: {float(period)!r}"]
 
 
 def _downward_crossings(times, series):
@@ -688,7 +693,7 @@ def _packet(x, center, sigma):
     return np.exp(-((x - center) ** 2) / (4 * sigma**2))
 
 
-def _run_double_slit(cfg, sink):
+def _run_double_slit(cfg, snapshot):
     grid = cfg.grid
     init = cfg.initial
     sigma = init["packet_sigma"]
@@ -704,7 +709,7 @@ def _run_double_slit(cfg, sink):
     run = run_coupled(psi0, state, cfg.params, cfg.potentials(), cfg.dt,
                       cfg.steps, store_every=cfg.snapshot_every or cfg.steps,
                       harmony_every=max(cfg.steps // 50, 1),
-                      store=_snapshot_writer(cfg, sink, "u", "psi"))
+                      store=_snapshot_writer(cfg, snapshot, "u", "psi"))
     dx = grid.spacing[0]
     z_bohm = run.reference.positions[:, 0, 0]
     gap = float(np.max(np.abs(run.centers[:, 0] - z_bohm)))
@@ -713,26 +718,20 @@ def _run_double_slit(cfg, sink):
                                      cfg.params, cfg.potentials())
     classical_gap = float(np.max(np.abs(run.centers[:, 0]
                                         - classical[:, 0])))
-    sink.series("tracking.csv",
-                ["time", "xbar", "z_bohm", "z_classical"],
-                [run.times, run.centers[:, 0], z_bohm, classical[:, 0]],
-                comment="natural units hbar=c=1")
-    sink.series("harmony.csv", ["time", "phase_harmony_residual"],
-                [run.harmony_times, run.harmony],
-                comment="dimensionless")
-    norm_drift = float(np.max(np.abs(run.norms - run.norms[0]))
-                       / run.norms[0])
-    checks = [
+    yield ("tracking.csv", ["time", "xbar", "z_bohm", "z_classical"],
+           [run.times, run.centers[:, 0], z_bohm, classical[:, 0]])
+    yield ("harmony.csv", ["time", "phase_harmony_residual"],
+           [run.harmony_times, run.harmony], "dimensionless")
+    return [
         ("tracking_gap_cells", gap / dx, THRESHOLDS["tracking_cells"], "<"),
         ("classical_reference_gap_cells", classical_gap / dx,
          THRESHOLDS["tracking_cells"], ">"),
-        ("norm_drift", norm_drift, THRESHOLDS["norm_drift"], "<"),
+        ("norm_drift", _drift(run.norms), THRESHOLDS["norm_drift"], "<"),
         ("phase_harmony_max", float(np.max(run.harmony)), 0.1, "<"),
-    ]
-    return sink.summary(cfg.kind, cfg.seed, checks)
+    ], ()
 
 
-def _run_kg_plane_wave(cfg, sink):
+def _run_kg_plane_wave(cfg, snapshot):
     grid = cfg.grid
     init = cfg.initial
     k = 2 * np.pi * init["harmonic"] / grid.lengths[0]
@@ -746,8 +745,8 @@ def _run_kg_plane_wave(cfg, sink):
 
     def track_mass(bundle):
         nonlocal mass_dev
-        mass_dev = np.maximum(mass_dev, np.max(np.abs(
-            np.sqrt(np.maximum(bundle.mass_sq, 0.0)) - cfg.omega0)))
+        mass_dev = np.maximum(mass_dev,
+                              np.max(np.abs(bundle.mass - cfg.omega0)))
 
     history.readers.append(track_mass)
     walk = kg_bohm_trajectory(0.0, history)
@@ -759,21 +758,18 @@ def _run_kg_plane_wave(cfg, sink):
     slope = float(np.polyfit(times, z, 1)[0])
     e_cont = np.sqrt(k**2 + cfg.omega0**2)
     slope_dev = abs(slope - k / e_cont)
-    sink.series("trajectory.csv", ["time", "z", "velocity"],
-                [times, z, velocity], comment="natural units hbar=c=1")
-    sink.series("energy.csv", ["time", "field_energy"],
-                [times, run.energies], comment="natural units hbar=c=1")
+    yield "trajectory.csv", ["time", "z", "velocity"], [times, z, velocity]
+    yield "energy.csv", ["time", "field_energy"], [times, run.energies]
     checks = [
         ("mass_deviation", float(mass_dev), THRESHOLDS["kg_mass_dev"], "<"),
         ("slope_deviation", slope_dev, THRESHOLDS["kg_slope_dev"], "<"),
         ("max_speed", float(np.max(np.abs(velocity))), 1.0, "<"),
     ]
-    extras = [f"wavenumber: {float(k)!r}",
-              f"dispersion_energy: {float(e_cont)!r}"]
-    return sink.summary(cfg.kind, cfg.seed, checks, extras)
+    return checks, [f"wavenumber: {float(k)!r}",
+                    f"dispersion_energy: {float(e_cont)!r}"]
 
 
-def _run_kg_packet(cfg, sink):
+def _run_kg_packet(cfg, snapshot):
     grid = cfg.grid
     init = cfg.initial
     sigma = init["packet_sigma"]
@@ -802,11 +798,10 @@ def _run_kg_packet(cfg, sink):
             walk.finish()
         except TachyonicRegionError:
             aborted = 1.0
-        checks = [
+        return [
             ("tachyon_cells", float(tachyon_cells), 0.0, ">"),
             ("trajectory_aborted", aborted, 0.5, ">"),
-        ]
-        return sink.summary(cfg.kind, cfg.seed, checks)
+        ], ()
 
     psi0 = Field(grid, (_packet(x, 0.0, sigma)
                         * np.exp(1j * k * x)).astype(complex))
@@ -826,12 +821,10 @@ def _run_kg_packet(cfg, sink):
     z_s = s_walk.finish().positions[:, 0, 0]
     n = min(len(z_kg), len(z_s))
     gap = float(np.max(np.abs(z_kg[:n] - z_s[:n])))
-    sink.series("trajectory.csv", ["time", "z_kg", "z_schrodinger"],
-                [times[:n], z_kg[:n], z_s[:n]],
-                comment="natural units hbar=c=1")
-    checks = [("gap_over_width", gap / sigma, THRESHOLDS["kg_gap_frac"],
-               "<")]
-    return sink.summary(cfg.kind, cfg.seed, checks)
+    yield ("trajectory.csv", ["time", "z_kg", "z_schrodinger"],
+           [times[:n], z_kg[:n], z_s[:n]])
+    return [("gap_over_width", gap / sigma, THRESHOLDS["kg_gap_frac"],
+             "<")], ()
 
 
 def _concurrently(first, second):
@@ -848,7 +841,7 @@ def _concurrently(first, second):
     return result, value
 
 
-def _run_entangled_pair(cfg, sink):
+def _run_entangled_pair(cfg, snapshot):
     grid = cfg.grid
     init = cfg.initial
     sigma = init["packet_sigma"]
@@ -906,25 +899,23 @@ def _run_entangled_pair(cfg, sink):
     dx = grid.spacing[0]
     ent_shift = float(np.max(np.abs(ent_a.z[:, 0] - ent_b.z[:, 0])))
     prod_shift = float(np.max(np.abs(prod_a.z[:, 0] - prod_b.z[:, 0])))
-    sink.series("trajectories.csv",
-                ["time", "z1_entangled", "z1_entangled_displaced",
-                 "z1_product", "z1_product_displaced"],
-                [ent_a.times, ent_a.z[:, 0], ent_b.z[:, 0],
-                 prod_a.z[:, 0], prod_b.z[:, 0]],
-                comment="natural units hbar=c=1")
+    yield ("trajectories.csv",
+           ["time", "z1_entangled", "z1_entangled_displaced", "z1_product",
+            "z1_product_displaced"],
+           [ent_a.times, ent_a.z[:, 0], ent_b.z[:, 0], prod_a.z[:, 0],
+            prod_b.z[:, 0]])
     r1, r2 = pair_tracking_residual(prod_a)
-    checks = [
+    return [
         ("entangled_shift_cells", ent_shift / dx,
          THRESHOLDS["pair_entangled_shift_cells"], ">"),
         ("product_shift_cells", prod_shift / dx,
          THRESHOLDS["pair_product_shift_cells"], "<"),
         ("product_tracking_cells", max(r1, r2) / dx,
          THRESHOLDS["tracking_cells"], "<"),
-    ]
-    return sink.summary(cfg.kind, cfg.seed, checks)
+    ], ()
 
 
-def _run_equivariance(cfg, sink):
+def _run_equivariance(cfg, snapshot):
     grid = cfg.grid
     init = cfg.initial
     sigma = init["packet_sigma"]
@@ -939,10 +930,10 @@ def _run_equivariance(cfg, sink):
     indices = sorted({0, (cfg.steps + 1) // 2, cfg.steps})
     densities, times, kept = [], [], []
     # counted here, not read from the history, which holds this reader
-    snapshot = itertools.count()
+    appended = itertools.count()
 
     def keep_density(bundle):
-        if next(snapshot) in indices:
+        if next(appended) in indices:
             densities.append(bundle.amplitude ** 2)
 
     def keep_positions(i, t, z, stencil, k1):
@@ -957,13 +948,11 @@ def _run_equivariance(cfg, sink):
     report = equivariance_distance(
         densities, grid, times, walk.finish(), indices=range(len(indices)),
         bins=bins)
-    sink.series("equivariance.csv", ["time", "l1_distance"],
-                [report.times, report.distances],
-                comment="dimensionless")
+    yield ("equivariance.csv", ["time", "l1_distance"],
+           [report.times, report.distances], "dimensionless")
     checks = [("l1_distance", report.final_distance,
                THRESHOLDS["equivariance_l1"], "<")]
-    extras = [f"trajectories: {count}", f"bins: {bins}"]
-    return sink.summary(cfg.kind, cfg.seed, checks, extras)
+    return checks, [f"trajectories: {count}", f"bins: {bins}"]
 
 
 # Every scenario kind, declared once; `solidyn list-scenarios` lists them in

@@ -26,9 +26,10 @@ Hypothesis).
   round-off over 1000 steps.
 - A parsed config asks for a whole number of steps in [1, MAX_STEPS].
 - The CLI exit code follows from how a scenario runner ends: 1 with a
-  manifest naming the error for any `SolidynError` (a `ConfigError`
-  included, since the parser alone checks a config), 3 for a failed
-  check and 0 for a pass, never a traceback.
+  manifest naming the error for any `SolidynError` it raises (a
+  `ConfigError` included, since the parser alone checks a config), 3 when
+  it returns a failed check and 0 when it returns a passed one, never a
+  traceback.
 - Criterion 12 over drawn grids, packets, starts, partner nodes, steps
   and particle-1 potentials: particle 1 of a product pair with a uniform
   partner on a grid node keeps the bits of the 1D coupled run, wherever
@@ -695,9 +696,10 @@ ERROR_CLASSES = sorted(
 @given(st.sampled_from(ERROR_CLASSES) | st.booleans(),
        st.text("abcXYZ 019_-.", min_size=1, max_size=20))
 def test_cli_exit_code_follows_from_the_error_class(outcome, message):
-    def runner(cfg, sink):
+    def runner(cfg, snapshot):
+        yield from ()
         if isinstance(outcome, bool):
-            return outcome
+            return [("stub", float(outcome), 0.5, ">")], ()
         if issubclass(outcome, errors.TrajectoryAbortError):
             raise outcome(message, 0.5)
         raise outcome(message)

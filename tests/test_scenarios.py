@@ -1,9 +1,12 @@
 """Tests for configuration parsing, snapshot IO, the CLI, and determinism."""
 
+import ast
 import contextlib
 import dataclasses
 import gc
+import inspect
 import os
+import pathlib
 import pickle
 import re
 import signal
@@ -195,6 +198,27 @@ def test_equivariance_counts_parse_as_integers(tmp_path):
     assert cfg.initial["trajectories"] == 300
     assert cfg.initial["bins"] == 16
     assert type(cfg.initial["bins"]) is int
+
+
+def test_runners_yield_their_series_and_only_run_scenario_writes_them():
+    # each runner is a generator of its series that gets only the snapshot
+    # writer, so run_scenario is the one caller of a sink's series and
+    # summary in the package
+    for kind in KINDS.values():
+        assert inspect.isgeneratorfunction(kind.runner)
+        assert list(inspect.signature(kind.runner).parameters) == [
+            "cfg", "snapshot"]
+    source = pathlib.Path(scenarios.__file__).parent
+    writers = set()
+    for path in sorted(source.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            writers.update((path.name, getattr(top, "name", None),
+                            node.func.attr) for node in ast.walk(top)
+                           if isinstance(node, ast.Call)
+                           and isinstance(node.func, ast.Attribute)
+                           and node.func.attr in ("series", "summary"))
+    assert writers == {("scenarios.py", "run_scenario", "series"),
+                       ("scenarios.py", "run_scenario", "summary")}
 
 
 @pytest.mark.parametrize("error", [NodeEncounterError, BoundaryExitError,
@@ -1421,6 +1445,22 @@ def test_a_non_solidyn_error_exits_1_with_its_manifest(
         + b"".join(b"  <out>/snapshots/u_%06d.sldn\n" % i
                    for i in range(stored))
         + (b"  <out>/center.csv\n" if where == "caller" else b""))
+
+
+def test_a_trap_run_too_short_for_a_period_exits_1_after_its_series(
+        tmp_path, capsys):
+    # 0.3 time units, far below the period 4 pi: the center does not cross
+    # zero on any machine, so the run writes both series, in order, then
+    # exits 1 without a summary
+    text = short_run("harmonic_trap", run={"t_final": 0.3})
+    code, out, files = failed_run(tmp_path, capsys, "short", text)
+    message = b"trap run too short to measure a period"
+    assert (code, out) == (1, f"solver error: {message.decode()}\n")
+    assert list(files) == ["center.csv", "conservation.csv", "manifest.txt"]
+    assert files["manifest.txt"] == (
+        b"scenario: harmonic_trap\nstatus: solver error\nerror: " + message
+        + b"\npartial outputs:\n  <out>/center.csv\n"
+        b"  <out>/conservation.csv\n")
 
 
 def test_a_pilot_error_exits_1_as_the_serial_run(tmp_path, capsys,
