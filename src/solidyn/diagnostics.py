@@ -197,15 +197,14 @@ def binned_density(grid, rho, edges):
 
 
 def equivariance_distance(densities, density_grid, times, block,
-                          indices=None, bins=64) -> EquivarianceReport:
+                          indices, bins) -> EquivarianceReport:
     """L1 distance between trajectory-ensemble histograms and |Psi|^2.
 
     `densities` are |Psi|^2 arrays at the history times, `block` is the
-    (n_times, m, dim) trajectory position block from the same history.
-    Bins are uniform over the density's mean +/- 4 sigma box at each time.
+    (n_times, m, dim) trajectory position block from the same history,
+    and `indices` the times to compare at.  `bins` uniform bins per axis
+    span the density's mean +/- 4 sigma box at each time.
     """
-    if indices is None:
-        indices = [0, len(times) - 1]
     grid = density_grid
     m = block.shape[1]
     out_t, out_d = [], []

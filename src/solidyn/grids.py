@@ -10,8 +10,8 @@ Fourier space, so they are exact for band-limited fields; quadrature is the
 rectangle rule, which is spectrally accurate for smooth periodic or rapidly
 decaying integrands.
 
-All operations are pure: they never mutate their inputs, so fields may be
-shared freely across threads once produced.
+All operations are pure: they never mutate their inputs, so a field,
+once produced, may be read by any number of later steps and readers.
 """
 
 from __future__ import annotations
@@ -59,15 +59,16 @@ class Grid:
             raise SolidynError("points per axis must be positive")
         if any(L <= 0 for L in self.lengths):
             raise SolidynError("box lengths must be positive")
-        if int(np.prod(self.points)) > MAX_TOTAL_SAMPLES:
+        # exact: the int64 np.prod of (2**32, 2**32) wraps to 0
+        self.size = math.prod(self.points)
+        if self.size > MAX_TOTAL_SAMPLES:
             raise SolidynError(
-                f"total sample count {np.prod(self.points)} exceeds the "
+                f"total sample count {self.size} exceeds the "
                 f"memory budget ({MAX_TOTAL_SAMPLES})"
             )
         self.spacing = tuple(L / n for L, n in zip(self.lengths, self.points))
         self.cell_volume = float(np.prod(self.spacing))
         self.shape = self.points
-        self.size = int(np.prod(self.points))
         # axis coordinates and spectral wavenumbers, cached once
         self.axes = tuple(
             -0.5 * L + dx * np.arange(n)
@@ -242,10 +243,10 @@ class Grid:
             variances.append(self.integrate(rho * (mesh - mean) ** 2) / total)
         return total, means, variances
 
-    def boundary_mass_fraction(self, density, total=None):
+    def boundary_mass_fraction(self, density, total):
         """Fraction of total mass within `BOUNDARY_CELLS` samples of any box
-        edge.  `total` may pass `density.sum()` when the caller holds it."""
-        total = float(density.sum() if total is None else total)
+        edge; `total` is `density.sum()`, which the caller holds."""
+        total = float(total)
         if total <= 0.0:
             return 0.0
         interior = density
@@ -338,13 +339,14 @@ class Grid:
     def point_stencil(self, position):
         """`stencil` of one point, in Python floats (see `PointStencil`).
 
-        Raises like `stencil` for a wrong axis count or a point outside
-        the box.
+        Raises like `stencil` for a wrong axis count (`_query_points`) or a
+        point outside the box, and for more than one point.
         """
-        position = tuple(float(c) for c in position)
-        if len(position) != self.dim:
+        points = self._query_points(position)
+        if len(points) != 1:
             raise SolidynError(
-                f"query points have dim {len(position)}, grid has {self.dim}")
+                f"a point stencil takes one point, got {len(points)}")
+        position = tuple(points[0].tolist())
         if not self.contains_point(position):
             raise SolidynError("interpolation point outside the box")
         return self._point_stencil_in_box(position)

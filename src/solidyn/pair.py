@@ -117,21 +117,22 @@ def _axis_grids(points, lengths):
 
 
 def product_pair(samples1, samples2, grid: Grid, masses, charge,
-                 potentials, time_tag=0.0) -> PairWave:
-    """Psi(x1, x2) = psi1(x1) psi2(x2) on the 2D grid."""
+                 potentials) -> PairWave:
+    """Psi(x1, x2) = psi1(x1) psi2(x2) on the 2D grid, at time 0."""
     psi2d = np.outer(np.asarray(samples1, dtype=complex),
                      np.asarray(samples2, dtype=complex))
-    return PairWave(Field(grid, psi2d, time_tag), tuple(masses), charge,
+    return PairWave(Field(grid, psi2d), tuple(masses), charge,
                     tuple(potentials))
 
 
 def symmetrized_pair(samples_a, samples_b, grid: Grid, masses, charge,
-                     potentials, time_tag=0.0) -> PairWave:
-    """(psi_a psi_b + psi_b psi_a)/sqrt(2) exchange-symmetric entangled wave."""
+                     potentials) -> PairWave:
+    """(psi_a psi_b + psi_b psi_a)/sqrt(2) exchange-symmetric entangled wave,
+    at time 0."""
     a = np.asarray(samples_a, dtype=complex)
     b = np.asarray(samples_b, dtype=complex)
     psi2d = (np.outer(a, b) + np.outer(b, a)) / np.sqrt(2.0)
-    return PairWave(Field(grid, psi2d, time_tag), tuple(masses), charge,
+    return PairWave(Field(grid, psi2d), tuple(masses), charge,
                     tuple(potentials))
 
 
@@ -242,8 +243,7 @@ def conditional_q(pair: PairWave, which: int, partner_pos: float):
     grid = pair.psi.grid
     own = which - 1
     other = 1 - own
-    half = 0.5 * grid.lengths[other]
-    if not (-half <= partner_pos < half):
+    if not pair.axis_grids[other].contains_point((partner_pos,)):
         raise SolidynError("partner position outside the box")
     a = pair.amplitude
     floor = NODE_MASK_REL * pair.amp_peak

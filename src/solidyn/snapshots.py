@@ -16,6 +16,7 @@ with the same configuration reproduces byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -73,7 +74,7 @@ def read_snapshot(path) -> Field:
         raise SolidynError(f"{path}: truncated snapshot header")
     dim, *sizes, time_tag = struct.unpack_from(head, blob, 5)
     points, lengths = sizes[:dim], sizes[dim:]
-    count = int(np.prod(points))
+    count = math.prod(points)     # exact: np.prod wraps in int64
     expected = offset + 16 * count
     if len(blob) != expected:
         raise SolidynError(
@@ -93,17 +94,15 @@ def format_value(x):
     return repr(float(x))
 
 
-def write_csv(path, header, columns, comment=None):
-    """Column-oriented CSV writer with deterministic float formatting."""
+def write_csv(path, header, columns, comment):
+    """Column-oriented CSV writer with deterministic float formatting,
+    under a `# comment` line."""
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0])
     for c in columns:
         if len(c) != n:
             raise SolidynError("csv columns must have equal lengths")
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(",".join(header))
+    lines = [f"# {comment}", ",".join(header)]
     for i in range(n):
         lines.append(",".join(format_value(c[i]) for c in columns))
     _atomic_write(path, ("\n".join(lines) + "\n").encode())

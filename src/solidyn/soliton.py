@@ -178,19 +178,17 @@ class SolitonState:
         return self.center
 
 
-def soliton_center(grid: Grid, density, previous=None, total=None):
+def soliton_center(grid: Grid, density, previous, total):
     """First moment xbar of the density |u|^2 on `grid`, and the norm C,
     wrap-aware.
 
     Coordinates are re-referenced to the previous center (mapped into the
     half-open window of width L around it), so a soliton crossing the
-    periodic seam keeps a continuous track; without one, to the density's
-    peak.  `total` may pass the density's `ndarray.sum`, when the caller
-    already holds it.
+    periodic seam keeps a continuous track; for None, to the density's
+    peak.  `total` is the density's `ndarray.sum`, which every caller
+    already holds.
     """
     rho = density
-    if total is None:
-        total = rho.sum()
     c = float(total * grid.cell_volume)
     if c <= 0.0:
         raise SolidynError("u-field has zero norm; no center defined")
@@ -296,12 +294,13 @@ def nls_step(state: SolitonState, potentials: Potentials, dt: float,
 
 
 def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
-                           z, radius: float, potentials: Potentials = None) -> float:
+                           z, radius: float, potentials: Potentials) -> float:
     """Mismatch between the soliton's local wavevector and the pilot phase
     gradient at the guidance point z.
 
     Density-weighted RMS over the ball |x - z| < radius of
-    |Im[grad u / u](x) - w0 v_psi(z) - eA|, normalized by w0 |v_psi(z)| + sqrt(b).
+    |Im[grad u / u](x) - w0 v_psi(z) - eA|, normalized by w0 |v_psi(z)| +
+    sqrt(b), with A that of `potentials` at the state's time.
     """
     grid = state.u.grid
     z = np.asarray(z, dtype=float).reshape(grid.dim)
@@ -317,10 +316,7 @@ def phase_harmony_residual(state: SolitonState, madelung: MadelungBundle,
     rho_safe = np.maximum(rho, floor)
 
     v_z = np.array(_values_at(grid, grid.point_stencil(z), madelung.velocity))
-    if potentials is not None:
-        avec = p.charge * potentials.vector(state.u.time_tag)
-    else:
-        avec = np.zeros(grid.dim)
+    avec = p.charge * potentials.vector(state.u.time_tag)
 
     meshes = grid.meshes()
     dist2 = 0.0

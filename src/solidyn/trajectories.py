@@ -3,16 +3,17 @@
 A flow history holds the snapshot records its producing solver built (a
 `MadelungBundle`, `KGMadelung` or `PairWave`) and reads their fields:
 `time_tag`, `velocity` (dim components), `amplitude` and `amp_peak`.
-Trajectories advance with RK4 whose stage velocities come from
-cubic-in-space, linear-in-time interpolation of the bracketing snapshots;
-the RK4 step equals the snapshot spacing, which is what limits accuracy (so
-higher-order time interpolation buys nothing).  A batch of starts advances
-in lockstep through numpy (`advance_positions`); a single point moves on
-Python floats through the history's lookups at `PointStencil`s
-(`advance_point`), with the same bits and aborts at a fraction of numpy's
-per-call cost.  That point is a walked single start, the coupled run's
-reference point or the pair run's configuration point; the lockstep runs
-step it over a two-record history of each step (`FlowHistory.of`).
+Trajectories advance by RK4 (`_rk4`, the package's one) whose stage
+velocities come from cubic-in-space, linear-in-time interpolation of the
+bracketing snapshots; the RK4 step equals the snapshot spacing, which is
+what limits accuracy (so higher-order time interpolation buys nothing).
+A batch of starts advances in lockstep through numpy (`advance_positions`);
+a single point moves on Python floats through the history's lookups at
+`PointStencil`s (`advance_point`), with the same bits and aborts at a
+fraction of numpy's per-call cost.  That point is a walked single start,
+the coupled run's reference point or the pair run's configuration point;
+the lockstep runs step it over a two-record history of each step
+(`FlowHistory.of`).
 
 A history keeps only the last three records appended (`WALK_WINDOW`), since
 every time derivative along the flow is a centered difference.  So each
@@ -227,20 +228,19 @@ def guided_velocity(history, t, pts, last_valid):
 
 
 def advance_positions(history, z, t0, t1, k1=None):
-    """One RK4 step of dz/dt = v(t, z) from t0 to t1 over the history.
+    """One RK4 step of dz/dt = v(t, z) from t0 to t1 over the history:
+    `_rk4` of the one-element state (z,), with `guided_velocity` stages.
 
     `k1` may pass a precomputed stage-1 velocity.  The updated positions are
     validated against the box and the node mask at t1.  Returns them with
     their stencil, which callers reuse for every later lookup at them
     (including the next step's stage 1).
     """
-    h = t1 - t0
-    if k1 is None:
-        k1 = guided_velocity(history, t0, z, t0)
-    k2 = guided_velocity(history, t0 + 0.5 * h, z + 0.5 * h * k1, t0)
-    k3 = guided_velocity(history, t0 + 0.5 * h, z + 0.5 * h * k2, t0)
-    k4 = guided_velocity(history, t1, z + h * k3, t0)
-    z_new = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def stage(t, state):
+        return (guided_velocity(history, t, state[0], t0),)
+
+    (z_new,) = _rk4(stage, (z,), t0, t1 - t0, t1,
+                    None if k1 is None else (k1,))
     stencil = _enter_box(history.grid, t1, z_new, t0)
     history.check(t1, stencil, last_valid=t0)
     return z_new, stencil
@@ -250,15 +250,16 @@ def advance_point(history, z, t0, t1, k1=None):
     """`advance_positions` of a single point, on Python floats.
 
     The stages read the history's blends at `PointStencil`s
-    (`Grid.point_stencil`) and the history checks the new position at t1,
-    with the sums of `advance_positions` in floats, so the bits and the
-    aborts are those of the (1, dim) batch, at a fraction of numpy's
-    per-call cost.  It walks a single start (`flow_steps`) and moves the
-    coupled run's reference point and the pair run's configuration point
-    over the two-record history of each step (`FlowHistory.of`).  `z` and
-    `k1` (the velocity at z and t0, looked up here if not given) are
-    per-axis sequences of floats.  Returns the new position (a tuple) and
-    its point stencil, which serves every later lookup at it.
+    (`Grid.point_stencil`) and the history checks the new position at t1;
+    `_rk4` sums per-axis floats as it sums `advance_positions`' arrays, so
+    the bits and the aborts are those of the (1, dim) batch, at a fraction
+    of numpy's per-call cost.  It walks a single start (`flow_steps`) and
+    moves the coupled run's reference point and the pair run's
+    configuration point over the two-record history of each step
+    (`FlowHistory.of`).  `z` and `k1` (the velocity at z and t0, looked up
+    here if not given) are per-axis sequences of floats.  Returns the new
+    position (a tuple) and its point stencil, which serves every later
+    lookup at it.
     """
     def stage(t, point):
         return history.velocity_at(t, _enter_point(history.grid, t, point,
@@ -271,10 +272,11 @@ def advance_point(history, z, t0, t1, k1=None):
 
 
 def _rk4(rate, y, t0, h, t1, k1=None):
-    """RK4 of dy/dt = rate(t, y) from t0 to t1 = t0 + h on float sequences,
-    as a tuple; `k1` may pass rate(t0, y).  The operation order is that of
-    `advance_positions` (`0.5 * h * k` is `(0.5 * h) * k`), so the bits are
-    those of stepping numpy arrays."""
+    """The package's one RK4: dy/dt = rate(t, y) from t0 to t1 = t0 + h, as
+    a tuple; `k1` may pass rate(t0, y).  The components of y are floats (a
+    point, `classical_trajectory`'s z and v) or arrays (`advance_positions`'
+    (z,)), summed in one order (`0.5 * h * k` is `(0.5 * h) * k`), so a
+    float has the bits of an array's element."""
     if k1 is None:
         k1 = rate(t0, y)
     k2 = rate(t0 + 0.5 * h, [c + 0.5 * h * k for c, k in zip(y, k1)])

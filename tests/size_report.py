@@ -3,7 +3,7 @@
     python tests/size_report.py [SOURCE_DIR]
 
 prints, for each module of SOURCE_DIR (default: src/solidyn of this
-checkout) and for all of them together, three counts:
+checkout) and for all of them together, four counts:
 
 - lines: the line count that `wc -l` gives
 - code: the lines that hold a token other than a comment, outside
@@ -11,6 +11,8 @@ checkout) and for all of them together, three counts:
   every line it spans
 - public: the top-level functions and classes whose names do not start
   with an underscore
+- defaults: the parameters that have a default value, over every
+  function, method and lambda, nested ones included
 
 The code count comes from the tokenizer, so it is the same on any
 machine and Python version that parses the package.
@@ -62,11 +64,21 @@ def public_names(tree):
                and not node.name.startswith("_"))
 
 
+def default_count(tree):
+    """Parameters with a default value, over every function and lambda."""
+    return sum(len(node.args.defaults)
+               + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda)))
+
+
 def module_size(path):
-    """(lines, code lines, public names) of one module."""
+    """(lines, code lines, public names, defaults) of one module."""
     text = path.read_text()
     tree = ast.parse(text)
-    return text.count("\n"), code_lines(text, tree), public_names(tree)
+    return (text.count("\n"), code_lines(text, tree), public_names(tree),
+            default_count(tree))
 
 
 def main(argv):
@@ -74,9 +86,10 @@ def main(argv):
     sizes = {path.name: module_size(path)
              for path in sorted(source.glob("*.py"))}
     sizes["total"] = tuple(map(sum, zip(*sizes.values())))
-    print(f"{'module':<18}{'lines':>7}{'code':>7}{'public':>8}")
-    for name, (lines, code, public) in sizes.items():
-        print(f"{name:<18}{lines:>7}{code:>7}{public:>8}")
+    print(f"{'module':<18}{'lines':>7}{'code':>7}{'public':>8}"
+          f"{'defaults':>10}")
+    for name, (lines, code, public, defaults) in sizes.items():
+        print(f"{name:<18}{lines:>7}{code:>7}{public:>8}{defaults:>10}")
 
 
 if __name__ == "__main__":

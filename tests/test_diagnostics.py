@@ -146,7 +146,7 @@ def first_and_last_report(psi, pots, starts, **evolve):
     densities = [a ** 2 for a in stored["amplitude"]]
     return equivariance_distance(densities, psi.grid, stored["time_tag"],
                                  ensemble.finish().positions,
-                                 indices=[0, len(densities) - 1])
+                                 indices=[0, len(densities) - 1], bins=64)
 
 
 def test_equivariance_stationary_state():
@@ -210,8 +210,9 @@ def test_ehrenfest_dbb_discriminator():
     centers, fq = [], []
 
     def store(u, psi):
-        center, _ = soliton_center(g, u.density(),
-                                   centers[-1] if centers else None)
+        rho = u.density()
+        center, _ = soliton_center(g, rho, centers[-1] if centers else None,
+                                   rho.sum())
         centers.append(center)
         force = madelung_extract(psi, PARAMS, Potentials.free()).quantum_force
         fq.append([g.interpolate(f, g.point_stencil(center)) for f in force])

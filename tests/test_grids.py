@@ -25,6 +25,20 @@ def test_grid_rejects_bad_shapes():
         Grid(8, -1.0)
     with pytest.raises(SolidynError):
         Grid((1 << 13, 1 << 13), (1.0, 1.0))  # 2**26 samples, over budget
+    # 2**64 samples, whose int64 product wraps to 0
+    with pytest.raises(SolidynError, match=f"count {2**64} exceeds"):
+        Grid((2**32, 2**32), (1.0, 1.0))
+
+
+def test_point_stencil_takes_exactly_one_point():
+    # the axis count is `_query_points`' rule, as for `Grid.stencil`
+    g = Grid((8, 8), (1.0, 1.0))
+    assert g.point_stencil([0.1, 0.2]).position == (0.1, 0.2)
+    assert g.point_stencil(np.array([[0.1, 0.2]])).position == (0.1, 0.2)
+    with pytest.raises(SolidynError, match="takes one point, got 2"):
+        g.point_stencil([[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(SolidynError, match="dim 3, grid has 2"):
+        g.point_stencil([0.1, 0.2, 0.3])
 
 
 def test_gradient_of_resonant_sine():

@@ -167,6 +167,19 @@ def test_conditional_q_product_partner_independent():
     assert np.max(np.abs(qa[lit] - qb[lit])) < 1e-8
 
 
+def test_conditional_q_refuses_a_partner_outside_its_axis_box():
+    # the half-open box of the partner's axis grid (`Grid.contains_point`)
+    g2, g1 = grid_pair()
+    pair = product_pair(packet(g1, -1.0), np.ones(g1.points[0], complex), g2,
+                        (1.0, 1.0), 1.0, FREE)
+    half = 0.5 * g2.lengths[1]
+    assert conditional_q(pair, 1, -half).shape == g1.shape
+    for partner in (half, -np.nextafter(half, np.inf), 3 * half, np.nan):
+        with pytest.raises(SolidynError,
+                           match="partner position outside the box"):
+            conditional_q(pair, 1, partner)
+
+
 def test_conditional_q_plane_wave_is_zero():
     g2, g1 = grid_pair()
     k = 2 * np.pi * 4 / g1.lengths[0]

@@ -41,6 +41,11 @@ Hypothesis).
   e c a grid wavenumber, moves the guidance velocity, q and one
   `ls_step` (up to the gauge factor) by no more than a bound derived from
   round-off: the guidance law is gauge covariant.
+- A boost Psi -> exp(i k x) Psi of a free band-limited wave, k a grid
+  wavenumber, shifts the guidance velocity by k / w0 and translates the
+  density by k t / w0, compared after steps that move it by whole cells,
+  within a bound derived from round-off: the free wave is Galilean
+  covariant.
 - Two in-process runs of a small valid config of any kind, with the same
   seed, end with the same exit code and write the same bytes to every
   output file.
@@ -470,7 +475,7 @@ def center_cases(draw):
 def test_soliton_center_keeps_the_bits_of_np_mod(case):
     u, previous = case
     rho = u.density()
-    xbar, c = soliton_center(u.grid, rho, previous)
+    xbar, c = soliton_center(u.grid, rho, previous, rho.sum())
     want_xbar, want_c, want_spread = wrapped_reference(u, rho, previous)
     assert xbar.tobytes() == want_xbar.tobytes() and c == want_c
     spread = second_central_moments(u, previous)
@@ -1087,6 +1092,117 @@ def test_a_gauge_transform_moves_no_guidance_quantity(
     assert np.all(np.abs(step_other - gauge * step_one)
                   <= d_step + EPS * (2 * np.pi * abs(m) + 3)
                   * np.abs(step_one))
+
+
+# ---------------------------------------------------------------------------
+# a boost Psi -> exp(i k x) Psi of a free wave is a Galilean transform
+# ---------------------------------------------------------------------------
+
+def boost_bounds(grid, omega0, k, dt, steps, drift, one, other, cells):
+    """Round-off bounds on |rho' - T rho| and |v' - T v - k / w0| at each
+    grid point, for the Madelung bundles `one` (a free band-limited wave,
+    the `gauge_bounds` wave with A = 0) and `other` (its spectrum rolled by
+    m bins, k the grid's wavenumber of bin m) after `steps` `ls_step`s of
+    dt = drift dx w0 / |k|, where T rolls a field by `cells`, steps *
+    drift cells in the direction of k (unit charge, V = 0, N a power of
+    two).
+
+    In exact arithmetic bin j + m of the boosted wave gains, over a time
+    t, the phase of bin j times exp(-i t (2 k_j k + k^2) / (2 w0)): a
+    global phase and a translation by k t / w0, here a whole number of
+    cells.  So the boosted wave is G T psi up to a global phase, G =
+    exp(i k (x + L/2)) the boost, and the fields differ by round-off alone.
+    With P = ||psi||_2, L = log2 N and K the grid's largest |k|, as in
+    `gauge_bounds` (Higham, Accuracy and Stability, Thm 24.2):
+    - each wave starts as an inverse FFT of exact coefficients, within
+      (4 L + 1) eps P of its exact value;
+    - a step adds eps P (16 + 8 L + dt w0 + 8 dt K^2 / w0): the half
+      phases, angle dt w0 / 2 (eps (2 + dt w0 / 2) each, 3 eps each
+      product), the transform pair (8 L + 1), the kinetic factor, angle
+      dt k^2 / (2 w0) with k within 3 eps (its angle within 8 eps, cos and
+      sin 1 ulp each), and its product (3 eps); the steps are unitary, so
+      these add;
+    - dt is within 5 eps of drift dx w0 / |k|, so the exact translation
+      is off by at most pi drift 5 eps per step in each bin's phase;
+    so the two waves lie within B = 2 (their error) + that of G T psi.
+    Then as in `gauge_bounds`, with e A = 0 and e c = k: |Delta a| <= B +
+    2 eps a, the derivatives differ from D(G T psi) = G T (D psi + i k
+    psi) by E = (K + |k|) B + 2 F K P, F = (8 L + 5) eps, the currents
+    from J + k rho by B D + (a + B) E + 4 eps a D, D = (K + |k|) P, and
+    J / rho_s by that over rho_s plus W |Delta rho| / rho_s, W = w0 |v| +
+    |k| (16 eps over); the divisions, k / w0 and the two subtractions add
+    eps (4 W + 8 |k|) / w0 + 2 eps |v|.
+    Returns the density bound and the velocity bound.
+    """
+    n = grid.points[0]
+    log_n = np.log2(n)
+    kmax = float(np.max(np.abs(grid.wavenumbers[0])))
+    norm = max(float(np.linalg.norm(r.amplitude)) for r in (one, other))
+    per_step = 16 + 8 * log_n + dt * omega0 + 8 * dt * kmax**2 / omega0
+    run = EPS * norm * (4 * log_n + 1 + steps * per_step)
+    b = 2 * run + 5 * np.pi * drift * steps * EPS * norm
+    f = (8 * log_n + 5) * EPS
+    amp = np.roll(one.amplitude, cells)
+    a = np.maximum(amp, other.amplitude)
+    a_s = np.minimum(amp, other.amplitude)
+    d_a = b + 2 * EPS * a
+    d_rho = 2 * a * d_a + 2 * EPS * a**2
+    d_max = (kmax + abs(k)) * norm
+    e = (kmax + abs(k)) * b + 2 * f * kmax * norm
+    d_j = b * d_max + (a + b) * e + 4 * EPS * a * d_max
+    v = np.maximum(np.abs(np.roll(one.velocity[0], cells)),
+                   np.abs(other.velocity[0]))
+    w = (omega0 * v + abs(k)) * (1 + 16 * EPS)
+    d_v = ((d_j + w * d_rho) / (omega0 * a_s**2)
+           + EPS * (4 * w + 8 * abs(k)) / omega0 + 2 * EPS * v)
+    return d_rho, d_v
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([64, 128]), st.floats(10.0, 40.0),
+       st.integers(1, 6), st.integers(-4, 4).filter(bool),
+       st.integers(1, 3), st.integers(1, 4), st.floats(0.5, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_a_boost_of_a_free_wave_is_a_galilean_transform(
+        n, length, band, m, drift, steps, omega0, seed):
+    # Psi -> exp(i k x) Psi, k the wavenumber of bin m, shifts the guidance
+    # velocity by k / w0 and moves the density with it by k t / w0: after
+    # each step of dt = drift dx w0 / |k|, by `drift` cells, so both runs
+    # are compared sample by sample, within `boost_bounds`.  The wave of
+    # `test_a_gauge_transform_moves_no_guidance_quantity` keeps |Psi| in
+    # [0.5, 2.5], and its roll by m crosses no Nyquist bin.  A guided path
+    # is covariant only up to the O(dt^2) error of the snapshot blend: its
+    # RK4 stages blend v_i and v_{i+1} at points k h / (2 w0) apart
+    grid = Grid(n, length)
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[0] = 1.5 * n
+    bins = np.r_[1:band + 1, -band:0]
+    modes = rng.standard_normal(bins.size) + 1j * rng.standard_normal(
+        bins.size)
+    coeffs[bins] = modes / np.sum(np.abs(modes)) * n
+    k = float(grid.wavenumbers[0][m])
+    dt = drift * grid.spacing[0] * omega0 / abs(k)
+    params = PhysicalParams(omega0=omega0, charge=1.0)
+    pots = Potentials.free()
+    runs = []
+    for roll in (0, m):
+        psi = Field(grid, np.fft.ifft(np.roll(coeffs, roll)))
+        bundles = [madelung_extract(psi, params, pots)]
+        for _ in range(steps):
+            psi = ls_step(psi, params, pots, dt)
+            bundles.append(madelung_extract(psi, params, pots))
+        runs.append(bundles)
+    for j, (one, other) in enumerate(zip(*runs)):
+        cells = j * drift * int(np.sign(m))
+        d_rho, d_v = boost_bounds(grid, omega0, k, dt, j, drift, one, other,
+                                  cells)
+        assert np.all(np.abs(other.amplitude**2
+                             - np.roll(one.amplitude**2, cells)) <= d_rho)
+        assert np.all(np.abs(other.velocity[0]
+                             - np.roll(one.velocity[0], cells) - k / omega0)
+                      <= d_v)
+
 
 # ---------------------------------------------------------------------------
 # reruns

@@ -519,6 +519,12 @@ def test_snapshot_rejects_a_header_dim_it_cannot_hold(tmp_path):
         path.write_bytes(bytes(blob))
         with pytest.raises(SolidynError, match="dim.sldn"):
             read_snapshot(str(path))
+    # a whole 2D header whose sizes the int64 product would wrap
+    n = 2**32 - 1
+    path.write_bytes(b"SLDN1" + struct.pack("<3I3d", 2, n, n, 1.0, 1.0, 0.0))
+    with pytest.raises(SolidynError,
+                       match=rf"\(41 bytes, expected {41 + 16 * n * n}\)"):
+        read_snapshot(str(path))
 
 
 # ---------------------------------------------------------------------------
