@@ -14,7 +14,7 @@ from .errors import ConfigError
 from .scenarios import KINDS, parse_config, run_scenario
 
 
-def build_parser():
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="solidyn",
         description="Pilot-wave / soliton co-evolution scenarios")
@@ -40,7 +40,7 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "list-scenarios":
         for kind, spec in KINDS.items():
             print(f"{kind:18s} {spec.description}")

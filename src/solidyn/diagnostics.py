@@ -182,7 +182,7 @@ def _overlap_matrix(axis_coords, spacing, edges):
     return np.clip(hi - lo, 0.0, None) / spacing
 
 
-def binned_density(grid, rho, edges):
+def _binned_density(grid, rho, edges):
     """Bin masses of the piecewise-constant-per-cell probability law.
 
     Matches exactly what jitter-within-cell sampling draws from, so the
@@ -213,7 +213,7 @@ def equivariance_distance(densities, density_grid, times, block,
         total, means, variances = grid._moments(rho)
         edges = [np.linspace(mean - 4 * sigma, mean + 4 * sigma, bins + 1)
                  for mean, sigma in zip(means, np.sqrt(variances))]
-        p = binned_density(grid, rho, edges) / total
+        p = _binned_density(grid, rho, edges) / total
         q, _ = np.histogramdd(block[idx], bins=edges)
         q /= m
         out_t.append(times[idx])

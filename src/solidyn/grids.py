@@ -216,13 +216,6 @@ class Grid:
             out = out + self.second_derivative(samples, axis)
         return out
 
-    def divergence(self, components):
-        """Divergence of a vector field stored as (dim, *grid shape)."""
-        out = self.derivative(components[0], 0)
-        for axis in range(1, self.dim):
-            out = out + self.derivative(components[axis], axis)
-        return out
-
     # ------------------------------------------------------------------
     # quadrature and moments
     # ------------------------------------------------------------------

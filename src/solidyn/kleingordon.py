@@ -33,8 +33,8 @@ from .errors import (PastOrientedCurrentError, SolidynError,
                      TachyonicRegionError)
 from .grids import Field, Grid, PointStencil
 from .potentials import PhysicalParams, Potentials
-from .stepping import NODE_MASK_REL, RowBlock, check_finite, drive
-from .trajectories import FlowHistory, FlowWalk, InteriorMax, integrate_flow
+from .stepping import NODE_MASK_REL, check_finite, drive
+from .trajectories import FlowHistory, FlowWalk, integrate_flow
 
 CFL_RATIO = 0.5   # dt <= CFL_RATIO * dx
 
@@ -96,8 +96,8 @@ def lkg_step(psi_prev, psi: Field, params: PhysicalParams,
 @dataclass
 class KGMadelung:
     """Polar-split fields of a Klein-Gordon snapshot (at the middle of three
-    retained time levels), and the mass M and its gradient, derived from
-    them when first read."""
+    retained time levels), and the mass M, derived from them when first
+    read."""
 
     grid: Grid
     time_tag: float
@@ -115,11 +115,6 @@ class KGMadelung:
     def mass(self):
         """M = sqrt(max(M^2, 0)): zero in the tachyonic sector."""
         return np.sqrt(np.maximum(self.mass_sq, 0.0))
-
-    @cached_property
-    def mass_gradient(self):
-        """dM/dx, spectral."""
-        return self.grid.derivative(self.mass, 0)
 
 
 def kg_madelung(psi_prev, psi, psi_next, t, dt, grid: Grid,
@@ -196,7 +191,7 @@ class KGRun:
 
 def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
               potentials: Potentials, dt: float, steps: int,
-              psi_prev=None, history=None) -> KGRun:
+              psi_prev=None, *, history: KGHistory) -> KGRun:
     """Evolve the Klein-Gordon wave, caching guidance snapshots at every
     step time 0, dt, ..., steps*dt.
 
@@ -204,15 +199,13 @@ def evolve_kg(psi0: Field, dpsi_dt0, params: PhysicalParams,
     backwards makes Psi(-dt), or that previous level itself (`psi_prev`,
     for exact discrete modes).  The grid, step and potentials are checked
     first (1+1D, CFL, A = 0).  Each snapshot's `KGMadelung` goes to
-    `history` (a new KGHistory by default), which keeps the last three:
-    attach its readers (`kg_bohm_trajectory`, ...) before this call.
+    `history`, which keeps the last three: attach its readers
+    (`kg_bohm_trajectory`, or a test oracle's walk) before this call.
     """
     grid = psi0.grid
     _check_kg(grid, potentials, dt)
     if psi_prev is None:
         psi_prev = _previous_level(psi0, dpsi_dt0, params, potentials, dt)
-    if history is None:
-        history = KGHistory(grid, params, potentials)
 
     # a drive state holds the three levels kg_madelung splits at T - dt:
     # the samples at T - 2 dt and T - dt and the field at T
@@ -252,79 +245,3 @@ def kg_bohm_trajectory(z0, history: KGHistory) -> FlowWalk:
     tachyonic regions (M^2 <= 0 or |v| >= 1), past-oriented current, node
     encounters, and box exits (see `KGHistory.check`)."""
     return integrate_flow(history, z0)
-
-
-def current_conservation_residual(history: KGHistory) -> InteriorMax:
-    """Max |dJ0/dt + dJ1/dx| over interior snapshots (centered in time),
-    read as the wave fills the history; `finish()` returns it."""
-    def at_middle(before, bundle, after):
-        dj0 = ((after.current_t - before.current_t)
-               / (after.time_tag - before.time_tag))
-        dj1 = history.grid.derivative(bundle.current_x, 0)
-        return float(np.max(np.abs(dj0 + dj1)))
-
-    return InteriorMax(history, at_middle)
-
-
-def kg_newton_residual(z0, history: KGHistory) -> FlowWalk:
-    """Residual of d/dtau(M u^mu) = d^mu M + e F^{mu nu} u_nu along the
-    guidance path from the single start z0, read as the wave fills the
-    history.
-
-    Proper time comes from dtau = sqrt(1 - v^2) dt; M, dM/dt (centered
-    over snapshots i-1 and i+1, one-sided at the ends) and dM/dx
-    (spectral) are interpolated at each path point as the walk visits it;
-    M and dM/dx are each derived once per record (`KGMadelung.mass` and
-    `.mass_gradient`).  `finish()` returns interior times, the (n, 2)
-    residual series, and its RMS relative to the dominant term scale.
-    """
-    charge = history.params.charge
-    if np.size(z0) != history.grid.dim:
-        raise SolidynError("kg_newton_residual takes a single start")
-    path = [RowBlock() for _ in range(6)]   # t, v, E, M, dM/dt, dM/dx
-    records = history.records
-
-    def dmass_dt(p):
-        lo, hi = max(p - 1, 0), min(p + 1, len(records) - 1)
-        return ((records[hi].mass - records[lo].mass)
-                / (records[hi].time_tag - records[lo].time_tag))
-
-    def at_path(field, t, stencil):
-        return history._blend(lambda p: (field(p),), t, stencil)[0]
-
-    def visit(i, t, z, stencil, k1):
-        msq = at_path(lambda p: records[p].mass_sq, t, stencil)
-        values = (t, k1[0, 0],
-                  charge * history.potentials.electric_field(t, z)[0, 0],
-                  np.sqrt(np.maximum(msq, 0.0)),
-                  at_path(dmass_dt, t, stencil),
-                  at_path(lambda p: records[p].mass_gradient, t, stencil))
-        for column, value in zip(path, values):
-            column.append(value)
-
-    def finish():
-        t, v, efield, mass_path, dmass_dt_path, dmass_dx_path = (
-            column.block() for column in path)
-        if len(t) < 5:
-            raise SolidynError("need at least 5 trajectory points")
-        if np.any(np.abs(v) >= 1.0):
-            raise SolidynError("path contains luminal segments")
-        gamma = 1.0 / np.sqrt(1.0 - v**2)
-        dtau_steps = 0.5 * (np.sqrt(1 - v[1:] ** 2)
-                            + np.sqrt(1 - v[:-1] ** 2)) * np.diff(t)
-        tau = np.concatenate([[0.0], np.cumsum(dtau_steps)])
-        dp0 = np.gradient(mass_path * gamma, tau)
-        dp1 = np.gradient(mass_path * gamma * v, tau)
-        rhs0 = dmass_dt_path + efield * gamma * v
-        rhs1 = -dmass_dx_path + efield * gamma
-        interior = slice(2, -2)
-        res = np.stack([(dp0 - rhs0)[interior], (dp1 - rhs1)[interior]],
-                       axis=1)
-        scale = max(float(np.max(np.abs(rhs0[interior]))),
-                    float(np.max(np.abs(rhs1[interior]))),
-                    float(np.max(np.abs(dp0[interior]))),
-                    float(np.max(np.abs(dp1[interior]))), 1e-300)
-        rel = float(np.sqrt(np.mean(res**2)) / scale)
-        return t[interior], res, rel
-
-    return FlowWalk(history, z0, visit, finish)

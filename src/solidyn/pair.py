@@ -91,9 +91,6 @@ class PairWave:
         return tuple(_VelocityLines(self.psi, floor, self.masses[axis], axis)
                      for axis in (0, 1))
 
-    def norm(self):
-        return self.psi.norm()
-
 
 class _Modulus:
     """|samples| read through indexing: `modulus[index]` is
@@ -121,17 +118,6 @@ def product_pair(samples1, samples2, grid: Grid, masses, charge,
     """Psi(x1, x2) = psi1(x1) psi2(x2) on the 2D grid, at time 0."""
     psi2d = np.outer(np.asarray(samples1, dtype=complex),
                      np.asarray(samples2, dtype=complex))
-    return PairWave(Field(grid, psi2d), tuple(masses), charge,
-                    tuple(potentials))
-
-
-def symmetrized_pair(samples_a, samples_b, grid: Grid, masses, charge,
-                     potentials) -> PairWave:
-    """(psi_a psi_b + psi_b psi_a)/sqrt(2) exchange-symmetric entangled wave,
-    at time 0."""
-    a = np.asarray(samples_a, dtype=complex)
-    b = np.asarray(samples_b, dtype=complex)
-    psi2d = (np.outer(a, b) + np.outer(b, a)) / np.sqrt(2.0)
     return PairWave(Field(grid, psi2d), tuple(masses), charge,
                     tuple(potentials))
 
@@ -397,18 +383,3 @@ def pair_tracking_residual(run: PairRun):
     r1 = float(np.max(np.abs(run.centers1 - run.z[:, 0])))
     r2 = float(np.max(np.abs(run.centers2 - run.z[:, 1])))
     return r1, r2
-
-
-def pair_continuity_residual(pairs, dt_between):
-    """Max |d rho/dt + sum_k d_k(rho v_k)| from three consecutive waves."""
-    if len(pairs) != 3:
-        raise SolidynError("need exactly three consecutive snapshots")
-    grid = pairs[1].psi.grid
-    rho = [p.psi.density() for p in pairs]
-    drho = (rho[2] - rho[0]) / (2.0 * dt_between)
-    vel, amp = pair_velocity_fields(pairs[1])
-    div = grid.derivative(rho[1] * vel[0], 0) \
-        + grid.derivative(rho[1] * vel[1], 1)
-    floor = NODE_MASK_REL * pairs[1].amp_peak
-    mask = amp >= floor
-    return float(np.max(np.abs(drho + div)[mask]))

@@ -317,7 +317,7 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
         _require_positive("potential", spring=pot["spring"])
 
     initial = _read(raw, "initial", spec.initial)
-    _validate_initial(initial, lengths)
+    _validate_initial(initial, points, lengths)
 
     run = _read(raw, "run", {"dt": spec.dt, "t_final": spec.t_final,
                              "snapshot_every": 0})
@@ -351,7 +351,7 @@ def _check_step_count(ratio):
             f"must round to between 1 and {MAX_STEPS}")
 
 
-def _validate_initial(init, lengths):
+def _validate_initial(init, points, lengths):
     if init.get("mode", "single") not in ("single", "counter"):
         raise ConfigError(
             "[initial].mode: expected 'single' or 'counter'")
@@ -362,6 +362,11 @@ def _validate_initial(init, lengths):
         if key in init and init[key] > MAX_TOTAL_SAMPLES:
             raise ConfigError(f"[initial].{key}: exceeds the memory "
                               f"budget ({MAX_TOTAL_SAMPLES})")
+    # the Born-rule histogram builds (bins, points) float arrays at the end
+    cells = init.get("bins", 0) * math.prod(points)
+    if cells > MAX_TOTAL_SAMPLES:
+        raise ConfigError(f"[initial].bins: bins x points = {cells} exceeds "
+                          f"the memory budget ({MAX_TOTAL_SAMPLES})")
     if abs(init.get("harmonic", 0)) > MAX_TOTAL_SAMPLES:
         # no grid within the memory budget resolves a higher mode, and
         # k = 2 pi harmonic / L needs the integer within the float range
@@ -422,16 +427,31 @@ def _check_gausson_box(cfg):
                 f"periodic seam")
 
 
+def _check_packet_centres(cfg, key, centres):
+    """Refuse a packet centre set by `[initial].key` outside the box of an
+    axis: far outside, the packet's peak underflows to a zero density."""
+    for half in (0.5 * length for length in cfg.lengths):
+        for centre in centres:
+            if not -half <= centre < half:
+                raise ConfigError(
+                    f"[initial].{key}: {cfg.initial[key]!r} puts a packet "
+                    f"centre at {centre!r}, outside the box "
+                    f"[{-half:g}, {half:g})")
+
+
 def _check_double_slit(cfg):
     # the pilot packets sit at +-separation/2, and the soliton starts on
     # the left one unless soliton_start is set
     separation = cfg.initial["separation"]
-    half = 0.5 * cfg.lengths[0]
-    for centre in (-0.5 * separation, 0.5 * separation):
-        if not -half <= centre < half:
-            raise ConfigError(
-                f"[initial].separation: {separation!r} puts a packet centre "
-                f"at {centre!r}, outside the box [{-half:g}, {half:g})")
+    _check_packet_centres(cfg, "separation",
+                          (-0.5 * separation, 0.5 * separation))
+    _check_gausson_box(cfg)
+
+
+def _check_entangled_pair(cfg):
+    # each particle's packets sit at +-packet_offset on its own axis
+    offset = cfg.initial["packet_offset"]
+    _check_packet_centres(cfg, "packet_offset", (-offset, offset))
     _check_gausson_box(cfg)
 
 
@@ -996,7 +1016,7 @@ KINDS = {
         dt=2e-3, t_final=0.8,
         initial={"packet_offset": 2.0, "packet_sigma": 1.0, "boost": 1.5,
                  "z1": -2.0, "z2": -2.0, "z2_alternate": 3.0},
-        grid=((256, 256), (24.0, 24.0)), check=_check_gausson_box),
+        grid=((256, 256), (24.0, 24.0)), check=_check_entangled_pair),
     "equivariance": Kind(
         _run_equivariance, "Born-rule ensemble transport",
         dt=1e-3, t_final=2.0,

@@ -30,9 +30,8 @@ import numpy as np
 from .errors import SolidynError
 from .grids import Field, Grid
 from .potentials import PhysicalParams, Potentials
-from .stepping import (NODE_MASK_REL, RowBlock, check_finite, drive,
-                       strang_step)
-from .trajectories import FlowHistory, FlowWalk, InteriorMax
+from .stepping import NODE_MASK_REL, check_finite, drive, strang_step
+from .trajectories import FlowHistory
 
 
 @dataclass
@@ -163,15 +162,14 @@ class SchrodingerRun:
 
 def evolve_schrodinger(psi0: Field, params: PhysicalParams,
                        potentials: Potentials, dt: float, steps: int,
-                       store_every: int = 1,
-                       history: FlowHistory = None) -> SchrodingerRun:
+                       store_every: int = 1, *,
+                       history: FlowHistory) -> SchrodingerRun:
     """Evolve and cache Madelung snapshots every `store_every` steps.
 
     The cached velocity fields are what guidance trajectories interpolate,
     so the snapshot cadence bounds trajectory accuracy.  Each snapshot's
-    `MadelungBundle` goes to `history` (a new FlowHistory by default),
-    which keeps the last three: attach its readers (`integrate_flow`,
-    `newton_bohm_residual`, `continuity_residual`) before this call.
+    `MadelungBundle` goes to `history`, which keeps the last three: attach
+    its readers (`integrate_flow`, a test oracle's walk) before this call.
 
     The wave chain (`ls_step`, its finiteness check, and
     `madelung_extract` with the norm at each snapshot) runs ahead in the
@@ -180,9 +178,6 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
     The history and its readers take each bundle in this process, in step
     order, as in one process.
     """
-    if history is None:
-        history = FlowHistory(psi0.grid, params, potentials)
-
     def step(psi, i):
         psi = ls_step(psi, params, potentials, dt)
         check_finite(psi.samples, i)
@@ -205,62 +200,3 @@ def evolve_schrodinger(psi0: Field, params: PhysicalParams,
     return SchrodingerRun(history=history, final_psi=psi,
                           densities=[a ** 2 for a in history.amplitudes],
                           **series)
-
-
-def newton_bohm_residual(z0, history: FlowHistory) -> FlowWalk:
-    """Residual of omega0 z''(t) = F_Q + F_em along the guidance path from
-    the single start z0, read as the wave fills the history.
-
-    Each visit blends F_Q from the records and evaluates F_em = e E at the
-    path point; z'' comes from centered differences of the positions.
-    `finish()` returns the interior times, the residual series, and its
-    RMS relative to the dominant force scale.
-    """
-    if np.size(z0) != history.grid.dim:
-        raise SolidynError("newton_bohm_residual takes a single start")
-    params = history.params
-    path = [RowBlock() for _ in range(4)]   # t, z, F_Q, F_em
-
-    def visit(i, t, z, stencil, k1):
-        records = history.records
-        # per axis, a float at the single start's point stencil
-        fq = history._blend(lambda p: records[p].quantum_force, t, stencil)
-        fem = params.charge * history.potentials.electric_field(t, z)
-        for column, value in zip(path, (t, z[0], fq, fem[0])):
-            column.append(value)
-
-    def finish():
-        times, z, fq, fem = (column.block() for column in path)
-        if len(times) < 5:
-            raise SolidynError("need at least 5 trajectory points")
-        dt = times[1] - times[0]
-        if not np.allclose(np.diff(times), dt):
-            raise SolidynError("newton_bohm_residual expects uniform sampling")
-        acc = (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dt**2
-        force = fq[1:-1] + fem[1:-1]
-        residual = params.omega0 * acc - force
-        scale = max(float(np.max(np.abs(force))),
-                    float(params.omega0 * np.max(np.abs(acc))), 1e-300)
-        rel_rms = float(np.sqrt(np.mean(residual**2)) / scale)
-        return times[1:-1], residual, rel_rms
-
-    return FlowWalk(history, z0, visit, finish)
-
-
-def continuity_residual(history: FlowHistory) -> InteriorMax:
-    """Max-norm violation of d(a^2)/dt + div(a^2 v) = 0 over the interior
-    snapshots, read as the wave fills the history; `finish()` returns it.
-
-    The time derivative is a centered difference over the neighbouring
-    snapshots; the divergence is spectral; only unmasked samples count.
-    """
-    def at_middle(before, bundle, after):
-        drho = ((after.amplitude ** 2 - before.amplitude ** 2)
-                / (after.time_tag - before.time_tag))
-        div = history.grid.divergence(
-            bundle.velocity * (bundle.amplitude ** 2)[None, ...])
-        mask = bundle.amplitude >= NODE_MASK_REL * bundle.amp_peak
-        resid = np.abs(drho + div)[mask]
-        return float(np.max(resid)) if resid.size else 0.0
-
-    return InteriorMax(history, at_middle)

@@ -86,7 +86,7 @@ def read_snapshot(path) -> Field:
                  time_tag)
 
 
-def format_value(x):
+def _format_value(x):
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -104,7 +104,7 @@ def write_csv(path, header, columns, comment):
             raise SolidynError("csv columns must have equal lengths")
     lines = [f"# {comment}", ",".join(header)]
     for i in range(n):
-        lines.append(",".join(format_value(c[i]) for c in columns))
+        lines.append(",".join(_format_value(c[i]) for c in columns))
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 

@@ -234,18 +234,6 @@ def _wrapped_offsets(grid: Grid, axis, center):
     return r.reshape(shape)
 
 
-def second_central_moments(u: Field, center):
-    """Per-axis variance of |u|^2 about `center` (wrap-aware)."""
-    grid = u.grid
-    rho = u.density()
-    c = grid.integrate(rho)
-    out = np.empty(grid.dim)
-    for a in range(grid.dim):
-        delta = _wrapped_offsets(grid, a, center[a])
-        out[a] = grid.integrate(rho * delta**2) / c
-    return out
-
-
 def nls_step(state: SolitonState, potentials: Potentials, dt: float,
              external_q=None, external_q_end=None) -> SolitonState:
     """One Strang split step of the nonlinear field.

@@ -18,10 +18,9 @@ the lockstep runs step it over a two-record history of each step
 A history keeps only the last three records appended (`WALK_WINDOW`), since
 every time derivative along the flow is a centered difference.  So each
 reader attaches to a history before the wave fills it and reads every record
-as it is appended (a `FlowWalk`, or `InteriorMax`); its `finish()` returns
-the result once the wave is done.  `integrate_flow` is the one reader that
-records the paths; the residual readers (`newton_bohm_residual`,
-`kg_newton_residual`) are walks of their own.  Results are bit-reproducible.
+as it is appended (a `FlowWalk`, or a callable in `readers`); its `finish()`
+returns the result once the wave is done.  `integrate_flow` is the one
+reader that records the paths.  Results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -411,28 +410,3 @@ def integrate_flow(history, z0):
 
     return FlowWalk(history, z0, visit, lambda: TrajectoryRecord(
         *(column.block() for column in columns)))
-
-
-class InteriorMax:
-    """The largest `residual(before, record, after)` over the interior
-    records, read as the wave fills the history: each interior record with
-    its two neighbours.  `finish()` detaches it (see `_detach`) and
-    returns it."""
-
-    def __init__(self, history, residual):
-        if history.count:
-            raise SolidynError(
-                "a reader must attach before the first snapshot")
-        self._history, self._residual, self._worst = history, residual, 0.0
-        history.readers.append(self._read)
-
-    def _read(self, record):
-        records = self._history.records
-        if len(records) >= 3:
-            self._worst = max(self._worst, self._residual(*records[-3:]))
-
-    def finish(self):
-        _detach(self._history, self._read)
-        if self._history.count < 3:
-            raise SolidynError("need at least 3 snapshots")
-        return self._worst

@@ -1,9 +1,11 @@
 """Size of the `solidyn` package, per module and in total.
 
-    python tests/size_report.py [SOURCE_DIR]
+    python tests/size_report.py [DIR ...]
 
-prints, for each module of SOURCE_DIR (default: src/solidyn of this
-checkout) and for all of them together, four counts:
+prints, for each module of DIR (default: src/solidyn of this checkout)
+and for all of them together, four counts.  Given several directories
+(say `src/solidyn tests`), it prints each one's total and their sum, so
+that code moved between them shows as a move.  The counts:
 
 - lines: the line count that `wc -l` gives
 - code: the lines that hold a token other than a comment, outside
@@ -81,15 +83,29 @@ def module_size(path):
             default_count(tree))
 
 
+def total(sizes):
+    return tuple(map(sum, zip(*sizes)))
+
+
 def main(argv):
-    source = Path(argv[0]) if argv else SOURCE
-    sizes = {path.name: module_size(path)
-             for path in sorted(source.glob("*.py"))}
-    sizes["total"] = tuple(map(sum, zip(*sizes.values())))
-    print(f"{'module':<18}{'lines':>7}{'code':>7}{'public':>8}"
+    sources = [Path(arg) for arg in argv] or [SOURCE]
+    rows = {}
+    for source in sources:
+        sizes = {path.name: module_size(path)
+                 for path in sorted(source.glob("*.py"))}
+        if len(sources) == 1:
+            rows = dict(sizes, total=total(sizes.values()))
+        else:
+            rows[str(source)] = total(sizes.values())
+    if len(sources) > 1:
+        rows["sum"] = total(rows.values())
+    width = max(18, *(len(name) + 2 for name in rows))
+    label = "module" if len(sources) == 1 else "directory"
+    print(f"{label:<{width}}{'lines':>7}{'code':>7}{'public':>8}"
           f"{'defaults':>10}")
-    for name, (lines, code, public, defaults) in sizes.items():
-        print(f"{name:<18}{lines:>7}{code:>7}{public:>8}{defaults:>10}")
+    for name, (lines, code, public, defaults) in rows.items():
+        print(f"{name:<{width}}{lines:>7}{code:>7}{public:>8}"
+              f"{defaults:>10}")
 
 
 if __name__ == "__main__":

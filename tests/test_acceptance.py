@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from interp_reference import record_snapshots
+from oracle_reference import newton_bohm_residual
 from solidyn.diagnostics import (cancellation_integrals, conservation_report,
                                  ehrenfest_report, equivariance_distance,
                                  static_energy_identity_deviation)
@@ -21,7 +22,7 @@ from solidyn.kleingordon import (KGHistory, discrete_mode_frequency,
                                  evolve_kg, kg_bohm_trajectory)
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.scenarios import THRESHOLDS, parse_config_dict, run_scenario
-from solidyn.schrodinger import evolve_schrodinger, newton_bohm_residual
+from solidyn.schrodinger import evolve_schrodinger
 from solidyn.soliton import (GaussonParams, SolitonState,
                              classical_trajectory, gausson_init, nls_step,
                              run_classical, run_coupled)

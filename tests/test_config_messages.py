@@ -159,6 +159,16 @@ CASES = [
      "  soliton_start: 0.0\n",
      "[initial].separation: 40.0 puts a packet centre at 20.0, outside "
      "the box [-20, 20)"),
+    ("packet-offset-outside",
+     "scenario: entangled_pair\nphysics:\n  b: 25\ninitial:\n"
+     "  packet_offset: 40\nrun:\n  t_final: 0.01\n",
+     "[initial].packet_offset: 40.0 puts a packet centre at -40.0, outside "
+     "the box [-12, 12)"),
+    ("packet-offset-second-axis",               # inside the first axis only
+     "scenario: entangled_pair\nphysics:\n  b: 4\ngrid:\n"
+     "  length: [24, 8]\ninitial:\n  packet_offset: 5\n",
+     "[initial].packet_offset: 5.0 puts a packet centre at -5.0, outside "
+     "the box [-4, 4)"),
     ("z1-inf", "scenario: entangled_pair\ninitial:\n  z1: -.inf\n",
      "[initial].z1: expected a finite number, got -inf"),
     ("wavenumber-nan", "scenario: kg_packet\ninitial:\n  wavenumber: .nan\n",
@@ -181,6 +191,9 @@ CASES = [
      "[initial].bins: must be > 0"),
     ("bins-budget", f"scenario: equivariance\ninitial:\n  bins: {HUGE}\n",
      f"[initial].bins: exceeds the memory budget ({BUDGET})"),
+    ("bins-grid-budget", "scenario: equivariance\ninitial:\n  bins: 40000\n",
+     f"[initial].bins: bins x points = 20480000 exceeds the memory budget "
+     f"({BUDGET})"),
     ("harmonic-float", "scenario: kg_plane_wave\ninitial:\n  harmonic: 4.5\n",
      "[initial].harmonic: expected an integer, got 4.5"),
     ("harmonic-bound",

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from interp_reference import record_snapshots
+from oracle_reference import current_conservation_residual, kg_newton_residual
 from solidyn.errors import SolidynError, TachyonicRegionError
 from solidyn.grids import Field, Grid
 from solidyn.kleingordon import (
     KGHistory,
     KGMadelung,
-    current_conservation_residual,
     discrete_mode_frequency,
     evolve_kg,
     kg_bohm_trajectory,
     kg_madelung,
-    kg_newton_residual,
     lkg_step,
 )
 from solidyn.potentials import PhysicalParams, Potentials
@@ -52,7 +51,8 @@ def test_kg_cfl_enforced():
     psi = Field(g, np.exp(-g.axes[0] ** 2).astype(complex))
     with pytest.raises(SolidynError):
         evolve_kg(psi, -1j * psi.samples, PARAMS, Potentials.free(),
-                  dt=g.spacing[0], steps=1)
+                  dt=g.spacing[0], steps=1,
+                  history=KGHistory(g, PARAMS, Potentials.free()))
 
 
 def test_evolve_kg_names_each_refusal():
@@ -63,18 +63,21 @@ def test_evolve_kg_names_each_refusal():
     with pytest.raises(SolidynError,
                        match="^the Klein-Gordon sector is 1\\+1D only$"):
         evolve_kg(psi2, np.zeros((32, 32), dtype=complex), PARAMS,
-                  Potentials.free(2), dt=0.01, steps=1)
+                  Potentials.free(2), dt=0.01, steps=1,
+                  history=KGHistory(g2, PARAMS, Potentials.free(2)))
     g = Grid(128, 20.0)
     psi = Field(g, np.exp(-g.axes[0] ** 2).astype(complex))
     with pytest.raises(SolidynError, match=(
             "^dt = 0\\.1 violates the CFL bound dt <= "
             "0\\.5 dx = 0\\.078125$")):
         evolve_kg(psi, -1j * psi.samples, PARAMS, Potentials.free(),
-                  dt=0.1, steps=1)
+                  dt=0.1, steps=1,
+                  history=KGHistory(g, PARAMS, Potentials.free()))
     with pytest.raises(SolidynError,
                        match="^the Klein-Gordon sector requires A = 0$"):
         evolve_kg(psi, -1j * psi.samples, PARAMS,
-                  Potentials.vector_ramp(0.5), dt=0.05, steps=1)
+                  Potentials.vector_ramp(0.5), dt=0.05, steps=1,
+                  history=KGHistory(g, PARAMS, Potentials.vector_ramp(0.5)))
 
 
 def test_kg_sector_refuses_a_vector_potential():
@@ -85,7 +88,8 @@ def test_kg_sector_refuses_a_vector_potential():
     with pytest.raises(SolidynError,
                        match="^the Klein-Gordon sector requires A = 0$"):
         evolve_kg(psi, -1j * psi.samples, PARAMS,
-                  Potentials.vector_ramp(0.5), dt=0.05, steps=40)
+                  Potentials.vector_ramp(0.5), dt=0.05, steps=40,
+                  history=KGHistory(g, PARAMS, Potentials.vector_ramp(0.5)))
 
 
 def test_kg_plane_wave_dispersion():
@@ -118,9 +122,11 @@ def test_kg_nonrelativistic_field_limit():
                      * np.exp(1j * k * x)).astype(complex))
     dt, steps = 0.05, 100
     kg = evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
-                   dt=dt, steps=steps)
+                   dt=dt, steps=steps,
+                   history=KGHistory(g, PARAMS, Potentials.free()))
     sch = evolve_schrodinger(psi0, PARAMS, Potentials.free(), dt=dt,
-                             steps=steps)
+                             steps=steps,
+                             history=FlowHistory(g, PARAMS, Potentials.free()))
     diff = kg.final_psi.samples - sch.final_psi.samples
     rel = np.sqrt(g.integrate(np.abs(diff) ** 2)
                   / g.integrate(np.abs(sch.final_psi.samples) ** 2))

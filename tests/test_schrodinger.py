@@ -7,15 +7,10 @@ import numpy as np
 import pytest
 
 from interp_reference import Snapshot, keep_every_snapshot
+from oracle_reference import continuity_residual, newton_bohm_residual
 from solidyn.grids import Field, Grid
 from solidyn.potentials import PhysicalParams, Potentials
-from solidyn.schrodinger import (
-    continuity_residual,
-    evolve_schrodinger,
-    ls_step,
-    madelung_extract,
-    newton_bohm_residual,
-)
+from solidyn.schrodinger import evolve_schrodinger, ls_step, madelung_extract
 from solidyn.stepping import NODE_MASK_REL
 from solidyn.trajectories import FlowHistory, integrate_flow
 
@@ -115,7 +110,8 @@ def test_ls_step_unitarity():
     g = Grid(256, 30.0)
     psi = gaussian_packet(g, sigma=1.0)
     run = evolve_schrodinger(psi, PARAMS, Potentials.free(), dt=1e-3,
-                             steps=2000, store_every=100)
+                             steps=2000, store_every=100,
+                             history=FlowHistory(g, PARAMS, Potentials.free()))
     drift = np.max(np.abs(run.norms - run.norms[0])) / run.norms[0]
     assert drift < 1e-12
 
@@ -293,7 +289,8 @@ def test_benchmark_history_size_reads_a_stored_run():
         sys.path.pop(0)
     g = Grid(64, 20.0)
     run = evolve_schrodinger(gaussian_packet(g), PARAMS, Potentials.free(),
-                             dt=1e-3, steps=6, store_every=2)
+                             dt=1e-3, steps=6, store_every=2,
+                             history=FlowHistory(g, PARAMS, Potentials.free()))
     history = run.history
     size = HistoryBytes()
     size(run)

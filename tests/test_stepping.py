@@ -11,7 +11,7 @@ import pytest
 from solidyn import pair, soliton
 from solidyn.errors import BoundaryMassError, NonFiniteFieldError
 from solidyn.grids import Field, Grid
-from solidyn.kleingordon import evolve_kg
+from solidyn.kleingordon import KGHistory, evolve_kg
 from solidyn.pair import PairState, PairWave, ls2_step, product_pair, run_pair
 from solidyn.potentials import PhysicalParams, Potentials
 from solidyn.schrodinger import evolve_schrodinger, ls_step
@@ -19,6 +19,7 @@ from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
                              log_nonlinearity, nls_step, run_classical,
                              run_coupled)
 from solidyn.stepping import RowBlock, drive, strang_step
+from solidyn.trajectories import FlowHistory
 
 STEPS = 50
 DT = 5e-3
@@ -295,11 +296,12 @@ def guard_soliton(mode, center=0.0):
 def test_evolve_schrodinger_names_the_non_finite_step(store_every):
     # the check runs before the snapshot's Madelung extraction, which
     # would fail on the NaN field with another message
+    psi0, pots = guard_pilot(), Potentials(1, scalar=poisoned_v)
     with pytest.raises(NonFiniteFieldError,
                        match=r"^non-finite field after step 18$"):
-        evolve_schrodinger(guard_pilot(), GUARD_PARAMS,
-                           Potentials(1, scalar=poisoned_v), GUARD_DT, 40,
-                           store_every=store_every)
+        evolve_schrodinger(psi0, GUARD_PARAMS, pots, GUARD_DT, 40,
+                           store_every=store_every,
+                           history=FlowHistory(psi0.grid, GUARD_PARAMS, pots))
 
 
 def test_run_classical_names_the_non_finite_step():
@@ -388,8 +390,9 @@ def test_evolve_kg_counts_its_steps_from_zero():
     grid = Grid(128, 16 * np.pi)
     x = grid.axes[0]
     psi0 = Field(grid, np.exp(-x**2 / 16.0).astype(complex))
+    pots = Potentials(1, scalar=poisoned_v)
     # leapfrog update n samples V at t = n dt: 0.02 is the first past T_BAD
     with pytest.raises(NonFiniteFieldError,
                        match=r"^non-finite field after step 4$"):
-        evolve_kg(psi0, -1j * psi0.samples, GUARD_PARAMS,
-                  Potentials(1, scalar=poisoned_v), 0.005, 10)
+        evolve_kg(psi0, -1j * psi0.samples, GUARD_PARAMS, pots, 0.005, 10,
+                  history=KGHistory(grid, GUARD_PARAMS, pots))

@@ -30,15 +30,15 @@ from solidyn.errors import (BoundaryExitError, NodeEncounterError,
                             PastOrientedCurrentError, SolidynError,
                             TachyonicRegionError)
 from solidyn.grids import Field, Grid
-from solidyn.kleingordon import (KGHistory, KGMadelung,
-                                 current_conservation_residual, evolve_kg,
-                                 kg_bohm_trajectory, kg_madelung,
-                                 kg_newton_residual)
+from oracle_reference import (continuity_residual,
+                              current_conservation_residual,
+                              kg_newton_residual, newton_bohm_residual)
+from solidyn.kleingordon import (KGHistory, KGMadelung, evolve_kg,
+                                 kg_bohm_trajectory, kg_madelung)
 from solidyn.pair import PairWave, ls2_step
 from solidyn.potentials import PhysicalParams, Potentials
-from solidyn.schrodinger import (continuity_residual, evolve_schrodinger,
-                                 ls_step, madelung_extract,
-                                 newton_bohm_residual)
+from solidyn.schrodinger import (evolve_schrodinger, ls_step,
+                                 madelung_extract)
 from solidyn.soliton import (GaussonParams, SolitonState, gausson_init,
                              run_coupled)
 from solidyn.stepping import NODE_MASK_REL, RowBlock
@@ -61,8 +61,11 @@ def packet_run(history=None):
     x = g.axes[0]
     psi0 = Field(g, (np.exp(-((x + 2.0) ** 2) / 4.0)
                      * np.exp(0.8j * x)).astype(complex))
-    return evolve_schrodinger(psi0, PARAMS, Potentials.harmonic(0.1),
-                              dt=2e-2, steps=40, history=history)
+    pots = Potentials.harmonic(0.1)
+    if history is None:
+        history = FlowHistory(g, PARAMS, pots)
+    return evolve_schrodinger(psi0, PARAMS, pots, dt=2e-2, steps=40,
+                              history=history)
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +199,8 @@ def kg_packet_run(history=None):
     x = g.axes[0]
     psi0 = Field(g, (np.exp(-x**2 / (4 * sigma**2))
                      * np.exp(1j * k * x)).astype(complex))
+    if history is None:
+        history = KGHistory(g, PARAMS, Potentials.free())
     return evolve_kg(psi0, -1j * psi0.samples, PARAMS, Potentials.free(),
                      dt=0.2, steps=80, history=history)
 
